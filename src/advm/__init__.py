@@ -15,14 +15,7 @@ from .attacks import (
     AttackResult,
     attack_batch,
     attack_one,
-    emifgsm,
-    enifgsm,
-    erifgsm,
     fgsm,
-    ifgsm,
-    mifgsm,
-    nifgsm,
-    pifgsm,
     run_attack,
 )
 from .data import LabeledDataset, generate_synthetic, load_idx, subsample
@@ -68,22 +61,15 @@ __all__ = [
     "ablation_sweep",
     "derive_rng",
     "emit_report",
-    "emifgsm",
-    "enifgsm",
-    "erifgsm",
     "fgsm",
     "generate_synthetic",
     "grad_check",
-    "ifgsm",
     "load_idx",
     "load_model",
     "load_tensor",
     "make_estimator",
     "make_rng",
-    "mifgsm",
-    "nifgsm",
     "parse_report_csv",
-    "pifgsm",
     "project_linf",
     "run_attack",
     "sample_coefficients",

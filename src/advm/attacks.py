@@ -1,34 +1,36 @@
-"""The momentum family of L-infinity sign attacks.
+"""The momentum family of L-infinity sign attacks, as one loop.
 
-All variants perturb within an eps-ball around the clean image, step by
-alpha = eps / iters, and clip to the ball intersected with [0, 1] after
-every step. They differ only in which gradient feeds the momentum
-accumulator g_t:
+Every variant perturbs within an eps-ball around the clean image, steps
+by alpha = eps / iters, and clips to the ball intersected with [0, 1]
+after every step. Each iteration averages the oracle's loss and gradient
+over a list of points x_t + c * d into gbar_t. The variants differ only in
+that list, their query rule, and in the direction they step along:
 
-- fgsm      single step along sign(grad).
-- ifgsm     iterative steps along sign(grad), no momentum.
-- mifgsm    g_t = mu * g_{t-1} + grad / ||grad||_1, step along sign(g_t).
-- nifgsm    the mifgsm update, but the gradient is taken at the
-            lookahead point x_t + alpha * mu * g_{t-1}.
-- pifgsm    the gradient is taken at x_t + alpha * grad_{t-1} where
-            grad_{t-1} is the previous raw (un-normalized) gradient.
-- emifgsm   the gradient is the average over N points x_t + c_i * gbar_{t-1},
-            where gbar_{t-1} is the previous averaged gradient (raw, not
-            normalized) and the c_i come from the coefficient sampler.
-- enifgsm   like emifgsm but sampling along the accumulated momentum
-            g_{t-1} instead of the previous average.
-- erifgsm   like emifgsm but each point is x_t + alpha * u with a fresh
-            u ~ U([-1,1]^d) per point per step; the coefficient sampler
-            contributes only its count N.
+    variant   points queried at iteration t        step along
+    fgsm      x_t  (forced to T = 1, alpha = eps)   sign(gbar_t)
+    ifgsm     x_t                                   sign(gbar_t)
+    mifgsm    x_t                                   sign(g_t)
+    nifgsm    x_t + (alpha * mu) * g_{t-1}          sign(g_t)
+    pifgsm    x_t + alpha * gbar_{t-1}              sign(g_t)
+    emifgsm   x_t + c_i * gbar_{t-1},  i = 1..N     sign(g_t)
+    enifgsm   x_t + c_i * g_{t-1},     i = 1..N     sign(g_t)
+    erifgsm   x_t + alpha * u_i,       i = 1..N     sign(g_t)
 
-Momentum and the averaged-gradient memories start at zero, so a zero
+where g_t = mu * g_{t-1} + gbar_t / ||gbar_t||_1 is the momentum. A
+one-point average is the raw gradient, so pifgsm queries one raw-gradient
+step ahead. The c_i come from the coefficient sampler; with
+normalize_sample_dir the direction d is L1-normalized first. Each u_i is a
+fresh draw from U([-1,1]^d), and the sampler contributes only its count N.
+
+Momentum and the averaged-gradient memory start at zero, so a zero
 coefficient or mu=0 reproduces the simpler family members exactly.
 """
 
 import hashlib
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -63,40 +65,21 @@ class AttackConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown attack variant {self.variant!r}")
-        if self.eps < 0.0:
-            raise ValueError(f"eps must be >= 0, got {self.eps}")
+        if not (self.eps >= 0.0 and math.isfinite(self.eps)):
+            raise ValueError(f"eps must be finite and >= 0, got {self.eps}")
         if self.iters < 1:
             raise ValueError(f"iters must be >= 1, got {self.iters}")
-        if self.mu < 0.0:
-            raise ValueError(f"mu must be >= 0, got {self.mu}")
+        if not (self.mu >= 0.0 and math.isfinite(self.mu)):
+            raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
 
     @property
     def alpha(self) -> float:
         return self.eps / self.iters
 
     def canonical(self) -> dict:
-        return {
-            "variant": self.variant,
-            "eps": self.eps,
-            "iters": self.iters,
-            "mu": self.mu,
-            "sampling": {
-                "method": self.sampling.method,
-                "count": self.sampling.count,
-                "eta": self.sampling.eta,
-            },
-            "transforms": {
-                "enabled": list(self.transforms.enabled),
-                "dim_prob": self.transforms.dim_prob,
-                "dim_resize_low": self.transforms.dim_resize_low,
-                "dim_pad_to": self.transforms.dim_pad_to,
-                "tim_kernel_size": self.transforms.tim_kernel_size,
-                "tim_sigma": self.transforms.tim_sigma,
-                "sim_copies": self.transforms.sim_copies,
-            },
-            "normalize_sample_dir": self.normalize_sample_dir,
-            "seed": self.seed,
-        }
+        d = asdict(self)
+        d["transforms"]["enabled"] = list(self.transforms.enabled)
+        return d
 
     def config_hash(self) -> str:
         blob = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
@@ -130,7 +113,75 @@ def _l1_direction(g: np.ndarray) -> np.ndarray:
         return np.zeros_like(g)
 
 
-def _finish(oracle, x, y, adv, losses, cfg, states):
+_PLAIN = ("fgsm", "ifgsm")                       # step along gbar_t, no momentum
+_SAMPLED = ("emifgsm", "enifgsm", "erifgsm")     # N-point averages
+
+
+def _query_points(cfg: AttackConfig, rng, adv, g_acc, g_avg) -> list:
+    """The query rule: the points x_t + c * d averaged at this iteration."""
+    variant = cfg.variant
+    if variant == "nifgsm":
+        return [adv + cfg.alpha * cfg.mu * g_acc]
+    if variant == "pifgsm":
+        return [adv + cfg.alpha * g_avg]
+    if variant == "erifgsm":
+        return [adv + cfg.alpha * sample_uniform_cube(rng, adv.shape)
+                for _ in range(cfg.sampling.count)]
+    if variant in _SAMPLED:
+        d = g_avg if variant == "emifgsm" else g_acc
+        if cfg.normalize_sample_dir:
+            d = _l1_direction(d)
+        return [adv + c * d for c in sample_coefficients(cfg.sampling, rng)]
+    return [adv]
+
+
+def _average(oracle, points, y):
+    """Mean loss and gradient over the query points."""
+    loss_sum = 0.0
+    grad_sum = None
+    for pt in points:
+        loss_i, g_i = oracle.loss_and_grad(pt, y)
+        loss_sum += loss_i
+        grad_sum = g_i if grad_sum is None else grad_sum + g_i
+    return loss_sum / len(points), grad_sum / len(points)
+
+
+def fgsm(oracle, x, y, eps: float) -> AttackResult:
+    """One signed-gradient step of size eps."""
+    return run_attack(oracle, x, y, AttackConfig(variant="fgsm", eps=eps, iters=1))
+
+
+def run_attack(oracle, x, y, cfg: AttackConfig, rng=None, record_state=False) -> AttackResult:
+    """Attack one example with any variant; the query rules are in the module docstring.
+
+    fgsm always records its single state, which is its output.
+    """
+    validate_image(x, pixel_domain=True)
+    if rng is None:
+        rng = make_rng(cfg.seed)
+    variant = cfg.variant
+    iters, alpha = (1, cfg.eps) if variant == "fgsm" else (cfg.iters, cfg.alpha)
+    record_state = record_state or variant == "fgsm"
+    adv = x
+    g_acc = np.zeros_like(x)
+    g_avg = np.zeros_like(x)
+    losses, states = [], []
+    for _ in range(iters):
+        loss, g_avg = _average(oracle, _query_points(cfg, rng, adv, g_acc, g_avg), y)
+        if variant in _PLAIN:
+            step = g_avg
+        else:
+            g_acc = cfg.mu * g_acc + _l1_direction(g_avg)
+            step = g_acc
+        adv = project_linf(adv + alpha * sign(step), x, cfg.eps)
+        losses.append(loss)
+        if record_state:
+            states.append(StepState(
+                x=adv,
+                g=None if variant in _PLAIN else g_acc,
+                g_avg=g_avg if variant in _SAMPLED else None,
+                g_prev=g_avg if variant == "pifgsm" else None,
+            ))
     return AttackResult(
         adv=adv,
         white_box_success=oracle.predict(adv) != y,
@@ -140,168 +191,12 @@ def _finish(oracle, x, y, adv, losses, cfg, states):
     )
 
 
-def fgsm(oracle, x, y, eps: float) -> AttackResult:
-    """One signed-gradient step of size eps."""
-    return _fgsm_with_cfg(oracle, x, y, AttackConfig(variant="fgsm", eps=eps, iters=1))
-
-
-def _fgsm_with_cfg(oracle, x, y, cfg: AttackConfig) -> AttackResult:
-    validate_image(x, pixel_domain=True)
-    loss, g = oracle.loss_and_grad(x, y)
-    adv = project_linf(x + cfg.eps * sign(g), x, cfg.eps)
-    return _finish(oracle, x, y, adv, [loss], cfg, [StepState(x=adv)])
-
-
-def ifgsm(oracle, x, y, cfg: AttackConfig, rng=None, record_state=False) -> AttackResult:
-    """Iterated signed-gradient steps; the raw gradient, no momentum."""
-    validate_image(x, pixel_domain=True)
-    alpha = cfg.alpha
-    adv = x
-    losses, states = [], []
-    for _ in range(cfg.iters):
-        loss, g = oracle.loss_and_grad(adv, y)
-        adv = project_linf(adv + alpha * sign(g), x, cfg.eps)
-        losses.append(loss)
-        if record_state:
-            states.append(StepState(x=adv))
-    return _finish(oracle, x, y, adv, losses, cfg, states)
-
-
-def mifgsm(oracle, x, y, cfg: AttackConfig, rng=None, record_state=False) -> AttackResult:
-    validate_image(x, pixel_domain=True)
-    alpha = cfg.alpha
-    adv = x
-    g_acc = np.zeros_like(x)
-    losses, states = [], []
-    for _ in range(cfg.iters):
-        loss, grad = oracle.loss_and_grad(adv, y)
-        g_acc = cfg.mu * g_acc + _l1_direction(grad)
-        adv = project_linf(adv + alpha * sign(g_acc), x, cfg.eps)
-        losses.append(loss)
-        if record_state:
-            states.append(StepState(x=adv, g=g_acc))
-    return _finish(oracle, x, y, adv, losses, cfg, states)
-
-
-def nifgsm(oracle, x, y, cfg: AttackConfig, rng=None, record_state=False) -> AttackResult:
-    """Momentum with the gradient taken at the unprojected lookahead point."""
-    validate_image(x, pixel_domain=True)
-    alpha = cfg.alpha
-    adv = x
-    g_acc = np.zeros_like(x)
-    losses, states = [], []
-    for _ in range(cfg.iters):
-        lookahead = adv + alpha * cfg.mu * g_acc
-        loss, grad = oracle.loss_and_grad(lookahead, y)
-        g_acc = cfg.mu * g_acc + _l1_direction(grad)
-        adv = project_linf(adv + alpha * sign(g_acc), x, cfg.eps)
-        losses.append(loss)
-        if record_state:
-            states.append(StepState(x=adv, g=g_acc))
-    return _finish(oracle, x, y, adv, losses, cfg, states)
-
-
-def pifgsm(oracle, x, y, cfg: AttackConfig, rng=None, record_state=False) -> AttackResult:
-    """Momentum with the gradient taken one raw-gradient step ahead."""
-    validate_image(x, pixel_domain=True)
-    alpha = cfg.alpha
-    adv = x
-    g_acc = np.zeros_like(x)
-    g_prev = np.zeros_like(x)
-    losses, states = [], []
-    for _ in range(cfg.iters):
-        lookahead = adv + alpha * g_prev
-        loss, grad = oracle.loss_and_grad(lookahead, y)
-        g_prev = grad
-        g_acc = cfg.mu * g_acc + _l1_direction(grad)
-        adv = project_linf(adv + alpha * sign(g_acc), x, cfg.eps)
-        losses.append(loss)
-        if record_state:
-            states.append(StepState(x=adv, g=g_acc, g_prev=g_prev))
-    return _finish(oracle, x, y, adv, losses, cfg, states)
-
-
-def _sampled_variant(oracle, x, y, cfg, rng, record_state, direction_source):
-    """Shared loop for the sampled-gradient variants.
-
-    direction_source picks what the coefficients multiply:
-      "avg"      the previous averaged gradient (raw)
-      "momentum" the accumulated momentum
-      "random"   fresh U([-1,1]^d) noise per point, scaled by alpha
-    """
-    validate_image(x, pixel_domain=True)
-    if rng is None:
-        rng = make_rng(cfg.seed)
-    alpha = cfg.alpha
-    n = cfg.sampling.count
-    adv = x
-    g_acc = np.zeros_like(x)
-    g_avg = np.zeros_like(x)
-    losses, states = [], []
-    for _ in range(cfg.iters):
-        if direction_source == "random":
-            points = [adv + alpha * sample_uniform_cube(rng, x.shape) for _ in range(n)]
-        else:
-            base_dir = g_avg if direction_source == "avg" else g_acc
-            if cfg.normalize_sample_dir:
-                base_dir = _l1_direction(base_dir)
-            coeffs = sample_coefficients(cfg.sampling, rng)
-            points = [adv + c * base_dir for c in coeffs]
-        loss_sum = 0.0
-        grad_sum = None
-        for pt in points:
-            loss_i, g_i = oracle.loss_and_grad(pt, y)
-            loss_sum += loss_i
-            grad_sum = g_i if grad_sum is None else grad_sum + g_i
-        g_avg = grad_sum / n
-        g_acc = cfg.mu * g_acc + _l1_direction(g_avg)
-        adv = project_linf(adv + alpha * sign(g_acc), x, cfg.eps)
-        losses.append(loss_sum / n)
-        if record_state:
-            states.append(StepState(x=adv, g=g_acc, g_avg=g_avg))
-    return _finish(oracle, x, y, adv, losses, cfg, states)
-
-
-def emifgsm(oracle, x, y, cfg: AttackConfig, rng=None, record_state=False) -> AttackResult:
-    """Momentum fed by the gradient averaged over points sampled along the
-    previous averaged gradient."""
-    return _sampled_variant(oracle, x, y, cfg, rng, record_state, "avg")
-
-
-def enifgsm(oracle, x, y, cfg: AttackConfig, rng=None, record_state=False) -> AttackResult:
-    """Sampled averaging along the accumulated momentum direction."""
-    return _sampled_variant(oracle, x, y, cfg, rng, record_state, "momentum")
-
-
-def erifgsm(oracle, x, y, cfg: AttackConfig, rng=None, record_state=False) -> AttackResult:
-    """Sampled averaging over fresh random directions in the step-sized cube."""
-    return _sampled_variant(oracle, x, y, cfg, rng, record_state, "random")
-
-
-_DISPATCH = {
-    "ifgsm": ifgsm,
-    "mifgsm": mifgsm,
-    "nifgsm": nifgsm,
-    "pifgsm": pifgsm,
-    "emifgsm": emifgsm,
-    "enifgsm": enifgsm,
-    "erifgsm": erifgsm,
-}
-
-
-def run_attack(oracle, x, y, cfg: AttackConfig, rng=None, record_state=False) -> AttackResult:
-    """Dispatch one attack on one example."""
-    if cfg.variant == "fgsm":
-        return _fgsm_with_cfg(oracle, x, y, cfg)
-    return _DISPATCH[cfg.variant](oracle, x, y, cfg, rng, record_state)
-
-
 def attack_one(oracle, x, y, cfg: AttackConfig, example_index: int) -> AttackResult:
     """One example with its own derived stream: transform draws and attack
     sampling share the stream serially, so results are independent of how
     examples are scheduled across workers."""
     rng = derive_rng(cfg.seed, example_index)
-    estimator = make_estimator(oracle, cfg.transforms, rng)
+    estimator = make_estimator(oracle, cfg.transforms, lambda: rng)
     return run_attack(estimator, x, y, cfg, rng)
 
 

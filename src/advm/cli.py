@@ -23,6 +23,7 @@ from .errors import AdvmError
 from .evaluate import (
     TransferMatrix,
     ablation_sweep,
+    apply_parameter,
     attack_success_rate,
     emit_report,
     parse_report_csv,
@@ -45,10 +46,14 @@ _CONFIG_KEYS = (
 def parse_eps(text: str) -> float:
     """A decimal, or a fraction literal like 16/255."""
     text = text.strip()
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return float(num) / float(den)
-    return float(text)
+    try:
+        if "/" in text:
+            num, den = text.split("/", 1)
+            return float(num) / float(den)
+        return float(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise click.BadParameter(
+            f"expected a decimal or a fraction like 16/255, got {text!r}") from exc
 
 
 def parse_attack_name(name: str) -> str:
@@ -89,8 +94,15 @@ def _env_seed() -> int | None:
 
 
 def resolve_attack_config(cli: dict, filecfg: dict) -> AttackConfig:
-    """Merge flag values over config-file values over defaults."""
+    """Merge flag values over config-file values over defaults; a value the
+    config rejects is a usage error."""
+    try:
+        return _merge_attack_config(cli, filecfg)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc)) from exc
 
+
+def _merge_attack_config(cli: dict, filecfg: dict) -> AttackConfig:
     def pick(key, default, convert):
         if cli.get(key) is not None:
             return cli[key]
@@ -304,8 +316,9 @@ def _collect_cfg(kwargs) -> AttackConfig:
               help="model manifest path(s), comma-separated; several fuse into an ensemble")
 @click.option("--dataset", required=True)
 @click.option("--out", "out_dir", required=True, type=click.Path())
-@click.option("--num-images", type=int, default=None, help="subsample this many examples")
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--num-images", type=click.IntRange(min=1), default=None,
+              help="subsample this many examples")
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
 @_wrap_errors
 def attack_cmd(**kwargs):
     """Craft adversarial examples and write them with a manifest."""
@@ -353,6 +366,44 @@ def attack_cmd(**kwargs):
     click.echo(f"wrote {out_dir}/")
 
 
+def _load_advset(adv_dir: str) -> tuple:
+    """The checked manifest of a stored adversarial set, and its tensors."""
+    manifest_path = os.path.join(adv_dir, _MANIFEST_NAME)
+    if not os.path.exists(manifest_path):
+        raise click.ClickException(f"no adversarial examples: {manifest_path} missing")
+    try:
+        with open(manifest_path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise click.ClickException(f"unreadable manifest {manifest_path}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise click.ClickException(f"{manifest_path} is not a JSON object")
+    if manifest.get("count", 0) == 0 or not manifest.get("files"):
+        raise click.ClickException("no adversarial examples in the manifest")
+    if (manifest.get("format"), manifest.get("version")) != ("advm-advset", 1):
+        raise click.ClickException(
+            f"{manifest_path}: expected format advm-advset version 1, got "
+            f"{manifest.get('format')!r} version {manifest.get('version')!r}")
+    missing = {"labels", "surrogates", "config", "config_hash"} - set(manifest)
+    if missing:
+        raise click.ClickException(f"{manifest_path} lacks {', '.join(sorted(missing))}")
+    files, labels = manifest["files"], manifest["labels"]
+    if not (isinstance(files, list) and isinstance(labels, list)
+            and manifest["count"] == len(files) == len(labels)):
+        raise click.ClickException(
+            f"{manifest_path}: count {manifest['count']!r} does not match its files "
+            f"and labels lists")
+    advs = []
+    for f in files:
+        if not isinstance(f, str) or f in ("", ".", "..") or os.path.basename(f) != f:
+            raise click.ClickException(f"{manifest_path}: {f!r} is not a plain file name")
+        try:
+            advs.append(load_tensor(os.path.join(adv_dir, f)))
+        except (OSError, AdvmError) as exc:
+            raise click.ClickException(f"unreadable adversarial tensor {f}: {exc}") from exc
+    return manifest, advs
+
+
 @main.command(name="eval")
 @click.option("--adv", "adv_dir", required=True, type=click.Path())
 @click.option("--targets", required=True, help="model paths, comma-separated or glob")
@@ -362,14 +413,7 @@ def attack_cmd(**kwargs):
 @_wrap_errors
 def eval_cmd(adv_dir, targets, out_path, fmt):
     """Score stored adversarial examples against target models."""
-    manifest_path = os.path.join(adv_dir, _MANIFEST_NAME)
-    if not os.path.exists(manifest_path):
-        raise click.ClickException(f"no adversarial examples: {manifest_path} missing")
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    if manifest.get("count", 0) == 0 or not manifest.get("files"):
-        raise click.ClickException("no adversarial examples in the manifest")
-    advs = [load_tensor(os.path.join(adv_dir, f)) for f in manifest["files"]]
+    manifest, advs = _load_advset(adv_dir)
     labels = manifest["labels"]
     target_models = load_models(targets)
     surrogate_name = "+".join(manifest["surrogates"])
@@ -401,8 +445,8 @@ def eval_cmd(adv_dir, targets, out_path, fmt):
 @click.option("--out", "out_path", default=None, type=click.Path())
 @click.option("--format", "fmt", type=click.Choice(["csv", "markdown"]), default="csv",
               show_default=True)
-@click.option("--num-images", type=int, default=None)
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--num-images", type=click.IntRange(min=1), default=None)
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
 @_wrap_errors
 def ablate(**kwargs):
     """Sweep one attack parameter and report per-target success rates."""
@@ -417,12 +461,19 @@ def ablate(**kwargs):
     jobs = kwargs.pop("jobs")
     cfg = _collect_cfg(kwargs)
 
-    if param == "sampling_method":
-        grid = [v.strip() for v in grid_arg.split(",") if v.strip()]
-    elif param in ("samples", "iters"):
-        grid = [int(v) for v in grid_arg.split(",") if v.strip()]
-    else:
-        grid = [parse_eps(v) for v in grid_arg.split(",") if v.strip()]
+    try:
+        if param == "sampling_method":
+            grid = [v.strip() for v in grid_arg.split(",") if v.strip()]
+        elif param in ("samples", "iters"):
+            grid = [int(v) for v in grid_arg.split(",") if v.strip()]
+        else:
+            grid = [parse_eps(v) for v in grid_arg.split(",") if v.strip()]
+        for value in grid:
+            apply_parameter(cfg, param, value)
+    except (ValueError, click.BadParameter) as exc:
+        raise click.BadParameter(str(exc), param_hint="--grid") from exc
+    if not grid:
+        raise click.BadParameter("no values to sweep", param_hint="--grid")
     surrogate = load_models(surrogate_arg)
     oracle = surrogate[0] if len(surrogate) == 1 else EnsembleOracle(surrogate)
     target_models = load_models(targets_arg)

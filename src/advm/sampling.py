@@ -7,6 +7,7 @@ work can be farmed out to any number of workers and still reproduce the
 single-threaded run bit for bit.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +28,8 @@ class SamplingSpec:
             raise ValueError(f"unknown sampling method {self.method!r}")
         if self.count < 1:
             raise ValueError(f"sample count must be >= 1, got {self.count}")
-        if not self.eta >= 0.0:
-            raise ValueError(f"eta must be >= 0, got {self.eta}")
+        if not (self.eta >= 0.0 and math.isfinite(self.eta)):
+            raise ValueError(f"eta must be finite and >= 0, got {self.eta}")
 
 
 def make_rng(seed: int) -> np.random.Generator:

@@ -1,6 +1,7 @@
 """Input-transform gradient estimators: diversity, smoothing, scaling.
 
-Three transforms can wrap any loss oracle, separately or composed:
+One composed estimator, compose_dts, applies whichever of the three
+transforms a TransformConfig enables:
 
 - diversity ("dim"): with probability p, resize the input to a random
   side r, place it at a random offset on a zero canvas of side pad_to,
@@ -11,8 +12,10 @@ Three transforms can wrap any loss oracle, separately or composed:
   x / 2^i for i = 0..m-1; the chain rule contributes the 1 / 2^i factor
   to each copy's gradient.
 
-The composition runs the scale loop outermost with an independent
-diversity draw per copy, and smooths the averaged gradient last.
+The scale loop runs outermost with an independent diversity draw per
+copy, and smoothing applies last, to the averaged gradient. A config with
+one enabled transform gives that transform alone. TransformedOracle wraps
+a loss oracle in compose_dts, drawing its transform stream from a factory.
 """
 
 import math
@@ -22,7 +25,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ShapeMismatch
-from .sampling import make_rng
 from .tensor import (
     Kernel2D,
     conv2d_same,
@@ -59,8 +61,8 @@ class TransformConfig:
             raise ValueError(f"dim_prob must be in [0, 1], got {self.dim_prob}")
         if self.tim_kernel_size % 2 == 0 or self.tim_kernel_size < 1:
             raise ValueError("tim kernel side must be odd and >= 1")
-        if self.tim_sigma <= 0.0:
-            raise ValueError("tim sigma must be > 0")
+        if not (self.tim_sigma > 0.0 and math.isfinite(self.tim_sigma)):
+            raise ValueError(f"tim sigma must be finite and > 0, got {self.tim_sigma}")
         if self.sim_copies < 1:
             raise ValueError("sim needs at least one copy")
         low, pad = self.dim_resize_low, self.dim_pad_to
@@ -127,30 +129,6 @@ def _diversified_loss_grad(oracle, x, y, geometry):
     return loss, g
 
 
-def dim_gradient(oracle, x, y, cfg: TransformConfig, rng):
-    """Diversity-transformed loss and input gradient (single draw)."""
-    return _diversified_loss_grad(oracle, x, y, draw_dim_geometry(cfg, x.shape, rng))
-
-
-def tim_gradient(oracle, x, y, kernel: Kernel2D):
-    """Plain loss; gradient convolved with the smoothing kernel."""
-    loss, g = oracle.loss_and_grad(x, y)
-    return loss, conv2d_same(g, kernel)
-
-
-def sim_gradient(oracle, x, y, copies: int):
-    """Mean loss/gradient over x / 2^i, with the 1 / 2^i chain factor."""
-    total_loss = 0.0
-    total_grad = None
-    for i in range(copies):
-        s = 0.5**i
-        loss_i, g_i = oracle.loss_and_grad(x * s, y)
-        total_loss += loss_i
-        contrib = s * g_i
-        total_grad = contrib if total_grad is None else total_grad + contrib
-    return total_loss / copies, total_grad / copies
-
-
 def compose_dts(oracle, x, y, cfg: TransformConfig, rng):
     """The composed estimator: scale loop outside, fresh diversity draw per
     copy, smoothing applied once to the averaged gradient."""
@@ -174,16 +152,23 @@ def compose_dts(oracle, x, y, cfg: TransformConfig, rng):
 
 
 class TransformedOracle:
-    """Wraps a loss oracle so loss_and_grad goes through the transform stack.
+    """Wraps a loss oracle so loss_and_grad goes through compose_dts.
+
+    new_rng is a zero-argument factory called once per loss_and_grad for
+    the stream of transform draws. Returning one shared generator
+    (`lambda: rng`) advances that stream call by call, as an attack needs;
+    returning a freshly seeded one (`lambda: make_rng(seed)`) replays the
+    same draws on every call, which makes the stochastic objective a
+    deterministic function of x, as a finite-difference probe needs.
 
     Prediction and logits stay untransformed: transforms shape the attack
     gradient, not the model being fooled.
     """
 
-    def __init__(self, oracle, cfg: TransformConfig, rng):
+    def __init__(self, oracle, cfg: TransformConfig, new_rng):
         self.base = oracle
         self.cfg = cfg
-        self.rng = rng
+        self.new_rng = new_rng
 
     @property
     def input_shape(self):
@@ -200,43 +185,12 @@ class TransformedOracle:
         return self.base.predict(x)
 
     def loss_and_grad(self, x, y):
-        return compose_dts(self.base, x, y, self.cfg, self.rng)
+        return compose_dts(self.base, x, y, self.cfg, self.new_rng())
 
 
-def make_estimator(oracle, cfg: TransformConfig, rng):
+def make_estimator(oracle, cfg: TransformConfig, new_rng):
     """The configured gradient estimator; the oracle itself when no
-    transforms are enabled."""
+    transforms are enabled. new_rng is TransformedOracle's stream factory."""
     if not cfg.enabled:
         return oracle
-    return TransformedOracle(oracle, cfg, rng)
-
-
-class ReseededEstimator:
-    """Transform stack with a fresh identically-seeded stream per call.
-
-    Every loss_and_grad call replays the same transform draws, which makes
-    the stochastic objective a deterministic function of x - exactly what
-    a finite-difference probe needs.
-    """
-
-    def __init__(self, oracle, cfg: TransformConfig, seed: int):
-        self.base = oracle
-        self.cfg = cfg
-        self.seed = seed
-
-    @property
-    def input_shape(self):
-        return self.base.input_shape
-
-    @property
-    def num_classes(self):
-        return self.base.num_classes
-
-    def logits(self, x):
-        return self.base.logits(x)
-
-    def predict(self, x):
-        return self.base.predict(x)
-
-    def loss_and_grad(self, x, y):
-        return compose_dts(self.base, x, y, self.cfg, make_rng(self.seed))
+    return TransformedOracle(oracle, cfg, new_rng)

@@ -22,13 +22,7 @@ from advm.experiment import DESK_REPLICATE_SEEDS, mean_transfer, white_box_rate
 from advm.models import EnsembleOracle, Model, ModelSpec
 from advm.sampling import SamplingSpec, make_rng
 from advm.tensor import conv2d_same, tensor_to_bytes
-from advm.transforms import (
-    ReseededEstimator,
-    TransformConfig,
-    sim_gradient,
-    tim_gradient,
-    tim_kernel,
-)
+from advm.transforms import TransformConfig, TransformedOracle, compose_dts, tim_kernel
 
 from conftest import SinusoidOracle, QuadraticOracle, central_diff, rand_pixel_image
 from reference_recursions import (
@@ -104,7 +98,8 @@ def test_criterion_1_finite_difference_gradients():
         # an independently written average-of-scaled-losses objective
         for i in range(2):
             x = rand_pixel_image((6, 6, 1), seed=120 + 10 * k + i)
-            _, g = sim_gradient(model, x, 1, 5)
+            sim = TransformConfig(enabled=("sim",), sim_copies=5)
+            _, g = compose_dts(model, x, 1, sim, make_rng(0))
 
             def sim_loss(t):
                 return sum(model.loss_and_grad(t * 0.5**j, 1)[0] for j in range(5)) / 5
@@ -113,11 +108,11 @@ def test_criterion_1_finite_difference_gradients():
 
         # full stack with frozen draws and an identity smoothing kernel:
         # a genuine deterministic scalar objective through all transforms
-        est = ReseededEstimator(
+        est = TransformedOracle(
             model,
             TransformConfig(enabled=("dim", "tim", "sim"), dim_prob=1.0,
                             dim_resize_low=4, tim_kernel_size=1, sim_copies=2),
-            seed=50 + k,
+            lambda seed=50 + k: make_rng(seed),
         )
         x = rand_pixel_image((6, 6, 1), seed=150 + k)
         _, g = est.loss_and_grad(x, 0)
@@ -135,10 +130,11 @@ def test_criterion_1_finite_difference_gradients():
     # Gaussian smoothing is linear, not a scalar objective's gradient, so it
     # gets an exact two-route check: engine vs nested-loop convolution
     kern = tim_kernel(7, 3.0)
+    tim = TransformConfig(enabled=("tim",), tim_kernel_size=7, tim_sigma=3.0)
     smooth_worst = 0.0
     for k, model in enumerate(models):
         x = rand_pixel_image((6, 6, 1), seed=160 + k)
-        loss_t, g_t = tim_gradient(model, x, 1, kern)
+        loss_t, g_t = compose_dts(model, x, 1, tim, make_rng(0))
         loss_p, g_p = model.loss_and_grad(x, 1)
         assert loss_t == loss_p
         diff = float(np.max(np.abs(g_t - _brute_conv(g_p, kern.weights))))

@@ -1,5 +1,7 @@
 """Attack engine: configs, feasibility, exact reductions, and scheduling."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,6 @@ from advm.attacks import (
     attack_batch,
     attack_one,
     fgsm,
-    ifgsm,
-    mifgsm,
     run_attack,
 )
 from advm.errors import ShapeMismatch
@@ -58,6 +58,12 @@ def test_config_validation():
         AttackConfig(iters=0)
     with pytest.raises(ValueError):
         AttackConfig(mu=-1.0)
+    # NaN passed the old `eps < 0` check and came back as NaN pixels
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            AttackConfig(eps=bad)
+        with pytest.raises(ValueError):
+            AttackConfig(mu=bad)
 
 
 def test_alpha_is_eps_over_iters():

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 import click
 import numpy as np
@@ -60,6 +61,12 @@ def test_parse_eps_fraction_and_decimal():
     assert parse_eps("16/255") == 16.0 / 255.0
     assert parse_eps("0.125") == 0.125
     assert parse_eps("  8/255 ") == 8.0 / 255.0
+
+
+@pytest.mark.parametrize("text", ["1/0", "abc", "16/", ""])
+def test_parse_eps_rejects_malformed_text(text):
+    with pytest.raises(click.BadParameter):
+        parse_eps(text)
 
 
 def test_parse_attack_name_normalizes_hyphens_and_case():
@@ -321,3 +328,114 @@ def test_report_rerenders_csv_as_markdown(runner, trained, advset, tmp_path):
     assert result.exit_code == 0, result.output
     assert result.output.startswith("| surrogate \\ target |")
     assert "(* = white-box)" in result.output
+
+
+# -- usage errors at the boundary --------------------------------------------------
+
+
+def _assert_usage_error(result, text):
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert text in result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("flags, text", [
+    (["--eps", "1/0"], "16/255"),
+    (["--eps", "abc"], "16/255"),
+    (["--eps", "nan"], "eps must be finite"),
+    (["--eps", "inf"], "eps must be finite"),
+    (["--mu", "nan"], "mu must be finite"),
+    (["--tim-sigma", "nan"], "tim sigma must be finite"),
+    (["--iters", "0"], "iters must be >= 1"),
+    (["--samples", "0"], "sample count must be >= 1"),
+    (["--jobs", "0"], "--jobs"),
+    (["--num-images", "-3"], "--num-images"),
+    (["--num-images", "0"], "--num-images"),
+])
+def test_attack_bad_values_are_usage_errors(runner, trained, tmp_path, flags, text):
+    out = tmp_path / "advset"
+    result = runner.invoke(main, [
+        "attack", "--surrogate", trained["model"], "--dataset", "synthetic:2x3x6",
+        "--out", str(out), *flags,
+    ])
+    _assert_usage_error(result, text)
+    assert not out.exists()
+
+
+def test_attack_bad_config_file_value_is_a_usage_error(runner, trained, tmp_path):
+    cfg_path = tmp_path / "atk.cfg"
+    cfg_path.write_text("iters = many\n")
+    result = runner.invoke(main, [
+        "attack", "--surrogate", trained["model"], "--dataset", "synthetic:2x3x6",
+        "--config", str(cfg_path), "--out", str(tmp_path / "x"),
+    ])
+    _assert_usage_error(result, "many")
+
+
+@pytest.mark.parametrize("flags, text", [
+    (["--param", "samples", "--grid", "1,x"], "--grid"),
+    (["--param", "iters", "--grid", "0"], "iters must be >= 1"),
+    (["--param", "eps", "--grid", "1/0"], "16/255"),
+    (["--param", "samples", "--grid", ","], "no values to sweep"),
+    (["--param", "samples", "--grid", "1", "--jobs", "0"], "--jobs"),
+])
+def test_ablate_bad_values_are_usage_errors(runner, trained, tmp_path, flags, text):
+    result = runner.invoke(main, [
+        "ablate", "--surrogate", trained["model"], "--targets", trained["model"],
+        "--dataset", "synthetic:2x3x6", *flags,
+    ])
+    _assert_usage_error(result, text)
+
+
+# -- eval manifest checks ----------------------------------------------------------
+
+
+def _edit_advset(advset, tmp_path, edit):
+    """A copy of the stored set with its manifest dict passed through edit."""
+    copy = tmp_path / "advset"
+    shutil.copytree(advset, copy)
+    with open(copy / "manifest.json") as fh:
+        manifest = json.load(fh)
+    edit(manifest)
+    with open(copy / "manifest.json", "w") as fh:
+        json.dump(manifest, fh)
+    return copy
+
+
+@pytest.mark.parametrize("edit, text", [
+    (lambda m: m.update(format="other"), "expected format advm-advset"),
+    (lambda m: m.update(version=2), "expected format advm-advset"),
+    (lambda m: m.update(count=m["count"] + 1), "does not match"),
+    (lambda m: m["labels"].pop(), "does not match"),
+    (lambda m: m.update(files=m["files"][:-1]), "does not match"),
+    (lambda m: m.pop("surrogates"), "lacks surrogates"),
+    (lambda m: m["files"].__setitem__(0, "../" + m["files"][0]), "not a plain file name"),
+    (lambda m: m["files"].__setitem__(0, "/etc/passwd"), "not a plain file name"),
+    (lambda m: m["files"].__setitem__(0, ".."), "not a plain file name"),
+    (lambda m: m["files"].__setitem__(0, "missing.emtn"), "unreadable adversarial tensor"),
+])
+def test_eval_rejects_inconsistent_manifest(runner, trained, advset, tmp_path, edit, text):
+    adv_dir = _edit_advset(advset, tmp_path, edit)
+    result = runner.invoke(main, ["eval", "--adv", str(adv_dir),
+                                  "--targets", trained["model"]])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert text in result.output
+
+
+def test_eval_rejects_corrupt_tensor_and_manifest(runner, trained, advset, tmp_path):
+    adv_dir = _edit_advset(advset, tmp_path, lambda m: None)
+    with open(adv_dir / "manifest.json") as fh:
+        first = json.load(fh)["files"][0]
+    (adv_dir / first).write_bytes(b"not a tensor")
+    result = runner.invoke(main, ["eval", "--adv", str(adv_dir),
+                                  "--targets", trained["model"]])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert f"unreadable adversarial tensor {first}" in result.output
+
+    (adv_dir / "manifest.json").write_text("{ truncated")
+    result = runner.invoke(main, ["eval", "--adv", str(adv_dir),
+                                  "--targets", trained["model"]])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert "unreadable manifest" in result.output

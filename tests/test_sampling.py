@@ -26,6 +26,8 @@ def test_spec_validation():
         SamplingSpec(eta=-0.1)
     with pytest.raises(ValueError):
         SamplingSpec(eta=float("nan"))
+    with pytest.raises(ValueError):
+        SamplingSpec(eta=float("inf"))
 
 
 def test_linear_grid_frozen():

@@ -10,15 +10,11 @@ from advm.sampling import make_rng
 from advm.tensor import conv2d_same, identity_kernel
 from advm.transforms import (
     PAD_RATIO,
-    ReseededEstimator,
     TransformConfig,
     TransformedOracle,
     compose_dts,
-    dim_gradient,
     draw_dim_geometry,
     make_estimator,
-    sim_gradient,
-    tim_gradient,
     tim_kernel,
     _diversified_loss_grad,
 )
@@ -30,6 +26,12 @@ from conftest import (
     central_diff,
     rand_pixel_image,
 )
+
+
+def _sim_only(oracle, x, y, copies):
+    """compose_dts with the scaling transform alone."""
+    cfg = TransformConfig(enabled=("sim",), sim_copies=copies)
+    return compose_dts(oracle, x, y, cfg, make_rng(0))
 
 
 # -- config --------------------------------------------------------------------
@@ -44,6 +46,11 @@ def test_config_validation():
         TransformConfig(tim_kernel_size=4)
     with pytest.raises(ValueError):
         TransformConfig(tim_sigma=0.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            TransformConfig(tim_sigma=bad)
+    with pytest.raises(ValueError):
+        TransformConfig(dim_prob=math.nan)
     with pytest.raises(ValueError):
         TransformConfig(sim_copies=0)
     with pytest.raises(ValueError):
@@ -124,7 +131,8 @@ def test_tim_gradient_is_convolved_base_gradient():
     oracle = LinearOracle((6, 6, 1), seed=3)
     x = rand_pixel_image((6, 6, 1), seed=20)
     k = tim_kernel(3, 1.5)
-    loss, g = tim_gradient(oracle, x, 0, k)
+    cfg = TransformConfig(enabled=("tim",), tim_kernel_size=3, tim_sigma=1.5)
+    loss, g = compose_dts(oracle, x, 0, cfg, make_rng(0))
     base_loss, base_g = oracle.loss_and_grad(x, 0)
     assert loss == base_loss
     assert np.array_equal(g, conv2d_same(base_g, k))
@@ -136,7 +144,7 @@ def test_sim_gradient_closed_form_on_linear_oracle():
     oracle = LinearOracle((4, 4, 1), seed=5)
     x = rand_pixel_image((4, 4, 1), seed=21)
     m = 3
-    loss, g = sim_gradient(oracle, x, 1, m)
+    loss, g = _sim_only(oracle, x, 1, m)
     mean_scale = sum(0.5**i for i in range(m)) / m
     want_loss = mean_scale * float(np.sum(oracle.w * x)) + float(oracle.b[1])
     assert abs(loss - want_loss) < 1e-12
@@ -147,7 +155,7 @@ def test_sim_gradient_matches_central_difference():
     oracle = QuadraticOracle((3, 3, 1), seed=6)
     x = rand_pixel_image((3, 3, 1), seed=22)
     m = 4
-    _, g = sim_gradient(oracle, x, 0, m)
+    _, g = _sim_only(oracle, x, 0, m)
 
     def composite_loss(t):
         return sum(oracle.loss_and_grad(t * 0.5**i, 0)[0] for i in range(m)) / m
@@ -159,7 +167,7 @@ def test_sim_gradient_matches_central_difference():
 def test_sim_single_copy_is_bitwise_plain():
     oracle = QuadraticOracle((3, 3, 1), seed=7)
     x = rand_pixel_image((3, 3, 1), seed=23)
-    loss, g = sim_gradient(oracle, x, 2, 1)
+    loss, g = _sim_only(oracle, x, 2, 1)
     base_loss, base_g = oracle.loss_and_grad(x, 2)
     assert loss == base_loss
     assert np.array_equal(g, base_g)
@@ -169,7 +177,7 @@ def test_sim_queries_scaled_copies():
     base = QuadraticOracle((3, 3, 1), seed=8)
     rec = RecordingOracle(base)
     x = rand_pixel_image((3, 3, 1), seed=24)
-    sim_gradient(rec, x, 0, 3)
+    _sim_only(rec, x, 0, 3)
     assert len(rec.queries) == 3
     assert np.array_equal(rec.queries[0], x)
     assert np.array_equal(rec.queries[1], x * 0.5)
@@ -210,7 +218,7 @@ def test_dim_degenerate_geometry_is_bitwise_plain():
     oracle = QuadraticOracle((6, 6, 1), seed=9)
     cfg = TransformConfig(enabled=("dim",), dim_prob=1.0, dim_resize_low=6, dim_pad_to=6)
     x = rand_pixel_image((6, 6, 1), seed=25)
-    loss, g = dim_gradient(oracle, x, 0, cfg, make_rng(11))
+    loss, g = compose_dts(oracle, x, 0, cfg, make_rng(11))
     base_loss, base_g = oracle.loss_and_grad(x, 0)
     assert loss == base_loss
     assert np.array_equal(g, base_g)
@@ -258,7 +266,7 @@ def test_compose_equals_manual_sim_then_tim_chain():
                           tim_sigma=1.0)
     x = rand_pixel_image((6, 6, 1), seed=29)
     loss, g = compose_dts(oracle, x, 0, cfg, make_rng(0))
-    want_loss, want_g = sim_gradient(oracle, x, 0, 3)
+    want_loss, want_g = _sim_only(oracle, x, 0, 3)
     want_g = conv2d_same(want_g, tim_kernel(3, 1.0))
     assert loss == want_loss
     assert np.array_equal(g, want_g)
@@ -295,7 +303,7 @@ def test_compose_dim_prob_zero_replays_plain_sim_stream():
     x = rand_pixel_image((6, 6, 1), seed=32)
     rng = make_rng(21)
     loss, g = compose_dts(oracle, x, 0, cfg, rng)
-    want_loss, want_g = sim_gradient(oracle, x, 0, 2)
+    want_loss, want_g = _sim_only(oracle, x, 0, 2)
     assert loss == want_loss
     assert np.array_equal(g, want_g)
     # exactly one gate draw per scale copy was consumed
@@ -309,7 +317,7 @@ def test_transformed_oracle_prediction_stays_plain():
     base = QuadraticOracle((6, 6, 1), seed=22)
     cfg = TransformConfig(enabled=("dim", "tim", "sim"), dim_prob=1.0, sim_copies=2,
                           tim_kernel_size=3)
-    wrapped = TransformedOracle(base, cfg, make_rng(23))
+    wrapped = TransformedOracle(base, cfg, lambda: make_rng(23))
     x = rand_pixel_image((6, 6, 1), seed=33)
     assert wrapped.predict(x) == base.predict(x)
     assert np.array_equal(wrapped.logits(x), base.logits(x))
@@ -321,7 +329,8 @@ def test_transformed_oracle_loss_and_grad_shares_stream():
     base = QuadraticOracle((6, 6, 1), seed=24)
     cfg = TransformConfig(enabled=("dim",), dim_prob=1.0, dim_resize_low=4)
     x = rand_pixel_image((6, 6, 1), seed=34)
-    wrapped = TransformedOracle(base, cfg, make_rng(25))
+    rng = make_rng(25)
+    wrapped = TransformedOracle(base, cfg, lambda: rng)
     l1, g1 = wrapped.loss_and_grad(x, 0)
     l2, g2 = compose_dts(base, x, 0, cfg, make_rng(25))
     assert l1 == l2
@@ -333,9 +342,9 @@ def test_transformed_oracle_loss_and_grad_shares_stream():
 
 def test_make_estimator_passthrough_without_transforms():
     base = QuadraticOracle((4, 4, 1), seed=26)
-    assert make_estimator(base, TransformConfig(), make_rng(0)) is base
+    assert make_estimator(base, TransformConfig(), lambda: make_rng(0)) is base
     assert isinstance(
-        make_estimator(base, TransformConfig(enabled=("tim",)), make_rng(0)),
+        make_estimator(base, TransformConfig(enabled=("tim",)), lambda: make_rng(0)),
         TransformedOracle,
     )
 
@@ -344,7 +353,7 @@ def test_reseeded_estimator_is_deterministic_per_call():
     base = QuadraticOracle((6, 6, 1), seed=27)
     cfg = TransformConfig(enabled=("dim", "sim"), dim_prob=1.0, dim_resize_low=4,
                           sim_copies=2)
-    est = ReseededEstimator(base, cfg, seed=28)
+    est = TransformedOracle(base, cfg, lambda: make_rng(28))
     x = rand_pixel_image((6, 6, 1), seed=35)
     l1, g1 = est.loss_and_grad(x, 0)
     l2, g2 = est.loss_and_grad(x, 0)
@@ -358,7 +367,7 @@ def test_reseeded_estimator_objective_is_differentiable():
     base = QuadraticOracle((6, 6, 1), seed=29)
     cfg = TransformConfig(enabled=("dim", "sim"), dim_prob=1.0, dim_resize_low=4,
                           sim_copies=2)
-    est = ReseededEstimator(base, cfg, seed=30)
+    est = TransformedOracle(base, cfg, lambda: make_rng(30))
     x = rand_pixel_image((6, 6, 1), seed=36)
     _, g = est.loss_and_grad(x, 0)
     fd = central_diff(lambda t: est.loss_and_grad(t, 0)[0], x, h=1e-5)
@@ -371,17 +380,17 @@ def test_identity_kernel_full_stack_matches_central_difference():
     base = QuadraticOracle((6, 6, 1), seed=31)
     cfg = TransformConfig(enabled=("dim", "tim", "sim"), dim_prob=1.0,
                           dim_resize_low=4, tim_kernel_size=1, sim_copies=2)
-    est = ReseededEstimator(base, cfg, seed=32)
+    est = TransformedOracle(base, cfg, lambda: make_rng(32))
     x = rand_pixel_image((6, 6, 1), seed=37)
     _, g = est.loss_and_grad(x, 0)
     fd = central_diff(lambda t: est.loss_and_grad(t, 0)[0], x, h=1e-5)
     assert np.max(np.abs(fd - g)) / max(1.0, np.max(np.abs(g))) < 1e-6
     # identity-kernel smoothing really is a no-op on the gradient
-    no_tim = ReseededEstimator(
+    no_tim = TransformedOracle(
         base,
         TransformConfig(enabled=("dim", "sim"), dim_prob=1.0, dim_resize_low=4,
                         sim_copies=2),
-        seed=32,
+        lambda: make_rng(32),
     )
     _, g_plain = no_tim.loss_and_grad(x, 0)
     assert np.array_equal(g, conv2d_same(g_plain, identity_kernel(1)))
