@@ -11,6 +11,7 @@ from the run seed, or `idx:IMAGES_PATH,LABELS_PATH` pairs.
 
 import glob as globmod
 import json
+import math
 import os
 from dataclasses import replace
 
@@ -196,6 +197,30 @@ def load_models(arg: str) -> list:
     return [load_model(p) for p in paths]
 
 
+def _positive_finite(ctx, param, value):
+    if not (value > 0.0 and math.isfinite(value)):
+        raise click.BadParameter(f"must be finite and > 0, got {value}")
+    return value
+
+
+def _check_dim_geometry(cfgs, data) -> None:
+    """Reject a diversity geometry the dataset's images cannot take,
+    before any attack work starts."""
+    side, width, _ = data.image_shape
+    for cfg in cfgs:
+        if "dim" not in cfg.transforms.enabled:
+            continue
+        if side != width:
+            raise click.BadParameter(
+                f"dim needs square images, got {side}x{width}", param_hint="--transforms")
+        try:
+            cfg.transforms.resolve_dim(side)
+        except ValueError as exc:
+            raise click.BadParameter(
+                f"{exc} for {side}-pixel images",
+                param_hint="--dim-resize-low / --dim-pad-to") from exc
+
+
 def _wrap_errors(fn):
     import functools
 
@@ -220,9 +245,9 @@ def main():
 @click.option("--dataset", required=True, help="synthetic:CxPxS[:NOISE] or idx:IMGS,LBLS")
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--seed", type=int, default=None, help="default: ADVM_SEED or 0")
-@click.option("--epochs", type=int, default=8, show_default=True)
-@click.option("--lr", type=float, default=0.35, show_default=True)
-@click.option("--batch", type=int, default=32, show_default=True)
+@click.option("--epochs", type=click.IntRange(min=1), default=8, show_default=True)
+@click.option("--lr", type=float, default=0.35, show_default=True, callback=_positive_finite)
+@click.option("--batch", type=click.IntRange(min=1), default=32, show_default=True)
 @click.option("--hidden", default="64", show_default=True, help="mlp widths, comma-separated")
 @click.option("--conv-channels", type=int, default=8, show_default=True)
 @click.option("--conv-kernel", type=int, default=3, show_default=True)
@@ -334,6 +359,7 @@ def attack_cmd(**kwargs):
     data = load_dataset(dataset_arg, cfg.seed)
     if num_images is not None:
         data = subsample(data, num_images, cfg.seed)
+    _check_dim_geometry([cfg], data)
 
     results = attack_batch(oracle, data.images, data.labels, cfg, jobs=jobs)
 
@@ -468,8 +494,7 @@ def ablate(**kwargs):
             grid = [int(v) for v in grid_arg.split(",") if v.strip()]
         else:
             grid = [parse_eps(v) for v in grid_arg.split(",") if v.strip()]
-        for value in grid:
-            apply_parameter(cfg, param, value)
+        swept = [apply_parameter(cfg, param, value) for value in grid]
     except (ValueError, click.BadParameter) as exc:
         raise click.BadParameter(str(exc), param_hint="--grid") from exc
     if not grid:
@@ -480,6 +505,7 @@ def ablate(**kwargs):
     data = load_dataset(dataset_arg, cfg.seed)
     if num_images is not None:
         data = subsample(data, num_images, cfg.seed)
+    _check_dim_geometry(swept, data)
     result = ablation_sweep(param, grid, cfg, oracle, target_models, data, jobs=jobs)
     text = emit_report(result, fmt)
     if out_path:

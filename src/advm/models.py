@@ -9,14 +9,23 @@ trainer consumes). There is no tape; every backward rule is written out.
 Ensembles fuse logits linearly, take the cross-entropy of the fused
 logits, and push the fused softmax error back through each member scaled
 by its weight.
+
+The smallcnn kernels (_conv_same_forward, _conv_same_input_grad,
+_avgpool2, _avgpool2_relu_backward) are written for speed but keep the
+floating-point summation order of the straightforward numpy versions
+they replaced (np.pad + strided im2col, mean(axis=(1, 3)), np.repeat,
+a tap-by-tap scatter into a zero canvas), signed zeros included, so
+every loss, gradient and logit is bit-identical to theirs. The tests in
+tests/test_models.py keep those versions as the reference and compare
+bytes.
 """
 
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import LabeledDataset
 from .errors import (
@@ -101,39 +110,87 @@ def init_params(spec: ModelSpec) -> dict:
 
 
 def _conv_same_forward(x, w, b):
-    """Multi-channel same-padded correlation via an im2col matmul."""
+    """Multi-channel same-padded correlation via an im2col matmul.
+
+    cols[i*w + j, (di*k + dj)*cin + c] = xpad[i + di, j + dj, c].
+    """
     k = w.shape[0]
     pad = (k - 1) // 2
     h, ww_, cin = x.shape
     cout = w.shape[3]
-    xp = np.pad(x, ((pad, pad), (pad, pad), (0, 0)))
-    win = sliding_window_view(xp, (k, k), axis=(0, 1))      # (h, w, cin, k, k)
-    cols = win.transpose(0, 1, 3, 4, 2).reshape(h * ww_, k * k * cin)
+    xp = np.zeros((h + 2 * pad, ww_ + 2 * pad, cin))
+    xp[pad:pad + h, pad:pad + ww_, :] = x
+    cols = np.empty((h, ww_, k, k, cin))
+    for di in range(k):
+        for dj in range(k):
+            cols[:, :, di, dj, :] = xp[di:di + h, dj:dj + ww_, :]
+    cols = cols.reshape(h * ww_, k * k * cin)
     out = cols @ w.reshape(k * k * cin, cout) + b
     return out.reshape(h, ww_, cout), cols
 
 
-def _conv_same_input_grad(dout, w, in_shape):
-    k = w.shape[0]
+@lru_cache(maxsize=64)
+def _col2im_index(h: int, w: int, k: int, cin: int) -> np.ndarray:
+    """(k*k, h, w, cin) read-only gather index into dcols.ravel() + [0.0].
+
+    Row t = di*k + dj holds, for each input pixel, the dcols entry that tap
+    (di, dj) of the forward im2col took from it; a tap that fell on the zero
+    padding points at the sentinel one past the end.
+    """
     pad = (k - 1) // 2
+    kkc = k * k * cin
+    sentinel = h * w * kkc
+    i = np.arange(h).reshape(h, 1, 1)
+    j = np.arange(w).reshape(1, w, 1)
+    c = np.arange(cin).reshape(1, 1, cin)
+    idx = np.empty((k * k, h, w, cin), dtype=np.intp)
+    for di in range(k):
+        for dj in range(k):
+            r, s = i + pad - di, j + pad - dj
+            inside = (r >= 0) & (r < h) & (s >= 0) & (s < w)
+            src = (r * w + s) * kkc + (di * k + dj) * cin + c
+            idx[di * k + dj] = np.where(inside, src, sentinel)
+    idx.setflags(write=False)
+    return idx
+
+
+def _conv_same_input_grad(dout, w, in_shape):
+    """Adjoint of _conv_same_forward in x: the dcols GEMM, then col2im.
+
+    col2im sums each pixel's taps onto +0.0 in row-major (di, dj) order,
+    the order of a tap-by-tap scatter into a zero canvas.
+    """
+    k = w.shape[0]
     h, ww_, cin = in_shape
     cout = w.shape[3]
     dcols = dout.reshape(h * ww_, cout) @ w.reshape(k * k * cin, cout).T
-    dwin = dcols.reshape(h, ww_, k, k, cin)
-    dxp = np.zeros((h + 2 * pad, ww_ + 2 * pad, cin))
-    for di in range(k):
-        for dj in range(k):
-            dxp[di:di + h, dj:dj + ww_, :] += dwin[:, :, di, dj, :]
-    return dxp[pad:pad + h, pad:pad + ww_, :]
+    taps = np.append(dcols, 0.0)[_col2im_index(h, ww_, k, cin)]
+    return np.add.reduce(taps, axis=0, initial=0.0)
 
 
 def _avgpool2(x):
+    """2x2 mean pool, summed in the order that mean(axis=(1, 3)) uses.
+
+    numpy adds the four taps onto +0.0 in row-major order; only with one
+    channel and more than one pooled column are the two taps of a row
+    contiguous, and then it sums each row first and adds the two row sums.
+    Adding +0.0 at the end stands in for the +0.0 start (the two differ
+    only when all four taps are -0.0).
+    """
     h, w, c = x.shape
-    return x.reshape(h // 2, 2, w // 2, 2, c).mean(axis=(1, 3))
+    v = x.reshape(h // 2, 2, w // 2, 2, c)
+    if c == 1 and w > 2:
+        s = (v[:, 0, :, 0] + v[:, 0, :, 1]) + (v[:, 1, :, 0] + v[:, 1, :, 1])
+    else:
+        s = ((v[:, 0, :, 0] + v[:, 0, :, 1]) + v[:, 1, :, 0]) + v[:, 1, :, 1]
+    return (s + 0.0) / 4.0
 
 
-def _avgpool2_backward(d):
-    return np.repeat(np.repeat(d, 2, axis=0), 2, axis=1) / 4.0
+def _avgpool2_relu_backward(dpooled, pre):
+    """d loss / d pre of avgpool2(relu(pre)) from d loss / d pooled."""
+    h, w, c = pre.shape
+    d = (dpooled / 4.0).reshape(h // 2, 1, w // 2, 1, c)
+    return (d * (pre > 0.0).reshape(h // 2, 2, w // 2, 2, c)).reshape(h, w, c)
 
 
 class Model:
@@ -208,11 +265,7 @@ class Model:
                 da = p[f"fc{i}.W"].T @ dpre
             return da.reshape(self.spec.input_shape)
         pre, _cols, _flat = cache
-        h, w, _ = self.spec.input_shape
-        dflat = p["fc.W"].T @ dlogits
-        dpooled = dflat.reshape(h // 2, w // 2, self.spec.conv_channels)
-        dact = _avgpool2_backward(dpooled)
-        dpre = dact * (pre > 0.0)
+        dpre = _avgpool2_relu_backward(p["fc.W"].T @ dlogits, pre)
         return _conv_same_input_grad(dpre, p["conv.W"], self.spec.input_shape)
 
     def param_grads_from_dlogits(self, x, cache, dlogits) -> dict:
@@ -238,10 +291,7 @@ class Model:
         k, cc = self.spec.conv_kernel, self.spec.conv_channels
         g["fc.W"] = np.outer(dlogits, flat)
         g["fc.b"] = dlogits.copy()
-        dflat = p["fc.W"].T @ dlogits
-        dpooled = dflat.reshape(h // 2, w // 2, cc)
-        dact = _avgpool2_backward(dpooled)
-        dpre = dact * (pre > 0.0)
+        dpre = _avgpool2_relu_backward(p["fc.W"].T @ dlogits, pre)
         g["conv.W"] = (cols.T @ dpre.reshape(h * w, cc)).reshape(k, k, cin, cc)
         g["conv.b"] = dpre.sum(axis=(0, 1))
         return g
@@ -352,6 +402,10 @@ def train_sgd(
     """
     if len(dataset) == 0:
         raise EmptyDataset("cannot train on an empty dataset")
+    if not (lr > 0.0 and math.isfinite(lr)):
+        raise ValueError(f"learning rate must be finite and > 0, got {lr}")
+    if batch < 1:
+        raise ValueError(f"batch size must be >= 1, got {batch}")
     model = Model.initialize(spec, name)
     params = {k: v.copy() for k, v in model.params.items()}
     model.params = params
@@ -486,4 +540,6 @@ def load_model(path: str) -> Model:
     for k, v in expected.items():
         if params[k].shape != v.shape:
             raise CorruptFile(f"{path}: {k} has shape {params[k].shape}, want {v.shape}")
+        if not np.isfinite(params[k]).all():
+            raise CorruptFile(f"{path}: {k} holds a non-finite value")
     return Model(spec, params, name)

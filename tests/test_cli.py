@@ -3,6 +3,7 @@
 import json
 import os
 import shutil
+import struct
 
 import click
 import numpy as np
@@ -360,6 +361,94 @@ def test_attack_bad_values_are_usage_errors(runner, trained, tmp_path, flags, te
         "--out", str(out), *flags,
     ])
     _assert_usage_error(result, text)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, text", [
+    (["--lr", "nan"], "must be finite and > 0"),
+    (["--lr", "inf"], "must be finite and > 0"),
+    (["--lr", "0"], "must be finite and > 0"),
+    (["--lr", "-0.1"], "must be finite and > 0"),
+    (["--batch", "0"], "--batch"),
+    (["--epochs", "0"], "--epochs"),
+])
+def test_train_bad_values_are_usage_errors(runner, tmp_path, flags, text):
+    out = tmp_path / "m.json"
+    result = runner.invoke(main, [
+        "train", "--arch", "logistic", "--dataset", "synthetic:2x6x6:0.05",
+        "--out", str(out), *flags,
+    ])
+    _assert_usage_error(result, text)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--dim-resize-low", "40"],                   # derived pad_to is 7 for 6-pixel images
+    ["--dim-pad-to", "5"],                        # derived resize_low is the side, 6
+])
+def test_attack_dim_geometry_is_checked_before_attacking(runner, trained, tmp_path, flags):
+    out = tmp_path / "advset"
+    result = runner.invoke(main, [
+        "attack", "--surrogate", trained["model"], "--dataset", "synthetic:2x3x6",
+        "--out", str(out), "--transforms", "dim,tim", *flags,
+    ])
+    _assert_usage_error(result, "for 6-pixel images")
+    assert "exceeds pad_to" in result.output
+    assert not out.exists()
+
+
+def test_attack_dim_on_non_square_images_is_a_usage_error(runner, tmp_path):
+    rows, cols, n = 2, 4, 6
+    images, labels = tmp_path / "img.idx", tmp_path / "lbl.idx"
+    images.write_bytes(struct.pack(">4i", 2051, n, rows, cols)
+                       + bytes((i * 37) % 256 for i in range(n * rows * cols)))
+    labels.write_bytes(struct.pack(">2i", 2049, n) + bytes([0, 1] * 3))
+    dataset = f"idx:{images},{labels}"
+    model = tmp_path / "m.json"
+    result = runner.invoke(main, ["train", "--arch", "logistic", "--dataset", dataset,
+                                  "--out", str(model), "--epochs", "1"])
+    assert result.exit_code == 0, result.output
+    out = tmp_path / "advset"
+    result = runner.invoke(main, ["attack", "--surrogate", str(model), "--dataset", dataset,
+                                  "--out", str(out), "--transforms", "dim"])
+    _assert_usage_error(result, "dim needs square images, got 2x4")
+    assert not out.exists()
+
+
+def test_attack_refuses_a_model_with_non_finite_parameters(runner, trained, tmp_path):
+    with open(trained["model"]) as fh:
+        doc = json.load(fh)
+    doc["params"]["fc.b"]["data"][0] = float("nan")
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "advset"
+    result = runner.invoke(main, [
+        "attack", "--surrogate", str(bad), "--dataset", "synthetic:2x3x6", "--out", str(out),
+    ])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert "CorruptFile" in result.output and "non-finite" in result.output
+    assert not out.exists()
+
+
+def test_attack_dim_geometry_ignored_when_dim_is_off(runner, trained, tmp_path):
+    out = tmp_path / "advset"
+    result = runner.invoke(main, [
+        "attack", "--surrogate", trained["model"], "--dataset", "synthetic:2x3x6",
+        "--out", str(out), "--attack", "mi-fgsm", "--transforms", "tim",
+        "--dim-resize-low", "40",
+    ])
+    assert result.exit_code == 0, result.output
+    assert (out / "manifest.json").exists()
+
+
+def test_ablate_dim_geometry_is_checked_before_sweeping(runner, trained, tmp_path):
+    out = tmp_path / "ablation.csv"
+    result = runner.invoke(main, [
+        "ablate", "--surrogate", trained["model"], "--targets", trained["model"],
+        "--dataset", "synthetic:2x3x6", "--param", "samples", "--grid", "1,2",
+        "--transforms", "dim", "--dim-resize-low", "40", "--out", str(out),
+    ])
+    _assert_usage_error(result, "dim resize_low 40 exceeds pad_to 7 for 6-pixel images")
     assert not out.exists()
 
 

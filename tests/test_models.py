@@ -5,7 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
+from advm import models
 from advm.data import LabeledDataset, generate_synthetic
 from advm.errors import (
     ClassCountMismatch,
@@ -250,6 +252,18 @@ def test_save_load_save_byte_identical(tmp_path):
         assert f1.read() == f2.read()
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_load_model_rejects_non_finite_parameters(tmp_path, bad):
+    model = Model.initialize(ModelSpec("logistic", (2, 2, 1), 2))
+    path = tmp_path / "m.json"
+    save_model(model, str(path))
+    doc = json.loads(path.read_text())
+    doc["params"]["fc.W"]["data"][1] = bad
+    path.write_text(json.dumps(doc))              # writes NaN / Infinity literals
+    with pytest.raises(CorruptFile, match="fc.W holds a non-finite value"):
+        load_model(str(path))
+
+
 def test_load_model_errors(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("not json {")
@@ -321,6 +335,20 @@ def test_train_sgd_learns_separable_toy():
     model, acc = train_sgd(spec, ds, epochs=6, lr=0.5, seed=5)
     assert acc >= 0.9
     assert accuracy(model, ds) == acc
+
+
+@pytest.mark.parametrize("kwargs, text", [
+    ({"lr": float("nan")}, "learning rate"),
+    ({"lr": float("inf")}, "learning rate"),
+    ({"lr": 0.0}, "learning rate"),
+    ({"lr": -0.5}, "learning rate"),
+    ({"batch": 0}, "batch size"),
+    ({"batch": -4}, "batch size"),
+])
+def test_train_sgd_rejects_bad_hyperparameters(kwargs, text):
+    spec = ModelSpec("logistic", (4, 4, 1), 2, seed=3)
+    with pytest.raises(ValueError, match=text):
+        train_sgd(spec, _toy_dataset(), epochs=1, **kwargs)
 
 
 def test_train_sgd_empty_dataset():
@@ -405,3 +433,181 @@ def test_ensemble_validation():
         EnsembleOracle([a, b], weights=(0.6, 0.6))
     with pytest.raises(LabelOutOfRange):
         EnsembleOracle([a, b]).loss_and_grad(np.zeros((3, 3, 1)), 5)
+
+
+# -- smallcnn kernels against the seed implementation -------------------------------
+#
+# The helpers below are the original smallcnn kernels, kept verbatim as the
+# reference. The optimized kernels in advm.models must return the same bytes:
+# same summation order, same signed zeros.
+
+
+def _seed_conv_same_forward(x, w, b):
+    k = w.shape[0]
+    pad = (k - 1) // 2
+    h, ww_, cin = x.shape
+    cout = w.shape[3]
+    xp = np.pad(x, ((pad, pad), (pad, pad), (0, 0)))
+    win = sliding_window_view(xp, (k, k), axis=(0, 1))      # (h, w, cin, k, k)
+    cols = win.transpose(0, 1, 3, 4, 2).reshape(h * ww_, k * k * cin)
+    out = cols @ w.reshape(k * k * cin, cout) + b
+    return out.reshape(h, ww_, cout), cols
+
+
+def _seed_conv_same_input_grad(dout, w, in_shape):
+    k = w.shape[0]
+    pad = (k - 1) // 2
+    h, ww_, cin = in_shape
+    cout = w.shape[3]
+    dcols = dout.reshape(h * ww_, cout) @ w.reshape(k * k * cin, cout).T
+    dwin = dcols.reshape(h, ww_, k, k, cin)
+    dxp = np.zeros((h + 2 * pad, ww_ + 2 * pad, cin))
+    for di in range(k):
+        for dj in range(k):
+            dxp[di:di + h, dj:dj + ww_, :] += dwin[:, :, di, dj, :]
+    return dxp[pad:pad + h, pad:pad + ww_, :]
+
+
+def _seed_avgpool2(x):
+    h, w, c = x.shape
+    return x.reshape(h // 2, 2, w // 2, 2, c).mean(axis=(1, 3))
+
+
+def _seed_avgpool2_relu_backward(dflat, pre):
+    h, w, c = pre.shape
+    dpooled = dflat.reshape(h // 2, w // 2, c)
+    dact = np.repeat(np.repeat(dpooled, 2, axis=0), 2, axis=1) / 4.0
+    return dact * (pre > 0.0)
+
+
+def _with_signed_zeros(a, seed):
+    """a with about a quarter of its entries set to +0.0 and a quarter to -0.0."""
+    pick = np.random.default_rng(seed).integers(0, 4, size=a.shape)
+    a = a.copy()
+    a[pick == 0] = 0.0
+    a[pick == 1] = -0.0
+    return a
+
+
+_KERNEL_CASES = [
+    (h, w, k, cin)
+    for (h, w) in ((6, 10), (4, 2), (8, 6))
+    for k in (1, 3, 5)
+    for cin in (1, 3)
+]
+
+
+@pytest.mark.parametrize("h, w, k, cin", _KERNEL_CASES)
+def test_conv_forward_bytes_match_seed(h, w, k, cin):
+    rng = np.random.default_rng(100 + k * 10 + cin)
+    x = _with_signed_zeros(rng.normal(size=(h, w, cin)), 1)
+    wt = rng.normal(size=(k, k, cin, 4))
+    b = rng.normal(size=4)
+    out, cols = models._conv_same_forward(x, wt, b)
+    want_out, want_cols = _seed_conv_same_forward(x, wt, b)
+    assert cols.shape == want_cols.shape and cols.tobytes() == want_cols.tobytes()
+    assert out.shape == want_out.shape and out.tobytes() == want_out.tobytes()
+
+
+@pytest.mark.parametrize("h, w, k, cin", _KERNEL_CASES)
+def test_conv_input_grad_bytes_match_seed(h, w, k, cin):
+    rng = np.random.default_rng(200 + k * 10 + cin)
+    dout = _with_signed_zeros(rng.normal(size=(h, w, 4)), 2)
+    wt = _with_signed_zeros(rng.normal(size=(k, k, cin, 4)), 3)
+    got = models._conv_same_input_grad(dout, wt, (h, w, cin))
+    want = _seed_conv_same_input_grad(dout, wt, (h, w, cin))
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_conv_input_grad_of_negative_zeros_is_positive_zero():
+    # -0.0 upstream gradients come out as +0.0, as the zero-canvas scatter gave
+    dout = np.full((4, 6, 2), -0.0)
+    wt = np.random.default_rng(4).normal(size=(3, 3, 1, 2))
+    got = models._conv_same_input_grad(dout, wt, (4, 6, 1))
+    assert got.tobytes() == np.zeros((4, 6, 1)).tobytes()
+    assert got.tobytes() == _seed_conv_same_input_grad(dout, wt, (4, 6, 1)).tobytes()
+
+
+def test_col2im_index_is_cached_and_read_only():
+    idx = models._col2im_index(6, 10, 3, 2)
+    assert idx is models._col2im_index(6, 10, 3, 2)
+    assert not idx.flags.writeable
+    with pytest.raises(ValueError):
+        idx[0, 0, 0, 0] = 0
+
+
+@pytest.mark.parametrize("h, w, c", [
+    (6, 10, 1), (4, 2, 1), (2, 2, 1), (4, 2, 3), (8, 6, 5), (2, 4, 2),
+])
+def test_avgpool_and_backward_bytes_match_seed(h, w, c):
+    rng = np.random.default_rng(300 + h + c)
+    pre = _with_signed_zeros(rng.normal(size=(h, w, c)), 5)
+    pre[:2, :2] = -0.0                           # one window of four -0.0 taps
+    act = np.maximum(pre, 0.0)
+    assert models._avgpool2(act).tobytes() == _seed_avgpool2(act).tobytes()
+    signed = _with_signed_zeros(rng.normal(size=(h, w, c)), 6)
+    assert models._avgpool2(signed).tobytes() == _seed_avgpool2(signed).tobytes()
+
+    dflat = _with_signed_zeros(rng.normal(size=(h // 2) * (w // 2) * c), 7)
+    got = models._avgpool2_relu_backward(dflat, pre)
+    want = _seed_avgpool2_relu_backward(dflat, pre)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.fixture
+def seed_kernels(monkeypatch):
+    """Run a call with the seed kernels swapped into advm.models."""
+    def run(fn):
+        with monkeypatch.context() as m:
+            m.setattr(models, "_conv_same_forward", _seed_conv_same_forward)
+            m.setattr(models, "_conv_same_input_grad", _seed_conv_same_input_grad)
+            m.setattr(models, "_avgpool2", _seed_avgpool2)
+            m.setattr(models, "_avgpool2_relu_backward", _seed_avgpool2_relu_backward)
+            return fn()
+    return run
+
+
+def _smallcnn(shape, channels, kernel, seed):
+    model = Model.initialize(ModelSpec("smallcnn", shape, 4, conv_channels=channels,
+                                       conv_kernel=kernel, seed=seed))
+    # negative biases on half the channels leave many pre-activations <= 0
+    model.params["conv.b"] = np.where(np.arange(channels) % 2 == 0, -0.2, 0.05)
+    return model
+
+
+def _probe_images(shape, seed):
+    images = [rand_pixel_image(shape, seed=seed + i) for i in range(4)]
+    images[1][: shape[0] // 2] = 0.0             # exact zero pre-activations
+    return images
+
+
+@pytest.mark.parametrize("shape, channels, kernel", [
+    ((6, 10, 1), 3, 3), ((8, 6, 3), 4, 5), ((4, 4, 2), 2, 1), ((6, 10, 1), 1, 3),
+])
+def test_smallcnn_outputs_bytes_match_seed_kernels(seed_kernels, shape, channels, kernel):
+    model = _smallcnn(shape, channels, kernel, seed=8)
+    for y, x in enumerate(_probe_images(shape, seed=80)):
+        got_z = model.logits(x)
+        got_loss, got_g = model.loss_and_grad(x, y)
+        got_ploss, got_p = model.loss_and_param_grads(x, y)
+        want_z = seed_kernels(lambda: model.logits(x))
+        want_loss, want_g = seed_kernels(lambda: model.loss_and_grad(x, y))
+        want_ploss, want_p = seed_kernels(lambda: model.loss_and_param_grads(x, y))
+        assert got_z.tobytes() == want_z.tobytes()
+        assert got_loss == want_loss and got_g.tobytes() == want_g.tobytes()
+        assert got_ploss == want_ploss and sorted(got_p) == sorted(want_p)
+        for key in want_p:
+            assert got_p[key].tobytes() == want_p[key].tobytes(), key
+
+
+def test_ensemble_outputs_bytes_match_seed_kernels(seed_kernels):
+    shape = (6, 10, 1)
+    ens = EnsembleOracle([_smallcnn(shape, 3, 3, seed=9), _smallcnn(shape, 2, 5, seed=10)],
+                         weights=(0.25, 0.75))
+    for y, x in enumerate(_probe_images(shape, seed=90)):
+        got_z = ens.logits(x)
+        got_loss, got_g = ens.loss_and_grad(x, y)
+        want_z = seed_kernels(lambda: ens.logits(x))
+        want_loss, want_g = seed_kernels(lambda: ens.loss_and_grad(x, y))
+        assert got_z.tobytes() == want_z.tobytes()
+        assert got_loss == want_loss and got_g.tobytes() == want_g.tobytes()

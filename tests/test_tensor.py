@@ -4,8 +4,12 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from advm.errors import (
+    AdvmError,
     BadMagic,
     CorruptFile,
     LengthMismatch,
@@ -321,3 +325,92 @@ def test_tensor_from_bytes_errors():
     # payload shorter than the dims promise
     with pytest.raises(LengthMismatch):
         tensor_from_bytes(good[:-8])
+
+
+# -- properties ---------------------------------------------------------------------
+
+# Derandomized and without an example database: every run draws the same
+# examples and writes no files.
+_PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def _images(elements, max_side=6, max_channels=3):
+    shapes = st.tuples(st.integers(1, max_side), st.integers(1, max_side),
+                       st.integers(1, max_channels))
+    return shapes.flatmap(lambda shape: arrays(np.float64, shape, elements=elements))
+
+
+def _inner_product_scale(a, b):
+    return float(np.sum(np.abs(a) * np.abs(b)))
+
+
+@_PROPERTY
+@given(data=st.data())
+def test_property_project_linf_idempotent_and_feasible(data):
+    origin = data.draw(_images(st.floats(0.0, 1.0)))
+    t = data.draw(arrays(np.float64, origin.shape, elements=st.floats(-2.0, 3.0)))
+    eps = data.draw(st.floats(0.0, 1.0))
+    p = project_linf(t, origin, eps)
+    assert p.tobytes() == project_linf(p, origin, eps).tobytes()
+    assert np.all(p >= origin - eps) and np.all(p <= origin + eps)
+    assert np.all(p >= 0.0) and np.all(p <= 1.0)
+
+
+@_PROPERTY
+@given(data=st.data())
+def test_property_resize_bilinear_adjoint_identity(data):
+    x = data.draw(_images(st.floats(-1.0, 1.0)))
+    new_h, new_w = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9))
+    y = data.draw(arrays(np.float64, (new_h, new_w, x.shape[2]),
+                         elements=st.floats(-1.0, 1.0)))
+    lx = resize_bilinear(x, new_h, new_w)
+    lty = resize_bilinear_adjoint(y, x.shape[0], x.shape[1])
+    assert lty.shape == x.shape
+    scale = _inner_product_scale(lx, y) + _inner_product_scale(x, lty)
+    assert abs(np.sum(lx * y) - np.sum(x * lty)) <= 1e-12 * max(scale, 1.0)
+
+
+@_PROPERTY
+@given(data=st.data())
+def test_property_pad_zero_adjoint_identity(data):
+    x = data.draw(_images(st.floats(-1.0, 1.0)))
+    h, w, c = x.shape
+    top, left = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    out_h = top + h + data.draw(st.integers(0, 3))
+    out_w = left + w + data.draw(st.integers(0, 3))
+    y = data.draw(arrays(np.float64, (out_h, out_w, c), elements=st.floats(-1.0, 1.0)))
+    lx = pad_zero(x, top, left, out_h, out_w)
+    lty = pad_zero_adjoint(y, top, left, h, w)
+    scale = _inner_product_scale(lx, y)
+    assert abs(np.sum(lx * y) - np.sum(x * lty)) <= 1e-12 * max(scale, 1.0)
+
+
+@_PROPERTY
+@given(t=_images(st.floats(allow_nan=True, allow_infinity=True), max_side=5, max_channels=4))
+def test_property_emtn_roundtrip_is_bit_exact(t):
+    blob = tensor_to_bytes(t)
+    back = tensor_from_bytes(blob)
+    assert back.shape == t.shape
+    assert back.tobytes() == t.tobytes()
+    assert tensor_to_bytes(back) == blob
+
+
+@_PROPERTY
+@given(t=_images(st.floats(-1.0, 1.0), max_side=4), data=st.data())
+def test_property_truncated_emtn_raises_advm_error(t, data):
+    blob = tensor_to_bytes(t)
+    cut = data.draw(st.integers(0, len(blob) - 1))
+    with pytest.raises(AdvmError):
+        tensor_from_bytes(blob[:cut])
+
+
+@_PROPERTY
+@given(head=st.sampled_from([b"", b"EMTN", b"EMTN\x01"]),
+       tail=st.binary(max_size=64))
+def test_property_random_emtn_blob_parses_or_raises_advm_error(head, tail):
+    try:
+        back = tensor_from_bytes(head + tail)
+    except AdvmError:
+        return
+    assert back.dtype == np.float64
+    assert tensor_to_bytes(back) == head + tail
