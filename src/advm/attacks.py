@@ -71,6 +71,8 @@ class AttackConfig:
             raise ValueError(f"iters must be >= 1, got {self.iters}")
         if not (self.mu >= 0.0 and math.isfinite(self.mu)):
             raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def alpha(self) -> float:

@@ -1,9 +1,11 @@
 """Command-line front end: train models, craft attacks, evaluate transfer.
 
-Settings resolve in precedence order: explicit flags, then the --config
-key=value file, then the ADVM_SEED environment variable (seed only), then
-built-in defaults. --eps accepts both decimals and fraction literals like
-16/255. Attack names use the hyphenated forms (mi-fgsm, emi-fgsm, ...).
+Attack settings resolve in precedence order: explicit flags, then the
+--config key=value file, then the ADVM_SEED environment variable (seed
+only), then the AttackConfig defaults; one table, _ATTACK_OPTIONS, names
+each option's flag, file key, field and parser. --eps accepts both decimals
+and fraction literals like 16/255. Attack names use the hyphenated forms
+(mi-fgsm, emi-fgsm, ...).
 
 Datasets are either `synthetic:CLASSESxPER_CLASSxSIDE[:NOISE]`, generated
 from the run seed, or `idx:IMAGES_PATH,LABELS_PATH` pairs.
@@ -13,7 +15,6 @@ import glob as globmod
 import json
 import math
 import os
-from dataclasses import replace
 
 import click
 
@@ -33,7 +34,7 @@ from .fileio import atomic_write_text
 from .models import EnsembleOracle, Model, ModelSpec, load_model, save_model, train_sgd
 from .sampling import SamplingSpec
 from .tensor import load_tensor, save_tensor
-from .transforms import TRANSFORM_NAMES, TransformConfig
+from .transforms import TransformConfig
 
 _MANIFEST_NAME = "manifest.json"
 
@@ -67,20 +68,66 @@ def parse_attack_name(name: str) -> str:
     return variant
 
 
+def _parse_names(text: str) -> tuple:
+    return tuple(t for t in (s.strip() for s in text.split(",")) if t)
+
+
+def _parse_side(text: str) -> int | None:
+    """A dim side in pixels, or auto (also none or empty): derive it from the image."""
+    text = text.strip()
+    return None if text.lower() in ("", "none", "auto") else int(text)
+
+
+# One row per attack option: its flag, its config-file key, the AttackConfig
+# field it sets ("group.field" inside sampling or transforms), the parser that
+# the flag text and the file text both go through, and the flag's help. The
+# defaults are the dataclasses' own.
+_ATTACK_OPTIONS = (
+    ("--attack", "attack", "variant", parse_attack_name,
+     "fgsm, i-fgsm, mi-fgsm, ni-fgsm, pi-fgsm, emi-fgsm, eni-fgsm, eri-fgsm"),
+    ("--eps", "eps", "eps", parse_eps, "L-inf budget; decimal or fraction like 16/255"),
+    ("--iters", "iters", "iters", click.INT, "iterations T"),
+    ("--mu", "mu", "mu", click.FLOAT, "momentum decay"),
+    ("--eta", "eta", "sampling.eta", click.FLOAT, "coefficient radius"),
+    ("--samples", "samples", "sampling.count", click.INT, "gradients averaged per step"),
+    ("--sampling", "sampling", "sampling.method", str, "linear, uniform or gaussian"),
+    ("--transforms", "transforms", "transforms.enabled", _parse_names,
+     "comma list from: dim,tim,sim"),
+    ("--dim-prob", "dim.prob", "transforms.dim_prob", click.FLOAT, "dim: transform probability"),
+    ("--dim-resize-low", "dim.resize_low", "transforms.dim_resize_low", _parse_side,
+     "dim: smallest resize side, or auto"),
+    ("--dim-pad-to", "dim.pad_to", "transforms.dim_pad_to", _parse_side,
+     "dim: canvas side, or auto"),
+    ("--tim-kernel-size", "tim.kernel_size", "transforms.tim_kernel_size", click.INT,
+     "tim: kernel side, odd"),
+    ("--tim-sigma", "tim.sigma", "transforms.tim_sigma", click.FLOAT, "tim: kernel sigma"),
+    ("--sim-copies", "sim.copies", "transforms.sim_copies", click.INT, "sim: scale copies"),
+    ("--normalize-sample-dir", "normalize_sample_dir", "normalize_sample_dir", click.BOOL,
+     "L1-normalize the sampling direction"),
+    ("--seed", "seed", "seed", click.INT, "default: ADVM_SEED or 0"),
+)
+
+
 def read_config_file(path: str) -> dict:
-    """Flat key = value lines; '#' starts a comment; unknown keys are errors."""
+    """Flat key = value lines; '#' starts a comment; the keys are the option
+    table's config-file keys, and any other key is an error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise click.UsageError(f"cannot read config file {path}: {exc}") from exc
+    keys = {row[1] for row in _ATTACK_OPTIONS}
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise click.UsageError(f"{path}:{lineno}: expected key = value")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_KEYS:
-                raise click.UsageError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = value
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise click.UsageError(f"{path}:{lineno}: expected key = value")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in keys:
+            raise click.UsageError(f"{path}:{lineno}: unknown key {key!r}")
+        values[key] = value
     return values
 
 
@@ -89,73 +136,34 @@ def _env_seed() -> int | None:
     if raw is None or raw == "":
         return None
     try:
-        return int(raw)
-    except ValueError as exc:
-        raise click.UsageError(f"ADVM_SEED must be an integer, got {raw!r}") from exc
+        return click.IntRange(min=0)(raw)
+    except click.BadParameter as exc:
+        raise click.UsageError(f"ADVM_SEED must be an integer >= 0, got {raw!r}") from exc
 
 
 def resolve_attack_config(cli: dict, filecfg: dict) -> AttackConfig:
-    """Merge flag values over config-file values over defaults; a value the
-    config rejects is a usage error."""
+    """Each table option from its flag, else its config-file key, through the
+    row's parser; the seed falls back to ADVM_SEED. An option set nowhere keeps
+    its dataclass default. A bad value from either source is a usage error."""
+    fields = {"": {}, "sampling": {}, "transforms": {}}
+    for flag, key, field, parse, _help in _ATTACK_OPTIONS:
+        text, source = cli.get(flag[2:].replace("-", "_")), flag
+        if text is None:
+            text, source = filecfg.get(key), f"config key {key!r}"
+        if text is None:
+            continue
+        group, _, name = field.rpartition(".")
+        try:
+            fields[group][name] = parse(text)
+        except (ValueError, click.BadParameter) as exc:
+            raise click.BadParameter(str(exc), param_hint=source) from exc
+    if "seed" not in fields[""] and (seed := _env_seed()) is not None:
+        fields[""]["seed"] = seed
     try:
-        return _merge_attack_config(cli, filecfg)
+        return AttackConfig(sampling=SamplingSpec(**fields["sampling"]),
+                            transforms=TransformConfig(**fields["transforms"]), **fields[""])
     except ValueError as exc:
         raise click.BadParameter(str(exc)) from exc
-
-
-def _merge_attack_config(cli: dict, filecfg: dict) -> AttackConfig:
-    def pick(key, default, convert):
-        if cli.get(key) is not None:
-            return cli[key]
-        if key in filecfg:
-            return convert(filecfg[key])
-        return default
-
-    seed = cli.get("seed")
-    if seed is None and "seed" in filecfg:
-        seed = int(filecfg["seed"])
-    if seed is None:
-        seed = _env_seed()
-    if seed is None:
-        seed = 0
-
-    transforms_raw = pick("transforms", "", str)
-    enabled = tuple(t for t in (s.strip() for s in transforms_raw.split(",")) if t)
-    for t in enabled:
-        if t not in TRANSFORM_NAMES:
-            raise click.BadParameter(f"unknown transform {t!r}")
-
-    def int_or_none(text):
-        text = text.strip()
-        return None if text.lower() in ("", "none", "auto") else int(text)
-
-    tcfg = TransformConfig(
-        enabled=enabled,
-        dim_prob=pick("dim_prob", 0.5, float),
-        dim_resize_low=pick("dim_resize_low", None, int_or_none),
-        dim_pad_to=pick("dim_pad_to", None, int_or_none),
-        tim_kernel_size=pick("tim_kernel_size", 7, int),
-        tim_sigma=pick("tim_sigma", 3.0, float),
-        sim_copies=pick("sim_copies", 5, int),
-    )
-    scfg = SamplingSpec(
-        method=pick("sampling", "linear", str),
-        count=pick("samples", 11, int),
-        eta=pick("eta", 7.0, float),
-    )
-    return AttackConfig(
-        variant=parse_attack_name(pick("attack", "emi-fgsm", str)),
-        eps=pick("eps", 16.0 / 255.0, parse_eps),
-        iters=pick("iters", 10, int),
-        mu=pick("mu", 1.0, float),
-        sampling=scfg,
-        transforms=tcfg,
-        normalize_sample_dir=pick(
-            "normalize_sample_dir", False,
-            lambda s: s.strip().lower() in ("1", "true", "yes"),
-        ),
-        seed=seed,
-    )
 
 
 def load_dataset(spec: str, seed: int):
@@ -168,13 +176,19 @@ def load_dataset(spec: str, seed: int):
             raise click.BadParameter(
                 f"synthetic spec must be CLASSESxPER_CLASSxSIDE, got {parts[0]!r}"
             ) from exc
-        noise = float(parts[1]) if len(parts) > 1 else 0.1
-        return generate_synthetic(classes, per_class, side, side, 1, noise, seed)
+        try:
+            noise = float(parts[1]) if len(parts) > 1 else 0.1
+            return generate_synthetic(classes, per_class, side, side, 1, noise, seed)
+        except ValueError as exc:
+            raise click.BadParameter(f"{spec!r}: {exc}", param_hint="--dataset") from exc
     if spec.startswith("idx:"):
         paths = spec[len("idx:"):].split(",")
         if len(paths) != 2:
             raise click.BadParameter("idx spec must be idx:IMAGES,LABELS")
-        return load_idx(paths[0], paths[1])
+        try:
+            return load_idx(paths[0], paths[1])
+        except OSError as exc:
+            raise click.ClickException(f"unreadable IDX file: {exc}") from exc
     raise click.BadParameter(f"dataset must start with synthetic: or idx:, got {spec!r}")
 
 
@@ -194,7 +208,10 @@ def load_models(arg: str) -> list:
             paths.append(token)
     if not paths:
         raise click.BadParameter("no model paths given")
-    return [load_model(p) for p in paths]
+    try:
+        return [load_model(p) for p in paths]
+    except OSError as exc:
+        raise click.ClickException(f"unreadable model file: {exc}") from exc
 
 
 def _positive_finite(ctx, param, value):
@@ -244,7 +261,7 @@ def main():
 @click.option("--arch", type=click.Choice(["logistic", "mlp", "smallcnn"]), required=True)
 @click.option("--dataset", required=True, help="synthetic:CxPxS[:NOISE] or idx:IMGS,LBLS")
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--seed", type=int, default=None, help="default: ADVM_SEED or 0")
+@click.option("--seed", type=click.IntRange(min=0), default=None, help="default: ADVM_SEED or 0")
 @click.option("--epochs", type=click.IntRange(min=1), default=8, show_default=True)
 @click.option("--lr", type=float, default=0.35, show_default=True, callback=_positive_finite)
 @click.option("--batch", type=click.IntRange(min=1), default=32, show_default=True)
@@ -259,15 +276,18 @@ def train(arch, dataset, out_path, seed, epochs, lr, batch, hidden, conv_channel
     if seed is None:
         seed = _env_seed() or 0
     data = load_dataset(dataset, seed)
-    spec = ModelSpec(
-        arch=arch,
-        input_shape=data.image_shape,
-        num_classes=data.class_count,
-        hidden=tuple(int(w) for w in hidden.split(",") if w.strip()) if arch == "mlp" else (),
-        conv_channels=conv_channels,
-        conv_kernel=conv_kernel,
-        seed=seed,
-    )
+    try:
+        spec = ModelSpec(
+            arch=arch,
+            input_shape=data.image_shape,
+            num_classes=data.class_count,
+            hidden=tuple(int(w) for w in hidden.split(",") if w.strip()) if arch == "mlp" else (),
+            conv_channels=conv_channels,
+            conv_kernel=conv_kernel,
+            seed=seed,
+        )
+    except ValueError as exc:
+        raise click.BadParameter(str(exc)) from exc
     if name is None:
         name = os.path.splitext(os.path.basename(out_path))[0]
     model, acc = train_sgd(spec, data, epochs=epochs, lr=lr, batch=batch, seed=seed, name=name)
@@ -276,63 +296,15 @@ def train(arch, dataset, out_path, seed, epochs, lr, batch, hidden, conv_channel
     click.echo(f"wrote {out_path}")
 
 
-_ATTACK_OPTIONS = [
-    click.option("--attack", default=None, help="fgsm, i-fgsm, mi-fgsm, ni-fgsm, pi-fgsm, emi-fgsm, eni-fgsm, eri-fgsm"),
-    click.option("--eps", default=None, help="L-inf budget; decimal or fraction like 16/255"),
-    click.option("--iters", type=int, default=None),
-    click.option("--mu", type=float, default=None, help="momentum decay"),
-    click.option("--eta", type=float, default=None, help="coefficient radius"),
-    click.option("--samples", type=int, default=None, help="gradients averaged per step"),
-    click.option("--sampling", type=click.Choice(["linear", "uniform", "gaussian"]), default=None),
-    click.option("--transforms", default=None, help="comma list from: dim,tim,sim"),
-    click.option("--dim-prob", type=float, default=None),
-    click.option("--dim-resize-low", type=int, default=None),
-    click.option("--dim-pad-to", type=int, default=None),
-    click.option("--tim-kernel-size", type=int, default=None),
-    click.option("--tim-sigma", type=float, default=None),
-    click.option("--sim-copies", type=int, default=None),
-    click.option("--normalize-sample-dir", is_flag=True, default=None),
-    click.option("--seed", type=int, default=None, help="default: ADVM_SEED or 0"),
-    click.option("--config", "config_path", type=click.Path(exists=True), default=None,
-                 help="key = value file; flags win over it"),
-]
-
-
 def _attack_options(fn):
-    for opt in reversed(_ATTACK_OPTIONS):
-        fn = opt(fn)
+    """The table's flags, passed on as raw text, then --config read into a dict."""
+    fn = click.option("--config", "filecfg", type=click.Path(exists=True),
+                      callback=lambda ctx, param, path: read_config_file(path) if path else {},
+                      help="key = value file; flags win over it")(fn)
+    for flag, _key, _field, parse, help_text in reversed(_ATTACK_OPTIONS):
+        fn = click.option(flag, default=None, is_flag=parse is click.BOOL, help=help_text,
+                          metavar=getattr(parse, "name", "text").upper())(fn)
     return fn
-
-
-def _collect_cfg(kwargs) -> AttackConfig:
-    eps_raw = kwargs.pop("eps")
-    cli = {
-        "attack": kwargs.pop("attack"),
-        "eps": parse_eps(eps_raw) if eps_raw is not None else None,
-        "iters": kwargs.pop("iters"),
-        "mu": kwargs.pop("mu"),
-        "eta": kwargs.pop("eta"),
-        "samples": kwargs.pop("samples"),
-        "sampling": kwargs.pop("sampling"),
-        "transforms": kwargs.pop("transforms"),
-        "dim_prob": kwargs.pop("dim_prob"),
-        "dim_resize_low": kwargs.pop("dim_resize_low"),
-        "dim_pad_to": kwargs.pop("dim_pad_to"),
-        "tim_kernel_size": kwargs.pop("tim_kernel_size"),
-        "tim_sigma": kwargs.pop("tim_sigma"),
-        "sim_copies": kwargs.pop("sim_copies"),
-        "normalize_sample_dir": kwargs.pop("normalize_sample_dir"),
-        "seed": kwargs.pop("seed"),
-    }
-    config_path = kwargs.pop("config_path")
-    filecfg = read_config_file(config_path) if config_path else {}
-    file_keymap = {
-        "dim.prob": "dim_prob", "dim.resize_low": "dim_resize_low",
-        "dim.pad_to": "dim_pad_to", "tim.kernel_size": "tim_kernel_size",
-        "tim.sigma": "tim_sigma", "sim.copies": "sim_copies",
-    }
-    filecfg = {file_keymap.get(k, k): v for k, v in filecfg.items()}
-    return resolve_attack_config(cli, filecfg)
 
 
 @main.command(name="attack")
@@ -345,18 +317,12 @@ def _collect_cfg(kwargs) -> AttackConfig:
               help="subsample this many examples")
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
 @_wrap_errors
-def attack_cmd(**kwargs):
+def attack_cmd(surrogate, dataset, out_dir, num_images, jobs, filecfg, **cli):
     """Craft adversarial examples and write them with a manifest."""
-    surrogate_arg = kwargs.pop("surrogate")
-    dataset_arg = kwargs.pop("dataset")
-    out_dir = kwargs.pop("out_dir")
-    num_images = kwargs.pop("num_images")
-    jobs = kwargs.pop("jobs")
-    cfg = _collect_cfg(kwargs)
-
-    models = load_models(surrogate_arg)
+    cfg = resolve_attack_config(cli, filecfg)
+    models = load_models(surrogate)
     oracle = models[0] if len(models) == 1 else EnsembleOracle(models)
-    data = load_dataset(dataset_arg, cfg.seed)
+    data = load_dataset(dataset, cfg.seed)
     if num_images is not None:
         data = subsample(data, num_images, cfg.seed)
     _check_dim_geometry([cfg], data)
@@ -464,7 +430,7 @@ def eval_cmd(adv_dir, targets, out_path, fmt):
 @_attack_options
 @click.option("--param", required=True,
               type=click.Choice(["samples", "eta", "sampling_method", "mu", "iters", "eps"]))
-@click.option("--grid", required=True, help="comma-separated values to sweep")
+@click.option("--grid", "grid_arg", required=True, help="comma-separated values to sweep")
 @click.option("--surrogate", required=True)
 @click.option("--targets", required=True)
 @click.option("--dataset", required=True)
@@ -474,35 +440,22 @@ def eval_cmd(adv_dir, targets, out_path, fmt):
 @click.option("--num-images", type=click.IntRange(min=1), default=None)
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
 @_wrap_errors
-def ablate(**kwargs):
+def ablate(param, grid_arg, surrogate, targets, dataset, out_path, fmt, num_images, jobs,
+           filecfg, **cli):
     """Sweep one attack parameter and report per-target success rates."""
-    param = kwargs.pop("param")
-    grid_arg = kwargs.pop("grid")
-    surrogate_arg = kwargs.pop("surrogate")
-    targets_arg = kwargs.pop("targets")
-    dataset_arg = kwargs.pop("dataset")
-    out_path = kwargs.pop("out_path")
-    fmt = kwargs.pop("fmt")
-    num_images = kwargs.pop("num_images")
-    jobs = kwargs.pop("jobs")
-    cfg = _collect_cfg(kwargs)
-
+    cfg = resolve_attack_config(cli, filecfg)
+    parse = {"sampling_method": str, "samples": int, "iters": int}.get(param, parse_eps)
     try:
-        if param == "sampling_method":
-            grid = [v.strip() for v in grid_arg.split(",") if v.strip()]
-        elif param in ("samples", "iters"):
-            grid = [int(v) for v in grid_arg.split(",") if v.strip()]
-        else:
-            grid = [parse_eps(v) for v in grid_arg.split(",") if v.strip()]
+        grid = [parse(v) for v in _parse_names(grid_arg)]
         swept = [apply_parameter(cfg, param, value) for value in grid]
     except (ValueError, click.BadParameter) as exc:
         raise click.BadParameter(str(exc), param_hint="--grid") from exc
     if not grid:
         raise click.BadParameter("no values to sweep", param_hint="--grid")
-    surrogate = load_models(surrogate_arg)
-    oracle = surrogate[0] if len(surrogate) == 1 else EnsembleOracle(surrogate)
-    target_models = load_models(targets_arg)
-    data = load_dataset(dataset_arg, cfg.seed)
+    models = load_models(surrogate)
+    oracle = models[0] if len(models) == 1 else EnsembleOracle(models)
+    target_models = load_models(targets)
+    data = load_dataset(dataset, cfg.seed)
     if num_images is not None:
         data = subsample(data, num_images, cfg.seed)
     _check_dim_geometry(swept, data)
@@ -523,8 +476,11 @@ def ablate(**kwargs):
 @_wrap_errors
 def report(in_path, fmt, out_path):
     """Re-render a stored CSV report (matrix or ablation)."""
-    with open(in_path, "r", encoding="utf-8") as fh:
-        parsed = parse_report_csv(fh.read())
+    try:
+        with open(in_path, "r", encoding="utf-8") as fh:
+            parsed = parse_report_csv(fh.read())
+    except (OSError, ValueError) as exc:
+        raise click.ClickException(f"unreadable report {in_path}: {exc}") from exc
     text = emit_report(parsed, fmt)
     if out_path:
         atomic_write_text(out_path, text)

@@ -6,6 +6,7 @@ gives a classification problem that small models can learn in seconds
 while still leaving headroom between architectures.
 """
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -68,6 +69,10 @@ def generate_synthetic(
     """
     if classes < 1 or per_class < 1:
         raise EmptyDataset("need at least one class and one example per class")
+    if min(height, width, channels) < 1:
+        raise ValueError(f"image shape must be >= 1 each, got {(height, width, channels)}")
+    if not (noise_sigma >= 0.0 and math.isfinite(noise_sigma)):
+        raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     if contrast <= 0.0:
         raise ValueError("contrast must be > 0")
     if texture is None:

@@ -64,6 +64,10 @@ class ModelSpec:
             raise ValueError("need at least two classes")
         if self.arch == "mlp" and not self.hidden:
             raise ValueError("mlp needs at least one hidden width")
+        if any(w < 1 for w in self.hidden):
+            raise ValueError(f"hidden widths must be >= 1, got {tuple(self.hidden)}")
+        if self.conv_channels < 1 or self.conv_kernel < 1:
+            raise ValueError("conv channels and kernel side must be >= 1")
         if self.arch == "smallcnn":
             if self.conv_kernel % 2 == 0:
                 raise ValueError("conv kernel side must be odd")
@@ -311,12 +315,17 @@ class Model:
         if not 0 <= y < self.spec.num_classes:
             raise LabelOutOfRange(f"label {y} outside [0, {self.spec.num_classes})")
         z, cache = self.forward_with_cache(x)
-        zmax = z.max()
-        lse = zmax + math.log(np.exp(z - zmax).sum())
-        loss = lse - z[y]
-        dlogits = np.exp(z - lse)   # softmax probabilities
-        dlogits[y] -= 1.0
-        return dlogits, float(loss), cache
+        loss, dlogits = _xent(z, y)
+        return dlogits, loss, cache
+
+
+def _xent(z: np.ndarray, y: int):
+    """Softmax cross-entropy of logits z at label y, and d loss / d z."""
+    zmax = z.max()
+    lse = zmax + math.log(np.exp(z - zmax).sum())
+    dlogits = np.exp(z - lse)   # softmax probabilities
+    dlogits[y] -= 1.0
+    return float(lse - z[y]), dlogits
 
 
 class EnsembleOracle:
@@ -370,11 +379,7 @@ class EnsembleOracle:
             z, cache = m.forward_with_cache(x)
             caches.append(cache)
             fused = wk * z if fused is None else fused + wk * z
-        zmax = fused.max()
-        lse = zmax + math.log(np.exp(fused - zmax).sum())
-        loss = float(lse - fused[y])
-        dlogits = np.exp(fused - lse)
-        dlogits[y] -= 1.0
+        loss, dlogits = _xent(fused, y)
         grad = None
         for wk, m, cache in zip(self.weights, self.models, caches):
             gk = m.input_grad_from_dlogits(x, cache, wk * dlogits)

@@ -58,6 +58,8 @@ def test_config_validation():
         AttackConfig(iters=0)
     with pytest.raises(ValueError):
         AttackConfig(mu=-1.0)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        AttackConfig(seed=-1)
     # NaN passed the old `eps < 0` check and came back as NaN pixels
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):

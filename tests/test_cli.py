@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 import struct
 
@@ -12,12 +13,14 @@ from click.testing import CliRunner
 
 from advm.attacks import AttackConfig
 from advm.cli import (
+    _ATTACK_OPTIONS,
     load_dataset,
     load_models,
     main,
     parse_attack_name,
     parse_eps,
     read_config_file,
+    resolve_attack_config,
 )
 from advm.evaluate import AblationResult, TransferMatrix, parse_report_csv
 from advm.models import load_model
@@ -150,12 +153,14 @@ def test_train_seed_from_environment(runner, tmp_path):
 
 
 def test_invalid_environment_seed_is_an_error(runner, tmp_path):
-    result = runner.invoke(main, [
-        "train", "--arch", "logistic", "--dataset", "synthetic:2x3x6",
-        "--out", str(tmp_path / "x.json"), "--epochs", "1",
-    ], env={"ADVM_SEED": "lots"})
-    assert result.exit_code != 0
-    assert "ADVM_SEED must be an integer" in result.output
+    for raw in ("lots", "-3"):
+        result = runner.invoke(main, [
+            "train", "--arch", "logistic", "--dataset", "synthetic:2x3x6",
+            "--out", str(tmp_path / "x.json"), "--epochs", "1",
+        ], env={"ADVM_SEED": raw})
+        assert result.exit_code != 0
+        assert "ADVM_SEED must be an integer" in result.output
+        assert "Traceback" not in result.output
 
 
 def test_attack_writes_manifest_and_feasible_examples(runner, trained, tmp_path):
@@ -353,6 +358,12 @@ def _assert_usage_error(result, text):
     (["--jobs", "0"], "--jobs"),
     (["--num-images", "-3"], "--num-images"),
     (["--num-images", "0"], "--num-images"),
+    (["--iters", "abc"], "'abc' is not a valid integer"),
+    (["--sampling", "bogus"], "unknown sampling method"),
+    (["--transforms", "dim,warp"], "unknown transform 'warp'"),
+    (["--dim-resize-low", "x"], "--dim-resize-low"),
+    (["--seed", "-5"], "seed must be >= 0"),
+    (["--dataset", "synthetic:2x3x0"], "image shape must be >= 1"),
 ])
 def test_attack_bad_values_are_usage_errors(runner, trained, tmp_path, flags, text):
     out = tmp_path / "advset"
@@ -371,6 +382,21 @@ def test_attack_bad_values_are_usage_errors(runner, trained, tmp_path, flags, te
     (["--lr", "-0.1"], "must be finite and > 0"),
     (["--batch", "0"], "--batch"),
     (["--epochs", "0"], "--epochs"),
+    (["--arch", "mlp", "--hidden", "a"], "'a'"),
+    (["--arch", "mlp", "--hidden", ","], "mlp needs at least one hidden width"),
+    (["--arch", "mlp", "--hidden", "64,-3"], "hidden widths must be >= 1"),
+    (["--arch", "mlp", "--hidden", "0"], "hidden widths must be >= 1"),
+    (["--arch", "smallcnn", "--conv-kernel", "4"], "conv kernel side must be odd"),
+    (["--arch", "smallcnn", "--conv-kernel", "0"], "must be >= 1"),
+    (["--arch", "smallcnn", "--conv-kernel", "-1"], "must be >= 1"),
+    (["--arch", "smallcnn", "--conv-channels", "-1"], "must be >= 1"),
+    (["--arch", "smallcnn", "--conv-channels", "0"], "must be >= 1"),
+    (["--arch", "smallcnn", "--dataset", "synthetic:3x4x5"], "input sides must be even"),
+    (["--dataset", "synthetic:3x4x6:abc"], "could not convert"),
+    (["--dataset", "synthetic:3x4x6:nan"], "noise_sigma must be finite"),
+    (["--dataset", "synthetic:3x4x6:-1"], "noise_sigma must be finite"),
+    (["--dataset", "synthetic:1x4x6"], "need at least two classes"),
+    (["--seed", "-5"], "--seed"),
 ])
 def test_train_bad_values_are_usage_errors(runner, tmp_path, flags, text):
     out = tmp_path / "m.json"
@@ -460,6 +486,100 @@ def test_attack_bad_config_file_value_is_a_usage_error(runner, trained, tmp_path
         "--config", str(cfg_path), "--out", str(tmp_path / "x"),
     ])
     _assert_usage_error(result, "many")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("jobs = 2\n", "unknown key 'jobs'"),
+    ("normalize_sample_dir = ture\n", "'ture' is not a valid boolean"),
+])
+def test_attack_bad_config_file_lines_are_usage_errors(runner, trained, tmp_path, text,
+                                                       message):
+    cfg_path = tmp_path / "atk.cfg"
+    cfg_path.write_text(text)
+    out = tmp_path / "advset"
+    result = runner.invoke(main, [
+        "attack", "--surrogate", trained["model"], "--dataset", "synthetic:2x3x6",
+        "--config", str(cfg_path), "--out", str(out),
+    ])
+    _assert_usage_error(result, message)
+    assert not out.exists()
+
+
+# Non-default text for each option row; the flag and the file key take it alike.
+_ROW_TEXT = {
+    "attack": "ni-fgsm", "eps": "8/255", "iters": "3", "mu": "0.5", "eta": "3",
+    "samples": "5", "sampling": "uniform", "transforms": "tim,dim", "dim.prob": "0.7",
+    "dim.resize_low": "5", "dim.pad_to": "9", "tim.kernel_size": "5", "tim.sigma": "2.0",
+    "sim.copies": "3", "normalize_sample_dir": "true", "seed": "9",
+}
+
+
+@pytest.mark.parametrize("flag, key, parse", [(r[0], r[1], r[3]) for r in _ATTACK_OPTIONS])
+def test_flag_and_config_key_give_the_same_config(runner, trained, tmp_path, monkeypatch,
+                                                  flag, key, parse):
+    monkeypatch.delenv("ADVM_SEED", raising=False)
+    text = _ROW_TEXT[key]
+    (tmp_path / "one.cfg").write_text(f"{key} = {text}\n")
+    hashes = []
+    for name, extra in (("default", []),
+                        ("flag", [flag] if parse is click.BOOL else [flag, text]),
+                        ("file", ["--config", str(tmp_path / "one.cfg")])):
+        out = tmp_path / name
+        result = runner.invoke(main, [
+            "attack", "--surrogate", trained["model"], "--dataset", "synthetic:2x3x6",
+            "--num-images", "2", "--out", str(out), *extra,
+        ])
+        assert result.exit_code == 0, result.output
+        with open(out / "manifest.json") as fh:
+            hashes.append(json.load(fh)["config_hash"])
+    default, by_flag, by_file = hashes
+    assert by_flag == by_file != default
+
+
+def test_dim_sides_take_auto_from_flag_and_file(monkeypatch):
+    monkeypatch.delenv("ADVM_SEED", raising=False)
+    assert resolve_attack_config({}, {}) == AttackConfig()
+    for side in ("dim_resize_low", "dim_pad_to"):
+        assert resolve_attack_config({side: "auto"}, {}) == AttackConfig()
+        assert resolve_attack_config({}, {side.replace("_", ".", 1): "auto"}) == AttackConfig()
+
+
+def test_readme_lists_every_config_key():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        rows = re.findall(r"^\| `([a-z_.]+)` \| `(--[a-z-]+)` \|", fh.read(), re.MULTILINE)
+    assert sorted(rows) == sorted((key, flag) for flag, key, *_ in _ATTACK_OPTIONS)
+
+
+@pytest.mark.parametrize("command, make, code", [
+    (["train", "--arch", "logistic", "--out", "m.json", "--dataset", "idx:{p},{p}"],
+     None, 1),
+    (["attack", "--surrogate", "{model}", "--dataset", "synthetic:2x3x6", "--out", "adv",
+      "--config", "{p}"], "dir", 2),
+    (["attack", "--surrogate", "{model}", "--dataset", "synthetic:2x3x6", "--out", "adv",
+      "--config", "{p}"], "latin-1", 2),
+    (["report", "--in", "{p}", "--out", "r.md"], "latin-1", 1),
+    (["report", "--in", "{p}", "--out", "r.md"], "dir", 1),
+    (["report", "--in", "{p}", "--out", "r.md"], "a,b\n1,2\n", 1),
+    (["attack", "--surrogate", "{p}", "--dataset", "synthetic:2x3x6", "--out", "adv"], None, 1),
+    (["eval", "--adv", "{advset}", "--targets", "{p}"], "dir", 1),
+])
+def test_unreadable_inputs_name_the_path(runner, trained, advset, tmp_path, command, make,
+                                        code):
+    path = tmp_path / "input"
+    if make == "dir":
+        path.mkdir()
+    elif make == "latin-1":
+        path.write_bytes("attack = emi-fgsm  # caf\xe9\n".encode("latin-1"))
+    elif make is not None:
+        path.write_text(make)
+    args = [a.format(p=path, model=trained["model"], advset=advset) for a in command]
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        result = runner.invoke(main, args)
+        assert result.exit_code == code, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert str(path) in result.output and "Traceback" not in result.output
+        assert os.listdir(".") == []
 
 
 @pytest.mark.parametrize("flags, text", [

@@ -130,6 +130,11 @@ def test_generate_synthetic_errors():
         generate_synthetic(2, 2, contrast=0.0)
     with pytest.raises(ValueError):
         generate_synthetic(2, 2, texture=-0.1)
+    with pytest.raises(ValueError, match="image shape must be >= 1"):
+        generate_synthetic(2, 2, height=0, width=0)
+    for sigma in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ValueError, match="noise_sigma must be finite"):
+            generate_synthetic(2, 2, noise_sigma=sigma)
 
 
 # -- IDX loading -----------------------------------------------------------------

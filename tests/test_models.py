@@ -50,6 +50,13 @@ def test_spec_validation():
         ModelSpec("smallcnn", (4, 4, 1), 2, conv_kernel=4)  # even kernel
     with pytest.raises(ValueError):
         ModelSpec("smallcnn", (5, 4, 1), 2)                 # odd side, 2x2 pool
+    for bad in ({"hidden": (0,)}, {"hidden": (64, -3)}):
+        with pytest.raises(ValueError, match="hidden widths must be >= 1"):
+            ModelSpec("mlp", (4, 4, 1), 2, **bad)
+    for bad in ({"conv_channels": 0}, {"conv_channels": -1}, {"conv_kernel": 0},
+                {"conv_kernel": -1}):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            ModelSpec("smallcnn", (4, 4, 1), 2, **bad)
 
 
 def test_init_params_shapes_and_glorot_bounds():
