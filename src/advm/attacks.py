@@ -24,6 +24,11 @@ fresh draw from U([-1,1]^d), and the sampler contributes only its count N.
 
 Momentum and the averaged-gradient memory start at zero, so a zero
 coefficient or mu=0 reproduces the simpler family members exactly.
+
+Finiteness is checked at this boundary, not inside the tensor operators:
+run_attack refuses a non-finite clean image, and raises NonFiniteGradient
+as soon as an iteration's averaged loss or gradient is NaN or infinite,
+so a broken oracle never turns into NaN pixels.
 """
 
 import hashlib
@@ -31,10 +36,11 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import ZeroGradient
+from .errors import NonFiniteGradient, ZeroGradient
 from .sampling import SamplingSpec, derive_rng, make_rng, sample_coefficients, sample_uniform_cube
 from .tensor import l1_normalize, project_linf, sign, validate_image
 from .transforms import TransformConfig, make_estimator
@@ -83,9 +89,14 @@ class AttackConfig:
         d["transforms"]["enabled"] = list(self.transforms.enabled)
         return d
 
-    def config_hash(self) -> str:
+    @cached_property
+    def _hash(self) -> str:
         blob = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
+
+    def config_hash(self) -> str:
+        """12 hex digits of the canonical JSON's sha256, computed once per config."""
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -168,8 +179,12 @@ def run_attack(oracle, x, y, cfg: AttackConfig, rng=None, record_state=False) ->
     g_acc = np.zeros_like(x)
     g_avg = np.zeros_like(x)
     losses, states = [], []
-    for _ in range(iters):
+    for t in range(iters):
         loss, g_avg = _average(oracle, _query_points(cfg, rng, adv, g_acc, g_avg), y)
+        if not (math.isfinite(loss) and np.isfinite(g_avg).all()):
+            raise NonFiniteGradient(
+                f"{variant} iteration {t + 1}: averaged loss {loss} or its gradient "
+                f"is not finite; check the oracle's parameters")
         if variant in _PLAIN:
             step = g_avg
         else:

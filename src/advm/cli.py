@@ -23,6 +23,7 @@ from .attacks import VARIANTS, AttackConfig, attack_batch
 from .data import generate_synthetic, load_idx, subsample
 from .errors import AdvmError
 from .evaluate import (
+    SWEEPABLE,
     TransferMatrix,
     ablation_sweep,
     apply_parameter,
@@ -428,9 +429,9 @@ def eval_cmd(adv_dir, targets, out_path, fmt):
 
 @main.command()
 @_attack_options
-@click.option("--param", required=True,
-              type=click.Choice(["samples", "eta", "sampling_method", "mu", "iters", "eps"]))
-@click.option("--grid", "grid_arg", required=True, help="comma-separated values to sweep")
+@click.option("--param", required=True, type=click.Choice(list(SWEEPABLE)))
+@click.option("--grid", "grid_arg", required=True,
+              help="comma-separated values to sweep; each takes its option's flag text")
 @click.option("--surrogate", required=True)
 @click.option("--targets", required=True)
 @click.option("--dataset", required=True)
@@ -444,7 +445,7 @@ def ablate(param, grid_arg, surrogate, targets, dataset, out_path, fmt, num_imag
            filecfg, **cli):
     """Sweep one attack parameter and report per-target success rates."""
     cfg = resolve_attack_config(cli, filecfg)
-    parse = {"sampling_method": str, "samples": int, "iters": int}.get(param, parse_eps)
+    parse = next(row[3] for row in _ATTACK_OPTIONS if row[2] == SWEEPABLE[param])
     try:
         grid = [parse(v) for v in _parse_names(grid_arg)]
         swept = [apply_parameter(cfg, param, value) for value in grid]

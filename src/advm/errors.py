@@ -13,6 +13,10 @@ class ZeroGradient(AdvmError):
     """A gradient with (near-)zero L1 mass cannot be normalized."""
 
 
+class NonFiniteGradient(AdvmError):
+    """An attack iteration's averaged loss or gradient is NaN or infinite."""
+
+
 class PlacementOutOfBounds(AdvmError):
     """A padding placement does not fit inside the output canvas."""
 

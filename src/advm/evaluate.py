@@ -97,24 +97,27 @@ def transfer_matrix(
     )
 
 
-_SWEEPABLE = ("samples", "eta", "sampling_method", "mu", "iters", "eps")
+# The parameters an ablation can sweep, and the AttackConfig field each one
+# sets ("group.field" inside a nested spec). The CLI parses grid values with
+# the parser of the attack option that sets the same field.
+SWEEPABLE = {
+    "samples": "sampling.count",
+    "eta": "sampling.eta",
+    "sampling_method": "sampling.method",
+    "mu": "mu",
+    "iters": "iters",
+    "eps": "eps",
+}
 
 
 def apply_parameter(cfg: AttackConfig, parameter: str, value) -> AttackConfig:
-    """A copy of cfg with one swept parameter replaced."""
-    if parameter == "samples":
-        return replace(cfg, sampling=replace(cfg.sampling, count=int(value)))
-    if parameter == "eta":
-        return replace(cfg, sampling=replace(cfg.sampling, eta=float(value)))
-    if parameter == "sampling_method":
-        return replace(cfg, sampling=replace(cfg.sampling, method=str(value)))
-    if parameter == "mu":
-        return replace(cfg, mu=float(value))
-    if parameter == "iters":
-        return replace(cfg, iters=int(value))
-    if parameter == "eps":
-        return replace(cfg, eps=float(value))
-    raise UnknownParameter(f"cannot sweep {parameter!r}; one of {_SWEEPABLE}")
+    """A copy of cfg with one swept parameter set to value, as given."""
+    if parameter not in SWEEPABLE:
+        raise UnknownParameter(f"cannot sweep {parameter!r}; one of {tuple(SWEEPABLE)}")
+    group, _, name = SWEEPABLE[parameter].rpartition(".")
+    if group:
+        return replace(cfg, **{group: replace(getattr(cfg, group), **{name: value})})
+    return replace(cfg, **{name: value})
 
 
 def ablation_sweep(

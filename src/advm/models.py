@@ -15,9 +15,12 @@ _avgpool2, _avgpool2_relu_backward) are written for speed but keep the
 floating-point summation order of the straightforward numpy versions
 they replaced (np.pad + strided im2col, mean(axis=(1, 3)), np.repeat,
 a tap-by-tap scatter into a zero canvas), signed zeros included, so
-every loss, gradient and logit is bit-identical to theirs. The tests in
-tests/test_models.py keep those versions as the reference and compare
-bytes.
+every loss, gradient and logit is bit-identical to theirs. The im2col
+and col2im steps are pure gathers through cached read-only indices
+(_im2col_index, _col2im_index), which copy values without arithmetic,
+and both GEMMs see the operand layouts the old versions gave them. The
+tests in tests/test_models.py keep those versions as the reference and
+compare bytes.
 """
 
 import json
@@ -113,24 +116,47 @@ def init_params(spec: ModelSpec) -> dict:
     return p
 
 
+def _zero_appended(a):
+    """a.ravel() followed by one +0.0, the sentinel the gather indices use."""
+    out = np.empty(a.size + 1)
+    out[:-1] = a.reshape(-1)
+    out[-1] = 0.0
+    return out
+
+
 def _conv_same_forward(x, w, b):
     """Multi-channel same-padded correlation via an im2col matmul.
 
-    cols[i*w + j, (di*k + dj)*cin + c] = xpad[i + di, j + dj, c].
+    cols[i*w + j, (di*k + dj)*cin + c] = xpad[i + di, j + dj, c], gathered
+    in one take through _im2col_index from x.ravel() + [0.0]; the bias is
+    then added in place.
     """
     k = w.shape[0]
-    pad = (k - 1) // 2
     h, ww_, cin = x.shape
     cout = w.shape[3]
-    xp = np.zeros((h + 2 * pad, ww_ + 2 * pad, cin))
-    xp[pad:pad + h, pad:pad + ww_, :] = x
-    cols = np.empty((h, ww_, k, k, cin))
-    for di in range(k):
-        for dj in range(k):
-            cols[:, :, di, dj, :] = xp[di:di + h, dj:dj + ww_, :]
-    cols = cols.reshape(h * ww_, k * k * cin)
-    out = cols @ w.reshape(k * k * cin, cout) + b
+    cols = _zero_appended(x).take(_im2col_index(h, ww_, k, cin))
+    out = cols @ w.reshape(k * k * cin, cout)
+    out += b
     return out.reshape(h, ww_, cout), cols
+
+
+@lru_cache(maxsize=64)
+def _im2col_index(h: int, w: int, k: int, cin: int) -> np.ndarray:
+    """(h*w, k*k*cin) read-only gather index into x.ravel() + [0.0].
+
+    Entry [i*w + j, (di*k + dj)*cin + c] points at pixel (i + di - pad,
+    j + dj - pad, c), or at the zero sentinel one past the end when that
+    pixel falls on the padding.
+    """
+    pad = (k - 1) // 2
+    i = np.arange(h).reshape(h, 1, 1, 1, 1) + np.arange(k).reshape(1, 1, k, 1, 1) - pad
+    j = np.arange(w).reshape(1, w, 1, 1, 1) + np.arange(k).reshape(1, 1, 1, k, 1) - pad
+    c = np.arange(cin).reshape(1, 1, 1, 1, cin)
+    inside = (i >= 0) & (i < h) & (j >= 0) & (j < w)
+    idx = np.where(inside, (i * w + j) * cin + c, h * w * cin)
+    idx = idx.reshape(h * w, k * k * cin).astype(np.intp)
+    idx.setflags(write=False)
+    return idx
 
 
 @lru_cache(maxsize=64)
@@ -168,7 +194,7 @@ def _conv_same_input_grad(dout, w, in_shape):
     h, ww_, cin = in_shape
     cout = w.shape[3]
     dcols = dout.reshape(h * ww_, cout) @ w.reshape(k * k * cin, cout).T
-    taps = np.append(dcols, 0.0)[_col2im_index(h, ww_, k, cin)]
+    taps = _zero_appended(dcols)[_col2im_index(h, ww_, k, cin)]
     return np.add.reduce(taps, axis=0, initial=0.0)
 
 
@@ -182,12 +208,17 @@ def _avgpool2(x):
     only when all four taps are -0.0).
     """
     h, w, c = x.shape
-    v = x.reshape(h // 2, 2, w // 2, 2, c)
+    # taps[di, dj] is the contiguous (h/2, w/2, c) plane of window tap (di, dj)
+    taps = np.ascontiguousarray(x.reshape(h // 2, 2, w // 2, 2, c).transpose(1, 3, 0, 2, 4))
+    s = taps[0, 0] + taps[0, 1]
     if c == 1 and w > 2:
-        s = (v[:, 0, :, 0] + v[:, 0, :, 1]) + (v[:, 1, :, 0] + v[:, 1, :, 1])
+        s += taps[1, 0] + taps[1, 1]
     else:
-        s = ((v[:, 0, :, 0] + v[:, 0, :, 1]) + v[:, 1, :, 0]) + v[:, 1, :, 1]
-    return (s + 0.0) / 4.0
+        s += taps[1, 0]
+        s += taps[1, 1]
+    s += 0.0
+    s /= 4.0
+    return s
 
 
 def _avgpool2_relu_backward(dpooled, pre):

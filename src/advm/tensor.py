@@ -8,6 +8,12 @@ an autodiff framework: for each linear operator L we expose L and L^T
 built from the same weight matrices, so <L x, y> == <x, L^T y> up to
 float rounding.
 
+The operators check shapes, dtypes and placements, which is O(1), but do
+not scan pixels for NaN or infinity: an attack checks finiteness once at
+its boundary (validate_image on the clean image in run_attack, then the
+averaged loss and gradient of every iteration), so a non-finite value is
+reported there instead of being paid for in every operator call.
+
 Tensors are serialized in a small binary format: magic "EMTN", a version
 byte, a little-endian u32 rank, the dims as little-endian u32, then the
 raw float64 payload in row-major order. Round trips are bit-exact.
@@ -38,12 +44,17 @@ _VERSION = 1
 ZERO_L1_THRESHOLD = 1e-300
 
 
-def validate_image(t: np.ndarray, pixel_domain: bool = False) -> None:
-    """Raise ShapeMismatch / ValueError unless t is a well-formed image."""
+def _check_image(t: np.ndarray) -> None:
+    """Raise ShapeMismatch unless t is a rank-3 float64 array; O(1)."""
     if not isinstance(t, np.ndarray) or t.ndim != 3:
         raise ShapeMismatch(f"expected a rank-3 array, got {getattr(t, 'shape', t)!r}")
     if t.dtype != np.float64:
         raise ShapeMismatch(f"expected float64, got {t.dtype}")
+
+
+def validate_image(t: np.ndarray, pixel_domain: bool = False) -> None:
+    """Raise ShapeMismatch / ValueError unless t is a well-formed image."""
+    _check_image(t)
     if not np.all(np.isfinite(t)):
         raise ValueError("image contains non-finite values")
     if pixel_domain and (t.min() < 0.0 or t.max() > 1.0):
@@ -112,7 +123,7 @@ def conv2d_same(img: np.ndarray, kernel: Kernel2D) -> np.ndarray:
     makes this operator self-adjoint, which is what the gradient smoothing
     path relies on.
     """
-    validate_image(img)
+    _check_image(img)
     out = np.empty_like(img)
     for c in range(img.shape[2]):
         out[:, :, c] = correlate2d(
@@ -143,31 +154,41 @@ def _bilinear_weights(new_n: int, old_n: int) -> np.ndarray:
     return w
 
 
+def _separable_gemm(rows: np.ndarray, flat: np.ndarray, cols: np.ndarray, c: int) -> np.ndarray:
+    """rows (new_h, h) along axis 0 and cols (w, new_w) along axis 1 of an
+    image flattened to (h, w*c).
+
+    These are the two np.dot calls that np.tensordot made here, on the same
+    operand layouts (the reshape copies exactly when tensordot's did), so
+    the bytes are tensordot's without its per-call overhead.
+    """
+    new_h, w = rows.shape[0], cols.shape[0]
+    tmp = np.dot(rows, flat).reshape(new_h, w, c)
+    out = np.dot(tmp.transpose(0, 2, 1).reshape(new_h * c, w), cols)
+    return np.ascontiguousarray(out.reshape(new_h, c, -1).transpose(0, 2, 1))
+
+
 def resize_bilinear(img: np.ndarray, new_h: int, new_w: int) -> np.ndarray:
     """Separable bilinear resize; resizing to the same shape is a bit-exact no-op."""
-    validate_image(img)
-    h, w, _ = img.shape
+    _check_image(img)
+    h, w, c = img.shape
     wh = _bilinear_weights(new_h, h)
     ww = _bilinear_weights(new_w, w)
-    tmp = np.tensordot(wh, img, axes=(1, 0))           # (new_h, w, c)
-    out = np.tensordot(tmp, ww, axes=(1, 1))           # (new_h, c, new_w)
-    return np.ascontiguousarray(out.transpose(0, 2, 1))
+    return _separable_gemm(wh, img.reshape(h, w * c), ww.T, c)
 
 
 def resize_bilinear_adjoint(grad: np.ndarray, old_h: int, old_w: int) -> np.ndarray:
     """Adjoint of resize_bilinear: maps output-shaped grads back to (old_h, old_w)."""
-    validate_image(grad)
-    new_h, new_w, _ = grad.shape
+    _check_image(grad)
+    new_h, new_w, c = grad.shape
     wh = _bilinear_weights(new_h, old_h)
     ww = _bilinear_weights(new_w, old_w)
-    tmp = np.tensordot(wh.T, grad, axes=(1, 0))        # (old_h, new_w, c)
-    out = np.tensordot(tmp, ww.T, axes=(1, 1))         # (old_h, c, old_w)
-    return np.ascontiguousarray(out.transpose(0, 2, 1))
+    return _separable_gemm(wh.T, grad.reshape(new_h, new_w * c), ww, c)
 
 
 def pad_zero(img: np.ndarray, top: int, left: int, out_h: int, out_w: int) -> np.ndarray:
     """Place img on a zero canvas of (out_h, out_w) at offset (top, left)."""
-    validate_image(img)
+    _check_image(img)
     h, w, c = img.shape
     if top < 0 or left < 0 or top + h > out_h or left + w > out_w:
         raise PlacementOutOfBounds(
@@ -180,7 +201,7 @@ def pad_zero(img: np.ndarray, top: int, left: int, out_h: int, out_w: int) -> np
 
 def pad_zero_adjoint(grad: np.ndarray, top: int, left: int, in_h: int, in_w: int) -> np.ndarray:
     """Adjoint of pad_zero: crop the gradient back to the pre-padding window."""
-    validate_image(grad)
+    _check_image(grad)
     return grad[top:top + in_h, left:left + in_w, :].copy()
 
 

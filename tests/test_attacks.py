@@ -1,5 +1,6 @@
 """Attack engine: configs, feasibility, exact reductions, and scheduling."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,8 @@ from advm.attacks import (
     fgsm,
     run_attack,
 )
-from advm.errors import ShapeMismatch
+from advm.errors import AdvmError, NonFiniteGradient, ShapeMismatch
+from advm.models import Model, ModelSpec
 from advm.sampling import SamplingSpec, make_rng
 from advm.tensor import tensor_to_bytes
 from advm.transforms import TransformConfig
@@ -107,6 +109,17 @@ def test_config_hash_shape_and_sensitivity():
     )
 
 
+def test_config_hash_is_computed_once_per_config():
+    cfg = AttackConfig(variant="mifgsm")
+    first = cfg.config_hash()
+    assert first == "c5b4907cd29d" and cfg.config_hash() is first
+    # the cached value is not a field: equality, hashing and canonical() ignore it
+    assert cfg == AttackConfig(variant="mifgsm")
+    assert hash(cfg) == hash(AttackConfig(variant="mifgsm"))
+    assert "_hash" not in cfg.canonical()
+    assert dataclasses.replace(cfg, seed=1).config_hash() != first
+
+
 # -- feasibility -------------------------------------------------------------------
 
 
@@ -166,6 +179,48 @@ def test_input_validation_enforced():
         run_attack(oracle, np.zeros((3, 3)), 0, AttackConfig(variant="ifgsm"))
     with pytest.raises(ValueError):
         run_attack(oracle, np.full((3, 3, 1), 1.5), 0, AttackConfig(variant="ifgsm"))
+
+
+class InfiniteLossOracle(QuadraticOracle):
+    """A finite gradient under an infinite loss."""
+
+    def loss_and_grad(self, x, y):
+        _, g = super().loss_and_grad(x, y)
+        return math.inf, g
+
+
+def _nan_weight_smallcnn():
+    model = Model.initialize(ModelSpec("smallcnn", (8, 8, 1), 3, conv_channels=4, seed=6))
+    model.params["conv.W"][1, 1, 0, 2] = np.nan
+    return model
+
+
+@pytest.mark.parametrize("enabled", [(), ("dim", "tim", "sim")])
+@pytest.mark.parametrize("variant", ["ifgsm", "mifgsm", "emifgsm"])
+def test_nan_parameter_raises_non_finite_gradient(variant, enabled):
+    model = _nan_weight_smallcnn()
+    x = rand_pixel_image((8, 8, 1), seed=61)
+    cfg = AttackConfig(variant=variant, iters=3, sampling=SamplingSpec(count=3),
+                       transforms=TransformConfig(enabled=enabled), seed=2)
+    with pytest.raises(NonFiniteGradient, match="iteration 1"):
+        attack_one(model, x, 0, cfg, 0)
+    with pytest.raises(NonFiniteGradient):
+        attack_batch(model, [x, x], [0, 1], cfg, jobs=2)
+    assert issubclass(NonFiniteGradient, AdvmError)
+
+
+def test_infinite_loss_raises_non_finite_gradient():
+    oracle = InfiniteLossOracle((3, 3, 1), seed=4)
+    with pytest.raises(NonFiniteGradient):
+        run_attack(oracle, rand_pixel_image((3, 3, 1), seed=1), 0,
+                   AttackConfig(variant="mifgsm"))
+
+
+def test_non_finite_clean_image_is_refused():
+    x = rand_pixel_image((3, 3, 1), seed=1)
+    x[0, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        run_attack(QuadraticOracle((3, 3, 1), seed=4), x, 0, AttackConfig(variant="ifgsm"))
 
 
 # -- exact reductions --------------------------------------------------------------

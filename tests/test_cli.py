@@ -22,7 +22,7 @@ from advm.cli import (
     read_config_file,
     resolve_attack_config,
 )
-from advm.evaluate import AblationResult, TransferMatrix, parse_report_csv
+from advm.evaluate import SWEEPABLE, AblationResult, TransferMatrix, parse_report_csv
 from advm.models import load_model
 from advm.sampling import SamplingSpec
 from advm.tensor import load_tensor
@@ -595,6 +595,35 @@ def test_ablate_bad_values_are_usage_errors(runner, trained, tmp_path, flags, te
         "--dataset", "synthetic:2x3x6", *flags,
     ])
     _assert_usage_error(result, text)
+
+
+@pytest.mark.parametrize("param, flag, text", [
+    ("samples", "--samples", "3"), ("samples", "--samples", "3.5"),
+    ("samples", "--samples", "0"), ("eta", "--eta", "2.5"), ("eta", "--eta", "1/2"),
+    ("eta", "--eta", "nan"), ("sampling_method", "--sampling", "uniform"),
+    ("sampling_method", "--sampling", "bogus"), ("mu", "--mu", "0.5"), ("mu", "--mu", "1/2"),
+    ("mu", "--mu", "-1"), ("iters", "--iters", "2"), ("iters", "--iters", "x"),
+    ("eps", "--eps", "8/255"), ("eps", "--eps", "1/0"),
+])
+def test_ablate_grid_value_takes_its_flag_text(runner, trained, tmp_path, param, flag, text):
+    common = ["--surrogate", trained["model"], "--dataset", "synthetic:2x3x6:0.05",
+              "--num-images", "1", "--seed", "3"]
+    advset = tmp_path / "advset"
+    attack = runner.invoke(main, ["attack", *common, "--out", str(advset), flag, text])
+    sweep_path = tmp_path / "sweep.csv"
+    ablate = runner.invoke(main, ["ablate", *common, "--targets", trained["model"],
+                                  "--param", param, "--grid", text, "--out", str(sweep_path)])
+    assert attack.exit_code == ablate.exit_code, (attack.output, ablate.output)
+    if attack.exit_code != 0:
+        _assert_usage_error(attack, "Invalid value")
+        _assert_usage_error(ablate, "Invalid value for --grid")
+        return
+    with open(advset / "manifest.json") as fh:
+        value = json.load(fh)["config"]
+    for part in SWEEPABLE[param].split("."):
+        value = value[part]
+    with open(sweep_path) as fh:
+        assert parse_report_csv(fh.read()).grid == (str(value),)
 
 
 # -- eval manifest checks ----------------------------------------------------------

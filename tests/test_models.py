@@ -543,6 +543,45 @@ def test_col2im_index_is_cached_and_read_only():
         idx[0, 0, 0, 0] = 0
 
 
+def test_im2col_index_is_cached_and_read_only():
+    idx = models._im2col_index(6, 10, 3, 2)
+    assert idx is models._im2col_index(6, 10, 3, 2)
+    assert idx.shape == (6 * 10, 3 * 3 * 2)
+    assert not idx.flags.writeable
+    with pytest.raises(ValueError):
+        idx[0, 0] = 0
+
+
+def test_conv_forward_returns_fresh_arrays():
+    # no buffer is shared between calls: --jobs runs threads on one Model
+    rng = np.random.default_rng(11)
+    x, wt, b = rng.normal(size=(6, 10, 2)), rng.normal(size=(3, 3, 2, 4)), rng.normal(size=4)
+    out_a, cols_a = models._conv_same_forward(x, wt, b)
+    out_b, cols_b = models._conv_same_forward(x, wt, b)
+    assert not np.shares_memory(cols_a, cols_b) and not np.shares_memory(out_a, out_b)
+    assert cols_a.flags.writeable and out_a.flags.writeable
+
+
+# (kernel, channels) of the four 28x28x1 smallcnns in experiment._ZOO
+_ZOO_SHAPES = [(3, 8), (5, 6), (3, 10), (5, 12)]
+
+
+@pytest.mark.parametrize("k, cout", _ZOO_SHAPES)
+def test_conv_bytes_match_seed_on_zoo_shapes(k, cout):
+    rng = np.random.default_rng(400 + k * 10 + cout)
+    x = _with_signed_zeros(rng.random((28, 28, 1)), 8)
+    wt = _with_signed_zeros(rng.normal(size=(k, k, 1, cout)), 9)
+    b = rng.normal(size=cout)
+    out, cols = models._conv_same_forward(x, wt, b)
+    want_out, want_cols = _seed_conv_same_forward(x, wt, b)
+    assert cols.shape == want_cols.shape and cols.tobytes() == want_cols.tobytes()
+    assert out.shape == want_out.shape and out.tobytes() == want_out.tobytes()
+    dout = _with_signed_zeros(rng.normal(size=(28, 28, cout)), 10)
+    got = models._conv_same_input_grad(dout, wt, (28, 28, 1))
+    want = _seed_conv_same_input_grad(dout, wt, (28, 28, 1))
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("h, w, c", [
     (6, 10, 1), (4, 2, 1), (2, 2, 1), (4, 2, 3), (8, 6, 5), (2, 4, 2),
 ])
@@ -603,6 +642,21 @@ def test_smallcnn_outputs_bytes_match_seed_kernels(seed_kernels, shape, channels
         assert got_z.tobytes() == want_z.tobytes()
         assert got_loss == want_loss and got_g.tobytes() == want_g.tobytes()
         assert got_ploss == want_ploss and sorted(got_p) == sorted(want_p)
+        for key in want_p:
+            assert got_p[key].tobytes() == want_p[key].tobytes(), key
+
+
+@pytest.mark.parametrize("k, cout", _ZOO_SHAPES)
+def test_zoo_smallcnn_outputs_bytes_match_seed_kernels(seed_kernels, k, cout):
+    shape = (28, 28, 1)
+    model = _smallcnn(shape, cout, k, seed=12)
+    for y, x in enumerate(_probe_images(shape, seed=120)[:2]):
+        got_loss, got_g = model.loss_and_grad(x, y)
+        got_ploss, got_p = model.loss_and_param_grads(x, y)
+        want_loss, want_g = seed_kernels(lambda: model.loss_and_grad(x, y))
+        want_ploss, want_p = seed_kernels(lambda: model.loss_and_param_grads(x, y))
+        assert got_loss == want_loss and got_g.tobytes() == want_g.tobytes()
+        assert got_ploss == want_ploss
         for key in want_p:
             assert got_p[key].tobytes() == want_p[key].tobytes(), key
 

@@ -18,6 +18,7 @@ from advm.errors import (
     VersionMismatch,
     ZeroGradient,
 )
+from advm import tensor
 from advm.tensor import (
     Kernel2D,
     clamp01,
@@ -242,6 +243,84 @@ def test_resize_adjoint_inner_product(old, new, seed):
     lhs = np.sum(resize_bilinear(u, *new) * v)
     rhs = np.sum(u * resize_bilinear_adjoint(v, *old))
     assert abs(lhs - rhs) < 1e-10
+
+
+# -- resize against the tensordot implementation -------------------------------------
+#
+# The two helpers below are the original tensordot resize and its adjoint, kept
+# verbatim as the reference. The optimized operators must return the same bytes.
+
+
+def _seed_resize_bilinear(img, new_h, new_w):
+    h, w, _ = img.shape
+    wh = tensor._bilinear_weights(new_h, h)
+    ww = tensor._bilinear_weights(new_w, w)
+    tmp = np.tensordot(wh, img, axes=(1, 0))           # (new_h, w, c)
+    out = np.tensordot(tmp, ww, axes=(1, 1))           # (new_h, c, new_w)
+    return np.ascontiguousarray(out.transpose(0, 2, 1))
+
+
+def _seed_resize_bilinear_adjoint(grad, old_h, old_w):
+    new_h, new_w, _ = grad.shape
+    wh = tensor._bilinear_weights(new_h, old_h)
+    ww = tensor._bilinear_weights(new_w, old_w)
+    tmp = np.tensordot(wh.T, grad, axes=(1, 0))        # (old_h, new_w, c)
+    out = np.tensordot(tmp, ww.T, axes=(1, 1))         # (old_h, c, old_w)
+    return np.ascontiguousarray(out.transpose(0, 2, 1))
+
+
+def _signed_zero_image(shape, seed):
+    """Normal noise with about a quarter +0.0 and a quarter -0.0 entries."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=shape)
+    pick = rng.integers(0, 4, size=shape)
+    a[pick == 0] = 0.0
+    a[pick == 1] = -0.0
+    return a
+
+
+@pytest.mark.parametrize("old, new", [
+    ((28, 28), (29, 29)), ((28, 28), (30, 30)), ((31, 31), (28, 28)), ((28, 28), (28, 28)),
+    ((7, 5), (3, 9)), ((6, 6), (1, 1)), ((1, 1), (5, 4)), ((2, 3), (2, 3)),
+])
+@pytest.mark.parametrize("c", [1, 3])
+def test_resize_bytes_match_tensordot(old, new, c):
+    img = _signed_zero_image(old + (c,), seed=sum(old) + c)
+    got = resize_bilinear(img, *new)
+    want = _seed_resize_bilinear(img, *new)
+    assert got.shape == want.shape and got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+    grad = _signed_zero_image(new + (c,), seed=sum(new) + 10 * c)
+    got = resize_bilinear_adjoint(grad, *old)
+    want = _seed_resize_bilinear_adjoint(grad, *old)
+    assert got.shape == want.shape and got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
+def test_resize_bytes_match_tensordot_on_a_strided_view():
+    img = _signed_zero_image((10, 8, 3), seed=5)[::2, ::-1]
+    assert resize_bilinear(img, 7, 6).tobytes() == _seed_resize_bilinear(img, 7, 6).tobytes()
+    assert (resize_bilinear_adjoint(img, 9, 4).tobytes()
+            == _seed_resize_bilinear_adjoint(img, 9, 4).tobytes())
+
+
+def test_operators_check_shapes_but_do_not_scan_pixels():
+    # finiteness is checked once, at the attack boundary; the operators keep
+    # only their O(1) checks and carry a NaN through
+    img = np.zeros((4, 4, 1))
+    img[1, 2, 0] = np.nan
+    assert np.isnan(resize_bilinear(img, 5, 5)).any()
+    assert np.isnan(resize_bilinear_adjoint(img, 3, 3)).any()
+    assert np.isnan(pad_zero(img, 1, 1, 6, 6)).any()
+    assert np.isnan(pad_zero_adjoint(img, 0, 0, 2, 3)).any()
+    assert np.isnan(conv2d_same(img, identity_kernel(3))).any()
+    for op in (lambda t: resize_bilinear(t, 2, 2), lambda t: resize_bilinear_adjoint(t, 2, 2),
+               lambda t: pad_zero(t, 0, 0, 5, 5), lambda t: pad_zero_adjoint(t, 0, 0, 1, 1),
+               lambda t: conv2d_same(t, identity_kernel(3))):
+        with pytest.raises(ShapeMismatch):
+            op(np.zeros((4, 4)))
+        with pytest.raises(ShapeMismatch):
+            op(np.zeros((4, 4, 1), dtype=np.float32))
 
 
 # -- zero padding ----------------------------------------------------------------
