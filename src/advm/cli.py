@@ -32,18 +32,12 @@ from .evaluate import (
     parse_report_csv,
 )
 from .fileio import atomic_write_text
-from .models import EnsembleOracle, Model, ModelSpec, load_model, save_model, train_sgd
+from .models import ARCHITECTURES, EnsembleOracle, ModelSpec, load_model, save_model, train_sgd
 from .sampling import SamplingSpec
 from .tensor import load_tensor, save_tensor
 from .transforms import TransformConfig
 
 _MANIFEST_NAME = "manifest.json"
-
-_CONFIG_KEYS = (
-    "attack", "eps", "iters", "mu", "eta", "samples", "sampling", "transforms",
-    "normalize_sample_dir", "dim.prob", "dim.resize_low", "dim.pad_to",
-    "tim.kernel_size", "tim.sigma", "sim.copies", "seed", "jobs",
-)
 
 
 def parse_eps(text: str) -> float:
@@ -259,7 +253,7 @@ def main():
 
 
 @main.command()
-@click.option("--arch", type=click.Choice(["logistic", "mlp", "smallcnn"]), required=True)
+@click.option("--arch", type=click.Choice(ARCHITECTURES), required=True)
 @click.option("--dataset", required=True, help="synthetic:CxPxS[:NOISE] or idx:IMGS,LBLS")
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--seed", type=click.IntRange(min=0), default=None, help="default: ADVM_SEED or 0")
@@ -397,6 +391,15 @@ def _load_advset(adv_dir: str) -> tuple:
     return manifest, advs
 
 
+def _write_or_echo(text: str, out_path: str | None) -> None:
+    """Write a rendered report to out_path and say so, or echo it without one."""
+    if out_path:
+        atomic_write_text(out_path, text)
+        click.echo(f"wrote {out_path}")
+    else:
+        click.echo(text, nl=False)
+
+
 @main.command(name="eval")
 @click.option("--adv", "adv_dir", required=True, type=click.Path())
 @click.option("--targets", required=True, help="model paths, comma-separated or glob")
@@ -419,12 +422,7 @@ def eval_cmd(adv_dir, targets, out_path, fmt):
         config_hash=manifest["config_hash"],
         seed=manifest["config"].get("seed"),
     )
-    text = emit_report(matrix, fmt)
-    if out_path:
-        atomic_write_text(out_path, text)
-        click.echo(f"wrote {out_path}")
-    else:
-        click.echo(text, nl=False)
+    _write_or_echo(emit_report(matrix, fmt), out_path)
 
 
 @main.command()
@@ -461,12 +459,7 @@ def ablate(param, grid_arg, surrogate, targets, dataset, out_path, fmt, num_imag
         data = subsample(data, num_images, cfg.seed)
     _check_dim_geometry(swept, data)
     result = ablation_sweep(param, grid, cfg, oracle, target_models, data, jobs=jobs)
-    text = emit_report(result, fmt)
-    if out_path:
-        atomic_write_text(out_path, text)
-        click.echo(f"wrote {out_path}")
-    else:
-        click.echo(text, nl=False)
+    _write_or_echo(emit_report(result, fmt), out_path)
 
 
 @main.command()
@@ -482,12 +475,7 @@ def report(in_path, fmt, out_path):
             parsed = parse_report_csv(fh.read())
     except (OSError, ValueError) as exc:
         raise click.ClickException(f"unreadable report {in_path}: {exc}") from exc
-    text = emit_report(parsed, fmt)
-    if out_path:
-        atomic_write_text(out_path, text)
-        click.echo(f"wrote {out_path}")
-    else:
-        click.echo(text, nl=False)
+    _write_or_echo(emit_report(parsed, fmt), out_path)
 
 
 if __name__ == "__main__":

@@ -3,8 +3,13 @@
 Success rate is the untargeted convention: the fraction of adversarial
 images the target model misclassifies, counting examples the target
 already got wrong. Transfer numbers are averaged over replicates
-elsewhere; this module computes one matrix or sweep at a time and
-round-trips them through CSV.
+elsewhere; this module computes one matrix or sweep at a time.
+
+Both results report as one table of rates, row label x target: a matrix's
+rows are its surrogates, an ablation's are its grid values (the table is
+zip(*curves)) behind a leading `parameter` column. One CSV writer gives a
+line per cell and one parser reads either type back exactly; one markdown
+renderer draws either from its corner cell, cells and footer.
 """
 
 import csv
@@ -137,7 +142,7 @@ def ablation_sweep(
     """
     if not grid:
         raise ValueError("empty ablation grid")
-    values = sorted(set(grid)) if not isinstance(grid[0], str) else sorted(set(grid))
+    values = sorted(set(grid))
     per_target = [[] for _ in targets]
     for value in values:
         cfg = apply_parameter(base_cfg, parameter, value)
@@ -168,118 +173,74 @@ def emit_report(result, fmt: str = "csv") -> str:
     if fmt not in ("csv", "markdown"):
         raise ValueError(f"unknown report format {fmt!r}")
     if isinstance(result, TransferMatrix):
-        return _matrix_csv(result) if fmt == "csv" else _matrix_markdown(result)
-    if isinstance(result, AblationResult):
-        return _ablation_csv(result) if fmt == "csv" else _ablation_markdown(result)
-    raise TypeError(f"cannot report a {type(result).__name__}")
+        lead, labels, table = [], result.surrogates, result.rates
+    elif isinstance(result, AblationResult):
+        lead, labels, table = [result.parameter], result.grid, tuple(zip(*result.curves))
+    else:
+        raise TypeError(f"cannot report a {type(result).__name__}")
+    footer = f"n={result.n_examples}, config={result.config_hash}"
+    if fmt == "csv":
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(_ABLATION_HEADER if lead else _MATRIX_HEADER)
+        for label, row in zip(labels, table):
+            for t, r in zip(result.targets, row):
+                w.writerow(lead + [label, t, repr(r), result.n_examples, result.config_hash])
+        return buf.getvalue()
+    if lead:   # rows are targets, columns grid values, plus a mean row
+        cells = [(t, [_pct(r) for r in curve]) for t, curve in zip(result.targets, result.curves)]
+        cells.append(("mean", [_pct(r) for r in result.mean_curve()]))
+        return _markdown_table(f"target \\ {result.parameter}", result.grid, cells, footer)
+    cells = [(s, [_pct(r) + ("*" if s == t else "") for t, r in zip(result.targets, row)])
+             for s, row in zip(result.surrogates, result.rates)]
+    return _markdown_table("surrogate \\ target", result.targets, cells,
+                           footer + " (* = white-box)")
 
 
-def _matrix_csv(m: TransferMatrix) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(_MATRIX_HEADER)
-    for i, s in enumerate(m.surrogates):
-        for j, t in enumerate(m.targets):
-            w.writerow([s, t, repr(m.rates[i][j]), m.n_examples, m.config_hash])
-    return buf.getvalue()
+def _markdown_table(corner, columns, cells, footer: str) -> str:
+    lines = [f"| {corner} | " + " | ".join(str(c) for c in columns) + " |",
+             "| --- |" + " --- |" * len(columns)]
+    lines += [f"| {label} | " + " | ".join(row) + " |" for label, row in cells]
+    return "\n".join(lines + ["", footer]) + "\n"
 
 
-def _matrix_markdown(m: TransferMatrix) -> str:
-    lines = [
-        "| surrogate \\ target | " + " | ".join(m.targets) + " |",
-        "| --- |" + " --- |" * len(m.targets),
-    ]
-    for i, s in enumerate(m.surrogates):
-        cells = []
-        for j, t in enumerate(m.targets):
-            mark = "*" if s == t else ""   # white-box cell
-            cells.append(f"{100.0 * m.rates[i][j]:.1f}{mark}")
-        lines.append(f"| {s} | " + " | ".join(cells) + " |")
-    lines.append("")
-    lines.append(f"n={m.n_examples}, config={m.config_hash} (* = white-box)")
-    return "\n".join(lines) + "\n"
-
-
-def _ablation_csv(a: AblationResult) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(_ABLATION_HEADER)
-    for k, v in enumerate(a.grid):
-        for j, t in enumerate(a.targets):
-            w.writerow([a.parameter, v, t, repr(a.curves[j][k]), a.n_examples, a.config_hash])
-    return buf.getvalue()
-
-
-def _ablation_markdown(a: AblationResult) -> str:
-    header = [str(v) for v in a.grid]
-    lines = [
-        f"| target \\ {a.parameter} | " + " | ".join(header) + " |",
-        "| --- |" + " --- |" * len(a.grid),
-    ]
-    for j, t in enumerate(a.targets):
-        cells = [f"{100.0 * a.curves[j][k]:.1f}" for k in range(len(a.grid))]
-        lines.append(f"| {t} | " + " | ".join(cells) + " |")
-    mean = [f"{100.0 * v:.1f}" for v in a.mean_curve()]
-    lines.append("| mean | " + " | ".join(mean) + " |")
-    lines.append("")
-    lines.append(f"n={a.n_examples}, config={a.config_hash}")
-    return "\n".join(lines) + "\n"
+def _pct(rate: float) -> str:
+    return f"{100.0 * rate:.1f}"
 
 
 def parse_report_csv(text: str):
-    """Inverse of emit_report(..., "csv"); detects which report type it is."""
+    """Inverse of emit_report(..., "csv"); detects which report type it is.
+
+    Raises ValueError unless every (row, target) cell appears exactly once
+    and all rows agree on the parameter, n and config_hash.
+    """
     rows = list(csv.reader(io.StringIO(text)))
     if not rows:
         raise ValueError("empty report")
-    header = rows[0]
-    if header == _MATRIX_HEADER:
-        return _parse_matrix(rows[1:])
-    if header == _ABLATION_HEADER:
-        return _parse_ablation(rows[1:])
-    raise ValueError(f"unrecognized report header {header}")
-
-
-def _parse_matrix(rows) -> TransferMatrix:
-    if not rows:
-        raise ValueError("matrix report has no data rows")
-    surrogates, targets, cells = [], [], {}
-    n, config_hash = None, None
-    for s, t, rate, n_str, h in rows:
-        if s not in surrogates:
-            surrogates.append(s)
-        if t not in targets:
-            targets.append(t)
-        cells[(s, t)] = float(rate)
-        n, config_hash = int(n_str), h
-    rates = tuple(tuple(cells[(s, t)] for t in targets) for s in surrogates)
-    return TransferMatrix(
-        surrogates=tuple(surrogates),
-        targets=tuple(targets),
-        rates=rates,
-        n_examples=n,
-        config_hash=config_hash,
-    )
-
-
-def _parse_ablation(rows) -> AblationResult:
-    if not rows:
-        raise ValueError("ablation report has no data rows")
-    parameter = rows[0][0]
-    grid, targets, cells = [], [], {}
-    n, config_hash = None, None
-    for p, v, t, rate, n_str, h in rows:
-        if v not in grid:
-            grid.append(v)
-        if t not in targets:
-            targets.append(t)
-        cells[(v, t)] = float(rate)
-        n, config_hash = int(n_str), h
-    curves = tuple(tuple(cells[(v, t)] for v in grid) for t in targets)
-    return AblationResult(
-        parameter=parameter,
-        grid=tuple(grid),
-        targets=tuple(targets),
-        curves=curves,
-        n_examples=n,
-        config_hash=config_hash,
-    )
+    header, body = rows[0], rows[1:]
+    if header not in (_MATRIX_HEADER, _ABLATION_HEADER):
+        raise ValueError(f"unrecognized report header {header}")
+    if not body:
+        raise ValueError("report has no data rows")
+    labels, targets, cells, shared = {}, {}, {}, set()
+    for row in body:
+        if len(row) != len(header):
+            raise ValueError(f"row {row} has {len(row)} fields, want {len(header)}")
+        *lead, label, t, rate, n, h = row
+        if (label, t) in cells:
+            raise ValueError(f"duplicate rate for row {label!r}, target {t!r}")
+        labels[label] = targets[t] = None
+        cells[(label, t)] = float(rate)
+        shared.add((tuple(lead), int(n), h))
+    if len(shared) > 1:
+        raise ValueError("rows disagree on the parameter, n or config_hash")
+    missing = [(r, t) for r in labels for t in targets if (r, t) not in cells]
+    if missing:
+        raise ValueError(f"no rate for row {missing[0][0]!r}, target {missing[0][1]!r}")
+    lead, n, h = shared.pop()
+    table = tuple(tuple(cells[(r, t)] for t in targets) for r in labels)
+    if not lead:
+        return TransferMatrix(surrogates=tuple(labels), targets=tuple(targets), rates=table,
+                              n_examples=n, config_hash=h)
+    return AblationResult(parameter=lead[0], grid=tuple(labels), targets=tuple(targets),
+                          curves=tuple(zip(*table)), n_examples=n, config_hash=h)

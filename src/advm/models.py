@@ -1,16 +1,20 @@
 """Differentiable classifiers with exact hand-derived gradients.
 
-Three closed-world architectures (logistic, mlp, smallcnn) implemented
-directly in numpy. Each forward pass keeps the intermediates needed for
-backprop, and two backward paths share them: gradients w.r.t. the input
-(what the attacks consume) and gradients w.r.t. the parameters (what the
-trainer consumes). There is no tape; every backward rule is written out.
+Every model is one path in numpy: an optional conv stem (same-padded
+conv -> ReLU -> 2x2 average pool) followed by one dense chain
+`Dense (ReLU Dense)*`. logistic is the chain `fc` alone, mlp is
+`fc0 ... fcK` with ReLUs between, and smallcnn is the stem in front of
+`fc`; _layout is the only code that reads the architecture. The forward
+pass keeps the intermediates needed for backprop, and two backward paths
+share them: gradients w.r.t. the input (what the attacks consume) and
+gradients w.r.t. the parameters (what the trainer consumes). There is no
+tape; every backward rule is written out.
 
 Ensembles fuse logits linearly, take the cross-entropy of the fused
 logits, and push the fused softmax error back through each member scaled
 by its weight.
 
-The smallcnn kernels (_conv_same_forward, _conv_same_input_grad,
+The stem kernels (_conv_same_forward, _conv_same_input_grad,
 _avgpool2, _avgpool2_relu_backward) are written for speed but keep the
 floating-point summation order of the straightforward numpy versions
 they replaced (np.pad + strided im2col, mean(axis=(1, 3)), np.repeat,
@@ -91,28 +95,31 @@ def _glorot(rng, shape, fan_in, fan_out):
     return rng.uniform(-a, a, size=shape)
 
 
+def _layout(spec: ModelSpec):
+    """(conv stem?, hidden widths, the dense chain's (W, b) names from the input side)."""
+    if spec.arch == "mlp":
+        names = tuple((f"fc{i}.W", f"fc{i}.b") for i in range(len(spec.hidden) + 1))
+        return False, spec.hidden, names
+    return spec.arch == "smallcnn", (), (("fc.W", "fc.b"),)
+
+
 def init_params(spec: ModelSpec) -> dict:
-    """Glorot-uniform weights, zero biases; deterministic in spec.seed."""
+    """Glorot-uniform weights, zero biases; deterministic in spec.seed.
+    Draws the stem first, then the dense layers from the input side."""
     rng = make_rng(spec.seed)
+    stem, hidden, names = _layout(spec)
     p = {}
-    if spec.arch == "logistic":
-        d, c = spec.input_size, spec.num_classes
-        p["fc.W"] = _glorot(rng, (c, d), d, c)
-        p["fc.b"] = np.zeros(c)
-    elif spec.arch == "mlp":
-        widths = (spec.input_size,) + spec.hidden + (spec.num_classes,)
-        for i in range(len(widths) - 1):
-            fan_in, fan_out = widths[i], widths[i + 1]
-            p[f"fc{i}.W"] = _glorot(rng, (fan_out, fan_in), fan_in, fan_out)
-            p[f"fc{i}.b"] = np.zeros(fan_out)
-    else:  # smallcnn
+    width = spec.input_size
+    if stem:
         h, w, cin = spec.input_shape
         k, cc = spec.conv_kernel, spec.conv_channels
         p["conv.W"] = _glorot(rng, (k, k, cin, cc), k * k * cin, k * k * cc)
         p["conv.b"] = np.zeros(cc)
-        flat = (h // 2) * (w // 2) * cc
-        p["fc.W"] = _glorot(rng, (spec.num_classes, flat), flat, spec.num_classes)
-        p["fc.b"] = np.zeros(spec.num_classes)
+        width = (h // 2) * (w // 2) * cc
+    widths = (width,) + hidden + (spec.num_classes,)
+    for (wname, bname), fan_in, fan_out in zip(names, widths, widths[1:]):
+        p[wname] = _glorot(rng, (fan_out, fan_in), fan_in, fan_out)
+        p[bname] = np.zeros(fan_out)
     return p
 
 
@@ -235,6 +242,7 @@ class Model:
         self.spec = spec
         self.params = params
         self.name = name if name is not None else f"{spec.arch}-s{spec.seed}"
+        self._stem, _, self._dense = _layout(spec)
 
     @classmethod
     def initialize(cls, spec: ModelSpec, name: str | None = None) -> "Model":
@@ -251,31 +259,22 @@ class Model:
     # -- forward ---------------------------------------------------------
 
     def forward_with_cache(self, x: np.ndarray):
+        """Logits, and the cache both backward paths read: (chain inputs, stem pre, cols)."""
         if x.shape != self.spec.input_shape:
             raise ShapeMismatch(f"{x.shape} vs model input {self.spec.input_shape}")
         p = self.params
-        if self.spec.arch == "logistic":
+        pre = cols = None
+        if self._stem:   # conv -> relu -> avgpool 2x2
+            pre, cols = _conv_same_forward(x, p["conv.W"], p["conv.b"])
+            a = _avgpool2(np.maximum(pre, 0.0)).reshape(-1)
+        else:
             a = x.reshape(-1)
-            z = p["fc.W"] @ a + p["fc.b"]
-            return z, (a,)
-        if self.spec.arch == "mlp":
-            a = x.reshape(-1)
-            acts = [a]
-            pres = []
-            n_layers = len(self.spec.hidden) + 1
-            for i in range(n_layers - 1):
-                pre = p[f"fc{i}.W"] @ acts[-1] + p[f"fc{i}.b"]
-                pres.append(pre)
-                acts.append(np.maximum(pre, 0.0))
-            z = p[f"fc{n_layers - 1}.W"] @ acts[-1] + p[f"fc{n_layers - 1}.b"]
-            return z, (acts, pres)
-        # smallcnn: conv -> relu -> avgpool 2x2 -> dense
-        pre, cols = _conv_same_forward(x, p["conv.W"], p["conv.b"])
-        act = np.maximum(pre, 0.0)
-        pooled = _avgpool2(act)
-        flat = pooled.reshape(-1)
-        z = p["fc.W"] @ flat + p["fc.b"]
-        return z, (pre, cols, flat)
+        acts = [a]
+        for wname, bname in self._dense[:-1]:
+            a = np.maximum(p[wname] @ a + p[bname], 0.0)
+            acts.append(a)
+        wname, bname = self._dense[-1]
+        return p[wname] @ a + p[bname], (acts, pre, cols)
 
     def logits(self, x: np.ndarray) -> np.ndarray:
         z, _ = self.forward_with_cache(x)
@@ -285,50 +284,36 @@ class Model:
         # ties resolve to the lowest class index (argmax semantics)
         return int(np.argmax(self.logits(x)))
 
-    # -- backward --------------------------------------------------------
+    # -- backward (a ReLU mask is output > 0, which is exactly input > 0) --
 
     def input_grad_from_dlogits(self, x, cache, dlogits) -> np.ndarray:
         p = self.params
-        if self.spec.arch == "logistic":
-            return (p["fc.W"].T @ dlogits).reshape(self.spec.input_shape)
-        if self.spec.arch == "mlp":
-            acts, pres = cache
-            n_layers = len(self.spec.hidden) + 1
-            da = p[f"fc{n_layers - 1}.W"].T @ dlogits
-            for i in range(n_layers - 2, -1, -1):
-                dpre = da * (pres[i] > 0.0)
-                da = p[f"fc{i}.W"].T @ dpre
-            return da.reshape(self.spec.input_shape)
-        pre, _cols, _flat = cache
-        dpre = _avgpool2_relu_backward(p["fc.W"].T @ dlogits, pre)
-        return _conv_same_input_grad(dpre, p["conv.W"], self.spec.input_shape)
+        acts, pre, _cols = cache
+        d = dlogits
+        for i in range(len(self._dense) - 1, 0, -1):
+            d = (p[self._dense[i][0]].T @ d) * (acts[i] > 0.0)
+        d = p[self._dense[0][0]].T @ d
+        if self._stem:
+            dpre = _avgpool2_relu_backward(d, pre)
+            return _conv_same_input_grad(dpre, p["conv.W"], self.spec.input_shape)
+        return d.reshape(self.spec.input_shape)
 
     def param_grads_from_dlogits(self, x, cache, dlogits) -> dict:
         p = self.params
+        acts, pre, cols = cache
         g = {}
-        if self.spec.arch == "logistic":
-            (a,) = cache
-            g["fc.W"] = np.outer(dlogits, a)
-            g["fc.b"] = dlogits.copy()
-            return g
-        if self.spec.arch == "mlp":
-            acts, pres = cache
-            n_layers = len(self.spec.hidden) + 1
-            d = dlogits
-            for i in range(n_layers - 1, -1, -1):
-                g[f"fc{i}.W"] = np.outer(d, acts[i])
-                g[f"fc{i}.b"] = d.copy()
-                if i > 0:
-                    d = (p[f"fc{i}.W"].T @ d) * (pres[i - 1] > 0.0)
-            return g
-        pre, cols, flat = cache
-        h, w, cin = self.spec.input_shape
-        k, cc = self.spec.conv_kernel, self.spec.conv_channels
-        g["fc.W"] = np.outer(dlogits, flat)
-        g["fc.b"] = dlogits.copy()
-        dpre = _avgpool2_relu_backward(p["fc.W"].T @ dlogits, pre)
-        g["conv.W"] = (cols.T @ dpre.reshape(h * w, cc)).reshape(k, k, cin, cc)
-        g["conv.b"] = dpre.sum(axis=(0, 1))
+        d = dlogits
+        for i in range(len(self._dense) - 1, -1, -1):
+            wname, bname = self._dense[i]
+            g[wname] = np.outer(d, acts[i])
+            g[bname] = d.copy()
+            if i:
+                d = (p[wname].T @ d) * (acts[i] > 0.0)
+        if self._stem:
+            dpre = _avgpool2_relu_backward(p[self._dense[0][0]].T @ d, pre)
+            cw = p["conv.W"]
+            g["conv.W"] = (cols.T @ dpre.reshape(-1, cw.shape[3])).reshape(cw.shape)
+            g["conv.b"] = dpre.sum(axis=(0, 1))
         return g
 
     # -- loss ------------------------------------------------------------
@@ -502,18 +487,13 @@ def grad_check(oracle, x, y, h: float = 1e-5, coords: int = 64, seed: int = 0) -
     for i in picks:
         bumped = base.copy()
         bumped[i] = base[i] + h
-        lo_plus, _ = _loss_only(oracle, bumped.reshape(x.shape), y)
+        lo_plus, _ = oracle.loss_and_grad(bumped.reshape(x.shape), y)
         bumped[i] = base[i] - h
-        lo_minus, _ = _loss_only(oracle, bumped.reshape(x.shape), y)
+        lo_minus, _ = oracle.loss_and_grad(bumped.reshape(x.shape), y)
         fd = (lo_plus - lo_minus) / (2.0 * h)
         worst = max(worst, abs(fd - flat_g[i]))
         scale = max(scale, abs(flat_g[i]), abs(fd))
     return worst / scale
-
-
-def _loss_only(oracle, x, y):
-    loss, _ = oracle.loss_and_grad(x, y)
-    return loss, None
 
 
 # -- persistence -------------------------------------------------------------

@@ -103,7 +103,7 @@ def draw_dim_geometry(cfg: TransformConfig, shape: tuple, rng) -> tuple | None:
     h, w, _ = shape
     if h != w:
         raise ShapeMismatch(f"diversity transform needs square inputs, got {h}x{w}")
-    u = rng.uniform()
+    u = rng.random()
     if not u < cfg.dim_prob:
         return None
     low, pad = cfg.resolve_dim(h)

@@ -563,6 +563,8 @@ def test_readme_lists_every_config_key():
     (["report", "--in", "{p}", "--out", "r.md"], "a,b\n1,2\n", 1),
     (["attack", "--surrogate", "{p}", "--dataset", "synthetic:2x3x6", "--out", "adv"], None, 1),
     (["eval", "--adv", "{advset}", "--targets", "{p}"], "dir", 1),
+    (["report", "--in", "{p}", "--out", "r.md"],
+     "surrogate,target,rate,n,config_hash\ns1,t1,0.5,4,h\ns1,t2,0.5,4,h\ns2,t1,0.5,4,h\n", 1),
 ])
 def test_unreadable_inputs_name_the_path(runner, trained, advset, tmp_path, command, make,
                                         code):

@@ -245,3 +245,22 @@ def test_report_errors():
         parse_report_csv("who,what\n1,2\n")
     with pytest.raises(ValueError):
         parse_report_csv("surrogate,target,rate,n,config_hash\n")
+    matrix = "surrogate,target,rate,n,config_hash\n"
+    ablation = "parameter,value,target,rate,n,config_hash\n"
+    for text, message in [
+        # a (row, target) cell is missing
+        (matrix + "s1,t1,0.5,4,h\ns1,t2,0.5,4,h\ns2,t1,0.5,4,h\n", "no rate"),
+        (ablation + "eta,1.0,t1,0.5,4,h\neta,3.0,t2,0.5,4,h\n", "no rate"),
+        # rows disagree on n, config_hash or the swept parameter
+        (matrix + "s1,t1,0.5,4,h\ns1,t2,0.5,5,h\n", "disagree"),
+        (matrix + "s1,t1,0.5,4,h\ns1,t2,0.5,4,g\n", "disagree"),
+        (ablation + "eta,1.0,t1,0.5,4,h\nmu,1.0,t2,0.5,4,h\n", "disagree"),
+        # a cell appears twice
+        (matrix + "s1,t1,0.5,4,h\ns1,t1,0.25,4,h\n", "duplicate"),
+        (ablation + "eta,1.0,t1,0.5,4,h\neta,1.0,t1,0.5,4,h\n", "duplicate"),
+        # a row of the wrong width
+        (matrix + "s1,t1,0.5,4\n", "fields"),
+        (matrix + "eta,s1,t1,0.5,4,h\n", "fields"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            parse_report_csv(text)

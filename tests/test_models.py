@@ -146,10 +146,11 @@ def _models_for_fd():
         Model.initialize(ModelSpec("logistic", (4, 4, 1), 3, seed=1)),
         Model.initialize(ModelSpec("mlp", (4, 4, 1), 3, hidden=(6,), seed=2)),
         Model.initialize(ModelSpec("smallcnn", (6, 6, 1), 3, conv_channels=3, seed=3)),
+        Model.initialize(ModelSpec("mlp", (4, 4, 1), 3, hidden=(6, 5))),
     ]
 
 
-@pytest.mark.parametrize("idx", [0, 1, 2])
+@pytest.mark.parametrize("idx", [0, 1, 2, 3])
 def test_input_grad_matches_central_difference(idx):
     model = _models_for_fd()[idx]
     x = rand_pixel_image(model.input_shape, seed=40 + idx)
@@ -160,12 +161,13 @@ def test_input_grad_matches_central_difference(idx):
     assert np.max(np.abs(fd - grad)) / scale < 1e-6
 
 
-@pytest.mark.parametrize("idx", [0, 1, 2])
+@pytest.mark.parametrize("idx", [0, 1, 2, 3])
 def test_param_grads_match_central_difference(idx):
     model = _models_for_fd()[idx]
     x = rand_pixel_image(model.input_shape, seed=50 + idx)
     y = 0
     _, grads = model.loss_and_param_grads(x, y)
+    assert set(grads) == set(model.params)
     h = 1e-5
     for key, g in grads.items():
         flat = model.params[key].reshape(-1)
