@@ -34,13 +34,16 @@ so a broken oracle never turns into NaN pixels.
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .errors import NonFiniteGradient, ZeroGradient
+from .errors import NonFiniteGradient, WorkerLost, ZeroGradient
 from .sampling import SamplingSpec, derive_rng, make_rng, sample_coefficients, sample_uniform_cube
 from .tensor import l1_normalize, project_linf, sign, validate_image
 from .transforms import TransformConfig, make_estimator
@@ -217,15 +220,75 @@ def attack_one(oracle, x, y, cfg: AttackConfig, example_index: int) -> AttackRes
     return run_attack(estimator, x, y, cfg, rng)
 
 
+def batch_width(jobs: int, n_images: int) -> int:
+    """Processes an attack_batch call runs on: jobs, capped at the usable
+    CPUs and at the batch size. Starts nothing."""
+    return min(jobs, len(os.sched_getaffinity(0)), n_images)
+
+
+def _attack_chunk(oracle, cfg, start, images, labels) -> list:
+    """attack_one over images[k], labels[k] as examples start + k."""
+    return [attack_one(oracle, x, y, cfg, start + k)
+            for k, (x, y) in enumerate(zip(images, labels))]
+
+
+# One fork-context pool per process, made on first use and reused, since
+# forking anew costs more than a small batch's work. _pool_workers is its size.
+_pool = None
+_pool_workers = 0
+
+
+def _worker_pool(workers: int) -> ProcessPoolExecutor:
+    """The shared pool, replaced by a larger one when it has fewer than `workers`."""
+    global _pool, _pool_workers
+    if _pool is None or _pool_workers < workers:
+        _drop_pool()   # its manager thread must be gone before the next fork
+        _pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+        _pool_workers = workers
+    return _pool
+
+
+def _drop_pool() -> None:
+    global _pool
+    if _pool is not None:
+        _pool.shutdown()
+        _pool = None
+
+
 def attack_batch(oracle, images, labels, cfg: AttackConfig, jobs: int = 1) -> list:
-    """Attack a batch; any jobs width reproduces the jobs=1 results bit for bit."""
+    """Attack a batch; any jobs width reproduces the jobs=1 results bit for bit.
+
+    It runs on width = batch_width(jobs, len(images)) processes, i.e. jobs
+    capped at the usable CPUs and at the batch size: at width 1 serially in
+    this process, otherwise as `width` contiguous chunks of indices, the
+    first in this process and the others in `width - 1` forked workers.
+    The workers belong to a pool forked on first use and kept for later
+    calls, so code patched into this process after that fork (a monkeypatch,
+    a tracer) does not reach them; the oracle and cfg, which must pickle, are
+    sent afresh on every call. A worker that dies raises WorkerLost, and the
+    next call forks a new pool.
+    """
     if len(images) != len(labels):
         raise ValueError(f"{len(images)} images vs {len(labels)} labels")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    indexed = list(enumerate(zip(images, labels)))
-    if jobs == 1:
-        return [attack_one(oracle, x, y, cfg, i) for i, (x, y) in indexed]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(attack_one, oracle, x, y, cfg, i) for i, (x, y) in indexed]
-        return [f.result() for f in futures]
+    width = batch_width(jobs, len(images))
+    if width <= 1:
+        return _attack_chunk(oracle, cfg, 0, images, labels)
+    bounds = [len(images) * k // width for k in range(width + 1)]
+    futures = []
+    try:
+        pool = _worker_pool(width - 1)
+        futures = [pool.submit(_attack_chunk, oracle, cfg, lo, images[lo:hi], labels[lo:hi])
+                   for lo, hi in zip(bounds[1:-1], bounds[2:])]
+        results = _attack_chunk(oracle, cfg, 0, images[:bounds[1]], labels[:bounds[1]])
+        for f in futures:
+            results += f.result()
+        return results
+    except BrokenProcessPool as exc:
+        _drop_pool()
+        raise WorkerLost(f"an attack worker process died: {exc}") from exc
+    finally:
+        wait(futures)
+        if any(isinstance(f.exception(), BrokenProcessPool) for f in futures):
+            _drop_pool()   # also when this process's own chunk raised first

@@ -302,6 +302,10 @@ def _attack_options(fn):
     return fn
 
 
+_JOBS_HELP = ("processes to attack on: this one plus jobs - 1 forked workers, at most "
+              "one per usable CPU and per image; never changes an output byte")
+
+
 @main.command(name="attack")
 @_attack_options
 @click.option("--surrogate", required=True,
@@ -310,7 +314,8 @@ def _attack_options(fn):
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--num-images", type=click.IntRange(min=1), default=None,
               help="subsample this many examples")
-@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
+              help=_JOBS_HELP)
 @_wrap_errors
 def attack_cmd(surrogate, dataset, out_dir, num_images, jobs, filecfg, **cli):
     """Craft adversarial examples and write them with a manifest."""
@@ -437,7 +442,8 @@ def eval_cmd(adv_dir, targets, out_path, fmt):
 @click.option("--format", "fmt", type=click.Choice(["csv", "markdown"]), default="csv",
               show_default=True)
 @click.option("--num-images", type=click.IntRange(min=1), default=None)
-@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
+              help=_JOBS_HELP)
 @_wrap_errors
 def ablate(param, grid_arg, surrogate, targets, dataset, out_path, fmt, num_images, jobs,
            filecfg, **cli):

@@ -55,3 +55,7 @@ class CorruptFile(AdvmError):
 
 class UnknownParameter(AdvmError):
     """An ablation was requested over a parameter the sweep cannot vary."""
+
+
+class WorkerLost(AdvmError):
+    """A worker process died before it returned its share of a batch."""

@@ -81,6 +81,8 @@ def transfer_matrix(
     every target. Identical target models produce identical columns."""
     if len(dataset) == 0:
         raise EmptyDataset("no examples to attack")
+    if not targets:
+        raise ValueError("no target models to score")
     if ensemble and len(surrogates) > 1:
         crafting = [EnsembleOracle(surrogates)]
     else:
@@ -142,6 +144,8 @@ def ablation_sweep(
     """
     if not grid:
         raise ValueError("empty ablation grid")
+    if not targets:
+        raise ValueError("no target models to score")
     values = sorted(set(grid))
     per_target = [[] for _ in targets]
     for value in values:

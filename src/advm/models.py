@@ -71,6 +71,8 @@ class ModelSpec:
             raise ValueError("need at least two classes")
         if self.arch == "mlp" and not self.hidden:
             raise ValueError("mlp needs at least one hidden width")
+        if self.arch != "mlp" and self.hidden:
+            raise ValueError(f"{self.arch} has no hidden layers, got {tuple(self.hidden)}")
         if any(w < 1 for w in self.hidden):
             raise ValueError(f"hidden widths must be >= 1, got {tuple(self.hidden)}")
         if self.conv_channels < 1 or self.conv_kernel < 1:
@@ -229,10 +231,15 @@ def _avgpool2(x):
 
 
 def _avgpool2_relu_backward(dpooled, pre):
-    """d loss / d pre of avgpool2(relu(pre)) from d loss / d pooled."""
+    """d loss / d pre of avgpool2(relu(pre)) from d loss / d pooled: each
+    pooled gradient / 4 copied to its 2x2 window, times the 0/1 ReLU mask
+    (a product, so -0.0 stays -0.0). Repeating columns, then whole rows, is
+    faster than a broadcast multiply over the c-wide inner axis."""
     h, w, c = pre.shape
-    d = (dpooled / 4.0).reshape(h // 2, 1, w // 2, 1, c)
-    return (d * (pre > 0.0).reshape(h // 2, 2, w // 2, 2, c)).reshape(h, w, c)
+    d = (dpooled / 4.0).reshape(h // 2, w // 2, c)
+    dpre = np.repeat(np.repeat(d, 2, axis=1), 2, axis=0)
+    dpre *= pre > 0.0
+    return dpre
 
 
 class Model:

@@ -4,7 +4,7 @@ All randomness flows through numpy's Philox streams. Philox is counter
 based: a generator derived from (seed, index) produces one fixed sequence
 regardless of platform or how many sibling streams exist, so per-example
 work can be farmed out to any number of workers and still reproduce the
-single-threaded run bit for bit.
+serial run bit for bit.
 """
 
 import math

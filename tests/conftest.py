@@ -5,6 +5,8 @@ derived independently of the package, so tests can compare the engine
 against a second route instead of against itself.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,20 @@ class QuadraticOracle:
 
     def predict(self, x):
         return int(np.argmax(self.logits(x)))
+
+
+class DyingOracle(QuadraticOracle):
+    """A QuadraticOracle whose every query ends any process but the one
+    that built it, as a worker process killed mid-batch would."""
+
+    def __init__(self, shape, num_classes=3, seed=7):
+        super().__init__(shape, num_classes, seed)
+        self.home_pid = os.getpid()
+
+    def loss_and_grad(self, x, y):
+        if os.getpid() != self.home_pid:
+            os._exit(1)
+        return super().loss_and_grad(x, y)
 
 
 class SinusoidOracle:

@@ -316,7 +316,7 @@ def test_criterion_5_transfer_margins():
         "pifgsm": AttackConfig(variant="pifgsm"),
         "emifgsm": AttackConfig(variant="emifgsm"),
     }
-    means = mean_transfer(cfgs, seeds=DESK_REPLICATE_SEEDS, n_images=500, jobs=1)
+    means = mean_transfer(cfgs, seeds=DESK_REPLICATE_SEEDS, n_images=500, jobs=2)
     elapsed = time.monotonic() - t0
     report = ", ".join(f"{k} {100 * v:.2f}%" for k, v in means.items())
     print(f"criterion 5: {report}; {elapsed:.1f}s")
@@ -347,7 +347,7 @@ def test_criterion_6_sampling_ablations():
         "eta1": AttackConfig(variant="emifgsm", sampling=SamplingSpec(eta=1.0)),
         "eta3": AttackConfig(variant="emifgsm", sampling=SamplingSpec(eta=3.0)),
     }
-    means = mean_transfer(cfgs, seeds=DESK_REPLICATE_SEEDS, n_images=250, jobs=1)
+    means = mean_transfer(cfgs, seeds=DESK_REPLICATE_SEEDS, n_images=250, jobs=2)
     elapsed = time.monotonic() - t0
     report = ", ".join(f"{k} {100 * v:.2f}%" for k, v in means.items())
     print(f"criterion 6: {report}; {elapsed:.1f}s")

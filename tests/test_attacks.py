@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -12,16 +14,17 @@ from advm.attacks import (
     AttackResult,
     attack_batch,
     attack_one,
+    batch_width,
     fgsm,
     run_attack,
 )
-from advm.errors import AdvmError, NonFiniteGradient, ShapeMismatch
+from advm.errors import AdvmError, NonFiniteGradient, ShapeMismatch, WorkerLost
 from advm.models import Model, ModelSpec
 from advm.sampling import SamplingSpec, make_rng
 from advm.tensor import tensor_to_bytes
 from advm.transforms import TransformConfig
 
-from conftest import QuadraticOracle, SinusoidOracle, rand_pixel_image
+from conftest import DyingOracle, QuadraticOracle, SinusoidOracle, rand_pixel_image
 
 
 class ZeroGradOracle:
@@ -366,3 +369,56 @@ def test_attack_batch_job_width_is_bit_identical():
         assert tensor_to_bytes(a.adv) == tensor_to_bytes(b.adv)
         assert a.loss_trace == b.loss_trace
         assert a.white_box_success == b.white_box_success
+
+
+def _batch_bytes(results):
+    return [tensor_to_bytes(r.adv) for r in results]
+
+
+def _needs_a_worker():
+    if batch_width(2, 2) < 2:
+        pytest.skip("fewer than two usable CPUs: jobs=2 runs serially")
+
+
+def test_batch_width_caps_jobs_without_starting_a_process():
+    before = {p.pid for p in multiprocessing.active_children()}
+    cpus = len(os.sched_getaffinity(0))
+    assert batch_width(10**6, 5) <= min(cpus, 5)
+    assert batch_width(10**6, 10**6) == cpus
+    assert batch_width(1, 10**6) == 1
+    assert {p.pid for p in multiprocessing.active_children()} == before
+
+
+def test_workers_see_the_oracle_as_it_is_at_each_call():
+    _needs_a_worker()
+    oracle = QuadraticOracle((4, 4, 1), seed=16)
+    xs = [rand_pixel_image((4, 4, 1), seed=80 + i) for i in range(4)]
+    ys = [i % 3 for i in range(4)]
+    cfg = _stochastic_cfg()
+    before = attack_batch(oracle, xs, ys, cfg, jobs=2)
+    oracle.c = oracle.c + 0.25
+    after = attack_batch(oracle, xs, ys, cfg, jobs=2)
+    assert _batch_bytes(after) == _batch_bytes(attack_batch(oracle, xs, ys, cfg, jobs=1))
+    assert _batch_bytes(after)[-1] != _batch_bytes(before)[-1]
+
+
+def test_worker_exception_is_raised_in_the_caller():
+    _needs_a_worker()
+    oracle = QuadraticOracle((4, 4, 1), seed=17)
+    xs = [rand_pixel_image((4, 4, 1), seed=90 + i) for i in range(4)]
+    xs[-1] = np.full((4, 4, 1), 2.0)   # in the last chunk, which a worker attacks
+    with pytest.raises(ValueError, match="outside"):
+        attack_batch(oracle, xs, [0, 1, 2, 0], _stochastic_cfg(), jobs=2)
+
+
+def test_dead_worker_raises_worker_lost_and_the_next_call_recovers():
+    _needs_a_worker()
+    xs = [rand_pixel_image((4, 4, 1), seed=100 + i) for i in range(4)]
+    ys = [i % 3 for i in range(4)]
+    cfg = _stochastic_cfg()
+    with pytest.raises(WorkerLost):
+        attack_batch(DyingOracle((4, 4, 1), seed=18), xs, ys, cfg, jobs=2)
+    assert issubclass(WorkerLost, AdvmError)
+    oracle = QuadraticOracle((4, 4, 1), seed=18)
+    serial = attack_batch(oracle, xs, ys, cfg, jobs=1)
+    assert _batch_bytes(attack_batch(oracle, xs, ys, cfg, jobs=2)) == _batch_bytes(serial)

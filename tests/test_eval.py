@@ -161,6 +161,14 @@ def test_ablation_sweep_rejects_empty_grid():
         ablation_sweep("samples", [], AttackConfig(), s, [s], _tiny_dataset())
 
 
+def test_empty_target_list_is_refused():
+    s = _named_quadratic("s", seed=9)
+    with pytest.raises(ValueError, match="no target models"):
+        ablation_sweep("samples", [1], AttackConfig(), s, [], _tiny_dataset())
+    with pytest.raises(ValueError, match="no target models"):
+        transfer_matrix([s], [], _tiny_dataset(), AttackConfig(variant="ifgsm"))
+
+
 def test_mean_curve_hand_check():
     a = AblationResult(
         parameter="samples", grid=(1, 3, 5), targets=("t1", "t2"),

@@ -57,6 +57,9 @@ def test_spec_validation():
                 {"conv_kernel": -1}):
         with pytest.raises(ValueError, match="must be >= 1"):
             ModelSpec("smallcnn", (4, 4, 1), 2, **bad)
+    for arch in ("logistic", "smallcnn"):   # the one dense layer has no hidden widths
+        with pytest.raises(ValueError, match="has no hidden layers"):
+            ModelSpec(arch, (4, 4, 1), 2, hidden=(5,))
 
 
 def test_init_params_shapes_and_glorot_bounds():
@@ -555,7 +558,7 @@ def test_im2col_index_is_cached_and_read_only():
 
 
 def test_conv_forward_returns_fresh_arrays():
-    # no buffer is shared between calls: --jobs runs threads on one Model
+    # no buffer is shared between calls: callers keep results across calls
     rng = np.random.default_rng(11)
     x, wt, b = rng.normal(size=(6, 10, 2)), rng.normal(size=(3, 3, 2, 4)), rng.normal(size=4)
     out_a, cols_a = models._conv_same_forward(x, wt, b)
