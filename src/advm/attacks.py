@@ -35,6 +35,7 @@ import hashlib
 import json
 import math
 import multiprocessing
+import multiprocessing.util
 import os
 from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -245,6 +246,11 @@ def _worker_pool(workers: int) -> ProcessPoolExecutor:
         _drop_pool()   # its manager thread must be gone before the next fork
         _pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
         _pool_workers = workers
+        # At exit a multiprocessing child closes its queues (finalizers of
+        # priority 10) and joins its children before the hook that stops
+        # executors runs, so it would wait on idle workers forever; this
+        # finalizer stops the pool before either.
+        multiprocessing.util.Finalize(None, _drop_pool, exitpriority=20)
     return _pool
 
 
@@ -253,6 +259,16 @@ def _drop_pool() -> None:
     if _pool is not None:
         _pool.shutdown()
         _pool = None
+
+
+def _forget_pool() -> None:
+    """In a forked child the parent's pool is a copy whose manager thread
+    did not survive the fork: work sent to it would never return."""
+    global _pool
+    _pool = None
+
+
+os.register_at_fork(after_in_child=_forget_pool)
 
 
 def attack_batch(oracle, images, labels, cfg: AttackConfig, jobs: int = 1) -> list:

@@ -411,6 +411,30 @@ def test_worker_exception_is_raised_in_the_caller():
         attack_batch(oracle, xs, [0, 1, 2, 0], _stochastic_cfg(), jobs=2)
 
 
+def _attack_in_child(oracle, xs, ys, cfg, want):
+    assert _batch_bytes(attack_batch(oracle, xs, ys, cfg, jobs=2)) == want
+
+
+def test_a_child_process_forks_a_pool_of_its_own_and_exits():
+    _needs_a_worker()
+    oracle = QuadraticOracle((4, 4, 1), seed=19)
+    xs = [rand_pixel_image((4, 4, 1), seed=110 + i) for i in range(4)]
+    ys = [i % 3 for i in range(4)]
+    cfg = _stochastic_cfg()
+    want = _batch_bytes(attack_batch(oracle, xs, ys, cfg, jobs=2))   # this process has a pool
+    child = multiprocessing.get_context("fork").Process(
+        target=_attack_in_child, args=(oracle, xs, ys, cfg, want))
+    child.start()
+    try:
+        child.join(timeout=60)
+        assert not child.is_alive(), "the child hung on an inherited pool or at exit"
+        assert child.exitcode == 0
+    finally:
+        if child.is_alive():
+            child.kill()
+            child.join(timeout=10)
+
+
 def test_dead_worker_raises_worker_lost_and_the_next_call_recovers():
     _needs_a_worker()
     xs = [rand_pixel_image((4, 4, 1), seed=100 + i) for i in range(4)]
