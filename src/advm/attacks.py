@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import NonFiniteGradient, WorkerLost, ZeroGradient
 from .sampling import SamplingSpec, derive_rng, make_rng, sample_coefficients, sample_uniform_cube
-from .tensor import l1_normalize, project_linf, sign, validate_image
+from .tensor import l1_normalize, project_linf, validate_image
 from .transforms import TransformConfig, make_estimator
 
 VARIANTS = (
@@ -194,7 +194,7 @@ def run_attack(oracle, x, y, cfg: AttackConfig, rng=None, record_state=False) ->
         else:
             g_acc = cfg.mu * g_acc + _l1_direction(g_avg)
             step = g_acc
-        adv = project_linf(adv + alpha * sign(step), x, cfg.eps)
+        adv = project_linf(adv + alpha * np.sign(step), x, cfg.eps)
         losses.append(loss)
         if record_state:
             states.append(StepState(

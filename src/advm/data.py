@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadMagic, EmptyDataset, LabelOutOfRange, LengthMismatch, TooFew
-from .sampling import derive_rng, make_rng
+from .sampling import make_rng
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,14 @@ class LabeledDataset:
     def __len__(self) -> int:
         return len(self.images)
 
+    def subset(self, idx) -> "LabeledDataset":
+        """The examples at idx, in that order, with the same class count."""
+        return LabeledDataset(
+            tuple(self.images[i] for i in idx),
+            tuple(self.labels[i] for i in idx),
+            self.class_count,
+        )
+
     @property
     def image_shape(self):
         if not self.images:
@@ -55,17 +63,13 @@ def generate_synthetic(
     noise_sigma: float = 0.1,
     seed: int = 0,
     contrast: float = 1.0,
-    texture: float | None = None,
 ) -> LabeledDataset:
     """Noisy copies of per-class blob templates, pixels clamped to [0, 1].
 
     Deterministic in the seed; noise_sigma=0 makes every image of a class
     identical to its template. Images are grouped by class in order.
-    contrast scales the smooth bump amplitudes: lower values move the
-    classes closer together, which makes the problem harder. texture
-    scales the grating amplitudes independently (default: same as
-    contrast); raising it adds high-frequency structure without widening
-    the low-frequency gaps between classes.
+    contrast scales the bump and grating amplitudes: lower values move the
+    classes closer together, which makes the problem harder.
     """
     if classes < 1 or per_class < 1:
         raise EmptyDataset("need at least one class and one example per class")
@@ -73,17 +77,10 @@ def generate_synthetic(
         raise ValueError(f"image shape must be >= 1 each, got {(height, width, channels)}")
     if not (noise_sigma >= 0.0 and math.isfinite(noise_sigma)):
         raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
-    if contrast <= 0.0:
-        raise ValueError("contrast must be > 0")
-    if texture is None:
-        texture = contrast
-    if texture < 0.0:
-        raise ValueError("texture must be >= 0")
+    if not (contrast > 0.0 and math.isfinite(contrast)):
+        raise ValueError(f"contrast must be finite and > 0, got {contrast}")
     rng = make_rng(seed)
-    templates = [
-        _blob_template(rng, height, width, channels, contrast, texture)
-        for _ in range(classes)
-    ]
+    templates = [_blob_template(rng, height, width, channels, contrast) for _ in range(classes)]
     images, labels = [], []
     for cls, tpl in enumerate(templates):
         for _ in range(per_class):
@@ -93,7 +90,7 @@ def generate_synthetic(
     return LabeledDataset(tuple(images), tuple(labels), classes)
 
 
-def _blob_template(rng, height, width, channels, contrast=1.0, texture=None):
+def _blob_template(rng, height, width, channels, contrast):
     """A class template: smooth Gaussian bumps plus oriented gratings.
 
     The bumps give every architecture something low-frequency to match;
@@ -101,8 +98,6 @@ def _blob_template(rng, height, width, channels, contrast=1.0, texture=None):
     structure, so learned responses vary quickly under small pixel
     perturbations instead of behaving like one global linear map.
     """
-    if texture is None:
-        texture = contrast
     yy, xx = np.mgrid[0:height, 0:width].astype(float)
     base = np.full((height, width), 0.45)
     n_bumps = int(rng.integers(2, 4))
@@ -120,7 +115,7 @@ def _blob_template(rng, height, width, channels, contrast=1.0, texture=None):
         cy = rng.uniform(0.2 * height, 0.8 * height)
         cx = rng.uniform(0.2 * width, 0.8 * width)
         spread = rng.uniform(0.18, 0.35) * min(height, width)
-        amp = texture * rng.uniform(0.25, 0.45)
+        amp = contrast * rng.uniform(0.25, 0.45)
         carrier = np.sin(
             (2.0 * np.pi / wavelength) * (np.cos(theta) * xx + np.sin(theta) * yy) + phase
         )
@@ -145,7 +140,7 @@ def load_idx(images_path: str, labels_path: str) -> LabeledDataset:
         raw = fh.read()
     if len(raw) < 16:
         raise LengthMismatch("image file shorter than its 16-byte header")
-    magic, count, rows, cols = struct.unpack_from(">4i", raw, 0)
+    magic, count, rows, cols = struct.unpack_from(">4I", raw, 0)
     if magic != _IDX_IMAGES_MAGIC:
         raise BadMagic(f"image file magic {magic:#010x}")
     if len(raw) != 16 + count * rows * cols:
@@ -159,7 +154,7 @@ def load_idx(images_path: str, labels_path: str) -> LabeledDataset:
         raw_l = fh.read()
     if len(raw_l) < 8:
         raise LengthMismatch("label file shorter than its 8-byte header")
-    magic_l, count_l = struct.unpack_from(">2i", raw_l, 0)
+    magic_l, count_l = struct.unpack_from(">2I", raw_l, 0)
     if magic_l != _IDX_LABELS_MAGIC:
         raise BadMagic(f"label file magic {magic_l:#010x}")
     if len(raw_l) != 8 + count_l:
@@ -179,30 +174,5 @@ def subsample(dataset: LabeledDataset, n: int, seed: int) -> LabeledDataset:
     """n examples drawn without replacement; n == len(dataset) is a permutation."""
     if n > len(dataset):
         raise TooFew(f"asked for {n} of {len(dataset)} examples")
-    rng = make_rng(seed)
-    idx = rng.choice(len(dataset), size=n, replace=False)
-    return LabeledDataset(
-        tuple(dataset.images[i] for i in idx),
-        tuple(dataset.labels[i] for i in idx),
-        dataset.class_count,
-    )
-
-
-def split_train_eval(dataset: LabeledDataset, eval_fraction: float, seed: int):
-    """Shuffled disjoint (train, eval) split; both keep the full class count."""
-    if not 0.0 < eval_fraction < 1.0:
-        raise ValueError("eval_fraction must be strictly between 0 and 1")
-    n = len(dataset)
-    if n < 2:
-        raise EmptyDataset("need at least two examples to split")
-    rng = derive_rng(seed, 0)
-    order = rng.permutation(n)
-    n_eval = max(1, int(round(n * eval_fraction)))
-    n_eval = min(n_eval, n - 1)
-    eval_idx, train_idx = order[:n_eval], order[n_eval:]
-    pick = lambda idx: LabeledDataset(
-        tuple(dataset.images[i] for i in idx),
-        tuple(dataset.labels[i] for i in idx),
-        dataset.class_count,
-    )
-    return pick(train_idx), pick(eval_idx)
+    idx = make_rng(seed).choice(len(dataset), size=n, replace=False)
+    return dataset.subset(idx)

@@ -35,6 +35,15 @@ def attack_success_rate(target, adv_images, labels) -> float:
     return wrong / len(adv_images)
 
 
+def transfer_rates(oracle, targets, dataset: LabeledDataset, cfg: AttackConfig,
+                   jobs: int = 1) -> tuple:
+    """Craft the dataset on oracle, then score the adversarial images on
+    each target: one success rate per target, in target order."""
+    results = attack_batch(oracle, dataset.images, dataset.labels, cfg, jobs=jobs)
+    advs = [r.adv for r in results]
+    return tuple(attack_success_rate(t, advs, dataset.labels) for t in targets)
+
+
 @dataclass(frozen=True)
 class TransferMatrix:
     surrogates: tuple
@@ -87,17 +96,10 @@ def transfer_matrix(
         crafting = [EnsembleOracle(surrogates)]
     else:
         crafting = list(surrogates)
-    rows = []
-    for oracle in crafting:
-        results = attack_batch(oracle, dataset.images, dataset.labels, cfg, jobs=jobs)
-        advs = [r.adv for r in results]
-        rows.append(
-            tuple(attack_success_rate(t, advs, dataset.labels) for t in targets)
-        )
     return TransferMatrix(
         surrogates=tuple(o.name for o in crafting),
         targets=tuple(t.name for t in targets),
-        rates=tuple(rows),
+        rates=tuple(transfer_rates(o, targets, dataset, cfg, jobs) for o in crafting),
         n_examples=len(dataset),
         config_hash=cfg.config_hash(),
         seed=cfg.seed,
@@ -147,18 +149,15 @@ def ablation_sweep(
     if not targets:
         raise ValueError("no target models to score")
     values = sorted(set(grid))
-    per_target = [[] for _ in targets]
-    for value in values:
-        cfg = apply_parameter(base_cfg, parameter, value)
-        results = attack_batch(surrogate, dataset.images, dataset.labels, cfg, jobs=jobs)
-        advs = [r.adv for r in results]
-        for j, t in enumerate(targets):
-            per_target[j].append(attack_success_rate(t, advs, dataset.labels))
+    rows = [
+        transfer_rates(surrogate, targets, dataset, apply_parameter(base_cfg, parameter, v), jobs)
+        for v in values
+    ]
     return AblationResult(
         parameter=parameter,
         grid=tuple(values),
         targets=tuple(t.name for t in targets),
-        curves=tuple(tuple(c) for c in per_target),
+        curves=tuple(zip(*rows)),
         n_examples=len(dataset),
         config_hash=base_cfg.config_hash(),
         seed=base_cfg.seed,

@@ -18,15 +18,20 @@ separations:
   averaging replicate worlds gives the statistics the directional claims
   are checked against.
 
-Every world is deterministic in its seed and cached per process so
-several comparisons can share one trained zoo.
+Every world is deterministic in its seed. The experiments read worlds
+through build_whitebox_world_cached and build_transfer_world_cached, which
+keep one world per seed for the life of the process, so several
+comparisons share one trained zoo. build_whitebox_world and
+build_transfer_world stay uncached: each call trains afresh, which is what
+timing a world build or checking that two builds agree needs.
 """
 
+import functools
 from dataclasses import dataclass, replace
 
-from .attacks import AttackConfig, attack_batch
+from .attacks import AttackConfig
 from .data import LabeledDataset, generate_synthetic, subsample
-from .evaluate import attack_success_rate
+from .evaluate import transfer_rates
 from .models import Model, ModelSpec, train_sgd
 
 DESK_CLASSES = 6
@@ -62,40 +67,40 @@ class DeskWorld:
     targets: tuple
 
 
-def _per_class_pools(total: int, per_class: int, train_per_class: int):
-    """Index pools (train_pool_per_class, eval_indices) of a class-grouped set."""
-    pools, eval_idx = [], []
-    for start in range(0, total, per_class):
-        pools.append(list(range(start, start + train_per_class)))
-        eval_idx.extend(range(start + train_per_class, start + per_class))
-    return pools, eval_idx
+def _desk_data(seed: int, contrast: float):
+    """(data, per-class train pools, evalset) of one desk world.
 
-
-def _pick(dataset: LabeledDataset, idx) -> LabeledDataset:
-    return LabeledDataset(
-        tuple(dataset.images[i] for i in idx),
-        tuple(dataset.labels[i] for i in idx),
-        dataset.class_count,
+    The data are grouped by class; each class gives its first
+    DESK_TRAIN_PER_CLASS examples to a training pool and the rest to the
+    shared evaluation set.
+    """
+    data = generate_synthetic(
+        DESK_CLASSES, DESK_PER_CLASS, DESK_SIDE, DESK_SIDE, 1,
+        noise_sigma=DESK_NOISE, seed=seed, contrast=contrast,
     )
+    pools, eval_idx = [], []
+    for start in range(0, len(data), DESK_PER_CLASS):
+        pools.append(range(start, start + DESK_TRAIN_PER_CLASS))
+        eval_idx.extend(range(start + DESK_TRAIN_PER_CLASS, start + DESK_PER_CLASS))
+    return data, pools, data.subset(eval_idx)
+
+
+def _train_smallcnn(train, channels, kernel, seed: int, offset: int, name: str) -> Model:
+    """The desk convnet recipe: init from seed*100 + offset, shuffle from seed*100 + 7."""
+    spec = ModelSpec(
+        "smallcnn", (DESK_SIDE, DESK_SIDE, 1), DESK_CLASSES,
+        conv_channels=channels, conv_kernel=kernel, seed=seed * 100 + offset,
+    )
+    model, _ = train_sgd(spec, train, epochs=DESK_EPOCHS, lr=DESK_LR, batch=DESK_BATCH,
+                         seed=seed * 100 + 7, name=name)
+    return model
 
 
 def build_whitebox_world(seed: int = DESK_DEFAULT_SEED) -> WhiteboxWorld:
     """Dataset plus one convnet trained on the full training split."""
-    data = generate_synthetic(
-        DESK_CLASSES, DESK_PER_CLASS, DESK_SIDE, DESK_SIDE, 1,
-        noise_sigma=DESK_NOISE, seed=seed, contrast=DESK_CONTRAST_WHITEBOX,
-    )
-    pools, eval_idx = _per_class_pools(len(data), DESK_PER_CLASS, DESK_TRAIN_PER_CLASS)
-    train = _pick(data, [i for pool in pools for i in pool])
-    evalset = _pick(data, eval_idx)
-    spec = ModelSpec(
-        "smallcnn", (DESK_SIDE, DESK_SIDE, 1), DESK_CLASSES,
-        conv_channels=8, conv_kernel=3, seed=seed * 100 + 11,
-    )
-    model, _ = train_sgd(
-        spec, train, epochs=DESK_EPOCHS, lr=DESK_LR, batch=DESK_BATCH,
-        seed=seed * 100 + 7, name="whitebox",
-    )
+    data, pools, evalset = _desk_data(seed, DESK_CONTRAST_WHITEBOX)
+    train = data.subset([i for pool in pools for i in pool])
+    model = _train_smallcnn(train, 8, 3, seed, 11, "whitebox")
     return WhiteboxWorld(train=train, evalset=evalset, model=model)
 
 
@@ -113,40 +118,17 @@ _ZOO = (
 
 def build_transfer_world(seed: int) -> DeskWorld:
     """One replicate world: fresh data, surrogate, and three targets."""
-    data = generate_synthetic(
-        DESK_CLASSES, DESK_PER_CLASS, DESK_SIDE, DESK_SIDE, 1,
-        noise_sigma=DESK_NOISE, seed=seed, contrast=DESK_CONTRAST_TRANSFER,
-    )
-    pools, eval_idx = _per_class_pools(len(data), DESK_PER_CLASS, DESK_TRAIN_PER_CLASS)
-    evalset = _pick(data, eval_idx)
-    zoo = []
-    for name, channels, kernel, offset, (lo, hi) in _ZOO:
-        spec = ModelSpec(
-            "smallcnn", (DESK_SIDE, DESK_SIDE, 1), DESK_CLASSES,
-            conv_channels=channels, conv_kernel=kernel, seed=seed * 100 + offset,
-        )
-        window = _pick(data, [i for pool in pools for i in pool[lo:hi]])
-        zoo.append(
-            train_sgd(spec, window, epochs=DESK_EPOCHS, lr=DESK_LR,
-                      batch=DESK_BATCH, seed=seed * 100 + 7, name=name)[0]
-        )
+    data, pools, evalset = _desk_data(seed, DESK_CONTRAST_TRANSFER)
+    zoo = [
+        _train_smallcnn(data.subset([i for pool in pools for i in pool[lo:hi]]),
+                        channels, kernel, seed, offset, name)
+        for name, channels, kernel, offset, (lo, hi) in _ZOO
+    ]
     return DeskWorld(evalset=evalset, surrogate=zoo[0], targets=tuple(zoo[1:]))
 
 
-_WHITEBOX_CACHE: dict = {}
-_TRANSFER_CACHE: dict = {}
-
-
-def build_whitebox_world_cached(seed: int = DESK_DEFAULT_SEED) -> WhiteboxWorld:
-    if seed not in _WHITEBOX_CACHE:
-        _WHITEBOX_CACHE[seed] = build_whitebox_world(seed)
-    return _WHITEBOX_CACHE[seed]
-
-
-def build_transfer_world_cached(seed: int) -> DeskWorld:
-    if seed not in _TRANSFER_CACHE:
-        _TRANSFER_CACHE[seed] = build_transfer_world(seed)
-    return _TRANSFER_CACHE[seed]
+build_whitebox_world_cached = functools.cache(build_whitebox_world)
+build_transfer_world_cached = functools.cache(build_transfer_world)
 
 
 def white_box_rate(
@@ -158,9 +140,7 @@ def white_box_rate(
     """Attack success against the white-box benchmark model itself."""
     world = build_whitebox_world_cached(seed)
     sub = subsample(world.evalset, n_images, seed)
-    cfg_r = replace(cfg, seed=seed)
-    results = attack_batch(world.model, sub.images, sub.labels, cfg_r, jobs=jobs)
-    return attack_success_rate(world.model, [r.adv for r in results], sub.labels)
+    return transfer_rates(world.model, (world.model,), sub, replace(cfg, seed=seed), jobs)[0]
 
 
 def replicate_transfer(
@@ -173,13 +153,10 @@ def replicate_transfer(
     one replicate world. The replicate seed also seeds each attack."""
     world = build_transfer_world_cached(seed)
     sub = subsample(world.evalset, n_images, seed)
-    out = {}
-    for name, cfg in cfgs.items():
-        cfg_r = replace(cfg, seed=seed)
-        results = attack_batch(world.surrogate, sub.images, sub.labels, cfg_r, jobs=jobs)
-        advs = [r.adv for r in results]
-        out[name] = tuple(attack_success_rate(t, advs, sub.labels) for t in world.targets)
-    return out
+    return {
+        name: transfer_rates(world.surrogate, world.targets, sub, replace(cfg, seed=seed), jobs)
+        for name, cfg in cfgs.items()
+    }
 
 
 def mean_transfer(

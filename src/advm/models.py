@@ -370,6 +370,8 @@ class EnsembleOracle:
             weights = np.asarray(weights, dtype=float)
             if weights.shape != (len(models),):
                 raise ShapeMismatch("one weight per member required")
+            if not (np.isfinite(weights).all() and (weights >= 0.0).all()):
+                raise ValueError(f"ensemble weights must be finite and >= 0, got {weights}")
             if abs(float(weights.sum()) - 1.0) > 1e-12:
                 raise ValueError("ensemble weights must sum to 1")
         self.models = list(models)
@@ -454,10 +456,7 @@ def train_sgd(
             scale = lr / len(idx)
             for k in params:
                 params[k] -= scale * grads[k]
-    correct = sum(
-        model.predict(img) == y for img, y in zip(dataset.images, dataset.labels)
-    )
-    return model, correct / n
+    return model, accuracy(model, dataset)
 
 
 def accuracy(oracle, dataset: LabeledDataset) -> float:

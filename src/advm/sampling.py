@@ -56,8 +56,6 @@ def sample_coefficients(spec: SamplingSpec, rng: np.random.Generator) -> np.ndar
     """
     n, eta = spec.count, spec.eta
     if spec.method == "linear":
-        if n == 1:
-            return np.zeros(1)
         if n % 2 == 1:
             half = np.linspace(0.0, eta, (n + 1) // 2)
             return np.concatenate([-half[:0:-1], half])

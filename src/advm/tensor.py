@@ -61,21 +61,12 @@ def validate_image(t: np.ndarray, pixel_domain: bool = False) -> None:
         raise ValueError("pixel values outside [0, 1]")
 
 
-def sign(t: np.ndarray) -> np.ndarray:
-    """Elementwise sign with sign(0) == 0."""
-    return np.sign(t)
-
-
 def l1_normalize(t: np.ndarray) -> np.ndarray:
     """t / ||t||_1. Raises ZeroGradient when the L1 mass is ~0."""
     mass = float(np.abs(t).sum())
     if mass <= ZERO_L1_THRESHOLD:
         raise ZeroGradient(f"L1 mass {mass} too small to normalize")
     return t / mass
-
-
-def clamp01(t: np.ndarray) -> np.ndarray:
-    return np.clip(t, 0.0, 1.0)
 
 
 def project_linf(t: np.ndarray, origin: np.ndarray, eps: float) -> np.ndarray:

@@ -441,6 +441,19 @@ def test_attack_dim_on_non_square_images_is_a_usage_error(runner, tmp_path):
     assert not out.exists()
 
 
+def test_train_on_idx_with_negative_header_dims_is_an_error(runner, tmp_path):
+    images, labels = tmp_path / "img.idx", tmp_path / "lbl.idx"
+    images.write_bytes(struct.pack(">4i", 2051, -1, -1, 4) + bytes(4))
+    labels.write_bytes(struct.pack(">2i", 2049, 4) + bytes(4))
+    model = tmp_path / "m.json"
+    result = runner.invoke(main, ["train", "--arch", "logistic", "--out", str(model),
+                                  "--dataset", f"idx:{images},{labels}"])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "LengthMismatch" in result.output and "Traceback" not in result.output
+    assert not model.exists()
+
+
 def test_attack_refuses_a_model_with_non_finite_parameters(runner, trained, tmp_path):
     with open(trained["model"]) as fh:
         doc = json.load(fh)

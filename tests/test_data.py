@@ -1,4 +1,4 @@
-"""Datasets: container validation, the synthetic generator, IDX loading, splits."""
+"""Datasets: container validation, the synthetic generator, IDX loading, subsets."""
 
 import struct
 
@@ -9,7 +9,6 @@ from advm.data import (
     LabeledDataset,
     generate_synthetic,
     load_idx,
-    split_train_eval,
     subsample,
 )
 from advm.errors import (
@@ -106,30 +105,14 @@ def test_generate_synthetic_multichannel():
     assert ds.image_shape == (6, 6, 3)
 
 
-def test_generate_synthetic_texture_defaults_to_contrast():
-    a = generate_synthetic(2, 2, height=6, width=6, seed=4, contrast=0.5)
-    b = generate_synthetic(2, 2, height=6, width=6, seed=4, contrast=0.5, texture=0.5)
-    for ia, ib in zip(a.images, b.images):
-        assert np.array_equal(ia, ib)
-
-
-def test_generate_synthetic_texture_changes_images():
-    a = generate_synthetic(2, 2, height=6, width=6, noise_sigma=0.0, seed=4, contrast=0.5)
-    b = generate_synthetic(
-        2, 2, height=6, width=6, noise_sigma=0.0, seed=4, contrast=0.5, texture=1.0
-    )
-    assert not np.array_equal(a.images[0], b.images[0])
-
-
 def test_generate_synthetic_errors():
     with pytest.raises(EmptyDataset):
         generate_synthetic(0, 5)
     with pytest.raises(EmptyDataset):
         generate_synthetic(2, 0)
-    with pytest.raises(ValueError):
-        generate_synthetic(2, 2, contrast=0.0)
-    with pytest.raises(ValueError):
-        generate_synthetic(2, 2, texture=-0.1)
+    for contrast in (0.0, -0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="contrast must be finite and > 0"):
+            generate_synthetic(2, 2, contrast=contrast)
     with pytest.raises(ValueError, match="image shape must be >= 1"):
         generate_synthetic(2, 2, height=0, width=0)
     for sigma in (float("nan"), float("inf"), -1.0):
@@ -197,13 +180,32 @@ def test_load_idx_label_payload_mismatch(tmp_path):
         load_idx(ip, lp)
 
 
+def test_load_idx_header_dims_are_unsigned(tmp_path):
+    # (-1, -1) read signed would make a 4-byte payload look like 4 * 1 * 1
+    ip, lp = _write_idx_pair(tmp_path, [0] * 4, [0] * 4, rows=-1, cols=-1, img_count=4)
+    with pytest.raises(LengthMismatch, match="header promises"):
+        load_idx(ip, lp)
+    ip, lp = _write_idx_pair(tmp_path, [0] * 6, [], lbl_count=-1)
+    with pytest.raises(LengthMismatch, match="header promises 4294967295"):
+        load_idx(ip, lp)
+
+
 def test_load_idx_count_disagreement(tmp_path):
     ip, lp = _write_idx_pair(tmp_path, [0] * 12, [0])
     with pytest.raises(LengthMismatch):
         load_idx(ip, lp)
 
 
-# -- subsample and split ----------------------------------------------------------
+# -- subset and subsample --------------------------------------------------------
+
+
+def test_subset_keeps_index_order_and_class_count():
+    ds = _tiny(5)
+    sub = ds.subset([3, 0, 3])
+    assert sub.labels == (1, 0, 1)
+    assert [img[0, 0, 0] for img in sub.images] == [ds.images[i][0, 0, 0] for i in (3, 0, 3)]
+    assert sub.class_count == 2
+    assert len(ds.subset([])) == 0 and ds.subset([]).class_count == 2
 
 
 def test_subsample_deterministic_without_replacement():
@@ -231,33 +233,3 @@ def test_subsample_full_size_is_permutation():
 def test_subsample_too_few():
     with pytest.raises(TooFew):
         subsample(_tiny(4), 5, seed=0)
-
-
-def test_split_train_eval_disjoint_and_exhaustive():
-    images = tuple(np.full((1, 1, 1), i / 100.0) for i in range(20))
-    ds = LabeledDataset(images, tuple(i % 2 for i in range(20)), 2)
-    train, evalset = split_train_eval(ds, 0.25, seed=1)
-    assert len(train) == 15 and len(evalset) == 5
-    train_vals = {img[0, 0, 0] for img in train.images}
-    eval_vals = {img[0, 0, 0] for img in evalset.images}
-    assert not train_vals & eval_vals
-    assert len(train_vals | eval_vals) == 20
-    assert train.class_count == evalset.class_count == 2
-
-
-def test_split_train_eval_deterministic():
-    ds = _tiny(10)
-    a_train, a_eval = split_train_eval(ds, 0.3, seed=2)
-    b_train, b_eval = split_train_eval(ds, 0.3, seed=2)
-    for x, z in zip(a_train.images, b_train.images):
-        assert np.array_equal(x, z)
-    assert a_eval.labels == b_eval.labels
-
-
-def test_split_train_eval_errors():
-    with pytest.raises(ValueError):
-        split_train_eval(_tiny(4), 0.0, seed=0)
-    with pytest.raises(ValueError):
-        split_train_eval(_tiny(4), 1.0, seed=0)
-    with pytest.raises(EmptyDataset):
-        split_train_eval(LabeledDataset((np.zeros((1, 1, 1)),), (0,), 1), 0.5, seed=0)

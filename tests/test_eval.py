@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from advm.attacks import AttackConfig
+from advm import experiment
+from advm.attacks import AttackConfig, attack_batch
 from advm.data import LabeledDataset, generate_synthetic
 from advm.errors import EmptyDataset, UnknownParameter
 from advm.evaluate import (
@@ -15,6 +16,7 @@ from advm.evaluate import (
     emit_report,
     parse_report_csv,
     transfer_matrix,
+    transfer_rates,
 )
 from advm.sampling import SamplingSpec
 
@@ -118,6 +120,24 @@ def test_transfer_matrix_empty_dataset():
     s = _named_quadratic("s", seed=1)
     with pytest.raises(EmptyDataset):
         transfer_matrix([s], [s], empty, AttackConfig(variant="ifgsm"))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_transfer_rates_scores_one_attack_batch_on_each_target(jobs):
+    data = _tiny_dataset(seed=2)
+    s = _named_quadratic("s", seed=1)
+    targets = (_named_quadratic("t0", seed=2), ConstOracle(0), s)
+    cfg = AttackConfig(variant="mifgsm", eps=0.2, iters=2, seed=3)
+    advs = [r.adv for r in attack_batch(s, data.images, data.labels, cfg, jobs=1)]
+    want = tuple(attack_success_rate(t, advs, data.labels) for t in targets)
+    assert transfer_rates(s, targets, data, cfg, jobs=jobs) == want
+
+
+def test_only_the_cached_world_builders_cache():
+    for name in ("build_whitebox_world", "build_transfer_world"):
+        builder = getattr(experiment, name)
+        assert not hasattr(builder, "cache_info")
+        assert getattr(experiment, name + "_cached").__wrapped__ is builder
 
 
 # -- parameter sweeps --------------------------------------------------------------

@@ -1,0 +1,71 @@
+"""A stdlib lint over src/advm: no unused imports, no unreferenced private functions.
+
+Both are what cutting lines leaves behind: an import whose last use went,
+and a module-level `_helper` whose last caller went. `__init__.py` is not
+linted, because its imports are the package's exports, but what it reads
+still counts as a reference.
+"""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "advm"
+TREES = {p.name: ast.parse(p.read_text(encoding="utf-8"), str(p)) for p in sorted(SRC.glob("*.py"))}
+LINTED = {name: tree for name, tree in TREES.items() if name != "__init__.py"}
+
+
+def _referenced(tree) -> set:
+    """Every name the tree reads: bare names, attribute names and imported names."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(a.name for a in node.names)
+    return names
+
+
+def unused_imports(tree) -> list:
+    """Names bound by an import statement and never read as a name in the module."""
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in read:
+                    found.append((node.lineno, bound))
+    return found
+
+
+def unreferenced_private_functions(tree, referenced: set) -> list:
+    """Module-level `_name` functions that no module reads."""
+    return [(node.lineno, node.name) for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+            and not node.name.startswith("__") and node.name not in referenced]
+
+
+def test_no_unused_imports():
+    found = [f"{name}:{line} {bound}" for name, tree in LINTED.items()
+             for line, bound in unused_imports(tree)]
+    assert not found, "unused imports: " + ", ".join(found)
+
+
+def test_no_unreferenced_private_functions():
+    referenced = set().union(*(_referenced(t) for t in TREES.values()))
+    found = [f"{name}:{line} {fn}" for name, tree in LINTED.items()
+             for line, fn in unreferenced_private_functions(tree, referenced)]
+    assert not found, "unreferenced private functions: " + ", ".join(found)
+
+
+def test_lint_flags_both_kinds_of_leftover():
+    tree = ast.parse(
+        "import os\nimport numpy as np\nfrom .x import a, b\n"
+        "def _dead():\n    return a\n"
+        "def _live():\n    return np.sign(1)\n"
+        "def public():\n    return _live()\n"
+    )
+    assert unused_imports(tree) == [(1, "os"), (3, "b")]
+    assert unreferenced_private_functions(tree, _referenced(tree)) == [(4, "_dead")]

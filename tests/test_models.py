@@ -443,6 +443,9 @@ def test_ensemble_validation():
         EnsembleOracle([a, b], weights=(1.0,))
     with pytest.raises(ValueError):
         EnsembleOracle([a, b], weights=(0.6, 0.6))
+    for weights in ((float("nan"), float("nan")), (2.0, -1.0), (float("inf"), -float("inf"))):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            EnsembleOracle([a, b], weights=weights)
     with pytest.raises(LabelOutOfRange):
         EnsembleOracle([a, b]).loss_and_grad(np.zeros((3, 3, 1)), 5)
 

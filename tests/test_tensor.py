@@ -21,7 +21,6 @@ from advm.errors import (
 from advm import tensor
 from advm.tensor import (
     Kernel2D,
-    clamp01,
     conv2d_same,
     identity_kernel,
     l1_normalize,
@@ -32,7 +31,6 @@ from advm.tensor import (
     resize_bilinear,
     resize_bilinear_adjoint,
     save_tensor,
-    sign,
     tensor_from_bytes,
     tensor_to_bytes,
     validate_image,
@@ -73,11 +71,6 @@ def test_validate_image_rejects_nonfinite_and_out_of_domain():
     validate_image(np.full((2, 2, 1), 1.5))
 
 
-def test_sign_values():
-    t = np.array([[-3.0, 0.0, 5.0]])
-    assert np.array_equal(sign(t), np.array([[-1.0, 0.0, 1.0]]))
-
-
 def test_l1_normalize_hand_case():
     t = np.array([1.0, -2.0, 3.0])
     got = l1_normalize(t)
@@ -94,11 +87,6 @@ def test_l1_normalize_tiny_but_nonzero_ok():
     t = np.full((2, 2), 1e-100)
     got = l1_normalize(t)
     assert abs(np.abs(got).sum() - 1.0) < 1e-12
-
-
-def test_clamp01():
-    t = np.array([-0.5, 0.3, 1.7])
-    assert np.array_equal(clamp01(t), np.array([0.0, 0.3, 1.0]))
 
 
 # -- projection ---------------------------------------------------------------
