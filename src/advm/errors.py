@@ -17,10 +17,6 @@ class NonFiniteGradient(AdvmError):
     """An attack iteration's averaged loss or gradient is NaN or infinite."""
 
 
-class PlacementOutOfBounds(AdvmError):
-    """A padding placement does not fit inside the output canvas."""
-
-
 class LabelOutOfRange(AdvmError):
     """A class label is outside [0, num_classes)."""
 

@@ -29,6 +29,7 @@ compare bytes.
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -65,6 +66,10 @@ class ModelSpec:
     def __post_init__(self):
         if self.arch not in ARCHITECTURES:
             raise ValueError(f"unknown architecture {self.arch!r}")
+        sizes = (*self.input_shape, self.num_classes, *self.hidden, self.conv_channels,
+                 self.conv_kernel, self.seed)
+        if not all(isinstance(v, numbers.Integral) for v in sizes):
+            raise ValueError(f"sizes and seed must be integers, got {sizes}")
         if len(self.input_shape) != 3 or any(d < 1 for d in self.input_shape):
             raise ValueError(f"bad input shape {self.input_shape}")
         if self.num_classes < 2:
@@ -105,24 +110,31 @@ def _layout(spec: ModelSpec):
     return spec.arch == "smallcnn", (), (("fc.W", "fc.b"),)
 
 
-def init_params(spec: ModelSpec) -> dict:
-    """Glorot-uniform weights, zero biases; deterministic in spec.seed.
-    Draws the stem first, then the dense layers from the input side."""
-    rng = make_rng(spec.seed)
+def _param_shapes(spec: ModelSpec) -> dict:
+    """Parameter name -> (shape, Glorot (fan_in, fan_out) or None for a zero
+    bias), in draw order: the stem, then the dense layers from the input side.
+    Draws and allocates nothing."""
     stem, hidden, names = _layout(spec)
-    p = {}
+    shapes = {}
     width = spec.input_size
     if stem:
         h, w, cin = spec.input_shape
         k, cc = spec.conv_kernel, spec.conv_channels
-        p["conv.W"] = _glorot(rng, (k, k, cin, cc), k * k * cin, k * k * cc)
-        p["conv.b"] = np.zeros(cc)
+        shapes["conv.W"] = ((k, k, cin, cc), (k * k * cin, k * k * cc))
+        shapes["conv.b"] = ((cc,), None)
         width = (h // 2) * (w // 2) * cc
     widths = (width,) + hidden + (spec.num_classes,)
     for (wname, bname), fan_in, fan_out in zip(names, widths, widths[1:]):
-        p[wname] = _glorot(rng, (fan_out, fan_in), fan_in, fan_out)
-        p[bname] = np.zeros(fan_out)
-    return p
+        shapes[wname] = ((fan_out, fan_in), (fan_in, fan_out))
+        shapes[bname] = ((fan_out,), None)
+    return shapes
+
+
+def init_params(spec: ModelSpec) -> dict:
+    """Glorot-uniform weights, zero biases; deterministic in spec.seed."""
+    rng = make_rng(spec.seed)
+    return {name: _glorot(rng, shape, *fans) if fans else np.zeros(shape)
+            for name, (shape, fans) in _param_shapes(spec).items()}
 
 
 def _zero_appended(a):
@@ -556,12 +568,12 @@ def load_model(path: str) -> Model:
         name = doc["name"]
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptFile(f"{path}: {exc}") from exc
-    expected = init_params(spec)
+    expected = _param_shapes(spec)
     if set(params) != set(expected):
         raise CorruptFile(f"{path}: parameter names {sorted(params)} do not match arch")
-    for k, v in expected.items():
-        if params[k].shape != v.shape:
-            raise CorruptFile(f"{path}: {k} has shape {params[k].shape}, want {v.shape}")
+    for k, (shape, _) in expected.items():
+        if params[k].shape != shape:
+            raise CorruptFile(f"{path}: {k} has shape {params[k].shape}, want {shape}")
         if not np.isfinite(params[k]).all():
             raise CorruptFile(f"{path}: {k} holds a non-finite value")
     return Model(spec, params, name)

@@ -2,14 +2,13 @@
 
 Images are float64 numpy arrays of shape (height, width, channels); pixel
 data lives in [0, 1]. Everything here is a pure function of its inputs.
-The resize and padding operators come with exact adjoints so gradients of
-transformed inputs can be pulled back through the transform chain without
-an autodiff framework: for each linear operator L we expose L and L^T
-built from the same weight matrices, so <L x, y> == <x, L^T y> up to
-float rounding.
+Every linear operator on images is a pair of small matrices, one per
+spatial axis, applied channelwise by _separable_gemm; its adjoint is the
+same call with the two transposes, so gradients pull back without an
+autodiff framework. A convolution kernel is a sum of such separable terms.
 
-The operators check shapes, dtypes and placements, which is O(1), but do
-not scan pixels for NaN or infinity: an attack checks finiteness once at
+The operators check shapes and dtypes, which is O(1), but do not scan
+pixels for NaN or infinity: an attack checks finiteness once at
 its boundary (validate_image on the clean image in run_attack, then the
 averaged loss and gradient of every iteration), so a non-finite value is
 reported there instead of being paid for in every operator call.
@@ -24,13 +23,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.signal import correlate2d
 
 from .errors import (
     BadMagic,
     CorruptFile,
     LengthMismatch,
-    PlacementOutOfBounds,
     ShapeMismatch,
     VersionMismatch,
     ZeroGradient,
@@ -81,18 +78,24 @@ def project_linf(t: np.ndarray, origin: np.ndarray, eps: float) -> np.ndarray:
     return np.clip(np.clip(t, origin - eps, origin + eps), 0.0, 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Kernel2D:
-    """A square 2-D convolution kernel with odd side length."""
+    """A square 2-D convolution kernel with odd side length and finite weights,
+    kept as a read-only float64 copy so that a factorization cached for it
+    cannot go stale. Kernels compare and hash by identity, as cache keys."""
 
     weights: np.ndarray
 
     def __post_init__(self):
-        w = self.weights
+        w = np.array(self.weights, dtype=np.float64)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ShapeMismatch(f"kernel must be square, got {w.shape}")
         if w.shape[0] % 2 == 0:
             raise ValueError(f"kernel side must be odd, got {w.shape[0]}")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("kernel weights must be finite")
+        w.setflags(write=False)
+        object.__setattr__(self, "weights", w)
 
     @property
     def size(self) -> int:
@@ -107,20 +110,39 @@ def identity_kernel(size: int = 1) -> Kernel2D:
     return Kernel2D(w)
 
 
+def _band(taps: np.ndarray, n: int) -> np.ndarray:
+    """Read-only (n, n) matrix with taps[d] on diagonal d - k // 2, clipped at the edges."""
+    b = sum(t * np.eye(n, k=d - taps.size // 2) for d, t in enumerate(taps))
+    b.setflags(write=False)
+    return b
+
+
+@lru_cache(maxsize=64)
+def _separable_terms(kernel: Kernel2D, h: int, w: int) -> tuple:
+    """The kernel as a sum of terms s u v^T, one per singular value above numpy's
+    matrix_rank tolerance s[0] * k * eps, each as the (rows, cols) pair
+    (band(s u), band(v)^T) for _separable_gemm. A Gaussian is rank 1: one term."""
+    u, s, vt = np.linalg.svd(kernel.weights)
+    keep = s > s[0] * kernel.size * np.finfo(np.float64).eps
+    return tuple((_band(sk * uk, h), _band(vk, w).T)
+                 for uk, sk, vk in zip(u.T[keep], s[keep], vt[keep]))
+
+
 def conv2d_same(img: np.ndarray, kernel: Kernel2D) -> np.ndarray:
     """Channelwise 2-D correlation with zero padding; output shape == input shape.
 
-    The identity kernel returns the input bit-for-bit. A symmetric kernel
-    makes this operator self-adjoint, which is what the gradient smoothing
-    path relies on.
+    The kernel's separable terms are applied and summed in order. The identity
+    kernel returns the input bit-for-bit. A point-symmetric kernel makes this
+    operator self-adjoint, which is what the gradient smoothing path relies on.
     """
     _check_image(img)
-    out = np.empty_like(img)
-    for c in range(img.shape[2]):
-        out[:, :, c] = correlate2d(
-            img[:, :, c], kernel.weights, mode="same", boundary="fill", fillvalue=0.0
-        )
-    return out
+    h, w, c = img.shape
+    flat = img.reshape(h, w * c)
+    out = None
+    for rows, cols in _separable_terms(kernel, h, w):
+        term = _separable_gemm(rows, flat, cols, c)
+        out = term if out is None else out + term
+    return np.zeros((h, w, c)) if out is None else out
 
 
 @lru_cache(maxsize=256)
@@ -146,54 +168,16 @@ def _bilinear_weights(new_n: int, old_n: int) -> np.ndarray:
 
 
 def _separable_gemm(rows: np.ndarray, flat: np.ndarray, cols: np.ndarray, c: int) -> np.ndarray:
-    """rows (new_h, h) along axis 0 and cols (w, new_w) along axis 1 of an
-    image flattened to (h, w*c).
+    """X -> rows @ X @ cols per channel, for rows (new_h, h), cols (w, new_w)
+    and an image flattened to (h, w*c); the adjoint passes (rows.T, cols.T).
 
-    These are the two np.dot calls that np.tensordot made here, on the same
-    operand layouts (the reshape copies exactly when tensordot's did), so
-    the bytes are tensordot's without its per-call overhead.
+    These are the two np.dot calls that np.tensordot would make, on the same
+    operand layouts, so the bytes are tensordot's without its overhead.
     """
     new_h, w = rows.shape[0], cols.shape[0]
     tmp = np.dot(rows, flat).reshape(new_h, w, c)
     out = np.dot(tmp.transpose(0, 2, 1).reshape(new_h * c, w), cols)
     return np.ascontiguousarray(out.reshape(new_h, c, -1).transpose(0, 2, 1))
-
-
-def resize_bilinear(img: np.ndarray, new_h: int, new_w: int) -> np.ndarray:
-    """Separable bilinear resize; resizing to the same shape is a bit-exact no-op."""
-    _check_image(img)
-    h, w, c = img.shape
-    wh = _bilinear_weights(new_h, h)
-    ww = _bilinear_weights(new_w, w)
-    return _separable_gemm(wh, img.reshape(h, w * c), ww.T, c)
-
-
-def resize_bilinear_adjoint(grad: np.ndarray, old_h: int, old_w: int) -> np.ndarray:
-    """Adjoint of resize_bilinear: maps output-shaped grads back to (old_h, old_w)."""
-    _check_image(grad)
-    new_h, new_w, c = grad.shape
-    wh = _bilinear_weights(new_h, old_h)
-    ww = _bilinear_weights(new_w, old_w)
-    return _separable_gemm(wh.T, grad.reshape(new_h, new_w * c), ww, c)
-
-
-def pad_zero(img: np.ndarray, top: int, left: int, out_h: int, out_w: int) -> np.ndarray:
-    """Place img on a zero canvas of (out_h, out_w) at offset (top, left)."""
-    _check_image(img)
-    h, w, c = img.shape
-    if top < 0 or left < 0 or top + h > out_h or left + w > out_w:
-        raise PlacementOutOfBounds(
-            f"image {h}x{w} at ({top},{left}) does not fit in {out_h}x{out_w}"
-        )
-    out = np.zeros((out_h, out_w, c))
-    out[top:top + h, left:left + w, :] = img
-    return out
-
-
-def pad_zero_adjoint(grad: np.ndarray, top: int, left: int, in_h: int, in_w: int) -> np.ndarray:
-    """Adjoint of pad_zero: crop the gradient back to the pre-padding window."""
-    _check_image(grad)
-    return grad[top:top + in_h, left:left + in_w, :].copy()
 
 
 def tensor_to_bytes(t: np.ndarray) -> bytes:

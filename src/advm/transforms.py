@@ -5,9 +5,10 @@ transforms a TransformConfig enables:
 
 - diversity ("dim"): with probability p, resize the input to a random
   side r, place it at a random offset on a zero canvas of side pad_to,
-  resize back to the input shape, and pull the gradient back through the
-  exact adjoint of that linear chain.
-- smoothing ("tim"): convolve the gradient with a fixed Gaussian kernel.
+  and resize back. Per axis that chain is one cached matrix, and the
+  gradient pulls back through the transposes.
+- smoothing ("tim"): correlate the gradient with a fixed Gaussian kernel,
+  a rank-1 kernel, so one pair of banded matrices.
 - scaling ("sim"): average loss and gradient over the scale copies
   x / 2^i for i = 0..m-1; the chain rule contributes the 1 / 2^i factor
   to each copy's gradient.
@@ -25,14 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ShapeMismatch
-from .tensor import (
-    Kernel2D,
-    conv2d_same,
-    pad_zero,
-    pad_zero_adjoint,
-    resize_bilinear,
-    resize_bilinear_adjoint,
-)
+from .tensor import Kernel2D, _bilinear_weights, _separable_gemm, conv2d_same
 
 TRANSFORM_NAMES = ("dim", "tim", "sim")
 
@@ -89,7 +83,6 @@ def tim_kernel(size: int = 7, sigma: float = 3.0) -> Kernel2D:
     ax = np.arange(-r, r + 1, dtype=float)
     w = np.exp(-(ax[:, None] ** 2 + ax[None, :] ** 2) / (2.0 * sigma * sigma))
     w = w / w.sum()
-    w.setflags(write=False)
     return Kernel2D(w)
 
 
@@ -113,20 +106,25 @@ def draw_dim_geometry(cfg: TransformConfig, shape: tuple, rng) -> tuple | None:
     return r, top, left, pad
 
 
+@lru_cache(maxsize=256)
+def _dim_matrix(side: int, r: int, off: int, pad: int) -> np.ndarray:
+    """The diversity chain along one axis as one read-only (side, side) matrix:
+    resize side -> r, place at offset off on a zero canvas of pad, resize
+    pad -> side. Its transpose is the chain's adjoint."""
+    m = _bilinear_weights(side, pad)[:, off:off + r] @ _bilinear_weights(r, side)
+    m.setflags(write=False)
+    return m
+
+
 def _diversified_loss_grad(oracle, x, y, geometry):
-    """Loss/grad through resize(r) -> pad -> resize(back); exact adjoint pullback."""
+    """Loss/grad through the fused diversity matrices; the transposes pull back."""
     if geometry is None:
         return oracle.loss_and_grad(x, y)
     r, top, left, pad = geometry
-    h, w, _ = x.shape
-    z = resize_bilinear(x, r, r)
-    z = pad_zero(z, top, left, pad, pad)
-    z = resize_bilinear(z, h, w)
-    loss, gz = oracle.loss_and_grad(z, y)
-    g = resize_bilinear_adjoint(gz, pad, pad)
-    g = pad_zero_adjoint(g, top, left, r, r)
-    g = resize_bilinear_adjoint(g, h, w)
-    return loss, g
+    h, w, c = x.shape
+    mh, mw = _dim_matrix(h, r, top, pad), _dim_matrix(w, r, left, pad)
+    loss, gz = oracle.loss_and_grad(_separable_gemm(mh, x.reshape(h, w * c), mw.T, c), y)
+    return loss, _separable_gemm(mh.T, gz.reshape(h, w * c), mw, c)
 
 
 def compose_dts(oracle, x, y, cfg: TransformConfig, rng):

@@ -454,6 +454,18 @@ def test_train_on_idx_with_negative_header_dims_is_an_error(runner, tmp_path):
     assert not model.exists()
 
 
+def test_eval_refuses_a_target_that_declares_a_huge_shape(runner, trained, advset, tmp_path):
+    with open(trained["model"]) as fh:
+        doc = json.load(fh)
+    doc["spec"]["input_shape"] = [100000, 100000, 1]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["eval", "--adv", advset, "--targets", str(bad)])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert "CorruptFile" in result.output and "has shape" in result.output
+    assert "Traceback" not in result.output and "MemoryError" not in result.output
+
+
 def test_attack_refuses_a_model_with_non_finite_parameters(runner, trained, tmp_path):
     with open(trained["model"]) as fh:
         doc = json.load(fh)

@@ -1,15 +1,22 @@
-"""A stdlib lint over src/advm: no unused imports, no unreferenced private functions.
+"""A stdlib lint over src/advm: no unused imports, no unreferenced private
+functions, and third-party imports that match the declared dependencies.
 
-Both are what cutting lines leaves behind: an import whose last use went,
-and a module-level `_helper` whose last caller went. `__init__.py` is not
-linted, because its imports are the package's exports, but what it reads
-still counts as a reference.
+The first two are what cutting lines leaves behind: an import whose last
+use went, and a module-level `_helper` whose last caller went.
+`__init__.py` is not linted for them, because its imports are the
+package's exports, but what it reads still counts as a reference. The
+third keeps a dependency from coming back, or going stale, unnoticed.
 """
 
 import ast
 import pathlib
+import re
+import sys
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "advm"
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "advm"
 TREES = {p.name: ast.parse(p.read_text(encoding="utf-8"), str(p)) for p in sorted(SRC.glob("*.py"))}
 LINTED = {name: tree for name, tree in TREES.items() if name != "__init__.py"}
 
@@ -47,6 +54,17 @@ def unreferenced_private_functions(tree, referenced: set) -> list:
             and not node.name.startswith("__") and node.name not in referenced]
 
 
+def third_party_imports(tree) -> set:
+    """Top-level names of the absolute imports that are not in the stdlib."""
+    tops = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            tops.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            tops.add(node.module.split(".")[0])
+    return tops - set(sys.stdlib_module_names)
+
+
 def test_no_unused_imports():
     found = [f"{name}:{line} {bound}" for name, tree in LINTED.items()
              for line, bound in unused_imports(tree)]
@@ -69,3 +87,18 @@ def test_lint_flags_both_kinds_of_leftover():
     )
     assert unused_imports(tree) == [(1, "os"), (3, "b")]
     assert unreferenced_private_functions(tree, _referenced(tree)) == [(4, "_dead")]
+
+
+def test_third_party_imports_are_the_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", req).group(0).lower().replace("-", "_")
+                for req in project["dependencies"]}
+    imported = set().union(*(third_party_imports(t) for t in TREES.values()))
+    assert imported == declared
+
+
+def test_third_party_imports_skip_stdlib_and_relative_imports():
+    tree = ast.parse("import os.path\nimport numpy as np\nfrom scipy.signal import x\n"
+                     "from . import errors\nfrom .tensor import y\nimport json, click\n")
+    assert third_party_imports(tree) == {"numpy", "scipy", "click"}

@@ -60,6 +60,11 @@ def test_spec_validation():
     for arch in ("logistic", "smallcnn"):   # the one dense layer has no hidden widths
         with pytest.raises(ValueError, match="has no hidden layers"):
             ModelSpec(arch, (4, 4, 1), 2, hidden=(5,))
+    for bad in ({"input_shape": (4.0, 4, 1)}, {"num_classes": 2.0}, {"conv_channels": 2.5},
+                {"seed": 1.0}):
+        kw = {"input_shape": (4, 4, 1), "num_classes": 2, **bad}
+        with pytest.raises(ValueError, match="must be integers"):
+            ModelSpec("smallcnn", **kw)
 
 
 def test_init_params_shapes_and_glorot_bounds():
@@ -310,6 +315,19 @@ def test_load_model_errors(tmp_path):
     p.write_text(json.dumps(doc_shape))
     with pytest.raises(CorruptFile):
         load_model(str(p))
+
+
+@pytest.mark.parametrize("arch, extra", [("logistic", {}), ("mlp", {"hidden": (3,)}),
+                                         ("smallcnn", {"conv_channels": 2})])
+def test_load_model_checks_a_huge_declared_shape_without_allocating(tmp_path, arch, extra):
+    # a 10^5 x 10^5 input would need a 10^10-wide first layer: the shape
+    # check must come from the spec alone, not from drawing fresh weights
+    save_model(Model.initialize(ModelSpec(arch, (4, 4, 1), 2, **extra)), str(tmp_path / "m.json"))
+    doc = json.loads((tmp_path / "m.json").read_text())
+    doc["spec"]["input_shape"] = [100000, 100000, 1]
+    (tmp_path / "m.json").write_text(json.dumps(doc))
+    with pytest.raises(CorruptFile, match="has shape"):
+        load_model(str(tmp_path / "m.json"))
 
 
 # -- training ----------------------------------------------------------------------

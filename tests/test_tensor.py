@@ -1,4 +1,4 @@
-"""Tensor ops: validation, projection, conv/resize/pad linear algebra, EMTN IO."""
+"""Tensor ops: validation, projection, conv and separable linear algebra, EMTN IO."""
 
 import struct
 
@@ -13,7 +13,6 @@ from advm.errors import (
     BadMagic,
     CorruptFile,
     LengthMismatch,
-    PlacementOutOfBounds,
     ShapeMismatch,
     VersionMismatch,
     ZeroGradient,
@@ -25,11 +24,7 @@ from advm.tensor import (
     identity_kernel,
     l1_normalize,
     load_tensor,
-    pad_zero,
-    pad_zero_adjoint,
     project_linf,
-    resize_bilinear,
-    resize_bilinear_adjoint,
     save_tensor,
     tensor_from_bytes,
     tensor_to_bytes,
@@ -37,6 +32,12 @@ from advm.tensor import (
 )
 
 from conftest import rand_pixel_image
+from reference_transforms import (
+    pad_zero,
+    pad_zero_adjoint,
+    resize_bilinear,
+    resize_bilinear_adjoint,
+)
 
 
 # -- validation ---------------------------------------------------------------
@@ -134,7 +135,26 @@ def test_kernel2d_validation():
         Kernel2D(np.zeros(3))
     with pytest.raises(ValueError):
         Kernel2D(np.zeros((2, 2)))
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="finite"):
+            Kernel2D(np.array([[1.0, 0.0, bad]] * 3))
     assert Kernel2D(np.ones((5, 5))).size == 5
+
+
+def test_kernel2d_stores_a_read_only_float64_copy():
+    source = np.ones((3, 3), dtype=np.int64)
+    k = Kernel2D(source)
+    source[1, 1] = 7
+    assert k.weights.dtype == np.float64 and not k.weights.flags.writeable
+    assert np.array_equal(k.weights, np.ones((3, 3)))
+    with pytest.raises(ValueError):
+        k.weights[0, 0] = 2.0
+
+
+def test_kernel2d_compares_and_hashes_by_identity():
+    a, b = Kernel2D(np.ones((3, 3))), Kernel2D(np.ones((3, 3)))
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
 
 
 def test_identity_kernel_is_bitwise_noop():
@@ -175,14 +195,35 @@ def _brute_conv(img, weights):
     return out
 
 
+def _rank2_kernel(k, seed):
+    rng = np.random.default_rng(seed)
+    return np.outer(rng.normal(size=k), rng.normal(size=k)) + np.outer(
+        rng.normal(size=k), rng.normal(size=k))
+
+
 def test_conv2d_same_matches_brute_force():
     rng = np.random.default_rng(5)
-    img = rng.normal(size=(5, 6, 2))
-    for k in (1, 3, 5):
-        weights = rng.normal(size=(k, k))
+    cases = [((5, 6, 2), rng.normal(size=(k, k))) for k in (1, 3, 5)]
+    cases += [((5, 7, 2), rng.normal(size=(k, k))) for k in (1, 3, 5, 7)]
+    cases += [((4, 4, 1), rng.normal(size=(7, 7))),     # kernel wider than the image
+              ((6, 5, 3), _rank2_kernel(5, 41)), ((5, 7, 2), np.zeros((3, 3)))]
+    for shape, weights in cases:
+        img = rng.normal(size=shape)
         got = conv2d_same(img, Kernel2D(weights))
-        want = _brute_conv(img, weights)
-        assert np.max(np.abs(got - want)) < 1e-12
+        assert got.shape == shape and got.flags.c_contiguous
+        assert np.max(np.abs(got - _brute_conv(img, weights))) < 1e-12
+
+
+def test_conv2d_same_keeps_one_read_only_term_per_singular_value():
+    rank = {}
+    for name, weights in [("gaussian", np.outer([1.0, 2.0, 1.0], [1.0, 2.0, 1.0]) / 16.0),
+                          ("rank2", _rank2_kernel(5, 43)), ("zero", np.zeros((3, 3)))]:
+        terms = tensor._separable_terms(Kernel2D(weights), 6, 5)
+        rank[name] = len(terms)
+        for rows, cols in terms:
+            assert rows.shape == (6, 6) and cols.shape == (5, 5)
+            assert not rows.flags.writeable and not cols.flags.writeable
+    assert rank == {"gaussian": 1, "rank2": 2, "zero": 0}
 
 
 def test_conv2d_same_symmetric_kernel_is_self_adjoint():
@@ -196,6 +237,10 @@ def test_conv2d_same_symmetric_kernel_is_self_adjoint():
 
 
 # -- bilinear resize -----------------------------------------------------------
+#
+# The package applies resizes only inside the fused diversity matrices;
+# these checks keep the tensordot reference chain in reference_transforms,
+# which the fused operator is tested against, honest.
 
 
 def test_resize_bilinear_hand_case_2x2_to_3x3():
@@ -233,28 +278,25 @@ def test_resize_adjoint_inner_product(old, new, seed):
     assert abs(lhs - rhs) < 1e-10
 
 
-# -- resize against the tensordot implementation -------------------------------------
+# -- _separable_gemm against np.tensordot ---------------------------------------------
 #
-# The two helpers below are the original tensordot resize and its adjoint, kept
-# verbatim as the reference. The optimized operators must return the same bytes.
+# _separable_gemm, the one kernel behind every linear operator, must return
+# the bytes of the tensordot resize and its adjoint when given their
+# matrices (rows, cols.T) and (rows.T, cols).
 
 
-def _seed_resize_bilinear(img, new_h, new_w):
-    h, w, _ = img.shape
+def _gemm_resize(img, new_h, new_w):
+    h, w, c = img.shape
     wh = tensor._bilinear_weights(new_h, h)
     ww = tensor._bilinear_weights(new_w, w)
-    tmp = np.tensordot(wh, img, axes=(1, 0))           # (new_h, w, c)
-    out = np.tensordot(tmp, ww, axes=(1, 1))           # (new_h, c, new_w)
-    return np.ascontiguousarray(out.transpose(0, 2, 1))
+    return tensor._separable_gemm(wh, img.reshape(h, w * c), ww.T, c)
 
 
-def _seed_resize_bilinear_adjoint(grad, old_h, old_w):
-    new_h, new_w, _ = grad.shape
+def _gemm_resize_adjoint(grad, old_h, old_w):
+    new_h, new_w, c = grad.shape
     wh = tensor._bilinear_weights(new_h, old_h)
     ww = tensor._bilinear_weights(new_w, old_w)
-    tmp = np.tensordot(wh.T, grad, axes=(1, 0))        # (old_h, new_w, c)
-    out = np.tensordot(tmp, ww.T, axes=(1, 1))         # (old_h, c, old_w)
-    return np.ascontiguousarray(out.transpose(0, 2, 1))
+    return tensor._separable_gemm(wh.T, grad.reshape(new_h, new_w * c), ww, c)
 
 
 def _signed_zero_image(shape, seed):
@@ -274,22 +316,22 @@ def _signed_zero_image(shape, seed):
 @pytest.mark.parametrize("c", [1, 3])
 def test_resize_bytes_match_tensordot(old, new, c):
     img = _signed_zero_image(old + (c,), seed=sum(old) + c)
-    got = resize_bilinear(img, *new)
-    want = _seed_resize_bilinear(img, *new)
+    got = _gemm_resize(img, *new)
+    want = resize_bilinear(img, *new)
     assert got.shape == want.shape and got.flags.c_contiguous
     assert got.tobytes() == want.tobytes()
     grad = _signed_zero_image(new + (c,), seed=sum(new) + 10 * c)
-    got = resize_bilinear_adjoint(grad, *old)
-    want = _seed_resize_bilinear_adjoint(grad, *old)
+    got = _gemm_resize_adjoint(grad, *old)
+    want = resize_bilinear_adjoint(grad, *old)
     assert got.shape == want.shape and got.flags.c_contiguous
     assert got.tobytes() == want.tobytes()
 
 
 def test_resize_bytes_match_tensordot_on_a_strided_view():
     img = _signed_zero_image((10, 8, 3), seed=5)[::2, ::-1]
-    assert resize_bilinear(img, 7, 6).tobytes() == _seed_resize_bilinear(img, 7, 6).tobytes()
-    assert (resize_bilinear_adjoint(img, 9, 4).tobytes()
-            == _seed_resize_bilinear_adjoint(img, 9, 4).tobytes())
+    assert _gemm_resize(img, 7, 6).tobytes() == resize_bilinear(img, 7, 6).tobytes()
+    assert (_gemm_resize_adjoint(img, 9, 4).tobytes()
+            == resize_bilinear_adjoint(img, 9, 4).tobytes())
 
 
 def test_operators_check_shapes_but_do_not_scan_pixels():
@@ -297,21 +339,14 @@ def test_operators_check_shapes_but_do_not_scan_pixels():
     # only their O(1) checks and carry a NaN through
     img = np.zeros((4, 4, 1))
     img[1, 2, 0] = np.nan
-    assert np.isnan(resize_bilinear(img, 5, 5)).any()
-    assert np.isnan(resize_bilinear_adjoint(img, 3, 3)).any()
-    assert np.isnan(pad_zero(img, 1, 1, 6, 6)).any()
-    assert np.isnan(pad_zero_adjoint(img, 0, 0, 2, 3)).any()
     assert np.isnan(conv2d_same(img, identity_kernel(3))).any()
-    for op in (lambda t: resize_bilinear(t, 2, 2), lambda t: resize_bilinear_adjoint(t, 2, 2),
-               lambda t: pad_zero(t, 0, 0, 5, 5), lambda t: pad_zero_adjoint(t, 0, 0, 1, 1),
-               lambda t: conv2d_same(t, identity_kernel(3))):
+    assert np.isnan(conv2d_same(img, identity_kernel(1))).any()
+    for bad in (np.zeros((4, 4)), np.zeros((4, 4, 1), dtype=np.float32)):
         with pytest.raises(ShapeMismatch):
-            op(np.zeros((4, 4)))
-        with pytest.raises(ShapeMismatch):
-            op(np.zeros((4, 4, 1), dtype=np.float32))
+            conv2d_same(bad, identity_kernel(3))
 
 
-# -- zero padding ----------------------------------------------------------------
+# -- zero padding (the reference chain's) ------------------------------------------
 
 
 def test_pad_zero_hand_case():
@@ -320,14 +355,6 @@ def test_pad_zero_hand_case():
     want = np.zeros((4, 4))
     want[1:3, 2:4] = [[1.0, 2.0], [3.0, 4.0]]
     assert np.array_equal(out[:, :, 0], want)
-
-
-def test_pad_zero_out_of_bounds():
-    img = np.zeros((2, 2, 1))
-    with pytest.raises(PlacementOutOfBounds):
-        pad_zero(img, 3, 0, 4, 4)
-    with pytest.raises(PlacementOutOfBounds):
-        pad_zero(img, 0, -1, 4, 4)
 
 
 def test_pad_zero_adjoint_inner_product():
@@ -407,10 +434,6 @@ def _images(elements, max_side=6, max_channels=3):
     return shapes.flatmap(lambda shape: arrays(np.float64, shape, elements=elements))
 
 
-def _inner_product_scale(a, b):
-    return float(np.sum(np.abs(a) * np.abs(b)))
-
-
 @_PROPERTY
 @given(data=st.data())
 def test_property_project_linf_idempotent_and_feasible(data):
@@ -421,35 +444,6 @@ def test_property_project_linf_idempotent_and_feasible(data):
     assert p.tobytes() == project_linf(p, origin, eps).tobytes()
     assert np.all(p >= origin - eps) and np.all(p <= origin + eps)
     assert np.all(p >= 0.0) and np.all(p <= 1.0)
-
-
-@_PROPERTY
-@given(data=st.data())
-def test_property_resize_bilinear_adjoint_identity(data):
-    x = data.draw(_images(st.floats(-1.0, 1.0)))
-    new_h, new_w = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9))
-    y = data.draw(arrays(np.float64, (new_h, new_w, x.shape[2]),
-                         elements=st.floats(-1.0, 1.0)))
-    lx = resize_bilinear(x, new_h, new_w)
-    lty = resize_bilinear_adjoint(y, x.shape[0], x.shape[1])
-    assert lty.shape == x.shape
-    scale = _inner_product_scale(lx, y) + _inner_product_scale(x, lty)
-    assert abs(np.sum(lx * y) - np.sum(x * lty)) <= 1e-12 * max(scale, 1.0)
-
-
-@_PROPERTY
-@given(data=st.data())
-def test_property_pad_zero_adjoint_identity(data):
-    x = data.draw(_images(st.floats(-1.0, 1.0)))
-    h, w, c = x.shape
-    top, left = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
-    out_h = top + h + data.draw(st.integers(0, 3))
-    out_w = left + w + data.draw(st.integers(0, 3))
-    y = data.draw(arrays(np.float64, (out_h, out_w, c), elements=st.floats(-1.0, 1.0)))
-    lx = pad_zero(x, top, left, out_h, out_w)
-    lty = pad_zero_adjoint(y, top, left, h, w)
-    scale = _inner_product_scale(lx, y)
-    assert abs(np.sum(lx * y) - np.sum(x * lty)) <= 1e-12 * max(scale, 1.0)
 
 
 @_PROPERTY

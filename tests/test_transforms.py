@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from advm.errors import ShapeMismatch
 from advm.sampling import make_rng
@@ -16,6 +19,7 @@ from advm.transforms import (
     draw_dim_geometry,
     make_estimator,
     tim_kernel,
+    _dim_matrix,
     _diversified_loss_grad,
 )
 
@@ -26,6 +30,7 @@ from conftest import (
     central_diff,
     rand_pixel_image,
 )
+from reference_transforms import dim_chain, dim_chain_adjoint
 
 
 def _sim_only(oracle, x, y, copies):
@@ -214,7 +219,8 @@ def test_draw_dim_geometry_requires_square():
 
 
 def test_dim_degenerate_geometry_is_bitwise_plain():
-    # resize_low == pad_to == side: resize and pad both become exact no-ops
+    # resize_low == pad_to == side: the fused matrix is exactly the identity
+    assert np.array_equal(_dim_matrix(6, 6, 0, 6), np.eye(6))
     oracle = QuadraticOracle((6, 6, 1), seed=9)
     cfg = TransformConfig(enabled=("dim",), dim_prob=1.0, dim_resize_low=6, dim_pad_to=6)
     x = rand_pixel_image((6, 6, 1), seed=25)
@@ -232,19 +238,78 @@ def test_dim_gradient_is_adjoint_pullback_of_linear_oracle():
     geometry = draw_dim_geometry(cfg, (8, 8, 1), make_rng(13))
     x = rand_pixel_image((8, 8, 1), seed=26)
     _, g = _diversified_loss_grad(oracle, x, 0, geometry)
-
-    from advm.tensor import pad_zero, resize_bilinear
-
-    def forward(u):
-        r, top, left, pad = geometry
-        z = resize_bilinear(u, r, r)
-        z = pad_zero(z, top, left, pad, pad)
-        return resize_bilinear(z, 8, 8)
-
     rng = np.random.default_rng(27)
     for _ in range(3):
         u = rng.normal(size=(8, 8, 1))
-        assert abs(np.sum(forward(u) * oracle.w) - np.sum(u * g)) < 1e-10
+        assert abs(np.sum(dim_chain(u, geometry) * oracle.w) - np.sum(u * g)) < 1e-10
+
+
+class _Probe:
+    """Records the query and answers with a fixed gradient, so that
+    _diversified_loss_grad exposes the fused forward map (the query) and
+    its pullback (the returned gradient)."""
+
+    def __init__(self, grad):
+        self.grad, self.query = grad, None
+
+    def loss_and_grad(self, z, y):
+        self.query = z
+        return 0.0, self.grad
+
+
+def _fused(x, g, geometry):
+    probe = _Probe(g)
+    _, pulled = _diversified_loss_grad(probe, x, 0, geometry)
+    return probe.query, pulled
+
+
+def _every_geometry(side, cfg):
+    low, pad = cfg.resolve_dim(side)
+    for r in ([low] if low == pad else range(low, pad)):
+        for top in range(pad - r + 1):
+            for left in range(pad - r + 1):
+                yield r, top, left, pad
+
+
+@pytest.mark.parametrize("side, cfg", [
+    (28, TransformConfig(enabled=("dim",))),
+    (8, TransformConfig(enabled=("dim",), dim_resize_low=5)),
+])
+@pytest.mark.parametrize("c", [1, 3])
+def test_fused_dim_operator_matches_reference_chain(side, cfg, c):
+    rng = np.random.default_rng(side + c)
+    x = rng.normal(size=(side, side, c))
+    g = rng.normal(size=(side, side, c))
+    geometries = list(_every_geometry(side, cfg))
+    assert len(geometries) == {28: 29, 8: 54}[side]
+    for geometry in geometries:
+        z, pulled = _fused(x, g, geometry)
+        assert z.shape == pulled.shape == x.shape
+        assert np.max(np.abs(z - dim_chain(x, geometry))) <= 1e-12
+        assert np.max(np.abs(pulled - dim_chain_adjoint(g, geometry))) <= 1e-12
+
+
+def test_dim_matrices_are_cached_and_read_only():
+    m = _dim_matrix(28, 29, 1, 31)
+    assert m is _dim_matrix(28, 29, 1, 31)
+    assert m.shape == (28, 28) and not m.flags.writeable
+    with pytest.raises(ValueError):
+        m[0, 0] = 1.0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_property_dim_operator_adjoint_identity(data):
+    side = data.draw(st.integers(1, 9))
+    pad = data.draw(st.integers(1, 11))
+    r = data.draw(st.integers(1, pad))
+    top, left = data.draw(st.integers(0, pad - r)), data.draw(st.integers(0, pad - r))
+    shape = (side, side, data.draw(st.integers(1, 3)))
+    x = data.draw(arrays(np.float64, shape, elements=st.floats(-1.0, 1.0)))
+    y = data.draw(arrays(np.float64, shape, elements=st.floats(-1.0, 1.0)))
+    lx, lty = _fused(x, y, (r, top, left, pad))
+    scale = float(np.sum(np.abs(lx) * np.abs(y)) + np.sum(np.abs(x) * np.abs(lty)))
+    assert abs(np.sum(lx * y) - np.sum(x * lty)) <= 1e-12 * max(scale, 1.0)
 
 
 def test_dim_gradient_matches_central_difference_with_fixed_geometry():
