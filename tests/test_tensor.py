@@ -434,6 +434,10 @@ def _images(elements, max_side=6, max_channels=3):
     return shapes.flatmap(lambda shape: arrays(np.float64, shape, elements=elements))
 
 
+def _inner_product_scale(a, b):
+    return float(np.sum(np.abs(a) * np.abs(b)))
+
+
 @_PROPERTY
 @given(data=st.data())
 def test_property_project_linf_idempotent_and_feasible(data):
@@ -444,6 +448,35 @@ def test_property_project_linf_idempotent_and_feasible(data):
     assert p.tobytes() == project_linf(p, origin, eps).tobytes()
     assert np.all(p >= origin - eps) and np.all(p <= origin + eps)
     assert np.all(p >= 0.0) and np.all(p <= 1.0)
+
+
+@_PROPERTY
+@given(data=st.data())
+def test_property_resize_bilinear_adjoint_identity(data):
+    x = data.draw(_images(st.floats(-1.0, 1.0)))
+    new_h, new_w = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9))
+    y = data.draw(arrays(np.float64, (new_h, new_w, x.shape[2]),
+                         elements=st.floats(-1.0, 1.0)))
+    lx = resize_bilinear(x, new_h, new_w)
+    lty = resize_bilinear_adjoint(y, x.shape[0], x.shape[1])
+    assert lty.shape == x.shape
+    scale = _inner_product_scale(lx, y) + _inner_product_scale(x, lty)
+    assert abs(np.sum(lx * y) - np.sum(x * lty)) <= 1e-12 * max(scale, 1.0)
+
+
+@_PROPERTY
+@given(data=st.data())
+def test_property_pad_zero_adjoint_identity(data):
+    x = data.draw(_images(st.floats(-1.0, 1.0)))
+    h, w, c = x.shape
+    top, left = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    out_h = top + h + data.draw(st.integers(0, 3))
+    out_w = left + w + data.draw(st.integers(0, 3))
+    y = data.draw(arrays(np.float64, (out_h, out_w, c), elements=st.floats(-1.0, 1.0)))
+    lx = pad_zero(x, top, left, out_h, out_w)
+    lty = pad_zero_adjoint(y, top, left, h, w)
+    scale = _inner_product_scale(lx, y)
+    assert abs(np.sum(lx * y) - np.sum(x * lty)) <= 1e-12 * max(scale, 1.0)
 
 
 @_PROPERTY
