@@ -34,7 +34,7 @@ from .evaluate import (
 from .fileio import atomic_write_text
 from .models import ARCHITECTURES, EnsembleOracle, ModelSpec, load_model, save_model, train_sgd
 from .sampling import SamplingSpec
-from .tensor import load_tensor, save_tensor
+from .tensor import load_tensor, save_tensor, validate_image
 from .transforms import TransformConfig
 
 _MANIFEST_NAME = "manifest.json"
@@ -391,7 +391,8 @@ def _load_advset(adv_dir: str) -> tuple:
             raise click.ClickException(f"{manifest_path}: {f!r} is not a plain file name")
         try:
             advs.append(load_tensor(os.path.join(adv_dir, f)))
-        except (OSError, AdvmError) as exc:
+            validate_image(advs[-1], pixel_domain=True)
+        except (OSError, ValueError, AdvmError) as exc:
             raise click.ClickException(f"unreadable adversarial tensor {f}: {exc}") from exc
     return manifest, advs
 
@@ -417,6 +418,11 @@ def eval_cmd(adv_dir, targets, out_path, fmt):
     manifest, advs = _load_advset(adv_dir)
     labels = manifest["labels"]
     target_models = load_models(targets)
+    for t in target_models:   # bool is an int subclass, so type(), not isinstance()
+        bad = [y for y in labels if type(y) is not int or not 0 <= y < t.num_classes]
+        if bad:
+            raise click.ClickException(f"label {bad[0]!r} is not an integer in "
+                                       f"[0, {t.num_classes}), the classes of target {t.name}")
     surrogate_name = "+".join(manifest["surrogates"])
     rates = tuple(attack_success_rate(t, advs, labels) for t in target_models)
     matrix = TransferMatrix(

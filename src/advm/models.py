@@ -14,17 +14,16 @@ Ensembles fuse logits linearly, take the cross-entropy of the fused
 logits, and push the fused softmax error back through each member scaled
 by its weight.
 
-The stem kernels (_conv_same_forward, _conv_same_input_grad,
-_avgpool2, _avgpool2_relu_backward) are written for speed but keep the
-floating-point summation order of the straightforward numpy versions
-they replaced (np.pad + strided im2col, mean(axis=(1, 3)), np.repeat,
-a tap-by-tap scatter into a zero canvas), signed zeros included, so
-every loss, gradient and logit is bit-identical to theirs. The im2col
-and col2im steps are pure gathers through cached read-only indices
-(_im2col_index, _col2im_index), which copy values without arithmetic,
-and both GEMMs see the operand layouts the old versions gave them. The
-tests in tests/test_models.py keep those versions as the reference and
-compare bytes.
+The stem (_stem_forward, _stem_input_grad, _stem_param_grads) keeps its
+conv rows tap-major (_tap_rows), so the four taps of each 2x2 pool window
+come out of the conv GEMM as four contiguous planes. It keeps the
+summation orders of the seed's plain numpy stem, signed zeros included:
+the pool adds the planes as mean(axis=(1, 3)) did, col2im adds taps onto
++0.0 as a tap-by-tap scatter into a zero canvas did, and the parameter
+gradients sum pixels in row-major order. So every loss, gradient and
+logit is bit-identical to the seed's. im2col and col2im are gathers
+through cached read-only indices (_im2col_index, _col2im_index);
+tests/test_models.py keeps the seed kernels and compares bytes.
 """
 
 import json
@@ -137,45 +136,37 @@ def init_params(spec: ModelSpec) -> dict:
             for name, (shape, fans) in _param_shapes(spec).items()}
 
 
-def _zero_appended(a):
-    """a.ravel() followed by one +0.0, the sentinel the gather indices use."""
-    out = np.empty(a.size + 1)
-    out[:-1] = a.reshape(-1)
-    out[-1] = 0.0
-    return out
+_SENTINEL = np.zeros(1)   # the +0.0 appended behind each gather source
 
 
-def _conv_same_forward(x, w, b):
-    """Multi-channel same-padded correlation via an im2col matmul.
+@lru_cache(maxsize=64)
+def _tap_rows(h: int, w: int) -> np.ndarray:
+    """(h*w,) read-only: the stem row of each pixel, in row-major pixel order.
 
-    cols[i*w + j, (di*k + dj)*cin + c] = xpad[i + di, j + dj, c], gathered
-    in one take through _im2col_index from x.ravel() + [0.0]; the bias is
-    then added in place.
+    Pixel (2*pi + di, 2*pj + dj) is stem row (2*di + dj)*(h/2*w/2) +
+    pi*(w/2) + pj; take(rows, axis=0) restores row-major order.
     """
-    k = w.shape[0]
-    h, ww_, cin = x.shape
-    cout = w.shape[3]
-    cols = _zero_appended(x).take(_im2col_index(h, ww_, k, cin))
-    out = cols @ w.reshape(k * k * cin, cout)
-    out += b
-    return out.reshape(h, ww_, cout), cols
+    i, j = np.divmod(np.arange(h * w), w)
+    rows = (2 * (i % 2) + j % 2) * (h // 2 * (w // 2)) + i // 2 * (w // 2) + j // 2
+    rows.setflags(write=False)
+    return rows
 
 
 @lru_cache(maxsize=64)
 def _im2col_index(h: int, w: int, k: int, cin: int) -> np.ndarray:
     """(h*w, k*k*cin) read-only gather index into x.ravel() + [0.0].
 
-    Entry [i*w + j, (di*k + dj)*cin + c] points at pixel (i + di - pad,
-    j + dj - pad, c), or at the zero sentinel one past the end when that
-    pixel falls on the padding.
+    Entry [_tap_rows(h, w)[i*w + j], (di*k + dj)*cin + c] points at pixel
+    (i + di - pad, j + dj - pad, c), or at the zero sentinel one past the end
+    when that pixel falls on the padding.
     """
     pad = (k - 1) // 2
     i = np.arange(h).reshape(h, 1, 1, 1, 1) + np.arange(k).reshape(1, 1, k, 1, 1) - pad
     j = np.arange(w).reshape(1, w, 1, 1, 1) + np.arange(k).reshape(1, 1, 1, k, 1) - pad
     c = np.arange(cin).reshape(1, 1, 1, 1, cin)
     inside = (i >= 0) & (i < h) & (j >= 0) & (j < w)
-    idx = np.where(inside, (i * w + j) * cin + c, h * w * cin)
-    idx = idx.reshape(h * w, k * k * cin).astype(np.intp)
+    idx = np.empty((h * w, k * k * cin), dtype=np.intp)
+    idx[_tap_rows(h, w)] = np.where(inside, (i * w + j) * cin + c, h * w * cin).reshape(h * w, -1)
     idx.setflags(write=False)
     return idx
 
@@ -184,74 +175,80 @@ def _im2col_index(h: int, w: int, k: int, cin: int) -> np.ndarray:
 def _col2im_index(h: int, w: int, k: int, cin: int) -> np.ndarray:
     """(k*k, h, w, cin) read-only gather index into dcols.ravel() + [0.0].
 
-    Row t = di*k + dj holds, for each input pixel, the dcols entry that tap
-    (di, dj) of the forward im2col took from it; a tap that fell on the zero
-    padding points at the sentinel one past the end.
+    _im2col_index inverted per tap: row t = di*k + dj holds, for each input
+    pixel, the dcols entry that tap (di, dj) took from it, or the sentinel
+    one past the end where that tap fell on the zero padding.
     """
-    pad = (k - 1) // 2
-    kkc = k * k * cin
-    sentinel = h * w * kkc
-    i = np.arange(h).reshape(h, 1, 1)
-    j = np.arange(w).reshape(1, w, 1)
-    c = np.arange(cin).reshape(1, 1, cin)
-    idx = np.empty((k * k, h, w, cin), dtype=np.intp)
-    for di in range(k):
-        for dj in range(k):
-            r, s = i + pad - di, j + pad - dj
-            inside = (r >= 0) & (r < h) & (s >= 0) & (s < w)
-            src = (r * w + s) * kkc + (di * k + dj) * cin + c
-            idx[di * k + dj] = np.where(inside, src, sentinel)
+    fwd = _im2col_index(h, w, k, cin).reshape(h * w, k * k, cin)
+    idx = np.full((k * k, h * w * cin + 1), fwd.size, dtype=np.intp)
+    taps = np.broadcast_to(np.arange(k * k).reshape(1, -1, 1), fwd.shape)
+    idx[taps, fwd] = np.arange(fwd.size).reshape(fwd.shape)   # padding lands in the last column
+    idx = np.ascontiguousarray(idx[:, :-1]).reshape(k * k, h, w, cin)
     idx.setflags(write=False)
     return idx
 
 
-def _conv_same_input_grad(dout, w, in_shape):
-    """Adjoint of _conv_same_forward in x: the dcols GEMM, then col2im.
-
-    col2im sums each pixel's taps onto +0.0 in row-major (di, dj) order,
-    the order of a tap-by-tap scatter into a zero canvas.
+def _avgpool2_taps(taps, w):
+    """2x2 mean pool of the (4, n, c) tap planes of a w-wide image, summed as
+    mean(axis=(1, 3)) sums the (h/2, 2, w/2, 2, c) view: onto +0.0 in tap
+    order, except that with one channel and more than one pooled column it
+    sums each row's two taps first. The +0.0 added last stands in for the
+    +0.0 start (they differ only when all four taps are -0.0).
     """
-    k = w.shape[0]
-    h, ww_, cin = in_shape
-    cout = w.shape[3]
-    dcols = dout.reshape(h * ww_, cout) @ w.reshape(k * k * cin, cout).T
-    taps = _zero_appended(dcols)[_col2im_index(h, ww_, k, cin)]
-    return np.add.reduce(taps, axis=0, initial=0.0)
-
-
-def _avgpool2(x):
-    """2x2 mean pool, summed in the order that mean(axis=(1, 3)) uses.
-
-    numpy adds the four taps onto +0.0 in row-major order; only with one
-    channel and more than one pooled column are the two taps of a row
-    contiguous, and then it sums each row first and adds the two row sums.
-    Adding +0.0 at the end stands in for the +0.0 start (the two differ
-    only when all four taps are -0.0).
-    """
-    h, w, c = x.shape
-    # taps[di, dj] is the contiguous (h/2, w/2, c) plane of window tap (di, dj)
-    taps = np.ascontiguousarray(x.reshape(h // 2, 2, w // 2, 2, c).transpose(1, 3, 0, 2, 4))
-    s = taps[0, 0] + taps[0, 1]
-    if c == 1 and w > 2:
-        s += taps[1, 0] + taps[1, 1]
+    s = taps[0] + taps[1]
+    if taps.shape[2] == 1 and w > 2:
+        s += taps[2] + taps[3]
     else:
-        s += taps[1, 0]
-        s += taps[1, 1]
+        s += taps[2]
+        s += taps[3]
     s += 0.0
     s /= 4.0
     return s
 
 
-def _avgpool2_relu_backward(dpooled, pre):
-    """d loss / d pre of avgpool2(relu(pre)) from d loss / d pooled: each
-    pooled gradient / 4 copied to its 2x2 window, times the 0/1 ReLU mask
-    (a product, so -0.0 stays -0.0). Repeating columns, then whole rows, is
-    faster than a broadcast multiply over the c-wide inner axis."""
-    h, w, c = pre.shape
-    d = (dpooled / 4.0).reshape(h // 2, w // 2, c)
-    dpre = np.repeat(np.repeat(d, 2, axis=1), 2, axis=0)
-    dpre *= pre > 0.0
-    return dpre
+def _stem_forward(x, w, b):
+    """conv -> ReLU -> 2x2 average pool of one (h, w, cin) image.
+
+    Returns the pooled activations, flat in (h/2, w/2, cout) order, and the
+    (pre, cols) that both backward paths read: cols is the tap-major im2col
+    matrix, gathered in one take, and pre the conv output, whose
+    (h*w, cout) GEMM result reshapes for free to (4, h/2*w/2, cout) tap
+    planes.
+    """
+    k, _, cin, cout = w.shape
+    h, ww_, _ = x.shape
+    cols = np.concatenate((x.reshape(-1), _SENTINEL)).take(_im2col_index(h, ww_, k, cin))
+    pre = cols @ w.reshape(k * k * cin, cout)
+    pre += b
+    pre = pre.reshape(4, -1, cout)
+    return _avgpool2_taps(np.maximum(pre, 0.0), ww_).reshape(-1), pre, cols
+
+
+def _stem_dpre(dpooled, pre):
+    """d loss / d pre from d loss / d pooled: each pooled gradient / 4 on its
+    four taps, times the 0/1 ReLU mask (a product, so -0.0 stays -0.0)."""
+    return (dpooled / 4.0).reshape(1, -1, pre.shape[2]) * (pre > 0.0)
+
+
+def _stem_input_grad(dpooled, pre, w, in_shape):
+    """d loss / d x: the pool/ReLU backward, the dcols GEMM, then col2im.
+
+    col2im sums each pixel's taps onto +0.0 in row-major (di, dj) order,
+    the order of a tap-by-tap scatter into a zero canvas.
+    """
+    k, _, cin, cout = w.shape
+    h, ww_, _ = in_shape
+    dcols = _stem_dpre(dpooled, pre).reshape(-1, cout) @ w.reshape(k * k * cin, cout).T
+    taps = np.concatenate((dcols.reshape(-1), _SENTINEL)).take(_col2im_index(h, ww_, k, cin))
+    return np.add.reduce(taps, axis=0, initial=0.0)
+
+
+def _stem_param_grads(dpooled, pre, cols, w, in_shape):
+    """(d loss / d W, d loss / d b). Both sum over pixels, so cols and d pre
+    go back to row-major rows first: that row order is the summation order."""
+    rows = _tap_rows(*in_shape[:2])
+    dpre = _stem_dpre(dpooled, pre).reshape(-1, w.shape[3]).take(rows, axis=0)
+    return (cols.take(rows, axis=0).T @ dpre).reshape(w.shape), dpre.sum(axis=0)
 
 
 class Model:
@@ -284,8 +281,7 @@ class Model:
         p = self.params
         pre = cols = None
         if self._stem:   # conv -> relu -> avgpool 2x2
-            pre, cols = _conv_same_forward(x, p["conv.W"], p["conv.b"])
-            a = _avgpool2(np.maximum(pre, 0.0)).reshape(-1)
+            a, pre, cols = _stem_forward(x, p["conv.W"], p["conv.b"])
         else:
             a = x.reshape(-1)
         acts = [a]
@@ -313,8 +309,7 @@ class Model:
             d = (p[self._dense[i][0]].T @ d) * (acts[i] > 0.0)
         d = p[self._dense[0][0]].T @ d
         if self._stem:
-            dpre = _avgpool2_relu_backward(d, pre)
-            return _conv_same_input_grad(dpre, p["conv.W"], self.spec.input_shape)
+            return _stem_input_grad(d, pre, p["conv.W"], self.spec.input_shape)
         return d.reshape(self.spec.input_shape)
 
     def param_grads_from_dlogits(self, x, cache, dlogits) -> dict:
@@ -324,15 +319,13 @@ class Model:
         d = dlogits
         for i in range(len(self._dense) - 1, -1, -1):
             wname, bname = self._dense[i]
-            g[wname] = np.outer(d, acts[i])
+            g[wname] = d[:, None] * acts[i][None, :]   # np.outer's own product
             g[bname] = d.copy()
             if i:
                 d = (p[wname].T @ d) * (acts[i] > 0.0)
         if self._stem:
-            dpre = _avgpool2_relu_backward(p[self._dense[0][0]].T @ d, pre)
-            cw = p["conv.W"]
-            g["conv.W"] = (cols.T @ dpre.reshape(-1, cw.shape[3])).reshape(cw.shape)
-            g["conv.b"] = dpre.sum(axis=(0, 1))
+            g["conv.W"], g["conv.b"] = _stem_param_grads(
+                p[self._dense[0][0]].T @ d, pre, cols, p["conv.W"], self.spec.input_shape)
         return g
 
     # -- loss ------------------------------------------------------------

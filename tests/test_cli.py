@@ -25,7 +25,7 @@ from advm.cli import (
 from advm.evaluate import SWEEPABLE, AblationResult, TransferMatrix, parse_report_csv
 from advm.models import load_model
 from advm.sampling import SamplingSpec
-from advm.tensor import load_tensor
+from advm.tensor import load_tensor, save_tensor
 from advm.transforms import TransformConfig
 
 
@@ -704,3 +704,45 @@ def test_eval_rejects_corrupt_tensor_and_manifest(runner, trained, advset, tmp_p
                                   "--targets", trained["model"]])
     assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
     assert "unreadable manifest" in result.output
+
+
+@pytest.mark.parametrize("label", [99, -1, 2, "cat", True, False, 1.0, None])
+def test_eval_refuses_labels_outside_the_target_classes(runner, trained, advset, tmp_path,
+                                                        label):
+    adv_dir = _edit_advset(advset, tmp_path, lambda m: m["labels"].__setitem__(-1, label))
+    result = runner.invoke(main, ["eval", "--adv", str(adv_dir),
+                                  "--targets", trained["model"]])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert (f"label {label!r} is not an integer in [0, 2), the classes of target surr"
+            in result.output)
+
+
+@pytest.mark.parametrize("edit, text", [
+    (lambda t: t.__setitem__((0, 0, 0), np.nan), "non-finite"),
+    (lambda t: t.__setitem__((0, 0, 0), np.inf), "non-finite"),
+    (lambda t: t.fill(7.0), "outside [0, 1]"),
+    (lambda t: t.__setitem__((0, 0, 0), -0.5), "outside [0, 1]"),
+])
+def test_eval_refuses_tensors_that_are_not_pixel_images(runner, trained, advset, tmp_path,
+                                                        edit, text):
+    adv_dir = _edit_advset(advset, tmp_path, lambda m: None)
+    with open(adv_dir / "manifest.json") as fh:
+        last = json.load(fh)["files"][-1]
+    tensor = load_tensor(str(adv_dir / last))
+    edit(tensor)
+    save_tensor(str(adv_dir / last), tensor)
+    result = runner.invoke(main, ["eval", "--adv", str(adv_dir),
+                                  "--targets", trained["model"]])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert f"unreadable adversarial tensor {last}: " in result.output and text in result.output
+
+
+def test_eval_refuses_a_tensor_of_the_wrong_rank(runner, trained, advset, tmp_path):
+    adv_dir = _edit_advset(advset, tmp_path, lambda m: None)
+    with open(adv_dir / "manifest.json") as fh:
+        first = json.load(fh)["files"][0]
+    save_tensor(str(adv_dir / first), np.full((6, 6), 0.5))
+    result = runner.invoke(main, ["eval", "--adv", str(adv_dir),
+                                  "--targets", trained["model"]])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert f"unreadable adversarial tensor {first}: expected a rank-3 array" in result.output

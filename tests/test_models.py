@@ -522,6 +522,41 @@ def _with_signed_zeros(a, seed):
     return a
 
 
+# The seed model composed its stem from the kernels above; the swapped-in
+# stem of the seed_kernels fixture is this composition.
+
+
+def _seed_stem_forward(x, w, b):
+    pre, cols = _seed_conv_same_forward(x, w, b)
+    return _seed_avgpool2(np.maximum(pre, 0.0)).reshape(-1), pre, cols
+
+
+def _seed_stem_input_grad(dpooled, pre, w, in_shape):
+    return _seed_conv_same_input_grad(_seed_avgpool2_relu_backward(dpooled, pre), w, in_shape)
+
+
+def _seed_stem_param_grads(dpooled, pre, cols, w, in_shape):
+    h, ww_, cc = pre.shape
+    dpre = _seed_avgpool2_relu_backward(dpooled, pre)
+    return (cols.T @ dpre.reshape(h * ww_, cc)).reshape(w.shape), dpre.sum(axis=(0, 1))
+
+
+# The stem keeps its rows tap-major. These map between the two row orders
+# by gathers only, so no arithmetic can hide a byte difference.
+
+
+def _row_major(a, h, w):
+    """Tap-major stem rows (leading axes of a) back in row-major pixel order."""
+    rows = a.reshape(h * w, -1).take(models._tap_rows(h, w), axis=0)
+    return rows.reshape(h, w, -1)
+
+
+def _tap_major(a, h, w):
+    """A row-major (h, w, c) array as the stem's (4, h/2*w/2, c) tap planes."""
+    order = np.argsort(models._tap_rows(h, w))
+    return a.reshape(h * w, -1).take(order, axis=0).reshape(4, (h // 2) * (w // 2), -1)
+
+
 _KERNEL_CASES = [
     (h, w, k, cin)
     for (h, w) in ((6, 10), (4, 2), (8, 6))
@@ -530,35 +565,73 @@ _KERNEL_CASES = [
 ]
 
 
+def _check_forward(x, wt, b):
+    h, w, _ = x.shape
+    pooled, pre, cols = models._stem_forward(x, wt, b)
+    want_out, want_cols = _seed_conv_same_forward(x, wt, b)
+    assert pre.shape == (4, (h // 2) * (w // 2), wt.shape[3])
+    got_cols = _row_major(cols, h, w).reshape(want_cols.shape)
+    assert cols.shape == want_cols.shape and got_cols.tobytes() == want_cols.tobytes()
+    assert _row_major(pre, h, w).tobytes() == want_out.tobytes()
+    want_pooled = _seed_avgpool2(np.maximum(want_out, 0.0)).reshape(-1)
+    assert pooled.shape == want_pooled.shape and pooled.tobytes() == want_pooled.tobytes()
+    return pre, cols, want_out, want_cols
+
+
 @pytest.mark.parametrize("h, w, k, cin", _KERNEL_CASES)
 def test_conv_forward_bytes_match_seed(h, w, k, cin):
     rng = np.random.default_rng(100 + k * 10 + cin)
     x = _with_signed_zeros(rng.normal(size=(h, w, cin)), 1)
     wt = rng.normal(size=(k, k, cin, 4))
     b = rng.normal(size=4)
-    out, cols = models._conv_same_forward(x, wt, b)
-    want_out, want_cols = _seed_conv_same_forward(x, wt, b)
-    assert cols.shape == want_cols.shape and cols.tobytes() == want_cols.tobytes()
-    assert out.shape == want_out.shape and out.tobytes() == want_out.tobytes()
+    _check_forward(x, wt, b)
 
 
 @pytest.mark.parametrize("h, w, k, cin", _KERNEL_CASES)
 def test_conv_input_grad_bytes_match_seed(h, w, k, cin):
     rng = np.random.default_rng(200 + k * 10 + cin)
-    dout = _with_signed_zeros(rng.normal(size=(h, w, 4)), 2)
+    dpooled = _with_signed_zeros(rng.normal(size=(h // 2) * (w // 2) * 4), 2)
     wt = _with_signed_zeros(rng.normal(size=(k, k, cin, 4)), 3)
-    got = models._conv_same_input_grad(dout, wt, (h, w, cin))
-    want = _seed_conv_same_input_grad(dout, wt, (h, w, cin))
+    pre = _with_signed_zeros(rng.normal(size=(h, w, 4)), 4)
+    got = models._stem_input_grad(dpooled, _tap_major(pre, h, w), wt, (h, w, cin))
+    want = _seed_stem_input_grad(dpooled, pre, wt, (h, w, cin))
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("h, w, k, cin", _KERNEL_CASES)
+def test_stem_param_grads_bytes_match_seed(h, w, k, cin):
+    rng = np.random.default_rng(500 + k * 10 + cin)
+    x = _with_signed_zeros(rng.normal(size=(h, w, cin)), 11)
+    wt = rng.normal(size=(k, k, cin, 4))
+    _, pre, cols = models._stem_forward(x, wt, rng.normal(size=4))
+    dpooled = _with_signed_zeros(rng.normal(size=(h // 2) * (w // 2) * 4), 12)
+    got_w, got_b = models._stem_param_grads(dpooled, pre, cols, wt, (h, w, cin))
+    want_w, want_b = _seed_stem_param_grads(
+        dpooled, _row_major(pre, h, w), _row_major(cols, h, w).reshape(h * w, -1), wt,
+        (h, w, cin))
+    assert got_w.shape == want_w.shape and got_w.tobytes() == want_w.tobytes()
+    assert got_b.shape == want_b.shape and got_b.tobytes() == want_b.tobytes()
 
 
 def test_conv_input_grad_of_negative_zeros_is_positive_zero():
     # -0.0 upstream gradients come out as +0.0, as the zero-canvas scatter gave
-    dout = np.full((4, 6, 2), -0.0)
+    dpooled = np.full(2 * 3 * 2, -0.0)
+    pre = np.ones((4, 6, 2))
     wt = np.random.default_rng(4).normal(size=(3, 3, 1, 2))
-    got = models._conv_same_input_grad(dout, wt, (4, 6, 1))
+    got = models._stem_input_grad(dpooled, _tap_major(pre, 4, 6), wt, (4, 6, 1))
     assert got.tobytes() == np.zeros((4, 6, 1)).tobytes()
-    assert got.tobytes() == _seed_conv_same_input_grad(dout, wt, (4, 6, 1)).tobytes()
+    assert got.tobytes() == _seed_stem_input_grad(dpooled, pre, wt, (4, 6, 1)).tobytes()
+
+
+@pytest.mark.parametrize("h, w", [(6, 10), (4, 2), (2, 2), (28, 28)])
+def test_tap_rows_is_a_cached_read_only_permutation(h, w):
+    rows = models._tap_rows(h, w)
+    assert rows is models._tap_rows(h, w)
+    assert not rows.flags.writeable
+    assert np.array_equal(np.sort(rows), np.arange(h * w))
+    n, half = (h // 2) * (w // 2), w // 2
+    for i, j in ((0, 0), (h - 1, w - 1), (1, w - 2), (h - 2, 1)):
+        assert rows[i * w + j] == (2 * (i % 2) + j % 2) * n + (i // 2) * half + j // 2
 
 
 def test_col2im_index_is_cached_and_read_only():
@@ -567,6 +640,23 @@ def test_col2im_index_is_cached_and_read_only():
     assert not idx.flags.writeable
     with pytest.raises(ValueError):
         idx[0, 0, 0, 0] = 0
+
+
+@pytest.mark.parametrize("h, w, k, cin", _KERNEL_CASES)
+def test_col2im_index_keeps_the_sentinel_on_padding_taps(h, w, k, cin):
+    # each dcols entry is gathered at most once; padding taps read the sentinel
+    # one past the end, and each pixel's own centre tap is never padding
+    idx = models._col2im_index(h, w, k, cin)
+    sentinel = h * w * k * k * cin
+    pad = (k - 1) // 2
+    i = np.arange(h).reshape(1, h, 1, 1, 1) + pad - np.arange(k).reshape(k, 1, 1, 1, 1)
+    j = np.arange(w).reshape(1, 1, w, 1, 1) + pad - np.arange(k).reshape(1, 1, 1, k, 1)
+    padding = ~((i >= 0) & (i < h) & (j >= 0) & (j < w))
+    padding = np.broadcast_to(padding.transpose(0, 3, 1, 2, 4), (k, k, h, w, cin))
+    assert np.array_equal(idx == sentinel, padding.reshape(idx.shape))
+    real = idx[idx != sentinel]
+    assert real.max() < sentinel and len(np.unique(real)) == real.size
+    assert not (idx[(k * k) // 2] == sentinel).any()
 
 
 def test_im2col_index_is_cached_and_read_only():
@@ -582,10 +672,10 @@ def test_conv_forward_returns_fresh_arrays():
     # no buffer is shared between calls: callers keep results across calls
     rng = np.random.default_rng(11)
     x, wt, b = rng.normal(size=(6, 10, 2)), rng.normal(size=(3, 3, 2, 4)), rng.normal(size=4)
-    out_a, cols_a = models._conv_same_forward(x, wt, b)
-    out_b, cols_b = models._conv_same_forward(x, wt, b)
-    assert not np.shares_memory(cols_a, cols_b) and not np.shares_memory(out_a, out_b)
-    assert cols_a.flags.writeable and out_a.flags.writeable
+    pooled_a, pre_a, cols_a = models._stem_forward(x, wt, b)
+    pooled_b, pre_b, cols_b = models._stem_forward(x, wt, b)
+    for a, b_ in ((pooled_a, pooled_b), (pre_a, pre_b), (cols_a, cols_b)):
+        assert not np.shares_memory(a, b_) and a.flags.writeable
 
 
 # (kernel, channels) of the four 28x28x1 smallcnns in experiment._ZOO
@@ -598,14 +688,14 @@ def test_conv_bytes_match_seed_on_zoo_shapes(k, cout):
     x = _with_signed_zeros(rng.random((28, 28, 1)), 8)
     wt = _with_signed_zeros(rng.normal(size=(k, k, 1, cout)), 9)
     b = rng.normal(size=cout)
-    out, cols = models._conv_same_forward(x, wt, b)
-    want_out, want_cols = _seed_conv_same_forward(x, wt, b)
-    assert cols.shape == want_cols.shape and cols.tobytes() == want_cols.tobytes()
-    assert out.shape == want_out.shape and out.tobytes() == want_out.tobytes()
-    dout = _with_signed_zeros(rng.normal(size=(28, 28, cout)), 10)
-    got = models._conv_same_input_grad(dout, wt, (28, 28, 1))
-    want = _seed_conv_same_input_grad(dout, wt, (28, 28, 1))
+    pre, cols, want_pre, want_cols = _check_forward(x, wt, b)
+    dpooled = _with_signed_zeros(rng.normal(size=14 * 14 * cout), 10)
+    got = models._stem_input_grad(dpooled, pre, wt, (28, 28, 1))
+    want = _seed_stem_input_grad(dpooled, want_pre, wt, (28, 28, 1))
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    got_w, got_b = models._stem_param_grads(dpooled, pre, cols, wt, (28, 28, 1))
+    want_w, want_b = _seed_stem_param_grads(dpooled, want_pre, want_cols, wt, (28, 28, 1))
+    assert got_w.tobytes() == want_w.tobytes() and got_b.tobytes() == want_b.tobytes()
 
 
 @pytest.mark.parametrize("h, w, c", [
@@ -616,26 +706,56 @@ def test_avgpool_and_backward_bytes_match_seed(h, w, c):
     pre = _with_signed_zeros(rng.normal(size=(h, w, c)), 5)
     pre[:2, :2] = -0.0                           # one window of four -0.0 taps
     act = np.maximum(pre, 0.0)
-    assert models._avgpool2(act).tobytes() == _seed_avgpool2(act).tobytes()
+    got = models._avgpool2_taps(_tap_major(act, h, w), w).reshape(h // 2, w // 2, c)
+    assert got.tobytes() == _seed_avgpool2(act).tobytes()
+    assert got[0, 0].tobytes() == np.zeros(c).tobytes()      # +0.0, as mean gives
     signed = _with_signed_zeros(rng.normal(size=(h, w, c)), 6)
-    assert models._avgpool2(signed).tobytes() == _seed_avgpool2(signed).tobytes()
+    got = models._avgpool2_taps(_tap_major(signed, h, w), w).reshape(h // 2, w // 2, c)
+    assert got.tobytes() == _seed_avgpool2(signed).tobytes()
 
     dflat = _with_signed_zeros(rng.normal(size=(h // 2) * (w // 2) * c), 7)
-    got = models._avgpool2_relu_backward(dflat, pre)
+    got = _row_major(models._stem_dpre(dflat, _tap_major(pre, h, w)), h, w)
     want = _seed_avgpool2_relu_backward(dflat, pre)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+def test_dense_weight_grads_are_the_outer_product_bytes():
+    model = Model.initialize(ModelSpec("mlp", (4, 4, 1), 3, hidden=(6, 5), seed=4))
+    x = rand_pixel_image((4, 4, 1), seed=40)
+    z, (acts, _, _) = model.forward_with_cache(x)
+    _, dlogits = models._xent(z, 1)
+    _, grads = model.loss_and_param_grads(x, 1)
+    assert grads["fc2.W"].tobytes() == np.outer(dlogits, acts[2]).tobytes()
+
+
+_SEED_STEM = {
+    "_stem_forward": _seed_stem_forward,
+    "_stem_input_grad": _seed_stem_input_grad,
+    "_stem_param_grads": _seed_stem_param_grads,
+}
+
+
 @pytest.fixture
 def seed_kernels(monkeypatch):
-    """Run a call with the seed kernels swapped into advm.models."""
+    """Run a call with the seed-composed stem swapped into advm.models.
+
+    run.calls counts the calls each swapped-in function received, so a test
+    can tell that the reference really ran.
+    """
+    calls = dict.fromkeys(_SEED_STEM, 0)
+
+    def counted(name, fn):
+        def inner(*args):
+            calls[name] += 1
+            return fn(*args)
+        return inner
+
     def run(fn):
         with monkeypatch.context() as m:
-            m.setattr(models, "_conv_same_forward", _seed_conv_same_forward)
-            m.setattr(models, "_conv_same_input_grad", _seed_conv_same_input_grad)
-            m.setattr(models, "_avgpool2", _seed_avgpool2)
-            m.setattr(models, "_avgpool2_relu_backward", _seed_avgpool2_relu_backward)
+            for name, fn_ in _SEED_STEM.items():
+                m.setattr(models, name, counted(name, fn_))
             return fn()
+    run.calls = calls
     return run
 
 
@@ -651,6 +771,20 @@ def _probe_images(shape, seed):
     images = [rand_pixel_image(shape, seed=seed + i) for i in range(4)]
     images[1][: shape[0] // 2] = 0.0             # exact zero pre-activations
     return images
+
+
+def test_seed_kernels_fixture_runs_the_seed_stem(seed_kernels):
+    # a fixture whose swap misses the model would compare the stem with itself
+    model = _smallcnn((6, 10, 1), 3, 3, seed=8)
+    x = _probe_images((6, 10, 1), seed=80)[0]
+    _, (_, pre, cols) = seed_kernels(lambda: model.forward_with_cache(x))
+    assert pre.shape == (6, 10, 3) and cols.shape == (60, 9)     # the seed's layout
+    seed_kernels(lambda: model.loss_and_grad(x, 0))
+    seed_kernels(lambda: model.loss_and_param_grads(x, 0))
+    assert seed_kernels.calls == {
+        "_stem_forward": 3, "_stem_input_grad": 1, "_stem_param_grads": 1}
+    model.loss_and_grad(x, 0)                    # outside the fixture: the stem's own
+    assert seed_kernels.calls["_stem_forward"] == 3
 
 
 @pytest.mark.parametrize("shape, channels, kernel", [
@@ -670,6 +804,7 @@ def test_smallcnn_outputs_bytes_match_seed_kernels(seed_kernels, shape, channels
         assert got_ploss == want_ploss and sorted(got_p) == sorted(want_p)
         for key in want_p:
             assert got_p[key].tobytes() == want_p[key].tobytes(), key
+    assert seed_kernels.calls["_stem_param_grads"] == 4
 
 
 @pytest.mark.parametrize("k, cout", _ZOO_SHAPES)
@@ -685,6 +820,7 @@ def test_zoo_smallcnn_outputs_bytes_match_seed_kernels(seed_kernels, k, cout):
         assert got_ploss == want_ploss
         for key in want_p:
             assert got_p[key].tobytes() == want_p[key].tobytes(), key
+    assert seed_kernels.calls["_stem_input_grad"] == 2
 
 
 def test_ensemble_outputs_bytes_match_seed_kernels(seed_kernels):
@@ -698,3 +834,4 @@ def test_ensemble_outputs_bytes_match_seed_kernels(seed_kernels):
         want_loss, want_g = seed_kernels(lambda: ens.loss_and_grad(x, y))
         assert got_z.tobytes() == want_z.tobytes()
         assert got_loss == want_loss and got_g.tobytes() == want_g.tobytes()
+    assert seed_kernels.calls["_stem_input_grad"] == 8
