@@ -285,6 +285,8 @@ def train(arch, dataset, out_path, seed, epochs, lr, batch, hidden, conv_channel
         raise click.BadParameter(str(exc)) from exc
     if name is None:
         name = os.path.splitext(os.path.basename(out_path))[0]
+    if not name:
+        raise click.BadParameter("the model name must not be empty", param_hint="--name")
     model, acc = train_sgd(spec, data, epochs=epochs, lr=lr, batch=batch, seed=seed, name=name)
     save_model(model, out_path)
     click.echo(f"trained {arch} '{name}' on {len(data)} examples: train acc {acc:.3f}")
@@ -358,6 +360,12 @@ def attack_cmd(surrogate, dataset, out_dir, num_images, jobs, filecfg, **cli):
     click.echo(f"wrote {out_dir}/")
 
 
+# the JSON type of each advset manifest field that _load_advset reads, and its name
+_ADVSET_TYPES = {"count": (int, "an integer"), "files": (list, "a list"),
+                 "labels": (list, "a list"), "surrogates": (list, "a list"),
+                 "config": (dict, "an object"), "config_hash": (str, "a string")}
+
+
 def _load_advset(adv_dir: str) -> tuple:
     """The checked manifest of a stored adversarial set, and its tensors."""
     manifest_path = os.path.join(adv_dir, _MANIFEST_NAME)
@@ -379,9 +387,16 @@ def _load_advset(adv_dir: str) -> tuple:
     missing = {"labels", "surrogates", "config", "config_hash"} - set(manifest)
     if missing:
         raise click.ClickException(f"{manifest_path} lacks {', '.join(sorted(missing))}")
+    for key, (kind, what) in _ADVSET_TYPES.items():   # type(), so a bool is not an int
+        if type(manifest[key]) is not kind:
+            raise click.ClickException(f"{manifest_path}: {key} must be {what}, got "
+                                       f"{type(manifest[key]).__name__}")
+    surrogates = manifest["surrogates"]
+    if not surrogates or not all(type(s) is str and s for s in surrogates):
+        raise click.ClickException(
+            f"{manifest_path}: surrogates must be a non-empty list of model names")
     files, labels = manifest["files"], manifest["labels"]
-    if not (isinstance(files, list) and isinstance(labels, list)
-            and manifest["count"] == len(files) == len(labels)):
+    if not manifest["count"] == len(files) == len(labels):
         raise click.ClickException(
             f"{manifest_path}: count {manifest['count']!r} does not match its files "
             f"and labels lists")

@@ -26,6 +26,7 @@ through cached read-only indices (_im2col_index, _col2im_index);
 tests/test_models.py keeps the seed kernels and compares bytes.
 """
 
+import base64
 import json
 import math
 import numbers
@@ -49,7 +50,7 @@ from .sampling import derive_rng, make_rng
 ARCHITECTURES = ("logistic", "mlp", "smallcnn")
 
 _MODEL_FORMAT = "advm-model"
-_MODEL_VERSION = 1
+_MODEL_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -511,7 +512,10 @@ def grad_check(oracle, x, y, h: float = 1e-5, coords: int = 64, seed: int = 0) -
 
 
 def save_model(model: Model, path: str) -> None:
-    """Single-file JSON manifest. save -> load -> save is byte-identical."""
+    """One JSON file, sorted keys; each parameter is {"shape", "f8": base64 of its C-order
+    '<f8' bytes}, so it loads bit for bit and save -> load -> save is byte-identical."""
+    if not all(np.isfinite(v).all() for v in model.params.values()):
+        raise ValueError(f"model {model.name!r} holds a non-finite parameter")
     doc = {
         "format": _MODEL_FORMAT,
         "version": _MODEL_VERSION,
@@ -526,14 +530,16 @@ def save_model(model: Model, path: str) -> None:
             "seed": model.spec.seed,
         },
         "params": {
-            k: {"shape": list(v.shape), "data": v.reshape(-1).tolist()}
+            k: {"shape": list(v.shape),
+                "f8": base64.b64encode(v.astype("<f8").tobytes()).decode()}
             for k, v in model.params.items()
         },
     }
-    atomic_write_text(path, json.dumps(doc, sort_keys=True, allow_nan=False))
+    atomic_write_text(path, json.dumps(doc, sort_keys=True))
 
 
 def load_model(path: str) -> Model:
+    """Read a save_model file; a failed check is a CorruptFile, or a VersionMismatch."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -542,7 +548,8 @@ def load_model(path: str) -> Model:
     if not isinstance(doc, dict) or doc.get("format") != _MODEL_FORMAT:
         raise CorruptFile(f"{path} is not a model manifest")
     if doc.get("version") != _MODEL_VERSION:
-        raise VersionMismatch(f"model format version {doc.get('version')!r}")
+        raise VersionMismatch(f"{path}: model format version {doc.get('version')!r}, want "
+                              f"{_MODEL_VERSION}; retrain the model with `advm train`")
     try:
         s = doc["spec"]
         spec = ModelSpec(
@@ -554,19 +561,24 @@ def load_model(path: str) -> Model:
             conv_kernel=s["conv_kernel"],
             seed=s["seed"],
         )
-        params = {
-            k: np.asarray(v["data"], dtype=np.float64).reshape(v["shape"])
-            for k, v in doc["params"].items()
-        }
-        name = doc["name"]
+        name, stored, expected = doc["name"], doc["params"], _param_shapes(spec)
+        if not isinstance(name, str) or not name:
+            raise CorruptFile(f"{path}: model name {name!r} is not a non-empty string")
+        if set(stored) != set(expected):
+            raise CorruptFile(f"{path}: parameter names {sorted(stored)} do not match arch")
+        for k, (shape, _) in expected.items():
+            declared = stored[k]["shape"]
+            if tuple(declared) != shape or any(type(d) is not int for d in declared):
+                raise CorruptFile(f"{path}: {k} has shape {declared!r}, want {shape}")
+        params = {}
+        for k, (shape, _) in expected.items():   # every shape checked, now the payloads
+            raw = base64.b64decode(stored[k]["f8"], validate=True)
+            if len(raw) != 8 * math.prod(shape):
+                raise CorruptFile(f"{path}: {k} payload is {len(raw)} bytes, not 8 per "
+                                  f"value of shape {shape}")
+            params[k] = np.frombuffer(raw, "<f8").reshape(shape).astype(np.float64)
+            if not np.isfinite(params[k]).all():
+                raise CorruptFile(f"{path}: {k} holds a non-finite value")
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptFile(f"{path}: {exc}") from exc
-    expected = _param_shapes(spec)
-    if set(params) != set(expected):
-        raise CorruptFile(f"{path}: parameter names {sorted(params)} do not match arch")
-    for k, (shape, _) in expected.items():
-        if params[k].shape != shape:
-            raise CorruptFile(f"{path}: {k} has shape {params[k].shape}, want {shape}")
-        if not np.isfinite(params[k]).all():
-            raise CorruptFile(f"{path}: {k} holds a non-finite value")
     return Model(spec, params, name)

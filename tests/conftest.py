@@ -5,6 +5,7 @@ derived independently of the package, so tests can compare the engine
 against a second route instead of against itself.
 """
 
+import base64
 import os
 
 import numpy as np
@@ -161,6 +162,17 @@ def rand_pixel_image(shape, seed, lo=0.05, hi=0.95):
     """A deterministic image with pixel values strictly inside [0, 1]."""
     rng = np.random.default_rng(seed)
     return rng.uniform(lo, hi, size=shape)
+
+
+def f8_text(values) -> str:
+    """A model file's "f8" payload for these values, encoded without advm:
+    base64 of the little-endian float64 bytes."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def f8_values(text: str) -> np.ndarray:
+    """The flat float64 values of an "f8" payload, decoded without advm."""
+    return np.frombuffer(base64.b64decode(text), dtype="<f8").astype(np.float64)
 
 
 @pytest.fixture

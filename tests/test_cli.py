@@ -28,6 +28,8 @@ from advm.sampling import SamplingSpec
 from advm.tensor import load_tensor, save_tensor
 from advm.transforms import TransformConfig
 
+from conftest import f8_text, f8_values
+
 
 @pytest.fixture()
 def runner():
@@ -469,7 +471,9 @@ def test_eval_refuses_a_target_that_declares_a_huge_shape(runner, trained, advse
 def test_attack_refuses_a_model_with_non_finite_parameters(runner, trained, tmp_path):
     with open(trained["model"]) as fh:
         doc = json.load(fh)
-    doc["params"]["fc.b"]["data"][0] = float("nan")
+    values = f8_values(doc["params"]["fc.b"]["f8"])
+    values[0] = float("nan")
+    doc["params"]["fc.b"]["f8"] = f8_text(values)
     bad = tmp_path / "nan.json"
     bad.write_text(json.dumps(doc))
     out = tmp_path / "advset"
@@ -479,6 +483,84 @@ def test_attack_refuses_a_model_with_non_finite_parameters(runner, trained, tmp_
     assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
     assert "CorruptFile" in result.output and "non-finite" in result.output
     assert not out.exists()
+
+
+def _edited_model(trained, tmp_path, edit):
+    """A copy of the trained model file with its parsed manifest passed through edit."""
+    with open(trained["model"]) as fh:
+        doc = json.load(fh)
+    edit(doc)
+    bad = tmp_path / "edited.json"
+    bad.write_text(json.dumps(doc))
+    return str(bad)
+
+
+def _assert_error_wrote_nothing(result, texts, out):
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.output
+    assert all(text in result.output for text in texts), result.output
+    assert "Traceback" not in result.output
+    assert not out.exists()
+
+
+def test_attack_refuses_an_ensemble_member_whose_name_is_not_a_string(runner, trained,
+                                                                      tmp_path):
+    bad = _edited_model(trained, tmp_path, lambda d: d.update(name=1))
+    out = tmp_path / "advset"
+    result = runner.invoke(main, [
+        "attack", "--surrogate", f"{trained['model']},{bad}", "--dataset", "synthetic:2x3x6",
+        "--out", str(out),
+    ])
+    _assert_error_wrote_nothing(result, ["CorruptFile", "model name 1 is not"], out)
+
+
+def test_eval_refuses_a_target_whose_name_is_not_a_string(runner, trained, advset, tmp_path):
+    bad = _edited_model(trained, tmp_path, lambda d: d.update(name=1))
+    out = tmp_path / "report.csv"
+    result = runner.invoke(main, ["eval", "--adv", advset, "--targets", bad, "--out", str(out)])
+    _assert_error_wrote_nothing(result, ["CorruptFile", "model name 1 is not"], out)
+
+
+@pytest.mark.parametrize("flags", [["--name", ""], ["--out", "{tmp}/"]])
+def test_train_refuses_an_empty_model_name(runner, tmp_path, flags):
+    flags = [f.format(tmp=tmp_path) for f in flags]
+    result = runner.invoke(main, [
+        "train", "--arch", "logistic", "--dataset", "synthetic:2x6x6:0.05",
+        "--out", str(tmp_path / "m.json"), *flags,
+    ])
+    _assert_usage_error(result, "the model name must not be empty")
+    assert os.listdir(tmp_path) == []
+
+
+def _corrupt_payload(doc):
+    doc["params"]["fc.W"]["f8"] = doc["params"]["fc.W"]["f8"][:-4] + "!!!!"
+
+
+def _short_payload(doc):
+    doc["params"]["fc.W"]["f8"] = f8_text(f8_values(doc["params"]["fc.W"]["f8"])[:-1])
+
+
+def _v1_manifest(doc):
+    doc["version"] = 1
+    for entry in doc["params"].values():
+        entry["data"] = f8_values(entry.pop("f8")).tolist()
+
+
+@pytest.mark.parametrize("edit, texts", [
+    (_corrupt_payload, ["CorruptFile", "base64"]),
+    (_short_payload, ["CorruptFile", "fc.W payload is"]),
+    (_v1_manifest, ["VersionMismatch", "retrain the model with `advm train`"]),
+])
+def test_attack_and_eval_refuse_a_bad_model_payload(runner, trained, advset, tmp_path, edit,
+                                                    texts):
+    bad = _edited_model(trained, tmp_path, edit)
+    out = tmp_path / "advset"
+    result = runner.invoke(main, [
+        "attack", "--surrogate", bad, "--dataset", "synthetic:2x3x6", "--out", str(out),
+    ])
+    _assert_error_wrote_nothing(result, texts, out)
+    out = tmp_path / "report.csv"
+    result = runner.invoke(main, ["eval", "--adv", advset, "--targets", bad, "--out", str(out)])
+    _assert_error_wrote_nothing(result, texts, out)
 
 
 def test_attack_dim_geometry_ignored_when_dim_is_off(runner, trained, tmp_path):
@@ -704,6 +786,33 @@ def test_eval_rejects_corrupt_tensor_and_manifest(runner, trained, advset, tmp_p
                                   "--targets", trained["model"]])
     assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
     assert "unreadable manifest" in result.output
+
+
+def _assert_eval_manifest_error(runner, trained, adv_dir, text):
+    result = runner.invoke(main, ["eval", "--adv", str(adv_dir),
+                                  "--targets", trained["model"]])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.output
+    assert isinstance(result.exception.__context__, click.ClickException)
+    assert text in result.output and "Traceback" not in result.output
+
+
+def test_eval_refuses_surrogates_that_are_not_model_names(runner, trained, advset, tmp_path):
+    adv_dir = _edit_advset(advset, tmp_path, lambda m: m.update(surrogates=[1]))
+    _assert_eval_manifest_error(runner, trained, adv_dir,
+                                "surrogates must be a non-empty list of model names")
+
+
+def test_eval_refuses_a_config_that_is_not_an_object(runner, trained, advset, tmp_path):
+    adv_dir = _edit_advset(advset, tmp_path, lambda m: m.update(config=[1]))
+    _assert_eval_manifest_error(runner, trained, adv_dir, "config must be an object, got list")
+
+
+def test_eval_refuses_a_boolean_count_for_a_one_file_set(runner, trained, advset, tmp_path):
+    def one_file_with_count_true(m):
+        m.update(count=True, files=m["files"][:1], labels=m["labels"][:1],
+                 white_box=m["white_box"][:1])
+    adv_dir = _edit_advset(advset, tmp_path, one_file_with_count_true)
+    _assert_eval_manifest_error(runner, trained, adv_dir, "count must be an integer, got bool")
 
 
 @pytest.mark.parametrize("label", [99, -1, 2, "cat", True, False, 1.0, None])

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from advm.models import (
     train_sgd,
 )
 
-from conftest import SinusoidOracle, central_diff, rand_pixel_image
+from conftest import SinusoidOracle, central_diff, f8_text, f8_values, rand_pixel_image
 
 
 # -- spec validation ------------------------------------------------------------
@@ -275,8 +276,10 @@ def test_load_model_rejects_non_finite_parameters(tmp_path, bad):
     path = tmp_path / "m.json"
     save_model(model, str(path))
     doc = json.loads(path.read_text())
-    doc["params"]["fc.W"]["data"][1] = bad
-    path.write_text(json.dumps(doc))              # writes NaN / Infinity literals
+    values = f8_values(doc["params"]["fc.W"]["f8"])
+    values[1] = bad
+    doc["params"]["fc.W"]["f8"] = f8_text(values)
+    path.write_text(json.dumps(doc))
     with pytest.raises(CorruptFile, match="fc.W holds a non-finite value"):
         load_model(str(path))
 
@@ -311,10 +314,115 @@ def test_load_model_errors(tmp_path):
 
     doc_shape = json.loads(json.dumps(doc))
     doc_shape["params"]["fc.b"]["shape"] = [3]
-    doc_shape["params"]["fc.b"]["data"] = [0.0, 0.0, 0.0]
+    doc_shape["params"]["fc.b"]["f8"] = f8_text([0.0, 0.0, 0.0])
     p.write_text(json.dumps(doc_shape))
     with pytest.raises(CorruptFile):
         load_model(str(p))
+
+
+def test_save_load_is_bitwise_for_signed_zero_subnormals_and_extremes(tmp_path):
+    model = Model.initialize(ModelSpec("logistic", (2, 2, 1), 2))
+    special = [-0.0, 5e-324, 1.7976931348623157e308, -1.0]
+    model.params["fc.W"][0] = special
+    p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    save_model(model, p1)
+    back = load_model(p1)
+    for k in model.params:
+        assert back.params[k].dtype == np.float64 and back.params[k].flags.writeable
+        assert back.params[k].tobytes() == model.params[k].tobytes()
+    assert np.signbit(back.params["fc.W"][0, 0])
+    save_model(back, p2)
+    with open(p1, "rb") as f1, open(p2, "rb") as f2:
+        assert f1.read() == f2.read()
+
+
+def test_saved_parameters_are_little_endian_float64_in_base64(tmp_path):
+    model = Model.initialize(ModelSpec("mlp", (3, 3, 1), 3, hidden=(4,), seed=7))
+    save_model(model, str(tmp_path / "m.json"))
+    doc = json.loads((tmp_path / "m.json").read_text())
+    assert doc["version"] == 2
+    for k, v in model.params.items():
+        assert doc["params"][k] == {"shape": list(v.shape), "f8": f8_text(v.reshape(-1))}
+
+
+def test_save_model_refuses_a_non_finite_parameter(tmp_path):
+    model = Model.initialize(ModelSpec("logistic", (2, 2, 1), 2))
+    model.params["fc.b"][1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        save_model(model, str(tmp_path / "m.json"))
+    assert not (tmp_path / "m.json").exists()
+
+
+def _saved_doc(tmp_path):
+    model = Model.initialize(ModelSpec("logistic", (2, 2, 1), 2))
+    save_model(model, str(tmp_path / "m.json"))
+    return json.loads((tmp_path / "m.json").read_text())
+
+
+def _load_doc(tmp_path, doc):
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    return load_model(str(path))
+
+
+@pytest.mark.parametrize("edit, text", [
+    (lambda p: p.__setitem__("f8", p["f8"][:-4] + "AA*="), "base64"),
+    (lambda p: p.__setitem__("f8", p["f8"][:-1] + "\u00e9"), "ASCII"),
+    (lambda p: p.__setitem__("f8", p["f8"][:-4] + " " + p["f8"][-4:]), "base64"),
+    (lambda p: p.__setitem__("f8", p["f8"][:-3]), "base64"),               # truncated mid-quad
+    (lambda p: p.__setitem__("f8", p["f8"][:12]), "fc.W payload is 9 bytes"),
+    (lambda p: p.__setitem__("f8", f8_text(f8_values(p["f8"])[:-1])), "fc.W payload is 56 bytes"),
+    (lambda p: p.__setitem__("f8", f8_text(np.zeros(9))), "fc.W payload is 72 bytes"),
+    (lambda p: p.__setitem__("f8", 3), "not 'int'"),
+    (lambda p: p.__setitem__("f8", [0.0] * 8), "not 'list'"),
+    (lambda p: p.__setitem__("f8", None), "not 'NoneType'"),
+    (lambda p: p.pop("f8"), "'f8'"),
+    (lambda p: p.__setitem__("shape", [2.0, 4]), "fc.W has shape [2.0, 4]"),
+    (lambda p: p.__setitem__("shape", [True, 4]), "fc.W has shape [True, 4]"),
+    (lambda p: p.__setitem__("shape", [2, "4"]), "fc.W has shape"),
+    (lambda p: p.__setitem__("shape", "24"), "fc.W has shape"),
+    (lambda p: p.__setitem__("shape", 8), "not iterable"),
+])
+def test_load_model_refuses_a_bad_payload_or_shape(tmp_path, edit, text):
+    doc = _saved_doc(tmp_path)
+    edit(doc["params"]["fc.W"])
+    with pytest.raises(CorruptFile, match=re.escape(text)):
+        _load_doc(tmp_path, doc)
+
+
+def test_load_model_refuses_a_boolean_dimension_even_where_it_equals_one(tmp_path):
+    model = Model.initialize(ModelSpec("mlp", (2, 2, 1), 2, hidden=(1,)))
+    save_model(model, str(tmp_path / "m.json"))
+    doc = json.loads((tmp_path / "m.json").read_text())
+    assert doc["params"]["fc0.b"]["shape"] == [1]
+    doc["params"]["fc0.b"]["shape"] = [True]
+    with pytest.raises(CorruptFile, match=re.escape("fc0.b has shape [True]")):
+        _load_doc(tmp_path, doc)
+
+
+def test_load_model_checks_every_shape_before_decoding_a_payload(tmp_path):
+    doc = _saved_doc(tmp_path)
+    doc["params"]["fc.W"]["f8"] = "not base64!"
+    doc["params"]["fc.b"]["shape"] = [3]
+    with pytest.raises(CorruptFile, match="fc.b has shape"):
+        _load_doc(tmp_path, doc)
+
+
+def test_load_model_refuses_a_version_1_manifest(tmp_path):
+    doc = _saved_doc(tmp_path)
+    doc["version"] = 1
+    for entry in doc["params"].values():
+        entry["data"] = f8_values(entry.pop("f8")).tolist()
+    with pytest.raises(VersionMismatch, match="retrain the model with `advm train`"):
+        _load_doc(tmp_path, doc)
+
+
+@pytest.mark.parametrize("name", [1, "", None, ["a"], True])
+def test_load_model_refuses_a_name_that_is_not_a_non_empty_string(tmp_path, name):
+    doc = _saved_doc(tmp_path)
+    doc["name"] = name
+    with pytest.raises(CorruptFile, match="is not a non-empty string"):
+        _load_doc(tmp_path, doc)
 
 
 @pytest.mark.parametrize("arch, extra", [("logistic", {}), ("mlp", {"hidden": (3,)}),
