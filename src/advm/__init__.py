@@ -40,7 +40,7 @@ from .models import (
 )
 from .sampling import SamplingSpec, derive_rng, make_rng, sample_coefficients
 from .tensor import load_tensor, project_linf, save_tensor
-from .transforms import TransformConfig, make_estimator, tim_kernel
+from .transforms import TransformConfig, tim_kernel
 
 __all__ = [
     "AdvmError",
@@ -67,7 +67,6 @@ __all__ = [
     "load_idx",
     "load_model",
     "load_tensor",
-    "make_estimator",
     "make_rng",
     "parse_report_csv",
     "project_linf",

@@ -25,6 +25,10 @@ fresh draw from U([-1,1]^d), and the sampler contributes only its count N.
 Momentum and the averaged-gradient memory start at zero, so a zero
 coefficient or mu=0 reproduces the simpler family members exactly.
 
+With transforms enabled, each point's loss and gradient come from
+compose_dts on the attack's own stream, drawn after the iteration's
+coefficients or cubes; white-box success is scored by the plain oracle.
+
 Finiteness is checked at this boundary, not inside the tensor operators:
 run_attack refuses a non-finite clean image, and raises NonFiniteGradient
 as soon as an iteration's averaged loss or gradient is NaN or infinite,
@@ -45,9 +49,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NonFiniteGradient, WorkerLost, ZeroGradient
-from .sampling import SamplingSpec, derive_rng, make_rng, sample_coefficients, sample_uniform_cube
+from .sampling import (SamplingSpec, _require_ints, derive_rng, make_rng, sample_coefficients,
+                       sample_uniform_cube)
 from .tensor import l1_normalize, project_linf, validate_image
-from .transforms import TransformConfig, make_estimator
+from .transforms import TransformConfig, compose_dts
 
 VARIANTS = (
     "fgsm",
@@ -75,6 +80,7 @@ class AttackConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown attack variant {self.variant!r}")
+        _require_ints(self, "iters", "seed")
         if not (self.eps >= 0.0 and math.isfinite(self.eps)):
             raise ValueError(f"eps must be finite and >= 0, got {self.eps}")
         if self.iters < 1:
@@ -104,22 +110,11 @@ class AttackConfig:
 
 
 @dataclass(frozen=True)
-class StepState:
-    """Engine internals after one iteration, for trace comparison."""
-
-    x: np.ndarray
-    g: np.ndarray | None = None        # momentum accumulator g_t
-    g_avg: np.ndarray | None = None    # averaged sampled gradient gbar_t
-    g_prev: np.ndarray | None = None   # previous raw gradient (pre-gradient variant)
-
-
-@dataclass(frozen=True)
 class AttackResult:
     adv: np.ndarray
     white_box_success: bool
     loss_trace: tuple
     config_hash: str
-    state_trace: tuple = ()
 
 
 def _l1_direction(g: np.ndarray) -> np.ndarray:
@@ -152,73 +147,63 @@ def _query_points(cfg: AttackConfig, rng, adv, g_acc, g_avg) -> list:
     return [adv]
 
 
-def _average(oracle, points, y):
-    """Mean loss and gradient over the query points."""
-    loss_sum = 0.0
-    grad_sum = None
-    for pt in points:
-        loss_i, g_i = oracle.loss_and_grad(pt, y)
-        loss_sum += loss_i
-        grad_sum = g_i if grad_sum is None else grad_sum + g_i
-    return loss_sum / len(points), grad_sum / len(points)
-
-
 def fgsm(oracle, x, y, eps: float) -> AttackResult:
     """One signed-gradient step of size eps."""
     return run_attack(oracle, x, y, AttackConfig(variant="fgsm", eps=eps, iters=1))
 
 
-def run_attack(oracle, x, y, cfg: AttackConfig, rng=None, record_state=False) -> AttackResult:
-    """Attack one example with any variant; the query rules are in the module docstring.
+def run_attack(oracle, x, y, cfg: AttackConfig, rng=None, observe=None) -> AttackResult:
+    """Attack one example with any variant and cfg.transforms, as the module
+    docstring says; rng defaults to make_rng(cfg.seed).
 
-    fgsm always records its single state, which is its output.
+    observe, if given, is called after each iteration t = 0, 1, ... as
+    observe(t, loss, x_next, g, gbar, points) with the momentum g_t (None
+    for fgsm and ifgsm), the averaged gradient gbar_t and the number of
+    points queried. Its arrays are the attack's own, so it must not write them.
     """
     validate_image(x, pixel_domain=True)
     if rng is None:
         rng = make_rng(cfg.seed)
-    variant = cfg.variant
+    variant, tcfg = cfg.variant, cfg.transforms
     iters, alpha = (1, cfg.eps) if variant == "fgsm" else (cfg.iters, cfg.alpha)
-    record_state = record_state or variant == "fgsm"
     adv = x
-    g_acc = np.zeros_like(x)
+    g_acc = None if variant in _PLAIN else np.zeros_like(x)
     g_avg = np.zeros_like(x)
-    losses, states = [], []
+    losses = []
     for t in range(iters):
-        loss, g_avg = _average(oracle, _query_points(cfg, rng, adv, g_acc, g_avg), y)
+        points = _query_points(cfg, rng, adv, g_acc, g_avg)
+        loss, g_sum = 0.0, None
+        for pt in points:
+            loss_i, g_i = (compose_dts(oracle, pt, y, tcfg, rng) if tcfg.enabled
+                           else oracle.loss_and_grad(pt, y))
+            loss += loss_i
+            g_sum = g_i if g_sum is None else g_sum + g_i
+        loss, g_avg = loss / len(points), g_sum / len(points)
         if not (math.isfinite(loss) and np.isfinite(g_avg).all()):
             raise NonFiniteGradient(
                 f"{variant} iteration {t + 1}: averaged loss {loss} or its gradient "
                 f"is not finite; check the oracle's parameters")
-        if variant in _PLAIN:
+        if g_acc is None:
             step = g_avg
         else:
             g_acc = cfg.mu * g_acc + _l1_direction(g_avg)
             step = g_acc
         adv = project_linf(adv + alpha * np.sign(step), x, cfg.eps)
         losses.append(loss)
-        if record_state:
-            states.append(StepState(
-                x=adv,
-                g=None if variant in _PLAIN else g_acc,
-                g_avg=g_avg if variant in _SAMPLED else None,
-                g_prev=g_avg if variant == "pifgsm" else None,
-            ))
+        if observe is not None:
+            observe(t, loss, adv, g_acc, g_avg, len(points))
     return AttackResult(
         adv=adv,
         white_box_success=oracle.predict(adv) != y,
         loss_trace=tuple(losses),
         config_hash=cfg.config_hash(),
-        state_trace=tuple(states),
     )
 
 
 def attack_one(oracle, x, y, cfg: AttackConfig, example_index: int) -> AttackResult:
-    """One example with its own derived stream: transform draws and attack
-    sampling share the stream serially, so results are independent of how
-    examples are scheduled across workers."""
-    rng = derive_rng(cfg.seed, example_index)
-    estimator = make_estimator(oracle, cfg.transforms, lambda: rng)
-    return run_attack(estimator, x, y, cfg, rng)
+    """One example with its own derived stream, so results are independent
+    of how examples are scheduled across workers."""
+    return run_attack(oracle, x, y, cfg, derive_rng(cfg.seed, example_index))
 
 
 def batch_width(jobs: int, n_images: int) -> int:

@@ -550,6 +550,7 @@ def load_model(path: str) -> Model:
     if doc.get("version") != _MODEL_VERSION:
         raise VersionMismatch(f"{path}: model format version {doc.get('version')!r}, want "
                               f"{_MODEL_VERSION}; retrain the model with `advm train`")
+    where = path   # the file, then the parameter being checked
     try:
         s = doc["spec"]
         spec = ModelSpec(
@@ -567,18 +568,22 @@ def load_model(path: str) -> Model:
         if set(stored) != set(expected):
             raise CorruptFile(f"{path}: parameter names {sorted(stored)} do not match arch")
         for k, (shape, _) in expected.items():
+            where = f"{path}: {k}"
+            if not isinstance(stored[k], dict):
+                raise CorruptFile(f"{where} is a {type(stored[k]).__name__}, not an object")
             declared = stored[k]["shape"]
             if tuple(declared) != shape or any(type(d) is not int for d in declared):
-                raise CorruptFile(f"{path}: {k} has shape {declared!r}, want {shape}")
+                raise CorruptFile(f"{where} has shape {declared!r}, want {shape}")
         params = {}
         for k, (shape, _) in expected.items():   # every shape checked, now the payloads
+            where = f"{path}: {k}"
             raw = base64.b64decode(stored[k]["f8"], validate=True)
             if len(raw) != 8 * math.prod(shape):
-                raise CorruptFile(f"{path}: {k} payload is {len(raw)} bytes, not 8 per "
+                raise CorruptFile(f"{where} payload is {len(raw)} bytes, not 8 per "
                                   f"value of shape {shape}")
             params[k] = np.frombuffer(raw, "<f8").reshape(shape).astype(np.float64)
             if not np.isfinite(params[k]).all():
-                raise CorruptFile(f"{path}: {k} holds a non-finite value")
+                raise CorruptFile(f"{where} holds a non-finite value")
     except (KeyError, TypeError, ValueError) as exc:
-        raise CorruptFile(f"{path}: {exc}") from exc
+        raise CorruptFile(f"{where}: {exc}") from exc
     return Model(spec, params, name)

@@ -15,6 +15,13 @@ import numpy as np
 _METHODS = ("linear", "uniform", "gaussian")
 
 
+def _require_ints(obj, *names) -> None:
+    """Refuse a field of obj that is not a Python int; a bool or numpy integer too."""
+    for name in names:
+        if type(getattr(obj, name)) is not int:
+            raise ValueError(f"{name} must be an int, got {getattr(obj, name)!r}")
+
+
 @dataclass(frozen=True)
 class SamplingSpec:
     """How to draw the lookahead coefficients: method, count N, radius eta."""
@@ -26,6 +33,7 @@ class SamplingSpec:
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ValueError(f"unknown sampling method {self.method!r}")
+        _require_ints(self, "count")
         if self.count < 1:
             raise ValueError(f"sample count must be >= 1, got {self.count}")
         if not (self.eta >= 0.0 and math.isfinite(self.eta)):

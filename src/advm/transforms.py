@@ -15,8 +15,8 @@ transforms a TransformConfig enables:
 
 The scale loop runs outermost with an independent diversity draw per
 copy, and smoothing applies last, to the averaged gradient. A config with
-one enabled transform gives that transform alone. TransformedOracle wraps
-a loss oracle in compose_dts, drawing its transform stream from a factory.
+one enabled transform gives that transform alone. run_attack calls
+compose_dts once per query point, on the attack's own stream.
 """
 
 import math
@@ -26,6 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ShapeMismatch
+from .sampling import _require_ints
 from .tensor import Kernel2D, _bilinear_weights, _separable_gemm, conv2d_same
 
 TRANSFORM_NAMES = ("dim", "tim", "sim")
@@ -51,6 +52,8 @@ class TransformConfig:
             if n not in TRANSFORM_NAMES:
                 raise ValueError(f"unknown transform {n!r}")
         object.__setattr__(self, "enabled", names)
+        sides = [n for n in ("dim_resize_low", "dim_pad_to") if getattr(self, n) is not None]
+        _require_ints(self, "tim_kernel_size", "sim_copies", *sides)
         if not 0.0 <= self.dim_prob <= 1.0:
             raise ValueError(f"dim_prob must be in [0, 1], got {self.dim_prob}")
         if self.tim_kernel_size % 2 == 0 or self.tim_kernel_size < 1:
@@ -147,48 +150,3 @@ def compose_dts(oracle, x, y, cfg: TransformConfig, rng):
     if "tim" in cfg.enabled:
         grad = conv2d_same(grad, tim_kernel(cfg.tim_kernel_size, cfg.tim_sigma))
     return loss, grad
-
-
-class TransformedOracle:
-    """Wraps a loss oracle so loss_and_grad goes through compose_dts.
-
-    new_rng is a zero-argument factory called once per loss_and_grad for
-    the stream of transform draws. Returning one shared generator
-    (`lambda: rng`) advances that stream call by call, as an attack needs;
-    returning a freshly seeded one (`lambda: make_rng(seed)`) replays the
-    same draws on every call, which makes the stochastic objective a
-    deterministic function of x, as a finite-difference probe needs.
-
-    Prediction and logits stay untransformed: transforms shape the attack
-    gradient, not the model being fooled.
-    """
-
-    def __init__(self, oracle, cfg: TransformConfig, new_rng):
-        self.base = oracle
-        self.cfg = cfg
-        self.new_rng = new_rng
-
-    @property
-    def input_shape(self):
-        return self.base.input_shape
-
-    @property
-    def num_classes(self):
-        return self.base.num_classes
-
-    def logits(self, x):
-        return self.base.logits(x)
-
-    def predict(self, x):
-        return self.base.predict(x)
-
-    def loss_and_grad(self, x, y):
-        return compose_dts(self.base, x, y, self.cfg, self.new_rng())
-
-
-def make_estimator(oracle, cfg: TransformConfig, new_rng):
-    """The configured gradient estimator; the oracle itself when no
-    transforms are enabled. new_rng is TransformedOracle's stream factory."""
-    if not cfg.enabled:
-        return oracle
-    return TransformedOracle(oracle, cfg, new_rng)

@@ -1,4 +1,5 @@
-"""Shared test fixtures: analytic oracles and a finite-difference probe.
+"""Shared test fixtures: analytic oracles, a finite-difference probe, and a
+recorder of the attack loop's per-iteration state.
 
 Every oracle here computes its gradient from a closed-form expression
 derived independently of the package, so tests can compare the engine
@@ -7,9 +8,12 @@ against a second route instead of against itself.
 
 import base64
 import os
+from typing import NamedTuple
 
 import numpy as np
 import pytest
+
+from advm.attacks import run_attack
 
 
 class LinearOracle:
@@ -130,6 +134,34 @@ class RecordingOracle:
     def loss_and_grad(self, x, y):
         self.queries.append(np.array(x, copy=True))
         return self.base.loss_and_grad(x, y)
+
+
+class Step(NamedTuple):
+    """One iteration as run_attack's observe callback reports it."""
+
+    t: int
+    loss: float
+    x: np.ndarray                # the new iterate x_{t+1}
+    g: np.ndarray | None         # momentum g_t; None for fgsm and ifgsm
+    gbar: np.ndarray             # averaged gradient gbar_t
+    points: int                  # points queried at this iteration
+
+
+class StepRecorder:
+    """An observe callback that keeps a copy of every iteration's state."""
+
+    def __init__(self):
+        self.steps = []
+
+    def __call__(self, t, loss, x, g, gbar, points):
+        self.steps.append(Step(t, loss, x.copy(), None if g is None else g.copy(),
+                               gbar.copy(), points))
+
+
+def observed(oracle, x, y, cfg, rng=None):
+    """run_attack with a StepRecorder: (result, steps)."""
+    rec = StepRecorder()
+    return run_attack(oracle, x, y, cfg, rng, observe=rec), rec.steps
 
 
 def central_diff(loss_fn, x, h=1e-5):

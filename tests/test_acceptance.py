@@ -22,9 +22,9 @@ from advm.experiment import DESK_REPLICATE_SEEDS, mean_transfer, white_box_rate
 from advm.models import EnsembleOracle, Model, ModelSpec
 from advm.sampling import SamplingSpec, make_rng
 from advm.tensor import conv2d_same, tensor_to_bytes
-from advm.transforms import TransformConfig, TransformedOracle, compose_dts, tim_kernel
+from advm.transforms import TransformConfig, compose_dts, tim_kernel
 
-from conftest import SinusoidOracle, QuadraticOracle, central_diff, rand_pixel_image
+from conftest import SinusoidOracle, QuadraticOracle, central_diff, observed, rand_pixel_image
 from reference_recursions import (
     RecordingRNG,
     linear_grid,
@@ -108,15 +108,11 @@ def test_criterion_1_finite_difference_gradients():
 
         # full stack with frozen draws and an identity smoothing kernel:
         # a genuine deterministic scalar objective through all transforms
-        est = TransformedOracle(
-            model,
-            TransformConfig(enabled=("dim", "tim", "sim"), dim_prob=1.0,
-                            dim_resize_low=4, tim_kernel_size=1, sim_copies=2),
-            lambda seed=50 + k: make_rng(seed),
-        )
+        full = TransformConfig(enabled=("dim", "tim", "sim"), dim_prob=1.0,
+                               dim_resize_low=4, tim_kernel_size=1, sim_copies=2)
         x = rand_pixel_image((6, 6, 1), seed=150 + k)
-        _, g = est.loss_and_grad(x, 0)
-        check(lambda t: est.loss_and_grad(t, 0)[0], g, x)
+        _, g = compose_dts(model, x, 0, full, make_rng(50 + k))
+        check(lambda t: compose_dts(model, t, 0, full, make_rng(50 + k))[0], g, x)
 
     # logit-fused ensemble: its gradient vs differences of the fused loss
     ens = EnsembleOracle([models[0], models[1]])
@@ -374,19 +370,20 @@ def test_criterion_7_recursion_state_traces():
     worst = 0.0
     runs = 0
 
-    def compare(res, ref):
+    def compare(run, ref):
         nonlocal worst, runs
+        res, steps = run
         diffs = [float(np.max(np.abs(res.adv - ref["adv"])))]
         diffs += [abs(a - b) for a, b in zip(res.loss_trace, ref["losses"])]
-        for st, i in zip(res.state_trace, range(len(ref["xs"]))):
+        for st, i in zip(steps, range(len(ref["xs"]))):
             diffs.append(float(np.max(np.abs(st.x - ref["xs"][i]))))
             if "gs" in ref:
                 diffs.append(float(np.max(np.abs(st.g - ref["gs"][i]))))
             if "gbars" in ref:
-                diffs.append(float(np.max(np.abs(st.g_avg - ref["gbars"][i]))))
-            if "g_prevs" in ref:
-                diffs.append(float(np.max(np.abs(st.g_prev - ref["g_prevs"][i]))))
-        assert len(res.state_trace) == len(ref["xs"])
+                diffs.append(float(np.max(np.abs(st.gbar - ref["gbars"][i]))))
+            if "g_prevs" in ref:   # pifgsm steps ahead along the previous gbar
+                diffs.append(float(np.max(np.abs(st.gbar - ref["g_prevs"][i]))))
+        assert len(steps) == len(ref["xs"])
         worst = max(worst, max(diffs))
         runs += 1
         assert max(diffs) <= 1e-12
@@ -396,16 +393,14 @@ def test_criterion_7_recursion_state_traces():
         x = rand_pixel_image(shape, seed=x_seed)
         eps, iters, mu = 0.3, 3, 0.8
 
-        compare(fgsm(oracle, x, 1, eps), ref_fgsm(oracle, x, 1, eps))
-        compare(
-            run_attack(oracle, x, 1, AttackConfig(variant="ifgsm", eps=eps,
-                                                  iters=iters), record_state=True),
-            ref_ifgsm(oracle, x, 1, eps, iters),
-        )
+        compare(observed(oracle, x, 1, AttackConfig(variant="fgsm", eps=eps, iters=1)),
+                ref_fgsm(oracle, x, 1, eps))
+        compare(observed(oracle, x, 1, AttackConfig(variant="ifgsm", eps=eps, iters=iters)),
+                ref_ifgsm(oracle, x, 1, eps, iters))
         for variant, ref in (("mifgsm", ref_mifgsm), ("nifgsm", ref_nifgsm),
                              ("pifgsm", ref_pifgsm)):
             cfg = AttackConfig(variant=variant, eps=eps, iters=iters, mu=mu)
-            compare(run_attack(oracle, x, 1, cfg, record_state=True),
+            compare(observed(oracle, x, 1, cfg),
                     ref(oracle, x, 1, eps, iters, mu))
 
         # linear coefficients need no draws
@@ -414,7 +409,7 @@ def test_criterion_7_recursion_state_traces():
             cfg = AttackConfig(variant=variant, eps=eps, iters=iters, mu=mu,
                                sampling=SamplingSpec(method="linear", count=3,
                                                      eta=2.0))
-            compare(run_attack(oracle, x, 1, cfg, record_state=True),
+            compare(observed(oracle, x, 1, cfg),
                     ref(oracle, x, 1, eps, iters, mu, lambda t: grid))
 
         # randomized coefficients and cubes replay the engine's own draws
@@ -422,16 +417,16 @@ def test_criterion_7_recursion_state_traces():
                            sampling=SamplingSpec(method="uniform", count=3,
                                                  eta=1.5))
         ledger = RecordingRNG(make_rng(91))
-        res = run_attack(oracle, x, 1, cfg, rng=ledger, record_state=True)
-        compare(res, ref_emifgsm(oracle, x, 1, eps, iters, mu,
+        run = observed(oracle, x, 1, cfg, ledger)
+        compare(run, ref_emifgsm(oracle, x, 1, eps, iters, mu,
                                  lambda t: ledger.log[t]))
 
         n = 2
         cfg = AttackConfig(variant="erifgsm", eps=eps, iters=iters, mu=mu,
                            sampling=SamplingSpec(count=n))
         ledger = RecordingRNG(make_rng(92))
-        res = run_attack(oracle, x, 1, cfg, rng=ledger, record_state=True)
-        compare(res, ref_erifgsm(oracle, x, 1, eps, iters, mu,
+        run = observed(oracle, x, 1, cfg, ledger)
+        compare(run, ref_erifgsm(oracle, x, 1, eps, iters, mu,
                                  lambda t: ledger.log[t * n:(t + 1) * n]))
 
     elapsed = time.monotonic() - t0

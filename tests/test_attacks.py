@@ -20,11 +20,18 @@ from advm.attacks import (
 )
 from advm.errors import AdvmError, NonFiniteGradient, ShapeMismatch, WorkerLost
 from advm.models import Model, ModelSpec
-from advm.sampling import SamplingSpec, make_rng
+from advm.sampling import (SamplingSpec, derive_rng, make_rng, sample_coefficients,
+                           sample_uniform_cube)
 from advm.tensor import tensor_to_bytes
-from advm.transforms import TransformConfig
+from advm.transforms import TransformConfig, compose_dts
 
-from conftest import DyingOracle, QuadraticOracle, SinusoidOracle, rand_pixel_image
+from conftest import (
+    DyingOracle,
+    QuadraticOracle,
+    SinusoidOracle,
+    observed,
+    rand_pixel_image,
+)
 
 
 class ZeroGradOracle:
@@ -71,6 +78,11 @@ def test_config_validation():
             AttackConfig(eps=bad)
         with pytest.raises(ValueError):
             AttackConfig(mu=bad)
+    # a float count crashed mid-attack, a numpy one in config_hash
+    for field, bad in (("iters", 2.5), ("iters", np.int64(10)), ("iters", True),
+                       ("seed", 1.0), ("seed", np.int64(1))):
+        with pytest.raises(ValueError, match=f"{field} must be an int"):
+            AttackConfig(**{field: bad})
 
 
 def test_alpha_is_eps_over_iters():
@@ -134,18 +146,16 @@ def test_every_variant_stays_feasible(variant):
         variant=variant, eps=0.3, iters=3,
         sampling=SamplingSpec(count=3, eta=2.0),
     )
-    res = run_attack(oracle, x, 1, cfg)
+    res, steps = observed(oracle, x, 1, cfg)
     assert isinstance(res, AttackResult)
     assert np.max(np.abs(res.adv - x)) <= cfg.eps + 1e-12
     assert res.adv.min() >= 0.0 and res.adv.max() <= 1.0
     assert len(res.loss_trace) == (1 if variant == "fgsm" else cfg.iters)
     assert res.config_hash == cfg.config_hash()
-    if variant == "fgsm":
-        # the single step's full state is its output, recorded for free
-        assert len(res.state_trace) == 1
-        assert np.array_equal(res.state_trace[0].x, res.adv)
-    else:
-        assert res.state_trace == ()
+    # the observer sees every iteration, and the last iterate is the output
+    assert [st.t for st in steps] == list(range(len(res.loss_trace)))
+    assert tuple(st.loss for st in steps) == res.loss_trace
+    assert np.array_equal(steps[-1].x, res.adv)
 
 
 def test_eps_zero_returns_input_bitwise():
@@ -272,39 +282,99 @@ def test_run_attack_dispatches_fgsm():
     assert np.array_equal(via_dispatch.adv, direct.adv)
 
 
-# -- state recording ---------------------------------------------------------------
+# -- the observer ------------------------------------------------------------------
 
 
-def test_record_state_field_population():
+def test_observer_arguments_per_variant():
     oracle = SinusoidOracle((2, 2, 1), seed=9)
     x = rand_pixel_image((2, 2, 1), seed=47)
 
-    def trace(variant, **kw):
+    def steps(variant):
         cfg = AttackConfig(variant=variant, eps=0.2, iters=3,
-                           sampling=SamplingSpec(count=2), **kw)
-        return run_attack(oracle, x, 1, cfg, rng=make_rng(0), record_state=True)
+                           sampling=SamplingSpec(count=2))
+        return observed(oracle, x, 1, cfg, make_rng(0))[1]
 
-    t = trace("ifgsm").state_trace
-    assert len(t) == 3 and t[0].g is None and t[0].g_avg is None
-
-    t = trace("mifgsm").state_trace
-    assert t[0].g is not None and t[0].g_avg is None and t[0].g_prev is None
-
-    t = trace("pifgsm").state_trace
-    assert t[0].g is not None and t[0].g_prev is not None
-
-    t = trace("emifgsm").state_trace
-    assert t[0].g is not None and t[0].g_avg is not None and t[0].g_prev is None
+    for variant in ("fgsm", "ifgsm"):
+        assert all(st.g is None and st.points == 1 for st in steps(variant))
+    for variant in ("mifgsm", "nifgsm", "pifgsm"):
+        t = steps(variant)
+        assert len(t) == 3 and all(st.g is not None and st.points == 1 for st in t)
+    for variant in ("emifgsm", "enifgsm", "erifgsm"):
+        assert all(st.g is not None and st.points == 2 for st in steps(variant))
 
 
-def test_state_trace_iterates_stay_in_ball():
+def test_observed_iterates_stay_in_ball():
     oracle = SinusoidOracle((2, 2, 1), seed=10)
     x = rand_pixel_image((2, 2, 1), seed=48)
     cfg = AttackConfig(variant="mifgsm", eps=0.2, iters=4)
-    res = run_attack(oracle, x, 0, cfg, record_state=True)
-    for st in res.state_trace:
+    res, steps = observed(oracle, x, 0, cfg)
+    for st in steps:
         assert np.max(np.abs(st.x - x)) <= cfg.eps + 1e-12
-    assert np.array_equal(res.state_trace[-1].x, res.adv)
+    assert np.array_equal(steps[-1].x, res.adv)
+
+
+@pytest.mark.parametrize("enabled", [(), ("dim", "tim", "sim")])
+@pytest.mark.parametrize("variant", ["fgsm", "ifgsm", "pifgsm", "emifgsm", "erifgsm"])
+def test_observed_run_is_byte_identical_to_unobserved(variant, enabled):
+    oracle = QuadraticOracle((6, 6, 1), seed=20)
+    x = rand_pixel_image((6, 6, 1), seed=64)
+    cfg = AttackConfig(variant=variant, eps=0.2, iters=3, seed=5,
+                       sampling=SamplingSpec(method="uniform", count=2),
+                       transforms=TransformConfig(enabled=enabled, sim_copies=2))
+    plain = run_attack(oracle, x, 2, cfg, derive_rng(5, 1))
+    seen, steps = observed(oracle, x, 2, cfg, derive_rng(5, 1))
+    assert tensor_to_bytes(seen.adv) == tensor_to_bytes(plain.adv)
+    assert seen.loss_trace == plain.loss_trace
+    assert seen.white_box_success == plain.white_box_success
+    assert len(steps) == len(plain.loss_trace)
+
+
+# -- transforms inside the loop ----------------------------------------------------
+
+
+@pytest.mark.parametrize("variant", ["mifgsm", "pifgsm", "emifgsm", "erifgsm"])
+def test_run_attack_applies_the_configured_transforms(variant):
+    # run_attack once ignored cfg.transforms: only attack_one applied them
+    model = Model.initialize(ModelSpec("smallcnn", (8, 8, 1), 3, conv_channels=4, seed=6))
+    x = rand_pixel_image((8, 8, 1), seed=62)
+    cfg = AttackConfig(variant=variant, iters=3, seed=4,
+                       sampling=SamplingSpec(method="uniform", count=3),
+                       transforms=TransformConfig(enabled=("dim", "tim", "sim"),
+                                                  sim_copies=2))
+    got = run_attack(model, x, 1, cfg, derive_rng(4, 2))
+    want = attack_one(model, x, 1, cfg, 2)
+    assert tensor_to_bytes(got.adv) == tensor_to_bytes(want.adv)
+    assert got.loss_trace == want.loss_trace
+    assert got.white_box_success == want.white_box_success
+    plain = run_attack(model, x, 1, dataclasses.replace(cfg, transforms=TransformConfig()),
+                       derive_rng(4, 2))
+    assert tensor_to_bytes(got.adv) != tensor_to_bytes(plain.adv)
+    assert got.loss_trace != plain.loss_trace
+    # the transforms shape the gradient only: success is the plain prediction
+    assert got.white_box_success == (model.predict(got.adv) != 1)
+
+
+@pytest.mark.parametrize("variant", ["emifgsm", "erifgsm"])
+def test_transform_draws_follow_the_iterations_points_on_one_stream(variant):
+    oracle = QuadraticOracle((6, 6, 1), seed=21)
+    x = rand_pixel_image((6, 6, 1), seed=63)
+    tcfg = TransformConfig(enabled=("dim", "sim"), dim_prob=0.6, dim_resize_low=4,
+                           sim_copies=2)
+    cfg = AttackConfig(variant=variant, eps=0.2, iters=3, transforms=tcfg,
+                       sampling=SamplingSpec(method="uniform", count=2))
+    _, steps = observed(oracle, x, 0, cfg, make_rng(8))
+    ref = make_rng(8)
+    adv, gbar = x, np.zeros_like(x)
+    for st in steps:
+        # every point of the iteration is drawn before any transform draw
+        if variant == "emifgsm":
+            points = [adv + c * gbar for c in sample_coefficients(cfg.sampling, ref)]
+        else:
+            points = [adv + cfg.alpha * sample_uniform_cube(ref, x.shape) for _ in range(2)]
+        pairs = [compose_dts(oracle, pt, 0, tcfg, ref) for pt in points]
+        assert st.loss == (pairs[0][0] + pairs[1][0]) / 2
+        assert np.array_equal(st.gbar, (pairs[0][1] + pairs[1][1]) / 2)
+        adv, gbar = st.x, st.gbar
 
 
 # -- per-example scheduling --------------------------------------------------------

@@ -6,6 +6,8 @@ use went, and a module-level `_helper` whose last caller went.
 `__init__.py` is not linted for them, because its imports are the
 package's exports, but what it reads still counts as a reference. The
 third keeps a dependency from coming back, or going stale, unnoticed.
+A last check keeps README's Python examples importing only what the
+package exports, so a removed name cannot stay documented.
 """
 
 import ast
@@ -14,6 +16,8 @@ import re
 import sys
 
 import pytest
+
+import advm
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "advm"
@@ -102,3 +106,27 @@ def test_third_party_imports_skip_stdlib_and_relative_imports():
     tree = ast.parse("import os.path\nimport numpy as np\nfrom scipy.signal import x\n"
                      "from . import errors\nfrom .tensor import y\nimport json, click\n")
     assert third_party_imports(tree) == {"numpy", "scipy", "click"}
+
+
+def readme_advm_imports(text: str) -> set:
+    """Names imported `from advm` in the ```python blocks of a markdown text."""
+    names = set()
+    for block in re.findall(r"^```python\n(.*?)^```", text, re.S | re.M):
+        for node in ast.walk(ast.parse(block)):
+            if isinstance(node, ast.ImportFrom) and node.module == "advm":
+                names.update(a.name for a in node.names)
+    return names
+
+
+def test_readme_imports_only_names_advm_exports():
+    imported = readme_advm_imports((ROOT / "README.md").read_text(encoding="utf-8"))
+    assert imported, "README shows no `from advm import`"
+    assert not imported - set(advm.__all__), "README imports unexported names"
+    assert [n for n in advm.__all__ if not hasattr(advm, n)] == [], "unbound __all__ entries"
+
+
+def test_readme_imports_reads_only_python_blocks():
+    text = ("```python\nfrom advm import (\n    a, b,\n)\nimport advm\n```\n"
+            "from advm import prose\n```sh\nfrom advm import shell\n```\n"
+            "```python\nfrom advm.attacks import c\nfrom advm import d\n```\n")
+    assert readme_advm_imports(text) == {"a", "b", "d"}

@@ -382,10 +382,21 @@ def _load_doc(tmp_path, doc):
     (lambda p: p.__setitem__("shape", [2, "4"]), "fc.W has shape"),
     (lambda p: p.__setitem__("shape", "24"), "fc.W has shape"),
     (lambda p: p.__setitem__("shape", 8), "not iterable"),
+    # failures inside b64decode, tuple() or a lookup name the parameter too
+    (lambda p: p.__setitem__("f8", 3),
+     "fc.W: argument should be a bytes-like object or ASCII string, not 'int'"),
+    (lambda p: p.__setitem__("shape", 8), "fc.W: 'int' object is not iterable"),
+    (lambda p: p.pop("shape"), "fc.W: 'shape'"),
+    ([0.0] * 8, "fc.W is a list, not an object"),
+    ("AAAA", "fc.W is a str, not an object"),
+    (None, "fc.W is a NoneType, not an object"),
 ])
 def test_load_model_refuses_a_bad_payload_or_shape(tmp_path, edit, text):
     doc = _saved_doc(tmp_path)
-    edit(doc["params"]["fc.W"])
+    if callable(edit):   # edits the entry in place; any other value replaces it
+        edit(doc["params"]["fc.W"])
+    else:
+        doc["params"]["fc.W"] = edit
     with pytest.raises(CorruptFile, match=re.escape(text)):
         _load_doc(tmp_path, doc)
 

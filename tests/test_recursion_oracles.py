@@ -1,6 +1,6 @@
 """Every attack recursion vs an independent straight-line reference.
 
-The engine runs with record_state=True; the references in
+The engine runs with a StepRecorder as its observer; the references in
 reference_recursions.py spell out the same update equations from scratch.
 Randomized variants replay the engine's recorded draws through the
 reference, so both sides see identical sampled values without sharing code.
@@ -9,10 +9,10 @@ reference, so both sides see identical sampled values without sharing code.
 import numpy as np
 import pytest
 
-from advm.attacks import AttackConfig, fgsm, run_attack
+from advm.attacks import AttackConfig, fgsm
 from advm.sampling import SamplingSpec, make_rng
 
-from conftest import SinusoidOracle, rand_pixel_image
+from conftest import SinusoidOracle, observed, rand_pixel_image
 from reference_recursions import (
     RecordingRNG,
     linear_grid,
@@ -34,26 +34,29 @@ def _close(a, b):
     assert np.max(np.abs(np.asarray(a) - np.asarray(b))) <= TOL
 
 
-def _compare(res, ref):
-    assert len(res.state_trace) == len(ref["xs"])
+def _compare(run, ref):
+    res, steps = run
+    assert len(steps) == len(ref["xs"])
     _close(res.adv, ref["adv"])
     for got, want in zip(res.loss_trace, ref["losses"]):
         assert abs(got - want) <= TOL
-    for st, i in zip(res.state_trace, range(len(ref["xs"]))):
+    for st, i in zip(steps, range(len(ref["xs"]))):
         _close(st.x, ref["xs"][i])
         if "gs" in ref:
             _close(st.g, ref["gs"][i])
         if "gbars" in ref:
-            _close(st.g_avg, ref["gbars"][i])
-        if "g_prevs" in ref:
-            _close(st.g_prev, ref["g_prevs"][i])
+            _close(st.gbar, ref["gbars"][i])
+        if "g_prevs" in ref:   # pifgsm steps ahead along the previous gbar
+            _close(st.gbar, ref["g_prevs"][i])
 
 
 @pytest.mark.parametrize("shape", SHAPES)
 def test_fgsm_against_reference(shape):
     oracle = SinusoidOracle(shape, seed=31)
     x = rand_pixel_image(shape, seed=80)
-    _compare(fgsm(oracle, x, 1, 0.3), ref_fgsm(oracle, x, 1, 0.3))
+    run = observed(oracle, x, 1, AttackConfig(variant="fgsm", eps=0.3, iters=1))
+    _compare(run, ref_fgsm(oracle, x, 1, 0.3))
+    _close(fgsm(oracle, x, 1, 0.3).adv, run[0].adv)
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -61,8 +64,8 @@ def test_ifgsm_against_reference(shape):
     oracle = SinusoidOracle(shape, seed=32)
     x = rand_pixel_image(shape, seed=81)
     cfg = AttackConfig(variant="ifgsm", eps=0.3, iters=3)
-    res = run_attack(oracle, x, 1, cfg, record_state=True)
-    _compare(res, ref_ifgsm(oracle, x, 1, 0.3, 3))
+    run = observed(oracle, x, 1, cfg)
+    _compare(run, ref_ifgsm(oracle, x, 1, 0.3, 3))
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -70,8 +73,8 @@ def test_mifgsm_against_reference(shape):
     oracle = SinusoidOracle(shape, seed=33)
     x = rand_pixel_image(shape, seed=82)
     cfg = AttackConfig(variant="mifgsm", eps=0.3, iters=3, mu=0.8)
-    res = run_attack(oracle, x, 2, cfg, record_state=True)
-    _compare(res, ref_mifgsm(oracle, x, 2, 0.3, 3, 0.8))
+    run = observed(oracle, x, 2, cfg)
+    _compare(run, ref_mifgsm(oracle, x, 2, 0.3, 3, 0.8))
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -79,8 +82,8 @@ def test_nifgsm_against_reference(shape):
     oracle = SinusoidOracle(shape, seed=34)
     x = rand_pixel_image(shape, seed=83)
     cfg = AttackConfig(variant="nifgsm", eps=0.3, iters=3, mu=0.8)
-    res = run_attack(oracle, x, 0, cfg, record_state=True)
-    _compare(res, ref_nifgsm(oracle, x, 0, 0.3, 3, 0.8))
+    run = observed(oracle, x, 0, cfg)
+    _compare(run, ref_nifgsm(oracle, x, 0, 0.3, 3, 0.8))
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -88,8 +91,8 @@ def test_pifgsm_against_reference(shape):
     oracle = SinusoidOracle(shape, seed=35)
     x = rand_pixel_image(shape, seed=84)
     cfg = AttackConfig(variant="pifgsm", eps=0.3, iters=3, mu=0.8)
-    res = run_attack(oracle, x, 1, cfg, record_state=True)
-    _compare(res, ref_pifgsm(oracle, x, 1, 0.3, 3, 0.8))
+    run = observed(oracle, x, 1, cfg)
+    _compare(run, ref_pifgsm(oracle, x, 1, 0.3, 3, 0.8))
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -99,10 +102,10 @@ def test_emifgsm_linear_against_reference(shape):
     x = rand_pixel_image(shape, seed=85)
     cfg = AttackConfig(variant="emifgsm", eps=0.3, iters=3, mu=0.8,
                        sampling=SamplingSpec(method="linear", count=3, eta=2.0))
-    res = run_attack(oracle, x, 1, cfg, record_state=True)
+    run = observed(oracle, x, 1, cfg)
     grid = linear_grid(3, 2.0)
     ref = ref_emifgsm(oracle, x, 1, 0.3, 3, 0.8, lambda t: grid)
-    _compare(res, ref)
+    _compare(run, ref)
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -111,10 +114,10 @@ def test_enifgsm_linear_against_reference(shape):
     x = rand_pixel_image(shape, seed=86)
     cfg = AttackConfig(variant="enifgsm", eps=0.3, iters=3, mu=0.8,
                        sampling=SamplingSpec(method="linear", count=3, eta=2.0))
-    res = run_attack(oracle, x, 2, cfg, record_state=True)
+    run = observed(oracle, x, 2, cfg)
     grid = linear_grid(3, 2.0)
     ref = ref_enifgsm(oracle, x, 2, 0.3, 3, 0.8, lambda t: grid)
-    _compare(res, ref)
+    _compare(run, ref)
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -124,12 +127,12 @@ def test_emifgsm_uniform_against_reference_via_ledger(shape):
     cfg = AttackConfig(variant="emifgsm", eps=0.3, iters=3, mu=0.8,
                        sampling=SamplingSpec(method="uniform", count=3, eta=1.5))
     ledger = RecordingRNG(make_rng(91))
-    res = run_attack(oracle, x, 1, cfg, rng=ledger, record_state=True)
+    run = observed(oracle, x, 1, cfg, ledger)
     assert len(ledger.log) == 3          # one (3,) coefficient draw per step
     assert all(entry.shape == (3,) for entry in ledger.log)
     assert all(np.max(np.abs(entry)) <= 1.5 for entry in ledger.log)
     ref = ref_emifgsm(oracle, x, 1, 0.3, 3, 0.8, lambda t: ledger.log[t])
-    _compare(res, ref)
+    _compare(run, ref)
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -139,10 +142,10 @@ def test_enifgsm_uniform_against_reference_via_ledger(shape):
     cfg = AttackConfig(variant="enifgsm", eps=0.3, iters=3, mu=0.8,
                        sampling=SamplingSpec(method="uniform", count=2, eta=1.0))
     ledger = RecordingRNG(make_rng(92))
-    res = run_attack(oracle, x, 0, cfg, rng=ledger, record_state=True)
+    run = observed(oracle, x, 0, cfg, ledger)
     assert len(ledger.log) == 3
     ref = ref_enifgsm(oracle, x, 0, 0.3, 3, 0.8, lambda t: ledger.log[t])
-    _compare(res, ref)
+    _compare(run, ref)
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -153,11 +156,11 @@ def test_erifgsm_against_reference_via_ledger(shape):
     cfg = AttackConfig(variant="erifgsm", eps=0.3, iters=3, mu=0.8,
                        sampling=SamplingSpec(count=n))
     ledger = RecordingRNG(make_rng(93))
-    res = run_attack(oracle, x, 1, cfg, rng=ledger, record_state=True)
+    run = observed(oracle, x, 1, cfg, ledger)
     assert len(ledger.log) == 3 * n       # one cube draw per point per step
     assert all(entry.shape == shape for entry in ledger.log)
     ref = ref_erifgsm(
         oracle, x, 1, 0.3, 3, 0.8,
         lambda t: ledger.log[t * n:(t + 1) * n],
     )
-    _compare(res, ref)
+    _compare(run, ref)

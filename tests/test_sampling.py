@@ -28,6 +28,10 @@ def test_spec_validation():
         SamplingSpec(eta=float("nan"))
     with pytest.raises(ValueError):
         SamplingSpec(eta=float("inf"))
+    # a float count crashed mid-attack with a TypeError
+    for bad in (3.0, True, np.int64(3)):
+        with pytest.raises(ValueError, match="count must be an int"):
+            SamplingSpec(count=bad)
 
 
 def test_linear_grid_frozen():

@@ -14,10 +14,8 @@ from advm.tensor import conv2d_same, identity_kernel
 from advm.transforms import (
     PAD_RATIO,
     TransformConfig,
-    TransformedOracle,
     compose_dts,
     draw_dim_geometry,
-    make_estimator,
     tim_kernel,
     _dim_matrix,
     _diversified_loss_grad,
@@ -62,6 +60,14 @@ def test_config_validation():
         TransformConfig(dim_resize_low=0)
     with pytest.raises(ValueError):
         TransformConfig(dim_resize_low=10, dim_pad_to=8)
+    # sim_copies=2.0 crashed mid-attack; tim_kernel_size=7.0 ran 7's bytes
+    # under another config hash
+    for field, bad in (("tim_kernel_size", 7.0), ("tim_kernel_size", True),
+                       ("sim_copies", 2.0), ("sim_copies", np.int64(2)),
+                       ("dim_resize_low", 4.0), ("dim_pad_to", np.int64(31))):
+        with pytest.raises(ValueError, match=f"{field} must be an int"):
+            TransformConfig(**{field: bad})
+    assert TransformConfig(dim_resize_low=None, dim_pad_to=None).dim_pad_to is None
 
 
 def test_config_enabled_sorted_and_deduped():
@@ -378,50 +384,13 @@ def test_compose_dim_prob_zero_replays_plain_sim_stream():
     assert rng.uniform() == ref.uniform()
 
 
-def test_transformed_oracle_prediction_stays_plain():
-    base = QuadraticOracle((6, 6, 1), seed=22)
-    cfg = TransformConfig(enabled=("dim", "tim", "sim"), dim_prob=1.0, sim_copies=2,
-                          tim_kernel_size=3)
-    wrapped = TransformedOracle(base, cfg, lambda: make_rng(23))
-    x = rand_pixel_image((6, 6, 1), seed=33)
-    assert wrapped.predict(x) == base.predict(x)
-    assert np.array_equal(wrapped.logits(x), base.logits(x))
-    assert wrapped.input_shape == base.input_shape
-    assert wrapped.num_classes == base.num_classes
-
-
-def test_transformed_oracle_loss_and_grad_shares_stream():
-    base = QuadraticOracle((6, 6, 1), seed=24)
-    cfg = TransformConfig(enabled=("dim",), dim_prob=1.0, dim_resize_low=4)
-    x = rand_pixel_image((6, 6, 1), seed=34)
-    rng = make_rng(25)
-    wrapped = TransformedOracle(base, cfg, lambda: rng)
-    l1, g1 = wrapped.loss_and_grad(x, 0)
-    l2, g2 = compose_dts(base, x, 0, cfg, make_rng(25))
-    assert l1 == l2
-    assert np.array_equal(g1, g2)
-    # a second call advances the stream, so the draw differs
-    l3, _ = wrapped.loss_and_grad(x, 0)
-    assert l3 != l1
-
-
-def test_make_estimator_passthrough_without_transforms():
-    base = QuadraticOracle((4, 4, 1), seed=26)
-    assert make_estimator(base, TransformConfig(), lambda: make_rng(0)) is base
-    assert isinstance(
-        make_estimator(base, TransformConfig(enabled=("tim",)), lambda: make_rng(0)),
-        TransformedOracle,
-    )
-
-
 def test_reseeded_estimator_is_deterministic_per_call():
     base = QuadraticOracle((6, 6, 1), seed=27)
     cfg = TransformConfig(enabled=("dim", "sim"), dim_prob=1.0, dim_resize_low=4,
                           sim_copies=2)
-    est = TransformedOracle(base, cfg, lambda: make_rng(28))
     x = rand_pixel_image((6, 6, 1), seed=35)
-    l1, g1 = est.loss_and_grad(x, 0)
-    l2, g2 = est.loss_and_grad(x, 0)
+    l1, g1 = compose_dts(base, x, 0, cfg, make_rng(28))
+    l2, g2 = compose_dts(base, x, 0, cfg, make_rng(28))
     assert l1 == l2
     assert np.array_equal(g1, g2)
 
@@ -432,10 +401,9 @@ def test_reseeded_estimator_objective_is_differentiable():
     base = QuadraticOracle((6, 6, 1), seed=29)
     cfg = TransformConfig(enabled=("dim", "sim"), dim_prob=1.0, dim_resize_low=4,
                           sim_copies=2)
-    est = TransformedOracle(base, cfg, lambda: make_rng(30))
     x = rand_pixel_image((6, 6, 1), seed=36)
-    _, g = est.loss_and_grad(x, 0)
-    fd = central_diff(lambda t: est.loss_and_grad(t, 0)[0], x, h=1e-5)
+    _, g = compose_dts(base, x, 0, cfg, make_rng(30))
+    fd = central_diff(lambda t: compose_dts(base, t, 0, cfg, make_rng(30))[0], x, h=1e-5)
     assert np.max(np.abs(fd - g)) / max(1.0, np.max(np.abs(g))) < 1e-6
 
 
@@ -445,17 +413,12 @@ def test_identity_kernel_full_stack_matches_central_difference():
     base = QuadraticOracle((6, 6, 1), seed=31)
     cfg = TransformConfig(enabled=("dim", "tim", "sim"), dim_prob=1.0,
                           dim_resize_low=4, tim_kernel_size=1, sim_copies=2)
-    est = TransformedOracle(base, cfg, lambda: make_rng(32))
     x = rand_pixel_image((6, 6, 1), seed=37)
-    _, g = est.loss_and_grad(x, 0)
-    fd = central_diff(lambda t: est.loss_and_grad(t, 0)[0], x, h=1e-5)
+    _, g = compose_dts(base, x, 0, cfg, make_rng(32))
+    fd = central_diff(lambda t: compose_dts(base, t, 0, cfg, make_rng(32))[0], x, h=1e-5)
     assert np.max(np.abs(fd - g)) / max(1.0, np.max(np.abs(g))) < 1e-6
     # identity-kernel smoothing really is a no-op on the gradient
-    no_tim = TransformedOracle(
-        base,
-        TransformConfig(enabled=("dim", "sim"), dim_prob=1.0, dim_resize_low=4,
-                        sim_copies=2),
-        lambda: make_rng(32),
-    )
-    _, g_plain = no_tim.loss_and_grad(x, 0)
+    no_tim = TransformConfig(enabled=("dim", "sim"), dim_prob=1.0, dim_resize_low=4,
+                             sim_copies=2)
+    _, g_plain = compose_dts(base, x, 0, no_tim, make_rng(32))
     assert np.array_equal(g, conv2d_same(g_plain, identity_kernel(1)))
