@@ -21,8 +21,7 @@ from .attacks import (
 from .data import LabeledDataset, generate_synthetic, load_idx, subsample
 from .errors import AdvmError
 from .evaluate import (
-    AblationResult,
-    TransferMatrix,
+    RateTable,
     ablation_sweep,
     attack_success_rate,
     emit_report,
@@ -46,13 +45,12 @@ __all__ = [
     "AdvmError",
     "AttackConfig",
     "AttackResult",
-    "AblationResult",
     "EnsembleOracle",
     "LabeledDataset",
     "Model",
     "ModelSpec",
+    "RateTable",
     "SamplingSpec",
-    "TransferMatrix",
     "TransformConfig",
     "VARIANTS",
     "attack_batch",

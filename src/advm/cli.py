@@ -24,14 +24,14 @@ from .data import generate_synthetic, load_idx, subsample
 from .errors import AdvmError
 from .evaluate import (
     SWEEPABLE,
-    TransferMatrix,
+    RateTable,
     ablation_sweep,
     apply_parameter,
     attack_success_rate,
     emit_report,
     parse_report_csv,
 )
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, read_manifest
 from .models import ARCHITECTURES, EnsembleOracle, ModelSpec, load_model, save_model, train_sgd
 from .sampling import SamplingSpec
 from .tensor import load_tensor, save_tensor, validate_image
@@ -360,37 +360,19 @@ def attack_cmd(surrogate, dataset, out_dir, num_images, jobs, filecfg, **cli):
     click.echo(f"wrote {out_dir}/")
 
 
-# the JSON type of each advset manifest field that _load_advset reads, and its name
-_ADVSET_TYPES = {"count": (int, "an integer"), "files": (list, "a list"),
-                 "labels": (list, "a list"), "surrogates": (list, "a list"),
-                 "config": (dict, "an object"), "config_hash": (str, "a string")}
-
-
 def _load_advset(adv_dir: str) -> tuple:
     """The checked manifest of a stored adversarial set, and its tensors."""
     manifest_path = os.path.join(adv_dir, _MANIFEST_NAME)
     if not os.path.exists(manifest_path):
         raise click.ClickException(f"no adversarial examples: {manifest_path} missing")
     try:
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except (OSError, ValueError) as exc:
+        manifest = read_manifest(manifest_path, "advm-advset", 1, {
+            "count": int, "files": list, "labels": list, "surrogates": list,
+            "config": dict, "config_hash": str})
+    except OSError as exc:
         raise click.ClickException(f"unreadable manifest {manifest_path}: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise click.ClickException(f"{manifest_path} is not a JSON object")
-    if manifest.get("count", 0) == 0 or not manifest.get("files"):
+    if manifest["count"] == 0 or not manifest["files"]:
         raise click.ClickException("no adversarial examples in the manifest")
-    if (manifest.get("format"), manifest.get("version")) != ("advm-advset", 1):
-        raise click.ClickException(
-            f"{manifest_path}: expected format advm-advset version 1, got "
-            f"{manifest.get('format')!r} version {manifest.get('version')!r}")
-    missing = {"labels", "surrogates", "config", "config_hash"} - set(manifest)
-    if missing:
-        raise click.ClickException(f"{manifest_path} lacks {', '.join(sorted(missing))}")
-    for key, (kind, what) in _ADVSET_TYPES.items():   # type(), so a bool is not an int
-        if type(manifest[key]) is not kind:
-            raise click.ClickException(f"{manifest_path}: {key} must be {what}, got "
-                                       f"{type(manifest[key]).__name__}")
     surrogates = manifest["surrogates"]
     if not surrogates or not all(type(s) is str and s for s in surrogates):
         raise click.ClickException(
@@ -438,16 +420,11 @@ def eval_cmd(adv_dir, targets, out_path, fmt):
         if bad:
             raise click.ClickException(f"label {bad[0]!r} is not an integer in "
                                        f"[0, {t.num_classes}), the classes of target {t.name}")
-    surrogate_name = "+".join(manifest["surrogates"])
     rates = tuple(attack_success_rate(t, advs, labels) for t in target_models)
-    matrix = TransferMatrix(
-        surrogates=(surrogate_name,),
-        targets=tuple(t.name for t in target_models),
-        rates=(rates,),
-        n_examples=len(advs),
-        config_hash=manifest["config_hash"],
-        seed=manifest["config"].get("seed"),
-    )
+    matrix = RateTable(rows=("+".join(manifest["surrogates"]),),
+                       targets=tuple(t.name for t in target_models), rates=(rates,),
+                       n_examples=len(advs), config_hash=manifest["config_hash"],
+                       seed=manifest["config"].get("seed"))
     _write_or_echo(emit_report(matrix, fmt), out_path)
 
 

@@ -5,11 +5,11 @@ images the target model misclassifies, counting examples the target
 already got wrong. Transfer numbers are averaged over replicates
 elsewhere; this module computes one matrix or sweep at a time.
 
-Both results report as one table of rates, row label x target: a matrix's
-rows are its surrogates, an ablation's are its grid values (the table is
-zip(*curves)) behind a leading `parameter` column. One CSV writer gives a
-line per cell and one parser reads either type back exactly; one markdown
-renderer draws either from its corner cell, cells and footer.
+Both results are one RateTable, row label x target: a matrix's rows are
+its surrogates, an ablation's are its grid values, named by its
+`parameter` (None for a matrix). One CSV writer gives a line per cell and
+one parser reads either back exactly; one markdown renderer draws either
+from its corner cell, cells and footer.
 """
 
 import csv
@@ -39,43 +39,29 @@ def transfer_rates(oracle, targets, dataset: LabeledDataset, cfg: AttackConfig,
                    jobs: int = 1) -> tuple:
     """Craft the dataset on oracle, then score the adversarial images on
     each target: one success rate per target, in target order."""
+    if not targets:
+        raise ValueError("no target models to score")
     results = attack_batch(oracle, dataset.images, dataset.labels, cfg, jobs=jobs)
     advs = [r.adv for r in results]
     return tuple(attack_success_rate(t, advs, dataset.labels) for t in targets)
 
 
 @dataclass(frozen=True)
-class TransferMatrix:
-    surrogates: tuple
+class RateTable:
+    rows: tuple               # surrogate names (a matrix) or grid values (an ablation)
     targets: tuple
-    rates: tuple              # rates[i][j]: crafted on surrogate i, scored on target j
+    rates: tuple              # rates[i][j]: row i scored on target j
     n_examples: int
     config_hash: str
+    parameter: str | None = None   # the swept parameter; None for a transfer matrix
     seed: int | None = None
 
-    def rate(self, surrogate: str, target: str) -> float:
-        i = self.surrogates.index(surrogate)
-        j = self.targets.index(target)
-        return self.rates[i][j]
-
-
-@dataclass(frozen=True)
-class AblationResult:
-    parameter: str
-    grid: tuple
-    targets: tuple
-    curves: tuple             # curves[j][k]: target j at grid value k
-    n_examples: int
-    config_hash: str
-    seed: int | None = None
+    def rate(self, row, target: str) -> float:
+        return self.rates[self.rows.index(row)][self.targets.index(target)]
 
     def mean_curve(self) -> tuple:
-        """Grid-aligned rates averaged over targets."""
-        n_t = len(self.targets)
-        return tuple(
-            sum(self.curves[j][k] for j in range(n_t)) / n_t
-            for k in range(len(self.grid))
-        )
+        """Each row's rate averaged over the targets."""
+        return tuple(sum(row) / len(self.targets) for row in self.rates)
 
 
 def transfer_matrix(
@@ -85,19 +71,15 @@ def transfer_matrix(
     cfg: AttackConfig,
     jobs: int = 1,
     ensemble: bool = False,
-) -> TransferMatrix:
+) -> RateTable:
     """Craft on each surrogate (or their logit-fused ensemble), score on
     every target. Identical target models produce identical columns."""
-    if len(dataset) == 0:
-        raise EmptyDataset("no examples to attack")
-    if not targets:
-        raise ValueError("no target models to score")
     if ensemble and len(surrogates) > 1:
         crafting = [EnsembleOracle(surrogates)]
     else:
         crafting = list(surrogates)
-    return TransferMatrix(
-        surrogates=tuple(o.name for o in crafting),
+    return RateTable(
+        rows=tuple(o.name for o in crafting),
         targets=tuple(t.name for t in targets),
         rates=tuple(transfer_rates(o, targets, dataset, cfg, jobs) for o in crafting),
         n_examples=len(dataset),
@@ -137,7 +119,7 @@ def ablation_sweep(
     targets,
     dataset: LabeledDataset,
     jobs: int = 1,
-) -> AblationResult:
+) -> RateTable:
     """Success rate per target for each grid value of one parameter.
 
     The grid is sorted (numerically when numeric) and deduplicated; every
@@ -146,20 +128,18 @@ def ablation_sweep(
     """
     if not grid:
         raise ValueError("empty ablation grid")
-    if not targets:
-        raise ValueError("no target models to score")
     values = sorted(set(grid))
     rows = [
         transfer_rates(surrogate, targets, dataset, apply_parameter(base_cfg, parameter, v), jobs)
         for v in values
     ]
-    return AblationResult(
-        parameter=parameter,
-        grid=tuple(values),
+    return RateTable(
+        rows=tuple(values),
         targets=tuple(t.name for t in targets),
-        curves=tuple(zip(*rows)),
+        rates=tuple(rows),
         n_examples=len(dataset),
         config_hash=base_cfg.config_hash(),
+        parameter=parameter,
         seed=base_cfg.seed,
     )
 
@@ -167,35 +147,33 @@ def ablation_sweep(
 # -- reports -----------------------------------------------------------------
 
 
-def emit_report(result, fmt: str = "csv") -> str:
-    """Render a TransferMatrix or AblationResult as CSV or markdown.
+def emit_report(result: RateTable, fmt: str = "csv") -> str:
+    """Render a RateTable as CSV or markdown.
 
     CSV rates use repr floats, so parsing the report back reproduces the
     numbers exactly. Output is deterministic for identical inputs.
     """
     if fmt not in ("csv", "markdown"):
         raise ValueError(f"unknown report format {fmt!r}")
-    if isinstance(result, TransferMatrix):
-        lead, labels, table = [], result.surrogates, result.rates
-    elif isinstance(result, AblationResult):
-        lead, labels, table = [result.parameter], result.grid, tuple(zip(*result.curves))
-    else:
+    if not isinstance(result, RateTable):
         raise TypeError(f"cannot report a {type(result).__name__}")
+    lead = [] if result.parameter is None else [result.parameter]
     footer = f"n={result.n_examples}, config={result.config_hash}"
     if fmt == "csv":
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(_ABLATION_HEADER if lead else _MATRIX_HEADER)
-        for label, row in zip(labels, table):
+        for label, row in zip(result.rows, result.rates):
             for t, r in zip(result.targets, row):
                 w.writerow(lead + [label, t, repr(r), result.n_examples, result.config_hash])
         return buf.getvalue()
     if lead:   # rows are targets, columns grid values, plus a mean row
-        cells = [(t, [_pct(r) for r in curve]) for t, curve in zip(result.targets, result.curves)]
+        cells = [(t, [_pct(r) for r in curve])
+                 for t, curve in zip(result.targets, zip(*result.rates))]
         cells.append(("mean", [_pct(r) for r in result.mean_curve()]))
-        return _markdown_table(f"target \\ {result.parameter}", result.grid, cells, footer)
+        return _markdown_table(f"target \\ {result.parameter}", result.rows, cells, footer)
     cells = [(s, [_pct(r) + ("*" if s == t else "") for t, r in zip(result.targets, row)])
-             for s, row in zip(result.surrogates, result.rates)]
+             for s, row in zip(result.rows, result.rates)]
     return _markdown_table("surrogate \\ target", result.targets, cells,
                            footer + " (* = white-box)")
 
@@ -211,29 +189,37 @@ def _pct(rate: float) -> str:
     return f"{100.0 * rate:.1f}"
 
 
-def parse_report_csv(text: str):
-    """Inverse of emit_report(..., "csv"); detects which report type it is.
+def parse_report_csv(text: str) -> RateTable:
+    """Inverse of emit_report(..., "csv"), for either header.
 
     Raises ValueError unless every (row, target) cell appears exactly once
-    and all rows agree on the parameter, n and config_hash.
+    with a finite rate in [0, 1], n is at least 1, and all rows agree on
+    the parameter, n and config_hash.
     """
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows:
+    try:
+        lines = list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:   # a field past the csv module's size limit
+        raise ValueError(f"unreadable CSV: {exc}") from exc
+    if not lines:
         raise ValueError("empty report")
-    header, body = rows[0], rows[1:]
+    header, body = lines[0], lines[1:]
     if header not in (_MATRIX_HEADER, _ABLATION_HEADER):
         raise ValueError(f"unrecognized report header {header}")
     if not body:
         raise ValueError("report has no data rows")
     labels, targets, cells, shared = {}, {}, {}, set()
-    for row in body:
-        if len(row) != len(header):
-            raise ValueError(f"row {row} has {len(row)} fields, want {len(header)}")
-        *lead, label, t, rate, n, h = row
+    for line in body:
+        if len(line) != len(header):
+            raise ValueError(f"row {line} has {len(line)} fields, want {len(header)}")
+        *lead, label, t, rate, n, h = line
         if (label, t) in cells:
             raise ValueError(f"duplicate rate for row {label!r}, target {t!r}")
         labels[label] = targets[t] = None
         cells[(label, t)] = float(rate)
+        if not 0.0 <= cells[(label, t)] <= 1.0:   # NaN fails this too
+            raise ValueError(f"rate {rate!r} for row {label!r}, target {t!r} is not in [0, 1]")
+        if int(n) < 1:
+            raise ValueError(f"n={n} is not a count of at least 1")
         shared.add((tuple(lead), int(n), h))
     if len(shared) > 1:
         raise ValueError("rows disagree on the parameter, n or config_hash")
@@ -241,9 +227,6 @@ def parse_report_csv(text: str):
     if missing:
         raise ValueError(f"no rate for row {missing[0][0]!r}, target {missing[0][1]!r}")
     lead, n, h = shared.pop()
-    table = tuple(tuple(cells[(r, t)] for t in targets) for r in labels)
-    if not lead:
-        return TransferMatrix(surrogates=tuple(labels), targets=tuple(targets), rates=table,
-                              n_examples=n, config_hash=h)
-    return AblationResult(parameter=lead[0], grid=tuple(labels), targets=tuple(targets),
-                          curves=tuple(zip(*table)), n_examples=n, config_hash=h)
+    rates = tuple(tuple(cells[(r, t)] for t in targets) for r in labels)
+    return RateTable(rows=tuple(labels), targets=tuple(targets), rates=rates, n_examples=n,
+                     config_hash=h, parameter=lead[0] if lead else None)

@@ -30,7 +30,7 @@ import base64
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -44,13 +44,22 @@ from .errors import (
     ShapeMismatch,
     VersionMismatch,
 )
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, read_manifest
 from .sampling import derive_rng, make_rng
 
 ARCHITECTURES = ("logistic", "mlp", "smallcnn")
 
 _MODEL_FORMAT = "advm-model"
 _MODEL_VERSION = 2
+# The JSON type of each model manifest field load_model reads; "spec" holds
+# ModelSpec's fields. The name and each declared shape take any value here:
+# load_model checks them itself.
+_MODEL_FIELDS = {
+    "name": object,
+    "spec": {"arch": str, "input_shape": list, "num_classes": int, "hidden": list,
+             "conv_channels": int, "conv_kernel": int, "seed": int},
+    "params": {"*": {"shape": object, "f8": str}},
+}
 
 
 @dataclass(frozen=True)
@@ -68,7 +77,7 @@ class ModelSpec:
             raise ValueError(f"unknown architecture {self.arch!r}")
         sizes = (*self.input_shape, self.num_classes, *self.hidden, self.conv_channels,
                  self.conv_kernel, self.seed)
-        if not all(isinstance(v, numbers.Integral) for v in sizes):
+        if not all(isinstance(v, numbers.Integral) and type(v) is not bool for v in sizes):
             raise ValueError(f"sizes and seed must be integers, got {sizes}")
         if len(self.input_shape) != 3 or any(d < 1 for d in self.input_shape):
             raise ValueError(f"bad input shape {self.input_shape}")
@@ -520,15 +529,7 @@ def save_model(model: Model, path: str) -> None:
         "format": _MODEL_FORMAT,
         "version": _MODEL_VERSION,
         "name": model.name,
-        "spec": {
-            "arch": model.spec.arch,
-            "input_shape": list(model.spec.input_shape),
-            "num_classes": model.spec.num_classes,
-            "hidden": list(model.spec.hidden),
-            "conv_channels": model.spec.conv_channels,
-            "conv_kernel": model.spec.conv_kernel,
-            "seed": model.spec.seed,
-        },
+        "spec": asdict(model.spec),
         "params": {
             k: {"shape": list(v.shape),
                 "f8": base64.b64encode(v.astype("<f8").tobytes()).decode()}
@@ -541,49 +542,35 @@ def save_model(model: Model, path: str) -> None:
 def load_model(path: str) -> Model:
     """Read a save_model file; a failed check is a CorruptFile, or a VersionMismatch."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise CorruptFile(f"{path}: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != _MODEL_FORMAT:
-        raise CorruptFile(f"{path} is not a model manifest")
-    if doc.get("version") != _MODEL_VERSION:
-        raise VersionMismatch(f"{path}: model format version {doc.get('version')!r}, want "
-                              f"{_MODEL_VERSION}; retrain the model with `advm train`")
-    where = path   # the file, then the parameter being checked
+        doc = read_manifest(path, _MODEL_FORMAT, _MODEL_VERSION, _MODEL_FIELDS)
+    except VersionMismatch as exc:
+        raise VersionMismatch(f"{exc}; retrain the model with `advm train`") from exc
+    name, stored = doc["name"], doc["params"]
     try:
-        s = doc["spec"]
-        spec = ModelSpec(
-            arch=s["arch"],
-            input_shape=tuple(s["input_shape"]),
-            num_classes=s["num_classes"],
-            hidden=tuple(s["hidden"]),
-            conv_channels=s["conv_channels"],
-            conv_kernel=s["conv_kernel"],
-            seed=s["seed"],
-        )
-        name, stored, expected = doc["name"], doc["params"], _param_shapes(spec)
-        if not isinstance(name, str) or not name:
-            raise CorruptFile(f"{path}: model name {name!r} is not a non-empty string")
-        if set(stored) != set(expected):
-            raise CorruptFile(f"{path}: parameter names {sorted(stored)} do not match arch")
-        for k, (shape, _) in expected.items():
-            where = f"{path}: {k}"
-            if not isinstance(stored[k], dict):
-                raise CorruptFile(f"{where} is a {type(stored[k]).__name__}, not an object")
-            declared = stored[k]["shape"]
-            if tuple(declared) != shape or any(type(d) is not int for d in declared):
-                raise CorruptFile(f"{where} has shape {declared!r}, want {shape}")
-        params = {}
-        for k, (shape, _) in expected.items():   # every shape checked, now the payloads
-            where = f"{path}: {k}"
+        spec = ModelSpec(**{k: doc["spec"][k] for k in _MODEL_FIELDS["spec"]})
+    except ValueError as exc:
+        raise CorruptFile(f"{path}: spec: {exc}") from exc
+    if type(name) is not str or not name:
+        raise CorruptFile(f"{path}: model name {name!r} is not a non-empty string")
+    expected = _param_shapes(spec)
+    if set(stored) != set(expected):
+        raise CorruptFile(f"{path}: parameter names {sorted(stored)} do not match arch")
+    for k, (shape, _) in expected.items():
+        declared = stored[k]["shape"]
+        if (type(declared) is not list or tuple(declared) != shape
+                or any(type(d) is not int for d in declared)):
+            raise CorruptFile(f"{path}: {k} has shape {declared!r}, want {shape}")
+    params = {}
+    for k, (shape, _) in expected.items():   # every shape checked, now the payloads
+        where = f"{path}: {k}"
+        try:
             raw = base64.b64decode(stored[k]["f8"], validate=True)
-            if len(raw) != 8 * math.prod(shape):
-                raise CorruptFile(f"{where} payload is {len(raw)} bytes, not 8 per "
-                                  f"value of shape {shape}")
-            params[k] = np.frombuffer(raw, "<f8").reshape(shape).astype(np.float64)
-            if not np.isfinite(params[k]).all():
-                raise CorruptFile(f"{where} holds a non-finite value")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CorruptFile(f"{where}: {exc}") from exc
+        except ValueError as exc:
+            raise CorruptFile(f"{where} payload is not strict base64: {exc}") from exc
+        if len(raw) != 8 * math.prod(shape):
+            raise CorruptFile(f"{where} payload is {len(raw)} bytes, not 8 per "
+                              f"value of shape {shape}")
+        params[k] = np.frombuffer(raw, "<f8").reshape(shape).astype(np.float64)
+        if not np.isfinite(params[k]).all():
+            raise CorruptFile(f"{where} holds a non-finite value")
     return Model(spec, params, name)

@@ -22,7 +22,7 @@ from advm.cli import (
     read_config_file,
     resolve_attack_config,
 )
-from advm.evaluate import SWEEPABLE, AblationResult, TransferMatrix, parse_report_csv
+from advm.evaluate import SWEEPABLE, RateTable, parse_report_csv
 from advm.models import load_model
 from advm.sampling import SamplingSpec
 from advm.tensor import load_tensor, save_tensor
@@ -272,8 +272,8 @@ def test_eval_rates_match_manifest_white_box(runner, trained, advset):
                                   "--targets", trained["model"]])
     assert result.exit_code == 0, result.output
     matrix = parse_report_csv(result.output)
-    assert isinstance(matrix, TransferMatrix)
-    assert matrix.surrogates == ("surr",) and matrix.targets == ("surr",)
+    assert isinstance(matrix, RateTable) and matrix.parameter is None
+    assert matrix.rows == ("surr",) and matrix.targets == ("surr",)
     with open(os.path.join(advset, "manifest.json")) as fh:
         manifest = json.load(fh)
     # scoring the surrogate itself reproduces the crafting-time flags
@@ -289,7 +289,7 @@ def test_eval_accepts_glob_targets_and_writes_file(runner, trained, advset, tmp_
                                   "--out", out_path])
     assert result.exit_code == 0, result.output
     with open(out_path) as fh:
-        assert isinstance(parse_report_csv(fh.read()), TransferMatrix)
+        assert parse_report_csv(fh.read()).parameter is None
 
 
 def test_eval_missing_manifest_is_an_error(runner, trained, tmp_path):
@@ -301,7 +301,8 @@ def test_eval_missing_manifest_is_an_error(runner, trained, tmp_path):
 
 def test_eval_empty_manifest_is_an_error(runner, trained, tmp_path):
     with open(tmp_path / "manifest.json", "w") as fh:
-        json.dump({"count": 0, "files": [], "labels": [], "surrogates": ["s"],
+        json.dump({"format": "advm-advset", "version": 1,
+                   "count": 0, "files": [], "labels": [], "surrogates": ["s"],
                    "config_hash": "0" * 12, "config": {}}, fh)
     result = runner.invoke(main, ["eval", "--adv", str(tmp_path),
                                   "--targets", trained["model"]])
@@ -320,9 +321,9 @@ def test_ablate_sweeps_sample_count(runner, trained, tmp_path):
     assert result.exit_code == 0, result.output
     with open(out_path) as fh:
         sweep = parse_report_csv(fh.read())
-    assert isinstance(sweep, AblationResult)
+    assert isinstance(sweep, RateTable)
     assert sweep.parameter == "samples"
-    assert sweep.grid == ("1", "3")
+    assert sweep.rows == ("1", "3")
     assert sweep.targets == ("surr",)
 
 
@@ -732,7 +733,7 @@ def test_ablate_grid_value_takes_its_flag_text(runner, trained, tmp_path, param,
     for part in SWEEPABLE[param].split("."):
         value = value[part]
     with open(sweep_path) as fh:
-        assert parse_report_csv(fh.read()).grid == (str(value),)
+        assert parse_report_csv(fh.read()).rows == (str(value),)
 
 
 # -- eval manifest checks ----------------------------------------------------------
@@ -855,3 +856,50 @@ def test_eval_refuses_a_tensor_of_the_wrong_rank(runner, trained, advset, tmp_pa
                                   "--targets", trained["model"]])
     assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
     assert f"unreadable adversarial tensor {first}: expected a rank-3 array" in result.output
+
+
+# -- one checked manifest reader, one report parser ----------------------------------
+
+_DEEP_JSON = "[" * 200000   # past Python's recursion limit: json raises RecursionError
+
+
+def test_eval_refuses_a_deeply_nested_manifest(runner, trained, advset, tmp_path):
+    adv_dir = _edit_advset(advset, tmp_path, lambda m: None)
+    (adv_dir / "manifest.json").write_text(_DEEP_JSON)
+    out = tmp_path / "report.csv"
+    result = runner.invoke(main, ["eval", "--adv", str(adv_dir), "--targets", trained["model"],
+                                  "--out", str(out)])
+    _assert_error_wrote_nothing(result, ["CorruptFile", "unreadable manifest", "recursion"],
+                                out)
+
+
+def test_attack_refuses_a_deeply_nested_surrogate(runner, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text(_DEEP_JSON)
+    out = tmp_path / "advset"
+    result = runner.invoke(main, ["attack", "--surrogate", str(deep),
+                                  "--dataset", "synthetic:2x3x6", "--out", str(out)])
+    _assert_error_wrote_nothing(result, ["CorruptFile", "unreadable manifest", "recursion"],
+                                out)
+
+
+@pytest.mark.parametrize("cell, text", [
+    ("s,t,nan,4,h", "rate 'nan' for row 's', target 't' is not in [0, 1]"),
+    ("s,t,1.5,4,h", "rate '1.5' for row 's', target 't' is not in [0, 1]"),
+    ("s,t,0.5,-3,h", "n=-3 is not a count of at least 1"),
+], ids=["nan-rate", "rate-above-one", "negative-n"])
+def test_report_refuses_an_impossible_number(runner, tmp_path, cell, text):
+    stored = tmp_path / "matrix.csv"
+    stored.write_text("surrogate,target,rate,n,config_hash\n" + cell + "\n")
+    out = tmp_path / "matrix.md"
+    result = runner.invoke(main, ["report", "--in", str(stored), "--out", str(out)])
+    _assert_error_wrote_nothing(result, ["unreadable report", text], out)
+
+
+def test_report_refuses_a_field_past_the_csv_size_limit(runner, tmp_path):
+    stored = tmp_path / "matrix.csv"
+    stored.write_text("surrogate,target,rate,n,config_hash\n" + "s" * 200000 + ",t,0.5,4,h\n")
+    out = tmp_path / "matrix.md"
+    result = runner.invoke(main, ["report", "--in", str(stored), "--out", str(out)])
+    _assert_error_wrote_nothing(result, ["unreadable report", "field larger than field limit"],
+                                out)

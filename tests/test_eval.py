@@ -1,5 +1,7 @@
 """Evaluation harness: success rates, transfer matrices, sweeps, reports."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,7 @@ from advm.attacks import AttackConfig, attack_batch
 from advm.data import LabeledDataset, generate_synthetic
 from advm.errors import EmptyDataset, UnknownParameter
 from advm.evaluate import (
-    AblationResult,
-    TransferMatrix,
+    RateTable,
     ablation_sweep,
     apply_parameter,
     attack_success_rate,
@@ -70,8 +71,8 @@ def test_attack_success_rate_validation():
 
 
 def test_rate_lookup_by_name():
-    m = TransferMatrix(
-        surrogates=("s1", "s2"), targets=("t1", "t2"),
+    m = RateTable(
+        rows=("s1", "s2"), targets=("t1", "t2"),
         rates=((0.1, 0.2), (0.3, 0.4)), n_examples=10, config_hash="0" * 12,
     )
     assert m.rate("s1", "t2") == 0.2
@@ -90,7 +91,7 @@ def test_transfer_matrix_deterministic_and_column_structure():
     assert m1.rates == m2.rates
     # the same target scored twice gives two identical columns
     assert m1.rates[0][0] == m1.rates[0][1]
-    assert m1.surrogates == ("s0",)
+    assert m1.rows == ("s0",)
     assert m1.n_examples == len(data)
     assert m1.config_hash == cfg.config_hash()
     assert m1.seed == 5
@@ -108,10 +109,10 @@ def test_transfer_matrix_ensemble_fuses_surrogates():
     t = _named_quadratic("t", seed=5)
     cfg = AttackConfig(variant="ifgsm", eps=0.2, iters=2)
     m = transfer_matrix([a, b], [t], data, cfg, ensemble=True)
-    assert m.surrogates == ("a+b",)
+    assert m.rows == ("a+b",)
     assert len(m.rates) == 1
     plain = transfer_matrix([a, b], [t], data, cfg, ensemble=False)
-    assert plain.surrogates == ("a", "b")
+    assert plain.rows == ("a", "b")
     assert len(plain.rates) == 2
 
 
@@ -168,10 +169,10 @@ def test_ablation_sweep_sorts_and_dedups_grid():
     base = AttackConfig(variant="emifgsm", eps=0.2, iters=2,
                         sampling=SamplingSpec(count=1))
     res = ablation_sweep("samples", [3, 1, 3], base, s, [t], data)
-    assert res.grid == (1, 3)
+    assert res.rows == (1, 3)
     assert res.parameter == "samples"
     assert res.targets == ("t",)
-    assert len(res.curves) == 1 and len(res.curves[0]) == 2
+    assert len(res.rates) == 2 and len(res.rates[0]) == 1
     assert res.config_hash == base.config_hash()
 
 
@@ -190,10 +191,10 @@ def test_empty_target_list_is_refused():
 
 
 def test_mean_curve_hand_check():
-    a = AblationResult(
-        parameter="samples", grid=(1, 3, 5), targets=("t1", "t2"),
-        curves=((0.1, 0.2, 0.3), (0.3, 0.4, 0.5)),
-        n_examples=10, config_hash="f" * 12,
+    a = RateTable(
+        rows=(1, 3, 5), targets=("t1", "t2"),
+        rates=((0.1, 0.3), (0.2, 0.4), (0.3, 0.5)),
+        n_examples=10, config_hash="f" * 12, parameter="samples",
     )
     assert a.mean_curve() == (
         pytest.approx(0.2), pytest.approx(0.3), pytest.approx(0.4)
@@ -204,18 +205,18 @@ def test_mean_curve_hand_check():
 
 
 def _sample_matrix():
-    return TransferMatrix(
-        surrogates=("s1", "t1"), targets=("t1", "t2"),
+    return RateTable(
+        rows=("s1", "t1"), targets=("t1", "t2"),
         rates=((1 / 3, 2 / 3), (0.25, 1.0)),
         n_examples=12, config_hash="abc123def456",
     )
 
 
 def _sample_ablation():
-    return AblationResult(
-        parameter="eta", grid=(1.0, 3.0), targets=("t1", "t2"),
-        curves=((0.125, 1 / 3), (0.5, 0.75)),
-        n_examples=9, config_hash="0123456789ab",
+    return RateTable(
+        rows=(1.0, 3.0), targets=("t1", "t2"),
+        rates=((0.125, 0.5), (1 / 3, 0.75)),
+        n_examples=9, config_hash="0123456789ab", parameter="eta",
     )
 
 
@@ -224,9 +225,9 @@ def test_matrix_csv_roundtrip_is_exact():
     text = emit_report(m, "csv")
     assert text.splitlines()[0] == "surrogate,target,rate,n,config_hash"
     back = parse_report_csv(text)
-    assert isinstance(back, TransferMatrix)
+    assert isinstance(back, RateTable) and back.parameter is None
     assert back.rate("s1", "t1") == 1 / 3          # repr floats parse back exactly
-    assert back.surrogates == m.surrogates and back.targets == m.targets
+    assert back.rows == m.rows and back.targets == m.targets
     assert back.n_examples == 12 and back.config_hash == "abc123def456"
     assert emit_report(back, "csv") == text
 
@@ -236,11 +237,11 @@ def test_ablation_csv_roundtrip_is_stable():
     text = emit_report(a, "csv")
     assert text.splitlines()[0] == "parameter,value,target,rate,n,config_hash"
     back = parse_report_csv(text)
-    assert isinstance(back, AblationResult)
+    assert isinstance(back, RateTable)
     assert back.parameter == "eta"
     # grid values come back as strings, but a second emit is identical text
-    assert back.grid == ("1.0", "3.0")
-    assert back.curves[0][1] == 1 / 3
+    assert back.rows == ("1.0", "3.0")
+    assert back.rates[1][0] == 1 / 3
     assert emit_report(back, "csv") == text
 
 
@@ -292,3 +293,21 @@ def test_report_errors():
     ]:
         with pytest.raises(ValueError, match=message):
             parse_report_csv(text)
+
+
+@pytest.mark.parametrize("cell, text", [
+    ("s1,t1,nan,4,h", "rate 'nan'"),
+    ("s1,t1,inf,4,h", "rate 'inf'"),
+    ("s1,t1,1.5,4,h", "rate '1.5'"),
+    ("s1,t1,-0.25,4,h", "rate '-0.25'"),
+    ("s1,t1,0.5,0,h", "n=0"),
+    ("s1,t1,0.5,-3,h", "n=-3"),
+])
+def test_parse_report_csv_refuses_impossible_numbers(cell, text):
+    with pytest.raises(ValueError, match=re.escape(text)):
+        parse_report_csv("surrogate,target,rate,n,config_hash\n" + cell + "\n")
+
+
+def test_parse_report_csv_takes_rates_of_zero_and_one():
+    back = parse_report_csv("surrogate,target,rate,n,config_hash\ns,t0,0.0,1,h\ns,t1,1.0,1,h\n")
+    assert back.rates == ((0.0, 1.0),) and back.n_examples == 1

@@ -1,0 +1,298 @@
+"""Fuzzing the stored artifacts the CLI reads: a damaged file is refused.
+
+Each test starts from one valid artifact (a trained model, an attack set
+with its manifest, a report CSV), damages it in one way that leaves it
+invalid, runs the command that reads it under CliRunner, and asserts a
+clean refusal: exit code 1 or 2, no Python traceback, and no output file.
+The damages are: a required key dropped, a value (or a spec size) of
+another JSON type, NaN planted, huge dimensions declared, an "f8" payload edited, the text
+truncated, and bytes flipped to non-UTF-8. Hypothesis runs derandomized
+and without an example database, so every run draws the same examples.
+"""
+
+import copy
+import json
+import os
+import shutil
+import struct
+import tempfile
+
+import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from advm.cli import main
+
+from conftest import f8_text, f8_values
+
+_FUZZ = settings(max_examples=50, deadline=None, derandomize=True, database=None)
+
+# Stand-ins for a value of the wrong JSON type; a damage picks one whose type differs.
+_VALUES = (None, True, False, 0, 7, -1, 0.5, float("nan"), "", "text", [], [1], ["a"], {},
+           {"k": 1})
+_HUGE = st.integers(10**5, 2**31 - 1)
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    """Two trained models, an attack set crafted on the first, and their report."""
+    root = tmp_path_factory.mktemp("fuzz")
+    runner = CliRunner()
+    for name, seed in (("surr", "3"), ("tgt", "4")):
+        result = runner.invoke(main, ["train", "--arch", "logistic", "--epochs", "1",
+                                      "--dataset", "synthetic:2x3x6:0.05", "--seed", seed,
+                                      "--out", str(root / f"{name}.json")])
+        assert result.exit_code == 0, result.output
+    result = runner.invoke(main, ["attack", "--surrogate", str(root / "surr.json"),
+                                  "--dataset", "synthetic:2x2x6:0.05", "--attack", "i-fgsm",
+                                  "--iters", "1", "--seed", "3", "--out", str(root / "advset")])
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(main, ["eval", "--adv", str(root / "advset"), "--targets",
+                                  f"{root / 'surr.json'},{root / 'tgt.json'}",
+                                  "--out", str(root / "report.csv")])
+    assert result.exit_code == 0, result.output
+    return root
+
+
+def _assert_refused(result, written):
+    assert result.exit_code in (1, 2), result.output
+    assert isinstance(result.exception, SystemExit), repr(result.exception)
+    assert "Traceback" not in result.output
+    assert not os.path.exists(written)
+
+
+def _at(doc, path):
+    """The container holding path's last key, and that key."""
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc, path[-1]
+
+
+def _other_type(data, old):
+    return data.draw(st.sampled_from([v for v in _VALUES if type(v) is not type(old)]))
+
+
+def _damage_text(data, text: str, cuts: tuple) -> bytes:
+    """The text cut to a length in cuts, or one of its ASCII bytes flipped
+    above 0x7f: between ASCII neighbours that is never valid UTF-8."""
+    if data.draw(st.booleans()):
+        return text[:data.draw(st.integers(*cuts))].encode()
+    raw = bytearray(text.encode())
+    i = data.draw(st.integers(0, len(raw) - 1))
+    raw[i] = raw[i] ^ data.draw(st.integers(0x80, 0xFF))
+    return bytes(raw)
+
+
+def _damage_json(data, doc: dict, paths: list, damages: dict) -> bytes:
+    """A required key dropped or retyped, one of the artifact's own damages,
+    or the text truncated or flipped."""
+    kind = data.draw(st.sampled_from(["drop", "retype", "text", *damages]))
+    doc = copy.deepcopy(doc)
+    if kind == "text":   # any cut loses at least the closing brace
+        text = json.dumps(doc, sort_keys=True)
+        return _damage_text(data, text, (0, len(text) - 1))
+    if kind in ("drop", "retype"):
+        parent, key = _at(doc, data.draw(st.sampled_from(paths)))
+        if kind == "drop":
+            del parent[key]
+        else:
+            parent[key] = _other_type(data, parent[key])
+    else:
+        damages[kind](data, doc)
+    return json.dumps(doc, sort_keys=True).encode()
+
+
+# -- models: advm attack --surrogate and advm eval --targets ------------------------
+
+
+def _plant_nan_in_model(data, doc):
+    if data.draw(st.booleans()):
+        doc["spec"][data.draw(st.sampled_from(["num_classes", "seed", "conv_kernel"]))] = \
+            float("nan")
+        return
+    entry = doc["params"][data.draw(st.sampled_from(sorted(doc["params"])))]
+    values = f8_values(entry["f8"])
+    values[data.draw(st.integers(0, len(values) - 1))] = data.draw(
+        st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+    entry["f8"] = f8_text(values)
+
+
+def _retype_a_spec_size(data, doc):
+    """An input side of equal value but another JSON type: 1 as true, 6 as 6.0."""
+    sizes = doc["spec"]["input_shape"]
+    i = data.draw(st.integers(0, len(sizes) - 1))
+    v = sizes[i]
+    sizes[i] = data.draw(st.sampled_from([float(v), str(v), [v]] + ([True] if v == 1 else [])))
+
+
+def _declare_huge_model_dims(data, doc):
+    if data.draw(st.booleans()):
+        doc["spec"]["input_shape"] = [data.draw(_HUGE), data.draw(_HUGE), 1]
+    else:
+        entry = doc["params"][data.draw(st.sampled_from(sorted(doc["params"])))]
+        entry["shape"] = [data.draw(_HUGE) for _ in entry["shape"]]
+
+
+def _edit_payload(data, doc):
+    entry = doc["params"][data.draw(st.sampled_from(sorted(doc["params"])))]
+    payload, values = entry["f8"], f8_values(entry["f8"])
+    edit = data.draw(st.sampled_from(["cut", "bad char", "one value more", "one value fewer",
+                                      "blank"]))
+    if edit == "cut":
+        entry["f8"] = payload[:-data.draw(st.integers(1, len(payload)))]
+    elif edit == "bad char":
+        i = data.draw(st.integers(0, len(payload) - 1))
+        entry["f8"] = payload[:i] + data.draw(st.sampled_from("!*-_ é")) + payload[i + 1:]
+    elif edit == "one value more":
+        entry["f8"] = f8_text(list(values) + [0.5])
+    elif edit == "one value fewer":
+        entry["f8"] = f8_text(values[:-1])
+    else:
+        entry["f8"] = " " * len(payload)
+
+
+@_FUZZ
+@given(data=st.data())
+def test_a_damaged_model_is_refused_by_attack_and_eval(artifacts, data):
+    with open(artifacts / "surr.json") as fh:
+        doc = json.load(fh)
+    paths = [("format",), ("version",), ("name",), ("spec",), ("params",)]
+    paths += [("spec", key) for key in doc["spec"]]
+    for p in doc["params"]:
+        paths += [("params", p), ("params", p, "shape"), ("params", p, "f8")]
+    damaged = _damage_json(data, doc, paths, {"nan": _plant_nan_in_model,
+                                              "size": _retype_a_spec_size,
+                                              "huge": _declare_huge_model_dims,
+                                              "payload": _edit_payload})
+    with tempfile.TemporaryDirectory(dir=artifacts) as scratch:
+        model = os.path.join(scratch, "model.json")
+        with open(model, "wb") as fh:
+            fh.write(damaged)
+        out = os.path.join(scratch, "advset")
+        _assert_refused(CliRunner().invoke(main, ["attack", "--surrogate", model, "--dataset",
+                                                  "synthetic:2x2x6", "--out", out]), out)
+        out = os.path.join(scratch, "report.csv")
+        _assert_refused(CliRunner().invoke(main, ["eval", "--adv", str(artifacts / "advset"),
+                                                  "--targets", model, "--out", out]), out)
+
+
+# -- attack sets: advm eval --adv ---------------------------------------------------
+
+
+def _plant_nan_in_advset(data, doc):
+    if data.draw(st.booleans()):
+        doc["count"] = float("nan")
+    else:
+        doc["labels"][data.draw(st.integers(0, len(doc["labels"]) - 1))] = float("nan")
+
+
+def _declare_a_huge_count(data, doc):
+    doc["count"] = data.draw(_HUGE)
+
+
+def _break_a_listed_value(data, doc):
+    key, value = data.draw(st.sampled_from([
+        ("files", "../" + doc["files"][0]), ("files", "/etc/passwd"), ("files", ""),
+        ("files", ".."), ("files", "missing.emtn"), ("files", 3),
+        ("labels", 99), ("labels", -1), ("labels", "cat"), ("labels", True), ("labels", 1.0),
+        ("surrogates", ""), ("surrogates", 1),
+    ]))
+    doc[key][data.draw(st.integers(0, len(doc[key]) - 1))] = value
+
+
+def _shorten_a_list(data, doc):
+    key = data.draw(st.sampled_from(["files", "labels", "surrogates"]))
+    doc[key] = doc[key][:data.draw(st.integers(0, len(doc[key]) - 1))]
+
+
+@_FUZZ
+@given(data=st.data())
+def test_a_damaged_attack_set_is_refused_by_eval(artifacts, data):
+    with open(artifacts / "advset" / "manifest.json") as fh:
+        doc = json.load(fh)
+    paths = [(key,) for key in ("format", "version", "count", "files", "labels", "surrogates",
+                                "config", "config_hash")]
+    with tempfile.TemporaryDirectory(dir=artifacts) as scratch:
+        adv_dir = os.path.join(scratch, "advset")
+        shutil.copytree(artifacts / "advset", adv_dir)
+        if data.draw(st.integers(0, 9)) == 0:   # a tensor that declares huge dims
+            with open(os.path.join(adv_dir, doc["files"][0]), "r+b") as fh:
+                fh.seek(9 + 4 * data.draw(st.integers(0, 2)))
+                fh.write(struct.pack("<I", data.draw(_HUGE)))
+        else:
+            damaged = _damage_json(data, doc, paths, {"nan": _plant_nan_in_advset,
+                                                      "huge": _declare_a_huge_count,
+                                                      "value": _break_a_listed_value,
+                                                      "short": _shorten_a_list})
+            with open(os.path.join(adv_dir, "manifest.json"), "wb") as fh:
+                fh.write(damaged)
+        out = os.path.join(scratch, "report.csv")
+        _assert_refused(CliRunner().invoke(main, ["eval", "--adv", adv_dir, "--targets",
+                                                  str(artifacts / "surr.json"), "--out", out]),
+                        out)
+
+
+# -- reports: advm report --in ------------------------------------------------------
+
+# Field values that no report may hold, by column of the two-cell matrix report.
+# A target's name is left out: renamed in one cell, it still makes a whole table.
+_BAD_FIELDS = {
+    0: ["other"],                                                  # a row missing a cell
+    2: ["x", "", "nan", "inf", "-inf", "NaN", "1.5", "-0.25", "1e999"],   # rate
+    3: ["x", "", "0", "-3", "1.5", "nan"],                         # n
+    4: ["other-hash"],                                             # rows disagree
+}
+
+
+def _damage_report(data, text: str) -> bytes:
+    """One invalid variant of a header-and-two-cells report. A whole cell is
+    never dropped: the other one would still make a complete 1x1 table."""
+    lines = text.splitlines()
+    kind = data.draw(st.sampled_from(["field", "huge field", "drop header", "repeat row",
+                                      "drop field", "extra field", "text"]))
+    if kind == "text":   # cut inside the last cell, so it loses a field or its hash
+        return _damage_text(data, text, (len(text) - len(lines[-1]), len(text) - 2))
+    i = data.draw(st.integers(1, len(lines) - 1))
+    fields = lines[i].split(",")
+    if kind in ("field", "huge field"):   # a huge field passes the csv module's size limit
+        j = data.draw(st.sampled_from(sorted(_BAD_FIELDS)))
+        fields[j] = data.draw(st.sampled_from(_BAD_FIELDS[j])) if kind == "field" else (
+            fields[j] * (2**18 // len(fields[j]) + 1))
+        lines[i] = ",".join(fields)
+    elif kind == "drop header":
+        del lines[0]
+    elif kind == "repeat row":
+        lines.insert(i, lines[i])
+    elif kind == "drop field":
+        del fields[data.draw(st.integers(0, len(fields) - 1))]
+        lines[i] = ",".join(fields)
+    else:
+        lines[i] += ",extra"
+    return ("\n".join(lines) + "\n").encode()
+
+
+@_FUZZ
+@given(data=st.data())
+def test_a_damaged_report_is_refused_by_report(artifacts, data):
+    text = (artifacts / "report.csv").read_text()
+    assert len(text.splitlines()) == 3   # a header and two cells
+    with tempfile.TemporaryDirectory(dir=artifacts) as scratch:
+        stored = os.path.join(scratch, "report.csv")
+        with open(stored, "wb") as fh:
+            fh.write(_damage_report(data, text))
+        out = os.path.join(scratch, "report.md")
+        _assert_refused(CliRunner().invoke(main, ["report", "--in", stored, "--out", out]), out)
+
+
+def test_the_undamaged_artifacts_are_accepted(artifacts, tmp_path):
+    runner = CliRunner()
+    result = runner.invoke(main, ["attack", "--surrogate", str(artifacts / "surr.json"),
+                                  "--dataset", "synthetic:2x2x6", "--out", str(tmp_path / "a")])
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(main, ["eval", "--adv", str(artifacts / "advset"), "--targets",
+                                  str(artifacts / "surr.json"), "--out", str(tmp_path / "r.csv")])
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(main, ["report", "--in", str(artifacts / "report.csv"),
+                                  "--out", str(tmp_path / "r.md")])
+    assert result.exit_code == 0, result.output

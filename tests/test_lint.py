@@ -6,12 +6,16 @@ use went, and a module-level `_helper` whose last caller went.
 `__init__.py` is not linted for them, because its imports are the
 package's exports, but what it reads still counts as a reference. The
 third keeps a dependency from coming back, or going stale, unnoticed.
-A last check keeps README's Python examples importing only what the
-package exports, so a removed name cannot stay documented.
+The last checks keep README's Python examples importing only what the
+package exports, and every call README names in backticked prose an
+attribute of the package or one of its modules, so a removed name cannot
+stay documented.
 """
 
 import ast
+import importlib
 import pathlib
+import pkgutil
 import re
 import sys
 
@@ -130,3 +134,30 @@ def test_readme_imports_reads_only_python_blocks():
             "from advm import prose\n```sh\nfrom advm import shell\n```\n"
             "```python\nfrom advm.attacks import c\nfrom advm import d\n```\n")
     assert readme_advm_imports(text) == {"a", "b", "d"}
+
+
+def readme_prose_calls(text: str) -> set:
+    """Names written as a backticked call, `name(...`, outside the fenced blocks."""
+    prose = re.sub(r"^```.*?^```", "", text, flags=re.S | re.M)
+    return set(re.findall(r"`([A-Za-z_]\w*)\(", prose))
+
+
+def unresolved_names(names) -> set:
+    """The names that are no attribute of advm or of any of its modules."""
+    modules = [advm] + [importlib.import_module(f"advm.{m.name}")
+                        for m in pkgutil.iter_modules(advm.__path__)]
+    return {n for n in names if not any(hasattr(m, n) for m in modules)}
+
+
+def test_readme_prose_calls_name_advm_attributes():
+    called = readme_prose_calls((ROOT / "README.md").read_text(encoding="utf-8"))
+    assert called, "README prose names no backticked call"
+    assert not unresolved_names(called), "README prose calls stale names"
+
+
+def test_readme_prose_call_check_flags_a_planted_stale_name():
+    text = ("Use `run_attack(oracle, x, y, cfg)`, then `TransferMatrix(rows, ...)`.\n"
+            "```python\nAblationResult(1)\n```\nA bare `mean_transfer` is no call.\n")
+    called = readme_prose_calls(text)
+    assert called == {"run_attack", "TransferMatrix"}
+    assert unresolved_names(called | {"white_box_rate", "read_manifest"}) == {"TransferMatrix"}

@@ -373,20 +373,27 @@ def _load_doc(tmp_path, doc):
     (lambda p: p.__setitem__("f8", p["f8"][:12]), "fc.W payload is 9 bytes"),
     (lambda p: p.__setitem__("f8", f8_text(f8_values(p["f8"])[:-1])), "fc.W payload is 56 bytes"),
     (lambda p: p.__setitem__("f8", f8_text(np.zeros(9))), "fc.W payload is 72 bytes"),
-    (lambda p: p.__setitem__("f8", 3), "not 'int'"),
-    (lambda p: p.__setitem__("f8", [0.0] * 8), "not 'list'"),
-    (lambda p: p.__setitem__("f8", None), "not 'NoneType'"),
-    (lambda p: p.pop("f8"), "'f8'"),
+    # the ids are these rows' names from when their text was Python's own wording
+    pytest.param(lambda p: p.__setitem__("f8", 3), "fc.W.f8 must be a string, got int",
+                 id="<lambda>-not 'int'"),
+    pytest.param(lambda p: p.__setitem__("f8", [0.0] * 8), "fc.W.f8 must be a string, got list",
+                 id="<lambda>-not 'list'"),
+    pytest.param(lambda p: p.__setitem__("f8", None), "fc.W.f8 must be a string, got NoneType",
+                 id="<lambda>-not 'NoneType'"),
+    pytest.param(lambda p: p.pop("f8"), "lacks params.fc.W.f8", id="<lambda>-'f8'"),
     (lambda p: p.__setitem__("shape", [2.0, 4]), "fc.W has shape [2.0, 4]"),
     (lambda p: p.__setitem__("shape", [True, 4]), "fc.W has shape [True, 4]"),
     (lambda p: p.__setitem__("shape", [2, "4"]), "fc.W has shape"),
     (lambda p: p.__setitem__("shape", "24"), "fc.W has shape"),
-    (lambda p: p.__setitem__("shape", 8), "not iterable"),
-    # failures inside b64decode, tuple() or a lookup name the parameter too
-    (lambda p: p.__setitem__("f8", 3),
-     "fc.W: argument should be a bytes-like object or ASCII string, not 'int'"),
-    (lambda p: p.__setitem__("shape", 8), "fc.W: 'int' object is not iterable"),
-    (lambda p: p.pop("shape"), "fc.W: 'shape'"),
+    pytest.param(lambda p: p.__setitem__("shape", 8), "fc.W has shape 8",
+                 id="<lambda>-not iterable"),
+    # what once failed inside b64decode, tuple() or a lookup names the parameter and key
+    pytest.param(lambda p: p.__setitem__("f8", 3), "params.fc.W.f8 must be a string, got int",
+                 id="<lambda>-fc.W: argument should be a bytes-like object or ASCII string, "
+                    "not 'int'"),
+    pytest.param(lambda p: p.__setitem__("shape", 8), "fc.W has shape 8, want (2, 4)",
+                 id="<lambda>-fc.W: 'int' object is not iterable"),
+    pytest.param(lambda p: p.pop("shape"), "lacks params.fc.W.shape", id="<lambda>-fc.W: 'shape'"),
     ([0.0] * 8, "fc.W is a list, not an object"),
     ("AAAA", "fc.W is a str, not an object"),
     (None, "fc.W is a NoneType, not an object"),
@@ -434,6 +441,59 @@ def test_load_model_refuses_a_name_that_is_not_a_non_empty_string(tmp_path, name
     doc["name"] = name
     with pytest.raises(CorruptFile, match="is not a non-empty string"):
         _load_doc(tmp_path, doc)
+
+
+def test_load_model_names_params_that_are_a_list(tmp_path):
+    doc = _saved_doc(tmp_path)
+    doc["params"] = [doc["params"]["fc.W"]]
+    with pytest.raises(CorruptFile, match="params is a list, not an object"):
+        _load_doc(tmp_path, doc)
+
+
+def test_load_model_names_a_spec_that_is_a_list(tmp_path):
+    doc = _saved_doc(tmp_path)
+    doc["spec"] = [1]
+    with pytest.raises(CorruptFile, match="spec is a list, not an object"):
+        _load_doc(tmp_path, doc)
+
+
+def test_load_model_names_a_missing_spec_key(tmp_path):
+    doc = _saved_doc(tmp_path)
+    del doc["spec"]["arch"]
+    with pytest.raises(CorruptFile, match="lacks spec.arch"):
+        _load_doc(tmp_path, doc)
+
+
+@pytest.mark.parametrize("key, value, text", [
+    ("num_classes", True, "spec.num_classes must be an integer, got bool"),
+    ("seed", 1.0, "spec.seed must be an integer, got float"),
+    ("input_shape", "221", "spec.input_shape must be a list, got str"),
+    ("arch", None, "spec.arch must be a string, got NoneType"),
+])
+def test_load_model_names_a_spec_value_of_the_wrong_json_type(tmp_path, key, value, text):
+    doc = _saved_doc(tmp_path)
+    doc["spec"][key] = value
+    with pytest.raises(CorruptFile, match=re.escape(text)):
+        _load_doc(tmp_path, doc)
+
+
+@pytest.mark.parametrize("key, sizes", [("input_shape", [2, 2, True]), ("hidden", [True])])
+def test_load_model_refuses_a_boolean_spec_size_equal_to_one(tmp_path, key, sizes):
+    # true == 1 matched every declared shape, then numpy refused it as a dimension
+    save_model(Model.initialize(ModelSpec("mlp", (2, 2, 1), 2, hidden=(1,))),
+               str(tmp_path / "m.json"))
+    doc = json.loads((tmp_path / "m.json").read_text())
+    doc["spec"][key] = sizes
+    with pytest.raises(CorruptFile, match="sizes and seed must be integers"):
+        _load_doc(tmp_path, doc)
+
+
+def test_model_spec_refuses_boolean_sizes():
+    for bad in ({"input_shape": (2, 2, True)}, {"num_classes": True}, {"seed": False},
+                {"arch": "mlp", "hidden": (True,)}):
+        kwargs = {"arch": "logistic", "input_shape": (2, 2, 1), "num_classes": 2, **bad}
+        with pytest.raises(ValueError, match="must be integers"):
+            ModelSpec(**kwargs)
 
 
 @pytest.mark.parametrize("arch, extra", [("logistic", {}), ("mlp", {"hidden": (3,)}),
