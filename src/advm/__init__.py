@@ -32,7 +32,6 @@ from .models import (
     EnsembleOracle,
     Model,
     ModelSpec,
-    grad_check,
     load_model,
     save_model,
     train_sgd,
@@ -61,7 +60,6 @@ __all__ = [
     "emit_report",
     "fgsm",
     "generate_synthetic",
-    "grad_check",
     "load_idx",
     "load_model",
     "load_tensor",

@@ -161,7 +161,7 @@ def run_attack(oracle, x, y, cfg: AttackConfig, rng=None, observe=None) -> Attac
     for fgsm and ifgsm), the averaged gradient gbar_t and the number of
     points queried. Its arrays are the attack's own, so it must not write them.
     """
-    validate_image(x, pixel_domain=True)
+    validate_image(x)
     if rng is None:
         rng = make_rng(cfg.seed)
     variant, tcfg = cfg.variant, cfg.transforms

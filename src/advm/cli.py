@@ -163,17 +163,19 @@ def resolve_attack_config(cli: dict, filecfg: dict) -> AttackConfig:
 
 def load_dataset(spec: str, seed: int):
     if spec.startswith("synthetic:"):
-        body = spec[len("synthetic:"):]
-        parts = body.split(":")
+        dims, sep, noise = spec[len("synthetic:"):].partition(":")
+        if ":" in noise:
+            raise click.BadParameter(f"{spec!r} has more than one :NOISE field",
+                                     param_hint="--dataset")
         try:
-            classes, per_class, side = (int(v) for v in parts[0].split("x"))
+            classes, per_class, side = (int(v) for v in dims.split("x"))
         except ValueError as exc:
             raise click.BadParameter(
-                f"synthetic spec must be CLASSESxPER_CLASSxSIDE, got {parts[0]!r}"
+                f"synthetic spec must be CLASSESxPER_CLASSxSIDE, got {dims!r}"
             ) from exc
         try:
-            noise = float(parts[1]) if len(parts) > 1 else 0.1
-            return generate_synthetic(classes, per_class, side, side, 1, noise, seed)
+            return generate_synthetic(classes, per_class, side, side, 1,
+                                      float(noise) if sep else 0.1, seed)
         except ValueError as exc:
             raise click.BadParameter(f"{spec!r}: {exc}", param_hint="--dataset") from exc
     if spec.startswith("idx:"):
@@ -215,22 +217,42 @@ def _positive_finite(ctx, param, value):
     return value
 
 
-def _check_dim_geometry(cfgs, data) -> None:
-    """Reject a diversity geometry the dataset's images cannot take,
-    before any attack work starts."""
+def _check_geometry(cfgs, data) -> None:
+    """Reject a diversity geometry the dataset's images cannot take, or a
+    smoothing kernel wider than any tap can reach, before any attack work."""
     side, width, _ = data.image_shape
-    for cfg in cfgs:
-        if "dim" not in cfg.transforms.enabled:
+    for t in (cfg.transforms for cfg in cfgs):
+        if "tim" in t.enabled and t.tim_kernel_size > 2 * max(side, width) - 1:
+            raise click.BadParameter(f"{t.tim_kernel_size} exceeds 2 * {max(side, width)} - 1 "
+                                     f"for {side}x{width} images", param_hint="--tim-kernel-size")
+        if "dim" not in t.enabled:
             continue
         if side != width:
             raise click.BadParameter(
                 f"dim needs square images, got {side}x{width}", param_hint="--transforms")
         try:
-            cfg.transforms.resolve_dim(side)
+            t.resolve_dim(side)
         except ValueError as exc:
             raise click.BadParameter(
                 f"{exc} for {side}-pixel images",
                 param_hint="--dim-resize-low / --dim-pad-to") from exc
+
+
+def _check_out(path: str | None, directory: bool = False) -> None:
+    """Refuse an --out path the command could not write, before any work.
+    An empty path names no file: eval, ablate and report then echo."""
+    if not path:
+        if directory:
+            raise click.ClickException("cannot write an empty --out directory name")
+        return
+    full = os.path.abspath(path)
+    if os.path.exists(full) and os.path.isdir(full) != directory:
+        raise click.ClickException(f"cannot write {path}: it is {'not ' * directory}a directory")
+    base = full if directory else os.path.dirname(full)
+    while not os.path.exists(base):
+        base = os.path.dirname(base)
+    if not (os.path.isdir(base) and os.access(base, os.W_OK | os.X_OK)):
+        raise click.ClickException(f"cannot write {path}: {base} is not a writable directory")
 
 
 def _wrap_errors(fn):
@@ -270,6 +292,11 @@ def train(arch, dataset, out_path, seed, epochs, lr, batch, hidden, conv_channel
     """Train one model and write its manifest."""
     if seed is None:
         seed = _env_seed() or 0
+    if name is None:
+        name = os.path.splitext(os.path.basename(out_path))[0]
+    if not name:
+        raise click.BadParameter("the model name must not be empty", param_hint="--name")
+    _check_out(out_path)
     data = load_dataset(dataset, seed)
     try:
         spec = ModelSpec(
@@ -283,10 +310,6 @@ def train(arch, dataset, out_path, seed, epochs, lr, batch, hidden, conv_channel
         )
     except ValueError as exc:
         raise click.BadParameter(str(exc)) from exc
-    if name is None:
-        name = os.path.splitext(os.path.basename(out_path))[0]
-    if not name:
-        raise click.BadParameter("the model name must not be empty", param_hint="--name")
     model, acc = train_sgd(spec, data, epochs=epochs, lr=lr, batch=batch, seed=seed, name=name)
     save_model(model, out_path)
     click.echo(f"trained {arch} '{name}' on {len(data)} examples: train acc {acc:.3f}")
@@ -321,13 +344,14 @@ _JOBS_HELP = ("processes to attack on: this one plus jobs - 1 forked workers, at
 @_wrap_errors
 def attack_cmd(surrogate, dataset, out_dir, num_images, jobs, filecfg, **cli):
     """Craft adversarial examples and write them with a manifest."""
+    _check_out(out_dir, directory=True)
     cfg = resolve_attack_config(cli, filecfg)
     models = load_models(surrogate)
     oracle = models[0] if len(models) == 1 else EnsembleOracle(models)
     data = load_dataset(dataset, cfg.seed)
     if num_images is not None:
         data = subsample(data, num_images, cfg.seed)
-    _check_dim_geometry([cfg], data)
+    _check_geometry([cfg], data)
 
     results = attack_batch(oracle, data.images, data.labels, cfg, jobs=jobs)
 
@@ -388,7 +412,7 @@ def _load_advset(adv_dir: str) -> tuple:
             raise click.ClickException(f"{manifest_path}: {f!r} is not a plain file name")
         try:
             advs.append(load_tensor(os.path.join(adv_dir, f)))
-            validate_image(advs[-1], pixel_domain=True)
+            validate_image(advs[-1])
         except (OSError, ValueError, AdvmError) as exc:
             raise click.ClickException(f"unreadable adversarial tensor {f}: {exc}") from exc
     return manifest, advs
@@ -412,6 +436,7 @@ def _write_or_echo(text: str, out_path: str | None) -> None:
 @_wrap_errors
 def eval_cmd(adv_dir, targets, out_path, fmt):
     """Score stored adversarial examples against target models."""
+    _check_out(out_path)
     manifest, advs = _load_advset(adv_dir)
     labels = manifest["labels"]
     target_models = load_models(targets)
@@ -446,6 +471,7 @@ def eval_cmd(adv_dir, targets, out_path, fmt):
 def ablate(param, grid_arg, surrogate, targets, dataset, out_path, fmt, num_images, jobs,
            filecfg, **cli):
     """Sweep one attack parameter and report per-target success rates."""
+    _check_out(out_path)
     cfg = resolve_attack_config(cli, filecfg)
     parse = next(row[3] for row in _ATTACK_OPTIONS if row[2] == SWEEPABLE[param])
     try:
@@ -461,7 +487,7 @@ def ablate(param, grid_arg, surrogate, targets, dataset, out_path, fmt, num_imag
     data = load_dataset(dataset, cfg.seed)
     if num_images is not None:
         data = subsample(data, num_images, cfg.seed)
-    _check_dim_geometry(swept, data)
+    _check_geometry(swept, data)
     result = ablation_sweep(param, grid, cfg, oracle, target_models, data, jobs=jobs)
     _write_or_echo(emit_report(result, fmt), out_path)
 
@@ -474,6 +500,7 @@ def ablate(param, grid_arg, surrogate, targets, dataset, out_path, fmt, num_imag
 @_wrap_errors
 def report(in_path, fmt, out_path):
     """Re-render a stored CSV report (matrix or ablation)."""
+    _check_out(out_path)
     try:
         with open(in_path, "r", encoding="utf-8") as fh:
             parsed = parse_report_csv(fh.read())

@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 from .attacks import AttackConfig, attack_batch
 from .data import LabeledDataset
 from .errors import EmptyDataset, UnknownParameter
-from .models import EnsembleOracle
 
 _MATRIX_HEADER = ["surrogate", "target", "rate", "n", "config_hash"]
 _ABLATION_HEADER = ["parameter", "value", "target", "rate", "n", "config_hash"]
@@ -70,18 +69,14 @@ def transfer_matrix(
     dataset: LabeledDataset,
     cfg: AttackConfig,
     jobs: int = 1,
-    ensemble: bool = False,
 ) -> RateTable:
-    """Craft on each surrogate (or their logit-fused ensemble), score on
-    every target. Identical target models produce identical columns."""
-    if ensemble and len(surrogates) > 1:
-        crafting = [EnsembleOracle(surrogates)]
-    else:
-        crafting = list(surrogates)
+    """Craft on each surrogate, score on every target; pass
+    [EnsembleOracle(models)] to craft on their logit-fused ensemble.
+    Identical target models produce identical columns."""
     return RateTable(
-        rows=tuple(o.name for o in crafting),
+        rows=tuple(o.name for o in surrogates),
         targets=tuple(t.name for t in targets),
-        rates=tuple(transfer_rates(o, targets, dataset, cfg, jobs) for o in crafting),
+        rates=tuple(transfer_rates(o, targets, dataset, cfg, jobs) for o in surrogates),
         n_examples=len(dataset),
         config_hash=cfg.config_hash(),
         seed=cfg.seed,

@@ -10,9 +10,9 @@ share them: gradients w.r.t. the input (what the attacks consume) and
 gradients w.r.t. the parameters (what the trainer consumes). There is no
 tape; every backward rule is written out.
 
-Ensembles fuse logits linearly, take the cross-entropy of the fused
-logits, and push the fused softmax error back through each member scaled
-by its weight.
+Ensembles of K members average their logits (weight 1/K each, the
+paper's ensemble setting), take the cross-entropy of the fused logits, and
+push the fused softmax error back through each member scaled by 1/K.
 
 The stem (_stem_forward, _stem_input_grad, _stem_param_grads) keeps its
 conv rows tap-major (_tap_rows), so the four taps of each 2x2 pool window
@@ -367,9 +367,9 @@ def _xent(z: np.ndarray, y: int):
 
 
 class EnsembleOracle:
-    """Linear logit fusion over same-shaped models; behaves like one Model."""
+    """Equal-weight logit fusion over same-shaped models; behaves like one Model."""
 
-    def __init__(self, models, weights=None):
+    def __init__(self, models):
         if not models:
             raise EmptyDataset("ensemble needs at least one member")
         shape = models[0].input_shape
@@ -379,18 +379,8 @@ class EnsembleOracle:
                 raise ShapeMismatch(f"{m.input_shape} vs {shape}")
             if m.num_classes != classes:
                 raise ClassCountMismatch(f"{m.num_classes} vs {classes}")
-        if weights is None:
-            weights = np.full(len(models), 1.0 / len(models))
-        else:
-            weights = np.asarray(weights, dtype=float)
-            if weights.shape != (len(models),):
-                raise ShapeMismatch("one weight per member required")
-            if not (np.isfinite(weights).all() and (weights >= 0.0).all()):
-                raise ValueError(f"ensemble weights must be finite and >= 0, got {weights}")
-            if abs(float(weights.sum()) - 1.0) > 1e-12:
-                raise ValueError("ensemble weights must sum to 1")
         self.models = list(models)
-        self.weights = weights
+        self.weights = np.full(len(models), 1.0 / len(models))
         self.name = "+".join(m.name for m in models)
 
     @property
@@ -481,40 +471,6 @@ def accuracy(oracle, dataset: LabeledDataset) -> float:
         oracle.predict(img) == y for img, y in zip(dataset.images, dataset.labels)
     )
     return correct / len(dataset)
-
-
-# -- gradient verification ---------------------------------------------------
-
-
-def grad_check(oracle, x, y, h: float = 1e-5, coords: int = 64, seed: int = 0) -> float:
-    """Central-difference check of d loss / d x on a sampled coordinate set.
-
-    Returns max_i |fd_i - g_i| / max(scale, 1e-12) where scale is the largest
-    gradient magnitude seen on the sampled coordinates. Smaller h (down to
-    ~1e-6) must not make a correct gradient look worse.
-    """
-    _, g = oracle.loss_and_grad(x, y)
-    flat_g = g.reshape(-1)
-    size = x.size
-    n = size if size <= coords else max(coords, 64)
-    if n < size:
-        rng = make_rng(seed)
-        picks = rng.choice(size, size=n, replace=False)
-    else:
-        picks = np.arange(size)
-    worst = 0.0
-    scale = 1e-12
-    base = x.reshape(-1)
-    for i in picks:
-        bumped = base.copy()
-        bumped[i] = base[i] + h
-        lo_plus, _ = oracle.loss_and_grad(bumped.reshape(x.shape), y)
-        bumped[i] = base[i] - h
-        lo_minus, _ = oracle.loss_and_grad(bumped.reshape(x.shape), y)
-        fd = (lo_plus - lo_minus) / (2.0 * h)
-        worst = max(worst, abs(fd - flat_g[i]))
-        scale = max(scale, abs(flat_g[i]), abs(fd))
-    return worst / scale
 
 
 # -- persistence -------------------------------------------------------------

@@ -5,13 +5,14 @@ data lives in [0, 1]. Everything here is a pure function of its inputs.
 Every linear operator on images is a pair of small matrices, one per
 spatial axis, applied channelwise by _separable_gemm; its adjoint is the
 same call with the two transposes, so gradients pull back without an
-autodiff framework. A convolution kernel is a sum of such separable terms.
+autodiff framework. The matrices are built here: bilinear resizes for the
+diversity transform and banded matrices for the smoothing transform's
+separable Gaussian.
 
-The operators check shapes and dtypes, which is O(1), but do not scan
-pixels for NaN or infinity: an attack checks finiteness once at
-its boundary (validate_image on the clean image in run_attack, then the
-averaged loss and gradient of every iteration), so a non-finite value is
-reported there instead of being paid for in every operator call.
+The operators do not scan pixels for NaN or infinity: an attack checks
+the clean image once at its boundary (validate_image in run_attack), then
+the averaged loss and gradient of every iteration, so a non-finite value
+is reported there instead of being paid for in every operator call.
 
 Tensors are serialized in a small binary format: magic "EMTN", a version
 byte, a little-endian u32 rank, the dims as little-endian u32, then the
@@ -19,7 +20,6 @@ raw float64 payload in row-major order. Round trips are bit-exact.
 """
 
 import struct
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -41,20 +41,16 @@ _VERSION = 1
 ZERO_L1_THRESHOLD = 1e-300
 
 
-def _check_image(t: np.ndarray) -> None:
-    """Raise ShapeMismatch unless t is a rank-3 float64 array; O(1)."""
+def validate_image(t: np.ndarray) -> None:
+    """Raise ShapeMismatch / ValueError unless t is a rank-3 float64 image of
+    finite pixels in [0, 1]."""
     if not isinstance(t, np.ndarray) or t.ndim != 3:
         raise ShapeMismatch(f"expected a rank-3 array, got {getattr(t, 'shape', t)!r}")
     if t.dtype != np.float64:
         raise ShapeMismatch(f"expected float64, got {t.dtype}")
-
-
-def validate_image(t: np.ndarray, pixel_domain: bool = False) -> None:
-    """Raise ShapeMismatch / ValueError unless t is a well-formed image."""
-    _check_image(t)
     if not np.all(np.isfinite(t)):
         raise ValueError("image contains non-finite values")
-    if pixel_domain and (t.min() < 0.0 or t.max() > 1.0):
+    if t.min() < 0.0 or t.max() > 1.0:
         raise ValueError("pixel values outside [0, 1]")
 
 
@@ -78,71 +74,11 @@ def project_linf(t: np.ndarray, origin: np.ndarray, eps: float) -> np.ndarray:
     return np.clip(np.clip(t, origin - eps, origin + eps), 0.0, 1.0)
 
 
-@dataclass(frozen=True, eq=False)
-class Kernel2D:
-    """A square 2-D convolution kernel with odd side length and finite weights,
-    kept as a read-only float64 copy so that a factorization cached for it
-    cannot go stale. Kernels compare and hash by identity, as cache keys."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.array(self.weights, dtype=np.float64)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise ShapeMismatch(f"kernel must be square, got {w.shape}")
-        if w.shape[0] % 2 == 0:
-            raise ValueError(f"kernel side must be odd, got {w.shape[0]}")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("kernel weights must be finite")
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def size(self) -> int:
-        return self.weights.shape[0]
-
-
-def identity_kernel(size: int = 1) -> Kernel2D:
-    if size % 2 == 0:
-        raise ValueError("kernel side must be odd")
-    w = np.zeros((size, size))
-    w[size // 2, size // 2] = 1.0
-    return Kernel2D(w)
-
-
 def _band(taps: np.ndarray, n: int) -> np.ndarray:
     """Read-only (n, n) matrix with taps[d] on diagonal d - k // 2, clipped at the edges."""
     b = sum(t * np.eye(n, k=d - taps.size // 2) for d, t in enumerate(taps))
     b.setflags(write=False)
     return b
-
-
-@lru_cache(maxsize=64)
-def _separable_terms(kernel: Kernel2D, h: int, w: int) -> tuple:
-    """The kernel as a sum of terms s u v^T, one per singular value above numpy's
-    matrix_rank tolerance s[0] * k * eps, each as the (rows, cols) pair
-    (band(s u), band(v)^T) for _separable_gemm. A Gaussian is rank 1: one term."""
-    u, s, vt = np.linalg.svd(kernel.weights)
-    keep = s > s[0] * kernel.size * np.finfo(np.float64).eps
-    return tuple((_band(sk * uk, h), _band(vk, w).T)
-                 for uk, sk, vk in zip(u.T[keep], s[keep], vt[keep]))
-
-
-def conv2d_same(img: np.ndarray, kernel: Kernel2D) -> np.ndarray:
-    """Channelwise 2-D correlation with zero padding; output shape == input shape.
-
-    The kernel's separable terms are applied and summed in order. The identity
-    kernel returns the input bit-for-bit. A point-symmetric kernel makes this
-    operator self-adjoint, which is what the gradient smoothing path relies on.
-    """
-    _check_image(img)
-    h, w, c = img.shape
-    flat = img.reshape(h, w * c)
-    out = None
-    for rows, cols in _separable_terms(kernel, h, w):
-        term = _separable_gemm(rows, flat, cols, c)
-        out = term if out is None else out + term
-    return np.zeros((h, w, c)) if out is None else out
 
 
 @lru_cache(maxsize=256)

@@ -7,8 +7,9 @@ transforms a TransformConfig enables:
   side r, place it at a random offset on a zero canvas of side pad_to,
   and resize back. Per axis that chain is one cached matrix, and the
   gradient pulls back through the transposes.
-- smoothing ("tim"): correlate the gradient with a fixed Gaussian kernel,
-  a rank-1 kernel, so one pair of banded matrices.
+- smoothing ("tim"): correlate the gradient with a fixed Gaussian kernel.
+  The Gaussian is rank 1, so the correlation is one cached pair of banded
+  matrices, taken from the kernel's leading SVD term.
 - scaling ("sim"): average loss and gradient over the scale copies
   x / 2^i for i = 0..m-1; the chain rule contributes the 1 / 2^i factor
   to each copy's gradient.
@@ -27,7 +28,7 @@ import numpy as np
 
 from .errors import ShapeMismatch
 from .sampling import _require_ints
-from .tensor import Kernel2D, _bilinear_weights, _separable_gemm, conv2d_same
+from .tensor import _band, _bilinear_weights, _separable_gemm
 
 TRANSFORM_NAMES = ("dim", "tim", "sim")
 
@@ -78,15 +79,26 @@ class TransformConfig:
 
 
 @lru_cache(maxsize=64)
-def tim_kernel(size: int = 7, sigma: float = 3.0) -> Kernel2D:
-    """Gaussian weights exp(-(di^2+dj^2) / (2 sigma^2)) normalized to sum 1."""
+def tim_kernel(size: int = 7, sigma: float = 3.0) -> np.ndarray:
+    """Read-only Gaussian weights exp(-(di^2+dj^2) / (2 sigma^2)) normalized to sum 1."""
     if size % 2 == 0:
         raise ValueError("kernel side must be odd")
     r = size // 2
     ax = np.arange(-r, r + 1, dtype=float)
     w = np.exp(-(ax[:, None] ** 2 + ax[None, :] ** 2) / (2.0 * sigma * sigma))
     w = w / w.sum()
-    return Kernel2D(w)
+    w.setflags(write=False)
+    return w
+
+
+@lru_cache(maxsize=64)
+def _tim_matrices(size: int, sigma: float, h: int, w: int) -> tuple:
+    """Correlation with tim_kernel(size, sigma) on an (h, w) image as the pair
+    (rows, cols) for _separable_gemm. The Gaussian is rank 1, so the leading
+    SVD term s u v^T is the whole kernel; the bands are built from that term
+    rather than from the 1-D Gaussian, whose floats differ in the last place."""
+    u, s, vt = np.linalg.svd(tim_kernel(size, sigma))
+    return _band(s[0] * u[:, 0], h), _band(vt[0], w).T
 
 
 def draw_dim_geometry(cfg: TransformConfig, shape: tuple, rng) -> tuple | None:
@@ -148,5 +160,7 @@ def compose_dts(oracle, x, y, cfg: TransformConfig, rng):
     loss = total_loss / copies
     grad = total_grad / copies
     if "tim" in cfg.enabled:
-        grad = conv2d_same(grad, tim_kernel(cfg.tim_kernel_size, cfg.tim_sigma))
+        h, w, c = grad.shape
+        rows, cols = _tim_matrices(cfg.tim_kernel_size, cfg.tim_sigma, h, w)
+        grad = _separable_gemm(rows, grad.reshape(h, w * c), cols, c)
     return loss, grad

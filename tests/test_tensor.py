@@ -1,4 +1,4 @@
-"""Tensor ops: validation, projection, conv and separable linear algebra, EMTN IO."""
+"""Tensor ops: validation, projection, separable linear algebra, EMTN IO."""
 
 import struct
 
@@ -19,9 +19,6 @@ from advm.errors import (
 )
 from advm import tensor
 from advm.tensor import (
-    Kernel2D,
-    conv2d_same,
-    identity_kernel,
     l1_normalize,
     load_tensor,
     project_linf,
@@ -33,6 +30,8 @@ from advm.tensor import (
 
 from conftest import rand_pixel_image
 from reference_transforms import (
+    conv2d_same,
+    correlate_nested_loops,
     pad_zero,
     pad_zero_adjoint,
     resize_bilinear,
@@ -45,7 +44,8 @@ from reference_transforms import (
 
 def test_validate_image_accepts_well_formed():
     validate_image(np.zeros((4, 5, 2)))
-    validate_image(np.full((2, 2, 1), 0.5), pixel_domain=True)
+    validate_image(np.full((2, 2, 1), 0.5))
+    validate_image(np.ones((3, 1, 1)))
 
 
 def test_validate_image_rank_and_dtype():
@@ -65,11 +65,9 @@ def test_validate_image_rejects_nonfinite_and_out_of_domain():
     with pytest.raises(ValueError):
         validate_image(bad)
     with pytest.raises(ValueError):
-        validate_image(np.full((2, 2, 1), 1.5), pixel_domain=True)
+        validate_image(np.full((2, 2, 1), 1.5))
     with pytest.raises(ValueError):
-        validate_image(np.full((2, 2, 1), -0.1), pixel_domain=True)
-    # out-of-domain is fine when pixel_domain is not requested
-    validate_image(np.full((2, 2, 1), 1.5))
+        validate_image(np.full((2, 2, 1), -0.1))
 
 
 def test_l1_normalize_hand_case():
@@ -125,74 +123,30 @@ def test_project_linf_errors():
         project_linf(origin, origin, -0.01)
 
 
-# -- kernels and convolution ----------------------------------------------------
+# -- the general correlation reference ------------------------------------------------
+#
+# The package correlates only with its rank-1 Gaussian (tests/test_transforms.py);
+# these checks keep the general reference it is tested against honest.
 
 
-def test_kernel2d_validation():
-    with pytest.raises(ShapeMismatch):
-        Kernel2D(np.zeros((2, 3)))
-    with pytest.raises(ShapeMismatch):
-        Kernel2D(np.zeros(3))
-    with pytest.raises(ValueError):
-        Kernel2D(np.zeros((2, 2)))
-    for bad in (float("nan"), float("inf"), float("-inf")):
-        with pytest.raises(ValueError, match="finite"):
-            Kernel2D(np.array([[1.0, 0.0, bad]] * 3))
-    assert Kernel2D(np.ones((5, 5))).size == 5
-
-
-def test_kernel2d_stores_a_read_only_float64_copy():
-    source = np.ones((3, 3), dtype=np.int64)
-    k = Kernel2D(source)
-    source[1, 1] = 7
-    assert k.weights.dtype == np.float64 and not k.weights.flags.writeable
-    assert np.array_equal(k.weights, np.ones((3, 3)))
-    with pytest.raises(ValueError):
-        k.weights[0, 0] = 2.0
-
-
-def test_kernel2d_compares_and_hashes_by_identity():
-    a, b = Kernel2D(np.ones((3, 3))), Kernel2D(np.ones((3, 3)))
-    assert a == a and a != b
-    assert len({a, b, a}) == 2
+def _identity_weights(size):
+    w = np.zeros((size, size))
+    w[size // 2, size // 2] = 1.0
+    return w
 
 
 def test_identity_kernel_is_bitwise_noop():
-    k = identity_kernel(1)
-    assert np.array_equal(k.weights, np.array([[1.0]]))
     img = rand_pixel_image((5, 4, 2), seed=1)
-    assert np.array_equal(conv2d_same(img, k), img)
+    assert np.array_equal(conv2d_same(img, _identity_weights(1)), img)
     # a larger identity kernel behaves the same up to float addition of zeros
-    k3 = identity_kernel(3)
-    assert np.allclose(conv2d_same(img, k3), img, atol=1e-15, rtol=0)
-    with pytest.raises(ValueError):
-        identity_kernel(4)
+    assert np.allclose(conv2d_same(img, _identity_weights(3)), img, atol=1e-15, rtol=0)
 
 
 def test_conv2d_same_hand_case():
     # 2x2 image, all-ones 3x3 kernel: every output pixel sees the whole image
     img = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(2, 2, 1)
-    out = conv2d_same(img, Kernel2D(np.ones((3, 3))))
+    out = conv2d_same(img, np.ones((3, 3)))
     assert np.allclose(out, np.full((2, 2, 1), 10.0), atol=1e-12, rtol=0)
-
-
-def _brute_conv(img, weights):
-    """Nested-loop correlation with zero padding, the slow way."""
-    h, w, c = img.shape
-    k = weights.shape[0]
-    r = k // 2
-    out = np.zeros_like(img)
-    for ch in range(c):
-        for i in range(h):
-            for j in range(w):
-                acc = 0.0
-                for di in range(k):
-                    for dj in range(k):
-                        ii, jj = i + di - r, j + dj - r
-                        if 0 <= ii < h and 0 <= jj < w:
-                            acc += img[ii, jj, ch] * weights[di, dj]
-                out[i, j, ch] = acc
-    return out
 
 
 def _rank2_kernel(k, seed):
@@ -209,31 +163,19 @@ def test_conv2d_same_matches_brute_force():
               ((6, 5, 3), _rank2_kernel(5, 41)), ((5, 7, 2), np.zeros((3, 3)))]
     for shape, weights in cases:
         img = rng.normal(size=shape)
-        got = conv2d_same(img, Kernel2D(weights))
+        got = conv2d_same(img, weights)
         assert got.shape == shape and got.flags.c_contiguous
-        assert np.max(np.abs(got - _brute_conv(img, weights))) < 1e-12
-
-
-def test_conv2d_same_keeps_one_read_only_term_per_singular_value():
-    rank = {}
-    for name, weights in [("gaussian", np.outer([1.0, 2.0, 1.0], [1.0, 2.0, 1.0]) / 16.0),
-                          ("rank2", _rank2_kernel(5, 43)), ("zero", np.zeros((3, 3)))]:
-        terms = tensor._separable_terms(Kernel2D(weights), 6, 5)
-        rank[name] = len(terms)
-        for rows, cols in terms:
-            assert rows.shape == (6, 6) and cols.shape == (5, 5)
-            assert not rows.flags.writeable and not cols.flags.writeable
-    assert rank == {"gaussian": 1, "rank2": 2, "zero": 0}
+        assert np.max(np.abs(got - correlate_nested_loops(img, weights))) < 1e-12
 
 
 def test_conv2d_same_symmetric_kernel_is_self_adjoint():
     rng = np.random.default_rng(9)
     weights = rng.normal(size=(3, 3))
     weights = weights + weights[::-1, ::-1]  # point-symmetric, like a Gaussian
-    k = Kernel2D(weights)
     u = rng.normal(size=(6, 6, 1))
     v = rng.normal(size=(6, 6, 1))
-    assert abs(np.sum(conv2d_same(u, k) * v) - np.sum(u * conv2d_same(v, k))) < 1e-10
+    assert abs(np.sum(conv2d_same(u, weights) * v)
+               - np.sum(u * conv2d_same(v, weights))) < 1e-10
 
 
 # -- bilinear resize -----------------------------------------------------------
@@ -339,11 +281,11 @@ def test_operators_check_shapes_but_do_not_scan_pixels():
     # only their O(1) checks and carry a NaN through
     img = np.zeros((4, 4, 1))
     img[1, 2, 0] = np.nan
-    assert np.isnan(conv2d_same(img, identity_kernel(3))).any()
-    assert np.isnan(conv2d_same(img, identity_kernel(1))).any()
-    for bad in (np.zeros((4, 4)), np.zeros((4, 4, 1), dtype=np.float32)):
-        with pytest.raises(ShapeMismatch):
-            conv2d_same(bad, identity_kernel(3))
+    assert np.isnan(project_linf(img, np.zeros((4, 4, 1)), 0.1)).any()
+    eye = np.eye(4)
+    assert np.isnan(tensor._separable_gemm(eye, img.reshape(4, 4), eye, 1)).any()
+    with pytest.raises(ShapeMismatch):
+        project_linf(img, np.zeros((4, 4)), 0.1)
 
 
 # -- zero padding (the reference chain's) ------------------------------------------

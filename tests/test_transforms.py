@@ -10,7 +10,6 @@ from hypothesis.extra.numpy import arrays
 
 from advm.errors import ShapeMismatch
 from advm.sampling import make_rng
-from advm.tensor import conv2d_same, identity_kernel
 from advm.transforms import (
     PAD_RATIO,
     TransformConfig,
@@ -19,6 +18,7 @@ from advm.transforms import (
     tim_kernel,
     _dim_matrix,
     _diversified_loss_grad,
+    _tim_matrices,
 )
 
 from conftest import (
@@ -28,7 +28,13 @@ from conftest import (
     central_diff,
     rand_pixel_image,
 )
-from reference_transforms import dim_chain, dim_chain_adjoint
+from reference_transforms import (
+    conv2d_same,
+    correlate_nested_loops,
+    dim_chain,
+    dim_chain_adjoint,
+    separable_terms,
+)
 
 
 def _sim_only(oracle, x, y, copies):
@@ -93,7 +99,7 @@ def test_resolve_dim_low_exceeds_derived_pad():
 
 def test_tim_kernel_size_one_is_identity():
     k = tim_kernel(1, 3.0)
-    assert np.array_equal(k.weights, np.array([[1.0]]))
+    assert np.array_equal(k, np.array([[1.0]]))
 
 
 def test_tim_kernel_explicit_sum_oracle():
@@ -106,33 +112,108 @@ def test_tim_kernel_explicit_sum_oracle():
     ]
     total = sum(sum(row) for row in raw)
     want = np.array(raw) / total
-    got = tim_kernel(size, sigma).weights
+    got = tim_kernel(size, sigma)
     assert np.max(np.abs(got - want)) < 1e-12
     assert abs(got.sum() - 1.0) < 1e-12
 
 
 def test_tim_kernel_symmetry_and_peak():
-    w = tim_kernel(5, 2.0).weights
+    w = tim_kernel(5, 2.0)
     assert np.array_equal(w, w.T)
     assert np.array_equal(w, w[::-1, ::-1])
     assert w[2, 2] == w.max()
 
 
 def test_tim_kernel_huge_sigma_is_nearly_uniform():
-    w = tim_kernel(3, 1e6).weights
+    w = tim_kernel(3, 1e6)
     assert np.max(np.abs(w - 1.0 / 9.0)) < 1e-9
 
 
 def test_tim_kernel_cached_and_write_protected():
     a = tim_kernel(7, 3.0)
     assert tim_kernel(7, 3.0) is a
+    assert a.dtype == np.float64 and not a.flags.writeable
     with pytest.raises(ValueError):
-        a.weights[0, 0] = 5.0
+        a[0, 0] = 5.0
 
 
 def test_tim_kernel_even_size_rejected():
     with pytest.raises(ValueError):
         tim_kernel(4, 3.0)
+
+
+# -- smoothing operator ------------------------------------------------------------
+
+
+class _FixedGradOracle:
+    """Returns the same gradient at every query point."""
+
+    def __init__(self, g):
+        self.g = g
+
+    def loss_and_grad(self, x, y):
+        return 0.0, self.g.copy()
+
+
+def _tim_smooth(g, size, sigma):
+    """The package's smoothing of g: compose_dts with tim alone on an oracle
+    whose gradient is g, so the single unit-scale copy passes g through."""
+    cfg = TransformConfig(enabled=("tim",), tim_kernel_size=size, tim_sigma=sigma)
+    return compose_dts(_FixedGradOracle(g), np.zeros_like(g), 0, cfg, make_rng(0))[1]
+
+
+TIM_SIZES = range(1, 42, 2)
+TIM_SIGMAS = (0.1, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 10.0, 1e3, 1e6)
+
+
+@pytest.mark.parametrize("shape", [(28, 28, 2), (12, 9, 1)])
+def test_tim_matches_the_general_reference_bit_for_bit(shape):
+    # the general route keeps every SVD term above the rank tolerance; on the
+    # Gaussian that is one term, so the leading pair must give its bytes
+    g = np.random.default_rng(sum(shape)).normal(size=shape)
+    for size in TIM_SIZES:
+        for sigma in TIM_SIGMAS:
+            kernel = tim_kernel(size, sigma)
+            assert len(separable_terms(kernel, 3, 3)) == 1
+            got = _tim_smooth(g, size, sigma)
+            assert got.flags.c_contiguous
+            assert got.tobytes() == conv2d_same(g, kernel).tobytes(), (size, sigma)
+
+
+def test_tim_matches_nested_loop_correlation():
+    rng = np.random.default_rng(11)
+    cases = [((6, 6, 1), 3, 1.5), ((5, 7, 2), 5, 2.0), ((7, 5, 3), 7, 3.0),
+             ((4, 4, 1), 9, 1.0),     # kernel wider than the image
+             ((3, 8, 2), 5, 1e6)]
+    for shape, size, sigma in cases:
+        g = rng.normal(size=shape)
+        want = correlate_nested_loops(g, tim_kernel(size, sigma))
+        assert np.max(np.abs(_tim_smooth(g, size, sigma) - want)) < 1e-12
+
+
+def test_tim_smoothing_is_self_adjoint():
+    # the Gaussian is point-symmetric, so the operator is its own adjoint,
+    # which is what applying it to the gradient relies on
+    rng = np.random.default_rng(9)
+    for shape, size, sigma in (((6, 6, 1), 3, 1.0), ((12, 9, 2), 7, 3.0), ((5, 8, 1), 9, 2.0)):
+        u, v = rng.normal(size=shape), rng.normal(size=shape)
+        lhs = np.sum(_tim_smooth(u, size, sigma) * v)
+        assert abs(lhs - np.sum(u * _tim_smooth(v, size, sigma))) < 1e-10
+
+
+def test_tim_smoothing_carries_nan_through():
+    # finiteness is checked at the attack boundary, not inside the operator
+    g = np.zeros((4, 4, 1))
+    g[1, 2, 0] = np.nan
+    assert np.isnan(_tim_smooth(g, 3, 1.0)).any()
+    assert np.isnan(_tim_smooth(g, 1, 1.0)).any()
+
+
+def test_tim_matrices_are_cached_and_read_only():
+    rows, cols = _tim_matrices(5, 2.0, 6, 7)
+    assert _tim_matrices(5, 2.0, 6, 7)[0] is rows
+    assert rows.shape == (6, 6) and cols.shape == (7, 7)
+    assert not rows.flags.writeable and not cols.flags.writeable
 
 
 # -- single transforms -------------------------------------------------------------
@@ -421,4 +502,4 @@ def test_identity_kernel_full_stack_matches_central_difference():
     no_tim = TransformConfig(enabled=("dim", "sim"), dim_prob=1.0, dim_resize_low=4,
                              sim_copies=2)
     _, g_plain = compose_dts(base, x, 0, no_tim, make_rng(32))
-    assert np.array_equal(g, conv2d_same(g_plain, identity_kernel(1)))
+    assert np.array_equal(g, g_plain)
