@@ -346,42 +346,46 @@ def attack_cmd(surrogate, dataset, out_dir, num_images, jobs, filecfg, **cli):
     """Craft adversarial examples and write them with a manifest."""
     _check_out(out_dir, directory=True)
     cfg = resolve_attack_config(cli, filecfg)
+    models, oracle, data = _load_attack_inputs(surrogate, dataset, num_images, [cfg])
+    results = attack_batch(oracle, data.images, data.labels, cfg, jobs=jobs)
+    _write_advset(out_dir, cfg, [m.name for m in models], data.labels, results)
+    wb = sum(bool(r.white_box_success) for r in results) / max(1, len(results))
+    click.echo(f"{cfg.variant} on {oracle.name}: {len(results)} examples, white-box success "
+               f"{100.0 * wb:.1f}% (config {cfg.config_hash()})")
+    click.echo(f"wrote {out_dir}/")
+
+
+def _load_attack_inputs(surrogate: str, dataset: str, num_images, cfgs) -> tuple:
+    """The surrogate models, their oracle (one model or their ensemble), and the
+    dataset subsampled with the run seed, once the configs' geometry fits it."""
     models = load_models(surrogate)
     oracle = models[0] if len(models) == 1 else EnsembleOracle(models)
-    data = load_dataset(dataset, cfg.seed)
+    data = load_dataset(dataset, cfgs[0].seed)
     if num_images is not None:
-        data = subsample(data, num_images, cfg.seed)
-    _check_geometry([cfg], data)
+        data = subsample(data, num_images, cfgs[0].seed)
+    _check_geometry(cfgs, data)
+    return models, oracle, data
 
-    results = attack_batch(oracle, data.images, data.labels, cfg, jobs=jobs)
 
-    os.makedirs(out_dir, exist_ok=True)
-    files = []
-    for i, r in enumerate(results):
-        fname = f"adv_{i:05d}.emtn"
+# An attack set's manifest.json fields besides its format and version, with their
+# JSON types: _write_advset writes exactly these and _load_advset checks them.
+_ADVSET_FORMAT, _ADVSET_VERSION = "advm-advset", 1
+_ADVSET_FIELDS = {"config": dict, "config_hash": str, "count": int, "files": list,
+                  "labels": list, "surrogates": list, "white_box": list}
+
+
+def _write_advset(out_dir: str, cfg, surrogates: list, labels, results) -> None:
+    """Each adversarial image as a tensor file in out_dir, then the manifest."""
+    files = [f"adv_{i:05d}.emtn" for i in range(len(results))]
+    for fname, r in zip(files, results):
         save_tensor(os.path.join(out_dir, fname), r.adv)
-        files.append(fname)
-    manifest = {
-        "format": "advm-advset",
-        "version": 1,
-        "config": cfg.canonical(),
-        "config_hash": cfg.config_hash(),
-        "surrogates": [m.name for m in models],
-        "count": len(results),
-        "labels": list(data.labels),
-        "white_box": [bool(r.white_box_success) for r in results],
-        "files": files,
-    }
-    atomic_write_text(
-        os.path.join(out_dir, _MANIFEST_NAME),
-        json.dumps(manifest, sort_keys=True, indent=1),
-    )
-    wb = sum(manifest["white_box"]) / max(1, len(results))
-    click.echo(
-        f"{cfg.variant} on {oracle.name}: {len(results)} examples, "
-        f"white-box success {100.0 * wb:.1f}% (config {cfg.config_hash()})"
-    )
-    click.echo(f"wrote {out_dir}/")
+    values = {"config": cfg.canonical(), "config_hash": cfg.config_hash(), "count": len(results),
+              "files": files, "labels": list(labels), "surrogates": surrogates,
+              "white_box": [bool(r.white_box_success) for r in results]}
+    manifest = {"format": _ADVSET_FORMAT, "version": _ADVSET_VERSION,
+                **{key: values[key] for key in _ADVSET_FIELDS}}
+    atomic_write_text(os.path.join(out_dir, _MANIFEST_NAME),
+                      json.dumps(manifest, sort_keys=True, indent=1))
 
 
 def _load_advset(adv_dir: str) -> tuple:
@@ -390,9 +394,7 @@ def _load_advset(adv_dir: str) -> tuple:
     if not os.path.exists(manifest_path):
         raise click.ClickException(f"no adversarial examples: {manifest_path} missing")
     try:
-        manifest = read_manifest(manifest_path, "advm-advset", 1, {
-            "count": int, "files": list, "labels": list, "surrogates": list,
-            "config": dict, "config_hash": str})
+        manifest = read_manifest(manifest_path, _ADVSET_FORMAT, _ADVSET_VERSION, _ADVSET_FIELDS)
     except OSError as exc:
         raise click.ClickException(f"unreadable manifest {manifest_path}: {exc}") from exc
     if manifest["count"] == 0 or not manifest["files"]:
@@ -402,10 +404,10 @@ def _load_advset(adv_dir: str) -> tuple:
         raise click.ClickException(
             f"{manifest_path}: surrogates must be a non-empty list of model names")
     files, labels = manifest["files"], manifest["labels"]
-    if not manifest["count"] == len(files) == len(labels):
+    if not manifest["count"] == len(files) == len(labels) == len(manifest["white_box"]):
         raise click.ClickException(
-            f"{manifest_path}: count {manifest['count']!r} does not match its files "
-            f"and labels lists")
+            f"{manifest_path}: count {manifest['count']!r} does not match its files, "
+            f"labels and white_box lists")
     advs = []
     for f in files:
         if not isinstance(f, str) or f in ("", ".", "..") or os.path.basename(f) != f:
@@ -438,14 +440,8 @@ def eval_cmd(adv_dir, targets, out_path, fmt):
     """Score stored adversarial examples against target models."""
     _check_out(out_path)
     manifest, advs = _load_advset(adv_dir)
-    labels = manifest["labels"]
     target_models = load_models(targets)
-    for t in target_models:   # bool is an int subclass, so type(), not isinstance()
-        bad = [y for y in labels if type(y) is not int or not 0 <= y < t.num_classes]
-        if bad:
-            raise click.ClickException(f"label {bad[0]!r} is not an integer in "
-                                       f"[0, {t.num_classes}), the classes of target {t.name}")
-    rates = tuple(attack_success_rate(t, advs, labels) for t in target_models)
+    rates = tuple(attack_success_rate(t, advs, manifest["labels"]) for t in target_models)
     matrix = RateTable(rows=("+".join(manifest["surrogates"]),),
                        targets=tuple(t.name for t in target_models), rates=(rates,),
                        n_examples=len(advs), config_hash=manifest["config_hash"],
@@ -481,13 +477,8 @@ def ablate(param, grid_arg, surrogate, targets, dataset, out_path, fmt, num_imag
         raise click.BadParameter(str(exc), param_hint="--grid") from exc
     if not grid:
         raise click.BadParameter("no values to sweep", param_hint="--grid")
-    models = load_models(surrogate)
-    oracle = models[0] if len(models) == 1 else EnsembleOracle(models)
+    _, oracle, data = _load_attack_inputs(surrogate, dataset, num_images, swept)
     target_models = load_models(targets)
-    data = load_dataset(dataset, cfg.seed)
-    if num_images is not None:
-        data = subsample(data, num_images, cfg.seed)
-    _check_geometry(swept, data)
     result = ablation_sweep(param, grid, cfg, oracle, target_models, data, jobs=jobs)
     _write_or_echo(emit_report(result, fmt), out_path)
 

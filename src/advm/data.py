@@ -143,6 +143,8 @@ def load_idx(images_path: str, labels_path: str) -> LabeledDataset:
     magic, count, rows, cols = struct.unpack_from(">4I", raw, 0)
     if magic != _IDX_IMAGES_MAGIC:
         raise BadMagic(f"image file magic {magic:#010x}")
+    if rows == 0 or cols == 0:
+        raise LengthMismatch(f"{images_path}: header declares {rows}x{cols} images")
     if len(raw) != 16 + count * rows * cols:
         raise LengthMismatch(
             f"image payload {len(raw) - 16} bytes, header promises {count * rows * cols}"

@@ -14,14 +14,25 @@ from its corner cell, cells and footer.
 
 import csv
 import io
+import numbers
 from dataclasses import dataclass, replace
 
 from .attacks import AttackConfig, attack_batch
 from .data import LabeledDataset
-from .errors import EmptyDataset, UnknownParameter
+from .errors import EmptyDataset, LabelOutOfRange, UnknownParameter
 
 _MATRIX_HEADER = ["surrogate", "target", "rate", "n", "config_hash"]
 _ABLATION_HEADER = ["parameter", "value", "target", "rate", "n", "config_hash"]
+
+
+def _check_labels(target, labels) -> None:
+    """A label past target's classes would always count as fooled; a bool is no label."""
+    classes = target.num_classes
+    for y in labels:   # type(y) is int first: isinstance against an ABC is ~10x slower
+        if not ((type(y) is int or isinstance(y, numbers.Integral) and type(y) is not bool)
+                and 0 <= y < classes):
+            raise LabelOutOfRange(f"label {y!r} is not an integer in [0, {classes}), "
+                                  f"the classes of target {target.name}")
 
 
 def attack_success_rate(target, adv_images, labels) -> float:
@@ -30,6 +41,7 @@ def attack_success_rate(target, adv_images, labels) -> float:
         raise ValueError(f"{len(adv_images)} images vs {len(labels)} labels")
     if not adv_images:
         raise EmptyDataset("no adversarial images to score")
+    _check_labels(target, labels)
     wrong = sum(target.predict(img) != y for img, y in zip(adv_images, labels))
     return wrong / len(adv_images)
 
@@ -40,6 +52,8 @@ def transfer_rates(oracle, targets, dataset: LabeledDataset, cfg: AttackConfig,
     each target: one success rate per target, in target order."""
     if not targets:
         raise ValueError("no target models to score")
+    for t in targets:
+        _check_labels(t, dataset.labels)
     results = attack_batch(oracle, dataset.images, dataset.labels, cfg, jobs=jobs)
     advs = [r.adv for r in results]
     return tuple(attack_success_rate(t, advs, dataset.labels) for t in targets)

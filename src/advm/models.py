@@ -350,8 +350,6 @@ class Model:
         return loss, self.param_grads_from_dlogits(x, cache, dlogits)
 
     def _dlogits(self, x, y):
-        if not 0 <= y < self.spec.num_classes:
-            raise LabelOutOfRange(f"label {y} outside [0, {self.spec.num_classes})")
         z, cache = self.forward_with_cache(x)
         loss, dlogits = _xent(z, y)
         return dlogits, loss, cache
@@ -359,6 +357,8 @@ class Model:
 
 def _xent(z: np.ndarray, y: int):
     """Softmax cross-entropy of logits z at label y, and d loss / d z."""
+    if not 0 <= y < z.size:
+        raise LabelOutOfRange(f"label {y} outside [0, {z.size})")
     zmax = z.max()
     lse = zmax + math.log(np.exp(z - zmax).sum())
     dlogits = np.exp(z - lse)   # softmax probabilities
@@ -380,39 +380,31 @@ class EnsembleOracle:
             if m.num_classes != classes:
                 raise ClassCountMismatch(f"{m.num_classes} vs {classes}")
         self.models = list(models)
-        self.weights = np.full(len(models), 1.0 / len(models))
+        self.input_shape, self.num_classes = shape, classes
+        self.weight = 1.0 / len(models)
         self.name = "+".join(m.name for m in models)
 
-    @property
-    def input_shape(self):
-        return self.models[0].input_shape
-
-    @property
-    def num_classes(self) -> int:
-        return self.models[0].num_classes
+    def _forward(self, x: np.ndarray):
+        """The fused logits, and each member's cache."""
+        fused, caches = None, []
+        for m in self.models:
+            z, cache = m.forward_with_cache(x)
+            caches.append(cache)
+            fused = self.weight * z if fused is None else fused + self.weight * z
+        return fused, caches
 
     def logits(self, x: np.ndarray) -> np.ndarray:
-        fused = self.weights[0] * self.models[0].logits(x)
-        for wk, m in zip(self.weights[1:], self.models[1:]):
-            fused = fused + wk * m.logits(x)
-        return fused
+        return self._forward(x)[0]
 
     def predict(self, x: np.ndarray) -> int:
         return int(np.argmax(self.logits(x)))
 
     def loss_and_grad(self, x: np.ndarray, y: int):
-        if not 0 <= y < self.num_classes:
-            raise LabelOutOfRange(f"label {y} outside [0, {self.num_classes})")
-        caches = []
-        fused = None
-        for wk, m in zip(self.weights, self.models):
-            z, cache = m.forward_with_cache(x)
-            caches.append(cache)
-            fused = wk * z if fused is None else fused + wk * z
+        fused, caches = self._forward(x)
         loss, dlogits = _xent(fused, y)
-        grad = None
-        for wk, m, cache in zip(self.weights, self.models, caches):
-            gk = m.input_grad_from_dlogits(x, cache, wk * dlogits)
+        scaled, grad = self.weight * dlogits, None
+        for m, cache in zip(self.models, caches):
+            gk = m.input_grad_from_dlogits(x, cache, scaled)
             grad = gk if grad is None else grad + gk
         return loss, grad
 

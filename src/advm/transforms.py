@@ -64,8 +64,8 @@ class TransformConfig:
         if self.sim_copies < 1:
             raise ValueError("sim needs at least one copy")
         low, pad = self.dim_resize_low, self.dim_pad_to
-        if low is not None and low < 1:
-            raise ValueError("dim resize_low must be >= 1")
+        if any(getattr(self, n) < 1 for n in sides):
+            raise ValueError(f"dim resize_low and pad_to must be >= 1, got {low} and {pad}")
         if low is not None and pad is not None and low > pad:
             raise ValueError(f"dim resize_low {low} exceeds pad_to {pad}")
 

@@ -13,6 +13,7 @@ from click.testing import CliRunner
 
 from advm.attacks import AttackConfig
 from advm.cli import (
+    _ADVSET_FIELDS,
     _ATTACK_OPTIONS,
     load_dataset,
     load_models,
@@ -221,6 +222,17 @@ def test_attack_reruns_are_byte_identical(runner, trained, tmp_path):
                 assert fh.read() == blob, f"{other}/{fname} diverged"
 
 
+def test_attack_manifest_holds_exactly_the_field_table(runner, trained, tmp_path):
+    out = tmp_path / "advset"
+    result = runner.invoke(main, ["attack", "--surrogate", trained["model"], "--dataset",
+                                  "synthetic:2x2x6", "--iters", "1", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    with open(out / "manifest.json") as fh:
+        manifest = json.load(fh)
+    assert sorted(manifest) == sorted([*_ADVSET_FIELDS, "format", "version"])
+    assert {k: type(manifest[k]) for k in _ADVSET_FIELDS} == _ADVSET_FIELDS
+
+
 def test_attack_config_file_and_flag_precedence(runner, trained, tmp_path):
     cfg_path = tmp_path / "atk.cfg"
     cfg_path.write_text(
@@ -303,7 +315,7 @@ def test_eval_empty_manifest_is_an_error(runner, trained, tmp_path):
     with open(tmp_path / "manifest.json", "w") as fh:
         json.dump({"format": "advm-advset", "version": 1,
                    "count": 0, "files": [], "labels": [], "surrogates": ["s"],
-                   "config_hash": "0" * 12, "config": {}}, fh)
+                   "white_box": [], "config_hash": "0" * 12, "config": {}}, fh)
     result = runner.invoke(main, ["eval", "--adv", str(tmp_path),
                                   "--targets", trained["model"]])
     assert result.exit_code != 0
@@ -325,6 +337,27 @@ def test_ablate_sweeps_sample_count(runner, trained, tmp_path):
     assert sweep.parameter == "samples"
     assert sweep.rows == ("1", "3")
     assert sweep.targets == ("surr",)
+
+
+def test_ablate_refuses_labels_outside_the_target_classes(runner, tmp_path, monkeypatch):
+    # labels 3-5 of a 6-class dataset always counted as fooling a 3-class
+    # target, so this sweep exited 0 with rate 1.0
+    from advm import evaluate
+    calls, real = [], evaluate.attack_batch
+    monkeypatch.setattr(evaluate, "attack_batch", lambda *a, **k: calls.append(a) or real(*a, **k))
+    for name, dataset in (("surr6", "synthetic:6x10x8"), ("tgt3", "synthetic:3x10x8")):
+        result = runner.invoke(main, ["train", "--arch", "logistic", "--dataset", dataset,
+                                      "--out", str(tmp_path / f"{name}.json")])
+        assert result.exit_code == 0, result.output
+    out = tmp_path / "sweep.csv"
+    result = runner.invoke(main, [
+        "ablate", "--param", "mu", "--grid", "0,1", "--iters", "2",
+        "--surrogate", str(tmp_path / "surr6.json"), "--targets", str(tmp_path / "tgt3.json"),
+        "--dataset", "synthetic:6x10x8", "--out", str(out),
+    ])
+    _assert_error_wrote_nothing(result, ["LabelOutOfRange", "label 3 is not an integer in "
+                                         "[0, 3), the classes of target tgt3"], out)
+    assert calls == []
 
 
 def test_report_rerenders_csv_as_markdown(runner, trained, advset, tmp_path):
@@ -369,6 +402,7 @@ def _assert_usage_error(result, text):
     (["--dataset", "synthetic:2x3x0"], "image shape must be >= 1"),
     # taps past 2 * side - 1 never reach a pixel, yet cost size^2 floats and an SVD
     (["--transforms", "tim", "--tim-kernel-size", "13"], "13 exceeds 2 * 6 - 1 for 6x6 images"),
+    (["--dim-pad-to", "-1"], "pad_to must be >= 1"),   # was accepted with dim off
 ])
 def test_attack_bad_values_are_usage_errors(runner, trained, tmp_path, flags, text):
     out = tmp_path / "advset"
@@ -458,6 +492,21 @@ def test_train_on_idx_with_negative_header_dims_is_an_error(runner, tmp_path):
     assert isinstance(result.exception, SystemExit)
     assert "LengthMismatch" in result.output and "Traceback" not in result.output
     assert not model.exists()
+
+
+@pytest.mark.parametrize("command", ["attack", "train"])
+@pytest.mark.parametrize("rows, cols", [(0, 28), (28, 0)])
+def test_idx_with_a_zero_side_is_an_error(runner, trained, tmp_path, command, rows, cols):
+    # three empty images used to reach validate_image, whose t.min() raised a traceback
+    images, labels = tmp_path / "img.idx", tmp_path / "lbl.idx"
+    images.write_bytes(struct.pack(">4i", 2051, 3, rows, cols))
+    labels.write_bytes(struct.pack(">2i", 2049, 3) + bytes(3))
+    out = tmp_path / "out"
+    args = (["attack", "--surrogate", trained["model"]] if command == "attack"
+            else ["train", "--arch", "logistic"])
+    result = runner.invoke(main, [*args, "--dataset", f"idx:{images},{labels}",
+                                  "--out", str(out)])
+    _assert_error_wrote_nothing(result, ["LengthMismatch", str(images), f"{rows}x{cols}"], out)
 
 
 def test_eval_refuses_a_target_that_declares_a_huge_shape(runner, trained, advset, tmp_path):

@@ -1,5 +1,6 @@
 """Datasets: container validation, the synthetic generator, IDX loading, subsets."""
 
+import re
 import struct
 
 import numpy as np
@@ -187,6 +188,14 @@ def test_load_idx_header_dims_are_unsigned(tmp_path):
         load_idx(ip, lp)
     ip, lp = _write_idx_pair(tmp_path, [0] * 6, [], lbl_count=-1)
     with pytest.raises(LengthMismatch, match="header promises 4294967295"):
+        load_idx(ip, lp)
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 28), (28, 0), (0, 0)])
+def test_load_idx_refuses_a_zero_side(tmp_path, rows, cols):
+    # a zero side made three empty images, which crashed validate_image later
+    ip, lp = _write_idx_pair(tmp_path, [], [0, 0, 0], rows=rows, cols=cols, img_count=3)
+    with pytest.raises(LengthMismatch, match=re.escape(f"{ip}: header declares {rows}x{cols}")):
         load_idx(ip, lp)
 
 

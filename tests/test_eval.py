@@ -8,7 +8,7 @@ import pytest
 from advm import experiment
 from advm.attacks import AttackConfig, attack_batch
 from advm.data import LabeledDataset, generate_synthetic
-from advm.errors import EmptyDataset, UnknownParameter
+from advm.errors import EmptyDataset, LabelOutOfRange, UnknownParameter
 from advm.evaluate import (
     RateTable,
     ablation_sweep,
@@ -67,6 +67,20 @@ def test_attack_success_rate_validation():
         attack_success_rate(ConstOracle(0), [], [])
 
 
+@pytest.mark.parametrize("label", [3, -1, True, False, np.bool_(True), 1.0, "1", None])
+def test_attack_success_rate_refuses_labels_outside_the_target_classes(label):
+    imgs = [rand_pixel_image((4, 4, 1), seed=s) for s in (1, 2)]
+    with pytest.raises(LabelOutOfRange, match=re.escape(
+            f"label {label!r} is not an integer in [0, 3), the classes of target const")):
+        attack_success_rate(ConstOracle(0), imgs, [0, label])
+
+
+def test_attack_success_rate_takes_numpy_integer_labels():
+    imgs = [rand_pixel_image((4, 4, 1), seed=s) for s in (1, 2, 3)]
+    labels = [np.int64(0), np.uint8(1), np.int32(2)]
+    assert attack_success_rate(ConstOracle(0), imgs, labels) == pytest.approx(2 / 3)
+
+
 # -- transfer matrices -------------------------------------------------------------
 
 
@@ -121,6 +135,22 @@ def test_transfer_matrix_empty_dataset():
     s = _named_quadratic("s", seed=1)
     with pytest.raises(EmptyDataset):
         transfer_matrix([s], [s], empty, AttackConfig(variant="ifgsm"))
+
+
+def test_transfer_matrix_refuses_labels_outside_a_target_before_attacking(monkeypatch):
+    from advm import evaluate
+    monkeypatch.setattr(evaluate, "attack_batch", _refuse_attack)
+    narrow = ConstOracle(0, name="narrow")
+    narrow.num_classes = 2
+    data = _tiny_dataset()   # labels 0, 1 and 2
+    with pytest.raises(LabelOutOfRange, match=re.escape(
+            "label 2 is not an integer in [0, 2), the classes of target narrow")):
+        transfer_matrix([_named_quadratic("s", seed=1)], [ConstOracle(0), narrow], data,
+                        AttackConfig(variant="ifgsm"))
+
+
+def _refuse_attack(*args, **kwargs):
+    raise AssertionError("attacked before checking the labels")
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

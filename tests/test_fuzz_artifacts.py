@@ -1,13 +1,18 @@
 """Fuzzing the stored artifacts the CLI reads: a damaged file is refused.
 
 Each test starts from one valid artifact (a trained model, an attack set
-with its manifest, a report CSV), damages it in one way that leaves it
-invalid, runs the command that reads it under CliRunner, and asserts a
-clean refusal: exit code 1 or 2, no Python traceback, and no output file.
-The damages are: a required key dropped, a value (or a spec size) of
-another JSON type, NaN planted, huge dimensions declared, an "f8" payload edited, the text
-truncated, and bytes flipped to non-UTF-8. Hypothesis runs derandomized
-and without an example database, so every run draws the same examples.
+with its manifest, a report CSV, an IDX image/label pair, an attack config
+file), damages it in one way that leaves it invalid, runs the command that
+reads it under CliRunner, and asserts a clean refusal: exit code 1 or 2, no
+Python traceback, and no output file. The damages are: a required key
+dropped, a value (or a spec size) of another JSON type, NaN planted, huge
+dimensions declared, an "f8" payload edited, the text truncated, and bytes
+flipped to non-UTF-8; an IDX header word changed, a label past the
+surrogate's classes, or an IDX file cut or lengthened; a config value that
+no option takes, an unknown key, or a line without "=". The attack-set keys
+come from the manifest's own field table, so a field added there is fuzzed
+too. Hypothesis runs derandomized and without an example database, so every
+run draws the same examples.
 """
 
 import copy
@@ -22,7 +27,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from advm.cli import main
+from advm.cli import _ADVSET_FIELDS, _ATTACK_OPTIONS, main
 
 from conftest import f8_text, f8_values
 
@@ -52,6 +57,9 @@ def artifacts(tmp_path_factory):
                                   f"{root / 'surr.json'},{root / 'tgt.json'}",
                                   "--out", str(root / "report.csv")])
     assert result.exit_code == 0, result.output
+    (root / "imgs.idx").write_bytes(_IDX_IMAGES)
+    (root / "lbls.idx").write_bytes(_IDX_LABELS)
+    (root / "attack.cfg").write_text(_CONFIG_TEXT)
     return root
 
 
@@ -202,7 +210,7 @@ def _break_a_listed_value(data, doc):
 
 
 def _shorten_a_list(data, doc):
-    key = data.draw(st.sampled_from(["files", "labels", "surrogates"]))
+    key = data.draw(st.sampled_from([k for k, kind in _ADVSET_FIELDS.items() if kind is list]))
     doc[key] = doc[key][:data.draw(st.integers(0, len(doc[key]) - 1))]
 
 
@@ -211,8 +219,7 @@ def _shorten_a_list(data, doc):
 def test_a_damaged_attack_set_is_refused_by_eval(artifacts, data):
     with open(artifacts / "advset" / "manifest.json") as fh:
         doc = json.load(fh)
-    paths = [(key,) for key in ("format", "version", "count", "files", "labels", "surrogates",
-                                "config", "config_hash")]
+    paths = [(key,) for key in ("format", "version", *_ADVSET_FIELDS)]
     with tempfile.TemporaryDirectory(dir=artifacts) as scratch:
         adv_dir = os.path.join(scratch, "advset")
         shutil.copytree(artifacts / "advset", adv_dir)
@@ -285,6 +292,108 @@ def test_a_damaged_report_is_refused_by_report(artifacts, data):
         _assert_refused(CliRunner().invoke(main, ["report", "--in", stored, "--out", out]), out)
 
 
+# -- IDX pairs: advm attack --dataset idx:IMAGES,LABELS -------------------------------
+
+# Four 6x6 images labeled 0, 1, 0, 1: the surrogate's input shape and classes.
+_IDX_IMAGES = struct.pack(">4I", 0x803, 4, 6, 6) + bytes((i * 37) % 256 for i in range(144))
+_IDX_LABELS = struct.pack(">2I", 0x801, 4) + bytes([0, 1, 0, 1])
+# (file, header word): the image magic, count, rows and cols; the label magic and count.
+_IDX_WORDS = ((0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 1))
+
+
+def _damage_idx(data) -> list:
+    """The pair with one header word changed, a label past the surrogate's two
+    classes, or one file cut short or lengthened."""
+    files = [bytearray(_IDX_IMAGES), bytearray(_IDX_LABELS)]
+    kind = data.draw(st.sampled_from(["header", "label", "cut", "extend"]))
+    f = data.draw(st.integers(0, 1))
+    if kind == "header":   # any one changed word breaks the magic or the payload size
+        f, word = data.draw(st.sampled_from(_IDX_WORDS))
+        old = struct.unpack_from(">I", files[f], 4 * word)[0]
+        new = data.draw(st.one_of(st.integers(0, 9), _HUGE, st.just(2**32 - 1))
+                        .filter(lambda v: v != old))
+        struct.pack_into(">I", files[f], 4 * word, new)
+    elif kind == "label":
+        files[1][8 + data.draw(st.integers(0, 3))] = data.draw(st.integers(2, 255))
+    elif kind == "cut":
+        files[f] = files[f][:data.draw(st.integers(0, len(files[f]) - 1))]
+    else:
+        files[f] += bytes(data.draw(st.integers(1, 64)))
+    return files
+
+
+@_FUZZ
+@given(data=st.data())
+def test_a_damaged_idx_pair_is_refused_by_attack(artifacts, data):
+    with tempfile.TemporaryDirectory(dir=artifacts) as scratch:
+        paths = [os.path.join(scratch, name) for name in ("imgs.idx", "lbls.idx")]
+        for path, raw in zip(paths, _damage_idx(data)):
+            with open(path, "wb") as fh:
+                fh.write(raw)
+        out = os.path.join(scratch, "advset")
+        _assert_refused(CliRunner().invoke(main, ["attack", "--surrogate",
+                                                  str(artifacts / "surr.json"), "--dataset",
+                                                  f"idx:{paths[0]},{paths[1]}", "--out", out]),
+                        out)
+
+
+# -- config files: advm attack --config --------------------------------------------
+
+# A valid value for every config key; seed comes last, so a cut inside its
+# line leaves "seed =", "seed = " or a line without "=".
+_CONFIG = {"attack": "i-fgsm", "eps": "16/255", "iters": "1", "mu": "1.0", "eta": "7.0",
+           "samples": "1", "sampling": "linear", "transforms": "tim", "dim.prob": "0.5",
+           "dim.resize_low": "auto", "dim.pad_to": "auto", "tim.kernel_size": "3",
+           "tim.sigma": "1.0", "sim.copies": "1", "normalize_sample_dir": "false", "seed": "3"}
+_CONFIG_TEXT = "".join(f"{key} = {value}\n" for key, value in _CONFIG.items())
+# Texts that no option's parser and checks accept, each tried on every key.
+_BAD_CONFIG_VALUES = ("x", "nan", "-1", "1e999")
+
+
+def _damage_config(data) -> bytes:
+    """An unknown key added, a line's "=" blanked, or the text cut or flipped."""
+    kind = data.draw(st.sampled_from(["unknown key", "no equals", "text"]))
+    lines = _CONFIG_TEXT.splitlines(keepends=True)
+    i = data.draw(st.integers(0, len(lines) - 1))
+    if kind == "text":
+        return _damage_text(data, _CONFIG_TEXT,
+                            (len(_CONFIG_TEXT) - len(lines[-1]) + 1, len(_CONFIG_TEXT) - 2))
+    if kind == "unknown key":
+        lines.insert(i, "epsilon = 0.1\n")
+    else:
+        lines[i] = lines[i].replace("=", " ")
+    return "".join(lines).encode()
+
+
+def _assert_config_refused(artifacts, text: bytes):
+    with tempfile.TemporaryDirectory(dir=artifacts) as scratch:
+        config = os.path.join(scratch, "attack.cfg")
+        with open(config, "wb") as fh:
+            fh.write(text)
+        out = os.path.join(scratch, "advset")
+        _assert_refused(CliRunner().invoke(main, ["attack", "--surrogate",
+                                                  str(artifacts / "surr.json"), "--dataset",
+                                                  "synthetic:2x2x6", "--config", config,
+                                                  "--out", out]), out)
+
+
+@_FUZZ
+@given(data=st.data())
+def test_a_damaged_config_file_is_refused_by_attack(artifacts, data):
+    _assert_config_refused(artifacts, _damage_config(data))
+
+
+@pytest.mark.parametrize("key", list(_CONFIG))
+def test_a_config_value_no_option_takes_is_refused_by_attack(artifacts, key):
+    for bad in _BAD_CONFIG_VALUES:
+        text = _CONFIG_TEXT.replace(f"{key} = {_CONFIG[key]}\n", f"{key} = {bad}\n")
+        _assert_config_refused(artifacts, text.encode())
+
+
+def test_the_config_file_sets_every_key():
+    assert sorted(_CONFIG) == sorted(row[1] for row in _ATTACK_OPTIONS)
+
+
 def test_the_undamaged_artifacts_are_accepted(artifacts, tmp_path):
     runner = CliRunner()
     result = runner.invoke(main, ["attack", "--surrogate", str(artifacts / "surr.json"),
@@ -295,4 +404,9 @@ def test_the_undamaged_artifacts_are_accepted(artifacts, tmp_path):
     assert result.exit_code == 0, result.output
     result = runner.invoke(main, ["report", "--in", str(artifacts / "report.csv"),
                                   "--out", str(tmp_path / "r.md")])
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(main, ["attack", "--surrogate", str(artifacts / "surr.json"),
+                                  "--dataset", f"idx:{artifacts / 'imgs.idx'},"
+                                  f"{artifacts / 'lbls.idx'}", "--config",
+                                  str(artifacts / "attack.cfg"), "--out", str(tmp_path / "b")])
     assert result.exit_code == 0, result.output

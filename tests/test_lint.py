@@ -6,6 +6,8 @@ use went, and a module-level `_helper` whose last caller went.
 `__init__.py` is not linted for them, because its imports are the
 package's exports, but what it reads still counts as a reference. The
 third keeps a dependency from coming back, or going stale, unnoticed.
+Every read_manifest call passes a module-level field table by name, so a
+manifest's fields are written down once, where its writer can share them.
 The last checks keep README's Python examples importing only what the
 package exports, and every call README names in backticked prose an
 attribute of the package or one of its modules, so a removed name cannot
@@ -110,6 +112,49 @@ def test_third_party_imports_skip_stdlib_and_relative_imports():
     tree = ast.parse("import os.path\nimport numpy as np\nfrom scipy.signal import x\n"
                      "from . import errors\nfrom .tensor import y\nimport json, click\n")
     assert third_party_imports(tree) == {"numpy", "scipy", "click"}
+
+
+def unnamed_manifest_tables(tree) -> list:
+    """(line, table source) of each read_manifest call whose field table is not
+    a name the module binds at its top level."""
+    module_names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                elts = target.elts if isinstance(target, ast.Tuple) else [target]
+                module_names.update(e.id for e in elts if isinstance(e, ast.Name))
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and "read_manifest" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None))):
+            continue
+        table = node.args[3] if len(node.args) > 3 else next(
+            (k.value for k in node.keywords if k.arg == "fields"), None)
+        if not (isinstance(table, ast.Name) and table.id in module_names):
+            found.append((node.lineno, table and ast.unparse(table)))
+    return found
+
+
+def test_read_manifest_calls_pass_a_module_level_table():
+    calls = [node for tree in LINTED.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "read_manifest"]
+    assert len(calls) >= 2, "the model and attack-set readers no longer call read_manifest"
+    found = [f"{name}:{line} {table}" for name, tree in LINTED.items()
+             for line, table in unnamed_manifest_tables(tree)]
+    assert not found, "read_manifest tables that are not module-level names: " + ", ".join(found)
+
+
+def test_manifest_table_check_flags_inline_and_local_tables():
+    tree = ast.parse(
+        "_TABLE = {'a': int}\n_FMT, _VER = 'x', 1\n"
+        "def f(p):\n    local = {'b': str}\n"
+        "    read_manifest(p, _FMT, _VER, _TABLE)\n"
+        "    read_manifest(p, 'x', 1, {'a': int})\n"
+        "    fileio.read_manifest(p, 'x', 1, fields=local)\n"
+        "    read_manifest(p, 'x', 1, fields=_TABLE)\n"
+        "    read_manifest(p, 'x', 1)\n"
+    )
+    assert unnamed_manifest_tables(tree) == [(6, "{'a': int}"), (7, "local"), (9, None)]
 
 
 def readme_advm_imports(text: str) -> set:

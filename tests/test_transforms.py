@@ -76,6 +76,13 @@ def test_config_validation():
     assert TransformConfig(dim_resize_low=None, dim_pad_to=None).dim_pad_to is None
 
 
+@pytest.mark.parametrize("pad", [0, -1])
+def test_config_refuses_a_dim_pad_to_below_one(pad):
+    # with dim off, pad_to 0 or -1 was accepted and entered the config hash
+    with pytest.raises(ValueError, match=f"pad_to must be >= 1, got None and {pad}"):
+        TransformConfig(dim_pad_to=pad)
+
+
 def test_config_enabled_sorted_and_deduped():
     cfg = TransformConfig(enabled=("tim", "dim", "dim"))
     assert cfg.enabled == ("dim", "tim")
