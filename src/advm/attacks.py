@@ -206,16 +206,14 @@ def attack_one(oracle, x, y, cfg: AttackConfig, example_index: int) -> AttackRes
     return run_attack(oracle, x, y, cfg, derive_rng(cfg.seed, example_index))
 
 
-def batch_width(jobs: int, n_images: int) -> int:
-    """Processes an attack_batch call runs on: jobs, capped at the usable
-    CPUs and at the batch size. Starts nothing."""
-    return min(jobs, len(os.sched_getaffinity(0)), n_images)
+def batch_width(jobs: int, n_items: int) -> int:
+    """Processes a _pmap call runs on: jobs, capped at the usable CPUs and
+    at the item count. Starts nothing."""
+    return min(jobs, len(os.sched_getaffinity(0)), n_items)
 
 
-def _attack_chunk(oracle, cfg, start, images, labels) -> list:
-    """attack_one over images[k], labels[k] as examples start + k."""
-    return [attack_one(oracle, x, y, cfg, start + k)
-            for k, (x, y) in enumerate(zip(images, labels))]
+def _run_chunk(fn, items) -> list:
+    return [fn(*item) for item in items]
 
 
 # One fork-context pool per process, made on first use and reused, since
@@ -256,40 +254,43 @@ def _forget_pool() -> None:
 os.register_at_fork(after_in_child=_forget_pool)
 
 
-def attack_batch(oracle, images, labels, cfg: AttackConfig, jobs: int = 1) -> list:
-    """Attack a batch; any jobs width reproduces the jobs=1 results bit for bit.
-
-    It runs on width = batch_width(jobs, len(images)) processes, i.e. jobs
-    capped at the usable CPUs and at the batch size: at width 1 serially in
-    this process, otherwise as `width` contiguous chunks of indices, the
-    first in this process and the others in `width - 1` forked workers.
-    The workers belong to a pool forked on first use and kept for later
-    calls, so code patched into this process after that fork (a monkeypatch,
-    a tracer) does not reach them; the oracle and cfg, which must pickle, are
-    sent afresh on every call. A worker that dies raises WorkerLost, and the
-    next call forks a new pool.
+def _pmap(fn, items, jobs: int) -> list:
+    """[fn(*item) for item in items] on width = batch_width(jobs, len(items))
+    processes: as `width` contiguous chunks, the first in this process and
+    the others in the shared pool's forked workers, so code patched in after
+    that fork (a monkeypatch, a tracer) does not reach them. fn and each
+    chunk, which must pickle, are sent afresh on every call; an object the
+    items share is pickled once per chunk. A dead worker raises WorkerLost,
+    and the next call forks a new pool.
     """
-    if len(images) != len(labels):
-        raise ValueError(f"{len(images)} images vs {len(labels)} labels")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    width = batch_width(jobs, len(images))
+    width = batch_width(jobs, len(items))
     if width <= 1:
-        return _attack_chunk(oracle, cfg, 0, images, labels)
-    bounds = [len(images) * k // width for k in range(width + 1)]
+        return _run_chunk(fn, items)
+    bounds = [len(items) * k // width for k in range(width + 1)]
     futures = []
     try:
         pool = _worker_pool(width - 1)
-        futures = [pool.submit(_attack_chunk, oracle, cfg, lo, images[lo:hi], labels[lo:hi])
+        futures = [pool.submit(_run_chunk, fn, items[lo:hi])
                    for lo, hi in zip(bounds[1:-1], bounds[2:])]
-        results = _attack_chunk(oracle, cfg, 0, images[:bounds[1]], labels[:bounds[1]])
+        results = _run_chunk(fn, items[:bounds[1]])
         for f in futures:
             results += f.result()
         return results
     except BrokenProcessPool as exc:
         _drop_pool()
-        raise WorkerLost(f"an attack worker process died: {exc}") from exc
+        raise WorkerLost(f"a worker process died: {exc}") from exc
     finally:
         wait(futures)
         if any(isinstance(f.exception(), BrokenProcessPool) for f in futures):
             _drop_pool()   # also when this process's own chunk raised first
+
+
+def attack_batch(oracle, images, labels, cfg: AttackConfig, jobs: int = 1) -> list:
+    """attack_one on each example, through _pmap; any jobs width reproduces
+    the jobs=1 results bit for bit. With jobs > 1 the oracle and cfg must pickle."""
+    if len(images) != len(labels):
+        raise ValueError(f"{len(images)} images vs {len(labels)} labels")
+    return _pmap(attack_one, [(oracle, x, y, cfg, k)
+                              for k, (x, y) in enumerate(zip(images, labels))], jobs)

@@ -105,14 +105,14 @@ _ATTACK_OPTIONS = (
 
 def read_config_file(path: str) -> dict:
     """Flat key = value lines; '#' starts a comment; the keys are the option
-    table's config-file keys, and any other key is an error."""
+    table's config-file keys; any other key, or one set twice, is an error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise click.UsageError(f"cannot read config file {path}: {exc}") from exc
     keys = {row[1] for row in _ATTACK_OPTIONS}
-    values = {}
+    values, seen = {}, {}
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -122,7 +122,10 @@ def read_config_file(path: str) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in keys:
             raise click.UsageError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = value
+        if key in seen:
+            raise click.UsageError(
+                f"{path}:{lineno}: key {key!r} is already set on line {seen[key]}")
+        values[key], seen[key] = value, lineno
     return values
 
 
@@ -408,6 +411,8 @@ def _load_advset(adv_dir: str) -> tuple:
         raise click.ClickException(
             f"{manifest_path}: count {manifest['count']!r} does not match its files, "
             f"labels and white_box lists")
+    if not all(type(w) is bool for w in manifest["white_box"]):
+        raise click.ClickException(f"{manifest_path}: white_box must be a list of booleans")
     advs = []
     for f in files:
         if not isinstance(f, str) or f in ("", ".", "..") or os.path.basename(f) != f:

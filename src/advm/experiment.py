@@ -19,17 +19,17 @@ separations:
   are checked against.
 
 Every world is deterministic in its seed. The experiments read worlds
-through build_whitebox_world_cached and build_transfer_world_cached, which
-keep one world per seed for the life of the process, so several
-comparisons share one trained zoo. build_whitebox_world and
+through one per-process cache keyed by (builder, seed), so several
+comparisons share one trained zoo; mean_transfer builds the worlds it lacks
+through the attacks' ordered process map on up to `jobs` processes, before
+it attacks, and the width never changes a byte. build_whitebox_world and
 build_transfer_world stay uncached: each call trains afresh, which is what
 timing a world build or checking that two builds agree needs.
 """
 
-import functools
 from dataclasses import dataclass, replace
 
-from .attacks import AttackConfig
+from .attacks import AttackConfig, _pmap
 from .data import LabeledDataset, generate_synthetic, subsample
 from .evaluate import transfer_rates
 from .models import Model, ModelSpec, train_sgd
@@ -55,7 +55,6 @@ DESK_REPLICATE_SEEDS = (101, 102, 103, 104, 105)
 
 @dataclass(frozen=True)
 class WhiteboxWorld:
-    train: LabeledDataset
     evalset: LabeledDataset
     model: Model
 
@@ -100,8 +99,7 @@ def build_whitebox_world(seed: int = DESK_DEFAULT_SEED) -> WhiteboxWorld:
     """Dataset plus one convnet trained on the full training split."""
     data, pools, evalset = _desk_data(seed, DESK_CONTRAST_WHITEBOX)
     train = data.subset([i for pool in pools for i in pool])
-    model = _train_smallcnn(train, 8, 3, seed, 11, "whitebox")
-    return WhiteboxWorld(train=train, evalset=evalset, model=model)
+    return WhiteboxWorld(evalset=evalset, model=_train_smallcnn(train, 8, 3, seed, 11, "whitebox"))
 
 
 # Transfer-study zoo: (name, channels, kernel, seed offset, training window).
@@ -127,8 +125,17 @@ def build_transfer_world(seed: int) -> DeskWorld:
     return DeskWorld(evalset=evalset, surrogate=zoo[0], targets=tuple(zoo[1:]))
 
 
-build_whitebox_world_cached = functools.cache(build_whitebox_world)
-build_transfer_world_cached = functools.cache(build_transfer_world)
+# Worlds built in this process, by (builder, seed), kept for its life.
+_worlds = {}
+
+
+def _cached_worlds(builder, seeds, jobs: int = 1) -> list:
+    """builder(seed) for each seed, each built once per process; the missing
+    ones are built through _pmap on up to jobs processes."""
+    missing = [s for s in dict.fromkeys(seeds) if (builder, s) not in _worlds]
+    for seed, world in zip(missing, _pmap(builder, [(s,) for s in missing], jobs)):
+        _worlds[builder, seed] = world
+    return [_worlds[builder, s] for s in seeds]
 
 
 def white_box_rate(
@@ -138,25 +145,9 @@ def white_box_rate(
     jobs: int = 1,
 ) -> float:
     """Attack success against the white-box benchmark model itself."""
-    world = build_whitebox_world_cached(seed)
+    world = _cached_worlds(build_whitebox_world, (seed,))[0]
     sub = subsample(world.evalset, n_images, seed)
     return transfer_rates(world.model, (world.model,), sub, replace(cfg, seed=seed), jobs)[0]
-
-
-def replicate_transfer(
-    cfgs: dict,
-    seed: int,
-    n_images: int = DESK_EVAL_COUNT,
-    jobs: int = 1,
-) -> dict:
-    """Per-target transfer rates {config_name: (rate_per_target, ...)} for
-    one replicate world. The replicate seed also seeds each attack."""
-    world = build_transfer_world_cached(seed)
-    sub = subsample(world.evalset, n_images, seed)
-    return {
-        name: transfer_rates(world.surrogate, world.targets, sub, replace(cfg, seed=seed), jobs)
-        for name, cfg in cfgs.items()
-    }
 
 
 def mean_transfer(
@@ -165,12 +156,14 @@ def mean_transfer(
     n_images: int = DESK_EVAL_COUNT,
     jobs: int = 1,
 ) -> dict:
-    """Mean transfer rate per config, averaged over replicates and targets."""
-    sums = {name: 0.0 for name in cfgs}
-    count = 0
-    for seed in seeds:
-        rates = replicate_transfer(cfgs, seed, n_images=n_images, jobs=jobs)
-        for name, per_target in rates.items():
-            sums[name] += sum(per_target) / len(per_target)
-        count += 1
-    return {name: total / count for name, total in sums.items()}
+    """Mean transfer rate per config, averaged over replicate worlds and
+    their targets. The replicate seed also seeds each attack."""
+    seeds = tuple(seeds)
+    sums = dict.fromkeys(cfgs, 0.0)
+    for seed, world in zip(seeds, _cached_worlds(build_transfer_world, seeds, jobs)):
+        sub = subsample(world.evalset, n_images, seed)
+        for name, cfg in cfgs.items():
+            rates = transfer_rates(world.surrogate, world.targets, sub, replace(cfg, seed=seed),
+                                   jobs)
+            sums[name] += sum(rates) / len(rates)
+    return {name: total / len(seeds) for name, total in sums.items()}

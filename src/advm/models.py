@@ -29,7 +29,6 @@ tests/test_models.py keeps the seed kernels and compares bytes.
 import base64
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 
@@ -77,7 +76,7 @@ class ModelSpec:
             raise ValueError(f"unknown architecture {self.arch!r}")
         sizes = (*self.input_shape, self.num_classes, *self.hidden, self.conv_channels,
                  self.conv_kernel, self.seed)
-        if not all(isinstance(v, numbers.Integral) and type(v) is not bool for v in sizes):
+        if not all(type(v) is int for v in sizes):   # not a bool or numpy integer
             raise ValueError(f"sizes and seed must be integers, got {sizes}")
         if len(self.input_shape) != 3 or any(d < 1 for d in self.input_shape):
             raise ValueError(f"bad input shape {self.input_shape}")

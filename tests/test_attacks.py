@@ -8,10 +8,12 @@ import os
 import numpy as np
 import pytest
 
+from advm import attacks
 from advm.attacks import (
     VARIANTS,
     AttackConfig,
     AttackResult,
+    _pmap,
     attack_batch,
     attack_one,
     batch_width,
@@ -516,3 +518,52 @@ def test_dead_worker_raises_worker_lost_and_the_next_call_recovers():
     oracle = QuadraticOracle((4, 4, 1), seed=18)
     serial = attack_batch(oracle, xs, ys, cfg, jobs=1)
     assert _batch_bytes(attack_batch(oracle, xs, ys, cfg, jobs=2)) == _batch_bytes(serial)
+
+
+# -- the ordered process map ---------------------------------------------------------
+
+
+def _tag(i, tag):
+    return tag, i, os.getpid()
+
+
+def _fail_on_three(i):
+    if i == 3:
+        raise ValueError(f"item {i} refused")
+    return i
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_pmap_returns_results_in_item_order(jobs):
+    got = _pmap(_tag, [(i, "t") for i in range(7)], jobs)
+    assert [g[:2] for g in got] == [("t", i) for i in range(7)]
+    assert got[0][2] == os.getpid()   # the first chunk runs in this process
+    if batch_width(jobs, 7) > 1:
+        assert got[-1][2] != os.getpid()
+
+
+def test_pmap_with_more_jobs_than_items_runs_one_item_a_process():
+    got = _pmap(_tag, [(0, "a"), (1, "b")], 8)
+    assert [g[:2] for g in got] == [("a", 0), ("b", 1)]
+    assert len({g[2] for g in got}) == batch_width(8, 2)
+
+
+def test_pmap_over_no_items_returns_an_empty_list_and_forks_nothing(monkeypatch):
+    def no_pool(workers):
+        raise AssertionError("forked for no items")
+    monkeypatch.setattr(attacks, "_worker_pool", no_pool)
+    before = {p.pid for p in multiprocessing.active_children()}
+    assert _pmap(_tag, [], 4) == []
+    assert {p.pid for p in multiprocessing.active_children()} == before
+
+
+def test_pmap_raises_an_exception_from_a_worker_chunk_in_the_caller():
+    _needs_a_worker()
+    with pytest.raises(ValueError, match="item 3 refused"):
+        _pmap(_fail_on_three, [(i,) for i in range(4)], 2)   # item 3 is in the worker's chunk
+    assert _pmap(_fail_on_three, [(i,) for i in range(3)], 2) == [0, 1, 2]
+
+
+def test_pmap_refuses_jobs_below_one():
+    with pytest.raises(ValueError, match="jobs must be >= 1"):
+        _pmap(_tag, [], 0)

@@ -665,6 +665,21 @@ def test_attack_bad_config_file_lines_are_usage_errors(runner, trained, tmp_path
     assert not out.exists()
 
 
+def test_attack_refuses_a_config_key_set_twice(runner, trained, tmp_path, monkeypatch):
+    # the last value used to win silently: exit 0 with iters 2 in the manifest
+    from advm import cli
+    monkeypatch.setattr(cli, "attack_batch", _refuse_work)
+    cfg_path = tmp_path / "atk.cfg"
+    cfg_path.write_text("iters = 1\n# again\niters = 2\n")
+    out = tmp_path / "advset"
+    result = runner.invoke(main, [
+        "attack", "--surrogate", trained["model"], "--dataset", "synthetic:2x3x6",
+        "--config", str(cfg_path), "--out", str(out),
+    ])
+    _assert_usage_error(result, f"{cfg_path}:3: key 'iters' is already set on line 1")
+    assert not out.exists()
+
+
 # Non-default text for each option row; the flag and the file key take it alike.
 _ROW_TEXT = {
     "attack": "ni-fgsm", "eps": "8/255", "iters": "3", "mu": "0.5", "eta": "3",
@@ -855,6 +870,14 @@ def test_eval_refuses_surrogates_that_are_not_model_names(runner, trained, advse
     adv_dir = _edit_advset(advset, tmp_path, lambda m: m.update(surrogates=[1]))
     _assert_eval_manifest_error(runner, trained, adv_dir,
                                 "surrogates must be a non-empty list of model names")
+
+
+@pytest.mark.parametrize("flag", ["x", 1, None])
+def test_eval_refuses_white_box_flags_that_are_not_booleans(runner, trained, advset, tmp_path,
+                                                            flag):
+    # a list of strings as long as files used to pass eval with exit 0
+    adv_dir = _edit_advset(advset, tmp_path, lambda m: m.update(white_box=[flag] * m["count"]))
+    _assert_eval_manifest_error(runner, trained, adv_dir, "white_box must be a list of booleans")
 
 
 def test_eval_refuses_a_config_that_is_not_an_object(runner, trained, advset, tmp_path):

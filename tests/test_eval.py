@@ -1,5 +1,7 @@
 """Evaluation harness: success rates, transfer matrices, sweeps, reports."""
 
+import dataclasses
+import os
 import re
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 
 from advm import experiment
 from advm.attacks import AttackConfig, attack_batch
-from advm.data import LabeledDataset, generate_synthetic
+from advm.data import LabeledDataset, generate_synthetic, subsample
 from advm.errors import EmptyDataset, LabelOutOfRange, UnknownParameter
 from advm.evaluate import (
     RateTable,
@@ -164,11 +166,53 @@ def test_transfer_rates_scores_one_attack_batch_on_each_target(jobs):
     assert transfer_rates(s, targets, data, cfg, jobs=jobs) == want
 
 
-def test_only_the_cached_world_builders_cache():
-    for name in ("build_whitebox_world", "build_transfer_world"):
-        builder = getattr(experiment, name)
+def test_only_the_world_cache_caches():
+    for builder in (experiment.build_whitebox_world, experiment.build_transfer_world):
         assert not hasattr(builder, "cache_info")
-        assert getattr(experiment, name + "_cached").__wrapped__ is builder
+    for name in ("build_whitebox_world_cached", "build_transfer_world_cached",
+                 "replicate_transfer"):
+        assert not hasattr(experiment, name)
+    assert [f.name for f in dataclasses.fields(experiment.WhiteboxWorld)] == ["evalset", "model"]
+
+
+def _fake_world(seed):
+    return "world", seed, os.getpid()
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_the_world_cache_builds_each_builder_and_seed_once(monkeypatch, jobs):
+    monkeypatch.setattr(experiment, "_worlds", {})
+    first = experiment._cached_worlds(_fake_world, (5, 6, 7, 5), jobs)
+    assert [w[:2] for w in first] == [("world", s) for s in (5, 6, 7, 5)]
+    assert first[3] is first[0]
+    again = experiment._cached_worlds(_fake_world, (7, 8, 6), jobs)
+    assert again[0] is first[2] and again[2] is first[1] and again[1][:2] == ("world", 8)
+    assert sorted(experiment._worlds) == [(_fake_world, s) for s in (5, 6, 7, 8)]
+
+
+def test_mean_transfer_builds_its_worlds_once_and_averages_them(monkeypatch):
+    monkeypatch.setattr(experiment, "_worlds", {})
+    built = []
+
+    def build(seed):   # a builder patched in here never reaches a pool worker: jobs=1
+        built.append(seed)
+        return experiment.DeskWorld(_tiny_dataset(seed), _named_quadratic("s", seed),
+                                    (_named_quadratic("t0", seed + 1), ConstOracle(0)))
+    monkeypatch.setattr(experiment, "build_transfer_world", build)
+    cfgs = {"mi": AttackConfig(variant="mifgsm", eps=0.2, iters=2),
+            "i": AttackConfig(variant="ifgsm", eps=0.1, iters=1)}
+    got = experiment.mean_transfer(cfgs, seeds=(3, 4), n_images=4, jobs=1)
+    assert experiment.mean_transfer(cfgs, seeds=(4, 3), n_images=4, jobs=1) == got
+    assert built == [3, 4]
+    for name, cfg in cfgs.items():
+        per_world = []
+        for seed in (3, 4):
+            world = experiment._worlds[build, seed]
+            rates = transfer_rates(world.surrogate, world.targets,
+                                   subsample(world.evalset, 4, seed),
+                                   dataclasses.replace(cfg, seed=seed))
+            per_world.append(sum(rates) / len(rates))
+        assert got[name] == sum(per_world) / 2
 
 
 # -- parameter sweeps --------------------------------------------------------------

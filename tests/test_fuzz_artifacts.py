@@ -9,10 +9,11 @@ dropped, a value (or a spec size) of another JSON type, NaN planted, huge
 dimensions declared, an "f8" payload edited, the text truncated, and bytes
 flipped to non-UTF-8; an IDX header word changed, a label past the
 surrogate's classes, or an IDX file cut or lengthened; a config value that
-no option takes, an unknown key, or a line without "=". The attack-set keys
-come from the manifest's own field table, so a field added there is fuzzed
-too. Hypothesis runs derandomized and without an example database, so every
-run draws the same examples.
+no option takes, an unknown key, a repeated line, or a line without "=".
+The attack-set keys come from the manifest's own field table, so a field
+added there is fuzzed too, and one element of each of its lists is retyped.
+Hypothesis runs derandomized and without an example database, so every run
+draws the same examples.
 """
 
 import copy
@@ -240,6 +241,28 @@ def test_a_damaged_attack_set_is_refused_by_eval(artifacts, data):
                         out)
 
 
+_LIST_FIELDS = [key for key, kind in _ADVSET_FIELDS.items() if kind is list]
+
+
+@pytest.mark.parametrize("key", _LIST_FIELDS)
+def test_an_attack_set_list_element_of_another_type_is_refused_by_eval(artifacts, key):
+    with open(artifacts / "advset" / "manifest.json") as fh:
+        doc = json.load(fh)
+    bad = [v for v in _VALUES if type(v) is not type(doc[key][0])]
+    for j, value in enumerate(bad):
+        damaged = copy.deepcopy(doc)
+        damaged[key][j % len(damaged[key])] = value
+        with tempfile.TemporaryDirectory(dir=artifacts) as scratch:
+            adv_dir = os.path.join(scratch, "advset")
+            shutil.copytree(artifacts / "advset", adv_dir)
+            with open(os.path.join(adv_dir, "manifest.json"), "w") as fh:
+                json.dump(damaged, fh, sort_keys=True)
+            out = os.path.join(scratch, "report.csv")
+            _assert_refused(CliRunner().invoke(main, ["eval", "--adv", adv_dir, "--targets",
+                                                      str(artifacts / "surr.json"), "--out",
+                                                      out]), out)
+
+
 # -- reports: advm report --in ------------------------------------------------------
 
 # Field values that no report may hold, by column of the two-cell matrix report.
@@ -351,8 +374,9 @@ _BAD_CONFIG_VALUES = ("x", "nan", "-1", "1e999")
 
 
 def _damage_config(data) -> bytes:
-    """An unknown key added, a line's "=" blanked, or the text cut or flipped."""
-    kind = data.draw(st.sampled_from(["unknown key", "no equals", "text"]))
+    """An unknown key added, a line repeated, a line's "=" blanked, or the text
+    cut or flipped."""
+    kind = data.draw(st.sampled_from(["unknown key", "repeat", "no equals", "text"]))
     lines = _CONFIG_TEXT.splitlines(keepends=True)
     i = data.draw(st.integers(0, len(lines) - 1))
     if kind == "text":
@@ -360,6 +384,8 @@ def _damage_config(data) -> bytes:
                             (len(_CONFIG_TEXT) - len(lines[-1]) + 1, len(_CONFIG_TEXT) - 2))
     if kind == "unknown key":
         lines.insert(i, "epsilon = 0.1\n")
+    elif kind == "repeat":
+        lines.insert(data.draw(st.integers(0, len(lines))), lines[i])
     else:
         lines[i] = lines[i].replace("=", " ")
     return "".join(lines).encode()

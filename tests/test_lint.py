@@ -8,6 +8,8 @@ package's exports, but what it reads still counts as a reference. The
 third keeps a dependency from coming back, or going stale, unnoticed.
 Every read_manifest call passes a module-level field table by name, so a
 manifest's fields are written down once, where its writer can share them.
+Only attacks.py names ProcessPoolExecutor, multiprocessing or os.fork, so
+the one process pool, and how it forks and dies, stays in one module.
 The last checks keep README's Python examples importing only what the
 package exports, and every call README names in backticked prose an
 attribute of the package or one of its modules, so a removed name cannot
@@ -155,6 +157,47 @@ def test_manifest_table_check_flags_inline_and_local_tables():
         "    read_manifest(p, 'x', 1)\n"
     )
     assert unnamed_manifest_tables(tree) == [(6, "{'a': int}"), (7, "local"), (9, None)]
+
+
+_PROCESS_NAMES = {"ProcessPoolExecutor", "multiprocessing", "os.fork"}
+
+
+def process_spawners(tree) -> list:
+    """(line, name) of each use of ProcessPoolExecutor, multiprocessing or os.fork."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [(node.module or "").split(".")[0]] + [a.name for a in node.names]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr, f"{getattr(node.value, 'id', '')}.{node.attr}"]
+        else:
+            continue
+        found += [(node.lineno, n) for n in names if n in _PROCESS_NAMES]
+    return sorted(found)
+
+
+def test_only_attacks_starts_processes():
+    found = [f"{name}:{line} {what}" for name, tree in TREES.items() if name != "attacks.py"
+             for line, what in process_spawners(tree)]
+    assert not found, "process pools outside attacks.py: " + ", ".join(found)
+    assert process_spawners(TREES["attacks.py"]), "attacks.py no longer holds the pool"
+
+
+def test_process_check_flags_a_planted_pool_and_fork():
+    tree = ast.parse(
+        "import os, json\nimport multiprocessing.util\n"
+        "from concurrent.futures import ProcessPoolExecutor, wait\n"
+        "from multiprocessing import get_context\n"
+        "def f():\n    os.fork()\n    os.getpid()\n"
+        "    return concurrent.futures.ProcessPoolExecutor(2)\n"
+    )
+    assert process_spawners(tree) == [(2, "multiprocessing"), (3, "ProcessPoolExecutor"),
+                                      (4, "multiprocessing"), (6, "os.fork"),
+                                      (8, "ProcessPoolExecutor")]
 
 
 def readme_advm_imports(text: str) -> set:

@@ -68,6 +68,18 @@ def test_spec_validation():
             ModelSpec("smallcnn", **kw)
 
 
+@pytest.mark.parametrize("bad", [
+    {"input_shape": (np.int64(4), 4, 1)}, {"num_classes": np.int32(3)},
+    {"input_shape": (4, 4, True)}, {"hidden": (np.int64(5),)}, {"seed": np.uint8(1)},
+    {"conv_kernel": np.int64(3)},
+])
+def test_spec_refuses_numpy_integer_and_bool_sizes(bad):
+    # np.int64(4) used to pass, then save_model raised a bare TypeError from json
+    kw = {"arch": "mlp", "input_shape": (4, 4, 1), "num_classes": 3, "hidden": (5,), **bad}
+    with pytest.raises(ValueError, match="must be integers"):
+        ModelSpec(**kw)
+
+
 def test_init_params_shapes_and_glorot_bounds():
     spec = ModelSpec("smallcnn", (6, 6, 2), 3, conv_channels=4, conv_kernel=3, seed=1)
     p = init_params(spec)
