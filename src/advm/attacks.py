@@ -29,7 +29,7 @@ With transforms enabled, each point's loss and gradient come from
 compose_dts on the attack's own stream, drawn after the iteration's
 coefficients or cubes; white-box success is scored by the plain oracle.
 
-Finiteness is checked at this boundary, not inside the tensor operators:
+Finiteness is checked at this boundary, not inside the transform operators:
 run_attack refuses a non-finite clean image, and raises NonFiniteGradient
 as soon as an iteration's averaged loss or gradient is NaN or infinite,
 so a broken oracle never turns into NaN pixels.
@@ -48,10 +48,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NonFiniteGradient, WorkerLost, ZeroGradient
+from .errors import NonFiniteGradient, WorkerLost
 from .sampling import (SamplingSpec, _require_ints, derive_rng, make_rng, sample_coefficients,
                        sample_uniform_cube)
-from .tensor import l1_normalize, project_linf, validate_image
+from .tensor import project_linf, validate_image
 from .transforms import TransformConfig, compose_dts
 
 VARIANTS = (
@@ -118,11 +118,9 @@ class AttackResult:
 
 
 def _l1_direction(g: np.ndarray) -> np.ndarray:
-    """grad / ||grad||_1, with an exactly-zero gradient passed through as zeros."""
-    try:
-        return l1_normalize(g)
-    except ZeroGradient:
-        return np.zeros_like(g)
+    """g / ||g||_1, or zeros when that L1 mass is at or below 1e-300."""
+    mass = float(np.abs(g).sum())
+    return np.zeros_like(g) if mass <= 1e-300 else g / mass
 
 
 _PLAIN = ("fgsm", "ifgsm")                       # step along gbar_t, no momentum

@@ -9,10 +9,6 @@ class ShapeMismatch(AdvmError):
     """Two tensors that must agree in shape do not."""
 
 
-class ZeroGradient(AdvmError):
-    """A gradient with (near-)zero L1 mass cannot be normalized."""
-
-
 class NonFiniteGradient(AdvmError):
     """An attack iteration's averaged loss or gradient is NaN or infinite."""
 

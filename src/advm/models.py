@@ -310,7 +310,7 @@ class Model:
 
     # -- backward (a ReLU mask is output > 0, which is exactly input > 0) --
 
-    def input_grad_from_dlogits(self, x, cache, dlogits) -> np.ndarray:
+    def input_grad_from_dlogits(self, cache, dlogits) -> np.ndarray:
         p = self.params
         acts, pre, _cols = cache
         d = dlogits
@@ -321,7 +321,7 @@ class Model:
             return _stem_input_grad(d, pre, p["conv.W"], self.spec.input_shape)
         return d.reshape(self.spec.input_shape)
 
-    def param_grads_from_dlogits(self, x, cache, dlogits) -> dict:
+    def param_grads_from_dlogits(self, cache, dlogits) -> dict:
         p = self.params
         acts, pre, cols = cache
         g = {}
@@ -342,11 +342,11 @@ class Model:
     def loss_and_grad(self, x: np.ndarray, y: int):
         """Cross-entropy of softmax(logits) at label y, and d loss / d x."""
         dlogits, loss, cache = self._dlogits(x, y)
-        return loss, self.input_grad_from_dlogits(x, cache, dlogits)
+        return loss, self.input_grad_from_dlogits(cache, dlogits)
 
     def loss_and_param_grads(self, x: np.ndarray, y: int):
         dlogits, loss, cache = self._dlogits(x, y)
-        return loss, self.param_grads_from_dlogits(x, cache, dlogits)
+        return loss, self.param_grads_from_dlogits(cache, dlogits)
 
     def _dlogits(self, x, y):
         z, cache = self.forward_with_cache(x)
@@ -403,7 +403,7 @@ class EnsembleOracle:
         loss, dlogits = _xent(fused, y)
         scaled, grad = self.weight * dlogits, None
         for m, cache in zip(self.models, caches):
-            gk = m.input_grad_from_dlogits(x, cache, scaled)
+            gk = m.input_grad_from_dlogits(cache, scaled)
             grad = gk if grad is None else grad + gk
         return loss, grad
 

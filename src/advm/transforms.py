@@ -18,6 +18,10 @@ The scale loop runs outermost with an independent diversity draw per
 copy, and smoothing applies last, to the averaged gradient. A config with
 one enabled transform gives that transform alone. run_attack calls
 compose_dts once per query point, on the attack's own stream.
+
+The operator matrices are built and applied here: one per spatial axis,
+applied channelwise by _separable_gemm, with the transposes as adjoint.
+No operator scans pixels for NaN or infinity; run_attack checks those.
 """
 
 import math
@@ -28,7 +32,6 @@ import numpy as np
 
 from .errors import ShapeMismatch
 from .sampling import _require_ints
-from .tensor import _band, _bilinear_weights, _separable_gemm
 
 TRANSFORM_NAMES = ("dim", "tim", "sim")
 
@@ -76,6 +79,48 @@ class TransformConfig:
         if low > pad:
             raise ValueError(f"dim resize_low {low} exceeds pad_to {pad}")
         return low, pad
+
+
+def _band(taps: np.ndarray, n: int) -> np.ndarray:
+    """Read-only (n, n) matrix with taps[d] on diagonal d - k // 2, clipped at the edges."""
+    b = sum(t * np.eye(n, k=d - taps.size // 2) for d, t in enumerate(taps))
+    b.setflags(write=False)
+    return b
+
+
+@lru_cache(maxsize=256)
+def _bilinear_weights(new_n: int, old_n: int) -> np.ndarray:
+    """Row-stochastic (new_n, old_n) interpolation matrix, half-pixel convention.
+
+    When new_n == old_n this is exactly the identity matrix.
+    """
+    if new_n < 1 or old_n < 1:
+        raise ValueError("sizes must be >= 1")
+    w = np.zeros((new_n, old_n))
+    scale = old_n / new_n
+    for i in range(new_n):
+        src = (i + 0.5) * scale - 0.5
+        src = min(max(src, 0.0), old_n - 1.0)
+        i0 = int(np.floor(src))
+        f = src - i0
+        i1 = min(i0 + 1, old_n - 1)
+        w[i, i0] += 1.0 - f
+        w[i, i1] += f
+    w.setflags(write=False)
+    return w
+
+
+def _separable_gemm(rows: np.ndarray, flat: np.ndarray, cols: np.ndarray, c: int) -> np.ndarray:
+    """X -> rows @ X @ cols per channel, for rows (new_h, h), cols (w, new_w)
+    and an image flattened to (h, w*c); the adjoint passes (rows.T, cols.T).
+
+    These are the two np.dot calls that np.tensordot would make, on the same
+    operand layouts, so the bytes are tensordot's without its overhead.
+    """
+    new_h, w = rows.shape[0], cols.shape[0]
+    tmp = np.dot(rows, flat).reshape(new_h, w, c)
+    out = np.dot(tmp.transpose(0, 2, 1).reshape(new_h * c, w), cols)
+    return np.ascontiguousarray(out.reshape(new_h, c, -1).transpose(0, 2, 1))
 
 
 @lru_cache(maxsize=64)

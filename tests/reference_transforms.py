@@ -15,7 +15,7 @@ same bytes as this general route.
 
 import numpy as np
 
-from advm.tensor import _band, _bilinear_weights, _separable_gemm
+from advm.transforms import _band, _bilinear_weights, _separable_gemm
 
 
 def resize_bilinear(img, new_h, new_w):

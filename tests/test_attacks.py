@@ -13,6 +13,7 @@ from advm.attacks import (
     VARIANTS,
     AttackConfig,
     AttackResult,
+    _l1_direction,
     _pmap,
     attack_batch,
     attack_one,
@@ -194,6 +195,28 @@ def test_input_validation_enforced():
         run_attack(oracle, np.zeros((3, 3)), 0, AttackConfig(variant="ifgsm"))
     with pytest.raises(ValueError):
         run_attack(oracle, np.full((3, 3, 1), 1.5), 0, AttackConfig(variant="ifgsm"))
+    with pytest.raises(ShapeMismatch, match=r"non-empty image, got shape \(0, 28, 1\)"):
+        run_attack(oracle, np.zeros((0, 28, 1)), 0, AttackConfig(variant="ifgsm"))
+
+
+# -- the L1 direction --------------------------------------------------------------
+
+
+def test_l1_direction_hand_case():
+    got = _l1_direction(np.array([1.0, -2.0, 3.0]))
+    assert np.array_equal(got, np.array([1.0, -2.0, 3.0]) / 6.0)
+    assert abs(np.abs(got).sum() - 1.0) < 1e-15
+
+
+def test_l1_direction_of_a_zero_gradient_is_zeros():
+    for g in (np.zeros((3, 3)), np.full((2, 2), 1e-301)):
+        got = _l1_direction(g)
+        assert got.shape == g.shape and not got.any()
+
+
+def test_l1_direction_of_a_tiny_but_nonzero_gradient_is_normalized():
+    got = _l1_direction(np.full((2, 2), 1e-100))
+    assert abs(np.abs(got).sum() - 1.0) < 1e-12
 
 
 class InfiniteLossOracle(QuadraticOracle):

@@ -935,6 +935,20 @@ def test_eval_refuses_a_tensor_of_the_wrong_rank(runner, trained, advset, tmp_pa
     assert f"unreadable adversarial tensor {first}: expected a rank-3 array" in result.output
 
 
+def test_eval_refuses_a_zero_size_tensor_by_its_shape(runner, trained, advset, tmp_path):
+    adv_dir = _edit_advset(advset, tmp_path, lambda m: None)
+    with open(adv_dir / "manifest.json") as fh:
+        first = json.load(fh)["files"][0]
+    save_tensor(str(adv_dir / first), np.zeros((0, 6, 1)))
+    out = tmp_path / "report.csv"
+    result = runner.invoke(main, ["eval", "--adv", str(adv_dir),
+                                  "--targets", trained["model"], "--out", str(out)])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert (f"unreadable adversarial tensor {first}: expected a non-empty image, "
+            f"got shape (0, 6, 1)") in result.output
+    assert "Traceback" not in result.output and not out.exists()
+
+
 # -- one checked manifest reader, one report parser ----------------------------------
 
 _DEEP_JSON = "[" * 200000   # past Python's recursion limit: json raises RecursionError

@@ -9,7 +9,11 @@ dropped, a value (or a spec size) of another JSON type, NaN planted, huge
 dimensions declared, an "f8" payload edited, the text truncated, and bytes
 flipped to non-UTF-8; an IDX header word changed, a label past the
 surrogate's classes, or an IDX file cut or lengthened; a config value that
-no option takes, an unknown key, a repeated line, or a line without "=".
+no option takes, an unknown key, a repeated line, or a line without "=";
+a stored .emtn tensor cut, with a flipped magic or version byte, a rank
+above 32, dims that disagree with its payload, a zero dim, or a NaN or
+out-of-range pixel. A damaged tensor's refusal must also name the file and
+say what is wrong with it.
 The attack-set keys come from the manifest's own field table, so a field
 added there is fuzzed too, and one element of each of its lists is retyped.
 Hypothesis runs derandomized and without an example database, so every run
@@ -261,6 +265,81 @@ def test_an_attack_set_list_element_of_another_type_is_refused_by_eval(artifacts
             _assert_refused(CliRunner().invoke(main, ["eval", "--adv", adv_dir, "--targets",
                                                       str(artifacts / "surr.json"), "--out",
                                                       out]), out)
+
+
+# -- stored tensors: advm eval --adv -------------------------------------------------
+
+# Each damage of a stored rank-3 .emtn tensor, with the text its refusal must carry.
+_TENSOR_DAMAGES = {
+    "cut in header": "shorter than its fixed header",
+    "cut in dims": "truncated inside the dims block",
+    "cut in payload": "payload bytes",
+    "magic": "expected b'EMTN'",
+    "version": "unsupported tensor format version",
+    "rank": "implausible tensor rank",
+    "dims disagree": "payload bytes",
+    "zero dim": "payload bytes",
+    "zero-size tensor": "expected a non-empty image, got shape",
+    "nan": "non-finite",
+    "out of range": "outside [0, 1]",
+}
+_PAYLOAD = 9 + 4 * 3   # magic, version and rank, then three dims
+_TENSOR_FUZZ = settings(_FUZZ, max_examples=10)
+
+
+def _damage_tensor(data, kind: str, blob: bytes) -> bytes:
+    """The tensor blob damaged in the one way kind names."""
+    raw = bytearray(blob)
+    dim = 9 + 4 * data.draw(st.integers(0, 2))
+    if kind.startswith("cut"):
+        low, high = {"cut in header": (0, 8), "cut in dims": (9, _PAYLOAD - 1),
+                     "cut in payload": (_PAYLOAD, len(raw) - 1)}[kind]
+        return blob[:data.draw(st.integers(low, high))]
+    if kind == "magic":
+        raw[data.draw(st.integers(0, 3))] ^= data.draw(st.integers(1, 255))
+    elif kind == "version":
+        raw[4] = data.draw(st.integers(0, 255).filter(lambda v: v != 1))
+    elif kind == "rank":
+        struct.pack_into("<I", raw, 5, data.draw(st.integers(33, 2**32 - 1)))
+    elif kind == "dims disagree":   # one side changed, or payload bytes added
+        if data.draw(st.booleans()):
+            old = struct.unpack_from("<I", raw, dim)[0]
+            struct.pack_into("<I", raw, dim,
+                             data.draw(st.integers(1, 64).filter(lambda v: v != old)))
+        else:
+            raw += bytes(data.draw(st.integers(1, 64)))
+    elif kind in ("zero dim", "zero-size tensor"):
+        struct.pack_into("<I", raw, dim, 0)
+        if kind == "zero-size tensor":   # a valid .emtn that holds no pixel
+            del raw[_PAYLOAD:]
+    else:
+        pixel = _PAYLOAD + 8 * data.draw(st.integers(0, (len(raw) - _PAYLOAD) // 8 - 1))
+        bad = ((float("nan"), float("inf"), float("-inf")) if kind == "nan"
+               else (-0.5, 1.5, -1e-9, 1.0 + 1e-9, -1e300, 1e300))
+        struct.pack_into("<d", raw, pixel, data.draw(st.sampled_from(bad)))
+    return bytes(raw)
+
+
+@pytest.mark.parametrize("kind", list(_TENSOR_DAMAGES))
+@_TENSOR_FUZZ
+@given(data=st.data())
+def test_a_damaged_tensor_is_refused_by_eval(artifacts, kind, data):
+    with open(artifacts / "advset" / "manifest.json") as fh:
+        name = data.draw(st.sampled_from(json.load(fh)["files"]))
+    with tempfile.TemporaryDirectory(dir=artifacts) as scratch:
+        adv_dir = os.path.join(scratch, "advset")
+        shutil.copytree(artifacts / "advset", adv_dir)
+        path = os.path.join(adv_dir, name)
+        with open(path, "rb") as fh:
+            damaged = _damage_tensor(data, kind, fh.read())
+        with open(path, "wb") as fh:
+            fh.write(damaged)
+        out = os.path.join(scratch, "report.csv")
+        result = CliRunner().invoke(main, ["eval", "--adv", adv_dir, "--targets",
+                                           str(artifacts / "surr.json"), "--out", out])
+        _assert_refused(result, out)
+        assert f"unreadable adversarial tensor {name}: " in result.output
+        assert _TENSOR_DAMAGES[kind] in result.output, result.output
 
 
 # -- reports: advm report --in ------------------------------------------------------

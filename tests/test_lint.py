@@ -10,6 +10,9 @@ Every read_manifest call passes a module-level field table by name, so a
 manifest's fields are written down once, where its writer can share them.
 Only attacks.py names ProcessPoolExecutor, multiprocessing or os.fork, so
 the one process pool, and how it forks and dies, stays in one module.
+No module takes an underscore name from another advm module, apart from
+the few shared helpers listed here, so a private helper that gains a
+caller in a second module is made public or moved on purpose.
 The last checks keep README's Python examples importing only what the
 package exports, and every call README names in backticked prose an
 attribute of the package or one of its modules, so a removed name cannot
@@ -198,6 +201,52 @@ def test_process_check_flags_a_planted_pool_and_fork():
     assert process_spawners(tree) == [(2, "multiprocessing"), (3, "ProcessPoolExecutor"),
                                       (4, "multiprocessing"), (6, "os.fork"),
                                       (8, "ProcessPoolExecutor")]
+
+
+# Private helpers that more than one module shares on purpose.
+_SHARED_PRIVATE = {"_pmap", "_require_ints"}
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def cross_module_private_names(tree) -> list:
+    """(line, name) of each underscore name imported from an advm module, or
+    read as an attribute of an advm module the tree imports by name."""
+    found, modules = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "advm"):
+            found += [(node.lineno, a.name) for a in node.names if _private(a.name)]
+            if node.module in (None, "advm"):
+                modules.update(a.asname or a.name for a in node.names)
+    found += [(node.lineno, node.attr) for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and _private(node.attr)
+              and getattr(node.value, "id", None) in modules]
+    return sorted(found)
+
+
+def test_no_private_name_crosses_a_module_boundary():
+    names = [(name, line, what) for name, tree in TREES.items()
+             for line, what in cross_module_private_names(tree)]
+    found = [f"{name}:{line} {what}" for name, line, what in names
+             if what not in _SHARED_PRIVATE]
+    assert not found, "private names taken from another module: " + ", ".join(found)
+    assert {what for _, _, what in names} == _SHARED_PRIVATE, "stale shared-private list"
+
+
+def test_private_name_check_flags_planted_imports_and_attributes():
+    tree = ast.parse(
+        "from .tensor import _band, project_linf\n"
+        "from advm.attacks import _pmap as pm\n"
+        "from . import transforms, __version__\n"
+        "from numpy import _private\n"
+        "def f(self):\n"
+        "    return transforms._dim_matrix, transforms.compose_dts, self._x\n"
+    )
+    assert cross_module_private_names(tree) == [(1, "_band"), (2, "_pmap"),
+                                                (6, "_dim_matrix")]
 
 
 def readme_advm_imports(text: str) -> set:

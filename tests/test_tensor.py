@@ -1,4 +1,4 @@
-"""Tensor ops: validation, projection, separable linear algebra, EMTN IO."""
+"""Tensor ops: validation, projection, the transforms' separable matrix kernel, EMTN IO."""
 
 import struct
 
@@ -15,11 +15,8 @@ from advm.errors import (
     LengthMismatch,
     ShapeMismatch,
     VersionMismatch,
-    ZeroGradient,
 )
-from advm import tensor
 from advm.tensor import (
-    l1_normalize,
     load_tensor,
     project_linf,
     save_tensor,
@@ -27,6 +24,7 @@ from advm.tensor import (
     tensor_to_bytes,
     validate_image,
 )
+from advm.transforms import _bilinear_weights, _separable_gemm
 
 from conftest import rand_pixel_image
 from reference_transforms import (
@@ -70,22 +68,11 @@ def test_validate_image_rejects_nonfinite_and_out_of_domain():
         validate_image(np.full((2, 2, 1), -0.1))
 
 
-def test_l1_normalize_hand_case():
-    t = np.array([1.0, -2.0, 3.0])
-    got = l1_normalize(t)
-    assert np.allclose(got, np.array([1.0, -2.0, 3.0]) / 6.0, atol=0, rtol=0)
-    assert abs(np.abs(got).sum() - 1.0) < 1e-15
-
-
-def test_l1_normalize_zero_raises():
-    with pytest.raises(ZeroGradient):
-        l1_normalize(np.zeros((3, 3)))
-
-
-def test_l1_normalize_tiny_but_nonzero_ok():
-    t = np.full((2, 2), 1e-100)
-    got = l1_normalize(t)
-    assert abs(np.abs(got).sum() - 1.0) < 1e-12
+@pytest.mark.parametrize("shape", [(0, 6, 1), (4, 0, 1), (2, 2, 0)])
+def test_validate_image_refuses_a_zero_size_image_by_its_shape(shape):
+    with pytest.raises(ShapeMismatch) as err:
+        validate_image(np.zeros(shape))
+    assert str(err.value) == f"expected a non-empty image, got shape {shape}"
 
 
 # -- projection ---------------------------------------------------------------
@@ -229,16 +216,16 @@ def test_resize_adjoint_inner_product(old, new, seed):
 
 def _gemm_resize(img, new_h, new_w):
     h, w, c = img.shape
-    wh = tensor._bilinear_weights(new_h, h)
-    ww = tensor._bilinear_weights(new_w, w)
-    return tensor._separable_gemm(wh, img.reshape(h, w * c), ww.T, c)
+    wh = _bilinear_weights(new_h, h)
+    ww = _bilinear_weights(new_w, w)
+    return _separable_gemm(wh, img.reshape(h, w * c), ww.T, c)
 
 
 def _gemm_resize_adjoint(grad, old_h, old_w):
     new_h, new_w, c = grad.shape
-    wh = tensor._bilinear_weights(new_h, old_h)
-    ww = tensor._bilinear_weights(new_w, old_w)
-    return tensor._separable_gemm(wh.T, grad.reshape(new_h, new_w * c), ww, c)
+    wh = _bilinear_weights(new_h, old_h)
+    ww = _bilinear_weights(new_w, old_w)
+    return _separable_gemm(wh.T, grad.reshape(new_h, new_w * c), ww, c)
 
 
 def _signed_zero_image(shape, seed):
@@ -283,7 +270,7 @@ def test_operators_check_shapes_but_do_not_scan_pixels():
     img[1, 2, 0] = np.nan
     assert np.isnan(project_linf(img, np.zeros((4, 4, 1)), 0.1)).any()
     eye = np.eye(4)
-    assert np.isnan(tensor._separable_gemm(eye, img.reshape(4, 4), eye, 1)).any()
+    assert np.isnan(_separable_gemm(eye, img.reshape(4, 4), eye, 1)).any()
     with pytest.raises(ShapeMismatch):
         project_linf(img, np.zeros((4, 4)), 0.1)
 
