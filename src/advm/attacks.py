@@ -33,6 +33,8 @@ Finiteness is checked at this boundary, not inside the transform operators:
 run_attack refuses a non-finite clean image, and raises NonFiniteGradient
 as soon as an iteration's averaged loss or gradient is NaN or infinite,
 so a broken oracle never turns into NaN pixels.
+Before its first query it also refuses, with ShapeMismatch, a transform
+geometry the image's shape cannot take (TransformConfig.check_shape).
 """
 
 import hashlib
@@ -160,9 +162,10 @@ def run_attack(oracle, x, y, cfg: AttackConfig, rng=None, observe=None) -> Attac
     points queried. Its arrays are the attack's own, so it must not write them.
     """
     validate_image(x)
+    variant, tcfg = cfg.variant, cfg.transforms
+    tcfg.check_shape(x.shape)
     if rng is None:
         rng = make_rng(cfg.seed)
-    variant, tcfg = cfg.variant, cfg.transforms
     iters, alpha = (1, cfg.eps) if variant == "fgsm" else (cfg.iters, cfg.alpha)
     adv = x
     g_acc = None if variant in _PLAIN else np.zeros_like(x)

@@ -11,6 +11,7 @@ Datasets are either `synthetic:CLASSESxPER_CLASSxSIDE[:NOISE]`, generated
 from the run seed, or `idx:IMAGES_PATH,LABELS_PATH` pairs.
 """
 
+import functools
 import glob as globmod
 import json
 import math
@@ -21,16 +22,8 @@ import click
 from . import __version__
 from .attacks import VARIANTS, AttackConfig, attack_batch
 from .data import generate_synthetic, load_idx, subsample
-from .errors import AdvmError
-from .evaluate import (
-    SWEEPABLE,
-    RateTable,
-    ablation_sweep,
-    apply_parameter,
-    attack_success_rate,
-    emit_report,
-    parse_report_csv,
-)
+from .errors import AdvmError, ShapeMismatch
+from .evaluate import RateTable, ablation_sweep, attack_success_rate, emit_report, parse_report_csv
 from .fileio import atomic_write_text, read_manifest
 from .models import ARCHITECTURES, EnsembleOracle, ModelSpec, load_model, save_model, train_sgd
 from .sampling import SamplingSpec
@@ -221,24 +214,13 @@ def _positive_finite(ctx, param, value):
 
 
 def _check_geometry(cfgs, data) -> None:
-    """Reject a diversity geometry the dataset's images cannot take, or a
-    smoothing kernel wider than any tap can reach, before any attack work."""
-    side, width, _ = data.image_shape
-    for t in (cfg.transforms for cfg in cfgs):
-        if "tim" in t.enabled and t.tim_kernel_size > 2 * max(side, width) - 1:
-            raise click.BadParameter(f"{t.tim_kernel_size} exceeds 2 * {max(side, width)} - 1 "
-                                     f"for {side}x{width} images", param_hint="--tim-kernel-size")
-        if "dim" not in t.enabled:
-            continue
-        if side != width:
-            raise click.BadParameter(
-                f"dim needs square images, got {side}x{width}", param_hint="--transforms")
+    """Refuse a transform geometry the dataset's images cannot take as a
+    usage error, before any attack work; run_attack makes the same check."""
+    for cfg in cfgs:
         try:
-            t.resolve_dim(side)
-        except ValueError as exc:
-            raise click.BadParameter(
-                f"{exc} for {side}-pixel images",
-                param_hint="--dim-resize-low / --dim-pad-to") from exc
+            cfg.transforms.check_shape(data.image_shape)
+        except ShapeMismatch as exc:
+            raise click.BadParameter(str(exc)) from exc
 
 
 def _check_out(path: str | None, directory: bool = False) -> None:
@@ -259,8 +241,6 @@ def _check_out(path: str | None, directory: bool = False) -> None:
 
 
 def _wrap_errors(fn):
-    import functools
-
     @functools.wraps(fn)
     def inner(*args, **kwargs):
         try:
@@ -454,9 +434,15 @@ def eval_cmd(adv_dir, targets, out_path, fmt):
     _write_or_echo(emit_report(matrix, fmt), out_path)
 
 
+# The config keys of the table that ablate can sweep. Not all of them: an auto
+# dim side parses to None, which does not sort against ints, and transforms
+# parses to a tuple.
+_SWEEPABLE = ("samples", "eta", "sampling", "mu", "iters", "eps")
+
+
 @main.command()
 @_attack_options
-@click.option("--param", required=True, type=click.Choice(list(SWEEPABLE)))
+@click.option("--param", required=True, type=click.Choice(_SWEEPABLE))
 @click.option("--grid", "grid_arg", required=True,
               help="comma-separated values to sweep; each takes its option's flag text")
 @click.option("--surrogate", required=True)
@@ -474,17 +460,19 @@ def ablate(param, grid_arg, surrogate, targets, dataset, out_path, fmt, num_imag
     """Sweep one attack parameter and report per-target success rates."""
     _check_out(out_path)
     cfg = resolve_attack_config(cli, filecfg)
-    parse = next(row[3] for row in _ATTACK_OPTIONS if row[2] == SWEEPABLE[param])
-    try:
-        grid = [parse(v) for v in _parse_names(grid_arg)]
-        swept = [apply_parameter(cfg, param, value) for value in grid]
-    except (ValueError, click.BadParameter) as exc:
-        raise click.BadParameter(str(exc), param_hint="--grid") from exc
-    if not grid:
+    flag, _key, field, _parse, _help = next(row for row in _ATTACK_OPTIONS if row[1] == param)
+    cfgs = {}   # grid value -> config; of texts that parse equal, the first wins
+    for text in _parse_names(grid_arg):
+        try:
+            swept = resolve_attack_config({**cli, flag[2:].replace("-", "_"): text}, filecfg)
+        except click.BadParameter as exc:
+            raise click.BadParameter(str(exc), param_hint="--grid") from exc
+        cfgs.setdefault(functools.reduce(getattr, field.split("."), swept), swept)
+    if not cfgs:
         raise click.BadParameter("no values to sweep", param_hint="--grid")
-    _, oracle, data = _load_attack_inputs(surrogate, dataset, num_images, swept)
+    _, oracle, data = _load_attack_inputs(surrogate, dataset, num_images, list(cfgs.values()))
     target_models = load_models(targets)
-    result = ablation_sweep(param, grid, cfg, oracle, target_models, data, jobs=jobs)
+    result = ablation_sweep(param, cfgs, cfg, oracle, target_models, data, jobs=jobs)
     _write_or_echo(emit_report(result, fmt), out_path)
 
 

@@ -45,9 +45,5 @@ class CorruptFile(AdvmError):
     """A file exists but cannot be parsed as the expected format."""
 
 
-class UnknownParameter(AdvmError):
-    """An ablation was requested over a parameter the sweep cannot vary."""
-
-
 class WorkerLost(AdvmError):
     """A worker process died before it returned its share of a batch."""

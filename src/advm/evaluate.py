@@ -15,11 +15,11 @@ from its corner cell, cells and footer.
 import csv
 import io
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .attacks import AttackConfig, attack_batch
 from .data import LabeledDataset
-from .errors import EmptyDataset, LabelOutOfRange, UnknownParameter
+from .errors import EmptyDataset, LabelOutOfRange
 
 _MATRIX_HEADER = ["surrogate", "target", "rate", "n", "config_hash"]
 _ABLATION_HEADER = ["parameter", "value", "target", "rate", "n", "config_hash"]
@@ -97,55 +97,29 @@ def transfer_matrix(
     )
 
 
-# The parameters an ablation can sweep, and the AttackConfig field each one
-# sets ("group.field" inside a nested spec). The CLI parses grid values with
-# the parser of the attack option that sets the same field.
-SWEEPABLE = {
-    "samples": "sampling.count",
-    "eta": "sampling.eta",
-    "sampling_method": "sampling.method",
-    "mu": "mu",
-    "iters": "iters",
-    "eps": "eps",
-}
-
-
-def apply_parameter(cfg: AttackConfig, parameter: str, value) -> AttackConfig:
-    """A copy of cfg with one swept parameter set to value, as given."""
-    if parameter not in SWEEPABLE:
-        raise UnknownParameter(f"cannot sweep {parameter!r}; one of {tuple(SWEEPABLE)}")
-    group, _, name = SWEEPABLE[parameter].rpartition(".")
-    if group:
-        return replace(cfg, **{group: replace(getattr(cfg, group), **{name: value})})
-    return replace(cfg, **{name: value})
-
-
 def ablation_sweep(
     parameter: str,
-    grid,
+    cfgs: dict,
     base_cfg: AttackConfig,
     surrogate,
     targets,
     dataset: LabeledDataset,
     jobs: int = 1,
 ) -> RateTable:
-    """Success rate per target for each grid value of one parameter.
+    """Success rate per target for each {value: AttackConfig} point of a
+    sweep of one parameter, in sorted value order.
 
-    The grid is sorted (numerically when numeric) and deduplicated; every
-    point reuses the same dataset, surrogate, and seed, so the swept
-    parameter is the only thing that changes.
+    Every point reuses the same dataset, surrogate, and seed, so the swept
+    parameter is the only thing that changes; the table carries base_cfg's
+    hash and seed.
     """
-    if not grid:
+    if not cfgs:
         raise ValueError("empty ablation grid")
-    values = sorted(set(grid))
-    rows = [
-        transfer_rates(surrogate, targets, dataset, apply_parameter(base_cfg, parameter, v), jobs)
-        for v in values
-    ]
+    values = sorted(cfgs)
     return RateTable(
         rows=tuple(values),
         targets=tuple(t.name for t in targets),
-        rates=tuple(rows),
+        rates=tuple(transfer_rates(surrogate, targets, dataset, cfgs[v], jobs) for v in values),
         n_examples=len(dataset),
         config_hash=base_cfg.config_hash(),
         parameter=parameter,

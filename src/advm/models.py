@@ -433,8 +433,7 @@ def train_sgd(
     if batch < 1:
         raise ValueError(f"batch size must be >= 1, got {batch}")
     model = Model.initialize(spec, name)
-    params = {k: v.copy() for k, v in model.params.items()}
-    model.params = params
+    params = model.params   # init_params' fresh arrays, updated in place
     rng = derive_rng(seed, 1)
     n = len(dataset)
     for _ in range(epochs):

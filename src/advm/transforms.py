@@ -80,6 +80,23 @@ class TransformConfig:
             raise ValueError(f"dim resize_low {low} exceeds pad_to {pad}")
         return low, pad
 
+    def check_shape(self, shape: tuple) -> None:
+        """Raise ShapeMismatch unless (h, w, c) images can take the enabled
+        transforms: a tim kernel no wider than any tap can reach, and square
+        images whose side the dim geometry fits."""
+        h, w = shape[0], shape[1]
+        if "tim" in self.enabled and self.tim_kernel_size > 2 * max(h, w) - 1:
+            raise ShapeMismatch(f"{self.tim_kernel_size} exceeds 2 * {max(h, w)} - 1 "
+                                f"for {h}x{w} images")
+        if "dim" not in self.enabled:
+            return
+        if h != w:
+            raise ShapeMismatch(f"dim needs square images, got {h}x{w}")
+        try:
+            self.resolve_dim(h)
+        except ValueError as exc:
+            raise ShapeMismatch(f"{exc} for {h}-pixel images") from exc
+
 
 def _band(taps: np.ndarray, n: int) -> np.ndarray:
     """Read-only (n, n) matrix with taps[d] on diagonal d - k // 2, clipped at the edges."""

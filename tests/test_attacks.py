@@ -4,6 +4,7 @@ import dataclasses
 import math
 import multiprocessing
 import os
+import re
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from advm.transforms import TransformConfig, compose_dts
 from conftest import (
     DyingOracle,
     QuadraticOracle,
+    RecordingOracle,
     SinusoidOracle,
     observed,
     rand_pixel_image,
@@ -259,6 +261,25 @@ def test_non_finite_clean_image_is_refused():
     x[0, 0, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         run_attack(QuadraticOracle((3, 3, 1), seed=4), x, 0, AttackConfig(variant="ifgsm"))
+
+
+@pytest.mark.parametrize("shape, transforms, text", [
+    ((6, 6, 1), TransformConfig(enabled=("dim",), dim_resize_low=40),
+     "dim resize_low 40 exceeds pad_to 7 for 6-pixel images"),
+    ((6, 6, 1), TransformConfig(enabled=("dim",), dim_resize_low=40, dim_prob=0.0),
+     "dim resize_low 40 exceeds pad_to 7 for 6-pixel images"),
+    ((6, 6, 1), TransformConfig(enabled=("tim",), tim_kernel_size=41),
+     "41 exceeds 2 * 6 - 1 for 6x6 images"),
+    ((2, 4, 1), TransformConfig(enabled=("dim",)), "dim needs square images, got 2x4"),
+])
+def test_geometry_the_image_cannot_take_is_refused_before_any_query(shape, transforms, text):
+    # the first case used to raise a bare ValueError at the first dim draw taken;
+    # with dim_prob=0, or a 41-tap tim kernel, the attack ran through
+    oracle = RecordingOracle(QuadraticOracle(shape, seed=4))
+    with pytest.raises(ShapeMismatch, match=re.escape(text)):
+        run_attack(oracle, rand_pixel_image(shape, seed=1), 0,
+                   AttackConfig(variant="mifgsm", transforms=transforms))
+    assert oracle.queries == []
 
 
 # -- exact reductions --------------------------------------------------------------

@@ -15,6 +15,7 @@ from advm.attacks import AttackConfig
 from advm.cli import (
     _ADVSET_FIELDS,
     _ATTACK_OPTIONS,
+    _SWEEPABLE,
     load_dataset,
     load_models,
     main,
@@ -23,7 +24,7 @@ from advm.cli import (
     read_config_file,
     resolve_attack_config,
 )
-from advm.evaluate import SWEEPABLE, RateTable, parse_report_csv
+from advm.evaluate import RateTable, parse_report_csv
 from advm.models import load_model
 from advm.sampling import SamplingSpec
 from advm.tensor import load_tensor, save_tensor
@@ -325,7 +326,7 @@ def test_eval_empty_manifest_is_an_error(runner, trained, tmp_path):
 def test_ablate_sweeps_sample_count(runner, trained, tmp_path):
     out_path = str(tmp_path / "sweep.csv")
     result = runner.invoke(main, [
-        "ablate", "--param", "samples", "--grid", "1,3",
+        "ablate", "--param", "samples", "--grid", "3,1,3",
         "--attack", "emi-fgsm", "--eps", "16/255", "--iters", "2",
         "--surrogate", trained["model"], "--targets", trained["model"],
         "--dataset", "synthetic:2x3x6:0.05", "--seed", "3", "--out", out_path,
@@ -767,6 +768,7 @@ def test_unreadable_inputs_name_the_path(runner, trained, advset, tmp_path, comm
     (["--param", "samples", "--grid", "1", "--jobs", "0"], "--jobs"),
     (["--param", "samples", "--grid", "1", "--transforms", "tim", "--tim-kernel-size", "13"],
      "13 exceeds 2 * 6 - 1 for 6x6 images"),
+    (["--param", "sampling_method", "--grid", "uniform"], "'sampling_method' is not one of"),
 ])
 def test_ablate_bad_values_are_usage_errors(runner, trained, tmp_path, flags, text):
     result = runner.invoke(main, [
@@ -779,8 +781,8 @@ def test_ablate_bad_values_are_usage_errors(runner, trained, tmp_path, flags, te
 @pytest.mark.parametrize("param, flag, text", [
     ("samples", "--samples", "3"), ("samples", "--samples", "3.5"),
     ("samples", "--samples", "0"), ("eta", "--eta", "2.5"), ("eta", "--eta", "1/2"),
-    ("eta", "--eta", "nan"), ("sampling_method", "--sampling", "uniform"),
-    ("sampling_method", "--sampling", "bogus"), ("mu", "--mu", "0.5"), ("mu", "--mu", "1/2"),
+    ("eta", "--eta", "nan"), ("sampling", "--sampling", "uniform"),
+    ("sampling", "--sampling", "bogus"), ("mu", "--mu", "0.5"), ("mu", "--mu", "1/2"),
     ("mu", "--mu", "-1"), ("iters", "--iters", "2"), ("iters", "--iters", "x"),
     ("eps", "--eps", "8/255"), ("eps", "--eps", "1/0"),
 ])
@@ -799,10 +801,16 @@ def test_ablate_grid_value_takes_its_flag_text(runner, trained, tmp_path, param,
         return
     with open(advset / "manifest.json") as fh:
         value = json.load(fh)["config"]
-    for part in SWEEPABLE[param].split("."):
+    field = next(row[2] for row in _ATTACK_OPTIONS if row[1] == param)
+    for part in field.split("."):
         value = value[part]
     with open(sweep_path) as fh:
         assert parse_report_csv(fh.read()).rows == (str(value),)
+
+
+def test_every_sweepable_parameter_is_a_config_key_of_the_table():
+    keys = [row[1] for row in _ATTACK_OPTIONS]
+    assert len(set(_SWEEPABLE)) == len(_SWEEPABLE) and set(_SWEEPABLE) <= set(keys)
 
 
 # -- eval manifest checks ----------------------------------------------------------

@@ -10,11 +10,10 @@ import pytest
 from advm import experiment
 from advm.attacks import AttackConfig, attack_batch
 from advm.data import LabeledDataset, generate_synthetic, subsample
-from advm.errors import EmptyDataset, LabelOutOfRange, UnknownParameter
+from advm.errors import EmptyDataset, LabelOutOfRange
 from advm.evaluate import (
     RateTable,
     ablation_sweep,
-    apply_parameter,
     attack_success_rate,
     emit_report,
     parse_report_csv,
@@ -218,48 +217,32 @@ def test_mean_transfer_builds_its_worlds_once_and_averages_them(monkeypatch):
 # -- parameter sweeps --------------------------------------------------------------
 
 
-def test_apply_parameter_covers_every_sweepable_field():
-    base = AttackConfig(variant="emifgsm", sampling=SamplingSpec(count=11, eta=7.0))
-    assert apply_parameter(base, "samples", 5).sampling.count == 5
-    assert apply_parameter(base, "eta", 3.0).sampling.eta == 3.0
-    assert apply_parameter(base, "sampling_method", "uniform").sampling.method == "uniform"
-    assert apply_parameter(base, "mu", 0.5).mu == 0.5
-    assert apply_parameter(base, "iters", 4).iters == 4
-    assert apply_parameter(base, "eps", 0.1).eps == 0.1
-    # everything not swept stays put
-    assert apply_parameter(base, "eta", 3.0).sampling.count == 11
-
-
-def test_apply_parameter_rejects_unknown():
-    with pytest.raises(UnknownParameter) as exc:
-        apply_parameter(AttackConfig(), "alpha", 1)
-    assert "samples" in str(exc.value)
-
-
 def test_ablation_sweep_sorts_and_dedups_grid():
     data = _tiny_dataset(seed=2)
     s = _named_quadratic("s", seed=6)
     t = _named_quadratic("t", seed=7)
-    base = AttackConfig(variant="emifgsm", eps=0.2, iters=2,
+    base = AttackConfig(variant="emifgsm", eps=0.2, iters=2, seed=5,
                         sampling=SamplingSpec(count=1))
-    res = ablation_sweep("samples", [3, 1, 3], base, s, [t], data)
-    assert res.rows == (1, 3)
+    cfgs = {n: dataclasses.replace(base, sampling=SamplingSpec(count=n)) for n in (3, 1, 2, 3)}
+    res = ablation_sweep("samples", cfgs, base, s, [t], data)
+    assert res.rows == (1, 2, 3)
     assert res.parameter == "samples"
     assert res.targets == ("t",)
-    assert len(res.rates) == 2 and len(res.rates[0]) == 1
-    assert res.config_hash == base.config_hash()
+    assert res.rates == tuple(transfer_rates(s, [t], data, cfgs[n]) for n in (1, 2, 3))
+    assert res.config_hash == base.config_hash() != cfgs[3].config_hash()
+    assert res.seed == 5
 
 
 def test_ablation_sweep_rejects_empty_grid():
     s = _named_quadratic("s", seed=8)
-    with pytest.raises(ValueError):
-        ablation_sweep("samples", [], AttackConfig(), s, [s], _tiny_dataset())
+    with pytest.raises(ValueError, match="empty ablation grid"):
+        ablation_sweep("samples", {}, AttackConfig(), s, [s], _tiny_dataset())
 
 
 def test_empty_target_list_is_refused():
     s = _named_quadratic("s", seed=9)
     with pytest.raises(ValueError, match="no target models"):
-        ablation_sweep("samples", [1], AttackConfig(), s, [], _tiny_dataset())
+        ablation_sweep("samples", {1: AttackConfig()}, AttackConfig(), s, [], _tiny_dataset())
     with pytest.raises(ValueError, match="no target models"):
         transfer_matrix([s], [], _tiny_dataset(), AttackConfig(variant="ifgsm"))
 

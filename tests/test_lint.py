@@ -13,6 +13,8 @@ the one process pool, and how it forks and dies, stays in one module.
 No module takes an underscore name from another advm module, apart from
 the few shared helpers listed here, so a private helper that gains a
 caller in a second module is made public or moved on purpose.
+Every AdvmError subclass in errors.py is raised somewhere in the package,
+so an error class cannot outlive its last raiser.
 The last checks keep README's Python examples importing only what the
 package exports, and every call README names in backticked prose an
 attribute of the package or one of its modules, so a removed name cannot
@@ -247,6 +249,44 @@ def test_private_name_check_flags_planted_imports_and_attributes():
     )
     assert cross_module_private_names(tree) == [(1, "_band"), (2, "_pmap"),
                                                 (6, "_dim_matrix")]
+
+
+def unraised_error_classes(errors_tree, trees) -> list:
+    """(line, name) of each class errors_tree derives from AdvmError, directly
+    or through another of its classes, that no `raise` in trees names."""
+    raised = set()
+    for node in (n for tree in trees for n in ast.walk(tree)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            raised.add(getattr(exc, "id", None) or getattr(exc, "attr", None))
+    derived, found = {"AdvmError"}, []
+    for node in errors_tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                getattr(b, "id", None) in derived for b in node.bases):
+            derived.add(node.name)
+            if node.name not in raised:
+                found.append((node.lineno, node.name))
+    return found
+
+
+def test_every_error_class_is_raised():
+    found = [f"errors.py:{line} {name}"
+             for line, name in unraised_error_classes(TREES["errors.py"], TREES.values())]
+    assert not found, "error classes nothing raises: " + ", ".join(found)
+
+
+def test_error_class_check_flags_a_planted_unraised_class():
+    errors = ast.parse(
+        "class AdvmError(Exception):\n    pass\n"
+        "class Raised(AdvmError):\n    pass\n"
+        "class ViaModule(Raised):\n    pass\n"
+        "class Planted(AdvmError):\n    pass\n"
+        "class Unrelated(Exception):\n    pass\n"
+    )
+    user = ast.parse("def f():\n    raise Raised('x') from None\n"
+                     "def g():\n    raise errors.ViaModule\n"
+                     "def h():\n    return Planted('built, never raised')\n")
+    assert unraised_error_classes(errors, [errors, user]) == [(7, "Planted")]
 
 
 def readme_advm_imports(text: str) -> set:
