@@ -51,8 +51,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NonFiniteGradient, WorkerLost
-from .sampling import (SamplingSpec, _require_ints, derive_rng, make_rng, sample_coefficients,
-                       sample_uniform_cube)
+from .sampling import (SamplingSpec, _require_floats, _require_ints, derive_rng, make_rng,
+                       sample_coefficients, sample_uniform_cube)
 from .tensor import project_linf, validate_image
 from .transforms import TransformConfig, compose_dts
 
@@ -83,6 +83,7 @@ class AttackConfig:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown attack variant {self.variant!r}")
         _require_ints(self, "iters", "seed")
+        _require_floats(self, "eps", "mu")
         if not (self.eps >= 0.0 and math.isfinite(self.eps)):
             raise ValueError(f"eps must be finite and >= 0, got {self.eps}")
         if self.iters < 1:

@@ -21,7 +21,7 @@ import click
 
 from . import __version__
 from .attacks import VARIANTS, AttackConfig, attack_batch
-from .data import generate_synthetic, load_idx, subsample
+from .data import check_label, generate_synthetic, load_idx, subsample
 from .errors import AdvmError, ShapeMismatch
 from .evaluate import RateTable, ablation_sweep, attack_success_rate, emit_report, parse_report_csv
 from .fileio import atomic_write_text, read_manifest
@@ -340,12 +340,15 @@ def attack_cmd(surrogate, dataset, out_dir, num_images, jobs, filecfg, **cli):
 
 def _load_attack_inputs(surrogate: str, dataset: str, num_images, cfgs) -> tuple:
     """The surrogate models, their oracle (one model or their ensemble), and the
-    dataset subsampled with the run seed, once the configs' geometry fits it."""
+    dataset subsampled with the run seed, once its labels are classes of the
+    oracle and the configs' geometry fits its images."""
     models = load_models(surrogate)
     oracle = models[0] if len(models) == 1 else EnsembleOracle(models)
     data = load_dataset(dataset, cfgs[0].seed)
     if num_images is not None:
         data = subsample(data, num_images, cfgs[0].seed)
+    for y in data.labels:
+        check_label(y, oracle.num_classes, f"surrogate {oracle.name}")
     _check_geometry(cfgs, data)
     return models, oracle, data
 

@@ -7,13 +7,24 @@ while still leaving headroom between architectures.
 """
 
 import math
+import numbers
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadMagic, EmptyDataset, LabelOutOfRange, LengthMismatch, TooFew
+from .errors import CorruptFile, EmptyDataset, LabelOutOfRange, ShapeMismatch, TooFew
 from .sampling import make_rng
+
+
+def check_label(y, classes: int, whose: str) -> None:
+    """Raise LabelOutOfRange unless y is an integer in [0, classes); a numpy
+    integer passes, a bool or a float does not. whose names the classes."""
+    # type(y) is int first: isinstance against an ABC is ~10x slower
+    if not ((type(y) is int or isinstance(y, numbers.Integral) and type(y) is not bool)
+            and 0 <= y < classes):
+        raise LabelOutOfRange(f"label {y!r} is not an integer in [0, {classes}), "
+                              f"the classes of {whose}")
 
 
 @dataclass(frozen=True)
@@ -24,17 +35,14 @@ class LabeledDataset:
 
     def __post_init__(self):
         if len(self.images) != len(self.labels):
-            raise LengthMismatch(
-                f"{len(self.images)} images vs {len(self.labels)} labels"
-            )
+            raise ShapeMismatch(f"{len(self.images)} images vs {len(self.labels)} labels")
         if self.class_count < 1:
             raise ValueError("class_count must be >= 1")
         shapes = {img.shape for img in self.images}
         if len(shapes) > 1:
-            raise ValueError(f"images disagree on shape: {sorted(shapes)}")
+            raise ShapeMismatch(f"images disagree on shape: {sorted(shapes)}")
         for y in self.labels:
-            if not 0 <= y < self.class_count:
-                raise LabelOutOfRange(f"label {y} outside [0, {self.class_count})")
+            check_label(y, self.class_count, "the dataset")
 
     def __len__(self) -> int:
         return len(self.images)
@@ -134,42 +142,35 @@ _IDX_IMAGES_MAGIC = 0x00000803
 _IDX_LABELS_MAGIC = 0x00000801
 
 
-def load_idx(images_path: str, labels_path: str) -> LabeledDataset:
-    """Load an IDX image/label file pair (big-endian), scaling pixels by 1/255."""
-    with open(images_path, "rb") as fh:
+def _read_idx(path: str, magic: int, ndims: int) -> tuple:
+    """The dims and payload of an IDX file with this magic and dim count."""
+    with open(path, "rb") as fh:
         raw = fh.read()
-    if len(raw) < 16:
-        raise LengthMismatch("image file shorter than its 16-byte header")
-    magic, count, rows, cols = struct.unpack_from(">4I", raw, 0)
-    if magic != _IDX_IMAGES_MAGIC:
-        raise BadMagic(f"image file magic {magic:#010x}")
-    if rows == 0 or cols == 0:
-        raise LengthMismatch(f"{images_path}: header declares {rows}x{cols} images")
-    if len(raw) != 16 + count * rows * cols:
-        raise LengthMismatch(
-            f"image payload {len(raw) - 16} bytes, header promises {count * rows * cols}"
-        )
-    pixels = np.frombuffer(raw, dtype=np.uint8, offset=16)
-    images = pixels.reshape(count, rows, cols, 1).astype(np.float64) / 255.0
+    head = 4 + 4 * ndims
+    if len(raw) < head:
+        raise CorruptFile(f"{path}: shorter than its {head}-byte IDX header")
+    found, *dims = struct.unpack_from(f">{1 + ndims}I", raw, 0)
+    if found != magic:
+        raise CorruptFile(f"{path}: magic {found:#010x}, want {magic:#010x}")
+    if 0 in dims[1:]:
+        raise CorruptFile(f"{path}: header declares {'x'.join(map(str, dims[1:]))} images")
+    if len(raw) != head + math.prod(dims):
+        raise CorruptFile(
+            f"{path}: payload {len(raw) - head} bytes, header promises {math.prod(dims)}")
+    return dims, memoryview(raw)[head:]
 
-    with open(labels_path, "rb") as fh:
-        raw_l = fh.read()
-    if len(raw_l) < 8:
-        raise LengthMismatch("label file shorter than its 8-byte header")
-    magic_l, count_l = struct.unpack_from(">2I", raw_l, 0)
-    if magic_l != _IDX_LABELS_MAGIC:
-        raise BadMagic(f"label file magic {magic_l:#010x}")
-    if len(raw_l) != 8 + count_l:
-        raise LengthMismatch(
-            f"label payload {len(raw_l) - 8} bytes, header promises {count_l}"
-        )
+
+def load_idx(images_path: str, labels_path: str) -> LabeledDataset:
+    """Load an IDX image/label file pair (big-endian), scaling pixels by 1/255.
+    Each refusal is a CorruptFile that names the file it is about."""
+    (count, rows, cols), pixels = _read_idx(images_path, _IDX_IMAGES_MAGIC, 3)
+    (count_l,), labels = _read_idx(labels_path, _IDX_LABELS_MAGIC, 1)
     if count != count_l:
-        raise LengthMismatch(f"{count} images vs {count_l} labels")
-    labels = [int(b) for b in raw_l[8:]]
-    class_count = max(labels) + 1 if labels else 1
-    return LabeledDataset(
-        tuple(images[i] for i in range(count)), tuple(labels), class_count
-    )
+        raise CorruptFile(f"{images_path} holds {count} images, {labels_path} {count_l} labels")
+    images = np.frombuffer(pixels, dtype=np.uint8).reshape(count, rows, cols, 1)
+    images = images.astype(np.float64) / 255.0
+    labels = tuple(labels)
+    return LabeledDataset(tuple(images), labels, max(labels) + 1 if labels else 1)
 
 
 def subsample(dataset: LabeledDataset, n: int, seed: int) -> LabeledDataset:

@@ -6,7 +6,7 @@ class AdvmError(Exception):
 
 
 class ShapeMismatch(AdvmError):
-    """Two tensors that must agree in shape do not."""
+    """Two tensors, a dataset's images and labels, or ensemble members disagree in shape."""
 
 
 class NonFiniteGradient(AdvmError):
@@ -14,7 +14,7 @@ class NonFiniteGradient(AdvmError):
 
 
 class LabelOutOfRange(AdvmError):
-    """A class label is outside [0, num_classes)."""
+    """A class label is not an integer in [0, num_classes)."""
 
 
 class EmptyDataset(AdvmError):
@@ -25,24 +25,12 @@ class TooFew(AdvmError):
     """A subsample was requested that is larger than the dataset."""
 
 
-class ClassCountMismatch(AdvmError):
-    """Models combined into an ensemble disagree on the label space."""
-
-
-class BadMagic(AdvmError):
-    """A binary file does not start with the expected magic number."""
-
-
 class VersionMismatch(AdvmError):
     """A file was written by an incompatible format version."""
 
 
-class LengthMismatch(AdvmError):
-    """A binary file's payload does not match its declared dimensions."""
-
-
 class CorruptFile(AdvmError):
-    """A file exists but cannot be parsed as the expected format."""
+    """A file exists but is damaged: cut short, padded, or not the expected format."""
 
 
 class WorkerLost(AdvmError):

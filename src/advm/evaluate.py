@@ -14,34 +14,26 @@ from its corner cell, cells and footer.
 
 import csv
 import io
-import numbers
 from dataclasses import dataclass
 
 from .attacks import AttackConfig, attack_batch
-from .data import LabeledDataset
-from .errors import EmptyDataset, LabelOutOfRange
+from .data import LabeledDataset, check_label
+from .errors import EmptyDataset
 
 _MATRIX_HEADER = ["surrogate", "target", "rate", "n", "config_hash"]
 _ABLATION_HEADER = ["parameter", "value", "target", "rate", "n", "config_hash"]
 
 
-def _check_labels(target, labels) -> None:
-    """A label past target's classes would always count as fooled; a bool is no label."""
-    classes = target.num_classes
-    for y in labels:   # type(y) is int first: isinstance against an ABC is ~10x slower
-        if not ((type(y) is int or isinstance(y, numbers.Integral) and type(y) is not bool)
-                and 0 <= y < classes):
-            raise LabelOutOfRange(f"label {y!r} is not an integer in [0, {classes}), "
-                                  f"the classes of target {target.name}")
-
-
 def attack_success_rate(target, adv_images, labels) -> float:
-    """Fraction of adversarial images the target misclassifies."""
+    """Fraction of adversarial images the target misclassifies. A label past
+    the target's classes would always count as fooled, so it is refused."""
     if len(adv_images) != len(labels):
         raise ValueError(f"{len(adv_images)} images vs {len(labels)} labels")
     if not adv_images:
         raise EmptyDataset("no adversarial images to score")
-    _check_labels(target, labels)
+    whose = f"target {target.name}"
+    for y in labels:
+        check_label(y, target.num_classes, whose)
     wrong = sum(target.predict(img) != y for img, y in zip(adv_images, labels))
     return wrong / len(adv_images)
 
@@ -49,11 +41,13 @@ def attack_success_rate(target, adv_images, labels) -> float:
 def transfer_rates(oracle, targets, dataset: LabeledDataset, cfg: AttackConfig,
                    jobs: int = 1) -> tuple:
     """Craft the dataset on oracle, then score the adversarial images on
-    each target: one success rate per target, in target order."""
+    each target: one success rate per target, in target order. Every
+    target's labels are checked before the attack."""
     if not targets:
         raise ValueError("no target models to score")
     for t in targets:
-        _check_labels(t, dataset.labels)
+        for y in dataset.labels:
+            check_label(y, t.num_classes, f"target {t.name}")
     results = attack_batch(oracle, dataset.images, dataset.labels, cfg, jobs=jobs)
     advs = [r.adv for r in results]
     return tuple(attack_success_rate(t, advs, dataset.labels) for t in targets)

@@ -34,15 +34,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .data import LabeledDataset
-from .errors import (
-    ClassCountMismatch,
-    CorruptFile,
-    EmptyDataset,
-    LabelOutOfRange,
-    ShapeMismatch,
-    VersionMismatch,
-)
+from .data import LabeledDataset, check_label
+from .errors import CorruptFile, EmptyDataset, ShapeMismatch, VersionMismatch
 from .fileio import atomic_write_text, read_manifest
 from .sampling import derive_rng, make_rng
 
@@ -356,8 +349,7 @@ class Model:
 
 def _xent(z: np.ndarray, y: int):
     """Softmax cross-entropy of logits z at label y, and d loss / d z."""
-    if not 0 <= y < z.size:
-        raise LabelOutOfRange(f"label {y} outside [0, {z.size})")
+    check_label(y, z.size, "the model")
     zmax = z.max()
     lse = zmax + math.log(np.exp(z - zmax).sum())
     dlogits = np.exp(z - lse)   # softmax probabilities
@@ -377,7 +369,7 @@ class EnsembleOracle:
             if m.input_shape != shape:
                 raise ShapeMismatch(f"{m.input_shape} vs {shape}")
             if m.num_classes != classes:
-                raise ClassCountMismatch(f"{m.num_classes} vs {classes}")
+                raise ShapeMismatch(f"{m.num_classes} classes vs {classes}")
         self.models = list(models)
         self.input_shape, self.num_classes = shape, classes
         self.weight = 1.0 / len(models)

@@ -22,6 +22,18 @@ def _require_ints(obj, *names) -> None:
             raise ValueError(f"{name} must be an int, got {getattr(obj, name)!r}")
 
 
+def _require_floats(obj, *names) -> None:
+    """Store each field of obj as a float; refuse a bool, or a non-int non-float."""
+    for name in names:
+        value = getattr(obj, name)
+        if type(value) is bool or not isinstance(value, (int, float)):
+            raise ValueError(f"{name} must be an int or a float, got {value!r}")
+        try:
+            object.__setattr__(obj, name, float(value))
+        except OverflowError as exc:   # an int past the float range
+            raise ValueError(f"{name} must be finite: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class SamplingSpec:
     """How to draw the lookahead coefficients: method, count N, radius eta."""
@@ -34,6 +46,7 @@ class SamplingSpec:
         if self.method not in _METHODS:
             raise ValueError(f"unknown sampling method {self.method!r}")
         _require_ints(self, "count")
+        _require_floats(self, "eta")
         if self.count < 1:
             raise ValueError(f"sample count must be >= 1, got {self.count}")
         if not (self.eta >= 0.0 and math.isfinite(self.eta)):

@@ -16,13 +16,7 @@ import struct
 
 import numpy as np
 
-from .errors import (
-    BadMagic,
-    CorruptFile,
-    LengthMismatch,
-    ShapeMismatch,
-    VersionMismatch,
-)
+from .errors import CorruptFile, ShapeMismatch, VersionMismatch
 from .fileio import atomic_write_bytes
 
 _MAGIC = b"EMTN"
@@ -67,7 +61,7 @@ def tensor_from_bytes(data: bytes) -> np.ndarray:
     if len(data) < 9:
         raise CorruptFile("tensor blob shorter than its fixed header")
     if data[:4] != _MAGIC:
-        raise BadMagic(f"expected {_MAGIC!r}, got {data[:4]!r}")
+        raise CorruptFile(f"expected {_MAGIC!r}, got {data[:4]!r}")
     if data[4] != _VERSION:
         raise VersionMismatch(f"unsupported tensor format version {data[4]}")
     (rank,) = struct.unpack_from("<I", data, 5)
@@ -83,9 +77,7 @@ def tensor_from_bytes(data: bytes) -> np.ndarray:
         count *= d
     payload = data[offset:]
     if len(payload) != 8 * count:
-        raise LengthMismatch(
-            f"dims {dims} need {8 * count} payload bytes, got {len(payload)}"
-        )
+        raise CorruptFile(f"dims {dims} need {8 * count} payload bytes, got {len(payload)}")
     return np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
 
 

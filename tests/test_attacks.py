@@ -1,6 +1,7 @@
 """Attack engine: configs, feasibility, exact reductions, and scheduling."""
 
 import dataclasses
+import functools
 import math
 import multiprocessing
 import os
@@ -22,7 +23,7 @@ from advm.attacks import (
     fgsm,
     run_attack,
 )
-from advm.errors import AdvmError, NonFiniteGradient, ShapeMismatch, WorkerLost
+from advm.errors import AdvmError, LabelOutOfRange, NonFiniteGradient, ShapeMismatch, WorkerLost
 from advm.models import Model, ModelSpec
 from advm.sampling import (SamplingSpec, derive_rng, make_rng, sample_coefficients,
                            sample_uniform_cube)
@@ -88,6 +89,37 @@ def test_config_validation():
                        ("seed", 1.0), ("seed", np.int64(1))):
         with pytest.raises(ValueError, match=f"{field} must be an int"):
             AttackConfig(**{field: bad})
+
+
+@pytest.mark.parametrize("field", ["eps", "mu", "sampling.eta", "transforms.dim_prob",
+                                   "transforms.tim_sigma"])
+def test_float_fields_take_an_int_or_a_float_and_store_a_float(field):
+    # eps=True was accepted under a hash of its own, mu=1 and mu=1.0 hashed
+    # apart, and a numpy float32 or a string raised a bare TypeError
+    group, _, name = field.rpartition(".")
+
+    def cfg(value):
+        if group == "sampling":
+            return AttackConfig(sampling=SamplingSpec(**{name: value}))
+        if group == "transforms":
+            return AttackConfig(transforms=TransformConfig(**{name: value}))
+        return AttackConfig(**{name: value})
+
+    stored = functools.reduce(getattr, field.split("."), cfg(1))
+    assert type(stored) is float and stored == 1.0
+    assert cfg(1).config_hash() == cfg(1.0).config_hash()
+    assert type(functools.reduce(getattr, field.split("."), cfg(np.float64(0.5)))) is float
+    assert cfg(np.float64(0.5)).config_hash() == cfg(0.5).config_hash()
+    for bad in (True, False, np.float32(0.5), np.int64(1), "0.5", None):
+        with pytest.raises(ValueError, match=f"{name} must be an int or a float"):
+            cfg(bad)
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        cfg(10**400)
+
+
+def test_an_int_float_field_hashes_as_its_float():
+    assert AttackConfig(eps=1).config_hash() == "ff1d69abb8b7"   # eps=1.0's hash
+    assert AttackConfig(mu=1).config_hash() == "af58225b7e0d"    # the default mu=1.0's
 
 
 def test_alpha_is_eps_over_iters():
@@ -254,6 +286,25 @@ def test_infinite_loss_raises_non_finite_gradient():
     with pytest.raises(NonFiniteGradient):
         run_attack(oracle, rand_pixel_image((3, 3, 1), seed=1), 0,
                    AttackConfig(variant="mifgsm"))
+
+
+@pytest.mark.parametrize("y", [1.5, True, -1, 3])
+def test_run_attack_refuses_a_label_outside_the_model_classes(y):
+    # 1.5 died in numpy with a bare IndexError, and True with a bare TypeError
+    model = Model.initialize(ModelSpec("logistic", (3, 3, 1), 3, seed=2))
+    with pytest.raises(LabelOutOfRange, match=re.escape(
+            f"label {y!r} is not an integer in [0, 3), the classes of the model")):
+        run_attack(model, rand_pixel_image((3, 3, 1), seed=1), y,
+                   AttackConfig(variant="mifgsm", iters=2))
+
+
+def test_run_attack_takes_a_numpy_integer_label():
+    model = Model.initialize(ModelSpec("logistic", (3, 3, 1), 3, seed=2))
+    x = rand_pixel_image((3, 3, 1), seed=1)
+    cfg = AttackConfig(variant="emifgsm", iters=2, sampling=SamplingSpec(count=3))
+    got, want = run_attack(model, x, np.int64(1), cfg), run_attack(model, x, 1, cfg)
+    assert tensor_to_bytes(got.adv) == tensor_to_bytes(want.adv)
+    assert got.loss_trace == want.loss_trace
 
 
 def test_non_finite_clean_image_is_refused():

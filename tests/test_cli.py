@@ -361,6 +361,30 @@ def test_ablate_refuses_labels_outside_the_target_classes(runner, tmp_path, monk
     assert calls == []
 
 
+@pytest.mark.parametrize("command", [
+    ["attack", "--attack", "i-fgsm"],
+    ["ablate", "--param", "mu", "--grid", "0,1", "--targets", "{model}"],
+])
+def test_attack_and_ablate_refuse_labels_outside_the_surrogate_classes(
+        runner, tmp_path, monkeypatch, command):
+    # attack ran run_attack 30 times, then died on "label 3 outside [0, 3)",
+    # which named no model
+    from advm import cli, evaluate
+    monkeypatch.setattr(cli, "attack_batch", _refuse_work)
+    monkeypatch.setattr(evaluate, "attack_batch", _refuse_work)
+    surrogate = tmp_path / "surr3.json"
+    result = runner.invoke(main, ["train", "--arch", "logistic", "--dataset", "synthetic:3x10x8",
+                                  "--out", str(surrogate)])
+    assert result.exit_code == 0, result.output
+    out = tmp_path / "out"
+    result = runner.invoke(main, [
+        *(a.format(model=surrogate) for a in command), "--iters", "2",
+        "--surrogate", str(surrogate), "--dataset", "synthetic:6x10x8", "--out", str(out),
+    ])
+    _assert_error_wrote_nothing(result, ["LabelOutOfRange", "label 3 is not an integer in "
+                                         "[0, 3), the classes of surrogate surr3"], out)
+
+
 def test_report_rerenders_csv_as_markdown(runner, trained, advset, tmp_path):
     csv_path = str(tmp_path / "matrix.csv")
     assert runner.invoke(main, ["eval", "--adv", advset,
@@ -491,7 +515,7 @@ def test_train_on_idx_with_negative_header_dims_is_an_error(runner, tmp_path):
                                   "--dataset", f"idx:{images},{labels}"])
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit)
-    assert "LengthMismatch" in result.output and "Traceback" not in result.output
+    assert "CorruptFile" in result.output and "Traceback" not in result.output
     assert not model.exists()
 
 
@@ -507,7 +531,7 @@ def test_idx_with_a_zero_side_is_an_error(runner, trained, tmp_path, command, ro
             else ["train", "--arch", "logistic"])
     result = runner.invoke(main, [*args, "--dataset", f"idx:{images},{labels}",
                                   "--out", str(out)])
-    _assert_error_wrote_nothing(result, ["LengthMismatch", str(images), f"{rows}x{cols}"], out)
+    _assert_error_wrote_nothing(result, ["CorruptFile", str(images), f"{rows}x{cols}"], out)
 
 
 def test_eval_refuses_a_target_that_declares_a_huge_shape(runner, trained, advset, tmp_path):

@@ -13,10 +13,10 @@ from advm.data import (
     subsample,
 )
 from advm.errors import (
-    BadMagic,
+    CorruptFile,
     EmptyDataset,
     LabelOutOfRange,
-    LengthMismatch,
+    ShapeMismatch,
     TooFew,
 )
 
@@ -38,7 +38,7 @@ def test_dataset_basics():
 
 
 def test_dataset_length_mismatch():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ShapeMismatch):
         LabeledDataset((np.zeros((2, 2, 1)),), (0, 1), 2)
 
 
@@ -49,8 +49,17 @@ def test_dataset_label_out_of_range():
         LabeledDataset((np.zeros((2, 2, 1)),), (-1,), 2)
 
 
+def test_dataset_refuses_a_label_that_is_not_an_integer():
+    # 1.5 and True passed the old range check
+    for bad in (1.5, True):
+        with pytest.raises(LabelOutOfRange, match=re.escape(
+                f"label {bad!r} is not an integer in [0, 2), the classes of the dataset")):
+            LabeledDataset((np.zeros((2, 2, 1)),), (bad,), 2)
+    assert LabeledDataset((np.zeros((2, 2, 1)),), (np.int64(1),), 2).labels == (1,)
+
+
 def test_dataset_shape_disagreement():
-    with pytest.raises(ValueError):
+    with pytest.raises(ShapeMismatch):
         LabeledDataset((np.zeros((2, 2, 1)), np.zeros((3, 2, 1))), (0, 0), 1)
 
 
@@ -152,42 +161,42 @@ def test_load_idx_hand_built(tmp_path):
 
 def test_load_idx_bad_image_magic(tmp_path):
     ip, lp = _write_idx_pair(tmp_path, [0] * 6, [0], img_magic=0x00000804)
-    with pytest.raises(BadMagic):
+    with pytest.raises(CorruptFile, match=re.escape(ip)):
         load_idx(ip, lp)
 
 
 def test_load_idx_bad_label_magic(tmp_path):
     ip, lp = _write_idx_pair(tmp_path, [0] * 6, [0], lbl_magic=0x00000800)
-    with pytest.raises(BadMagic):
+    with pytest.raises(CorruptFile, match=re.escape(lp)):
         load_idx(ip, lp)
 
 
 def test_load_idx_truncated_header(tmp_path):
     p = tmp_path / "short.idx"
     p.write_bytes(b"\x00\x00")
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(CorruptFile, match=re.escape(str(p))):
         load_idx(str(p), str(p))
 
 
 def test_load_idx_payload_mismatch(tmp_path):
     ip, lp = _write_idx_pair(tmp_path, [0] * 6, [0], img_count=2)
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(CorruptFile, match=re.escape(ip)):
         load_idx(ip, lp)
 
 
 def test_load_idx_label_payload_mismatch(tmp_path):
     ip, lp = _write_idx_pair(tmp_path, [0] * 6, [0], lbl_count=2)
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(CorruptFile, match=re.escape(lp)):
         load_idx(ip, lp)
 
 
 def test_load_idx_header_dims_are_unsigned(tmp_path):
     # (-1, -1) read signed would make a 4-byte payload look like 4 * 1 * 1
     ip, lp = _write_idx_pair(tmp_path, [0] * 4, [0] * 4, rows=-1, cols=-1, img_count=4)
-    with pytest.raises(LengthMismatch, match="header promises"):
+    with pytest.raises(CorruptFile, match=re.escape(ip) + ".*header promises"):
         load_idx(ip, lp)
     ip, lp = _write_idx_pair(tmp_path, [0] * 6, [], lbl_count=-1)
-    with pytest.raises(LengthMismatch, match="header promises 4294967295"):
+    with pytest.raises(CorruptFile, match=re.escape(lp) + ".*header promises 4294967295"):
         load_idx(ip, lp)
 
 
@@ -195,13 +204,13 @@ def test_load_idx_header_dims_are_unsigned(tmp_path):
 def test_load_idx_refuses_a_zero_side(tmp_path, rows, cols):
     # a zero side made three empty images, which crashed validate_image later
     ip, lp = _write_idx_pair(tmp_path, [], [0, 0, 0], rows=rows, cols=cols, img_count=3)
-    with pytest.raises(LengthMismatch, match=re.escape(f"{ip}: header declares {rows}x{cols}")):
+    with pytest.raises(CorruptFile, match=re.escape(f"{ip}: header declares {rows}x{cols}")):
         load_idx(ip, lp)
 
 
 def test_load_idx_count_disagreement(tmp_path):
     ip, lp = _write_idx_pair(tmp_path, [0] * 12, [0])
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(CorruptFile, match=re.escape(ip)):
         load_idx(ip, lp)
 
 

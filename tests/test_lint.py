@@ -14,7 +14,8 @@ No module takes an underscore name from another advm module, apart from
 the few shared helpers listed here, so a private helper that gains a
 caller in a second module is made public or moved on purpose.
 Every AdvmError subclass in errors.py is raised somewhere in the package,
-so an error class cannot outlive its last raiser.
+so an error class cannot outlive its last raiser, and LabelOutOfRange is
+raised only inside data.check_label, so the label rule cannot fork again.
 The last checks keep README's Python examples importing only what the
 package exports, and every call README names in backticked prose an
 attribute of the package or one of its modules, so a removed name cannot
@@ -206,7 +207,7 @@ def test_process_check_flags_a_planted_pool_and_fork():
 
 
 # Private helpers that more than one module shares on purpose.
-_SHARED_PRIVATE = {"_pmap", "_require_ints"}
+_SHARED_PRIVATE = {"_pmap", "_require_floats", "_require_ints"}
 
 
 def _private(name: str) -> bool:
@@ -287,6 +288,45 @@ def test_error_class_check_flags_a_planted_unraised_class():
                      "def g():\n    raise errors.ViaModule\n"
                      "def h():\n    return Planted('built, never raised')\n")
     assert unraised_error_classes(errors, [errors, user]) == [(7, "Planted")]
+
+
+def raises_of(tree, name: str) -> list:
+    """(line, innermost enclosing function) of each `raise name` in tree; the
+    function is None for a raise at module or class level."""
+    found = []
+
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if name in (getattr(exc, "id", None), getattr(exc, "attr", None)):
+                    found.append((child.lineno, fn))
+            is_fn = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_fn else fn)
+
+    visit(tree, None)
+    return found
+
+
+def test_label_out_of_range_is_raised_only_by_check_label():
+    found = [f"{name}:{line} in {fn}" for name, tree in TREES.items()
+             for line, fn in raises_of(tree, "LabelOutOfRange")
+             if (name, fn) != ("data.py", "check_label")]
+    assert not found, "LabelOutOfRange raised outside data.check_label: " + ", ".join(found)
+    assert [fn for _, fn in raises_of(TREES["data.py"], "LabelOutOfRange")] == ["check_label"]
+
+
+def test_raise_check_flags_planted_label_raises():
+    tree = ast.parse(
+        "def check_label(y):\n    raise LabelOutOfRange(y)\n"
+        "class M:\n    def _xent(self, y):\n        if y:\n"
+        "            raise errors.LabelOutOfRange\n"
+        "        def inner():\n            raise LabelOutOfRange('x') from None\n"
+        "raise LabelOutOfRange\n"
+        "def other():\n    raise ShapeMismatch('y')\n"
+    )
+    assert raises_of(tree, "LabelOutOfRange") == [(2, "check_label"), (6, "_xent"),
+                                                  (8, "inner"), (9, None)]
 
 
 def readme_advm_imports(text: str) -> set:

@@ -11,7 +11,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from advm import models
 from advm.data import LabeledDataset, generate_synthetic
 from advm.errors import (
-    ClassCountMismatch,
     CorruptFile,
     EmptyDataset,
     LabelOutOfRange,
@@ -677,10 +676,16 @@ def test_ensemble_validation():
         EnsembleOracle([])
     with pytest.raises(ShapeMismatch):
         EnsembleOracle([a, Model.initialize(ModelSpec("logistic", (4, 4, 1), 2))])
-    with pytest.raises(ClassCountMismatch):
+    with pytest.raises(ShapeMismatch):
         EnsembleOracle([a, Model.initialize(ModelSpec("logistic", (3, 3, 1), 3))])
     with pytest.raises(LabelOutOfRange):
         EnsembleOracle([a, b]).loss_and_grad(np.zeros((3, 3, 1)), 5)
+
+
+def test_ensemble_members_with_different_class_counts_are_a_shape_mismatch():
+    a, _ = _pair_of_models()
+    with pytest.raises(ShapeMismatch, match=re.escape("3 classes vs 2")):
+        EnsembleOracle([a, Model.initialize(ModelSpec("logistic", (3, 3, 1), 3))])
 
 
 # -- smallcnn kernels against the seed implementation -------------------------------

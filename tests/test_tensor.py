@@ -10,9 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from advm.errors import (
     AdvmError,
-    BadMagic,
     CorruptFile,
-    LengthMismatch,
     ShapeMismatch,
     VersionMismatch,
 )
@@ -335,7 +333,7 @@ def test_tensor_from_bytes_errors():
     good = tensor_to_bytes(np.zeros((2, 2, 1)))
     with pytest.raises(CorruptFile):
         tensor_from_bytes(good[:5])
-    with pytest.raises(BadMagic):
+    with pytest.raises(CorruptFile):
         tensor_from_bytes(b"XXXX" + good[4:])
     with pytest.raises(VersionMismatch):
         tensor_from_bytes(good[:4] + bytes([2]) + good[5:])
@@ -346,7 +344,7 @@ def test_tensor_from_bytes_errors():
     with pytest.raises(CorruptFile):
         tensor_from_bytes(good[:5] + struct.pack("<I", 3) + b"\x02\x00")
     # payload shorter than the dims promise
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(CorruptFile):
         tensor_from_bytes(good[:-8])
 
 
