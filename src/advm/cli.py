@@ -400,11 +400,13 @@ def _load_advset(adv_dir: str) -> tuple:
     for f in files:
         if not isinstance(f, str) or f in ("", ".", "..") or os.path.basename(f) != f:
             raise click.ClickException(f"{manifest_path}: {f!r} is not a plain file name")
+        path = os.path.join(adv_dir, f)
         try:
-            advs.append(load_tensor(os.path.join(adv_dir, f)))
+            advs.append(load_tensor(path))
             validate_image(advs[-1])
         except (OSError, ValueError, AdvmError) as exc:
-            raise click.ClickException(f"unreadable adversarial tensor {f}: {exc}") from exc
+            why = str(exc).removeprefix(f"{path}: ")   # name f once, not path too
+            raise click.ClickException(f"unreadable adversarial tensor {f}: {why}") from exc
     return manifest, advs
 
 

@@ -1,12 +1,12 @@
 """Atomic file writes, and the one checked reader of JSON manifests.
 
-Artifacts (tensors, model manifests, reports) are written to a temporary
+Artifacts (tensors, model files, reports) are written to a temporary
 file in the destination directory and moved into place with os.replace,
 so a crash mid-write never leaves a truncated artifact behind.
 
-A manifest (a model file, an attack set's manifest.json) is one JSON object
-with a format and a version; read_manifest parses it once and checks it
-against a nested key -> type table.
+A manifest (a model file's header line, an attack set's manifest.json) is
+one JSON object with a format and a version; parse_manifest parses it once
+and checks it against a nested key -> type table.
 """
 
 import json
@@ -15,7 +15,7 @@ import tempfile
 
 from .errors import CorruptFile, VersionMismatch
 
-# How read_manifest names an expected type: in JSON's words, since the file is JSON.
+# How parse_manifest names an expected type: in JSON's words, since the text is JSON.
 _KINDS = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
 
 
@@ -40,7 +40,13 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def read_manifest(path: str, fmt: str, version: int, fields: dict) -> dict:
-    """The JSON object at path, once its format, version and fields check out.
+    """The JSON object that is the whole file at path, checked by parse_manifest."""
+    with open(path, "rb") as fh:
+        return parse_manifest(fh.read(), path, fmt, version, fields)
+
+
+def parse_manifest(data: bytes, path: str, fmt: str, version: int, fields: dict) -> dict:
+    """The JSON object in data, UTF-8 read from path, once format, version and fields check out.
 
     fields maps each required key to its value's type, compared with `type(v) is T`
     so a bool is never an int; `object` takes any value, and a nested dict is a
@@ -48,8 +54,7 @@ def read_manifest(path: str, fmt: str, version: int, fields: dict) -> dict:
     CorruptFile (VersionMismatch for another version) that names the key path.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = json.loads(data.decode("utf-8"))
     except (ValueError, RecursionError) as exc:   # RecursionError: nested too deep
         raise CorruptFile(f"unreadable manifest {path}: {exc}") from exc
     if type(doc) is not dict:

@@ -26,7 +26,6 @@ through cached read-only indices (_im2col_index, _col2im_index);
 tests/test_models.py keeps the seed kernels and compares bytes.
 """
 
-import base64
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -36,21 +35,21 @@ import numpy as np
 
 from .data import LabeledDataset, check_label
 from .errors import CorruptFile, EmptyDataset, ShapeMismatch, VersionMismatch
-from .fileio import atomic_write_text, read_manifest
+from .fileio import atomic_write_bytes, parse_manifest
 from .sampling import derive_rng, make_rng
 
 ARCHITECTURES = ("logistic", "mlp", "smallcnn")
 
 _MODEL_FORMAT = "advm-model"
-_MODEL_VERSION = 2
-# The JSON type of each model manifest field load_model reads; "spec" holds
+_MODEL_VERSION = 3
+# The JSON type of each model header field load_model reads; "spec" holds
 # ModelSpec's fields. The name and each declared shape take any value here:
 # load_model checks them itself.
 _MODEL_FIELDS = {
     "name": object,
     "spec": {"arch": str, "input_shape": list, "num_classes": int, "hidden": list,
              "conv_channels": int, "conv_kernel": int, "seed": int},
-    "params": {"*": {"shape": object, "f8": str}},
+    "params": {"*": {"shape": object}},
 }
 
 
@@ -459,28 +458,27 @@ def accuracy(oracle, dataset: LabeledDataset) -> float:
 
 
 def save_model(model: Model, path: str) -> None:
-    """One JSON file, sorted keys; each parameter is {"shape", "f8": base64 of its C-order
-    '<f8' bytes}, so it loads bit for bit and save -> load -> save is byte-identical."""
+    """One line of sorted-key JSON (format, version, name, spec and each parameter's
+    shape), a newline, then each parameter's C-order '<f8' bytes in _param_shapes
+    order, so it loads bit for bit and save -> load -> save is byte-identical."""
     if not all(np.isfinite(v).all() for v in model.params.values()):
         raise ValueError(f"model {model.name!r} holds a non-finite parameter")
-    doc = {
-        "format": _MODEL_FORMAT,
-        "version": _MODEL_VERSION,
-        "name": model.name,
-        "spec": asdict(model.spec),
-        "params": {
-            k: {"shape": list(v.shape),
-                "f8": base64.b64encode(v.astype("<f8").tobytes()).decode()}
-            for k, v in model.params.items()
-        },
-    }
-    atomic_write_text(path, json.dumps(doc, sort_keys=True))
+    header = {"format": _MODEL_FORMAT, "version": _MODEL_VERSION, "name": model.name,
+              "spec": asdict(model.spec),
+              "params": {k: {"shape": list(v.shape)} for k, v in model.params.items()}}
+    payload = b"".join(np.asarray(model.params[k], "<f8").tobytes()
+                       for k in _param_shapes(model.spec))
+    atomic_write_bytes(path, json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
 
 
 def load_model(path: str) -> Model:
-    """Read a save_model file; a failed check is a CorruptFile, or a VersionMismatch."""
+    """Read a save_model file: the header and every shape are checked, then the
+    payload's length, before any parameter is built. A failed check is a
+    CorruptFile, or a VersionMismatch."""
+    with open(path, "rb") as fh:
+        head, _, payload = fh.read().partition(b"\n")
     try:
-        doc = read_manifest(path, _MODEL_FORMAT, _MODEL_VERSION, _MODEL_FIELDS)
+        doc = parse_manifest(head, path, _MODEL_FORMAT, _MODEL_VERSION, _MODEL_FIELDS)
     except VersionMismatch as exc:
         raise VersionMismatch(f"{exc}; retrain the model with `advm train`") from exc
     name, stored = doc["name"], doc["params"]
@@ -498,17 +496,14 @@ def load_model(path: str) -> Model:
         if (type(declared) is not list or tuple(declared) != shape
                 or any(type(d) is not int for d in declared)):
             raise CorruptFile(f"{path}: {k} has shape {declared!r}, want {shape}")
-    params = {}
-    for k, (shape, _) in expected.items():   # every shape checked, now the payloads
-        where = f"{path}: {k}"
-        try:
-            raw = base64.b64decode(stored[k]["f8"], validate=True)
-        except ValueError as exc:
-            raise CorruptFile(f"{where} payload is not strict base64: {exc}") from exc
-        if len(raw) != 8 * math.prod(shape):
-            raise CorruptFile(f"{where} payload is {len(raw)} bytes, not 8 per "
-                              f"value of shape {shape}")
-        params[k] = np.frombuffer(raw, "<f8").reshape(shape).astype(np.float64)
+    sizes = [math.prod(shape) for shape, _ in expected.values()]
+    if len(payload) != 8 * sum(sizes):
+        raise CorruptFile(f"{path}: payload is {len(payload)} bytes, not 8 per value of "
+                          + ", ".join(f"{k} {shape}" for k, (shape, _) in expected.items()))
+    params, offset = {}, 0
+    for (k, (shape, _)), size in zip(expected.items(), sizes):
+        params[k] = np.frombuffer(payload, "<f8", size, offset).reshape(shape).astype(np.float64)
         if not np.isfinite(params[k]).all():
-            raise CorruptFile(f"{where} holds a non-finite value")
+            raise CorruptFile(f"{path}: {k} holds a non-finite value")
+        offset += 8 * size
     return Model(spec, params, name)

@@ -86,5 +86,9 @@ def save_tensor(path: str, t: np.ndarray) -> None:
 
 
 def load_tensor(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        return tensor_from_bytes(fh.read())
+    """The tensor in the file at path; a refusal of its bytes names the path."""
+    try:
+        with open(path, "rb") as fh:
+            return tensor_from_bytes(fh.read())
+    except (CorruptFile, VersionMismatch) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc

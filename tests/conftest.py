@@ -7,6 +7,8 @@ against a second route instead of against itself.
 """
 
 import base64
+import json
+import math
 import os
 from typing import NamedTuple
 
@@ -196,15 +198,94 @@ def rand_pixel_image(shape, seed, lo=0.05, hi=0.95):
     return rng.uniform(lo, hi, size=shape)
 
 
-def f8_text(values) -> str:
-    """A model file's "f8" payload for these values, encoded without advm:
-    base64 of the little-endian float64 bytes."""
-    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+# -- model files, read and written without advm -------------------------------
 
 
-def f8_values(text: str) -> np.ndarray:
-    """The flat float64 values of an "f8" payload, decoded without advm."""
-    return np.frombuffer(base64.b64decode(text), dtype="<f8").astype(np.float64)
+def param_order(names) -> list:
+    """Parameter names in the order a model file's payload holds them: the conv
+    stem, then the dense layers from the input side, each W before its b."""
+    def key(name):
+        layer, kind = name.split(".")
+        return layer != "conv", int(layer[2:]) if layer[2:].isdigit() else 0, kind != "W"
+    return sorted(names, key=key)
+
+
+def encode_model(header: dict, params: dict) -> bytes:
+    """A format-3 model file: header as one line of sorted-key JSON, a newline,
+    then each of params' values as C-order little-endian float64 bytes, in
+    param_order of params' own names."""
+    return (json.dumps(header, sort_keys=True).encode() + b"\n"
+            + b"".join(np.asarray(params[k], "<f8").tobytes() for k in param_order(params)))
+
+
+def decode_model(data: bytes) -> tuple:
+    """(header, {name: float64 values in the header's shape}) of a format-3 file,
+    both fresh and writable."""
+    head, newline, payload = data.partition(b"\n")
+    assert newline, "no newline ends the header"
+    header = json.loads(head)
+    flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    params, offset = {}, 0
+    for name in param_order(header["params"]):
+        shape = header["params"][name]["shape"]
+        params[name] = flat[offset:offset + math.prod(shape)].reshape(shape)
+        offset += math.prod(shape)
+    assert offset == flat.size, "the payload holds more values than the header's shapes"
+    return header, params
+
+
+def legacy_model(header: dict, params: dict, version: int) -> bytes:
+    """The same model as one JSON document of format version 1 (each parameter's
+    values as a JSON list, "data") or version 2 (base64 of its '<f8' bytes, "f8")."""
+    doc = dict(header, version=version, params={})
+    for k, v in params.items():
+        flat = np.asarray(v, "<f8").reshape(-1)
+        doc["params"][k] = {"shape": list(v.shape), **(
+            {"data": flat.tolist()} if version == 1
+            else {"f8": base64.b64encode(flat.tobytes()).decode("ascii")})}
+    return json.dumps(doc, sort_keys=True).encode()
+
+
+def _edit_model(edit):
+    """A damage of a model file's bytes made by edit(header, params) on the decoded
+    file; edit returns the new file's bytes, or None to encode the edited pair."""
+    def damage(data: bytes) -> bytes:
+        header, params = decode_model(data)
+        return edit(header, params) or encode_model(header, params)
+    return damage
+
+
+def _plant_nan(header, params):
+    params[param_order(params)[-1]].reshape(-1)[-1] = np.nan
+
+
+def _after_newline(data: bytes) -> bytes:
+    return data[data.index(b"\n"):]
+
+
+# Damages of a format-3 model file: id -> (bytes -> damaged bytes, the error
+# class load_model raises, a text its message carries besides the path).
+MODEL_DAMAGES = {
+    "no newline": (lambda d: d.replace(b"\n", b"", 1), "CorruptFile", "unreadable manifest"),
+    "header not JSON": (lambda d: b"not json {" + _after_newline(d), "CorruptFile",
+                        "unreadable manifest"),
+    "header not an object": (lambda d: b"[3]" + _after_newline(d), "CorruptFile",
+                             "is not a JSON object"),
+    "payload empty": (lambda d: d[:d.index(b"\n") + 1], "CorruptFile", "payload is 0 bytes"),
+    "payload 1 byte short": (lambda d: d[:-1], "CorruptFile", "payload is"),
+    "payload 1 byte long": (lambda d: d + b"\0", "CorruptFile", "payload is"),
+    "nan in payload": (_edit_model(_plant_nan), "CorruptFile", "holds a non-finite value"),
+    "shapes disagree with spec": (
+        _edit_model(lambda h, p: h["spec"].update(num_classes=h["spec"]["num_classes"] + 1)),
+        "CorruptFile", "has shape"),
+    "version 1": (_edit_model(lambda h, p: legacy_model(h, p, 1)), "VersionMismatch",
+                  "retrain the model with `advm train`"),
+    "version 2": (_edit_model(lambda h, p: legacy_model(h, p, 2)), "VersionMismatch",
+                  "retrain the model with `advm train`"),
+    "huge input_shape": (
+        _edit_model(lambda h, p: h["spec"].update(input_shape=[100000, 100000, 1])),
+        "CorruptFile", "has shape"),
+}
 
 
 @pytest.fixture

@@ -273,7 +273,7 @@ def test_criterion_4_white_box_success():
     rates = {}
     for variant in ("ifgsm", "mifgsm", "nifgsm", "pifgsm", "emifgsm"):
         rates[variant] = white_box_rate(AttackConfig(variant=variant),
-                                        seed=101, n_images=500, jobs=1)
+                                        seed=101, n_images=500, jobs=2)
     elapsed = time.monotonic() - t0
     report = ", ".join(f"{v} {100 * r:.2f}%" for v, r in rates.items())
     print(f"criterion 4: {report}; {elapsed:.1f}s")

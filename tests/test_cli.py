@@ -30,7 +30,7 @@ from advm.sampling import SamplingSpec
 from advm.tensor import load_tensor, save_tensor
 from advm.transforms import TransformConfig
 
-from conftest import f8_text, f8_values
+from conftest import MODEL_DAMAGES, decode_model, encode_model, legacy_model
 
 
 @pytest.fixture()
@@ -535,28 +535,19 @@ def test_idx_with_a_zero_side_is_an_error(runner, trained, tmp_path, command, ro
 
 
 def test_eval_refuses_a_target_that_declares_a_huge_shape(runner, trained, advset, tmp_path):
-    with open(trained["model"]) as fh:
-        doc = json.load(fh)
-    doc["spec"]["input_shape"] = [100000, 100000, 1]
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
-    result = runner.invoke(main, ["eval", "--adv", advset, "--targets", str(bad)])
+    bad = _edited_model(trained, tmp_path,
+                        lambda d, p: d["spec"].update(input_shape=[100000, 100000, 1]))
+    result = runner.invoke(main, ["eval", "--adv", advset, "--targets", bad])
     assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
     assert "CorruptFile" in result.output and "has shape" in result.output
     assert "Traceback" not in result.output and "MemoryError" not in result.output
 
 
 def test_attack_refuses_a_model_with_non_finite_parameters(runner, trained, tmp_path):
-    with open(trained["model"]) as fh:
-        doc = json.load(fh)
-    values = f8_values(doc["params"]["fc.b"]["f8"])
-    values[0] = float("nan")
-    doc["params"]["fc.b"]["f8"] = f8_text(values)
-    bad = tmp_path / "nan.json"
-    bad.write_text(json.dumps(doc))
+    bad = _edited_model(trained, tmp_path, lambda d, p: p["fc.b"].__setitem__(0, float("nan")))
     out = tmp_path / "advset"
     result = runner.invoke(main, [
-        "attack", "--surrogate", str(bad), "--dataset", "synthetic:2x3x6", "--out", str(out),
+        "attack", "--surrogate", bad, "--dataset", "synthetic:2x3x6", "--out", str(out),
     ])
     assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
     assert "CorruptFile" in result.output and "non-finite" in result.output
@@ -564,12 +555,12 @@ def test_attack_refuses_a_model_with_non_finite_parameters(runner, trained, tmp_
 
 
 def _edited_model(trained, tmp_path, edit):
-    """A copy of the trained model file with its parsed manifest passed through edit."""
-    with open(trained["model"]) as fh:
-        doc = json.load(fh)
-    edit(doc)
+    """A copy of the trained model file whose decoded header and parameters went
+    through edit, which edits them in place or returns the copy's bytes."""
+    with open(trained["model"], "rb") as fh:
+        header, params = decode_model(fh.read())
     bad = tmp_path / "edited.json"
-    bad.write_text(json.dumps(doc))
+    bad.write_bytes(edit(header, params) or encode_model(header, params))
     return str(bad)
 
 
@@ -582,7 +573,7 @@ def _assert_error_wrote_nothing(result, texts, out):
 
 def test_attack_refuses_an_ensemble_member_whose_name_is_not_a_string(runner, trained,
                                                                       tmp_path):
-    bad = _edited_model(trained, tmp_path, lambda d: d.update(name=1))
+    bad = _edited_model(trained, tmp_path, lambda d, p: d.update(name=1))
     out = tmp_path / "advset"
     result = runner.invoke(main, [
         "attack", "--surrogate", f"{trained['model']},{bad}", "--dataset", "synthetic:2x3x6",
@@ -592,7 +583,7 @@ def test_attack_refuses_an_ensemble_member_whose_name_is_not_a_string(runner, tr
 
 
 def test_eval_refuses_a_target_whose_name_is_not_a_string(runner, trained, advset, tmp_path):
-    bad = _edited_model(trained, tmp_path, lambda d: d.update(name=1))
+    bad = _edited_model(trained, tmp_path, lambda d, p: d.update(name=1))
     out = tmp_path / "report.csv"
     result = runner.invoke(main, ["eval", "--adv", advset, "--targets", bad, "--out", str(out)])
     _assert_error_wrote_nothing(result, ["CorruptFile", "model name 1 is not"], out)
@@ -609,23 +600,21 @@ def test_train_refuses_an_empty_model_name(runner, tmp_path, flags):
     assert os.listdir(tmp_path) == []
 
 
-def _corrupt_payload(doc):
-    doc["params"]["fc.W"]["f8"] = doc["params"]["fc.W"]["f8"][:-4] + "!!!!"
+def _corrupt_payload(doc, params):
+    return encode_model(doc, params)[:-3]   # cut inside the last value
 
 
-def _short_payload(doc):
-    doc["params"]["fc.W"]["f8"] = f8_text(f8_values(doc["params"]["fc.W"]["f8"])[:-1])
+def _short_payload(doc, params):
+    return encode_model(doc, dict(params, **{"fc.W": params["fc.W"].reshape(-1)[:-1]}))
 
 
-def _v1_manifest(doc):
-    doc["version"] = 1
-    for entry in doc["params"].values():
-        entry["data"] = f8_values(entry.pop("f8")).tolist()
+def _v1_manifest(doc, params):
+    return legacy_model(doc, params, 1)
 
 
 @pytest.mark.parametrize("edit, texts", [
-    (_corrupt_payload, ["CorruptFile", "base64"]),
-    (_short_payload, ["CorruptFile", "fc.W payload is"]),
+    (_corrupt_payload, ["CorruptFile", "bytes, not 8 per value of fc.W"]),
+    (_short_payload, ["CorruptFile", "bytes, not 8 per value of fc.W"]),
     (_v1_manifest, ["VersionMismatch", "retrain the model with `advm train`"]),
 ])
 def test_attack_and_eval_refuse_a_bad_model_payload(runner, trained, advset, tmp_path, edit,
@@ -639,6 +628,24 @@ def test_attack_and_eval_refuse_a_bad_model_payload(runner, trained, advset, tmp
     out = tmp_path / "report.csv"
     result = runner.invoke(main, ["eval", "--adv", advset, "--targets", bad, "--out", str(out)])
     _assert_error_wrote_nothing(result, texts, out)
+
+
+@pytest.mark.parametrize("kind", list(MODEL_DAMAGES))
+def test_attack_and_eval_refuse_a_damaged_model_file(runner, trained, advset, tmp_path, kind):
+    damage, error, text = MODEL_DAMAGES[kind]
+    with open(trained["model"], "rb") as fh:
+        data = damage(fh.read())
+    bad = str(tmp_path / "damaged.json")
+    with open(bad, "wb") as fh:
+        fh.write(data)
+    out = tmp_path / "advset"
+    result = runner.invoke(main, [
+        "attack", "--surrogate", bad, "--dataset", "synthetic:2x3x6", "--out", str(out),
+    ])
+    _assert_error_wrote_nothing(result, [error, bad, text], out)
+    out = tmp_path / "report.csv"
+    result = runner.invoke(main, ["eval", "--adv", advset, "--targets", bad, "--out", str(out)])
+    _assert_error_wrote_nothing(result, [error, bad, text], out)
 
 
 def test_attack_dim_geometry_ignored_when_dim_is_off(runner, trained, tmp_path):
@@ -881,7 +888,8 @@ def test_eval_rejects_corrupt_tensor_and_manifest(runner, trained, advset, tmp_p
     result = runner.invoke(main, ["eval", "--adv", str(adv_dir),
                                   "--targets", trained["model"]])
     assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
-    assert f"unreadable adversarial tensor {first}" in result.output
+    assert f"unreadable adversarial tensor {first}: expected b'EMTN'" in result.output
+    assert str(adv_dir) not in result.output   # the file is named once, by its name
 
     (adv_dir / "manifest.json").write_text("{ truncated")
     result = runner.invoke(main, ["eval", "--adv", str(adv_dir),

@@ -6,8 +6,9 @@ file), damages it in one way that leaves it invalid, runs the command that
 reads it under CliRunner, and asserts a clean refusal: exit code 1 or 2, no
 Python traceback, and no output file. The damages are: a required key
 dropped, a value (or a spec size) of another JSON type, NaN planted, huge
-dimensions declared, an "f8" payload edited, the text truncated, and bytes
-flipped to non-UTF-8; an IDX header word changed, a label past the
+dimensions declared, the text truncated, and bytes flipped to non-UTF-8; a
+model file's float64 payload cut, lengthened, or with a value's exponent
+bits flipped on, and the whole file cut in its header or payload; an IDX header word changed, a label past the
 surrogate's classes, or an IDX file cut or lengthened; a config value that
 no option takes, an unknown key, a repeated line, or a line without "=";
 a stored .emtn tensor cut, with a flipped magic or version byte, a rank
@@ -27,6 +28,7 @@ import shutil
 import struct
 import tempfile
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
@@ -34,7 +36,7 @@ from hypothesis import strategies as st
 
 from advm.cli import _ADVSET_FIELDS, _ATTACK_OPTIONS, main
 
-from conftest import f8_text, f8_values
+from conftest import decode_model, param_order
 
 _FUZZ = settings(max_examples=50, deadline=None, derandomize=True, database=None)
 
@@ -119,16 +121,9 @@ def _damage_json(data, doc: dict, paths: list, damages: dict) -> bytes:
 # -- models: advm attack --surrogate and advm eval --targets ------------------------
 
 
-def _plant_nan_in_model(data, doc):
-    if data.draw(st.booleans()):
-        doc["spec"][data.draw(st.sampled_from(["num_classes", "seed", "conv_kernel"]))] = \
-            float("nan")
-        return
-    entry = doc["params"][data.draw(st.sampled_from(sorted(doc["params"])))]
-    values = f8_values(entry["f8"])
-    values[data.draw(st.integers(0, len(values) - 1))] = data.draw(
-        st.sampled_from([float("nan"), float("inf"), float("-inf")]))
-    entry["f8"] = f8_text(values)
+def _plant_nan_in_spec(data, doc):
+    doc["spec"][data.draw(st.sampled_from(["num_classes", "seed", "conv_kernel"]))] = \
+        float("nan")
 
 
 def _retype_a_spec_size(data, doc):
@@ -147,37 +142,54 @@ def _declare_huge_model_dims(data, doc):
         entry["shape"] = [data.draw(_HUGE) for _ in entry["shape"]]
 
 
-def _edit_payload(data, doc):
-    entry = doc["params"][data.draw(st.sampled_from(sorted(doc["params"])))]
-    payload, values = entry["f8"], f8_values(entry["f8"])
-    edit = data.draw(st.sampled_from(["cut", "bad char", "one value more", "one value fewer",
-                                      "blank"]))
+def _damage_payload(data, params: dict, payload: bytes) -> bytes:
+    """The raw float64 payload cut or lengthened, one value's exponent bits all
+    flipped on (an infinity or a NaN), or a NaN or infinity planted by value."""
+    edit = data.draw(st.sampled_from(["cut", "flip", "nan", "one value more",
+                                      "one value fewer", "trailing bytes"]))
     if edit == "cut":
-        entry["f8"] = payload[:-data.draw(st.integers(1, len(payload)))]
-    elif edit == "bad char":
-        i = data.draw(st.integers(0, len(payload) - 1))
-        entry["f8"] = payload[:i] + data.draw(st.sampled_from("!*-_ é")) + payload[i + 1:]
-    elif edit == "one value more":
-        entry["f8"] = f8_text(list(values) + [0.5])
-    elif edit == "one value fewer":
-        entry["f8"] = f8_text(values[:-1])
-    else:
-        entry["f8"] = " " * len(payload)
+        return payload[:-data.draw(st.integers(1, len(payload)))]
+    if edit == "flip":
+        # a little-endian float64's 11 exponent bits: the low 7 of its last byte
+        # and the high 4 of the byte before; set them all, the sign untouched
+        raw = bytearray(payload)
+        i = 8 * data.draw(st.integers(0, len(raw) // 8 - 1))
+        raw[i + 6] |= 0xF0
+        raw[i + 7] |= 0x7F
+        return bytes(raw)
+    if edit == "nan":
+        values = np.concatenate([params[k].reshape(-1) for k in param_order(params)])
+        values[data.draw(st.integers(0, len(values) - 1))] = data.draw(
+            st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+        return values.astype("<f8").tobytes()
+    if edit == "one value more":
+        return payload + struct.pack("<d", 0.5)
+    if edit == "one value fewer":
+        return payload[:-8]
+    return payload + bytes(data.draw(st.integers(1, 7)))
 
 
 @_FUZZ
 @given(data=st.data())
 def test_a_damaged_model_is_refused_by_attack_and_eval(artifacts, data):
-    with open(artifacts / "surr.json") as fh:
-        doc = json.load(fh)
+    with open(artifacts / "surr.json", "rb") as fh:
+        raw = fh.read()
+    doc, params = decode_model(raw)
     paths = [("format",), ("version",), ("name",), ("spec",), ("params",)]
     paths += [("spec", key) for key in doc["spec"]]
     for p in doc["params"]:
-        paths += [("params", p), ("params", p, "shape"), ("params", p, "f8")]
-    damaged = _damage_json(data, doc, paths, {"nan": _plant_nan_in_model,
-                                              "size": _retype_a_spec_size,
-                                              "huge": _declare_huge_model_dims,
-                                              "payload": _edit_payload})
+        paths += [("params", p), ("params", p, "shape")]
+    head, _, payload = raw.partition(b"\n")
+    kind = data.draw(st.sampled_from(["header", "payload", "cut"]))
+    if kind == "header":   # its text cut or flipped, or a key dropped, retyped or edited
+        damaged = _damage_json(data, doc, paths, {"nan": _plant_nan_in_spec,
+                                                  "size": _retype_a_spec_size,
+                                                  "huge": _declare_huge_model_dims})
+        damaged += b"\n" + payload
+    elif kind == "payload":
+        damaged = head + b"\n" + _damage_payload(data, params, payload)
+    else:   # the whole file cut short, in its header or in its payload
+        damaged = raw[:data.draw(st.integers(0, len(raw) - 1))]
     with tempfile.TemporaryDirectory(dir=artifacts) as scratch:
         model = os.path.join(scratch, "model.json")
         with open(model, "wb") as fh:

@@ -6,8 +6,10 @@ use went, and a module-level `_helper` whose last caller went.
 `__init__.py` is not linted for them, because its imports are the
 package's exports, but what it reads still counts as a reference. The
 third keeps a dependency from coming back, or going stale, unnoticed.
-Every read_manifest call passes a module-level field table by name, so a
-manifest's fields are written down once, where its writer can share them.
+Every read_manifest and parse_manifest call passes a module-level field
+table by name, so a manifest's fields are written down once, where its
+writer can share them, and only fileio.py calls json.load or json.loads,
+so every JSON document and model header goes through the checked reader.
 Only attacks.py names ProcessPoolExecutor, multiprocessing or os.fork, so
 the one process pool, and how it forks and dies, stays in one module.
 No module takes an underscore name from another advm module, apart from
@@ -122,9 +124,19 @@ def test_third_party_imports_skip_stdlib_and_relative_imports():
     assert third_party_imports(tree) == {"numpy", "scipy", "click"}
 
 
+# The checked readers of fileio.py, each with the position of its field table.
+_MANIFEST_READERS = {"read_manifest": 3, "parse_manifest": 4}
+
+
+def _manifest_reader(node):
+    """The name of the manifest reader a Call node calls, or None."""
+    name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+    return name if name in _MANIFEST_READERS else None
+
+
 def unnamed_manifest_tables(tree) -> list:
-    """(line, table source) of each read_manifest call whose field table is not
-    a name the module binds at its top level."""
+    """(line, table source) of each read_manifest or parse_manifest call whose
+    field table is not a name the module binds at its top level."""
     module_names = set()
     for node in tree.body:
         if isinstance(node, ast.Assign):
@@ -133,10 +145,10 @@ def unnamed_manifest_tables(tree) -> list:
                 module_names.update(e.id for e in elts if isinstance(e, ast.Name))
     found = []
     for node in ast.walk(tree):
-        if not (isinstance(node, ast.Call) and "read_manifest" in (
-                getattr(node.func, "id", None), getattr(node.func, "attr", None))):
+        if not (isinstance(node, ast.Call) and _manifest_reader(node)):
             continue
-        table = node.args[3] if len(node.args) > 3 else next(
+        at = _MANIFEST_READERS[_manifest_reader(node)]
+        table = node.args[at] if len(node.args) > at else next(
             (k.value for k in node.keywords if k.arg == "fields"), None)
         if not (isinstance(table, ast.Name) and table.id in module_names):
             found.append((node.lineno, table and ast.unparse(table)))
@@ -144,12 +156,14 @@ def unnamed_manifest_tables(tree) -> list:
 
 
 def test_read_manifest_calls_pass_a_module_level_table():
-    calls = [node for tree in LINTED.values() for node in ast.walk(tree)
-             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "read_manifest"]
-    assert len(calls) >= 2, "the model and attack-set readers no longer call read_manifest"
-    found = [f"{name}:{line} {table}" for name, tree in LINTED.items()
+    callers = {(name, _manifest_reader(node)) for name, tree in LINTED.items()
+               for node in ast.walk(tree) if isinstance(node, ast.Call) and _manifest_reader(node)}
+    assert {("cli.py", "read_manifest"), ("models.py", "parse_manifest")} <= callers, \
+        "the attack-set and model readers no longer call the checked reader"
+    # fileio.py defines the readers, and read_manifest hands its caller's table on
+    found = [f"{name}:{line} {table}" for name, tree in LINTED.items() if name != "fileio.py"
              for line, table in unnamed_manifest_tables(tree)]
-    assert not found, "read_manifest tables that are not module-level names: " + ", ".join(found)
+    assert not found, "manifest tables that are not module-level names: " + ", ".join(found)
 
 
 def test_manifest_table_check_flags_inline_and_local_tables():
@@ -161,8 +175,41 @@ def test_manifest_table_check_flags_inline_and_local_tables():
         "    fileio.read_manifest(p, 'x', 1, fields=local)\n"
         "    read_manifest(p, 'x', 1, fields=_TABLE)\n"
         "    read_manifest(p, 'x', 1)\n"
+        "    parse_manifest(b, p, _FMT, _VER, _TABLE)\n"
+        "    parse_manifest(b, p, 'x', 1, local)\n"
+        "    fileio.parse_manifest(b, p, 'x', 1, _TABLE)\n"
+        "    parse_manifest(b, p, 'x', 1, fields={})\n"
     )
-    assert unnamed_manifest_tables(tree) == [(6, "{'a': int}"), (7, "local"), (9, None)]
+    assert unnamed_manifest_tables(tree) == [(6, "{'a': int}"), (7, "local"), (9, None),
+                                             (11, "local"), (13, "{}")]
+
+
+def json_parses(tree) -> list:
+    """(line, name) of each json.load or json.loads the tree calls or imports."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "json":
+            found += [(node.lineno, a.name) for a in node.names if a.name in ("load", "loads")]
+        elif (isinstance(node, ast.Attribute) and node.attr in ("load", "loads")
+              and getattr(node.value, "id", None) == "json"):
+            found.append((node.lineno, f"json.{node.attr}"))
+    return sorted(found)
+
+
+def test_only_fileio_parses_json():
+    found = [f"{name}:{line} {what}" for name, tree in TREES.items() if name != "fileio.py"
+             for line, what in json_parses(tree)]
+    assert not found, "JSON parsed outside fileio.py: " + ", ".join(found)
+    assert json_parses(TREES["fileio.py"]), "fileio.py no longer parses JSON"
+
+
+def test_json_parse_check_flags_planted_loads():
+    tree = ast.parse(
+        "import json\nfrom json import loads as parse, dumps\n"
+        "def f(fh, text):\n    json.dumps({})\n    doc = json.load(fh)\n"
+        "    return json.loads(text), parse(text), fh.load(), pickle.loads(text)\n"
+    )
+    assert json_parses(tree) == [(2, "loads"), (5, "json.load"), (6, "json.loads")]
 
 
 _PROCESS_NAMES = {"ProcessPoolExecutor", "multiprocessing", "os.fork"}

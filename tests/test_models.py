@@ -1,8 +1,12 @@
 """Classifiers: spec validation, exact gradients, training, persistence, ensembles."""
 
+import base64
+import dataclasses
 import json
 import math
 import re
+import tracemalloc
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -29,7 +33,16 @@ from advm.models import (
 )
 from advm.sampling import make_rng
 
-from conftest import SinusoidOracle, central_diff, f8_text, f8_values, rand_pixel_image
+from conftest import (
+    MODEL_DAMAGES,
+    SinusoidOracle,
+    central_diff,
+    decode_model,
+    encode_model,
+    legacy_model,
+    param_order,
+    rand_pixel_image,
+)
 
 
 # -- spec validation ------------------------------------------------------------
@@ -317,12 +330,10 @@ def test_load_model_rejects_non_finite_parameters(tmp_path, bad):
     model = Model.initialize(ModelSpec("logistic", (2, 2, 1), 2))
     path = tmp_path / "m.json"
     save_model(model, str(path))
-    doc = json.loads(path.read_text())
-    values = f8_values(doc["params"]["fc.W"]["f8"])
-    values[1] = bad
-    doc["params"]["fc.W"]["f8"] = f8_text(values)
-    path.write_text(json.dumps(doc))
-    with pytest.raises(CorruptFile, match="fc.W holds a non-finite value"):
+    header, params = decode_model(path.read_bytes())
+    params["fc.W"].reshape(-1)[1] = bad
+    path.write_bytes(encode_model(header, params))
+    with pytest.raises(CorruptFile, match=re.escape(f"{path}: fc.W holds a non-finite value")):
         load_model(str(path))
 
 
@@ -337,27 +348,25 @@ def test_load_model_errors(tmp_path):
         load_model(str(p))
 
     model = Model.initialize(ModelSpec("logistic", (2, 2, 1), 2))
-    good = str(tmp_path / "good.json")
-    save_model(model, good)
-    with open(good) as fh:
-        doc = json.load(fh)
+    good = tmp_path / "good.json"
+    save_model(model, str(good))
+    doc, params = decode_model(good.read_bytes())
 
     doc_v = dict(doc)
     doc_v["version"] = 99
-    p.write_text(json.dumps(doc_v))
+    p.write_bytes(encode_model(doc_v, params))
     with pytest.raises(VersionMismatch):
         load_model(str(p))
 
     doc_missing = json.loads(json.dumps(doc))
     del doc_missing["params"]["fc.b"]
-    p.write_text(json.dumps(doc_missing))
+    p.write_bytes(encode_model(doc_missing, params))
     with pytest.raises(CorruptFile):
         load_model(str(p))
 
     doc_shape = json.loads(json.dumps(doc))
     doc_shape["params"]["fc.b"]["shape"] = [3]
-    doc_shape["params"]["fc.b"]["f8"] = f8_text([0.0, 0.0, 0.0])
-    p.write_text(json.dumps(doc_shape))
+    p.write_bytes(encode_model(doc_shape, dict(params, **{"fc.b": np.zeros(3)})))
     with pytest.raises(CorruptFile):
         load_model(str(p))
 
@@ -368,6 +377,9 @@ def test_save_load_is_bitwise_for_signed_zero_subnormals_and_extremes(tmp_path):
     model.params["fc.W"][0] = special
     p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     save_model(model, p1)
+    with open(p1, "rb") as fh:
+        _, stored = decode_model(fh.read())
+    assert stored["fc.W"][0].tobytes() == np.array(special, "<f8").tobytes()
     back = load_model(p1)
     for k in model.params:
         assert back.params[k].dtype == np.float64 and back.params[k].flags.writeable
@@ -378,13 +390,27 @@ def test_save_load_is_bitwise_for_signed_zero_subnormals_and_extremes(tmp_path):
         assert f1.read() == f2.read()
 
 
-def test_saved_parameters_are_little_endian_float64_in_base64(tmp_path):
-    model = Model.initialize(ModelSpec("mlp", (3, 3, 1), 3, hidden=(4,), seed=7))
+@pytest.mark.parametrize("spec, order", [
+    (ModelSpec("mlp", (3, 3, 1), 3, hidden=(4, 2), seed=7),
+     ["fc0.W", "fc0.b", "fc1.W", "fc1.b", "fc2.W", "fc2.b"]),
+    (ModelSpec("smallcnn", (4, 4, 2), 3, conv_channels=2, seed=5),
+     ["conv.W", "conv.b", "fc.W", "fc.b"]),
+], ids=["mlp", "smallcnn"])
+def test_saved_parameters_are_little_endian_float64_after_a_json_header(tmp_path, spec, order):
+    model = Model.initialize(spec, name="net")
     save_model(model, str(tmp_path / "m.json"))
-    doc = json.loads((tmp_path / "m.json").read_text())
-    assert doc["version"] == 2
+    data = (tmp_path / "m.json").read_bytes()
+    header = {"format": "advm-model", "version": 3, "name": "net",
+              "spec": json.loads(json.dumps(dataclasses.asdict(spec))),
+              "params": {k: {"shape": list(v.shape)} for k, v in model.params.items()}}
+    assert param_order(model.params) == order == list(models._param_shapes(spec))
+    assert data == encode_model(header, model.params)
+    assert data.index(b"\n") == len(json.dumps(header, sort_keys=True))
+    assert len(data) == data.index(b"\n") + 1 + 8 * sum(v.size for v in model.params.values())
+    decoded_header, stored = decode_model(data)
+    assert decoded_header == header
     for k, v in model.params.items():
-        assert doc["params"][k] == {"shape": list(v.shape), "f8": f8_text(v.reshape(-1))}
+        assert stored[k].tobytes() == v.astype("<f8").tobytes()
 
 
 def test_save_model_refuses_a_non_finite_parameter(tmp_path):
@@ -396,41 +422,67 @@ def test_save_model_refuses_a_non_finite_parameter(tmp_path):
 
 
 def _saved_doc(tmp_path):
+    """The header of a fresh logistic model saved as m.json."""
     model = Model.initialize(ModelSpec("logistic", (2, 2, 1), 2))
     save_model(model, str(tmp_path / "m.json"))
-    return json.loads((tmp_path / "m.json").read_text())
+    return decode_model((tmp_path / "m.json").read_bytes())[0]
 
 
-def _load_doc(tmp_path, doc):
+def _saved_payload(tmp_path) -> bytes:
+    return (tmp_path / "m.json").read_bytes().partition(b"\n")[2]
+
+
+def _load_doc(tmp_path, doc, payload=None):
+    """load_model of m.json with its header replaced by doc and, if given, its
+    payload bytes by payload."""
     path = tmp_path / "edited.json"
-    path.write_text(json.dumps(doc))
+    payload = _saved_payload(tmp_path) if payload is None else payload
+    path.write_bytes(json.dumps(doc, sort_keys=True).encode() + b"\n" + payload)
     return load_model(str(path))
 
 
+class _Payload(NamedTuple):
+    """A row that rewrites the saved payload's bytes, not the fc.W header entry."""
+
+    edit: Callable
+
+
+_LOGISTIC_SIZES = "not 8 per value of fc.W (2, 4), fc.b (2,)"
+
+
+# Format 2 kept each parameter's values as base64 text under "f8"; its rows
+# keep their ids and damage format 3's payload bytes, or the fc.W entry, instead.
 @pytest.mark.parametrize("edit, text", [
-    (lambda p: p.__setitem__("f8", p["f8"][:-4] + "AA*="), "base64"),
-    (lambda p: p.__setitem__("f8", p["f8"][:-1] + "\u00e9"), "ASCII"),
-    (lambda p: p.__setitem__("f8", p["f8"][:-4] + " " + p["f8"][-4:]), "base64"),
-    (lambda p: p.__setitem__("f8", p["f8"][:-3]), "base64"),               # truncated mid-quad
-    (lambda p: p.__setitem__("f8", p["f8"][:12]), "fc.W payload is 9 bytes"),
-    (lambda p: p.__setitem__("f8", f8_text(f8_values(p["f8"])[:-1])), "fc.W payload is 56 bytes"),
-    (lambda p: p.__setitem__("f8", f8_text(np.zeros(9))), "fc.W payload is 72 bytes"),
-    # the ids are these rows' names from when their text was Python's own wording
-    pytest.param(lambda p: p.__setitem__("f8", 3), "fc.W.f8 must be a string, got int",
+    pytest.param(_Payload(lambda b: b[:-1]), f"payload is 79 bytes, {_LOGISTIC_SIZES}",
+                 id="<lambda>-base64_0"),
+    pytest.param(_Payload(lambda b: b + b"\0"), f"payload is 81 bytes, {_LOGISTIC_SIZES}",
+                 id="<lambda>-ASCII"),
+    pytest.param(_Payload(lambda b: b + b"\n"), f"payload is 81 bytes, {_LOGISTIC_SIZES}",
+                 id="<lambda>-base64_1"),
+    pytest.param(_Payload(lambda b: b[:-3]), f"payload is 77 bytes, {_LOGISTIC_SIZES}",
+                 id="<lambda>-base64_2"),                 # cut inside the last value
+    pytest.param(_Payload(lambda b: b[:9]), "payload is 9 bytes",
+                 id="<lambda>-fc.W payload is 9 bytes"),
+    pytest.param(_Payload(lambda b: b[:-8]), "payload is 72 bytes",
+                 id="<lambda>-fc.W payload is 56 bytes"),
+    pytest.param(_Payload(lambda b: b + bytes(8)), "payload is 88 bytes",
+                 id="<lambda>-fc.W payload is 72 bytes"),
+    pytest.param(lambda p: p.__setitem__("shape", 3), "fc.W has shape 3, want (2, 4)",
                  id="<lambda>-not 'int'"),
-    pytest.param(lambda p: p.__setitem__("f8", [0.0] * 8), "fc.W.f8 must be a string, got list",
+    pytest.param(lambda p: p.__setitem__("shape", [0.0] * 8), "fc.W has shape [0.0, 0.0,",
                  id="<lambda>-not 'list'"),
-    pytest.param(lambda p: p.__setitem__("f8", None), "fc.W.f8 must be a string, got NoneType",
+    pytest.param(lambda p: p.__setitem__("shape", None), "fc.W has shape None",
                  id="<lambda>-not 'NoneType'"),
-    pytest.param(lambda p: p.pop("f8"), "lacks params.fc.W.f8", id="<lambda>-'f8'"),
+    pytest.param(_Payload(lambda b: b""), f"payload is 0 bytes, {_LOGISTIC_SIZES}",
+                 id="<lambda>-'f8'"),
     (lambda p: p.__setitem__("shape", [2.0, 4]), "fc.W has shape [2.0, 4]"),
     (lambda p: p.__setitem__("shape", [True, 4]), "fc.W has shape [True, 4]"),
     (lambda p: p.__setitem__("shape", [2, "4"]), "fc.W has shape"),
     (lambda p: p.__setitem__("shape", "24"), "fc.W has shape"),
     pytest.param(lambda p: p.__setitem__("shape", 8), "fc.W has shape 8",
                  id="<lambda>-not iterable"),
-    # what once failed inside b64decode, tuple() or a lookup names the parameter and key
-    pytest.param(lambda p: p.__setitem__("f8", 3), "params.fc.W.f8 must be a string, got int",
+    # the format-2 payload as text where the raw bytes belong
+    pytest.param(_Payload(base64.b64encode), f"payload is 108 bytes, {_LOGISTIC_SIZES}",
                  id="<lambda>-fc.W: argument should be a bytes-like object or ASCII string, "
                     "not 'int'"),
     pytest.param(lambda p: p.__setitem__("shape", 8), "fc.W has shape 8, want (2, 4)",
@@ -441,19 +493,22 @@ def _load_doc(tmp_path, doc):
     (None, "fc.W is a NoneType, not an object"),
 ])
 def test_load_model_refuses_a_bad_payload_or_shape(tmp_path, edit, text):
-    doc = _saved_doc(tmp_path)
-    if callable(edit):   # edits the entry in place; any other value replaces it
+    doc, payload = _saved_doc(tmp_path), None
+    if isinstance(edit, _Payload):
+        payload = edit.edit(_saved_payload(tmp_path))
+    elif callable(edit):   # edits the entry in place; any other value replaces it
         edit(doc["params"]["fc.W"])
     else:
         doc["params"]["fc.W"] = edit
-    with pytest.raises(CorruptFile, match=re.escape(text)):
-        _load_doc(tmp_path, doc)
+    with pytest.raises(CorruptFile, match=re.escape(str(tmp_path / "edited.json"))) as info:
+        _load_doc(tmp_path, doc, payload)
+    assert text in str(info.value)
 
 
 def test_load_model_refuses_a_boolean_dimension_even_where_it_equals_one(tmp_path):
     model = Model.initialize(ModelSpec("mlp", (2, 2, 1), 2, hidden=(1,)))
     save_model(model, str(tmp_path / "m.json"))
-    doc = json.loads((tmp_path / "m.json").read_text())
+    doc = decode_model((tmp_path / "m.json").read_bytes())[0]
     assert doc["params"]["fc0.b"]["shape"] == [1]
     doc["params"]["fc0.b"]["shape"] = [True]
     with pytest.raises(CorruptFile, match=re.escape("fc0.b has shape [True]")):
@@ -462,19 +517,30 @@ def test_load_model_refuses_a_boolean_dimension_even_where_it_equals_one(tmp_pat
 
 def test_load_model_checks_every_shape_before_decoding_a_payload(tmp_path):
     doc = _saved_doc(tmp_path)
-    doc["params"]["fc.W"]["f8"] = "not base64!"
     doc["params"]["fc.b"]["shape"] = [3]
     with pytest.raises(CorruptFile, match="fc.b has shape"):
-        _load_doc(tmp_path, doc)
+        _load_doc(tmp_path, doc, _saved_payload(tmp_path)[:-3])
 
 
 def test_load_model_refuses_a_version_1_manifest(tmp_path):
     doc = _saved_doc(tmp_path)
-    doc["version"] = 1
-    for entry in doc["params"].values():
-        entry["data"] = f8_values(entry.pop("f8")).tolist()
+    _, params = decode_model((tmp_path / "m.json").read_bytes())
+    (tmp_path / "v1.json").write_bytes(legacy_model(doc, params, 1))
+    assert json.loads((tmp_path / "v1.json").read_text())["params"]["fc.b"]["data"] == [0.0, 0.0]
     with pytest.raises(VersionMismatch, match="retrain the model with `advm train`"):
-        _load_doc(tmp_path, doc)
+        load_model(str(tmp_path / "v1.json"))
+
+
+@pytest.mark.parametrize("kind", list(MODEL_DAMAGES))
+def test_a_damaged_model_file_is_refused_with_its_path(tmp_path, kind):
+    damage, error, text = MODEL_DAMAGES[kind]
+    path = tmp_path / "m.json"
+    save_model(Model.initialize(ModelSpec("smallcnn", (4, 4, 1), 2, conv_channels=2)), str(path))
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises((CorruptFile, VersionMismatch)) as info:
+        load_model(str(path))
+    assert type(info.value).__name__ == error
+    assert str(path) in str(info.value) and text in str(info.value)
 
 
 @pytest.mark.parametrize("name", [1, "", None, ["a"], True])
@@ -524,7 +590,7 @@ def test_load_model_refuses_a_boolean_spec_size_equal_to_one(tmp_path, key, size
     # true == 1 matched every declared shape, then numpy refused it as a dimension
     save_model(Model.initialize(ModelSpec("mlp", (2, 2, 1), 2, hidden=(1,))),
                str(tmp_path / "m.json"))
-    doc = json.loads((tmp_path / "m.json").read_text())
+    doc = decode_model((tmp_path / "m.json").read_bytes())[0]
     doc["spec"][key] = sizes
     with pytest.raises(CorruptFile, match="sizes and seed must be integers"):
         _load_doc(tmp_path, doc)
@@ -544,11 +610,31 @@ def test_load_model_checks_a_huge_declared_shape_without_allocating(tmp_path, ar
     # a 10^5 x 10^5 input would need a 10^10-wide first layer: the shape
     # check must come from the spec alone, not from drawing fresh weights
     save_model(Model.initialize(ModelSpec(arch, (4, 4, 1), 2, **extra)), str(tmp_path / "m.json"))
-    doc = json.loads((tmp_path / "m.json").read_text())
+    doc = decode_model((tmp_path / "m.json").read_bytes())[0]
     doc["spec"]["input_shape"] = [100000, 100000, 1]
-    (tmp_path / "m.json").write_text(json.dumps(doc))
-    with pytest.raises(CorruptFile, match="has shape"):
-        load_model(str(tmp_path / "m.json"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptFile, match="has shape"):
+            _load_doc(tmp_path, doc)
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_model_refuses_a_huge_model_whose_header_agrees_by_its_payload(tmp_path):
+    # the spec and every shape agree on a 10^10-wide layer: the payload's
+    # length is checked against them before any parameter is built
+    doc = _saved_doc(tmp_path)
+    doc["spec"]["input_shape"] = [100000, 100000, 1]
+    doc["params"]["fc.W"]["shape"] = [2, 10**10]
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptFile, match=re.escape("payload is 80 bytes, not 8 per value "
+                                                        "of fc.W (2, 10000000000), fc.b (2,)")):
+            _load_doc(tmp_path, doc)
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
 
 
 # -- training ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tensor ops: validation, projection, the transforms' separable matrix kernel, EMTN IO."""
 
+import re
 import struct
 
 import numpy as np
@@ -346,6 +347,19 @@ def test_tensor_from_bytes_errors():
     # payload shorter than the dims promise
     with pytest.raises(CorruptFile):
         tensor_from_bytes(good[:-8])
+
+
+@pytest.mark.parametrize("edit, error, text", [
+    (lambda b: b"XXXX" + b[4:], CorruptFile, "expected b'EMTN', got b'XXXX'"),
+    (lambda b: b[:4] + bytes([2]) + b[5:], VersionMismatch, "unsupported tensor format version 2"),
+    (lambda b: b[:-8], CorruptFile, "need 32 payload bytes, got 24"),
+], ids=["magic", "version", "payload"])
+def test_load_tensor_names_the_path_of_a_damaged_file(tmp_path, edit, error, text):
+    path = tmp_path / "t.emtn"
+    path.write_bytes(edit(tensor_to_bytes(np.zeros((2, 2, 1)))))
+    with pytest.raises(error, match=re.escape(f"{path}: ")) as info:
+        load_tensor(str(path))
+    assert type(info.value) is error and text in str(info.value)
 
 
 # -- properties ---------------------------------------------------------------------
