@@ -7,8 +7,10 @@ conv -> ReLU -> 2x2 average pool) followed by one dense chain
 `fc`; _layout is the only code that reads the architecture. The forward
 pass keeps the intermediates needed for backprop, and two backward paths
 share them: gradients w.r.t. the input (what the attacks consume) and
-gradients w.r.t. the parameters (what the trainer consumes). There is no
-tape; every backward rule is written out.
+gradients w.r.t. the parameters. The trainer runs the parameter backward
+per example but sums each dense layer's gradient once per minibatch, in
+the same example order (_dense_grad_sums). There is no tape; every
+backward rule is written out.
 
 Ensembles of K members average their logits (weight 1/K each, the
 paper's ensemble setting), take the cross-entropy of the fused logits, and
@@ -246,10 +248,14 @@ def _stem_input_grad(dpooled, pre, w, in_shape):
 
 def _stem_param_grads(dpooled, pre, cols, w, in_shape):
     """(d loss / d W, d loss / d b). Both sum over pixels, so cols and d pre
-    go back to row-major rows first: that row order is the summation order."""
+    go back to row-major rows first: that row order is the summation order.
+    The bias sums each channel's column onto +0.0 in row order, as the
+    reduce does, but einsum does it about 3x faster; with one channel the
+    reduce is pairwise, and einsum is not, so the reduce stays there."""
     rows = _tap_rows(*in_shape[:2])
     dpre = _stem_dpre(dpooled, pre).reshape(-1, w.shape[3]).take(rows, axis=0)
-    return (cols.take(rows, axis=0).T @ dpre).reshape(w.shape), dpre.sum(axis=0)
+    db = dpre.sum(axis=0) if dpre.shape[1] == 1 else np.einsum("ij->j", dpre)
+    return (cols.take(rows, axis=0).T @ dpre).reshape(w.shape), db
 
 
 class Model:
@@ -314,20 +320,30 @@ class Model:
         return d.reshape(self.spec.input_shape)
 
     def param_grads_from_dlogits(self, cache, dlogits) -> dict:
+        deltas, stem = self._param_backward(cache, dlogits)
+        g = {}
+        if stem:
+            g["conv.W"], g["conv.b"] = stem
+        for (wname, bname), d, a in zip(self._dense, deltas, cache[0]):
+            g[wname] = d[:, None] * a[None, :]   # np.outer's own product
+            g[bname] = d.copy()
+        return g
+
+    def _param_backward(self, cache, dlogits):
+        """The parameter backward short of the dense layers' outer products:
+        d loss / d each dense layer's output, in _dense order, and the
+        stem's (d W, d b), or None without a stem. param_grads_from_dlogits
+        takes the products per example; train_sgd sums them per minibatch."""
         p = self.params
         acts, pre, cols = cache
-        g = {}
-        d = dlogits
-        for i in range(len(self._dense) - 1, -1, -1):
-            wname, bname = self._dense[i]
-            g[wname] = d[:, None] * acts[i][None, :]   # np.outer's own product
-            g[bname] = d.copy()
-            if i:
-                d = (p[wname].T @ d) * (acts[i] > 0.0)
-        if self._stem:
-            g["conv.W"], g["conv.b"] = _stem_param_grads(
-                p[self._dense[0][0]].T @ d, pre, cols, p["conv.W"], self.spec.input_shape)
-        return g
+        deltas = [dlogits]
+        for i in range(len(self._dense) - 1, 0, -1):
+            deltas.append((p[self._dense[i][0]].T @ deltas[-1]) * (acts[i] > 0.0))
+        deltas.reverse()
+        if not self._stem:
+            return deltas, None
+        return deltas, _stem_param_grads(p[self._dense[0][0]].T @ deltas[0], pre, cols,
+                                         p["conv.W"], self.spec.input_shape)
 
     # -- loss ------------------------------------------------------------
 
@@ -402,6 +418,15 @@ class EnsembleOracle:
 # -- training --------------------------------------------------------------
 
 
+def _dense_grad_sums(deltas, inputs):
+    """One dense layer's (weight, bias) gradient sums over a minibatch: one
+    einsum adds each entry's products in example order onto +0.0. inputs
+    end in a column of ones, which sums the bias in the same pass ("bi->i"
+    would reorder a 1-wide bias). optimize= would reorder every sum."""
+    g = np.einsum("bi,bj->ij", deltas, inputs)
+    return g[:, :-1], g[:, -1]
+
+
 def train_sgd(
     spec: ModelSpec,
     dataset: LabeledDataset,
@@ -416,32 +441,52 @@ def train_sgd(
     Initialization comes from spec.seed; the shuffle order comes from the
     seed argument, so the same (spec, dataset, seed) is bit-reproducible.
     epochs=0 returns the freshly initialized model untouched.
+
+    The dense gradients are summed once per minibatch (_dense_grad_sums)
+    onto +0.0, not onto the first example's: that differs only where every
+    term is -0.0, and p - s*(+0.0) equals p - s*(-0.0) unless p is -0.0,
+    which no Glorot draw, zero bias or update of a p that is not -0.0
+    yields. So the bytes are those of summing loss_and_param_grads in order.
     """
     if len(dataset) == 0:
         raise EmptyDataset("cannot train on an empty dataset")
     if not (lr > 0.0 and math.isfinite(lr)):
         raise ValueError(f"learning rate must be finite and > 0, got {lr}")
-    if batch < 1:
-        raise ValueError(f"batch size must be >= 1, got {batch}")
+    for what, value, least in (("epochs", epochs, 0), ("batch size", batch, 1), ("seed", seed, 0)):
+        if type(value) is not int or value < least:   # not a bool or numpy integer
+            raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
     model = Model.initialize(spec, name)
     params = model.params   # init_params' fresh arrays, updated in place
     rng = derive_rng(seed, 1)
     n = len(dataset)
+    rows = min(batch, n)   # each layer's minibatch buffers, ragged batches in their top rows
+    shapes = [params[wname].shape for wname, _ in model._dense]
+    deltas = [np.empty((rows, fan_out)) for fan_out, _ in shapes]
+    inputs = [np.ones((rows, fan_in + 1)) for _, fan_in in shapes]
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch):
             idx = order[start:start + batch]
-            grads = None
-            for i in idx:
-                _, g = model.loss_and_param_grads(dataset.images[i], dataset.labels[i])
-                if grads is None:
-                    grads = g
+            stem = None
+            for row, i in enumerate(idx):
+                dlogits, _, cache = model._dlogits(dataset.images[i], dataset.labels[i])
+                ds, g = model._param_backward(cache, dlogits)
+                for d, a, dbuf, abuf in zip(ds, cache[0], deltas, inputs):
+                    dbuf[row] = d
+                    abuf[row, :-1] = a
+                if stem is None:
+                    stem = g
                 else:
-                    for k in grads:
-                        grads[k] += g[k]
+                    for acc, gk in zip(stem, g):
+                        acc += gk
             scale = lr / len(idx)
-            for k in params:
-                params[k] -= scale * grads[k]
+            for (wname, bname), d, a in zip(model._dense, deltas, inputs):
+                gw, gb = _dense_grad_sums(d[:len(idx)], a[:len(idx)])
+                params[wname] -= scale * gw
+                params[bname] -= scale * gb
+            if stem is not None:
+                params["conv.W"] -= scale * stem[0]
+                params["conv.b"] -= scale * stem[1]
     return model, accuracy(model, dataset)
 
 

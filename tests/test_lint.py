@@ -12,6 +12,8 @@ writer can share them, and only fileio.py calls json.load or json.loads,
 so every JSON document and model header goes through the checked reader.
 Only attacks.py names ProcessPoolExecutor, multiprocessing or os.fork, so
 the one process pool, and how it forks and dies, stays in one module.
+No einsum call passes optimize= (or a ** mapping that could), since a
+BLAS contraction would reorder the sums that train_sgd keeps in order.
 No module takes an underscore name from another advm module, apart from
 the few shared helpers listed here, so a private helper that gains a
 caller in a second module is made public or moved on purpose.
@@ -251,6 +253,34 @@ def test_process_check_flags_a_planted_pool_and_fork():
     assert process_spawners(tree) == [(2, "multiprocessing"), (3, "ProcessPoolExecutor"),
                                       (4, "multiprocessing"), (6, "os.fork"),
                                       (8, "ProcessPoolExecutor")]
+
+
+def einsum_calls(tree) -> list:
+    """(line, keyword names) of each call to einsum, bare or as an attribute;
+    a ** mapping, which could carry any keyword, shows as "**"."""
+    return sorted((node.lineno, [kw.arg or "**" for kw in node.keywords])
+                  for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and getattr(node.func, "attr", getattr(node.func, "id", None)) == "einsum")
+
+
+def test_no_einsum_call_passes_optimize():
+    found = [f"{name}:{line}" for name, tree in TREES.items()
+             for line, keywords in einsum_calls(tree) if {"optimize", "**"} & set(keywords)]
+    assert not found, ("einsum with optimize= contracts through BLAS, which reorders the sums "
+                       "train_sgd keeps in example order: " + ", ".join(found))
+    assert einsum_calls(TREES["models.py"]), "models.py no longer sums with einsum"
+
+
+def test_einsum_check_flags_planted_optimize():
+    tree = ast.parse(
+        "import numpy as np\nfrom numpy import einsum\n"
+        "def f(a, b, kw):\n    np.einsum('ij->j', a)\n"
+        "    np.einsum('bi,bj->ij', a, b, optimize=True)\n"
+        "    einsum('ij->j', a, out=b, optimize='greedy')\n"
+        "    numpy.einsum('ij->j', a, **kw)\n    return np.einsum_path('ij->j', a, optimize=True)\n"
+    )
+    assert einsum_calls(tree) == [(4, []), (5, ["optimize"]), (6, ["out", "optimize"]),
+                                  (7, ["**"])]
 
 
 # Private helpers that more than one module shares on purpose.

@@ -681,11 +681,20 @@ def test_train_sgd_learns_separable_toy():
     ({"lr": -0.5}, "learning rate"),
     ({"batch": 0}, "batch size"),
     ({"batch": -4}, "batch size"),
+    ({"batch": 2.5}, "batch size must be an integer >= 1, got 2.5"),
+    ({"batch": True}, "batch size must be an integer >= 1, got True"),
+    ({"batch": np.int64(4)}, "batch size must be an integer"),
+    ({"epochs": -2}, "epochs must be an integer >= 0, got -2"),
+    ({"epochs": 1.5}, "epochs must be an integer >= 0, got 1.5"),
+    ({"epochs": True}, "epochs must be an integer >= 0, got True"),
+    ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+    ({"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
+    ({"seed": False}, "seed must be an integer >= 0, got False"),
 ])
 def test_train_sgd_rejects_bad_hyperparameters(kwargs, text):
     spec = ModelSpec("logistic", (4, 4, 1), 2, seed=3)
-    with pytest.raises(ValueError, match=text):
-        train_sgd(spec, _toy_dataset(), epochs=1, **kwargs)
+    with pytest.raises(ValueError, match=re.escape(text)):
+        train_sgd(spec, _toy_dataset(), **{"epochs": 1, **kwargs})
 
 
 def test_train_sgd_empty_dataset():
@@ -707,6 +716,103 @@ def test_train_sgd_does_not_mutate_init_reference():
     after = init_params(spec)
     for k in before:
         assert np.array_equal(before[k], after[k])
+
+
+def _reference_train_sgd(spec, dataset, epochs, lr, batch, seed):
+    """The per-example trainer that train_sgd replaced, kept as its reference:
+    loss_and_param_grads for each example, added in place into the first
+    example's gradients, then one update per minibatch."""
+    model = Model.initialize(spec)
+    rng = models.derive_rng(seed, 1)
+    n = len(dataset)
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch):
+            idx = order[start:start + batch]
+            grads = None
+            for i in idx:
+                _, g = model.loss_and_param_grads(dataset.images[i], dataset.labels[i])
+                if grads is None:
+                    grads = g
+                else:
+                    for k in grads:
+                        grads[k] += g[k]
+            scale = lr / len(idx)
+            for k in model.params:
+                model.params[k] -= scale * grads[k]
+    return model, accuracy(model, dataset)
+
+
+_TRAINED_SPECS = [
+    pytest.param("logistic", {}, id="logistic"),
+    pytest.param("mlp", {"hidden": (7, 1, 4)}, id="mlp-7-1-4"),
+    *(pytest.param("smallcnn", {"conv_channels": c, "conv_kernel": k}, id=f"smallcnn-c{c}-k{k}")
+      for c in (1, 2) for k in (1, 3, 5)),
+]
+
+
+@pytest.mark.parametrize("batch", [1, 7, 32, 50])
+@pytest.mark.parametrize("arch, sizes", _TRAINED_SPECS)
+def test_train_sgd_bytes_match_the_per_example_reference(arch, sizes, batch):
+    # 3 classes x 13 = 39 examples: batches of 7 and 32 end ragged, and 50 is one batch
+    ds = generate_synthetic(3, 13, height=6, width=6, noise_sigma=0.2, seed=4, contrast=0.5)
+    spec = ModelSpec(arch, (6, 6, 1), 3, seed=9, **sizes)
+    got, got_acc = train_sgd(spec, ds, epochs=2, lr=0.3, batch=batch, seed=3)
+    want, want_acc = _reference_train_sgd(spec, ds, epochs=2, lr=0.3, batch=batch, seed=3)
+    assert got_acc == want_acc
+    assert list(got.params) == list(want.params)
+    for k in want.params:
+        assert got.params[k].tobytes() == want.params[k].tobytes(), k
+    assert not all(np.array_equal(got.params[k], v) for k, v in init_params(spec).items())
+    # the premise that lets train_sgd sum onto +0.0: no parameter is ever -0.0
+    assert not any(np.signbit(v[v == 0.0]).any() for v in got.params.values())
+
+
+_EINSUM_ORDER = (f"np.einsum no longer adds in example order onto +0.0 (numpy {np.__version__}): "
+                 "train_sgd's trained bytes would drift from the per-example sums")
+
+
+def _spread(rng, shape):
+    """Values over six decades with signed zeros, so any reordered sum rounds differently."""
+    a = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+    return _with_signed_zeros(a, int(rng.integers(1 << 30)))
+
+
+@pytest.mark.parametrize("fan_out, fan_in", [(1, 1), (1, 5), (4, 1), (3, 7), (10, 49)])
+@pytest.mark.parametrize("rows", [1, 2, 7, 32, 5])          # 5: a ragged last batch, 37 % 32
+def test_dense_grad_sums_add_in_example_order(fan_out, fan_in, rows):
+    rng = np.random.default_rng(1000 * fan_out + 10 * fan_in + rows)
+    deltas, acts = _spread(rng, (rows, fan_out)), _spread(rng, (rows, fan_in))
+    deltas[:, 1:2] = -0.0                  # a column of -0.0 terms sums to +0.0
+    gw, gb = models._dense_grad_sums(deltas, np.hstack([acts, np.ones((rows, 1))]))
+    want_w, want_b = deltas[0][:, None] * acts[0][None, :], deltas[0].copy()
+    for d, a in zip(deltas[1:], acts[1:]):
+        want_w += d[:, None] * a[None, :]
+        want_b += d
+    assert gw.shape == want_w.shape and gb.shape == want_b.shape
+    assert gw.tobytes() == (want_w + 0.0).tobytes(), _EINSUM_ORDER
+    assert np.ascontiguousarray(gb).tobytes() == (want_b + 0.0).tobytes(), _EINSUM_ORDER
+
+
+@pytest.mark.parametrize("channels", [1, 2, 3, 8, 12])
+def test_stem_bias_grad_sums_pixels_in_row_order(channels):
+    # more than one channel: each column onto +0.0 in row order, as the reduce
+    # adds; one channel: the reduce's own (pairwise) order
+    rng = np.random.default_rng(60 + channels)
+    wt, cols = rng.normal(size=(3, 3, 1, channels)), rng.normal(size=(784, 9))
+    for _ in range(5):
+        pre, dpooled = _spread(rng, (4, 196, channels)), _spread(rng, (196, channels))
+        pre[:, :, 1:2] = -1.0              # channel 1 is dead, and its column
+        dpooled[:, 1:2] = -1.0             # of d pre all -0.0
+        dpooled = dpooled.reshape(-1)
+        dpre = _row_major(models._stem_dpre(dpooled, pre), 28, 28).reshape(784, channels)
+        _, got = models._stem_param_grads(dpooled, pre, cols, wt, (28, 28, 1))
+        want = dpre.sum(axis=0)
+        if channels > 1:
+            want = np.zeros(channels)
+            for row in dpre:
+                want += row
+        assert got.tobytes() == want.tobytes(), _EINSUM_ORDER.replace("example", "pixel")
 
 
 # -- ensembles ----------------------------------------------------------------------
