@@ -25,7 +25,9 @@ from .evaluate import (
     ablation_sweep,
     attack_success_rate,
     emit_report,
+    load_attack_set,
     parse_report_csv,
+    save_attack_set,
     transfer_matrix,
 )
 from .models import (
@@ -60,6 +62,7 @@ __all__ = [
     "emit_report",
     "fgsm",
     "generate_synthetic",
+    "load_attack_set",
     "load_idx",
     "load_model",
     "load_tensor",
@@ -68,6 +71,7 @@ __all__ = [
     "project_linf",
     "run_attack",
     "sample_coefficients",
+    "save_attack_set",
     "save_model",
     "save_tensor",
     "subsample",

@@ -13,7 +13,6 @@ from the run seed, or `idx:IMAGES_PATH,LABELS_PATH` pairs.
 
 import functools
 import glob as globmod
-import json
 import math
 import os
 
@@ -23,14 +22,12 @@ from . import __version__
 from .attacks import VARIANTS, AttackConfig, attack_batch
 from .data import check_label, generate_synthetic, load_idx, subsample
 from .errors import AdvmError, ShapeMismatch
-from .evaluate import RateTable, ablation_sweep, attack_success_rate, emit_report, parse_report_csv
-from .fileio import atomic_write_text, read_manifest
+from .evaluate import (RateTable, ablation_sweep, attack_success_rate, emit_report,
+                       load_attack_set, parse_report_csv, save_attack_set)
+from .fileio import atomic_write_text
 from .models import ARCHITECTURES, EnsembleOracle, ModelSpec, load_model, save_model, train_sgd
 from .sampling import SamplingSpec
-from .tensor import load_tensor, save_tensor, validate_image
 from .transforms import TransformConfig
-
-_MANIFEST_NAME = "manifest.json"
 
 
 def parse_eps(text: str) -> float:
@@ -245,7 +242,7 @@ def _wrap_errors(fn):
     def inner(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except AdvmError as exc:
+        except (AdvmError, OSError) as exc:   # OSError: a write failed, as on a full disk
             raise click.ClickException(f"{type(exc).__name__}: {exc}") from exc
 
     return inner
@@ -331,7 +328,7 @@ def attack_cmd(surrogate, dataset, out_dir, num_images, jobs, filecfg, **cli):
     cfg = resolve_attack_config(cli, filecfg)
     models, oracle, data = _load_attack_inputs(surrogate, dataset, num_images, [cfg])
     results = attack_batch(oracle, data.images, data.labels, cfg, jobs=jobs)
-    _write_advset(out_dir, cfg, [m.name for m in models], data.labels, results)
+    save_attack_set(out_dir, cfg, [m.name for m in models], data.labels, results)
     wb = sum(bool(r.white_box_success) for r in results) / max(1, len(results))
     click.echo(f"{cfg.variant} on {oracle.name}: {len(results)} examples, white-box success "
                f"{100.0 * wb:.1f}% (config {cfg.config_hash()})")
@@ -353,63 +350,6 @@ def _load_attack_inputs(surrogate: str, dataset: str, num_images, cfgs) -> tuple
     return models, oracle, data
 
 
-# An attack set's manifest.json fields besides its format and version, with their
-# JSON types: _write_advset writes exactly these and _load_advset checks them.
-_ADVSET_FORMAT, _ADVSET_VERSION = "advm-advset", 1
-_ADVSET_FIELDS = {"config": dict, "config_hash": str, "count": int, "files": list,
-                  "labels": list, "surrogates": list, "white_box": list}
-
-
-def _write_advset(out_dir: str, cfg, surrogates: list, labels, results) -> None:
-    """Each adversarial image as a tensor file in out_dir, then the manifest."""
-    files = [f"adv_{i:05d}.emtn" for i in range(len(results))]
-    for fname, r in zip(files, results):
-        save_tensor(os.path.join(out_dir, fname), r.adv)
-    values = {"config": cfg.canonical(), "config_hash": cfg.config_hash(), "count": len(results),
-              "files": files, "labels": list(labels), "surrogates": surrogates,
-              "white_box": [bool(r.white_box_success) for r in results]}
-    manifest = {"format": _ADVSET_FORMAT, "version": _ADVSET_VERSION,
-                **{key: values[key] for key in _ADVSET_FIELDS}}
-    atomic_write_text(os.path.join(out_dir, _MANIFEST_NAME),
-                      json.dumps(manifest, sort_keys=True, indent=1))
-
-
-def _load_advset(adv_dir: str) -> tuple:
-    """The checked manifest of a stored adversarial set, and its tensors."""
-    manifest_path = os.path.join(adv_dir, _MANIFEST_NAME)
-    if not os.path.exists(manifest_path):
-        raise click.ClickException(f"no adversarial examples: {manifest_path} missing")
-    try:
-        manifest = read_manifest(manifest_path, _ADVSET_FORMAT, _ADVSET_VERSION, _ADVSET_FIELDS)
-    except OSError as exc:
-        raise click.ClickException(f"unreadable manifest {manifest_path}: {exc}") from exc
-    if manifest["count"] == 0 or not manifest["files"]:
-        raise click.ClickException("no adversarial examples in the manifest")
-    surrogates = manifest["surrogates"]
-    if not surrogates or not all(type(s) is str and s for s in surrogates):
-        raise click.ClickException(
-            f"{manifest_path}: surrogates must be a non-empty list of model names")
-    files, labels = manifest["files"], manifest["labels"]
-    if not manifest["count"] == len(files) == len(labels) == len(manifest["white_box"]):
-        raise click.ClickException(
-            f"{manifest_path}: count {manifest['count']!r} does not match its files, "
-            f"labels and white_box lists")
-    if not all(type(w) is bool for w in manifest["white_box"]):
-        raise click.ClickException(f"{manifest_path}: white_box must be a list of booleans")
-    advs = []
-    for f in files:
-        if not isinstance(f, str) or f in ("", ".", "..") or os.path.basename(f) != f:
-            raise click.ClickException(f"{manifest_path}: {f!r} is not a plain file name")
-        path = os.path.join(adv_dir, f)
-        try:
-            advs.append(load_tensor(path))
-            validate_image(advs[-1])
-        except (OSError, ValueError, AdvmError) as exc:
-            why = str(exc).removeprefix(f"{path}: ")   # name f once, not path too
-            raise click.ClickException(f"unreadable adversarial tensor {f}: {why}") from exc
-    return manifest, advs
-
-
 def _write_or_echo(text: str, out_path: str | None) -> None:
     """Write a rendered report to out_path and say so, or echo it without one."""
     if out_path:
@@ -429,7 +369,7 @@ def _write_or_echo(text: str, out_path: str | None) -> None:
 def eval_cmd(adv_dir, targets, out_path, fmt):
     """Score stored adversarial examples against target models."""
     _check_out(out_path)
-    manifest, advs = _load_advset(adv_dir)
+    manifest, advs = load_attack_set(adv_dir)
     target_models = load_models(targets)
     rates = tuple(attack_success_rate(t, advs, manifest["labels"]) for t in target_models)
     matrix = RateTable(rows=("+".join(manifest["surrogates"]),),

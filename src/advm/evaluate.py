@@ -1,4 +1,4 @@
-"""Transferability evaluation: success rates, transfer matrices, ablations.
+"""Transferability evaluation: success rates, transfer matrices, ablations, attack sets.
 
 Success rate is the untargeted convention: the fraction of adversarial
 images the target model misclassifies, counting examples the target
@@ -12,13 +12,18 @@ one parser reads either back exactly; one markdown renderer draws either
 from its corner cell, cells and footer.
 """
 
+import contextlib
 import csv
 import io
+import json
+import os
 from dataclasses import dataclass
 
 from .attacks import AttackConfig, attack_batch
 from .data import LabeledDataset, check_label
-from .errors import EmptyDataset
+from .errors import AdvmError, CorruptFile, EmptyDataset
+from .fileio import atomic_write_text, parse_manifest
+from .tensor import load_tensor, save_tensor, validate_image
 
 _MATRIX_HEADER = ["surrogate", "target", "rate", "n", "config_hash"]
 _ABLATION_HEADER = ["parameter", "value", "target", "rate", "n", "config_hash"]
@@ -207,3 +212,65 @@ def parse_report_csv(text: str) -> RateTable:
     rates = tuple(tuple(cells[(r, t)] for t in targets) for r in labels)
     return RateTable(rows=tuple(labels), targets=tuple(targets), rates=rates, n_examples=n,
                      config_hash=h, parameter=lead[0] if lead else None)
+
+
+# An attack set's manifest.json fields besides its format and version, with their
+# JSON types: save_attack_set writes exactly these and load_attack_set checks them.
+_ADVSET_FORMAT, _ADVSET_VERSION = "advm-advset", 1
+_ADVSET_FIELDS = {"config": dict, "config_hash": str, "count": int, "files": list,
+                  "labels": list, "surrogates": list, "white_box": list}
+_MANIFEST_NAME = "manifest.json"
+
+
+def save_attack_set(out_dir: str, cfg: AttackConfig, surrogates: list, labels, results) -> None:
+    """Each result's adversarial image as a tensor file in out_dir, then the manifest.
+    An old manifest goes first, so a write that stops short leaves none behind to
+    name a mix of new and old tensors."""
+    manifest_path = os.path.join(out_dir, _MANIFEST_NAME)
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(manifest_path)
+    files = [f"adv_{i:05d}.emtn" for i in range(len(results))]
+    for fname, r in zip(files, results):
+        save_tensor(os.path.join(out_dir, fname), r.adv)
+    values = {"config": cfg.canonical(), "config_hash": cfg.config_hash(), "count": len(results),
+              "files": files, "labels": list(labels), "surrogates": surrogates,
+              "white_box": [bool(r.white_box_success) for r in results]}
+    manifest = {"format": _ADVSET_FORMAT, "version": _ADVSET_VERSION,
+                **{key: values[key] for key in _ADVSET_FIELDS}}
+    atomic_write_text(manifest_path, json.dumps(manifest, sort_keys=True, indent=1))
+
+
+def load_attack_set(adv_dir: str) -> tuple:
+    """The checked manifest of the attack set in adv_dir, and its images. No manifest or no
+    example is an EmptyDataset, any other refusal a CorruptFile that names the file."""
+    manifest_path = os.path.join(adv_dir, _MANIFEST_NAME)
+    try:
+        with open(manifest_path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError as exc:
+        raise EmptyDataset(f"no adversarial examples: {manifest_path} missing") from exc
+    except OSError as exc:
+        raise CorruptFile(f"unreadable manifest {manifest_path}: {exc}") from exc
+    manifest = parse_manifest(data, manifest_path, _ADVSET_FORMAT, _ADVSET_VERSION, _ADVSET_FIELDS)
+    if manifest["count"] == 0 or not manifest["files"]:
+        raise EmptyDataset(f"no adversarial examples in the manifest {manifest_path}")
+    surrogates, files, white_box = manifest["surrogates"], manifest["files"], manifest["white_box"]
+    if not surrogates or not all(type(s) is str and s for s in surrogates):
+        raise CorruptFile(f"{manifest_path}: surrogates must be a non-empty list of model names")
+    if not manifest["count"] == len(files) == len(manifest["labels"]) == len(white_box):
+        raise CorruptFile(f"{manifest_path}: count {manifest['count']!r} does not match its "
+                          f"files, labels and white_box lists")
+    if not all(type(w) is bool for w in white_box):
+        raise CorruptFile(f"{manifest_path}: white_box must be a list of booleans")
+    advs = []
+    for f in files:
+        if not isinstance(f, str) or f in ("", ".", "..") or os.path.basename(f) != f:
+            raise CorruptFile(f"{manifest_path}: {f!r} is not a plain file name")
+        path = os.path.join(adv_dir, f)
+        try:
+            advs.append(load_tensor(path))
+            validate_image(advs[-1])
+        except (OSError, ValueError, AdvmError) as exc:
+            why = str(exc).removeprefix(f"{path}: ")   # name f once, not path too
+            raise CorruptFile(f"unreadable adversarial tensor {f}: {why}") from exc
+    return manifest, advs

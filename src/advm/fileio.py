@@ -39,12 +39,6 @@ def atomic_write_text(path: str, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def read_manifest(path: str, fmt: str, version: int, fields: dict) -> dict:
-    """The JSON object that is the whole file at path, checked by parse_manifest."""
-    with open(path, "rb") as fh:
-        return parse_manifest(fh.read(), path, fmt, version, fields)
-
-
 def parse_manifest(data: bytes, path: str, fmt: str, version: int, fields: dict) -> dict:
     """The JSON object in data, UTF-8 read from path, once format, version and fields check out.
 

@@ -1,5 +1,6 @@
 """Command-line interface: parsing, precedence, and end-to-end runs."""
 
+import errno
 import json
 import os
 import re
@@ -13,7 +14,6 @@ from click.testing import CliRunner
 
 from advm.attacks import AttackConfig
 from advm.cli import (
-    _ADVSET_FIELDS,
     _ATTACK_OPTIONS,
     _SWEEPABLE,
     load_dataset,
@@ -24,7 +24,7 @@ from advm.cli import (
     read_config_file,
     resolve_attack_config,
 )
-from advm.evaluate import RateTable, parse_report_csv
+from advm.evaluate import _ADVSET_FIELDS, RateTable, parse_report_csv
 from advm.models import load_model
 from advm.sampling import SamplingSpec
 from advm.tensor import load_tensor, save_tensor
@@ -1086,6 +1086,53 @@ def test_attack_refuses_an_empty_out_before_attacking(runner, trained, tmp_path,
         assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.output
         assert "empty --out" in result.output and "Traceback" not in result.output
         assert os.listdir(".") == []
+
+
+def _fail_on_call(monkeypatch, module, n):
+    """Make the n-th atomic_write_bytes call of module (tensor for save_tensor,
+    models for save_model) fail as a full disk does; earlier calls write."""
+    real, calls = module.atomic_write_bytes, []
+
+    def write(path, data):
+        calls.append(path)
+        if len(calls) == n:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+        real(path, data)
+
+    monkeypatch.setattr(module, "atomic_write_bytes", write)
+
+
+@pytest.mark.parametrize("command", [
+    ["attack", "--surrogate", "{model}", "--dataset", "synthetic:2x3x6", "--iters", "1"],
+    ["train", "--arch", "logistic", "--dataset", "synthetic:2x3x6", "--epochs", "1"],
+])
+def test_a_write_that_fails_is_one_line_not_a_traceback(runner, trained, tmp_path, monkeypatch,
+                                                         command):
+    from advm import models, tensor
+    _fail_on_call(monkeypatch, tensor if command[0] == "attack" else models, 1)
+    out = tmp_path / "out"
+    args = [a.format(model=trained["model"]) for a in command]
+    result = runner.invoke(main, [*args, "--out", str(out)])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.output
+    assert result.output.startswith(f"Error: OSError: [Errno {errno.ENOSPC}] ")
+    assert len(result.output.splitlines()) == 1 and "Traceback" not in result.output
+
+
+def test_an_attack_that_stops_short_leaves_no_manifest(runner, trained, tmp_path, monkeypatch):
+    # the old manifest used to stay, and eval scored it, exit 0, over 3 new
+    # tensors and 5 old ones under the first run's config hash
+    from advm import tensor
+    out = str(tmp_path / "advset")
+    args = ["attack", "--surrogate", trained["model"], "--dataset", "synthetic:2x4x6:0.05",
+            "--iters", "1", "--out", out]
+    assert runner.invoke(main, [*args, "--seed", "1"]).exit_code == 0
+    _fail_on_call(monkeypatch, tensor, 4)
+    result = runner.invoke(main, [*args, "--seed", "2"])
+    assert result.exit_code == 1 and "No space left on device" in result.output, result.output
+    assert not os.path.exists(os.path.join(out, "manifest.json"))
+    result = runner.invoke(main, ["eval", "--adv", out, "--targets", trained["model"]])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.output
+    assert "no adversarial examples" in result.output
 
 
 def test_tim_kernel_of_twice_the_side_less_one_is_accepted(runner, trained, tmp_path):

@@ -1,6 +1,7 @@
 """Evaluation harness: success rates, transfer matrices, sweeps, reports."""
 
 import dataclasses
+import json
 import os
 import re
 
@@ -16,7 +17,9 @@ from advm.evaluate import (
     ablation_sweep,
     attack_success_rate,
     emit_report,
+    load_attack_set,
     parse_report_csv,
+    save_attack_set,
     transfer_matrix,
     transfer_rates,
 )
@@ -368,3 +371,33 @@ def test_parse_report_csv_refuses_impossible_numbers(cell, text):
 def test_parse_report_csv_takes_rates_of_zero_and_one():
     back = parse_report_csv("surrogate,target,rate,n,config_hash\ns,t0,0.0,1,h\ns,t1,1.0,1,h\n")
     assert back.rates == ((0.0, 1.0),) and back.n_examples == 1
+
+
+# -- attack sets -------------------------------------------------------------------
+
+
+def test_attack_set_round_trip_is_exact(tmp_path):
+    data = _tiny_dataset()
+    cfg = AttackConfig(variant="mifgsm", iters=2, seed=5)
+    results = attack_batch(_named_quadratic("q", 1), data.images, data.labels, cfg)
+    save_attack_set(str(tmp_path), cfg, ["q"], data.labels, results)
+    manifest, images = load_attack_set(str(tmp_path))
+    assert [img.tobytes() for img in images] == [r.adv.tobytes() for r in results]
+    with open(tmp_path / "manifest.json", encoding="utf-8") as fh:
+        assert manifest == json.load(fh)
+    assert manifest == {
+        "format": "advm-advset", "version": 1, "config": cfg.canonical(),
+        "config_hash": cfg.config_hash(), "count": 6,
+        "files": [f"adv_{i:05d}.emtn" for i in range(6)], "labels": list(data.labels),
+        "surrogates": ["q"], "white_box": [bool(r.white_box_success) for r in results],
+    }
+
+
+def test_an_attack_set_without_examples_is_an_empty_dataset_naming_its_manifest(tmp_path):
+    path = str(tmp_path / "manifest.json")
+    with pytest.raises(EmptyDataset, match=re.escape(f"no adversarial examples: {path} missing")):
+        load_attack_set(str(tmp_path))
+    save_attack_set(str(tmp_path), AttackConfig(), ["q"], [], [])
+    with pytest.raises(EmptyDataset, match=re.escape(f"no adversarial examples in the manifest "
+                                                     f"{path}")):
+        load_attack_set(str(tmp_path))

@@ -15,6 +15,10 @@ a stored .emtn tensor cut, with a flipped magic or version byte, a rank
 above 32, dims that disagree with its payload, a zero dim, or a NaN or
 out-of-range pixel. A damaged tensor's refusal must also name the file and
 say what is wrong with it.
+Each damaged attack set also goes to load_attack_set itself: it refuses the
+set with an AdvmError that names the manifest or the tensor, and the same
+text is what eval printed; a label outside the target's classes is the one
+damage it passes on, for the scorer to refuse.
 The attack-set keys come from the manifest's own field table, so a field
 added there is fuzzed too, and one element of each of its lists is retyped.
 Hypothesis runs derandomized and without an example database, so every run
@@ -34,7 +38,9 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from advm.cli import _ADVSET_FIELDS, _ATTACK_OPTIONS, main
+from advm.cli import _ATTACK_OPTIONS, main
+from advm.errors import CorruptFile, EmptyDataset, VersionMismatch
+from advm.evaluate import _ADVSET_FIELDS, load_attack_set
 
 from conftest import decode_model, param_order
 
@@ -231,6 +237,20 @@ def _shorten_a_list(data, doc):
     doc[key] = doc[key][:data.draw(st.integers(0, len(doc[key]) - 1))]
 
 
+def _assert_load_refused(adv_dir, result, tensors):
+    """load_attack_set refuses adv_dir as eval did, naming its manifest or one of
+    tensors; a set it loads must have been refused by eval for a label."""
+    try:
+        load_attack_set(adv_dir)
+    except (CorruptFile, EmptyDataset, VersionMismatch) as exc:
+        named = [os.path.join(adv_dir, "manifest.json"),
+                 *(f"unreadable adversarial tensor {name}: " for name in tensors)]
+        assert any(n in str(exc) for n in named), str(exc)
+        assert f"Error: {type(exc).__name__}: {exc}" in result.output, result.output
+    else:
+        assert "Error: LabelOutOfRange: label " in result.output, result.output
+
+
 @_FUZZ
 @given(data=st.data())
 def test_a_damaged_attack_set_is_refused_by_eval(artifacts, data):
@@ -252,9 +272,10 @@ def test_a_damaged_attack_set_is_refused_by_eval(artifacts, data):
             with open(os.path.join(adv_dir, "manifest.json"), "wb") as fh:
                 fh.write(damaged)
         out = os.path.join(scratch, "report.csv")
-        _assert_refused(CliRunner().invoke(main, ["eval", "--adv", adv_dir, "--targets",
-                                                  str(artifacts / "surr.json"), "--out", out]),
-                        out)
+        result = CliRunner().invoke(main, ["eval", "--adv", adv_dir, "--targets",
+                                           str(artifacts / "surr.json"), "--out", out])
+        _assert_refused(result, out)
+        _assert_load_refused(adv_dir, result, [*doc["files"], "missing.emtn"])
 
 
 _LIST_FIELDS = [key for key, kind in _ADVSET_FIELDS.items() if kind is list]
@@ -274,9 +295,10 @@ def test_an_attack_set_list_element_of_another_type_is_refused_by_eval(artifacts
             with open(os.path.join(adv_dir, "manifest.json"), "w") as fh:
                 json.dump(damaged, fh, sort_keys=True)
             out = os.path.join(scratch, "report.csv")
-            _assert_refused(CliRunner().invoke(main, ["eval", "--adv", adv_dir, "--targets",
-                                                      str(artifacts / "surr.json"), "--out",
-                                                      out]), out)
+            result = CliRunner().invoke(main, ["eval", "--adv", adv_dir, "--targets",
+                                               str(artifacts / "surr.json"), "--out", out])
+            _assert_refused(result, out)
+            _assert_load_refused(adv_dir, result, [])
 
 
 # -- stored tensors: advm eval --adv -------------------------------------------------
@@ -352,6 +374,8 @@ def test_a_damaged_tensor_is_refused_by_eval(artifacts, kind, data):
         _assert_refused(result, out)
         assert f"unreadable adversarial tensor {name}: " in result.output
         assert _TENSOR_DAMAGES[kind] in result.output, result.output
+        with pytest.raises(CorruptFile, match=f"unreadable adversarial tensor {name}: "):
+            load_attack_set(adv_dir)
 
 
 # -- reports: advm report --in ------------------------------------------------------

@@ -6,10 +6,12 @@ use went, and a module-level `_helper` whose last caller went.
 `__init__.py` is not linted for them, because its imports are the
 package's exports, but what it reads still counts as a reference. The
 third keeps a dependency from coming back, or going stale, unnoticed.
-Every read_manifest and parse_manifest call passes a module-level field
-table by name, so a manifest's fields are written down once, where its
-writer can share them, and only fileio.py calls json.load or json.loads,
-so every JSON document and model header goes through the checked reader.
+Every parse_manifest call passes a module-level field table by name, so
+a manifest's fields are written down once, where its writer can share
+them, and only fileio.py calls json.load or json.loads, so every JSON
+document and model header goes through the checked reader. Only
+evaluate.py spells the attack-set format name or binds its field table,
+so the format has one writer and one reader.
 Only attacks.py names ProcessPoolExecutor, multiprocessing or os.fork, so
 the one process pool, and how it forks and dies, stays in one module.
 No einsum call passes optimize= (or a ** mapping that could), since a
@@ -126,7 +128,8 @@ def test_third_party_imports_skip_stdlib_and_relative_imports():
     assert third_party_imports(tree) == {"numpy", "scipy", "click"}
 
 
-# The checked readers of fileio.py, each with the position of its field table.
+# The checked manifest readers, each with the position of its field table;
+# read_manifest stays listed, so a whole-file reader added back keeps the rule.
 _MANIFEST_READERS = {"read_manifest": 3, "parse_manifest": 4}
 
 
@@ -160,9 +163,9 @@ def unnamed_manifest_tables(tree) -> list:
 def test_read_manifest_calls_pass_a_module_level_table():
     callers = {(name, _manifest_reader(node)) for name, tree in LINTED.items()
                for node in ast.walk(tree) if isinstance(node, ast.Call) and _manifest_reader(node)}
-    assert {("cli.py", "read_manifest"), ("models.py", "parse_manifest")} <= callers, \
+    assert {("evaluate.py", "parse_manifest"), ("models.py", "parse_manifest")} <= callers, \
         "the attack-set and model readers no longer call the checked reader"
-    # fileio.py defines the readers, and read_manifest hands its caller's table on
+    # fileio.py defines parse_manifest, which takes its table as a parameter
     found = [f"{name}:{line} {table}" for name, tree in LINTED.items() if name != "fileio.py"
              for line, table in unnamed_manifest_tables(tree)]
     assert not found, "manifest tables that are not module-level names: " + ", ".join(found)
@@ -184,6 +187,42 @@ def test_manifest_table_check_flags_inline_and_local_tables():
     )
     assert unnamed_manifest_tables(tree) == [(6, "{'a': int}"), (7, "local"), (9, None),
                                              (11, "local"), (13, "{}")]
+
+
+def advset_format_sites(tree) -> list:
+    """(line, what) of each string that spells the attack-set format name, and
+    each binding of its field table's name, by assignment or import."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and "advm-advset" in str(node.value):
+            found.append((node.lineno, "advm-advset"))
+        elif ((isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+               and node.id == "_ADVSET_FIELDS")
+              or (isinstance(node, ast.alias) and "_ADVSET_FIELDS" in (node.name, node.asname))):
+            found.append((node.lineno, "_ADVSET_FIELDS"))
+    return sorted(found)
+
+
+def test_only_evaluate_holds_the_attack_set_format():
+    found = [f"{name}:{line} {what}" for name, tree in TREES.items() if name != "evaluate.py"
+             for line, what in advset_format_sites(tree)]
+    assert not found, "the attack-set format outside evaluate.py: " + ", ".join(found)
+    assert {what for _, what in advset_format_sites(TREES["evaluate.py"])} == {
+        "advm-advset", "_ADVSET_FIELDS"}, "evaluate.py no longer holds the attack-set format"
+
+
+def test_attack_set_format_check_flags_planted_sites():
+    tree = ast.parse(
+        "from .evaluate import _ADVSET_FIELDS, load_attack_set\n"
+        "from .evaluate import _ADVSET_FIELDS as fields\n"
+        "_FORMAT, _ADVSET_FIELDS = 'advm-advset', {'count': int}\n"
+        "def f(m):\n    return m['format'] == f'advm-advset v{m[0]}', 'advm-model'\n"
+        "_ADVSET_FIELDS: dict = {}\n"
+        "table = _ADVSET_FIELDS\n"
+    )
+    assert advset_format_sites(tree) == [(1, "_ADVSET_FIELDS"), (2, "_ADVSET_FIELDS"),
+                                         (3, "_ADVSET_FIELDS"), (3, "advm-advset"),
+                                         (5, "advm-advset"), (6, "_ADVSET_FIELDS")]
 
 
 def json_parses(tree) -> list:
@@ -454,4 +493,4 @@ def test_readme_prose_call_check_flags_a_planted_stale_name():
             "```python\nAblationResult(1)\n```\nA bare `mean_transfer` is no call.\n")
     called = readme_prose_calls(text)
     assert called == {"run_attack", "TransferMatrix"}
-    assert unresolved_names(called | {"white_box_rate", "read_manifest"}) == {"TransferMatrix"}
+    assert unresolved_names(called | {"white_box_rate", "parse_manifest"}) == {"TransferMatrix"}
