@@ -25,6 +25,7 @@ from .evaluate import (
     ablation_sweep,
     attack_success_rate,
     emit_report,
+    fooled,
     load_attack_set,
     parse_report_csv,
     save_attack_set,
@@ -61,6 +62,7 @@ __all__ = [
     "derive_rng",
     "emit_report",
     "fgsm",
+    "fooled",
     "generate_synthetic",
     "load_attack_set",
     "load_idx",

@@ -1,9 +1,10 @@
 """Transferability evaluation: success rates, transfer matrices, ablations, attack sets.
 
-Success rate is the untargeted convention: the fraction of adversarial
-images the target model misclassifies, counting examples the target
-already got wrong. Transfer numbers are averaged over replicates
-elsewhere; this module computes one matrix or sweep at a time.
+fooled flags each adversarial image the target misclassifies, counting
+examples the target already got wrong (the untargeted convention); a
+success rate is their mean. One builder crafts and scores every table,
+here and in experiment's replicate study: each (oracle, config, dataset)
+group is crafted once and scored on that group's targets.
 
 Both results are one RateTable, row label x target: a matrix's rows are
 its surrogates, an ablation's are its grid values, named by its
@@ -14,6 +15,7 @@ from its corner cell, cells and footer.
 
 import contextlib
 import csv
+import glob
 import io
 import json
 import os
@@ -29,9 +31,9 @@ _MATRIX_HEADER = ["surrogate", "target", "rate", "n", "config_hash"]
 _ABLATION_HEADER = ["parameter", "value", "target", "rate", "n", "config_hash"]
 
 
-def attack_success_rate(target, adv_images, labels) -> float:
-    """Fraction of adversarial images the target misclassifies. A label past
-    the target's classes would always count as fooled, so it is refused."""
+def fooled(target, adv_images, labels) -> tuple:
+    """One flag per adversarial image: True where the target misclassifies it. A
+    label past the target's classes would always count as fooled, so it is refused."""
     if len(adv_images) != len(labels):
         raise ValueError(f"{len(adv_images)} images vs {len(labels)} labels")
     if not adv_images:
@@ -39,23 +41,31 @@ def attack_success_rate(target, adv_images, labels) -> float:
     whose = f"target {target.name}"
     for y in labels:
         check_label(y, target.num_classes, whose)
-    wrong = sum(target.predict(img) != y for img, y in zip(adv_images, labels))
-    return wrong / len(adv_images)
+    return tuple(bool(target.predict(img) != y) for img, y in zip(adv_images, labels))
 
 
-def transfer_rates(oracle, targets, dataset: LabeledDataset, cfg: AttackConfig,
-                   jobs: int = 1) -> tuple:
-    """Craft the dataset on oracle, then score the adversarial images on
-    each target: one success rate per target, in target order. Every
-    target's labels are checked before the attack."""
-    if not targets:
-        raise ValueError("no target models to score")
-    for t in targets:
-        for y in dataset.labels:
-            check_label(y, t.num_classes, f"target {t.name}")
-    results = attack_batch(oracle, dataset.images, dataset.labels, cfg, jobs=jobs)
-    advs = [r.adv for r in results]
-    return tuple(attack_success_rate(t, advs, dataset.labels) for t in targets)
+def attack_success_rate(target, adv_images, labels) -> float:
+    """Fraction of adversarial images the target misclassifies: the mean of their flags."""
+    flags = fooled(target, adv_images, labels)
+    return sum(flags) / len(flags)
+
+
+def _craft_and_score(groups, jobs: int = 1) -> tuple:
+    """(rates, flags) over (oracle, cfg, dataset, targets) groups: each group's dataset
+    is crafted once on its oracle, and flags[i][j] holds the fooled flags of group i's
+    images on its target j, rates[i][j] their mean. Every group's labels are checked
+    against its targets before the first attack."""
+    for _, _, dataset, targets in groups:
+        if not targets:
+            raise ValueError("no target models to score")
+        for t in targets:
+            for y in dataset.labels:
+                check_label(y, t.num_classes, f"target {t.name}")
+    flags = []
+    for oracle, cfg, dataset, targets in groups:
+        advs = [r.adv for r in attack_batch(oracle, dataset.images, dataset.labels, cfg, jobs=jobs)]
+        flags.append(tuple(fooled(t, advs, dataset.labels) for t in targets))
+    return tuple(tuple(sum(f) / len(f) for f in row) for row in flags), tuple(flags)
 
 
 @dataclass(frozen=True)
@@ -89,7 +99,7 @@ def transfer_matrix(
     return RateTable(
         rows=tuple(o.name for o in surrogates),
         targets=tuple(t.name for t in targets),
-        rates=tuple(transfer_rates(o, targets, dataset, cfg, jobs) for o in surrogates),
+        rates=_craft_and_score([(o, cfg, dataset, targets) for o in surrogates], jobs)[0],
         n_examples=len(dataset),
         config_hash=cfg.config_hash(),
         seed=cfg.seed,
@@ -118,7 +128,7 @@ def ablation_sweep(
     return RateTable(
         rows=tuple(values),
         targets=tuple(t.name for t in targets),
-        rates=tuple(transfer_rates(surrogate, targets, dataset, cfgs[v], jobs) for v in values),
+        rates=_craft_and_score([(surrogate, cfgs[v], dataset, targets) for v in values], jobs)[0],
         n_examples=len(dataset),
         config_hash=base_cfg.config_hash(),
         parameter=parameter,
@@ -232,6 +242,8 @@ def save_attack_set(out_dir: str, cfg: AttackConfig, surrogates: list, labels, r
     files = [f"adv_{i:05d}.emtn" for i in range(len(results))]
     for fname, r in zip(files, results):
         save_tensor(os.path.join(out_dir, fname), r.adv)
+    for stale in set(glob.glob("adv_" + "[0-9]" * 5 + ".emtn", root_dir=out_dir)) - set(files):
+        os.remove(os.path.join(out_dir, stale))   # a longer set written here before
     values = {"config": cfg.canonical(), "config_hash": cfg.config_hash(), "count": len(results),
               "files": files, "labels": list(labels), "surrogates": surrogates,
               "white_box": [bool(r.white_box_success) for r in results]}

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 from .attacks import AttackConfig, _pmap
 from .data import LabeledDataset, generate_synthetic, subsample
-from .evaluate import transfer_rates
+from .evaluate import _craft_and_score
 from .models import Model, ModelSpec, train_sgd
 
 DESK_CLASSES = 6
@@ -147,7 +147,17 @@ def white_box_rate(
     """Attack success against the white-box benchmark model itself."""
     world = _cached_worlds(build_whitebox_world, (seed,))[0]
     sub = subsample(world.evalset, n_images, seed)
-    return transfer_rates(world.model, (world.model,), sub, replace(cfg, seed=seed), jobs)[0]
+    return _craft_and_score([(world.model, replace(cfg, seed=seed), sub, (world.model,))],
+                            jobs)[0][0][0]
+
+
+class TransferMeans(dict):
+    """mean_transfer's {config name: mean rate}. flags[name][k][j] holds the fooled flags,
+    one per image, of the images crafted in world seeds[k] on its target j."""
+
+    def __init__(self, means: dict, flags: dict):
+        super().__init__(means)
+        self.flags = flags
 
 
 def mean_transfer(
@@ -155,15 +165,19 @@ def mean_transfer(
     seeds=DESK_REPLICATE_SEEDS,
     n_images: int = DESK_EVAL_COUNT,
     jobs: int = 1,
-) -> dict:
+) -> TransferMeans:
     """Mean transfer rate per config, averaged over replicate worlds and
-    their targets. The replicate seed also seeds each attack."""
+    their targets, with the flags it came from. The replicate seed also
+    seeds each attack."""
     seeds = tuple(seeds)
-    sums = dict.fromkeys(cfgs, 0.0)
-    for seed, world in zip(seeds, _cached_worlds(build_transfer_world, seeds, jobs)):
-        sub = subsample(world.evalset, n_images, seed)
-        for name, cfg in cfgs.items():
-            rates = transfer_rates(world.surrogate, world.targets, sub, replace(cfg, seed=seed),
-                                   jobs)
-            sums[name] += sum(rates) / len(rates)
-    return {name: total / len(seeds) for name, total in sums.items()}
+    worlds = _cached_worlds(build_transfer_world, seeds, jobs)
+    subs = [subsample(w.evalset, n_images, s) for s, w in zip(seeds, worlds)]
+    means, flags = {}, {}
+    for name, cfg in cfgs.items():
+        rates, flags[name] = _craft_and_score([(w.surrogate, replace(cfg, seed=s), sub, w.targets)
+                                               for s, w, sub in zip(seeds, worlds, subs)], jobs)
+        total = 0.0   # world by world, in seed order, so every mean keeps its float
+        for world in rates:
+            total += sum(world) / len(world)
+        means[name] = total / len(seeds)
+    return TransferMeans(means, flags)

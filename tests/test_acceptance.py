@@ -3,8 +3,12 @@
 Each test prints its measured numbers and asserts the stated tolerance and
 time budget. Heavy benchmark worlds are cached inside advm.experiment, so
 the transfer criteria share their trained models within one pytest run.
+The transfer criteria also print each gated comparison's noise, from the
+flags of the same attack run; those lines are printed, never asserted.
 """
 
+import math
+import statistics
 import time
 
 import numpy as np
@@ -282,6 +286,26 @@ def test_criterion_4_white_box_success():
     assert elapsed < 300.0
 
 
+def paired_noise(means, a: str, b: str) -> str:
+    """How far config a's mean transfer rate sits from b's, and how much of that
+    is chance: a - b per world in points, the standard error of their mean over
+    the worlds (sample SD with ddof=1, over the root of the world count), and
+    the (world, target, image) pairs that fool the target under a only and
+    under b only. Everything comes from mean_transfer's flags."""
+    def rate(world):   # as mean_transfer averages: over the targets, of each one's rate
+        return sum(sum(f) / len(f) for f in world) / len(world)
+
+    per_world, only_a, only_b = [], 0, 0
+    for world_a, world_b in zip(means.flags[a], means.flags[b]):
+        per_world.append(100.0 * (rate(world_a) - rate(world_b)))
+        for fa, fb in zip(world_a, world_b):
+            only_a += sum(x and not y for x, y in zip(fa, fb))
+            only_b += sum(y and not x for x, y in zip(fa, fb))
+    se = statistics.stdev(per_world) / math.sqrt(len(per_world))
+    return (f"{a}-{b} per world " + " ".join(f"{d:+.2f}" for d in per_world)
+            + f" points, SE {se:.2f}; pairs fooled by {a} only {only_a}, by {b} only {only_b}")
+
+
 def test_criterion_5_transfer_margins():
     """Sampled averaging beats plain and lookahead momentum on transfer by
     at least three points, and the pre-gradient variant never loses to
@@ -297,6 +321,8 @@ def test_criterion_5_transfer_margins():
     elapsed = time.monotonic() - t0
     report = ", ".join(f"{k} {100 * v:.2f}%" for k, v in means.items())
     print(f"criterion 5: {report}; {elapsed:.1f}s")
+    for a, b in (("emifgsm", "mifgsm"), ("emifgsm", "nifgsm"), ("pifgsm", "mifgsm")):
+        print(f"criterion 5: {paired_noise(means, a, b)}")
 
     assert means["emifgsm"] - means["mifgsm"] >= 0.03 - 1e-9, (
         f"sampled vs momentum margin {means['emifgsm'] - means['mifgsm']:.4f}"
@@ -328,6 +354,8 @@ def test_criterion_6_sampling_ablations():
     elapsed = time.monotonic() - t0
     report = ", ".join(f"{k} {100 * v:.2f}%" for k, v in means.items())
     print(f"criterion 6: {report}; {elapsed:.1f}s")
+    for a, b in (("base", "n1"), ("eta3", "eta1")):
+        print(f"criterion 6: {paired_noise(means, a, b)}")
 
     assert means["base"] > means["n1"], (
         f"averaging gained nothing: base {means['base']:.4f} vs "

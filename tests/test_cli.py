@@ -1135,6 +1135,28 @@ def test_an_attack_that_stops_short_leaves_no_manifest(runner, trained, tmp_path
     assert "no adversarial examples" in result.output
 
 
+def test_a_shorter_rewrite_leaves_exactly_what_a_fresh_run_writes(runner, trained, tmp_path):
+    # a 12-image set rewritten with --num-images 2 kept adv_00002 .. adv_00011
+    # of the first set next to the 2 new tensors its manifest lists
+    args = ["attack", "--surrogate", trained["model"], "--dataset", "synthetic:2x6x6:0.05",
+            "--iters", "1", "--seed", "4"]
+    out, fresh = tmp_path / "advset", tmp_path / "fresh"
+    assert runner.invoke(main, [*args, "--out", str(out)]).exit_code == 0
+    assert len(list(out.iterdir())) == 13
+    assert runner.invoke(main, [*args, "--num-images", "2", "--out", str(out)]).exit_code == 0
+    assert runner.invoke(main, [*args, "--num-images", "2", "--out", str(fresh)]).exit_code == 0
+    names = ["adv_00000.emtn", "adv_00001.emtn", "manifest.json"]
+    assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in fresh.iterdir()) == names
+    assert all((out / n).read_bytes() == (fresh / n).read_bytes() for n in names)
+    # only the set's own tensor names go: any other file in --out stays
+    others = ["adv_123456.emtn", "adv_0000a.emtn", "adv_00005.emtn.bak", "notes.txt"]
+    for name in others:
+        (out / name).write_text("kept")
+    assert runner.invoke(main, [*args, "--num-images", "1", "--out", str(out)]).exit_code == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        ["adv_00000.emtn", "manifest.json"] + others)
+
+
 def test_tim_kernel_of_twice_the_side_less_one_is_accepted(runner, trained, tmp_path):
     out = tmp_path / "advset"
     result = runner.invoke(main, [

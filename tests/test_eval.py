@@ -14,15 +14,17 @@ from advm.data import LabeledDataset, generate_synthetic, subsample
 from advm.errors import EmptyDataset, LabelOutOfRange
 from advm.evaluate import (
     RateTable,
+    _craft_and_score,
     ablation_sweep,
     attack_success_rate,
     emit_report,
+    fooled,
     load_attack_set,
     parse_report_csv,
     save_attack_set,
     transfer_matrix,
-    transfer_rates,
 )
+from advm.models import EnsembleOracle, Model, ModelSpec
 from advm.sampling import SamplingSpec
 
 from conftest import QuadraticOracle, rand_pixel_image
@@ -64,25 +66,53 @@ def test_attack_success_rate_hand_count():
 
 
 def test_attack_success_rate_validation():
-    imgs = [rand_pixel_image((4, 4, 1), seed=1)]
-    with pytest.raises(ValueError):
-        attack_success_rate(ConstOracle(0), imgs, [0, 1])
-    with pytest.raises(EmptyDataset):
-        attack_success_rate(ConstOracle(0), [], [])
+    imgs = [rand_pixel_image((4, 4, 1), seed=s) for s in (1, 2)]
+    for score in (fooled, attack_success_rate):   # the rate refuses through the flags
+        with pytest.raises(ValueError, match="^1 images vs 2 labels$"):
+            score(ConstOracle(0), imgs[:1], [0, 1])
+        with pytest.raises(ValueError, match="^2 images vs 1 labels$"):
+            score(ConstOracle(0), imgs, [0])
+        with pytest.raises(EmptyDataset, match="^no adversarial images to score$"):
+            score(ConstOracle(0), [], [])
 
 
 @pytest.mark.parametrize("label", [3, -1, True, False, np.bool_(True), 1.0, "1", None])
 def test_attack_success_rate_refuses_labels_outside_the_target_classes(label):
     imgs = [rand_pixel_image((4, 4, 1), seed=s) for s in (1, 2)]
-    with pytest.raises(LabelOutOfRange, match=re.escape(
-            f"label {label!r} is not an integer in [0, 3), the classes of target const")):
-        attack_success_rate(ConstOracle(0), imgs, [0, label])
+    for score in (fooled, attack_success_rate):
+        with pytest.raises(LabelOutOfRange, match=re.escape(
+                f"label {label!r} is not an integer in [0, 3), the classes of target const")):
+            score(ConstOracle(0), imgs, [0, label])
 
 
 def test_attack_success_rate_takes_numpy_integer_labels():
     imgs = [rand_pixel_image((4, 4, 1), seed=s) for s in (1, 2, 3)]
     labels = [np.int64(0), np.uint8(1), np.int32(2)]
     assert attack_success_rate(ConstOracle(0), imgs, labels) == pytest.approx(2 / 3)
+    assert fooled(ConstOracle(0), imgs, labels) == (False, True, True)
+
+
+def test_a_table_over_numpy_integer_labels_holds_python_floats():
+    # numpy-integer labels made every rate a numpy float64, and the CSV report
+    # wrote np.float64(0.3333333333333333), which parse_report_csv refused
+    data = _tiny_dataset()
+    data = LabeledDataset(data.images, tuple(np.int64(y) for y in data.labels), 3)
+    m = transfer_matrix([_named_quadratic("s", seed=1)], [_named_quadratic("t", seed=2)], data,
+                        AttackConfig(variant="ifgsm", eps=0.2, iters=2))
+    assert type(m.rates[0][0]) is float
+    assert parse_report_csv(emit_report(m, "csv")).rates == m.rates
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_the_mean_of_the_fooled_flags_is_the_success_rate(n):
+    target = _named_quadratic("t", seed=4)
+    imgs = [rand_pixel_image((4, 4, 1), seed=s) for s in range(n)]
+    labels = [k % 3 for k in range(n)]
+    flags = fooled(target, imgs, labels)
+    assert len(flags) == n and all(type(f) is bool for f in flags)
+    assert flags == tuple(target.predict(x) != y for x, y in zip(imgs, labels))
+    rate = attack_success_rate(target, imgs, labels)
+    assert type(rate) is float and (sum(flags) / n).hex() == rate.hex()
 
 
 # -- transfer matrices -------------------------------------------------------------
@@ -117,13 +147,8 @@ def test_transfer_matrix_deterministic_and_column_structure():
 
 def test_transfer_matrix_ensemble_fuses_surrogates():
     # logit fusion needs real models, not the closed-form test oracles
-    from advm.models import EnsembleOracle, Model, ModelSpec
-
     data = _tiny_dataset(seed=1)
-    spec = lambda s: ModelSpec(arch="logistic", input_shape=(4, 4, 1),
-                               num_classes=3, seed=s)
-    a = Model.initialize(spec(3), name="a")
-    b = Model.initialize(spec(4), name="b")
+    a, b = _logistic(3, "a"), _logistic(4, "b")
     t = _named_quadratic("t", seed=5)
     cfg = AttackConfig(variant="ifgsm", eps=0.2, iters=2)
     m = transfer_matrix([EnsembleOracle([a, b])], [t], data, cfg)
@@ -158,14 +183,74 @@ def _refuse_attack(*args, **kwargs):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_transfer_rates_scores_one_attack_batch_on_each_target(jobs):
+def test_the_builder_scores_one_attack_batch_on_each_target(jobs):
     data = _tiny_dataset(seed=2)
     s = _named_quadratic("s", seed=1)
     targets = (_named_quadratic("t0", seed=2), ConstOracle(0), s)
     cfg = AttackConfig(variant="mifgsm", eps=0.2, iters=2, seed=3)
     advs = [r.adv for r in attack_batch(s, data.images, data.labels, cfg, jobs=1)]
-    want = tuple(attack_success_rate(t, advs, data.labels) for t in targets)
-    assert transfer_rates(s, targets, data, cfg, jobs=jobs) == want
+    rates, flags = _craft_and_score([(s, cfg, data, targets)], jobs=jobs)
+    assert flags == (tuple(fooled(t, advs, data.labels) for t in targets),)
+    assert _bits(rates) == _bits((_ref_transfer_rates(s, targets, data, cfg),))
+
+
+# -- the row loops the one builder replaced, kept as its references ------------------
+
+
+def _ref_success_rate(target, adv_images, labels):
+    wrong = sum(target.predict(img) != y for img, y in zip(adv_images, labels))
+    return wrong / len(adv_images)
+
+
+def _ref_transfer_rates(oracle, targets, dataset, cfg):
+    results = attack_batch(oracle, dataset.images, dataset.labels, cfg, jobs=1)
+    advs = [r.adv for r in results]
+    return tuple(_ref_success_rate(t, advs, dataset.labels) for t in targets)
+
+
+def _ref_transfer_matrix(surrogates, targets, dataset, cfg):
+    return tuple(_ref_transfer_rates(o, targets, dataset, cfg) for o in surrogates)
+
+
+def _ref_ablation_rates(cfgs, surrogate, targets, dataset):
+    return tuple(_ref_transfer_rates(surrogate, targets, dataset, cfgs[v]) for v in sorted(cfgs))
+
+
+def _ref_mean_transfer(worlds, cfgs, seeds, n_images):
+    sums = dict.fromkeys(cfgs, 0.0)
+    for seed, world in zip(seeds, worlds):
+        sub = subsample(world.evalset, n_images, seed)
+        for name, cfg in cfgs.items():
+            rates = _ref_transfer_rates(world.surrogate, world.targets, sub,
+                                        dataclasses.replace(cfg, seed=seed))
+            sums[name] += sum(rates) / len(rates)
+    return {name: total / len(seeds) for name, total in sums.items()}
+
+
+def _bits(rates):
+    """The exact bits of nested float rates, so equal tables compare bit for bit."""
+    return [[float(r).hex() for r in row] for row in rates]
+
+
+def _logistic(seed, name):
+    spec = ModelSpec(arch="logistic", input_shape=(4, 4, 1), num_classes=3, seed=seed)
+    return Model.initialize(spec, name=name)
+
+
+def test_the_builder_tables_equal_the_reference_loops_bit_for_bit():
+    data = _tiny_dataset(seed=3)
+    t = _named_quadratic("t", seed=2)
+    targets = [t, ConstOracle(0), t]   # a duplicate target gives a duplicate column
+    surrogates = [_named_quadratic("s", seed=1), EnsembleOracle([_logistic(3, "a"),
+                                                                 _logistic(4, "b")])]
+    cfg = AttackConfig(variant="mifgsm", eps=0.2, iters=2, seed=5)
+    m = transfer_matrix(surrogates, targets, data, cfg)
+    assert m.rows == ("s", "a+b")
+    assert _bits(m.rates) == _bits(_ref_transfer_matrix(surrogates, targets, data, cfg))
+    base = AttackConfig(variant="emifgsm", eps=0.2, iters=2, seed=5)
+    cfgs = {n: dataclasses.replace(base, sampling=SamplingSpec(count=n)) for n in (3, 1, 2)}
+    a = ablation_sweep("samples", cfgs, base, surrogates[1], targets, data)
+    assert _bits(a.rates) == _bits(_ref_ablation_rates(cfgs, surrogates[1], targets, data))
 
 
 def test_only_the_world_cache_caches():
@@ -198,23 +283,39 @@ def test_mean_transfer_builds_its_worlds_once_and_averages_them(monkeypatch):
 
     def build(seed):   # a builder patched in here never reaches a pool worker: jobs=1
         built.append(seed)
-        return experiment.DeskWorld(_tiny_dataset(seed), _named_quadratic("s", seed),
-                                    (_named_quadratic("t0", seed + 1), ConstOracle(0)))
+        t = _named_quadratic("t0", seed + 1)
+        # a ragged study: world 4 scores on three targets, one of them twice
+        targets = (t, ConstOracle(0)) + ((t,) if seed == 4 else ())
+        return experiment.DeskWorld(_tiny_dataset(seed), _named_quadratic("s", seed), targets)
     monkeypatch.setattr(experiment, "build_transfer_world", build)
     cfgs = {"mi": AttackConfig(variant="mifgsm", eps=0.2, iters=2),
-            "i": AttackConfig(variant="ifgsm", eps=0.1, iters=1)}
-    got = experiment.mean_transfer(cfgs, seeds=(3, 4), n_images=4, jobs=1)
-    assert experiment.mean_transfer(cfgs, seeds=(4, 3), n_images=4, jobs=1) == got
-    assert built == [3, 4]
+            "i": AttackConfig(variant="ifgsm", eps=0.1, iters=1),
+            "emi": AttackConfig(variant="emifgsm", eps=0.2, iters=2,
+                                sampling=SamplingSpec(count=3))}
+    got = experiment.mean_transfer(cfgs, seeds=(3, 5, 4), n_images=5, jobs=1)
+    assert built == [3, 5, 4]
+    worlds = [experiment._worlds[build, s] for s in (3, 5, 4)]
+    want = _ref_mean_transfer(worlds, cfgs, (3, 5, 4), 5)
+    assert list(got) == list(want) and [v.hex() for v in got.values()] == [
+        v.hex() for v in want.values()]
     for name, cfg in cfgs.items():
-        per_world = []
-        for seed in (3, 4):
-            world = experiment._worlds[build, seed]
-            rates = transfer_rates(world.surrogate, world.targets,
-                                   subsample(world.evalset, 4, seed),
-                                   dataclasses.replace(cfg, seed=seed))
-            per_world.append(sum(rates) / len(rates))
-        assert got[name] == sum(per_world) / 2
+        assert [len(per_target) for per_target in got.flags[name]] == [2, 2, 3]
+        for seed, world, per_target in zip((3, 5, 4), worlds, got.flags[name]):
+            sub = subsample(world.evalset, 5, seed)
+            advs = [r.adv for r in attack_batch(world.surrogate, sub.images, sub.labels,
+                                                dataclasses.replace(cfg, seed=seed))]
+            assert per_target == tuple(fooled(t, advs, sub.labels) for t in world.targets)
+
+
+def test_white_box_rate_equals_the_reference_loop(monkeypatch):
+    monkeypatch.setattr(experiment, "_worlds", {})
+    world = experiment.WhiteboxWorld(_tiny_dataset(seed=6), _named_quadratic("m", seed=6))
+    monkeypatch.setattr(experiment, "build_whitebox_world", lambda seed: world)
+    cfg = AttackConfig(variant="mifgsm", eps=0.2, iters=2)
+    got = experiment.white_box_rate(cfg, seed=7, n_images=5, jobs=1)
+    sub = subsample(world.evalset, 5, 7)
+    want = _ref_transfer_rates(world.model, [world.model], sub, dataclasses.replace(cfg, seed=7))
+    assert got.hex() == want[0].hex()
 
 
 # -- parameter sweeps --------------------------------------------------------------
@@ -231,7 +332,7 @@ def test_ablation_sweep_sorts_and_dedups_grid():
     assert res.rows == (1, 2, 3)
     assert res.parameter == "samples"
     assert res.targets == ("t",)
-    assert res.rates == tuple(transfer_rates(s, [t], data, cfgs[n]) for n in (1, 2, 3))
+    assert res.rates == _ref_ablation_rates(cfgs, s, [t], data)
     assert res.config_hash == base.config_hash() != cfgs[3].config_hash()
     assert res.seed == 5
 

@@ -22,6 +22,10 @@ caller in a second module is made public or moved on purpose.
 Every AdvmError subclass in errors.py is raised somewhere in the package,
 so an error class cannot outlive its last raiser, and LabelOutOfRange is
 raised only inside data.check_label, so the label rule cannot fork again.
+Only evaluate's builder crafts and scores: attack_batch is read there and
+in `advm attack`, fooled there and in attack_success_rate (which only
+`advm eval` calls), and the builder only by the four table functions, so
+a table cannot grow a crafting loop of its own again.
 The last checks keep README's Python examples importing only what the
 package exports, and every call README names in backticked prose an
 attribute of the package or one of its modules, so a removed name cannot
@@ -323,7 +327,7 @@ def test_einsum_check_flags_planted_optimize():
 
 
 # Private helpers that more than one module shares on purpose.
-_SHARED_PRIVATE = {"_pmap", "_require_floats", "_require_ints"}
+_SHARED_PRIVATE = {"_craft_and_score", "_pmap", "_require_floats", "_require_ints"}
 
 
 def _private(name: str) -> bool:
@@ -406,22 +410,40 @@ def test_error_class_check_flags_a_planted_unraised_class():
     assert unraised_error_classes(errors, [errors, user]) == [(7, "Planted")]
 
 
-def raises_of(tree, name: str) -> list:
-    """(line, innermost enclosing function) of each `raise name` in tree; the
-    function is None for a raise at module or class level."""
+def _sites(tree, hit) -> list:
+    """(line, innermost enclosing function) of each node of tree that hit accepts;
+    the function is None for a node at module or class level."""
     found = []
 
     def visit(node, fn):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Raise) and child.exc is not None:
-                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
-                if name in (getattr(exc, "id", None), getattr(exc, "attr", None)):
-                    found.append((child.lineno, fn))
+            if hit(child):
+                found.append((child.lineno, fn))
             is_fn = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, child.name if is_fn else fn)
 
     visit(tree, None)
     return found
+
+
+def raises_of(tree, name: str) -> list:
+    """(line, innermost enclosing function) of each `raise name` in tree; the
+    function is None for a raise at module or class level."""
+    def hit(node):
+        if not (isinstance(node, ast.Raise) and node.exc is not None):
+            return False
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return name in (getattr(exc, "id", None), getattr(exc, "attr", None))
+
+    return _sites(tree, hit)
+
+
+def reads_of(tree, name: str) -> list:
+    """(line, innermost enclosing function) of each read of name in tree, bare or
+    as an attribute, whether it is called there or passed on as a value."""
+    return _sites(tree, lambda node: (isinstance(node, ast.Name) and node.id == name
+                                      and isinstance(node.ctx, ast.Load))
+                  or (isinstance(node, ast.Attribute) and node.attr == name))
 
 
 def test_label_out_of_range_is_raised_only_by_check_label():
@@ -443,6 +465,51 @@ def test_raise_check_flags_planted_label_raises():
     )
     assert raises_of(tree, "LabelOutOfRange") == [(2, "check_label"), (6, "_xent"),
                                                   (8, "inner"), (9, None)]
+
+
+# Where each crafting or scoring entry point may be read, as (module, function):
+# only the one builder crafts and scores, and every table reaches it; besides it,
+# only `advm attack` crafts, and only `advm eval` scores a stored set.
+_CRAFT_AND_SCORE_SITES = {
+    "attack_batch": {("evaluate.py", "_craft_and_score"), ("cli.py", "attack_cmd")},
+    "fooled": {("evaluate.py", "_craft_and_score"), ("evaluate.py", "attack_success_rate")},
+    "attack_success_rate": {("cli.py", "eval_cmd")},
+    "_craft_and_score": {("evaluate.py", "transfer_matrix"), ("evaluate.py", "ablation_sweep"),
+                         ("experiment.py", "white_box_rate"), ("experiment.py", "mean_transfer")},
+}
+
+
+def craft_and_score_sites(trees, table) -> set:
+    """(name, module, function) of every read of a name of table, in trees by module."""
+    return {(name, module, fn) for module, tree in trees.items() for name in table
+            for _, fn in reads_of(tree, name)}
+
+
+def test_only_the_builder_crafts_and_scores():
+    allowed = {(name, *site) for name, sites in _CRAFT_AND_SCORE_SITES.items() for site in sites}
+    found = craft_and_score_sites(LINTED, _CRAFT_AND_SCORE_SITES)
+    assert not found - allowed, "crafting or scoring outside its sites: " + ", ".join(
+        f"{name} in {module}:{fn}" for name, module, fn in sorted(found - allowed, key=str))
+    assert found == allowed, "stale crafting sites: " + ", ".join(
+        f"{name} in {module}:{fn}" for name, module, fn in sorted(allowed - found, key=str))
+
+
+def test_craft_and_score_check_flags_planted_sites():
+    tree = ast.parse(
+        "from .attacks import attack_batch\n"
+        "def _craft_and_score(groups):\n    return attack_batch(groups)\n"
+        "def transfer_matrix(rows):\n    rates = [attack_batch(r) for r in rows]\n"
+        "    return _pmap(attack_batch, rows), fooled\n"
+        "class Study:\n    def run(self):\n        return attacks.attack_batch(self)\n"
+        "attack_batch = None\nprint(attack_batch)\n"
+    )
+    assert reads_of(tree, "attack_batch") == [(3, "_craft_and_score"), (5, "transfer_matrix"),
+                                              (6, "transfer_matrix"), (9, "run"), (11, None)]
+    table = {"attack_batch": set(), "fooled": set(), "transfer_rates": set()}
+    assert craft_and_score_sites({"evaluate.py": tree}, table) == {
+        ("attack_batch", "evaluate.py", fn)
+        for fn in ("_craft_and_score", "transfer_matrix", "run", None)} | {
+        ("fooled", "evaluate.py", "transfer_matrix")}
 
 
 def readme_advm_imports(text: str) -> set:
