@@ -46,7 +46,6 @@ import os
 from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -102,14 +101,10 @@ class AttackConfig:
         d["transforms"]["enabled"] = list(self.transforms.enabled)
         return d
 
-    @cached_property
-    def _hash(self) -> str:
+    def config_hash(self) -> str:
+        """12 hex digits of the canonical JSON's sha256."""
         blob = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
-
-    def config_hash(self) -> str:
-        """12 hex digits of the canonical JSON's sha256, computed once per config."""
-        return self._hash
 
 
 @dataclass(frozen=True)
@@ -117,7 +112,6 @@ class AttackResult:
     adv: np.ndarray
     white_box_success: bool
     loss_trace: tuple
-    config_hash: str
 
 
 def _l1_direction(g: np.ndarray) -> np.ndarray:
@@ -198,7 +192,6 @@ def run_attack(oracle, x, y, cfg: AttackConfig, rng=None, observe=None) -> Attac
         adv=adv,
         white_box_success=oracle.predict(adv) != y,
         loss_trace=tuple(losses),
-        config_hash=cfg.config_hash(),
     )
 
 

@@ -204,6 +204,17 @@ def load_models(arg: str) -> list:
         raise click.ClickException(f"unreadable model file: {exc}") from exc
 
 
+def _load_targets(arg: str) -> list:
+    """The --targets models. A report names each column by its target, so two
+    targets of one name (train names a model after its file stem) are refused."""
+    models = load_models(arg)
+    names = [m.name for m in models]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise click.BadParameter(f"two targets are named {name!r}", param_hint="--targets")
+    return models
+
+
 def _positive_finite(ctx, param, value):
     if not (value > 0.0 and math.isfinite(value)):
         raise click.BadParameter(f"must be finite and > 0, got {value}")
@@ -370,12 +381,11 @@ def eval_cmd(adv_dir, targets, out_path, fmt):
     """Score stored adversarial examples against target models."""
     _check_out(out_path)
     manifest, advs = load_attack_set(adv_dir)
-    target_models = load_models(targets)
+    target_models = _load_targets(targets)
     rates = tuple(attack_success_rate(t, advs, manifest["labels"]) for t in target_models)
     matrix = RateTable(rows=("+".join(manifest["surrogates"]),),
                        targets=tuple(t.name for t in target_models), rates=(rates,),
-                       n_examples=len(advs), config_hash=manifest["config_hash"],
-                       seed=manifest["config"].get("seed"))
+                       n_examples=len(advs), config_hash=manifest["config_hash"])
     _write_or_echo(emit_report(matrix, fmt), out_path)
 
 
@@ -416,7 +426,7 @@ def ablate(param, grid_arg, surrogate, targets, dataset, out_path, fmt, num_imag
     if not cfgs:
         raise click.BadParameter("no values to sweep", param_hint="--grid")
     _, oracle, data = _load_attack_inputs(surrogate, dataset, num_images, list(cfgs.values()))
-    target_models = load_models(targets)
+    target_models = _load_targets(targets)
     result = ablation_sweep(param, cfgs, cfg, oracle, target_models, data, jobs=jobs)
     _write_or_echo(emit_report(result, fmt), out_path)
 

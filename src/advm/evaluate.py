@@ -76,10 +76,6 @@ class RateTable:
     n_examples: int
     config_hash: str
     parameter: str | None = None   # the swept parameter; None for a transfer matrix
-    seed: int | None = None
-
-    def rate(self, row, target: str) -> float:
-        return self.rates[self.rows.index(row)][self.targets.index(target)]
 
     def mean_curve(self) -> tuple:
         """Each row's rate averaged over the targets."""
@@ -102,7 +98,6 @@ def transfer_matrix(
         rates=_craft_and_score([(o, cfg, dataset, targets) for o in surrogates], jobs)[0],
         n_examples=len(dataset),
         config_hash=cfg.config_hash(),
-        seed=cfg.seed,
     )
 
 
@@ -120,7 +115,7 @@ def ablation_sweep(
 
     Every point reuses the same dataset, surrogate, and seed, so the swept
     parameter is the only thing that changes; the table carries base_cfg's
-    hash and seed.
+    hash.
     """
     if not cfgs:
         raise ValueError("empty ablation grid")
@@ -132,7 +127,6 @@ def ablation_sweep(
         n_examples=len(dataset),
         config_hash=base_cfg.config_hash(),
         parameter=parameter,
-        seed=base_cfg.seed,
     )
 
 

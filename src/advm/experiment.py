@@ -151,24 +151,16 @@ def white_box_rate(
                             jobs)[0][0][0]
 
 
-class TransferMeans(dict):
-    """mean_transfer's {config name: mean rate}. flags[name][k][j] holds the fooled flags,
-    one per image, of the images crafted in world seeds[k] on its target j."""
-
-    def __init__(self, means: dict, flags: dict):
-        super().__init__(means)
-        self.flags = flags
-
-
 def mean_transfer(
     cfgs: dict,
     seeds=DESK_REPLICATE_SEEDS,
     n_images: int = DESK_EVAL_COUNT,
     jobs: int = 1,
-) -> TransferMeans:
-    """Mean transfer rate per config, averaged over replicate worlds and
-    their targets, with the flags it came from. The replicate seed also
-    seeds each attack."""
+) -> tuple:
+    """(means, flags): {config name: mean transfer rate}, averaged over replicate
+    worlds and their targets, and the fooled flags it came from. flags[name][k][j]
+    holds one flag per image crafted in world seeds[k], scored on its target j.
+    The replicate seed also seeds each attack."""
     seeds = tuple(seeds)
     worlds = _cached_worlds(build_transfer_world, seeds, jobs)
     subs = [subsample(w.evalset, n_images, s) for s, w in zip(seeds, worlds)]
@@ -180,4 +172,4 @@ def mean_transfer(
         for world in rates:
             total += sum(world) / len(world)
         means[name] = total / len(seeds)
-    return TransferMeans(means, flags)
+    return means, flags

@@ -286,7 +286,7 @@ def test_criterion_4_white_box_success():
     assert elapsed < 300.0
 
 
-def paired_noise(means, a: str, b: str) -> str:
+def paired_noise(flags, a: str, b: str) -> str:
     """How far config a's mean transfer rate sits from b's, and how much of that
     is chance: a - b per world in points, the standard error of their mean over
     the worlds (sample SD with ddof=1, over the root of the world count), and
@@ -296,7 +296,7 @@ def paired_noise(means, a: str, b: str) -> str:
         return sum(sum(f) / len(f) for f in world) / len(world)
 
     per_world, only_a, only_b = [], 0, 0
-    for world_a, world_b in zip(means.flags[a], means.flags[b]):
+    for world_a, world_b in zip(flags[a], flags[b]):
         per_world.append(100.0 * (rate(world_a) - rate(world_b)))
         for fa, fb in zip(world_a, world_b):
             only_a += sum(x and not y for x, y in zip(fa, fb))
@@ -317,12 +317,12 @@ def test_criterion_5_transfer_margins():
         "pifgsm": AttackConfig(variant="pifgsm"),
         "emifgsm": AttackConfig(variant="emifgsm"),
     }
-    means = mean_transfer(cfgs, seeds=DESK_REPLICATE_SEEDS, n_images=500, jobs=2)
+    means, flags = mean_transfer(cfgs, seeds=DESK_REPLICATE_SEEDS, n_images=500, jobs=2)
     elapsed = time.monotonic() - t0
     report = ", ".join(f"{k} {100 * v:.2f}%" for k, v in means.items())
     print(f"criterion 5: {report}; {elapsed:.1f}s")
     for a, b in (("emifgsm", "mifgsm"), ("emifgsm", "nifgsm"), ("pifgsm", "mifgsm")):
-        print(f"criterion 5: {paired_noise(means, a, b)}")
+        print(f"criterion 5: {paired_noise(flags, a, b)}")
 
     assert means["emifgsm"] - means["mifgsm"] >= 0.03 - 1e-9, (
         f"sampled vs momentum margin {means['emifgsm'] - means['mifgsm']:.4f}"
@@ -350,12 +350,12 @@ def test_criterion_6_sampling_ablations():
         "eta1": AttackConfig(variant="emifgsm", sampling=SamplingSpec(eta=1.0)),
         "eta3": AttackConfig(variant="emifgsm", sampling=SamplingSpec(eta=3.0)),
     }
-    means = mean_transfer(cfgs, seeds=DESK_REPLICATE_SEEDS, n_images=250, jobs=2)
+    means, flags = mean_transfer(cfgs, seeds=DESK_REPLICATE_SEEDS, n_images=250, jobs=2)
     elapsed = time.monotonic() - t0
     report = ", ".join(f"{k} {100 * v:.2f}%" for k, v in means.items())
     print(f"criterion 6: {report}; {elapsed:.1f}s")
     for a, b in (("base", "n1"), ("eta3", "eta1")):
-        print(f"criterion 6: {paired_noise(means, a, b)}")
+        print(f"criterion 6: {paired_noise(flags, a, b)}")
 
     assert means["base"] > means["n1"], (
         f"averaging gained nothing: base {means['base']:.4f} vs "

@@ -290,7 +290,7 @@ def test_eval_rates_match_manifest_white_box(runner, trained, advset):
     with open(os.path.join(advset, "manifest.json")) as fh:
         manifest = json.load(fh)
     # scoring the surrogate itself reproduces the crafting-time flags
-    assert matrix.rate("surr", "surr") == (
+    assert matrix.rates[0][0] == (
         sum(manifest["white_box"]) / manifest["count"]
     )
 
@@ -667,6 +667,32 @@ def test_ablate_dim_geometry_is_checked_before_sweeping(runner, trained, tmp_pat
         "--transforms", "dim", "--dim-resize-low", "40", "--out", str(out),
     ])
     _assert_usage_error(result, "dim resize_low 40 exceeds pad_to 7 for 6-pixel images")
+    assert not out.exists()
+
+
+def test_eval_refuses_two_targets_of_one_name(runner, trained, advset, tmp_path):
+    # a copy in another directory keeps its name: the report held two 'surr'
+    # columns, which `advm report --in` then refused as duplicate rates
+    (tmp_path / "b").mkdir()
+    copy = shutil.copy(trained["model"], tmp_path / "b" / "surr.json")
+    out = tmp_path / "matrix.csv"
+    result = runner.invoke(main, ["eval", "--adv", advset, "--targets",
+                                  f"{trained['model']},{copy}", "--out", str(out)])
+    _assert_usage_error(result, "two targets are named 'surr'")
+    assert not out.exists()
+
+
+def test_ablate_refuses_two_targets_of_one_name(runner, trained, tmp_path, monkeypatch):
+    from advm import evaluate
+    monkeypatch.setattr(evaluate, "attack_batch", _refuse_work)
+    out = tmp_path / "ablation.csv"
+    result = runner.invoke(main, [
+        "ablate", "--surrogate", trained["model"],
+        "--targets", f"{trained['model']},{trained['model']}",
+        "--dataset", "synthetic:2x3x6", "--param", "mu", "--grid", "0,1", "--iters", "2",
+        "--out", str(out),
+    ])
+    _assert_usage_error(result, "two targets are named 'surr'")
     assert not out.exists()
 
 

@@ -16,6 +16,8 @@ Only attacks.py names ProcessPoolExecutor, multiprocessing or os.fork, so
 the one process pool, and how it forks and dies, stays in one module.
 No einsum call passes optimize= (or a ** mapping that could), since a
 BLAS contraction would reorder the sums that train_sgd keeps in order.
+No class subclasses dict, list, tuple or set, since a result that rides
+extra attributes on a container drops them through dict(x) or x.copy().
 No module takes an underscore name from another advm module, apart from
 the few shared helpers listed here, so a private helper that gains a
 caller in a second module is made public or moved on purpose.
@@ -324,6 +326,39 @@ def test_einsum_check_flags_planted_optimize():
     )
     assert einsum_calls(tree) == [(4, []), (5, ["optimize"]), (6, ["out", "optimize"]),
                                   (7, ["**"])]
+
+
+_BUILTIN_CONTAINERS = {"dict", "list", "tuple", "set"}
+
+
+def container_subclasses(tree) -> list:
+    """(line, class name) of each class with a builtin container among its bases,
+    bare or as an attribute such as builtins.dict."""
+    return sorted((node.lineno, node.name) for node in ast.walk(tree)
+                  if isinstance(node, ast.ClassDef) and any(
+                      getattr(b, "attr", getattr(b, "id", None)) in _BUILTIN_CONTAINERS
+                      for b in node.bases))
+
+
+def test_no_class_subclasses_a_builtin_container():
+    found = [f"{name}:{line} {cls}" for name, tree in TREES.items()
+             for line, cls in container_subclasses(tree)]
+    assert not found, ("a result that subclasses a builtin container loses its own "
+                       "attributes through dict(x) or x.copy(); return a dataclass or a "
+                       "plain tuple instead: " + ", ".join(found))
+
+
+def test_container_subclass_check_flags_planted_classes():
+    tree = ast.parse(
+        "import builtins\nfrom dataclasses import dataclass\n"
+        "class Means(dict):\n    pass\n"
+        "@dataclass\nclass Table:\n    rows: tuple\n"
+        "class Rows(Base, builtins.list):\n    pass\n"
+        "def f():\n    class Pair(tuple):\n        pass\n"
+        "class Names(set, metaclass=Meta):\n    pass\n"
+        "class Error(Exception):\n    pass\n"
+    )
+    assert container_subclasses(tree) == [(3, "Means"), (8, "Rows"), (11, "Pair"), (13, "Names")]
 
 
 # Private helpers that more than one module shares on purpose.
