@@ -145,7 +145,13 @@ def emit_report(result: RateTable, fmt: str = "csv") -> str:
         raise TypeError(f"cannot report a {type(result).__name__}")
     lead = [] if result.parameter is None else [result.parameter]
     footer = f"n={result.n_examples}, config={result.config_hash}"
-    if fmt == "csv":
+    if fmt == "csv":   # parse_report_csv keys each cell by its (row, target) text
+        for what, names in (("row", result.rows), ("target", result.targets)):
+            written = [str(v) for v in names]
+            for i, name in enumerate(written):
+                if name in written[:i]:
+                    raise ValueError(f"{what} {name!r} appears twice; a CSV report "
+                                     "could not tell the two apart")
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(_ABLATION_HEADER if lead else _MATRIX_HEADER)

@@ -162,6 +162,8 @@ def mean_transfer(
     holds one flag per image crafted in world seeds[k], scored on its target j.
     The replicate seed also seeds each attack."""
     seeds = tuple(seeds)
+    if not seeds:
+        raise ValueError("mean_transfer needs at least one replicate seed")
     worlds = _cached_worlds(build_transfer_world, seeds, jobs)
     subs = [subsample(w.evalset, n_images, s) for s, w in zip(seeds, worlds)]
     means, flags = {}, {}

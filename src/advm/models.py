@@ -5,12 +5,12 @@ conv -> ReLU -> 2x2 average pool) followed by one dense chain
 `Dense (ReLU Dense)*`. logistic is the chain `fc` alone, mlp is
 `fc0 ... fcK` with ReLUs between, and smallcnn is the stem in front of
 `fc`; _layout is the only code that reads the architecture. The forward
-pass keeps the intermediates needed for backprop, and two backward paths
-share them: gradients w.r.t. the input (what the attacks consume) and
-gradients w.r.t. the parameters. The trainer runs the parameter backward
-per example but sums each dense layer's gradient once per minibatch, in
-the same example order (_dense_grad_sums). There is no tape; every
-backward rule is written out.
+pass keeps the intermediates needed for backprop, and one walk down the
+dense chain (_deltas) serves both backward paths. The input gradient (what
+the attacks consume) goes on through the stem; the parameter gradient
+stops at factors, each dense layer's (d_out, input) pair and the stem's
+(d W, d b), and train_sgd sums the dense outer products once per minibatch
+(_dense_grad_sums). There is no tape; every backward rule is written out.
 
 Ensembles of K members average their logits (weight 1/K each, the
 paper's ensemble setting), take the cross-entropy of the fused logits, and
@@ -308,58 +308,49 @@ class Model:
 
     # -- backward (a ReLU mask is output > 0, which is exactly input > 0) --
 
-    def input_grad_from_dlogits(self, cache, dlogits) -> np.ndarray:
+    def _deltas(self, acts, dlogits) -> list:
+        """d loss / d each dense layer's output, in _dense order: the ReLU
+        chain's (W.T @ d) * (acts > 0) recursion down from dlogits."""
         p = self.params
-        acts, pre, _cols = cache
-        d = dlogits
-        for i in range(len(self._dense) - 1, 0, -1):
-            d = (p[self._dense[i][0]].T @ d) * (acts[i] > 0.0)
-        d = p[self._dense[0][0]].T @ d
-        if self._stem:
-            return _stem_input_grad(d, pre, p["conv.W"], self.spec.input_shape)
-        return d.reshape(self.spec.input_shape)
-
-    def param_grads_from_dlogits(self, cache, dlogits) -> dict:
-        deltas, stem = self._param_backward(cache, dlogits)
-        g = {}
-        if stem:
-            g["conv.W"], g["conv.b"] = stem
-        for (wname, bname), d, a in zip(self._dense, deltas, cache[0]):
-            g[wname] = d[:, None] * a[None, :]   # np.outer's own product
-            g[bname] = d.copy()
-        return g
-
-    def _param_backward(self, cache, dlogits):
-        """The parameter backward short of the dense layers' outer products:
-        d loss / d each dense layer's output, in _dense order, and the
-        stem's (d W, d b), or None without a stem. param_grads_from_dlogits
-        takes the products per example; train_sgd sums them per minibatch."""
-        p = self.params
-        acts, pre, cols = cache
         deltas = [dlogits]
         for i in range(len(self._dense) - 1, 0, -1):
             deltas.append((p[self._dense[i][0]].T @ deltas[-1]) * (acts[i] > 0.0))
         deltas.reverse()
-        if not self._stem:
-            return deltas, None
-        return deltas, _stem_param_grads(p[self._dense[0][0]].T @ deltas[0], pre, cols,
-                                         p["conv.W"], self.spec.input_shape)
+        return deltas
+
+    def input_grad_from_dlogits(self, cache, dlogits) -> np.ndarray:
+        acts, pre, _cols = cache
+        d = self.params[self._dense[0][0]].T @ self._deltas(acts, dlogits)[0]
+        if self._stem:
+            return _stem_input_grad(d, pre, self.params["conv.W"], self.spec.input_shape)
+        return d.reshape(self.spec.input_shape)
+
+    def param_grads_from_dlogits(self, cache, dlogits):
+        """(dense, stem). dense holds one (d_out, input) pair per dense layer,
+        in _dense order: their outer product is the layer's weight gradient
+        and d_out its bias gradient. stem is the stem's (d W, d b), or None
+        without a stem."""
+        acts, pre, cols = cache
+        deltas = self._deltas(acts, dlogits)
+        stem = None
+        if self._stem:
+            stem = _stem_param_grads(self.params[self._dense[0][0]].T @ deltas[0], pre, cols,
+                                     self.params["conv.W"], self.spec.input_shape)
+        return list(zip(deltas, acts)), stem
 
     # -- loss ------------------------------------------------------------
 
     def loss_and_grad(self, x: np.ndarray, y: int):
         """Cross-entropy of softmax(logits) at label y, and d loss / d x."""
-        dlogits, loss, cache = self._dlogits(x, y)
+        z, cache = self.forward_with_cache(x)
+        loss, dlogits = _xent(z, y)
         return loss, self.input_grad_from_dlogits(cache, dlogits)
 
     def loss_and_param_grads(self, x: np.ndarray, y: int):
-        dlogits, loss, cache = self._dlogits(x, y)
-        return loss, self.param_grads_from_dlogits(cache, dlogits)
-
-    def _dlogits(self, x, y):
+        """The same loss, and param_grads_from_dlogits' (dense, stem) factors."""
         z, cache = self.forward_with_cache(x)
         loss, dlogits = _xent(z, y)
-        return dlogits, loss, cache
+        return loss, self.param_grads_from_dlogits(cache, dlogits)
 
 
 def _xent(z: np.ndarray, y: int):
@@ -442,11 +433,12 @@ def train_sgd(
     seed argument, so the same (spec, dataset, seed) is bit-reproducible.
     epochs=0 returns the freshly initialized model untouched.
 
-    The dense gradients are summed once per minibatch (_dense_grad_sums)
-    onto +0.0, not onto the first example's: that differs only where every
-    term is -0.0, and p - s*(+0.0) equals p - s*(-0.0) unless p is -0.0,
-    which no Glorot draw, zero bias or update of a p that is not -0.0
-    yields. So the bytes are those of summing loss_and_param_grads in order.
+    Each example goes through loss_and_param_grads once; _dense_grad_sums
+    adds the outer products of its dense factors per minibatch, in example
+    order onto +0.0, not onto the first example's: that differs only where
+    every term is -0.0, and p - s*(+0.0) equals p - s*(-0.0) unless p is
+    -0.0, which no Glorot draw, zero bias or update of a p that is not -0.0
+    yields. So the bytes are those of adding the products one by one.
     """
     if len(dataset) == 0:
         raise EmptyDataset("cannot train on an empty dataset")
@@ -469,9 +461,8 @@ def train_sgd(
             idx = order[start:start + batch]
             stem = None
             for row, i in enumerate(idx):
-                dlogits, _, cache = model._dlogits(dataset.images[i], dataset.labels[i])
-                ds, g = model._param_backward(cache, dlogits)
-                for d, a, dbuf, abuf in zip(ds, cache[0], deltas, inputs):
+                _, (dense, g) = model.loss_and_param_grads(dataset.images[i], dataset.labels[i])
+                for (d, a), dbuf, abuf in zip(dense, deltas, inputs):
                     dbuf[row] = d
                     abuf[row, :-1] = a
                 if stem is None:

@@ -295,6 +295,19 @@ def test_mean_transfer_builds_its_worlds_once_and_averages_them(monkeypatch):
             assert per_target == tuple(fooled(t, advs, sub.labels) for t in world.targets)
 
 
+def test_mean_transfer_refuses_no_seeds(monkeypatch):
+    # a mean over no worlds would divide by zero
+    monkeypatch.setattr(experiment, "_worlds", {})
+
+    def build(seed):
+        raise AssertionError(f"built world {seed}")
+    monkeypatch.setattr(experiment, "build_transfer_world", build)
+    cfgs = {"mi": AttackConfig(variant="mifgsm", eps=0.2, iters=2)}
+    for seeds in ((), [], iter(())):
+        with pytest.raises(ValueError, match="at least one replicate seed"):
+            experiment.mean_transfer(cfgs, seeds=seeds, n_images=5)
+
+
 def test_white_box_rate_equals_the_reference_loop(monkeypatch):
     monkeypatch.setattr(experiment, "_worlds", {})
     world = experiment.WhiteboxWorld(_tiny_dataset(seed=6), _named_quadratic("m", seed=6))
@@ -399,6 +412,23 @@ def test_ablation_csv_roundtrip_is_stable():
     assert back.rows == ("1.0", "3.0")
     assert back.rates[1][0] == 1 / 3
     assert emit_report(back, "csv") == text
+
+
+def test_csv_report_refuses_a_repeated_row_or_target_name():
+    # parse_report_csv keys each cell by its (row, target) names, so a table that
+    # repeats one would be written as a report it refuses to read back
+    data = _tiny_dataset()
+    s, t = _named_quadratic("s0", seed=1), _named_quadratic("t0", seed=2)
+    m = transfer_matrix([s], [t, t], data, AttackConfig(variant="mifgsm", eps=0.2, iters=2))
+    with pytest.raises(ValueError, match="target 't0' appears twice"):
+        emit_report(m, "csv")
+    assert emit_report(m, "markdown").splitlines()[0] == "| surrogate \\ target | t0 | t0 |"
+    twice = dataclasses.replace(_sample_matrix(), rows=("s1", "s1"))
+    with pytest.raises(ValueError, match="row 's1' appears twice"):
+        emit_report(twice, "csv")
+    ablation = dataclasses.replace(_sample_ablation(), rows=(3.0, "3.0"))   # one written text
+    with pytest.raises(ValueError, match="row '3.0' appears twice"):
+        emit_report(ablation, "csv")
 
 
 def test_matrix_markdown_marks_white_box_cells():

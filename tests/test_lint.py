@@ -6,6 +6,11 @@ use went, and a module-level `_helper` whose last caller went.
 `__init__.py` is not linted for them, because its imports are the
 package's exports, but what it reads still counts as a reference. The
 third keeps a dependency from coming back, or going stale, unnoticed.
+Every public function, class or method is read (as a name, attribute or
+import, not a string) somewhere in src/ or perfbench/, or is exported in
+advm.__all__, or is a click command, so an API that only tests call
+cannot linger in the package; the replicate-study harness that the
+acceptance tests call is the one listed exception.
 Every parse_manifest call passes a module-level field table by name, so
 a manifest's fields are written down once, where its writer can share
 them, and only fileio.py calls json.load or json.loads, so every JSON
@@ -117,6 +122,69 @@ def test_lint_flags_both_kinds_of_leftover():
     )
     assert unused_imports(tree) == [(1, "os"), (3, "b")]
     assert unreferenced_private_functions(tree, _referenced(tree)) == [(4, "_dead")]
+
+
+PERFBENCH_TREES = [ast.parse(p.read_text(encoding="utf-8"), str(p))
+                   for p in sorted((ROOT / "perfbench").glob("*.py"))]
+
+# Public names read only from tests/: the harness API the acceptance criteria call.
+_UNREAD_PUBLIC = {"experiment.mean_transfer", "experiment.white_box_rate"}
+
+
+def _click_command(node) -> bool:
+    """Whether a def carries a `@x.command(...)` or `@x.group(...)` decorator."""
+    return any(isinstance(t, ast.Attribute) and t.attr in ("command", "group")
+               for t in (d.func if isinstance(d, ast.Call) else d for d in node.decorator_list))
+
+
+def unread_public_names(trees, readers, exported) -> list:
+    """`module.name` and `module.Class.method` of each public function, class or
+    method in trees (by file name) that no reader tree reads as a name, attribute
+    or import, that is not in exported, and that is not a click command."""
+    read = set(exported).union(*(_referenced(t) for t in readers))
+    found = []
+    for file, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name[0] == "_":
+                continue
+            if node.name not in read and not _click_command(node):
+                found.append(f"{file[:-3]}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                found += [f"{file[:-3]}.{node.name}.{m.name}" for m in node.body
+                          if isinstance(m, ast.FunctionDef) and m.name[0] != "_"
+                          and m.name not in read]
+    return found
+
+
+def test_every_public_name_has_a_reader():
+    found = set(unread_public_names(TREES, [*TREES.values(), *PERFBENCH_TREES], advm.__all__))
+    assert not found - _UNREAD_PUBLIC, "public names nothing in src/ or perfbench/ reads: " + (
+        ", ".join(sorted(found - _UNREAD_PUBLIC)))
+    assert found >= _UNREAD_PUBLIC, "allowlisted names that now have a reader: " + (
+        ", ".join(sorted(_UNREAD_PUBLIC - found)))
+
+
+def test_unread_public_name_check_flags_planted_definitions():
+    tree = ast.parse(
+        "def used():\n    pass\n"
+        "def dead():\n    return used(), 'ghost', Box.read\n"
+        "def exported():\n    pass\n"
+        "@main.command()\ndef cmd():\n    pass\n"
+        "@click.group\ndef grp():\n    pass\n"
+        "class Box:\n"
+        "    def read(self):\n        pass\n"
+        "    def elsewhere(self):\n        pass\n"
+        "    def unread(self):\n        pass\n"
+        "    def _own(self):\n        pass\n"
+        "    def __len__(self):\n        return 0\n"
+        "class Ghost:\n    def method(self):\n        pass\n"
+        "def _helper():\n    pass\n"
+    )
+    other = ast.parse("from .m import Ghost as G\nx.elsewhere()\n")
+    assert unread_public_names({"m.py": tree}, [tree, other], {"exported"}) == [
+        "m.dead", "m.Box.unread", "m.Ghost.method"]
+    assert unread_public_names({"m.py": tree}, [tree], ()) == [
+        "m.dead", "m.exported", "m.Box.elsewhere", "m.Box.unread", "m.Ghost", "m.Ghost.method"]
 
 
 def test_third_party_imports_are_the_declared_dependencies():

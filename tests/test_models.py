@@ -122,6 +122,23 @@ def test_init_params_deterministic_in_spec_seed():
     assert not np.array_equal(a["fc.W"], c["fc.W"])
 
 
+# -- per-example parameter gradients as a dict -----------------------------------
+
+
+def _param_grad_dict(model, x, y):
+    """(loss, {parameter name: d loss / d it}) for one example, built from
+    loss_and_param_grads' factors: each dense layer's outer product and bias
+    from its (d_out, input) pair, and the stem's (d W, d b) as they come."""
+    loss, (dense, stem) = model.loss_and_param_grads(x, y)
+    g = {}
+    if stem is not None:
+        g["conv.W"], g["conv.b"] = stem
+    for (wname, bname), (d, a) in zip(model._dense, dense):
+        g[wname] = d[:, None] * a[None, :]   # np.outer's own product
+        g[bname] = d.copy()
+    return loss, g
+
+
 # -- hand-derived logistic oracle -------------------------------------------------
 
 
@@ -166,7 +183,7 @@ def test_logistic_param_grads_hand_case():
     p = np.array([e0, e1]) / (e0 + e1)
     d = p - np.array([1.0, 0.0])
 
-    _, grads = model.loss_and_param_grads(x, 0)
+    _, grads = _param_grad_dict(model, x, 0)
     assert np.max(np.abs(grads["fc.b"] - d)) < 1e-12
     assert np.max(np.abs(grads["fc.W"] - np.outer(d, [0.3, 0.7]))) < 1e-12
 
@@ -199,7 +216,7 @@ def test_param_grads_match_central_difference(idx):
     model = _models_for_fd()[idx]
     x = rand_pixel_image(model.input_shape, seed=50 + idx)
     y = 0
-    _, grads = model.loss_and_param_grads(x, y)
+    _, grads = _param_grad_dict(model, x, y)
     assert set(grads) == set(model.params)
     h = 1e-5
     for key, g in grads.items():
@@ -720,8 +737,8 @@ def test_train_sgd_does_not_mutate_init_reference():
 
 def _reference_train_sgd(spec, dataset, epochs, lr, batch, seed):
     """The per-example trainer that train_sgd replaced, kept as its reference:
-    loss_and_param_grads for each example, added in place into the first
-    example's gradients, then one update per minibatch."""
+    each example's gradient dict (_param_grad_dict), added in place into the
+    first example's, then one update per minibatch."""
     model = Model.initialize(spec)
     rng = models.derive_rng(seed, 1)
     n = len(dataset)
@@ -731,7 +748,7 @@ def _reference_train_sgd(spec, dataset, epochs, lr, batch, seed):
             idx = order[start:start + batch]
             grads = None
             for i in idx:
-                _, g = model.loss_and_param_grads(dataset.images[i], dataset.labels[i])
+                _, g = _param_grad_dict(model, dataset.images[i], dataset.labels[i])
                 if grads is None:
                     grads = g
                 else:
@@ -766,6 +783,28 @@ def test_train_sgd_bytes_match_the_per_example_reference(arch, sizes, batch):
     assert not all(np.array_equal(got.params[k], v) for k, v in init_params(spec).items())
     # the premise that lets train_sgd sum onto +0.0: no parameter is ever -0.0
     assert not any(np.signbit(v[v == 0.0]).any() for v in got.params.values())
+
+
+@pytest.mark.parametrize("arch, sizes", [("logistic", {}), ("mlp", {"hidden": (5, 4)}),
+                                         ("smallcnn", {"conv_channels": 2})])
+def test_train_sgd_takes_each_example_through_loss_and_param_grads(monkeypatch, arch, sizes):
+    # perfbench's tracer wraps Model's class attributes, so its parameter-gradient
+    # spans see training only if train_sgd calls this one, once per example per epoch
+    ds = generate_synthetic(3, 5, height=6, width=6, noise_sigma=0.2, seed=4, contrast=0.5)
+    seen = []
+    original = Model.loss_and_param_grads
+
+    def counted(self, x, y):
+        seen.append(id(x))
+        return original(self, x, y)
+
+    monkeypatch.setattr(Model, "loss_and_param_grads", counted)
+    train_sgd(ModelSpec(arch, (6, 6, 1), 3, seed=9, **sizes), ds, epochs=3, lr=0.3, batch=4,
+              seed=3)
+    n = len(ds)
+    assert len(seen) == 3 * n
+    for epoch in range(3):
+        assert sorted(seen[epoch * n:(epoch + 1) * n]) == sorted(map(id, ds.images))
 
 
 _EINSUM_ORDER = (f"np.einsum no longer adds in example order onto +0.0 (numpy {np.__version__}): "
@@ -1136,7 +1175,7 @@ def test_dense_weight_grads_are_the_outer_product_bytes():
     x = rand_pixel_image((4, 4, 1), seed=40)
     z, (acts, _, _) = model.forward_with_cache(x)
     _, dlogits = models._xent(z, 1)
-    _, grads = model.loss_and_param_grads(x, 1)
+    _, grads = _param_grad_dict(model, x, 1)
     assert grads["fc2.W"].tobytes() == np.outer(dlogits, acts[2]).tobytes()
 
 
@@ -1192,7 +1231,7 @@ def test_seed_kernels_fixture_runs_the_seed_stem(seed_kernels):
     _, (_, pre, cols) = seed_kernels(lambda: model.forward_with_cache(x))
     assert pre.shape == (6, 10, 3) and cols.shape == (60, 9)     # the seed's layout
     seed_kernels(lambda: model.loss_and_grad(x, 0))
-    seed_kernels(lambda: model.loss_and_param_grads(x, 0))
+    seed_kernels(lambda: _param_grad_dict(model, x, 0))
     assert seed_kernels.calls == {
         "_stem_forward": 3, "_stem_input_grad": 1, "_stem_param_grads": 1}
     model.loss_and_grad(x, 0)                    # outside the fixture: the stem's own
@@ -1207,10 +1246,10 @@ def test_smallcnn_outputs_bytes_match_seed_kernels(seed_kernels, shape, channels
     for y, x in enumerate(_probe_images(shape, seed=80)):
         got_z = model.logits(x)
         got_loss, got_g = model.loss_and_grad(x, y)
-        got_ploss, got_p = model.loss_and_param_grads(x, y)
+        got_ploss, got_p = _param_grad_dict(model, x, y)
         want_z = seed_kernels(lambda: model.logits(x))
         want_loss, want_g = seed_kernels(lambda: model.loss_and_grad(x, y))
-        want_ploss, want_p = seed_kernels(lambda: model.loss_and_param_grads(x, y))
+        want_ploss, want_p = seed_kernels(lambda: _param_grad_dict(model, x, y))
         assert got_z.tobytes() == want_z.tobytes()
         assert got_loss == want_loss and got_g.tobytes() == want_g.tobytes()
         assert got_ploss == want_ploss and sorted(got_p) == sorted(want_p)
@@ -1225,9 +1264,9 @@ def test_zoo_smallcnn_outputs_bytes_match_seed_kernels(seed_kernels, k, cout):
     model = _smallcnn(shape, cout, k, seed=12)
     for y, x in enumerate(_probe_images(shape, seed=120)[:2]):
         got_loss, got_g = model.loss_and_grad(x, y)
-        got_ploss, got_p = model.loss_and_param_grads(x, y)
+        got_ploss, got_p = _param_grad_dict(model, x, y)
         want_loss, want_g = seed_kernels(lambda: model.loss_and_grad(x, y))
-        want_ploss, want_p = seed_kernels(lambda: model.loss_and_param_grads(x, y))
+        want_ploss, want_p = seed_kernels(lambda: _param_grad_dict(model, x, y))
         assert got_loss == want_loss and got_g.tobytes() == want_g.tobytes()
         assert got_ploss == want_ploss
         for key in want_p:
