@@ -17,6 +17,7 @@ import math
 import os
 
 import click
+from click.core import ParameterSource
 
 from . import __version__
 from .attacks import VARIANTS, AttackConfig, attack_batch
@@ -221,16 +222,6 @@ def _positive_finite(ctx, param, value):
     return value
 
 
-def _check_geometry(cfgs, data) -> None:
-    """Refuse a transform geometry the dataset's images cannot take as a
-    usage error, before any attack work; run_attack makes the same check."""
-    for cfg in cfgs:
-        try:
-            cfg.transforms.check_shape(data.image_shape)
-        except ShapeMismatch as exc:
-            raise click.BadParameter(str(exc)) from exc
-
-
 def _check_out(path: str | None, directory: bool = False) -> None:
     """Refuse an --out path the command could not write, before any work.
     An empty path names no file: eval, ablate and report then echo."""
@@ -281,6 +272,12 @@ def main():
 def train(arch, dataset, out_path, seed, epochs, lr, batch, hidden, conv_channels,
           conv_kernel, name):
     """Train one model and write its manifest."""
+    ctx = click.get_current_context()
+    for param, reader in (("hidden", "mlp"), ("conv_channels", "smallcnn"),
+                          ("conv_kernel", "smallcnn")):
+        if arch != reader and ctx.get_parameter_source(param) is not ParameterSource.DEFAULT:
+            raise click.BadParameter(f"only {reader} reads it, not {arch}",
+                                     param_hint="--" + param.replace("_", "-"))
     if seed is None:
         seed = _env_seed() or 0
     if name is None:
@@ -351,13 +348,18 @@ def _load_attack_inputs(surrogate: str, dataset: str, num_images, cfgs) -> tuple
     dataset subsampled with the run seed, once its labels are classes of the
     oracle and the configs' geometry fits its images."""
     models = load_models(surrogate)
+    # one surrogate is queried as itself: its queries stay Model.loss_and_grad calls
     oracle = models[0] if len(models) == 1 else EnsembleOracle(models)
     data = load_dataset(dataset, cfgs[0].seed)
     if num_images is not None:
         data = subsample(data, num_images, cfgs[0].seed)
     for y in data.labels:
         check_label(y, oracle.num_classes, f"surrogate {oracle.name}")
-    _check_geometry(cfgs, data)
+    for cfg in cfgs:   # a usage error before any attack work; run_attack checks it too
+        try:
+            cfg.transforms.check_shape(data.image_shape)
+        except ShapeMismatch as exc:
+            raise click.BadParameter(str(exc)) from exc
     return models, oracle, data
 
 

@@ -12,9 +12,11 @@ stops at factors, each dense layer's (d_out, input) pair and the stem's
 (d W, d b), and train_sgd sums the dense outer products once per minibatch
 (_dense_grad_sums). There is no tape; every backward rule is written out.
 
-Ensembles of K members average their logits (weight 1/K each, the
-paper's ensemble setting), take the cross-entropy of the fused logits, and
-push the fused softmax error back through each member scaled by 1/K.
+EnsembleOracle fuses K members, weight 1/K each (the paper's ensemble
+setting), through a Model's two primitives: forward_with_cache averages the
+members' logits and keeps their caches, and input_grad_from_dlogits sums
+their input gradients of the 1/K-scaled softmax error in member order. Its
+logits, predict and loss_and_grad are Model's own functions: one path.
 
 The stem (_stem_forward, _stem_input_grad, _stem_param_grads) keeps its
 conv rows tap-major (_tap_rows), so the four taps of each 2x2 pool window
@@ -93,11 +95,6 @@ class ModelSpec:
         object.__setattr__(self, "input_shape", tuple(self.input_shape))
         object.__setattr__(self, "hidden", tuple(self.hidden))
 
-    @property
-    def input_size(self) -> int:
-        h, w, c = self.input_shape
-        return h * w * c
-
 
 def _glorot(rng, shape, fan_in, fan_out):
     a = math.sqrt(6.0 / (fan_in + fan_out))
@@ -118,7 +115,7 @@ def _param_shapes(spec: ModelSpec) -> dict:
     Draws and allocates nothing."""
     stem, hidden, names = _layout(spec)
     shapes = {}
-    width = spec.input_size
+    width = math.prod(spec.input_shape)
     if stem:
         h, w, cin = spec.input_shape
         k, cc = spec.conv_kernel, spec.conv_channels
@@ -381,7 +378,7 @@ class EnsembleOracle:
         self.weight = 1.0 / len(models)
         self.name = "+".join(m.name for m in models)
 
-    def _forward(self, x: np.ndarray):
+    def forward_with_cache(self, x: np.ndarray):
         """The fused logits, and each member's cache."""
         fused, caches = None, []
         for m in self.models:
@@ -390,20 +387,16 @@ class EnsembleOracle:
             fused = self.weight * z if fused is None else fused + self.weight * z
         return fused, caches
 
-    def logits(self, x: np.ndarray) -> np.ndarray:
-        return self._forward(x)[0]
-
-    def predict(self, x: np.ndarray) -> int:
-        return int(np.argmax(self.logits(x)))
-
-    def loss_and_grad(self, x: np.ndarray, y: int):
-        fused, caches = self._forward(x)
-        loss, dlogits = _xent(fused, y)
+    def input_grad_from_dlogits(self, caches, dlogits) -> np.ndarray:
+        """The members' input gradients of weight * dlogits, summed in member order."""
         scaled, grad = self.weight * dlogits, None
         for m, cache in zip(self.models, caches):
             gk = m.input_grad_from_dlogits(cache, scaled)
             grad = gk if grad is None else grad + gk
-        return loss, grad
+        return grad
+
+    # Model's own functions, run on the two primitives above
+    logits, predict, loss_and_grad = Model.logits, Model.predict, Model.loss_and_grad
 
 
 # -- training --------------------------------------------------------------

@@ -63,8 +63,9 @@ class TransformConfig:
             raise ValueError(f"dim_prob must be in [0, 1], got {self.dim_prob}")
         if self.tim_kernel_size % 2 == 0 or self.tim_kernel_size < 1:
             raise ValueError("tim kernel side must be odd and >= 1")
-        if not (self.tim_sigma > 0.0 and math.isfinite(self.tim_sigma)):
-            raise ValueError(f"tim sigma must be finite and > 0, got {self.tim_sigma}")
+        sigma = self.tim_sigma   # from 1e-162 down, 2 sigma^2 underflows to 0 in tim_kernel
+        if not (sigma > 0.0 and math.isfinite(sigma) and 2.0 * sigma * sigma > 0.0):
+            raise ValueError(f"tim sigma must be finite and > 0, with 2 sigma^2 > 0, got {sigma}")
         if self.sim_copies < 1:
             raise ValueError("sim needs at least one copy")
         low, pad = self.dim_resize_low, self.dim_pad_to
@@ -146,6 +147,8 @@ def tim_kernel(size: int = 7, sigma: float = 3.0) -> np.ndarray:
     """Read-only Gaussian weights exp(-(di^2+dj^2) / (2 sigma^2)) normalized to sum 1."""
     if size % 2 == 0:
         raise ValueError("kernel side must be odd")
+    if not 2.0 * sigma * sigma > 0.0:   # 0 / 0 would make every weight NaN
+        raise ValueError(f"sigma must have 2 sigma^2 > 0 in float64, got {sigma}")
     r = size // 2
     ax = np.arange(-r, r + 1, dtype=float)
     w = np.exp(-(ax[:, None] ** 2 + ax[None, :] ** 2) / (2.0 * sigma * sigma))

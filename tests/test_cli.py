@@ -428,6 +428,8 @@ def _assert_usage_error(result, text):
     # taps past 2 * side - 1 never reach a pixel, yet cost size^2 floats and an SVD
     (["--transforms", "tim", "--tim-kernel-size", "13"], "13 exceeds 2 * 6 - 1 for 6x6 images"),
     (["--dim-pad-to", "-1"], "pad_to must be >= 1"),   # was accepted with dim off
+    # 2 sigma^2 underflowed to 0: a NaN kernel, then a LinAlgError traceback
+    (["--transforms", "tim", "--tim-sigma", "1e-320"], "2 sigma^2 > 0, got 1e-320"),
 ])
 def test_attack_bad_values_are_usage_errors(runner, trained, tmp_path, flags, text):
     out = tmp_path / "advset"
@@ -462,6 +464,11 @@ def test_attack_bad_values_are_usage_errors(runner, trained, tmp_path, flags, te
     (["--dataset", "synthetic:1x4x6"], "need at least two classes"),
     (["--seed", "-5"], "--seed"),
     (["--dataset", "synthetic:3x4x6:0.1:junk"], "has more than one :NOISE field"),
+    # logistic dropped --hidden and stored --conv-* in a header with no conv stem
+    (["--hidden", "5"], "Invalid value for --hidden: only mlp reads it, not logistic"),
+    (["--conv-channels", "99"], "--conv-channels: only smallcnn reads it, not logistic"),
+    (["--arch", "mlp", "--conv-kernel", "4"], "--conv-kernel: only smallcnn reads it, not mlp"),
+    (["--hidden", "5", "--dataset", "idx:no.idx,no.idx"], "--hidden"),   # before any load
 ])
 def test_train_bad_values_are_usage_errors(runner, tmp_path, flags, text):
     out = tmp_path / "m.json"

@@ -33,6 +33,9 @@ Only evaluate's builder crafts and scores: attack_batch is read there and
 in `advm attack`, fooled there and in attack_success_rate (which only
 `advm eval` calls), and the builder only by the four table functions, so
 a table cannot grow a crafting loop of its own again.
+EnsembleOracle's logits, predict and loss_and_grad are Model's own
+function objects, so the ensemble cannot grow a second loss and gradient
+path again.
 The last checks keep README's Python examples importing only what the
 package exports, and every call README names in backticked prose an
 attribute of the package or one of its modules, so a removed name cannot
@@ -49,6 +52,7 @@ import sys
 import pytest
 
 import advm
+from advm.models import EnsembleOracle, Model
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "advm"
@@ -185,6 +189,13 @@ def test_unread_public_name_check_flags_planted_definitions():
         "m.dead", "m.Box.unread", "m.Ghost.method"]
     assert unread_public_names({"m.py": tree}, [tree], ()) == [
         "m.dead", "m.exported", "m.Box.elsewhere", "m.Box.unread", "m.Ghost", "m.Ghost.method"]
+
+
+def test_ensemble_runs_the_models_own_loss_and_gradient_path():
+    # EnsembleOracle keeps only the fusion primitives; a second copy of these
+    # would let the ensemble's loss and gradient drift from Model's
+    for attr in ("logits", "predict", "loss_and_grad"):
+        assert EnsembleOracle.__dict__[attr] is Model.__dict__[attr], attr
 
 
 def test_third_party_imports_are_the_declared_dependencies():

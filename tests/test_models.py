@@ -901,6 +901,25 @@ def test_ensemble_gradient_matches_central_difference():
     assert np.max(np.abs(fd - grad)) / max(1.0, np.max(np.abs(grad))) < 1e-6
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_ensemble_primitives_are_the_fusion_of_its_members(k):
+    shape = (4, 4, 1)
+    members = [Model.initialize(ModelSpec("logistic", shape, 3, seed=1), name="a"),
+               Model.initialize(ModelSpec("mlp", shape, 3, hidden=(5,), seed=2), name="b"),
+               Model.initialize(ModelSpec("smallcnn", shape, 3, conv_channels=2, seed=3),
+                                name="c")][:k]
+    ens = EnsembleOracle(members)
+    x = rand_pixel_image(shape, seed=74 + k)
+    z, caches = ens.forward_with_cache(x)
+    assert z.tobytes() == ens.logits(x).tobytes()
+    d = np.random.default_rng(k).normal(size=3)
+    want = None
+    for m, cache in zip(members, caches):
+        gk = m.input_grad_from_dlogits(cache, (1.0 / k) * d)
+        want = gk if want is None else want + gk
+    assert ens.input_grad_from_dlogits(caches, d).tobytes() == want.tobytes()
+
+
 def test_ensemble_validation():
     a, b = _pair_of_models()
     with pytest.raises(EmptyDataset):

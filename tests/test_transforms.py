@@ -1,6 +1,7 @@
 """Gradient transforms: diversity, smoothing, scaling, and their composition."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -147,6 +148,25 @@ def test_tim_kernel_cached_and_write_protected():
 def test_tim_kernel_even_size_rejected():
     with pytest.raises(ValueError):
         tim_kernel(4, 3.0)
+
+
+# 2 sigma^2 underflows to 0 from sigma = 1e-162 down: the kernel was 0 / 0,
+# all NaN, and the band SVD raised LinAlgError mid-attack
+def test_tim_sigma_whose_square_underflows_is_refused():
+    assert 2.0 * 1e-161 * 1e-161 > 0.0 and not 2.0 * 1e-162 * 1e-162 > 0.0
+    TransformConfig(enabled=("tim",), tim_sigma=1e-161)
+    for sigma in (1e-162, 1e-320, 5e-324):
+        with pytest.raises(ValueError, match=re.escape(f"2 sigma^2 > 0, got {sigma}")):
+            TransformConfig(enabled=("tim",), tim_sigma=sigma)
+
+
+def test_tim_kernel_refuses_a_sigma_whose_square_underflows():
+    with np.errstate(over="ignore"):
+        one_tap = tim_kernel(5, 1e-161)
+    assert one_tap[2, 2] == 1.0 and one_tap.sum() == 1.0
+    for sigma in (1e-162, 1e-320, math.nan):
+        with pytest.raises(ValueError, match=re.escape(f"got {sigma}")):
+            tim_kernel(5, sigma)
 
 
 # -- smoothing operator ------------------------------------------------------------
