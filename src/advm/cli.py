@@ -1,11 +1,11 @@
 """Command-line front end: train models, craft attacks, evaluate transfer.
 
 Attack settings resolve in precedence order: explicit flags, then the
---config key=value file, then the ADVM_SEED environment variable (seed
-only), then the AttackConfig defaults; one table, _ATTACK_OPTIONS, names
-each option's flag, file key, field and parser. --eps accepts both decimals
-and fraction literals like 16/255. Attack names use the hyphenated forms
-(mi-fgsm, emi-fgsm, ...).
+--config key=value file, then the AttackConfig defaults; no environment
+variable is read. One table, _ATTACK_OPTIONS, names each option's flag,
+file key, field and parser. --eps accepts both decimals and fraction
+literals like 16/255. Attack names use the hyphenated forms (mi-fgsm,
+emi-fgsm, ...).
 
 Datasets are either `synthetic:CLASSESxPER_CLASSxSIDE[:NOISE]`, generated
 from the run seed, or `idx:IMAGES_PATH,LABELS_PATH` pairs.
@@ -55,6 +55,7 @@ def parse_attack_name(name: str) -> str:
 
 
 def _parse_names(text: str) -> tuple:
+    """The CLI's one comma-list rule: items stripped, empty items dropped."""
     return tuple(t for t in (s.strip() for s in text.split(",")) if t)
 
 
@@ -90,7 +91,7 @@ _ATTACK_OPTIONS = (
     ("--sim-copies", "sim.copies", "transforms.sim_copies", click.INT, "sim: scale copies"),
     ("--normalize-sample-dir", "normalize_sample_dir", "normalize_sample_dir", click.BOOL,
      "L1-normalize the sampling direction"),
-    ("--seed", "seed", "seed", click.INT, "default: ADVM_SEED or 0"),
+    ("--seed", "seed", "seed", click.INT, "run seed, >= 0; default 0"),
 )
 
 
@@ -120,20 +121,10 @@ def read_config_file(path: str) -> dict:
     return values
 
 
-def _env_seed() -> int | None:
-    raw = os.environ.get("ADVM_SEED")
-    if raw is None or raw == "":
-        return None
-    try:
-        return click.IntRange(min=0)(raw)
-    except click.BadParameter as exc:
-        raise click.UsageError(f"ADVM_SEED must be an integer >= 0, got {raw!r}") from exc
-
-
 def resolve_attack_config(cli: dict, filecfg: dict) -> AttackConfig:
     """Each table option from its flag, else its config-file key, through the
-    row's parser; the seed falls back to ADVM_SEED. An option set nowhere keeps
-    its dataclass default. A bad value from either source is a usage error."""
+    row's parser. An option set nowhere keeps its dataclass default. A bad
+    value from either source is a usage error."""
     fields = {"": {}, "sampling": {}, "transforms": {}}
     for flag, key, field, parse, _help in _ATTACK_OPTIONS:
         text, source = cli.get(flag[2:].replace("-", "_")), flag
@@ -146,8 +137,6 @@ def resolve_attack_config(cli: dict, filecfg: dict) -> AttackConfig:
             fields[group][name] = parse(text)
         except (ValueError, click.BadParameter) as exc:
             raise click.BadParameter(str(exc), param_hint=source) from exc
-    if "seed" not in fields[""] and (seed := _env_seed()) is not None:
-        fields[""]["seed"] = seed
     try:
         return AttackConfig(sampling=SamplingSpec(**fields["sampling"]),
                             transforms=TransformConfig(**fields["transforms"]), **fields[""])
@@ -186,10 +175,7 @@ def load_dataset(spec: str, seed: int):
 def load_models(arg: str) -> list:
     """Comma-separated model paths; each element may be a glob pattern."""
     paths = []
-    for token in arg.split(","):
-        token = token.strip()
-        if not token:
-            continue
+    for token in _parse_names(arg):
         if any(ch in token for ch in "*?["):
             matches = sorted(globmod.glob(token))
             if not matches:
@@ -260,7 +246,7 @@ def main():
 @click.option("--arch", type=click.Choice(ARCHITECTURES), required=True)
 @click.option("--dataset", required=True, help="synthetic:CxPxS[:NOISE] or idx:IMGS,LBLS")
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--seed", type=click.IntRange(min=0), default=None, help="default: ADVM_SEED or 0")
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--epochs", type=click.IntRange(min=1), default=8, show_default=True)
 @click.option("--lr", type=float, default=0.35, show_default=True, callback=_positive_finite)
 @click.option("--batch", type=click.IntRange(min=1), default=32, show_default=True)
@@ -278,8 +264,6 @@ def train(arch, dataset, out_path, seed, epochs, lr, batch, hidden, conv_channel
         if arch != reader and ctx.get_parameter_source(param) is not ParameterSource.DEFAULT:
             raise click.BadParameter(f"only {reader} reads it, not {arch}",
                                      param_hint="--" + param.replace("_", "-"))
-    if seed is None:
-        seed = _env_seed() or 0
     if name is None:
         name = os.path.splitext(os.path.basename(out_path))[0]
     if not name:
@@ -291,7 +275,7 @@ def train(arch, dataset, out_path, seed, epochs, lr, batch, hidden, conv_channel
             arch=arch,
             input_shape=data.image_shape,
             num_classes=data.class_count,
-            hidden=tuple(int(w) for w in hidden.split(",") if w.strip()) if arch == "mlp" else (),
+            hidden=tuple(int(w) for w in _parse_names(hidden)) if arch == "mlp" else (),
             conv_channels=conv_channels,
             conv_kernel=conv_kernel,
             seed=seed,

@@ -45,7 +45,7 @@ def project_linf(t: np.ndarray, origin: np.ndarray, eps: float) -> np.ndarray:
     """
     if t.shape != origin.shape:
         raise ShapeMismatch(f"{t.shape} vs {origin.shape}")
-    if eps < 0.0:
+    if not eps >= 0.0:   # NaN fails this too; it would clip every pixel to NaN
         raise ValueError(f"eps must be >= 0, got {eps}")
     return np.clip(np.clip(t, origin - eps, origin + eps), 0.0, 1.0)
 

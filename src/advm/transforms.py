@@ -151,7 +151,8 @@ def tim_kernel(size: int = 7, sigma: float = 3.0) -> np.ndarray:
         raise ValueError(f"sigma must have 2 sigma^2 > 0 in float64, got {sigma}")
     r = size // 2
     ax = np.arange(-r, r + 1, dtype=float)
-    w = np.exp(-(ax[:, None] ** 2 + ax[None, :] ** 2) / (2.0 * sigma * sigma))
+    with np.errstate(over="ignore"):   # tiny sigma: off-centre exponents -inf, taps 0
+        w = np.exp(-(ax[:, None] ** 2 + ax[None, :] ** 2) / (2.0 * sigma * sigma))
     w = w / w.sum()
     w.setflags(write=False)
     return w

@@ -6,6 +6,7 @@ import os
 import re
 import shutil
 import struct
+import warnings
 
 import click
 import numpy as np
@@ -146,25 +147,30 @@ def test_train_writes_loadable_model(runner, trained):
     assert model.spec.input_shape == (6, 6, 1)
 
 
-def test_train_seed_from_environment(runner, tmp_path):
-    path = str(tmp_path / "env.json")
-    result = runner.invoke(main, [
-        "train", "--arch", "logistic", "--dataset", "synthetic:2x3x6",
-        "--out", path, "--epochs", "1",
-    ], env={"ADVM_SEED": "7"})
-    assert result.exit_code == 0, result.output
-    assert load_model(path).spec.seed == 7
+def _tree_bytes(root) -> dict:
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-def test_invalid_environment_seed_is_an_error(runner, tmp_path):
-    for raw in ("lots", "-3"):
-        result = runner.invoke(main, [
-            "train", "--arch", "logistic", "--dataset", "synthetic:2x3x6",
-            "--out", str(tmp_path / "x.json"), "--epochs", "1",
-        ], env={"ADVM_SEED": raw})
-        assert result.exit_code != 0
-        assert "ADVM_SEED must be an integer" in result.output
-        assert "Traceback" not in result.output
+def test_environment_never_changes_output_bytes(runner, trained, tmp_path):
+    # the seed and every option come from flags, --config and defaults only: an
+    # ADVM_<KEY> variable for each config key changes no output byte
+    env = {"ADVM_" + key.upper().replace(".", "_"): text
+           for key, text in {**_ROW_TEXT, "seed": "7"}.items()}
+    trees = []
+    for name, run_env in (("plain", None), ("env", env)):
+        root = tmp_path / name
+        for argv in (["train", "--arch", "logistic", "--dataset", "synthetic:2x3x6",
+                      "--out", str(root / "m.json"), "--epochs", "1"],
+                     ["attack", "--surrogate", trained["model"], "--dataset", "synthetic:2x3x6",
+                      "--num-images", "2", "--iters", "2", "--out", str(root / "adv")]):
+            result = runner.invoke(main, argv, env=run_env)
+            assert result.exit_code == 0, result.output
+        trees.append(_tree_bytes(root))
+    assert sorted(trees[0]) == ["adv/adv_00000.emtn", "adv/adv_00001.emtn",
+                                "adv/manifest.json", "m.json"]
+    assert trees[0] == trees[1]
+    assert load_model(str(tmp_path / "env" / "m.json")).spec.seed == 0
 
 
 def test_attack_writes_manifest_and_feasible_examples(runner, trained, tmp_path):
@@ -755,9 +761,7 @@ _ROW_TEXT = {
 
 
 @pytest.mark.parametrize("flag, key, parse", [(r[0], r[1], r[3]) for r in _ATTACK_OPTIONS])
-def test_flag_and_config_key_give_the_same_config(runner, trained, tmp_path, monkeypatch,
-                                                  flag, key, parse):
-    monkeypatch.delenv("ADVM_SEED", raising=False)
+def test_flag_and_config_key_give_the_same_config(runner, trained, tmp_path, flag, key, parse):
     text = _ROW_TEXT[key]
     (tmp_path / "one.cfg").write_text(f"{key} = {text}\n")
     hashes = []
@@ -776,8 +780,7 @@ def test_flag_and_config_key_give_the_same_config(runner, trained, tmp_path, mon
     assert by_flag == by_file != default
 
 
-def test_dim_sides_take_auto_from_flag_and_file(monkeypatch):
-    monkeypatch.delenv("ADVM_SEED", raising=False)
+def test_dim_sides_take_auto_from_flag_and_file():
     assert resolve_attack_config({}, {}) == AttackConfig()
     for side in ("dim_resize_low", "dim_pad_to"):
         assert resolve_attack_config({side: "auto"}, {}) == AttackConfig()
@@ -1188,6 +1191,20 @@ def test_a_shorter_rewrite_leaves_exactly_what_a_fresh_run_writes(runner, traine
     assert runner.invoke(main, [*args, "--num-images", "1", "--out", str(out)]).exit_code == 0
     assert sorted(p.name for p in out.iterdir()) == sorted(
         ["adv_00000.emtn", "manifest.json"] + others)
+
+
+def test_tiny_tim_sigma_attacks_without_a_warning(runner, trained, tmp_path):
+    # 1e-161 is the smallest accepted sigma: its off-centre exponents overflow
+    # to -inf; no other test builds this (7, sigma) kernel, so no cache hides a warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = runner.invoke(main, [
+            "attack", "--surrogate", trained["model"], "--dataset", "synthetic:2x3x6",
+            "--num-images", "2", "--iters", "2", "--transforms", "tim", "--tim-sigma", "1e-161",
+            "--out", str(tmp_path / "adv"),
+        ])
+    assert result.exit_code == 0, result.output
+    assert [str(w.message) for w in caught] == []
 
 
 def test_tim_kernel_of_twice_the_side_less_one_is_accepted(runner, trained, tmp_path):

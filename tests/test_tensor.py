@@ -1,5 +1,6 @@
 """Tensor ops: validation, projection, the transforms' separable matrix kernel, EMTN IO."""
 
+import math
 import re
 import struct
 
@@ -102,11 +103,15 @@ def test_project_linf_feasible_point_unchanged():
 
 
 def test_project_linf_errors():
-    origin = np.zeros((2, 2, 1))
+    origin = np.full((2, 2, 1), 0.5)
     with pytest.raises(ShapeMismatch):
         project_linf(np.zeros((3, 2, 1)), origin, 0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("eps must be >= 0, got -0.01")):
         project_linf(origin, origin, -0.01)
+    # a NaN eps would clip every pixel to NaN
+    with pytest.raises(ValueError, match="eps must be >= 0, got nan"):
+        project_linf(origin + 0.1, origin, float("nan"))
+    assert np.array_equal(project_linf(origin + 0.7, origin, math.inf), np.ones((2, 2, 1)))
 
 
 # -- the general correlation reference ------------------------------------------------
