@@ -230,7 +230,7 @@ def _wrap_errors(fn):
     def inner(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (AdvmError, OSError) as exc:   # OSError: a write failed, as on a full disk
+        except (AdvmError, OSError, MemoryError) as exc:   # a full disk, or out of memory
             raise click.ClickException(f"{type(exc).__name__}: {exc}") from exc
 
     return inner

@@ -66,40 +66,33 @@ class DeskWorld:
     targets: tuple
 
 
-def _desk_data(seed: int, contrast: float):
-    """(data, per-class train pools, evalset) of one desk world.
-
-    The data are grouped by class; each class gives its first
-    DESK_TRAIN_PER_CLASS examples to a training pool and the rest to the
-    shared evaluation set.
-    """
+def _desk_world(seed: int, contrast: float, zoo) -> tuple:
+    """(evalset, models) of one desk world. Every split is a per-class window
+    [lo, hi) of one class-grouped dataset: the evalset takes [DESK_TRAIN_PER_CLASS,
+    DESK_PER_CLASS), and each zoo row trains one smallcnn on its own window."""
     data = generate_synthetic(
         DESK_CLASSES, DESK_PER_CLASS, DESK_SIDE, DESK_SIDE, 1,
         noise_sigma=DESK_NOISE, seed=seed, contrast=contrast,
     )
-    pools, eval_idx = [], []
-    for start in range(0, len(data), DESK_PER_CLASS):
-        pools.append(range(start, start + DESK_TRAIN_PER_CLASS))
-        eval_idx.extend(range(start + DESK_TRAIN_PER_CLASS, start + DESK_PER_CLASS))
-    return data, pools, data.subset(eval_idx)
 
+    def window(lo, hi):
+        return data.subset([c * DESK_PER_CLASS + i for c in range(DESK_CLASSES)
+                            for i in range(lo, hi)])
 
-def _train_smallcnn(train, channels, kernel, seed: int, offset: int, name: str) -> Model:
-    """The desk convnet recipe: init from seed*100 + offset, shuffle from seed*100 + 7."""
-    spec = ModelSpec(
-        "smallcnn", (DESK_SIDE, DESK_SIDE, 1), DESK_CLASSES,
-        conv_channels=channels, conv_kernel=kernel, seed=seed * 100 + offset,
-    )
-    model, _ = train_sgd(spec, train, epochs=DESK_EPOCHS, lr=DESK_LR, batch=DESK_BATCH,
-                         seed=seed * 100 + 7, name=name)
-    return model
+    models = []
+    for name, channels, kernel, offset, (lo, hi) in zoo:
+        spec = ModelSpec("smallcnn", (DESK_SIDE, DESK_SIDE, 1), DESK_CLASSES,
+                         conv_channels=channels, conv_kernel=kernel, seed=seed * 100 + offset)
+        models.append(train_sgd(spec, window(lo, hi), epochs=DESK_EPOCHS, lr=DESK_LR,
+                                batch=DESK_BATCH, seed=seed * 100 + 7, name=name)[0])
+    return window(DESK_TRAIN_PER_CLASS, DESK_PER_CLASS), models
 
 
 def build_whitebox_world(seed: int = DESK_DEFAULT_SEED) -> WhiteboxWorld:
     """Dataset plus one convnet trained on the full training split."""
-    data, pools, evalset = _desk_data(seed, DESK_CONTRAST_WHITEBOX)
-    train = data.subset([i for pool in pools for i in pool])
-    return WhiteboxWorld(evalset=evalset, model=_train_smallcnn(train, 8, 3, seed, 11, "whitebox"))
+    evalset, (model,) = _desk_world(seed, DESK_CONTRAST_WHITEBOX,
+                                    (("whitebox", 8, 3, 11, (0, DESK_TRAIN_PER_CLASS)),))
+    return WhiteboxWorld(evalset=evalset, model=model)
 
 
 # Transfer-study zoo: (name, channels, kernel, seed offset, training window).
@@ -116,13 +109,8 @@ _ZOO = (
 
 def build_transfer_world(seed: int) -> DeskWorld:
     """One replicate world: fresh data, surrogate, and three targets."""
-    data, pools, evalset = _desk_data(seed, DESK_CONTRAST_TRANSFER)
-    zoo = [
-        _train_smallcnn(data.subset([i for pool in pools for i in pool[lo:hi]]),
-                        channels, kernel, seed, offset, name)
-        for name, channels, kernel, offset, (lo, hi) in _ZOO
-    ]
-    return DeskWorld(evalset=evalset, surrogate=zoo[0], targets=tuple(zoo[1:]))
+    evalset, (surrogate, *targets) = _desk_world(seed, DESK_CONTRAST_TRANSFER, _ZOO)
+    return DeskWorld(evalset=evalset, surrogate=surrogate, targets=tuple(targets))
 
 
 # Worlds built in this process, by (builder, seed), kept for its life.
@@ -162,8 +150,8 @@ def mean_transfer(
     holds one flag per image crafted in world seeds[k], scored on its target j.
     The replicate seed also seeds each attack."""
     seeds = tuple(seeds)
-    if not seeds:
-        raise ValueError("mean_transfer needs at least one replicate seed")
+    if not seeds or not cfgs:
+        raise ValueError("mean_transfer needs at least one replicate seed and one config")
     worlds = _cached_worlds(build_transfer_world, seeds, jobs)
     subs = [subsample(w.evalset, n_images, s) for s, w in zip(seeds, worlds)]
     means, flags = {}, {}

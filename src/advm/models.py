@@ -40,7 +40,7 @@ import numpy as np
 from .data import LabeledDataset, check_label
 from .errors import CorruptFile, EmptyDataset, ShapeMismatch, VersionMismatch
 from .fileio import atomic_write_bytes, parse_manifest
-from .sampling import derive_rng, make_rng
+from .sampling import SIZE_LIMIT, derive_rng, make_rng
 
 ARCHITECTURES = ("logistic", "mlp", "smallcnn")
 
@@ -82,10 +82,10 @@ class ModelSpec:
             raise ValueError("mlp needs at least one hidden width")
         if self.arch != "mlp" and self.hidden:
             raise ValueError(f"{self.arch} has no hidden layers, got {tuple(self.hidden)}")
-        if any(w < 1 for w in self.hidden):
-            raise ValueError(f"hidden widths must be >= 1, got {tuple(self.hidden)}")
-        if self.conv_channels < 1 or self.conv_kernel < 1:
-            raise ValueError("conv channels and kernel side must be >= 1")
+        if not all(1 <= w < SIZE_LIMIT for w in self.hidden):
+            raise ValueError(f"hidden widths must be >= 1 and < 2**31, got {tuple(self.hidden)}")
+        if not (1 <= self.conv_channels < SIZE_LIMIT and 1 <= self.conv_kernel < SIZE_LIMIT):
+            raise ValueError("conv channels and kernel side must be >= 1 and < 2**31")
         if self.arch == "smallcnn":
             if self.conv_kernel % 2 == 0:
                 raise ValueError("conv kernel side must be odd")

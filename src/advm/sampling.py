@@ -22,6 +22,17 @@ def _require_ints(obj, *names) -> None:
             raise ValueError(f"{name} must be an int, got {getattr(obj, name)!r}")
 
 
+SIZE_LIMIT = 2**31   # a count or side past it ends in a numpy error or a failed allocation
+
+
+def _require_sizes(obj, *names) -> None:
+    """_require_ints, then refuse a field of obj that is SIZE_LIMIT or more."""
+    _require_ints(obj, *names)
+    for name in names:
+        if getattr(obj, name) >= SIZE_LIMIT:
+            raise ValueError(f"{name} must be < 2**31, got {getattr(obj, name)}")
+
+
 def _require_floats(obj, *names) -> None:
     """Store each field of obj as a float; refuse a bool, or a non-int non-float."""
     for name in names:
@@ -45,7 +56,7 @@ class SamplingSpec:
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ValueError(f"unknown sampling method {self.method!r}")
-        _require_ints(self, "count")
+        _require_sizes(self, "count")
         _require_floats(self, "eta")
         if self.count < 1:
             raise ValueError(f"sample count must be >= 1, got {self.count}")

@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ShapeMismatch
-from .sampling import _require_floats, _require_ints
+from .sampling import _require_floats, _require_sizes
 
 TRANSFORM_NAMES = ("dim", "tim", "sim")
 
@@ -57,7 +57,7 @@ class TransformConfig:
                 raise ValueError(f"unknown transform {n!r}")
         object.__setattr__(self, "enabled", names)
         sides = [n for n in ("dim_resize_low", "dim_pad_to") if getattr(self, n) is not None]
-        _require_ints(self, "tim_kernel_size", "sim_copies", *sides)
+        _require_sizes(self, "tim_kernel_size", "sim_copies", *sides)
         _require_floats(self, "dim_prob", "tim_sigma")
         if not 0.0 <= self.dim_prob <= 1.0:
             raise ValueError(f"dim_prob must be in [0, 1], got {self.dim_prob}")

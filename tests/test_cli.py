@@ -436,6 +436,12 @@ def _assert_usage_error(result, text):
     (["--dim-pad-to", "-1"], "pad_to must be >= 1"),   # was accepted with dim off
     # 2 sigma^2 underflowed to 0: a NaN kernel, then a LinAlgError traceback
     (["--transforms", "tim", "--tim-sigma", "1e-320"], "2 sigma^2 > 0, got 1e-320"),
+    # sizes numpy cannot take ended in its traceback: np.linspace's "Maximum allowed
+    # size exceeded", "array is too big", and rng.integers' "high is out of bounds"
+    (["--samples", "100000000000000000000"], "count must be < 2**31"),
+    (["--samples", "4611686018427387904"], "count must be < 2**31"),
+    (["--transforms", "dim", "--dim-pad-to", "100000000000000000000"],
+     "dim_pad_to must be < 2**31"),
 ])
 def test_attack_bad_values_are_usage_errors(runner, trained, tmp_path, flags, text):
     out = tmp_path / "advset"
@@ -475,6 +481,10 @@ def test_attack_bad_values_are_usage_errors(runner, trained, tmp_path, flags, te
     (["--conv-channels", "99"], "--conv-channels: only smallcnn reads it, not logistic"),
     (["--arch", "mlp", "--conv-kernel", "4"], "--conv-kernel: only smallcnn reads it, not mlp"),
     (["--hidden", "5", "--dataset", "idx:no.idx,no.idx"], "--hidden"),   # before any load
+    # widths numpy cannot allocate ended in an _ArrayMemoryError traceback from _glorot
+    (["--arch", "smallcnn", "--conv-channels", "1000000000000"],
+     "conv channels and kernel side must be >= 1 and < 2**31"),
+    (["--arch", "mlp", "--hidden", "1000000000000"], "hidden widths must be >= 1 and < 2**31"),
 ])
 def test_train_bad_values_are_usage_errors(runner, tmp_path, flags, text):
     out = tmp_path / "m.json"
@@ -1152,6 +1162,23 @@ def test_a_write_that_fails_is_one_line_not_a_traceback(runner, trained, tmp_pat
     assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.output
     assert result.output.startswith(f"Error: OSError: [Errno {errno.ENOSPC}] ")
     assert len(result.output.splitlines()) == 1 and "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("command, work", [
+    (["train", "--arch", "logistic", "--dataset", "synthetic:2x3x6"], "train_sgd"),
+    (["attack", "--surrogate", "{model}", "--dataset", "synthetic:2x3x6"], "attack_batch"),
+])
+def test_running_out_of_memory_is_one_line_not_a_traceback(runner, trained, tmp_path,
+                                                           monkeypatch, command, work):
+    from advm import cli
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+    monkeypatch.setattr(cli, work, out_of_memory)
+    args = [a.format(model=trained["model"]) for a in command]
+    result = runner.invoke(main, [*args, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.output
+    assert result.output == "Error: MemoryError: Unable to allocate 7.28 TiB for an array\n"
 
 
 def test_an_attack_that_stops_short_leaves_no_manifest(runner, trained, tmp_path, monkeypatch):

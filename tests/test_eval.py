@@ -1,6 +1,8 @@
 """Evaluation harness: success rates, transfer matrices, sweeps, reports."""
 
 import dataclasses
+import hashlib
+import inspect
 import json
 import os
 import re
@@ -8,7 +10,7 @@ import re
 import numpy as np
 import pytest
 
-from advm import experiment
+from advm import experiment, models
 from advm.attacks import AttackConfig, attack_batch
 from advm.data import LabeledDataset, generate_synthetic, subsample
 from advm.errors import EmptyDataset, LabelOutOfRange
@@ -308,6 +310,17 @@ def test_mean_transfer_refuses_no_seeds(monkeypatch):
             experiment.mean_transfer(cfgs, seeds=seeds, n_images=5)
 
 
+def test_mean_transfer_refuses_no_configs(monkeypatch):
+    # it built every world, then returned ({}, {})
+    monkeypatch.setattr(experiment, "_worlds", {})
+
+    def build(seed):
+        raise AssertionError(f"built world {seed}")
+    monkeypatch.setattr(experiment, "build_transfer_world", build)
+    with pytest.raises(ValueError, match="one config"):
+        experiment.mean_transfer({}, seeds=(3, 4), n_images=5)
+
+
 def test_white_box_rate_equals_the_reference_loop(monkeypatch):
     monkeypatch.setattr(experiment, "_worlds", {})
     world = experiment.WhiteboxWorld(_tiny_dataset(seed=6), _named_quadratic("m", seed=6))
@@ -317,6 +330,103 @@ def test_white_box_rate_equals_the_reference_loop(monkeypatch):
     sub = subsample(world.evalset, 5, 7)
     want = _ref_transfer_rates(world.model, [world.model], sub, dataclasses.replace(cfg, seed=7))
     assert got.hex() == want[0].hex()
+
+
+# -- the desk-world recipe, kept as its reference ------------------------------------
+
+# The transfer zoo the worlds were first trained with: (name, channels, kernel,
+# seed offset, per-class training window).
+_REF_ZOO = (
+    ("surrogate", 8, 3, 11, (0, 100)),
+    ("t0", 6, 5, 22, (140, 240)),
+    ("t1", 10, 3, 33, (70, 170)),
+    ("t2", 12, 5, 44, (35, 135)),
+)
+
+
+def _ref_desk_data(seed, contrast):
+    """(data, per-class train pools, evalset): each class gives its first
+    DESK_TRAIN_PER_CLASS examples to a pool and the rest to the evalset."""
+    e = experiment
+    data = generate_synthetic(e.DESK_CLASSES, e.DESK_PER_CLASS, e.DESK_SIDE, e.DESK_SIDE, 1,
+                              noise_sigma=e.DESK_NOISE, seed=seed, contrast=contrast)
+    pools, eval_idx = [], []
+    for start in range(0, len(data), e.DESK_PER_CLASS):
+        pools.append(range(start, start + e.DESK_TRAIN_PER_CLASS))
+        eval_idx.extend(range(start + e.DESK_TRAIN_PER_CLASS, start + e.DESK_PER_CLASS))
+    return data, pools, data.subset(eval_idx)
+
+
+def _ref_train_smallcnn(train_sgd, train, channels, kernel, seed, offset, name):
+    """Init from seed*100 + offset, shuffle from seed*100 + 7."""
+    e = experiment
+    spec = ModelSpec("smallcnn", (e.DESK_SIDE, e.DESK_SIDE, 1), e.DESK_CLASSES,
+                     conv_channels=channels, conv_kernel=kernel, seed=seed * 100 + offset)
+    model, _ = train_sgd(spec, train, epochs=e.DESK_EPOCHS, lr=e.DESK_LR, batch=e.DESK_BATCH,
+                         seed=seed * 100 + 7, name=name)
+    return model
+
+
+def _ref_whitebox_world(train_sgd, seed):
+    data, pools, evalset = _ref_desk_data(seed, experiment.DESK_CONTRAST_WHITEBOX)
+    train = data.subset([i for pool in pools for i in pool])
+    return experiment.WhiteboxWorld(
+        evalset, _ref_train_smallcnn(train_sgd, train, 8, 3, seed, 11, "whitebox"))
+
+
+def _ref_transfer_world(train_sgd, seed):
+    data, pools, evalset = _ref_desk_data(seed, experiment.DESK_CONTRAST_TRANSFER)
+    zoo = [_ref_train_smallcnn(train_sgd, data.subset([i for pool in pools for i in pool[lo:hi]]),
+                               channels, kernel, seed, offset, name)
+           for name, channels, kernel, offset, (lo, hi) in _REF_ZOO]
+    return experiment.DeskWorld(evalset, zoo[0], tuple(zoo[1:]))
+
+
+def _recording_train_sgd(calls):
+    """A train_sgd that records each call's arguments, the training images as
+    one digest of their dtypes, shapes and bytes, and returns a stub model."""
+    def train_sgd(*args, **kwargs):
+        bound = inspect.signature(models.train_sgd).bind(*args, **kwargs)
+        bound.apply_defaults()
+        call = dict(bound.arguments)
+        data = call.pop("dataset")
+        call["images"] = _images_digest(data.images)
+        call["labels"], call["class_count"] = data.labels, data.class_count
+        calls.append(call)
+        return ("model", len(calls)), 0.5
+    return train_sgd
+
+
+def _images_digest(images):
+    digest = hashlib.sha256()
+    for img in images:
+        digest.update(f"{img.dtype}{img.shape}".encode())
+        digest.update(img.tobytes())
+    return digest.hexdigest()
+
+
+def _evalset_key(evalset):
+    # digests, not the 600 labels: pytest's diff of two long tuples takes half a minute
+    labels = hashlib.sha256(repr(evalset.labels).encode()).hexdigest()
+    return len(evalset), _images_digest(evalset.images), labels, evalset.class_count
+
+
+@pytest.mark.parametrize("builder, reference", [
+    ("build_whitebox_world", _ref_whitebox_world),
+    ("build_transfer_world", _ref_transfer_world),
+])
+def test_both_builders_keep_the_desk_recipe(monkeypatch, builder, reference):
+    # every trained byte rests on these calls: nothing is trained here
+    for seed in (101, 102, 103, 104, 105):
+        got_calls, want_calls = [], []
+        monkeypatch.setattr(experiment, "train_sgd", _recording_train_sgd(got_calls))
+        got = getattr(experiment, builder)(seed)
+        want = reference(_recording_train_sgd(want_calls), seed)
+        assert len(got_calls) == len(want_calls) and got_calls == want_calls
+        assert [f.name for f in dataclasses.fields(got)] == [
+            f.name for f in dataclasses.fields(want)]
+        assert _evalset_key(got.evalset) == _evalset_key(want.evalset)
+        assert dataclasses.replace(got, evalset=None) == dataclasses.replace(want, evalset=None)
 
 
 # -- parameter sweeps --------------------------------------------------------------

@@ -36,6 +36,9 @@ a table cannot grow a crafting loop of its own again.
 EnsembleOracle's logits, predict and loss_and_grad are Model's own
 function objects, so the ensemble cannot grow a second loss and gradient
 path again.
+experiment.py reads train_sgd and generate_synthetic only in _desk_world,
+so every desk world keeps the one recipe: one dataset, per-class windows
+of it, one smallcnn per zoo row.
 The last checks keep README's Python examples importing only what the
 package exports, and every call README names in backticked prose an
 attribute of the package or one of its modules, so a removed name cannot
@@ -441,7 +444,8 @@ def test_container_subclass_check_flags_planted_classes():
 
 
 # Private helpers that more than one module shares on purpose.
-_SHARED_PRIVATE = {"_craft_and_score", "_pmap", "_require_floats", "_require_ints"}
+_SHARED_PRIVATE = {"_craft_and_score", "_pmap", "_require_floats", "_require_ints",
+                   "_require_sizes"}
 
 
 def _private(name: str) -> bool:
@@ -624,6 +628,38 @@ def test_craft_and_score_check_flags_planted_sites():
         ("attack_batch", "evaluate.py", fn)
         for fn in ("_craft_and_score", "transfer_matrix", "run", None)} | {
         ("fooled", "evaluate.py", "transfer_matrix")}
+
+
+# The one desk-world recipe: what it alone may read in experiment.py.
+_DESK_RECIPE = ("train_sgd", "generate_synthetic")
+
+
+def desk_recipe_sites(tree) -> list:
+    """(line, function, name) of each read of a _DESK_RECIPE name outside _desk_world."""
+    return sorted((line, fn, name) for name in _DESK_RECIPE
+                  for line, fn in reads_of(tree, name) if fn != "_desk_world")
+
+
+def test_only_desk_world_generates_and_trains():
+    tree = TREES["experiment.py"]
+    found = [f"experiment.py:{line} {name} in {fn}" for line, fn, name in desk_recipe_sites(tree)]
+    assert not found, "desk data or models made outside _desk_world: " + ", ".join(found)
+    for name in _DESK_RECIPE:
+        assert [fn for _, fn in reads_of(tree, name)] == ["_desk_world"], f"stale: {name}"
+
+
+def test_desk_recipe_check_flags_planted_sites():
+    tree = ast.parse(
+        "from .models import train_sgd\n"
+        "def _desk_world(seed):\n    return train_sgd(generate_synthetic(seed))\n"
+        "def build_whitebox_world(seed):\n    return models.train_sgd(seed)\n"
+        "def _windows(seed):\n"
+        "    def window():\n        return generate_synthetic(seed)\n"
+        "    return window\n"
+        "train = train_sgd\n"
+    )
+    assert desk_recipe_sites(tree) == [(5, "build_whitebox_world", "train_sgd"),
+                                       (8, "window", "generate_synthetic"), (10, None, "train_sgd")]
 
 
 def readme_advm_imports(text: str) -> set:
