@@ -50,8 +50,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import NonFiniteGradient, WorkerLost
-from .sampling import (SamplingSpec, _require_floats, _require_ints, derive_rng, make_rng,
-                       sample_coefficients, sample_uniform_cube)
+from .sampling import (SamplingSpec, _require_floats, _require_ints, _require_sizes, derive_rng,
+                       make_rng, sample_coefficients, sample_uniform_cube)
 from .tensor import project_linf, validate_image
 from .transforms import TransformConfig, compose_dts
 
@@ -81,16 +81,9 @@ class AttackConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown attack variant {self.variant!r}")
-        _require_ints(self, "iters", "seed")
-        _require_floats(self, "eps", "mu")
-        if not (self.eps >= 0.0 and math.isfinite(self.eps)):
-            raise ValueError(f"eps must be finite and >= 0, got {self.eps}")
-        if self.iters < 1:
-            raise ValueError(f"iters must be >= 1, got {self.iters}")
-        if not (self.mu >= 0.0 and math.isfinite(self.mu)):
-            raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        _require_sizes(1, self, "iters")
+        _require_ints(0, self, "seed")
+        _require_floats(0.0, self, "eps", "mu")
 
     @property
     def alpha(self) -> float:
@@ -190,7 +183,7 @@ def run_attack(oracle, x, y, cfg: AttackConfig, rng=None, observe=None) -> Attac
             observe(t, loss, adv, g_acc, g_avg, len(points))
     return AttackResult(
         adv=adv,
-        white_box_success=oracle.predict(adv) != y,
+        white_box_success=bool(oracle.predict(adv) != y),
         loss_trace=tuple(losses),
     )
 

@@ -321,7 +321,7 @@ def attack_cmd(surrogate, dataset, out_dir, num_images, jobs, filecfg, **cli):
     models, oracle, data = _load_attack_inputs(surrogate, dataset, num_images, [cfg])
     results = attack_batch(oracle, data.images, data.labels, cfg, jobs=jobs)
     save_attack_set(out_dir, cfg, [m.name for m in models], data.labels, results)
-    wb = sum(bool(r.white_box_success) for r in results) / max(1, len(results))
+    wb = sum(r.white_box_success for r in results) / max(1, len(results))
     click.echo(f"{cfg.variant} on {oracle.name}: {len(results)} examples, white-box success "
                f"{100.0 * wb:.1f}% (config {cfg.config_hash()})")
     click.echo(f"wrote {out_dir}/")

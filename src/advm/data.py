@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CorruptFile, EmptyDataset, LabelOutOfRange, ShapeMismatch, TooFew
-from .sampling import make_rng
+from .sampling import _require_sizes, make_rng
 
 
 def check_label(y, classes: int, whose: str) -> None:
@@ -175,6 +175,7 @@ def load_idx(images_path: str, labels_path: str) -> LabeledDataset:
 
 def subsample(dataset: LabeledDataset, n: int, seed: int) -> LabeledDataset:
     """n examples drawn without replacement; n == len(dataset) is a permutation."""
+    _require_sizes(0, n=n)
     if n > len(dataset):
         raise TooFew(f"asked for {n} of {len(dataset)} examples")
     idx = make_rng(seed).choice(len(dataset), size=n, replace=False)

@@ -36,7 +36,7 @@ def fooled(target, adv_images, labels) -> tuple:
     label past the target's classes would always count as fooled, so it is refused."""
     if len(adv_images) != len(labels):
         raise ValueError(f"{len(adv_images)} images vs {len(labels)} labels")
-    if not adv_images:
+    if len(adv_images) == 0:   # not `not adv_images`: a stacked array has no truth value
         raise EmptyDataset("no adversarial images to score")
     whose = f"target {target.name}"
     for y in labels:
@@ -55,6 +55,8 @@ def _craft_and_score(groups, jobs: int = 1) -> tuple:
     is crafted once on its oracle, and flags[i][j] holds the fooled flags of group i's
     images on its target j, rates[i][j] their mean. Every group's labels are checked
     against its targets before the first attack."""
+    if not groups:
+        raise ValueError("nothing to craft: an empty surrogate list or ablation grid")
     for _, _, dataset, targets in groups:
         if not targets:
             raise ValueError("no target models to score")
@@ -117,8 +119,6 @@ def ablation_sweep(
     parameter is the only thing that changes; the table carries base_cfg's
     hash.
     """
-    if not cfgs:
-        raise ValueError("empty ablation grid")
     values = sorted(cfgs)
     return RateTable(
         rows=tuple(values),
@@ -246,7 +246,7 @@ def save_attack_set(out_dir: str, cfg: AttackConfig, surrogates: list, labels, r
         os.remove(os.path.join(out_dir, stale))   # a longer set written here before
     values = {"config": cfg.canonical(), "config_hash": cfg.config_hash(), "count": len(results),
               "files": files, "labels": list(labels), "surrogates": surrogates,
-              "white_box": [bool(r.white_box_success) for r in results]}
+              "white_box": [r.white_box_success for r in results]}
     manifest = {"format": _ADVSET_FORMAT, "version": _ADVSET_VERSION,
                 **{key: values[key] for key in _ADVSET_FIELDS}}
     atomic_write_text(manifest_path, json.dumps(manifest, sort_keys=True, indent=1))

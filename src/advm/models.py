@@ -40,7 +40,7 @@ import numpy as np
 from .data import LabeledDataset, check_label
 from .errors import CorruptFile, EmptyDataset, ShapeMismatch, VersionMismatch
 from .fileio import atomic_write_bytes, parse_manifest
-from .sampling import SIZE_LIMIT, derive_rng, make_rng
+from .sampling import _require_ints, _require_sizes, derive_rng, make_rng
 
 ARCHITECTURES = ("logistic", "mlp", "smallcnn")
 
@@ -70,22 +70,17 @@ class ModelSpec:
     def __post_init__(self):
         if self.arch not in ARCHITECTURES:
             raise ValueError(f"unknown architecture {self.arch!r}")
-        sizes = (*self.input_shape, self.num_classes, *self.hidden, self.conv_channels,
-                 self.conv_kernel, self.seed)
-        if not all(type(v) is int for v in sizes):   # not a bool or numpy integer
-            raise ValueError(f"sizes and seed must be integers, got {sizes}")
-        if len(self.input_shape) != 3 or any(d < 1 for d in self.input_shape):
+        if len(self.input_shape) != 3:
             raise ValueError(f"bad input shape {self.input_shape}")
-        if self.num_classes < 2:
-            raise ValueError("need at least two classes")
         if self.arch == "mlp" and not self.hidden:
             raise ValueError("mlp needs at least one hidden width")
         if self.arch != "mlp" and self.hidden:
             raise ValueError(f"{self.arch} has no hidden layers, got {tuple(self.hidden)}")
-        if not all(1 <= w < SIZE_LIMIT for w in self.hidden):
-            raise ValueError(f"hidden widths must be >= 1 and < 2**31, got {tuple(self.hidden)}")
-        if not (1 <= self.conv_channels < SIZE_LIMIT and 1 <= self.conv_kernel < SIZE_LIMIT):
-            raise ValueError("conv channels and kernel side must be >= 1 and < 2**31")
+        _require_sizes(1, self, "conv_channels", "conv_kernel",
+                       **{f"input_shape[{i}]": d for i, d in enumerate(self.input_shape)},
+                       **{f"hidden[{i}]": w for i, w in enumerate(self.hidden)})
+        _require_sizes(2, self, "num_classes")
+        _require_ints(0, self, "seed")
         if self.arch == "smallcnn":
             if self.conv_kernel % 2 == 0:
                 raise ValueError("conv kernel side must be odd")
@@ -433,13 +428,13 @@ def train_sgd(
     -0.0, which no Glorot draw, zero bias or update of a p that is not -0.0
     yields. So the bytes are those of adding the products one by one.
     """
+    _require_sizes(0, epochs=epochs)
+    _require_sizes(1, **{"batch size": batch})
+    _require_ints(0, seed=seed)
     if len(dataset) == 0:
         raise EmptyDataset("cannot train on an empty dataset")
     if not (lr > 0.0 and math.isfinite(lr)):
         raise ValueError(f"learning rate must be finite and > 0, got {lr}")
-    for what, value, least in (("epochs", epochs, 0), ("batch size", batch, 1), ("seed", seed, 0)):
-        if type(value) is not int or value < least:   # not a bool or numpy integer
-            raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
     model = Model.initialize(spec, name)
     params = model.params   # init_params' fresh arrays, updated in place
     rng = derive_rng(seed, 1)

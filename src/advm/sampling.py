@@ -15,34 +15,39 @@ import numpy as np
 _METHODS = ("linear", "uniform", "gaussian")
 
 
-def _require_ints(obj, *names) -> None:
-    """Refuse a field of obj that is not a Python int; a bool or numpy integer too."""
-    for name in names:
-        if type(getattr(obj, name)) is not int:
-            raise ValueError(f"{name} must be an int, got {getattr(obj, name)!r}")
+def _require_ints(least: int, obj=None, *names, **values) -> None:
+    """Refuse each named field of obj, then each keyword value, unless it is a
+    Python int >= least; a bool or numpy integer is refused too."""
+    for name, value in [(n, getattr(obj, n)) for n in names] + list(values.items()):
+        if type(value) is not int or value < least:
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 SIZE_LIMIT = 2**31   # a count or side past it ends in a numpy error or a failed allocation
 
 
-def _require_sizes(obj, *names) -> None:
-    """_require_ints, then refuse a field of obj that is SIZE_LIMIT or more."""
-    _require_ints(obj, *names)
-    for name in names:
-        if getattr(obj, name) >= SIZE_LIMIT:
-            raise ValueError(f"{name} must be < 2**31, got {getattr(obj, name)}")
+def _require_sizes(least: int, obj=None, *names, **values) -> None:
+    """_require_ints, then refuse a value that is SIZE_LIMIT or more."""
+    _require_ints(least, obj, *names, **values)
+    for name, value in [(n, getattr(obj, n)) for n in names] + list(values.items()):
+        if value >= SIZE_LIMIT:
+            raise ValueError(f"{name} must be an integer >= {least} and < 2**31, got {value!r}")
 
 
-def _require_floats(obj, *names) -> None:
-    """Store each field of obj as a float; refuse a bool, or a non-int non-float."""
+def _require_floats(least: float, obj, *names) -> None:
+    """Store each field of obj as a float; refuse a bool, a non-int non-float,
+    NaN, infinity or a value below least."""
     for name in names:
         value = getattr(obj, name)
         if type(value) is bool or not isinstance(value, (int, float)):
             raise ValueError(f"{name} must be an int or a float, got {value!r}")
         try:
-            object.__setattr__(obj, name, float(value))
+            value = float(value)
         except OverflowError as exc:   # an int past the float range
             raise ValueError(f"{name} must be finite: {exc}") from exc
+        if not (value >= least and math.isfinite(value)):
+            raise ValueError(f"{name} must be finite and >= {least:g}, got {value}")
+        object.__setattr__(obj, name, value)
 
 
 @dataclass(frozen=True)
@@ -56,12 +61,8 @@ class SamplingSpec:
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ValueError(f"unknown sampling method {self.method!r}")
-        _require_sizes(self, "count")
-        _require_floats(self, "eta")
-        if self.count < 1:
-            raise ValueError(f"sample count must be >= 1, got {self.count}")
-        if not (self.eta >= 0.0 and math.isfinite(self.eta)):
-            raise ValueError(f"eta must be finite and >= 0, got {self.eta}")
+        _require_sizes(1, self, "count")
+        _require_floats(0.0, self, "eta")
 
 
 def make_rng(seed: int) -> np.random.Generator:

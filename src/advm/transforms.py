@@ -56,21 +56,17 @@ class TransformConfig:
             if n not in TRANSFORM_NAMES:
                 raise ValueError(f"unknown transform {n!r}")
         object.__setattr__(self, "enabled", names)
-        sides = [n for n in ("dim_resize_low", "dim_pad_to") if getattr(self, n) is not None]
-        _require_sizes(self, "tim_kernel_size", "sim_copies", *sides)
-        _require_floats(self, "dim_prob", "tim_sigma")
-        if not 0.0 <= self.dim_prob <= 1.0:
+        _require_sizes(1, self, "tim_kernel_size", "sim_copies", *(
+            n for n in ("dim_resize_low", "dim_pad_to") if getattr(self, n) is not None))
+        _require_floats(0.0, self, "dim_prob", "tim_sigma")
+        if self.dim_prob > 1.0:
             raise ValueError(f"dim_prob must be in [0, 1], got {self.dim_prob}")
-        if self.tim_kernel_size % 2 == 0 or self.tim_kernel_size < 1:
+        if self.tim_kernel_size % 2 == 0:
             raise ValueError("tim kernel side must be odd and >= 1")
         sigma = self.tim_sigma   # from 1e-162 down, 2 sigma^2 underflows to 0 in tim_kernel
-        if not (sigma > 0.0 and math.isfinite(sigma) and 2.0 * sigma * sigma > 0.0):
+        if not 2.0 * sigma * sigma > 0.0:
             raise ValueError(f"tim sigma must be finite and > 0, with 2 sigma^2 > 0, got {sigma}")
-        if self.sim_copies < 1:
-            raise ValueError("sim needs at least one copy")
         low, pad = self.dim_resize_low, self.dim_pad_to
-        if any(getattr(self, n) < 1 for n in sides):
-            raise ValueError(f"dim resize_low and pad_to must be >= 1, got {low} and {pad}")
         if low is not None and pad is not None and low > pad:
             raise ValueError(f"dim resize_low {low} exceeds pad_to {pad}")
 
@@ -142,9 +138,10 @@ def _separable_gemm(rows: np.ndarray, flat: np.ndarray, cols: np.ndarray, c: int
     return np.ascontiguousarray(out.reshape(new_h, c, -1).transpose(0, 2, 1))
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)   # typed: a cached 1 must not answer for True
 def tim_kernel(size: int = 7, sigma: float = 3.0) -> np.ndarray:
     """Read-only Gaussian weights exp(-(di^2+dj^2) / (2 sigma^2)) normalized to sum 1."""
+    _require_sizes(1, size=size)
     if size % 2 == 0:
         raise ValueError("kernel side must be odd")
     if not 2.0 * sigma * sigma > 0.0:   # 0 / 0 would make every weight NaN

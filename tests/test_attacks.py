@@ -76,7 +76,7 @@ def test_config_validation():
         AttackConfig(iters=0)
     with pytest.raises(ValueError):
         AttackConfig(mu=-1.0)
-    with pytest.raises(ValueError, match="seed must be >= 0"):
+    with pytest.raises(ValueError, match="seed must be an integer >= 0, got -1"):
         AttackConfig(seed=-1)
     # NaN passed the old `eps < 0` check and came back as NaN pixels
     for bad in (math.nan, math.inf, -math.inf):
@@ -220,6 +220,17 @@ def test_white_box_success_reflects_prediction_flip():
     assert big.white_box_success == (oracle.predict(big.adv) != y)
     tiny = run_attack(oracle, x, y, AttackConfig(variant="mifgsm", eps=0.0, iters=1))
     assert not tiny.white_box_success
+
+
+def test_white_box_success_is_a_python_bool_for_numpy_labels():
+    # a numpy-integer label made it a numpy.bool
+    oracle = QuadraticOracle((3, 3, 1), seed=3)
+    x = np.full((3, 3, 1), 0.5)
+    cfg = AttackConfig(variant="mifgsm", eps=0.5, iters=2)
+    r = run_attack(oracle, x, np.int64(1), cfg)
+    assert type(r.white_box_success) is bool
+    results = attack_batch(oracle, [x, x], np.array([0, 1]), cfg)
+    assert [type(r.white_box_success) for r in results] == [bool, bool]
 
 
 def test_input_validation_enforced():

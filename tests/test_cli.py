@@ -413,15 +413,20 @@ def _assert_usage_error(result, text):
     assert "Traceback" not in result.output
 
 
+# In these tables a row whose message text changed keeps its earlier id, so each
+# test keeps its name across the rewording.
 @pytest.mark.parametrize("flags, text", [
     (["--eps", "1/0"], "16/255"),
     (["--eps", "abc"], "16/255"),
     (["--eps", "nan"], "eps must be finite"),
     (["--eps", "inf"], "eps must be finite"),
     (["--mu", "nan"], "mu must be finite"),
-    (["--tim-sigma", "nan"], "tim sigma must be finite"),
-    (["--iters", "0"], "iters must be >= 1"),
-    (["--samples", "0"], "sample count must be >= 1"),
+    pytest.param(["--tim-sigma", "nan"], "tim_sigma must be finite and >= 0, got nan",
+                 id="flags5-tim sigma must be finite"),
+    pytest.param(["--iters", "0"], "iters must be an integer >= 1, got 0",
+                 id="flags6-iters must be >= 1"),
+    pytest.param(["--samples", "0"], "count must be an integer >= 1, got 0",
+                 id="flags7-sample count must be >= 1"),
     (["--jobs", "0"], "--jobs"),
     (["--num-images", "-3"], "--num-images"),
     (["--num-images", "0"], "--num-images"),
@@ -429,19 +434,29 @@ def _assert_usage_error(result, text):
     (["--sampling", "bogus"], "unknown sampling method"),
     (["--transforms", "dim,warp"], "unknown transform 'warp'"),
     (["--dim-resize-low", "x"], "--dim-resize-low"),
-    (["--seed", "-5"], "seed must be >= 0"),
+    pytest.param(["--seed", "-5"], "seed must be an integer >= 0, got -5",
+                 id="flags15-seed must be >= 0"),
     (["--dataset", "synthetic:2x3x0"], "image shape must be >= 1"),
     # taps past 2 * side - 1 never reach a pixel, yet cost size^2 floats and an SVD
     (["--transforms", "tim", "--tim-kernel-size", "13"], "13 exceeds 2 * 6 - 1 for 6x6 images"),
-    (["--dim-pad-to", "-1"], "pad_to must be >= 1"),   # was accepted with dim off
+    pytest.param(["--dim-pad-to", "-1"], "dim_pad_to must be an integer >= 1, got -1",
+                 id="flags18-pad_to must be >= 1"),   # was accepted with dim off
     # 2 sigma^2 underflowed to 0: a NaN kernel, then a LinAlgError traceback
     (["--transforms", "tim", "--tim-sigma", "1e-320"], "2 sigma^2 > 0, got 1e-320"),
     # sizes numpy cannot take ended in its traceback: np.linspace's "Maximum allowed
     # size exceeded", "array is too big", and rng.integers' "high is out of bounds"
-    (["--samples", "100000000000000000000"], "count must be < 2**31"),
-    (["--samples", "4611686018427387904"], "count must be < 2**31"),
-    (["--transforms", "dim", "--dim-pad-to", "100000000000000000000"],
-     "dim_pad_to must be < 2**31"),
+    pytest.param(["--samples", "100000000000000000000"],
+                 "count must be an integer >= 1 and < 2**31, got 100000000000000000000",
+                 id="flags20-count must be < 2**31"),
+    pytest.param(["--samples", "4611686018427387904"],
+                 "count must be an integer >= 1 and < 2**31, got 4611686018427387904",
+                 id="flags21-count must be < 2**31"),
+    pytest.param(["--transforms", "dim", "--dim-pad-to", "100000000000000000000"],
+                 "dim_pad_to must be an integer >= 1 and < 2**31, got 100000000000000000000",
+                 id="flags22-dim_pad_to must be < 2**31"),
+    # ran one image's loop without end
+    (["--attack", "i-fgsm", "--iters", "100000000000000000000"],
+     "iters must be an integer >= 1 and < 2**31, got 100000000000000000000"),
 ])
 def test_attack_bad_values_are_usage_errors(runner, trained, tmp_path, flags, text):
     out = tmp_path / "advset"
@@ -462,18 +477,26 @@ def test_attack_bad_values_are_usage_errors(runner, trained, tmp_path, flags, te
     (["--epochs", "0"], "--epochs"),
     (["--arch", "mlp", "--hidden", "a"], "'a'"),
     (["--arch", "mlp", "--hidden", ","], "mlp needs at least one hidden width"),
-    (["--arch", "mlp", "--hidden", "64,-3"], "hidden widths must be >= 1"),
-    (["--arch", "mlp", "--hidden", "0"], "hidden widths must be >= 1"),
+    pytest.param(["--arch", "mlp", "--hidden", "64,-3"],
+                 "hidden[1] must be an integer >= 1, got -3",
+                 id="flags8-hidden widths must be >= 1"),
+    pytest.param(["--arch", "mlp", "--hidden", "0"], "hidden[0] must be an integer >= 1, got 0",
+                 id="flags9-hidden widths must be >= 1"),
     (["--arch", "smallcnn", "--conv-kernel", "4"], "conv kernel side must be odd"),
-    (["--arch", "smallcnn", "--conv-kernel", "0"], "must be >= 1"),
-    (["--arch", "smallcnn", "--conv-kernel", "-1"], "must be >= 1"),
-    (["--arch", "smallcnn", "--conv-channels", "-1"], "must be >= 1"),
-    (["--arch", "smallcnn", "--conv-channels", "0"], "must be >= 1"),
+    pytest.param(["--arch", "smallcnn", "--conv-kernel", "0"],
+                 "conv_kernel must be an integer >= 1, got 0", id="flags11-must be >= 1"),
+    pytest.param(["--arch", "smallcnn", "--conv-kernel", "-1"],
+                 "conv_kernel must be an integer >= 1, got -1", id="flags12-must be >= 1"),
+    pytest.param(["--arch", "smallcnn", "--conv-channels", "-1"],
+                 "conv_channels must be an integer >= 1, got -1", id="flags13-must be >= 1"),
+    pytest.param(["--arch", "smallcnn", "--conv-channels", "0"],
+                 "conv_channels must be an integer >= 1, got 0", id="flags14-must be >= 1"),
     (["--arch", "smallcnn", "--dataset", "synthetic:3x4x5"], "input sides must be even"),
     (["--dataset", "synthetic:3x4x6:abc"], "could not convert"),
     (["--dataset", "synthetic:3x4x6:nan"], "noise_sigma must be finite"),
     (["--dataset", "synthetic:3x4x6:-1"], "noise_sigma must be finite"),
-    (["--dataset", "synthetic:1x4x6"], "need at least two classes"),
+    pytest.param(["--dataset", "synthetic:1x4x6"], "num_classes must be an integer >= 2, got 1",
+                 id="flags19-need at least two classes"),
     (["--seed", "-5"], "--seed"),
     (["--dataset", "synthetic:3x4x6:0.1:junk"], "has more than one :NOISE field"),
     # logistic dropped --hidden and stored --conv-* in a header with no conv stem
@@ -482,9 +505,12 @@ def test_attack_bad_values_are_usage_errors(runner, trained, tmp_path, flags, te
     (["--arch", "mlp", "--conv-kernel", "4"], "--conv-kernel: only smallcnn reads it, not mlp"),
     (["--hidden", "5", "--dataset", "idx:no.idx,no.idx"], "--hidden"),   # before any load
     # widths numpy cannot allocate ended in an _ArrayMemoryError traceback from _glorot
-    (["--arch", "smallcnn", "--conv-channels", "1000000000000"],
-     "conv channels and kernel side must be >= 1 and < 2**31"),
-    (["--arch", "mlp", "--hidden", "1000000000000"], "hidden widths must be >= 1 and < 2**31"),
+    pytest.param(["--arch", "smallcnn", "--conv-channels", "1000000000000"],
+                 "conv_channels must be an integer >= 1 and < 2**31, got 1000000000000",
+                 id="flags26-conv channels and kernel side must be >= 1 and < 2**31"),
+    pytest.param(["--arch", "mlp", "--hidden", "1000000000000"],
+                 "hidden[0] must be an integer >= 1 and < 2**31, got 1000000000000",
+                 id="flags27-hidden widths must be >= 1 and < 2**31"),
 ])
 def test_train_bad_values_are_usage_errors(runner, tmp_path, flags, text):
     out = tmp_path / "m.json"
@@ -839,7 +865,8 @@ def test_unreadable_inputs_name_the_path(runner, trained, advset, tmp_path, comm
 
 @pytest.mark.parametrize("flags, text", [
     (["--param", "samples", "--grid", "1,x"], "--grid"),
-    (["--param", "iters", "--grid", "0"], "iters must be >= 1"),
+    pytest.param(["--param", "iters", "--grid", "0"], "iters must be an integer >= 1, got 0",
+                 id="flags1-iters must be >= 1"),
     (["--param", "eps", "--grid", "1/0"], "16/255"),
     (["--param", "samples", "--grid", ","], "no values to sweep"),
     (["--param", "samples", "--grid", "1", "--jobs", "0"], "--jobs"),

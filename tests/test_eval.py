@@ -78,6 +78,16 @@ def test_attack_success_rate_validation():
             score(ConstOracle(0), [], [])
 
 
+@pytest.mark.parametrize("n", [1, 12])
+def test_scoring_takes_a_stacked_batch(n):
+    # `not adv_images` raised numpy's "truth value of an array ... is ambiguous"
+    imgs = [rand_pixel_image((4, 4, 1), seed=s) for s in range(n)]
+    labels = [s % 3 for s in range(n)]
+    assert fooled(ConstOracle(0), np.stack(imgs), labels) == fooled(ConstOracle(0), imgs, labels)
+    assert (attack_success_rate(ConstOracle(0), np.stack(imgs), labels)
+            == attack_success_rate(ConstOracle(0), imgs, labels))
+
+
 @pytest.mark.parametrize("label", [3, -1, True, False, np.bool_(True), 1.0, "1", None])
 def test_attack_success_rate_refuses_labels_outside_the_target_classes(label):
     imgs = [rand_pixel_image((4, 4, 1), seed=s) for s in (1, 2)]
@@ -449,7 +459,8 @@ def test_ablation_sweep_sorts_and_dedups_grid():
 
 def test_ablation_sweep_rejects_empty_grid():
     s = _named_quadratic("s", seed=8)
-    with pytest.raises(ValueError, match="empty ablation grid"):
+    with pytest.raises(ValueError,
+                       match="nothing to craft: an empty surrogate list or ablation grid"):
         ablation_sweep("samples", {}, AttackConfig(), s, [s], _tiny_dataset())
 
 
@@ -459,6 +470,14 @@ def test_empty_target_list_is_refused():
         ablation_sweep("samples", {1: AttackConfig()}, AttackConfig(), s, [], _tiny_dataset())
     with pytest.raises(ValueError, match="no target models"):
         transfer_matrix([s], [], _tiny_dataset(), AttackConfig(variant="ifgsm"))
+
+
+def test_empty_surrogate_list_is_refused():
+    # it made a table with no rows, whose CSV parse_report_csv refused
+    t = _named_quadratic("t", seed=9)
+    with pytest.raises(ValueError,
+                       match="nothing to craft: an empty surrogate list or ablation grid"):
+        transfer_matrix([], [t], _tiny_dataset(), AttackConfig(variant="ifgsm"))
 
 
 def test_mean_curve_hand_check():

@@ -39,6 +39,10 @@ path again.
 experiment.py reads train_sgd and generate_synthetic only in _desk_world,
 so every desk world keeps the one recipe: one dataset, per-class windows
 of it, one smallcnn per zoo row.
+Every int, float or optional int field of AttackConfig, SamplingSpec,
+TransformConfig and ModelSpec, and ModelSpec's input_shape and hidden, is
+read inside a _require_* call of its class's __post_init__, so a new
+setting cannot miss the one number rule in sampling.py.
 The last checks keep README's Python examples importing only what the
 package exports, and every call README names in backticked prose an
 attribute of the package or one of its modules, so a removed name cannot
@@ -660,6 +664,71 @@ def test_desk_recipe_check_flags_planted_sites():
     )
     assert desk_recipe_sites(tree) == [(5, "build_whitebox_world", "train_sgd"),
                                        (8, "window", "generate_synthetic"), (10, None, "train_sgd")]
+
+
+# The configs whose numbers go through sampling's shared checks, each with the
+# fields besides its int, float and optional int ones that must go through too.
+_NUMBER_RULE_CLASSES = {"AttackConfig": (), "SamplingSpec": (), "TransformConfig": (),
+                        "ModelSpec": ("input_shape", "hidden")}
+_NUMBER_ANNOTATIONS = {"int", "float", "int | None"}
+
+
+def _required_reads(fn) -> set:
+    """The names each _require_* call in fn reads, as self.<name> or as a string."""
+    read = set()
+    for call in ast.walk(fn):
+        if isinstance(call, ast.Call) and getattr(
+                call.func, "id", getattr(call.func, "attr", "")).startswith("_require_"):
+            for node in ast.walk(call):
+                if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "self":
+                    read.add(node.attr)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    read.add(node.value)
+    return read
+
+
+def unchecked_number_fields(tree, classes) -> list:
+    """(class, field) of each field of a class named in classes whose annotation
+    is int, float or int | None, or that classes lists for it, and that no
+    _require_* call in the class's __post_init__ reads."""
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.ClassDef) and node.name in classes):
+            continue
+        read = set().union(*(_required_reads(fn) for fn in node.body
+                             if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"))
+        found += [(node.name, f.target.id) for f in node.body if isinstance(f, ast.AnnAssign)
+                  and (ast.unparse(f.annotation) in _NUMBER_ANNOTATIONS
+                       or f.target.id in classes[node.name])
+                  and f.target.id not in read]
+    return found
+
+
+def test_every_number_field_goes_through_the_shared_checks():
+    found = [f"{name}: {cls}.{field}" for name, tree in LINTED.items()
+             for cls, field in unchecked_number_fields(tree, _NUMBER_RULE_CLASSES)]
+    assert not found, "number fields no _require_* call checks: " + ", ".join(found)
+    classes = {node.name for tree in LINTED.values() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)}
+    assert set(_NUMBER_RULE_CLASSES) <= classes, "stale number-rule classes"
+
+
+def test_number_field_check_flags_planted_fields():
+    tree = ast.parse(
+        "class Config:\n"
+        "    variant: str = 'x'\n    iters: int = 10\n    eps: float = 0.1\n"
+        "    side: int | None = None\n    seed: int = 0\n    shape: tuple = ()\n"
+        "    count: int = 1\n    rate: float = 0.5\n"
+        "    def __post_init__(self):\n"
+        "        _require_sizes(1, self, 'iters', *(n for n in ('side',) if n))\n"
+        "        sampling._require_floats(0.0, self, 'eps')\n"
+        "        _require_ints(0, **{'shape[0]': self.shape[0]})\n"
+        "        if self.seed < 0 or not self.rate:\n            raise ValueError('seed')\n"
+        "    def check(self):\n        _require_ints(0, self, 'count')\n"
+        "class Other:\n    n: int = 0\n"
+    )
+    assert unchecked_number_fields(tree, {"Config": ("shape",)}) == [
+        ("Config", "seed"), ("Config", "count"), ("Config", "rate")]
 
 
 def readme_advm_imports(text: str) -> set:

@@ -63,32 +63,45 @@ def test_spec_validation():
         ModelSpec("smallcnn", (4, 4, 1), 2, conv_kernel=4)  # even kernel
     with pytest.raises(ValueError):
         ModelSpec("smallcnn", (5, 4, 1), 2)                 # odd side, 2x2 pool
-    for bad in ({"hidden": (0,)}, {"hidden": (64, -3)}):
-        with pytest.raises(ValueError, match="hidden widths must be >= 1"):
-            ModelSpec("mlp", (4, 4, 1), 2, **bad)
-    for bad in ({"conv_channels": 0}, {"conv_channels": -1}, {"conv_kernel": 0},
-                {"conv_kernel": -1}):
-        with pytest.raises(ValueError, match="must be >= 1"):
-            ModelSpec("smallcnn", (4, 4, 1), 2, **bad)
+    for hidden, text in (((0,), "hidden[0] must be an integer >= 1, got 0"),
+                         ((64, -3), "hidden[1] must be an integer >= 1, got -3")):
+        with pytest.raises(ValueError, match=re.escape(text)):
+            ModelSpec("mlp", (4, 4, 1), 2, hidden=hidden)
+    for field, bad in (("conv_channels", 0), ("conv_channels", -1), ("conv_kernel", 0),
+                       ("conv_kernel", -1)):
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= 1, got {bad}"):
+            ModelSpec("smallcnn", (4, 4, 1), 2, **{field: bad})
     for arch in ("logistic", "smallcnn"):   # the one dense layer has no hidden widths
         with pytest.raises(ValueError, match="has no hidden layers"):
             ModelSpec(arch, (4, 4, 1), 2, hidden=(5,))
-    for bad in ({"input_shape": (4.0, 4, 1)}, {"num_classes": 2.0}, {"conv_channels": 2.5},
-                {"seed": 1.0}):
+    for bad, text in (({"input_shape": (4.0, 4, 1)},
+                       "input_shape[0] must be an integer >= 1, got 4.0"),
+                      ({"num_classes": 2.0}, "num_classes must be an integer >= 2, got 2.0"),
+                      ({"conv_channels": 2.5}, "conv_channels must be an integer >= 1, got 2.5"),
+                      ({"seed": 1.0}, "seed must be an integer >= 0, got 1.0")):
         kw = {"input_shape": (4, 4, 1), "num_classes": 2, **bad}
-        with pytest.raises(ValueError, match="must be integers"):
+        with pytest.raises(ValueError, match=re.escape(text)):
             ModelSpec("smallcnn", **kw)
 
 
-@pytest.mark.parametrize("bad", [
-    {"input_shape": (np.int64(4), 4, 1)}, {"num_classes": np.int32(3)},
-    {"input_shape": (4, 4, True)}, {"hidden": (np.int64(5),)}, {"seed": np.uint8(1)},
-    {"conv_kernel": np.int64(3)},
+@pytest.mark.parametrize("bad, text", [
+    pytest.param({"input_shape": (np.int64(4), 4, 1)},
+                 f"input_shape[0] must be an integer >= 1, got {np.int64(4)!r}", id="bad0"),
+    pytest.param({"num_classes": np.int32(3)},
+                 f"num_classes must be an integer >= 2, got {np.int32(3)!r}", id="bad1"),
+    pytest.param({"input_shape": (4, 4, True)},
+                 "input_shape[2] must be an integer >= 1, got True", id="bad2"),
+    pytest.param({"hidden": (np.int64(5),)},
+                 f"hidden[0] must be an integer >= 1, got {np.int64(5)!r}", id="bad3"),
+    pytest.param({"seed": np.uint8(1)}, f"seed must be an integer >= 0, got {np.uint8(1)!r}",
+                 id="bad4"),
+    pytest.param({"conv_kernel": np.int64(3)},
+                 f"conv_kernel must be an integer >= 1, got {np.int64(3)!r}", id="bad5"),
 ])
-def test_spec_refuses_numpy_integer_and_bool_sizes(bad):
+def test_spec_refuses_numpy_integer_and_bool_sizes(bad, text):
     # np.int64(4) used to pass, then save_model raised a bare TypeError from json
     kw = {"arch": "mlp", "input_shape": (4, 4, 1), "num_classes": 3, "hidden": (5,), **bad}
-    with pytest.raises(ValueError, match="must be integers"):
+    with pytest.raises(ValueError, match=re.escape(text)):
         ModelSpec(**kw)
 
 
@@ -609,15 +622,20 @@ def test_load_model_refuses_a_boolean_spec_size_equal_to_one(tmp_path, key, size
                str(tmp_path / "m.json"))
     doc = decode_model((tmp_path / "m.json").read_bytes())[0]
     doc["spec"][key] = sizes
-    with pytest.raises(CorruptFile, match="sizes and seed must be integers"):
+    text = f"spec: {key}[{len(sizes) - 1}] must be an integer >= 1, got True"
+    with pytest.raises(CorruptFile, match=re.escape(text)):
         _load_doc(tmp_path, doc)
 
 
 def test_model_spec_refuses_boolean_sizes():
-    for bad in ({"input_shape": (2, 2, True)}, {"num_classes": True}, {"seed": False},
-                {"arch": "mlp", "hidden": (True,)}):
+    for bad, text in (({"input_shape": (2, 2, True)},
+                       "input_shape[2] must be an integer >= 1, got True"),
+                      ({"num_classes": True}, "num_classes must be an integer >= 2, got True"),
+                      ({"seed": False}, "seed must be an integer >= 0, got False"),
+                      ({"arch": "mlp", "hidden": (True,)},
+                       "hidden[0] must be an integer >= 1, got True")):
         kwargs = {"arch": "logistic", "input_shape": (2, 2, 1), "num_classes": 2, **bad}
-        with pytest.raises(ValueError, match="must be integers"):
+        with pytest.raises(ValueError, match=re.escape(text)):
             ModelSpec(**kwargs)
 
 

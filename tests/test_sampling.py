@@ -1,8 +1,18 @@
-"""Coefficient samplers and the deterministic stream discipline."""
+"""Coefficient samplers, the deterministic stream discipline, and the one
+number rule that every count, seed and real-valued setting goes through."""
+
+import contextlib
+import dataclasses
+import math
+import re
 
 import numpy as np
 import pytest
 
+from advm.attacks import AttackConfig
+from advm.data import LabeledDataset, subsample
+from advm.errors import EmptyDataset, TooFew
+from advm.models import ModelSpec, train_sgd
 from advm.sampling import (
     SamplingSpec,
     derive_rng,
@@ -10,6 +20,7 @@ from advm.sampling import (
     sample_coefficients,
     sample_uniform_cube,
 )
+from advm.transforms import TransformConfig, tim_kernel
 
 
 def test_spec_defaults():
@@ -131,3 +142,111 @@ def test_sample_uniform_cube():
     assert u.shape == (4, 4, 2)
     assert np.all(u >= -1.0) and np.all(u <= 1.0)
     assert np.array_equal(sample_uniform_cube(make_rng(3), (4, 4, 2)), u)
+
+
+# -- the one number rule -------------------------------------------------------
+
+_SPEC = ModelSpec("mlp", (4, 4, 1), 3, hidden=(5,))
+
+
+def _train_sgd(**kw):
+    # the numbers are checked before the dataset, so the empty one stops every
+    # accepted run before it trains
+    with contextlib.suppress(EmptyDataset):
+        train_sgd(_SPEC, LabeledDataset((), (), 3), **kw)
+
+
+def _tim_kernel(size):
+    try:   # sigma 0 is refused after the size, before any tap is built
+        tim_kernel(size, 0.0)
+    except ValueError as exc:
+        if "2 sigma^2 > 0" not in str(exc):
+            raise
+
+
+def _subsample(n):
+    with contextlib.suppress(TooFew):   # more than its one example
+        subsample(LabeledDataset((np.zeros((2, 2, 1)),), (0,), 2), n, 0)
+
+
+# site: (a call that takes one value and runs nothing, the name the refusal
+# gives, the least value, whether 2**31 and up is refused)
+_INT_SITES = {
+    "AttackConfig.iters": (lambda v: AttackConfig(iters=v), "iters", 1, True),
+    "AttackConfig.seed": (lambda v: AttackConfig(seed=v), "seed", 0, False),
+    "SamplingSpec.count": (lambda v: SamplingSpec(count=v), "count", 1, True),
+    "TransformConfig.tim_kernel_size": (lambda v: TransformConfig(tim_kernel_size=v),
+                                        "tim_kernel_size", 1, True),
+    "TransformConfig.sim_copies": (lambda v: TransformConfig(sim_copies=v), "sim_copies", 1,
+                                   True),
+    "TransformConfig.dim_resize_low": (lambda v: TransformConfig(dim_resize_low=v),
+                                       "dim_resize_low", 1, True),
+    "TransformConfig.dim_pad_to": (lambda v: TransformConfig(dim_pad_to=v), "dim_pad_to", 1,
+                                   True),
+    "ModelSpec.input_shape": (lambda v: dataclasses.replace(_SPEC, input_shape=(4, v, 1)),
+                              "input_shape[1]", 1, True),
+    "ModelSpec.num_classes": (lambda v: dataclasses.replace(_SPEC, num_classes=v),
+                              "num_classes", 2, True),
+    "ModelSpec.hidden": (lambda v: dataclasses.replace(_SPEC, hidden=(5, v)), "hidden[1]", 1,
+                         True),
+    "ModelSpec.conv_channels": (lambda v: dataclasses.replace(_SPEC, conv_channels=v),
+                                "conv_channels", 1, True),
+    "ModelSpec.conv_kernel": (lambda v: dataclasses.replace(_SPEC, conv_kernel=v),
+                              "conv_kernel", 1, True),
+    "ModelSpec.seed": (lambda v: dataclasses.replace(_SPEC, seed=v), "seed", 0, False),
+    "train_sgd.epochs": (lambda v: _train_sgd(epochs=v), "epochs", 0, True),
+    "train_sgd.batch": (lambda v: _train_sgd(batch=v), "batch size", 1, True),
+    "train_sgd.seed": (lambda v: _train_sgd(seed=v), "seed", 0, False),
+    "tim_kernel.size": (_tim_kernel, "size", 1, True),
+    "subsample.n": (_subsample, "n", 0, True),
+}
+
+
+def _refused_ints():
+    for site, (_, name, least, bounded) in _INT_SITES.items():
+        rows = [("below", least - 1), ("bool", bool(least)), ("numpy", np.int64(least)),
+                ("float", float(least))]
+        for why, value in rows:
+            text = f"{name} must be an integer >= {least}, got {value!r}"
+            yield pytest.param(site, value, text, id=f"{site}-{why}")
+        if bounded:
+            text = f"{name} must be an integer >= {least} and < 2**31, got {2**31}"
+            yield pytest.param(site, 2**31, text, id=f"{site}-2**31")
+
+
+@pytest.mark.parametrize("site, value, text", _refused_ints())
+def test_number_rule_refuses_an_integer_setting(site, value, text):
+    call = _INT_SITES[site][0]
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("site", _INT_SITES)
+def test_number_rule_accepts_the_least_and_the_largest_integer(site):
+    call, _, least, bounded = _INT_SITES[site]
+    for value in (least, 2**31 - 1) + (() if bounded else (2**31, 2**64)):
+        call(value)
+
+
+# site: a call that takes one value of a real-valued setting and runs nothing
+_FLOAT_SITES = {
+    "eps": lambda v: AttackConfig(eps=v),
+    "mu": lambda v: AttackConfig(mu=v),
+    "eta": lambda v: SamplingSpec(eta=v),
+}
+
+
+@pytest.mark.parametrize("name", _FLOAT_SITES)
+@pytest.mark.parametrize("value", [-1e-300, -math.inf, math.inf, math.nan, True,
+                                   np.int64(1), "0.5"])
+def test_number_rule_refuses_a_real_setting(name, value):
+    kind = f"an int or a float, got {value!r}" if type(value) not in (int, float) else (
+        f"finite and >= 0, got {value}")
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be {kind}')}$"):
+        _FLOAT_SITES[name](value)
+
+
+@pytest.mark.parametrize("name", _FLOAT_SITES)
+def test_number_rule_accepts_real_settings_from_zero_up(name):
+    for value in (0.0, 0, 1e300):
+        _FLOAT_SITES[name](value)

@@ -81,7 +81,7 @@ def test_config_validation():
 @pytest.mark.parametrize("pad", [0, -1])
 def test_config_refuses_a_dim_pad_to_below_one(pad):
     # with dim off, pad_to 0 or -1 was accepted and entered the config hash
-    with pytest.raises(ValueError, match=f"pad_to must be >= 1, got None and {pad}"):
+    with pytest.raises(ValueError, match=f"dim_pad_to must be an integer >= 1, got {pad}"):
         TransformConfig(dim_pad_to=pad)
 
 
