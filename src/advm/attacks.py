@@ -197,6 +197,8 @@ def attack_one(oracle, x, y, cfg: AttackConfig, example_index: int) -> AttackRes
 def batch_width(jobs: int, n_items: int) -> int:
     """Processes a _pmap call runs on: jobs, capped at the usable CPUs and
     at the item count. Starts nothing."""
+    _require_sizes(1, jobs=jobs)
+    _require_sizes(0, n_items=n_items)
     return min(jobs, len(os.sched_getaffinity(0)), n_items)
 
 
@@ -249,10 +251,8 @@ def _pmap(fn, items, jobs: int) -> list:
     that fork (a monkeypatch, a tracer) does not reach them. fn and each
     chunk, which must pickle, are sent afresh on every call; an object the
     items share is pickled once per chunk. A dead worker raises WorkerLost,
-    and the next call forks a new pool.
+    and the next call forks a new pool. batch_width refuses a bad jobs.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
     width = batch_width(jobs, len(items))
     if width <= 1:
         return _run_chunk(fn, items)

@@ -27,7 +27,7 @@ from .evaluate import (RateTable, ablation_sweep, attack_success_rate, emit_repo
                        load_attack_set, parse_report_csv, save_attack_set)
 from .fileio import atomic_write_text
 from .models import ARCHITECTURES, EnsembleOracle, ModelSpec, load_model, save_model, train_sgd
-from .sampling import SamplingSpec
+from .sampling import SIZE_LIMIT, SamplingSpec
 from .transforms import TransformConfig
 
 
@@ -93,6 +93,9 @@ _ATTACK_OPTIONS = (
      "L1-normalize the sampling direction"),
     ("--seed", "seed", "seed", click.INT, "run seed, >= 0; default 0"),
 )
+
+# Every count flag's type: the library's size rule, >= 1 and < 2**31.
+_COUNT = click.IntRange(1, SIZE_LIMIT - 1)
 
 
 def read_config_file(path: str) -> dict:
@@ -247,9 +250,9 @@ def main():
 @click.option("--dataset", required=True, help="synthetic:CxPxS[:NOISE] or idx:IMGS,LBLS")
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--epochs", type=click.IntRange(min=1), default=8, show_default=True)
+@click.option("--epochs", type=_COUNT, default=8, show_default=True)
 @click.option("--lr", type=float, default=0.35, show_default=True, callback=_positive_finite)
-@click.option("--batch", type=click.IntRange(min=1), default=32, show_default=True)
+@click.option("--batch", type=_COUNT, default=32, show_default=True)
 @click.option("--hidden", default="64", show_default=True, help="mlp widths, comma-separated")
 @click.option("--conv-channels", type=int, default=8, show_default=True)
 @click.option("--conv-kernel", type=int, default=3, show_default=True)
@@ -309,10 +312,8 @@ _JOBS_HELP = ("processes to attack on: this one plus jobs - 1 forked workers, at
               help="model manifest path(s), comma-separated; several fuse into an ensemble")
 @click.option("--dataset", required=True)
 @click.option("--out", "out_dir", required=True, type=click.Path())
-@click.option("--num-images", type=click.IntRange(min=1), default=None,
-              help="subsample this many examples")
-@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
-              help=_JOBS_HELP)
+@click.option("--num-images", type=_COUNT, default=None, help="subsample this many examples")
+@click.option("--jobs", type=_COUNT, default=1, show_default=True, help=_JOBS_HELP)
 @_wrap_errors
 def attack_cmd(surrogate, dataset, out_dir, num_images, jobs, filecfg, **cli):
     """Craft adversarial examples and write them with a manifest."""
@@ -321,7 +322,7 @@ def attack_cmd(surrogate, dataset, out_dir, num_images, jobs, filecfg, **cli):
     models, oracle, data = _load_attack_inputs(surrogate, dataset, num_images, [cfg])
     results = attack_batch(oracle, data.images, data.labels, cfg, jobs=jobs)
     save_attack_set(out_dir, cfg, [m.name for m in models], data.labels, results)
-    wb = sum(r.white_box_success for r in results) / max(1, len(results))
+    wb = sum(r.white_box_success for r in results) / len(results)
     click.echo(f"{cfg.variant} on {oracle.name}: {len(results)} examples, white-box success "
                f"{100.0 * wb:.1f}% (config {cfg.config_hash()})")
     click.echo(f"wrote {out_dir}/")
@@ -392,9 +393,8 @@ _SWEEPABLE = ("samples", "eta", "sampling", "mu", "iters", "eps")
 @click.option("--out", "out_path", default=None, type=click.Path())
 @click.option("--format", "fmt", type=click.Choice(["csv", "markdown"]), default="csv",
               show_default=True)
-@click.option("--num-images", type=click.IntRange(min=1), default=None)
-@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
-              help=_JOBS_HELP)
+@click.option("--num-images", type=_COUNT, default=None)
+@click.option("--jobs", type=_COUNT, default=1, show_default=True, help=_JOBS_HELP)
 @_wrap_errors
 def ablate(param, grid_arg, surrogate, targets, dataset, out_path, fmt, num_images, jobs,
            filecfg, **cli):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CorruptFile, EmptyDataset, LabelOutOfRange, ShapeMismatch, TooFew
-from .sampling import _require_sizes, make_rng
+from .sampling import _require_floats, _require_sizes, make_rng
 
 
 def check_label(y, classes: int, whose: str) -> None:
@@ -36,8 +36,7 @@ class LabeledDataset:
     def __post_init__(self):
         if len(self.images) != len(self.labels):
             raise ShapeMismatch(f"{len(self.images)} images vs {len(self.labels)} labels")
-        if self.class_count < 1:
-            raise ValueError("class_count must be >= 1")
+        _require_sizes(1, self, "class_count")
         shapes = {img.shape for img in self.images}
         if len(shapes) > 1:
             raise ShapeMismatch(f"images disagree on shape: {sorted(shapes)}")
@@ -79,15 +78,13 @@ def generate_synthetic(
     contrast scales the bump and grating amplitudes: lower values move the
     classes closer together, which makes the problem harder.
     """
-    if classes < 1 or per_class < 1:
-        raise EmptyDataset("need at least one class and one example per class")
-    if min(height, width, channels) < 1:
-        raise ValueError(f"image shape must be >= 1 each, got {(height, width, channels)}")
-    if not (noise_sigma >= 0.0 and math.isfinite(noise_sigma)):
-        raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
-    if not (contrast > 0.0 and math.isfinite(contrast)):
-        raise ValueError(f"contrast must be finite and > 0, got {contrast}")
+    _require_sizes(0, classes=classes, per_class=per_class)
+    _require_sizes(1, height=height, width=width, channels=channels)
+    _require_floats(0.0, noise_sigma=noise_sigma)
+    _require_floats(0.0, strict=True, contrast=contrast)
     rng = make_rng(seed)
+    if classes == 0 or per_class == 0:
+        raise EmptyDataset("need at least one class and one example per class")
     templates = [_blob_template(rng, height, width, channels, contrast) for _ in range(classes)]
     images, labels = [], []
     for cls, tpl in enumerate(templates):

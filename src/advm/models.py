@@ -40,7 +40,7 @@ import numpy as np
 from .data import LabeledDataset, check_label
 from .errors import CorruptFile, EmptyDataset, ShapeMismatch, VersionMismatch
 from .fileio import atomic_write_bytes, parse_manifest
-from .sampling import _require_ints, _require_sizes, derive_rng, make_rng
+from .sampling import _require_floats, _require_ints, _require_sizes, derive_rng, make_rng
 
 ARCHITECTURES = ("logistic", "mlp", "smallcnn")
 
@@ -430,14 +430,12 @@ def train_sgd(
     """
     _require_sizes(0, epochs=epochs)
     _require_sizes(1, **{"batch size": batch})
-    _require_ints(0, seed=seed)
+    _require_floats(0.0, strict=True, **{"learning rate": lr})
+    rng = derive_rng(seed, 1)   # refuses a seed that is not an int >= 0, before any work
     if len(dataset) == 0:
         raise EmptyDataset("cannot train on an empty dataset")
-    if not (lr > 0.0 and math.isfinite(lr)):
-        raise ValueError(f"learning rate must be finite and > 0, got {lr}")
     model = Model.initialize(spec, name)
     params = model.params   # init_params' fresh arrays, updated in place
-    rng = derive_rng(seed, 1)
     n = len(dataset)
     rows = min(batch, n)   # each layer's minibatch buffers, ragged batches in their top rows
     shapes = [params[wname].shape for wname, _ in model._dense]

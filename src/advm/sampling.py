@@ -15,12 +15,20 @@ import numpy as np
 _METHODS = ("linear", "uniform", "gaussian")
 
 
+def _shown(value) -> str:
+    """repr(value), or the size of an int too long for Python to print."""
+    try:
+        return repr(value)
+    except ValueError:   # more digits than sys.get_int_max_str_digits()
+        return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
+
+
 def _require_ints(least: int, obj=None, *names, **values) -> None:
     """Refuse each named field of obj, then each keyword value, unless it is a
     Python int >= least; a bool or numpy integer is refused too."""
     for name, value in [(n, getattr(obj, n)) for n in names] + list(values.items()):
         if type(value) is not int or value < least:
-            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            raise ValueError(f"{name} must be an integer >= {least}, got {_shown(value)}")
 
 
 SIZE_LIMIT = 2**31   # a count or side past it ends in a numpy error or a failed allocation
@@ -31,23 +39,25 @@ def _require_sizes(least: int, obj=None, *names, **values) -> None:
     _require_ints(least, obj, *names, **values)
     for name, value in [(n, getattr(obj, n)) for n in names] + list(values.items()):
         if value >= SIZE_LIMIT:
-            raise ValueError(f"{name} must be an integer >= {least} and < 2**31, got {value!r}")
+            raise ValueError(
+                f"{name} must be an integer >= {least} and < 2**31, got {_shown(value)}")
 
 
-def _require_floats(least: float, obj, *names) -> None:
-    """Store each field of obj as a float; refuse a bool, a non-int non-float,
-    NaN, infinity or a value below least."""
-    for name in names:
-        value = getattr(obj, name)
+def _require_floats(least: float, obj=None, *names, strict: bool = False, **values) -> None:
+    """Refuse each named field of obj, then each keyword value, unless it is an int or a
+    float (not a bool), finite and >= least (> least if strict); store fields as floats."""
+    for name, value in [(n, getattr(obj, n)) for n in names] + list(values.items()):
         if type(value) is bool or not isinstance(value, (int, float)):
             raise ValueError(f"{name} must be an int or a float, got {value!r}")
         try:
             value = float(value)
         except OverflowError as exc:   # an int past the float range
             raise ValueError(f"{name} must be finite: {exc}") from exc
-        if not (value >= least and math.isfinite(value)):
-            raise ValueError(f"{name} must be finite and >= {least:g}, got {value}")
-        object.__setattr__(obj, name, value)
+        if not (math.isfinite(value) and (value > least if strict else value >= least)):
+            raise ValueError(
+                f"{name} must be finite and {'>' if strict else '>='} {least:g}, got {value}")
+    for name in names:
+        object.__setattr__(obj, name, float(getattr(obj, name)))
 
 
 @dataclass(frozen=True)
@@ -66,13 +76,13 @@ class SamplingSpec:
 
 
 def make_rng(seed: int) -> np.random.Generator:
+    _require_ints(0, seed=seed)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
 def derive_rng(seed: int, index: int) -> np.random.Generator:
     """Stream #index under the given seed; independent of all other indices."""
-    if index < 0:
-        raise ValueError(f"stream index must be >= 0, got {index}")
+    _require_ints(0, seed=seed, index=index)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, index))))
 
 

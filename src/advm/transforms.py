@@ -109,8 +109,6 @@ def _bilinear_weights(new_n: int, old_n: int) -> np.ndarray:
 
     When new_n == old_n this is exactly the identity matrix.
     """
-    if new_n < 1 or old_n < 1:
-        raise ValueError("sizes must be >= 1")
     w = np.zeros((new_n, old_n))
     scale = old_n / new_n
     for i in range(new_n):
@@ -142,6 +140,7 @@ def _separable_gemm(rows: np.ndarray, flat: np.ndarray, cols: np.ndarray, c: int
 def tim_kernel(size: int = 7, sigma: float = 3.0) -> np.ndarray:
     """Read-only Gaussian weights exp(-(di^2+dj^2) / (2 sigma^2)) normalized to sum 1."""
     _require_sizes(1, size=size)
+    _require_floats(0.0, sigma=sigma)
     if size % 2 == 0:
         raise ValueError("kernel side must be odd")
     if not 2.0 * sigma * sigma > 0.0:   # 0 / 0 would make every weight NaN

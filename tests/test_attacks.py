@@ -670,5 +670,5 @@ def test_pmap_raises_an_exception_from_a_worker_chunk_in_the_caller():
 
 
 def test_pmap_refuses_jobs_below_one():
-    with pytest.raises(ValueError, match="jobs must be >= 1"):
+    with pytest.raises(ValueError, match=re.escape("jobs must be an integer >= 1, got 0")):
         _pmap(_tag, [], 0)

@@ -3,9 +3,12 @@
 import errno
 import json
 import os
+import pathlib
 import re
 import shutil
 import struct
+import subprocess
+import sys
 import warnings
 
 import click
@@ -32,6 +35,8 @@ from advm.tensor import load_tensor, save_tensor
 from advm.transforms import TransformConfig
 
 from conftest import MODEL_DAMAGES, decode_model, encode_model, legacy_model
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture()
@@ -413,6 +418,12 @@ def _assert_usage_error(result, text):
     assert "Traceback" not in result.output
 
 
+def _past_count_limit(flag):
+    """click's refusal of 10**20 on a count flag, whose type holds the size rule's bound."""
+    return (f"Invalid value for '{flag}': 100000000000000000000 is not in the range "
+            "1<=x<=2147483647.")
+
+
 # In these tables a row whose message text changed keeps its earlier id, so each
 # test keeps its name across the rewording.
 @pytest.mark.parametrize("flags, text", [
@@ -436,7 +447,8 @@ def _assert_usage_error(result, text):
     (["--dim-resize-low", "x"], "--dim-resize-low"),
     pytest.param(["--seed", "-5"], "seed must be an integer >= 0, got -5",
                  id="flags15-seed must be >= 0"),
-    (["--dataset", "synthetic:2x3x0"], "image shape must be >= 1"),
+    pytest.param(["--dataset", "synthetic:2x3x0"], "height must be an integer >= 1, got 0",
+                 id="flags16-image shape must be >= 1"),
     # taps past 2 * side - 1 never reach a pixel, yet cost size^2 floats and an SVD
     (["--transforms", "tim", "--tim-kernel-size", "13"], "13 exceeds 2 * 6 - 1 for 6x6 images"),
     pytest.param(["--dim-pad-to", "-1"], "dim_pad_to must be an integer >= 1, got -1",
@@ -457,6 +469,9 @@ def _assert_usage_error(result, text):
     # ran one image's loop without end
     (["--attack", "i-fgsm", "--iters", "100000000000000000000"],
      "iters must be an integer >= 1 and < 2**31, got 100000000000000000000"),
+    # a count flag past 2**31 ended in _require_sizes' traceback, or (--jobs) was accepted
+    (["--num-images", "100000000000000000000"], _past_count_limit("--num-images")),
+    (["--jobs", "100000000000000000000"], _past_count_limit("--jobs")),
 ])
 def test_attack_bad_values_are_usage_errors(runner, trained, tmp_path, flags, text):
     out = tmp_path / "advset"
@@ -511,6 +526,9 @@ def test_attack_bad_values_are_usage_errors(runner, trained, tmp_path, flags, te
     pytest.param(["--arch", "mlp", "--hidden", "1000000000000"],
                  "hidden[0] must be an integer >= 1 and < 2**31, got 1000000000000",
                  id="flags27-hidden widths must be >= 1 and < 2**31"),
+    # a count flag past 2**31 ended in _require_sizes' traceback
+    (["--epochs", "100000000000000000000"], _past_count_limit("--epochs")),
+    (["--batch", "100000000000000000000"], _past_count_limit("--batch")),
 ])
 def test_train_bad_values_are_usage_errors(runner, tmp_path, flags, text):
     out = tmp_path / "m.json"
@@ -520,6 +538,26 @@ def test_train_bad_values_are_usage_errors(runner, tmp_path, flags, text):
     ])
     _assert_usage_error(result, text)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("spec, text", [
+    ("synthetic:100000000000000000000x1x4",
+     "classes must be an integer >= 0 and < 2**31, got 100000000000000000000"),
+    ("synthetic:2x100000000000000000000x4",
+     "per_class must be an integer >= 0 and < 2**31, got 100000000000000000000"),
+])
+def test_train_refuses_a_synthetic_count_past_the_size_bound(tmp_path, spec, text):
+    # each generated templates without end; a timeout keeps a regression from hanging
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-m", "advm.cli", "train", "--arch", "logistic",
+                           "--dataset", spec, "--out", str(tmp_path / "m.json")],
+                          capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 2, proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("Error:")]
+    assert errors == [f"Error: Invalid value for --dataset: {spec!r}: {text}"]
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("flags", [
@@ -873,6 +911,11 @@ def test_unreadable_inputs_name_the_path(runner, trained, advset, tmp_path, comm
     (["--param", "samples", "--grid", "1", "--transforms", "tim", "--tim-kernel-size", "13"],
      "13 exceeds 2 * 6 - 1 for 6x6 images"),
     (["--param", "sampling_method", "--grid", "uniform"], "'sampling_method' is not one of"),
+    # a count flag past 2**31 ended in _require_sizes' traceback, or (--jobs) was accepted
+    (["--param", "samples", "--grid", "1", "--num-images", "100000000000000000000"],
+     _past_count_limit("--num-images")),
+    (["--param", "samples", "--grid", "1", "--jobs", "100000000000000000000"],
+     _past_count_limit("--jobs")),
 ])
 def test_ablate_bad_values_are_usage_errors(runner, trained, tmp_path, flags, text):
     result = runner.invoke(main, [

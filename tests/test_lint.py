@@ -41,8 +41,14 @@ so every desk world keeps the one recipe: one dataset, per-class windows
 of it, one smallcnn per zoo row.
 Every int, float or optional int field of AttackConfig, SamplingSpec,
 TransformConfig and ModelSpec, and ModelSpec's input_shape and hidden, is
-read inside a _require_* call of its class's __post_init__, so a new
-setting cannot miss the one number rule in sampling.py.
+read inside a _require_* call of its class's __post_init__, and so is
+LabeledDataset's class_count. Every int or float parameter of a public
+module-level function is read inside a _require_* call, or is passed on
+unchanged to a parameter or field that is, apart from three listed
+exceptions. So a new setting or argument cannot miss the one number rule
+in sampling.py. cli.py builds a click.IntRange in two places only, the
+shared count type and train --seed's, so every count flag keeps the rule's
+2**31 bound.
 The last checks keep README's Python examples importing only what the
 package exports, and every call README names in backticked prose an
 attribute of the package or one of its modules, so a removed name cannot
@@ -59,7 +65,9 @@ import sys
 import pytest
 
 import advm
+from advm import cli
 from advm.models import EnsembleOracle, Model
+from advm.sampling import SIZE_LIMIT
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "advm"
@@ -669,16 +677,20 @@ def test_desk_recipe_check_flags_planted_sites():
 # The configs whose numbers go through sampling's shared checks, each with the
 # fields besides its int, float and optional int ones that must go through too.
 _NUMBER_RULE_CLASSES = {"AttackConfig": (), "SamplingSpec": (), "TransformConfig": (),
-                        "ModelSpec": ("input_shape", "hidden")}
+                        "ModelSpec": ("input_shape", "hidden"), "LabeledDataset": ()}
 _NUMBER_ANNOTATIONS = {"int", "float", "int | None"}
+
+
+def _is_require_call(node) -> bool:
+    return isinstance(node, ast.Call) and getattr(
+        node.func, "id", getattr(node.func, "attr", "")).startswith("_require_")
 
 
 def _required_reads(fn) -> set:
     """The names each _require_* call in fn reads, as self.<name> or as a string."""
     read = set()
     for call in ast.walk(fn):
-        if isinstance(call, ast.Call) and getattr(
-                call.func, "id", getattr(call.func, "attr", "")).startswith("_require_"):
+        if _is_require_call(call):
             for node in ast.walk(call):
                 if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "self":
                     read.add(node.attr)
@@ -729,6 +741,136 @@ def test_number_field_check_flags_planted_fields():
     )
     assert unchecked_number_fields(tree, {"Config": ("shape",)}) == [
         ("Config", "seed"), ("Config", "count"), ("Config", "rate")]
+
+
+# Number parameters of public functions that keep a check of their own, each
+# with its reason.
+_NUMBER_PARAM_EXCEPTIONS = {
+    ("project_linf", "eps"): "an infinite eps is a valid budget, which the float rule refuses",
+    ("check_label", "classes"): "it runs on every gradient query, and each caller passes a "
+                                "class count that its own config or dataset has checked",
+    ("parse_manifest", "version"): "each reader passes its own format constant, never a user's",
+}
+
+
+def _args(fn) -> list:
+    return fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+
+
+def checked_params(trees, classes) -> set:
+    """(function, parameter) of each module-level function's parameter that a
+    _require_* call in it reads as a name, or that it passes on unchanged (a bare
+    name, by position or keyword) to such a parameter of another module-level
+    function, or to a field of a class in classes that its __post_init__'s
+    _require_* calls read."""
+    fns = {node.name: node for tree in trees for node in tree.body
+           if isinstance(node, ast.FunctionDef)}
+    targets = {name: [a.arg for a in _args(fn)] for name, fn in fns.items()}
+    checked = set()
+    for node in (n for tree in trees for n in ast.walk(tree)):
+        if isinstance(node, ast.ClassDef) and node.name in classes:
+            targets[node.name] = [f.target.id for f in node.body if isinstance(f, ast.AnnAssign)]
+            checked |= {(node.name, field) for fn in node.body if isinstance(fn, ast.FunctionDef)
+                        and fn.name == "__post_init__" for field in _required_reads(fn)}
+    passes = []   # ((function, parameter), (callee, its parameter))
+    for name, fn in fns.items():
+        params = set(targets[name])
+        for call in (n for n in ast.walk(fn) if isinstance(n, ast.Call)):
+            if _is_require_call(call):
+                checked |= {(name, n.id) for n in ast.walk(call)
+                            if isinstance(n, ast.Name) and n.id in params}
+            callee = getattr(call.func, "id", getattr(call.func, "attr", None))
+            if callee not in targets:
+                continue
+            given = [(targets[callee][i], arg) for i, arg in enumerate(call.args)
+                     if i < len(targets[callee])] + [(kw.arg, kw.value) for kw in call.keywords]
+            passes += [((name, arg.id), (callee, to)) for to, arg in given
+                       if isinstance(arg, ast.Name) and arg.id in params]
+    grown = True
+    while grown:
+        grown = False
+        for site, to in passes:
+            if to in checked and site not in checked:
+                checked.add(site)
+                grown = True
+    return checked
+
+
+def unchecked_number_params(trees, classes) -> list:
+    """(function, parameter) of each parameter annotated int or float of a public
+    module-level function that checked_params leaves out."""
+    checked = checked_params(trees, classes)
+    return [(fn.name, a.arg) for tree in trees for fn in tree.body
+            if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+            for a in _args(fn)
+            if a.annotation is not None and ast.unparse(a.annotation) in ("int", "float")
+            and (fn.name, a.arg) not in checked]
+
+
+def test_every_number_argument_goes_through_the_shared_checks():
+    found = unchecked_number_params(LINTED.values(), _NUMBER_RULE_CLASSES)
+    rest = [f"{fn}.{param}" for fn, param in found if (fn, param) not in _NUMBER_PARAM_EXCEPTIONS]
+    assert not rest, "number arguments no _require_* call checks: " + ", ".join(rest)
+    assert set(found) == set(_NUMBER_PARAM_EXCEPTIONS), "stale number-argument exceptions"
+
+
+def test_number_argument_check_flags_planted_sites():
+    tree = ast.parse(
+        "class Config:\n    n: int = 1\n    x: float = 0.0\n"
+        "    def __post_init__(self):\n        _require_sizes(1, self, 'n')\n"
+        "def make(n: int, x: float, k: int):\n    return Config(n, x=x), helper(k)\n"
+        "def helper(k: int, j: int = 0):\n"
+        "    sampling._require_ints(0, **{'k index': k})\n    return j\n"
+        "def passes(m: int, r: float):\n    return make(1, r, m)\n"
+        "def shifted(m: int):\n    return helper(m + 1)\n"
+        "def reads_outside(s: int, t: str):\n"
+        "    if s < 0:\n        raise ValueError(s)\n    _require_ints(0, t=1)\n"
+        "def _private(q: int):\n    return q\n"
+    )
+    assert unchecked_number_params([tree], {"Config": ()}) == [
+        ("make", "x"), ("helper", "j"), ("passes", "r"), ("shifted", "m"),
+        ("reads_outside", "s")]
+
+
+def _is_int_range(node) -> bool:
+    return isinstance(node, ast.Call) and getattr(
+        node.func, "attr", getattr(node.func, "id", None)) == "IntRange"
+
+
+def int_range_sites(tree) -> list:
+    """(line, site) of each click.IntRange call in tree: site is the module-level
+    name it is bound to, else the first flag of the click.option it types, else None."""
+    sites = {node.value: node.targets[0].id for node in tree.body
+             if isinstance(node, ast.Assign) and _is_int_range(node.value)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "option":
+            sites.update({kw.value: node.args[0].value for kw in node.keywords
+                          if kw.arg == "type" and _is_int_range(kw.value)})
+    return sorted(((node.lineno, sites.get(node)) for node in ast.walk(tree)
+                   if _is_int_range(node)), key=lambda site: site[0])
+
+
+# The CLI's IntRange types: the one count type, and train --seed's, which has no
+# upper bound because a seed is no count.
+_INT_RANGE_SITES = {"_COUNT", "--seed"}
+
+
+def test_the_cli_writes_its_count_rule_once():
+    sites = [site for _, site in int_range_sites(TREES["cli.py"])]
+    assert sorted(sites, key=str) == sorted(_INT_RANGE_SITES), (
+        f"click.IntRange outside the shared count type: {sites}")
+    assert (cli._COUNT.min, cli._COUNT.max) == (1, SIZE_LIMIT - 1)
+
+
+def test_count_rule_check_flags_planted_int_ranges():
+    tree = ast.parse(
+        "_COUNT = click.IntRange(1, SIZE_LIMIT - 1)\n"
+        "@click.option('--seed', type=click.IntRange(min=0))\n"
+        "@click.option('--epochs', '-e', type=IntRange(min=1), default=8)\n"
+        "@click.option('--batch', type=_COUNT)\n"
+        "def train(seed, epochs, batch):\n    limit = click.IntRange(0, 9)\n"
+    )
+    assert int_range_sites(tree) == [(1, "_COUNT"), (2, "--seed"), (3, "--epochs"), (6, None)]
 
 
 def readme_advm_imports(text: str) -> set:

@@ -9,8 +9,8 @@ import re
 import numpy as np
 import pytest
 
-from advm.attacks import AttackConfig
-from advm.data import LabeledDataset, subsample
+from advm.attacks import AttackConfig, _pmap, batch_width
+from advm.data import LabeledDataset, generate_synthetic, subsample
 from advm.errors import EmptyDataset, TooFew
 from advm.models import ModelSpec, train_sgd
 from advm.sampling import (
@@ -164,6 +164,13 @@ def _tim_kernel(size):
             raise
 
 
+def _generate(**kw):
+    # no classes (or, at the classes site, no examples): every accepted run stops
+    # at EmptyDataset after the numbers are checked, before any template is drawn
+    with contextlib.suppress(EmptyDataset):
+        generate_synthetic(**{"classes": 0, "per_class": 0, **kw})
+
+
 def _subsample(n):
     with contextlib.suppress(TooFew):   # more than its one example
         subsample(LabeledDataset((np.zeros((2, 2, 1)),), (0,), 2), n, 0)
@@ -199,6 +206,18 @@ _INT_SITES = {
     "train_sgd.seed": (lambda v: _train_sgd(seed=v), "seed", 0, False),
     "tim_kernel.size": (_tim_kernel, "size", 1, True),
     "subsample.n": (_subsample, "n", 0, True),
+    "_pmap.jobs": (lambda v: _pmap(len, [], v), "jobs", 1, True),
+    "batch_width.n_items": (lambda v: batch_width(1, v), "n_items", 0, True),
+    "make_rng.seed": (make_rng, "seed", 0, False),
+    "derive_rng.seed": (lambda v: derive_rng(v, 0), "seed", 0, False),
+    "derive_rng.index": (lambda v: derive_rng(0, v), "index", 0, False),
+    "generate_synthetic.classes": (lambda v: _generate(classes=v), "classes", 0, True),
+    "generate_synthetic.per_class": (lambda v: _generate(per_class=v), "per_class", 0, True),
+    "generate_synthetic.height": (lambda v: _generate(height=v), "height", 1, True),
+    "generate_synthetic.width": (lambda v: _generate(width=v), "width", 1, True),
+    "generate_synthetic.channels": (lambda v: _generate(channels=v), "channels", 1, True),
+    "generate_synthetic.seed": (lambda v: _generate(seed=v), "seed", 0, False),
+    "LabeledDataset.class_count": (lambda v: LabeledDataset((), (), v), "class_count", 1, True),
 }
 
 
@@ -228,25 +247,58 @@ def test_number_rule_accepts_the_least_and_the_largest_integer(site):
         call(value)
 
 
-# site: a call that takes one value of a real-valued setting and runs nothing
+# site: (a call that takes one value of a real-valued setting and runs nothing, the
+# name its refusal gives, whether it refuses 0 too, the least values it takes)
 _FLOAT_SITES = {
-    "eps": lambda v: AttackConfig(eps=v),
-    "mu": lambda v: AttackConfig(mu=v),
-    "eta": lambda v: SamplingSpec(eta=v),
+    "eps": (lambda v: AttackConfig(eps=v), "eps", False, (0.0, 0)),
+    "mu": (lambda v: AttackConfig(mu=v), "mu", False, (0.0, 0)),
+    "eta": (lambda v: SamplingSpec(eta=v), "eta", False, (0.0, 0)),
+    "generate_synthetic.noise_sigma": (lambda v: _generate(noise_sigma=v), "noise_sigma",
+                                       False, (0.0, 0)),
+    "generate_synthetic.contrast": (lambda v: _generate(contrast=v), "contrast", True,
+                                    (5e-324,)),
+    "train_sgd.lr": (lambda v: _train_sgd(lr=v), "learning rate", True, (5e-324,)),
+    # below about 1.5e-162, 2 sigma^2 underflows to 0, which tim_kernel refuses itself
+    "tim_kernel.sigma": (lambda v: tim_kernel(1, v), "sigma", False, (1e-161,)),
 }
 
 
-@pytest.mark.parametrize("name", _FLOAT_SITES)
+@pytest.mark.parametrize("site", _FLOAT_SITES)
 @pytest.mark.parametrize("value", [-1e-300, -math.inf, math.inf, math.nan, True,
                                    np.int64(1), "0.5"])
-def test_number_rule_refuses_a_real_setting(name, value):
+def test_number_rule_refuses_a_real_setting(site, value):
+    _, name, strict, _ = _FLOAT_SITES[site]
     kind = f"an int or a float, got {value!r}" if type(value) not in (int, float) else (
-        f"finite and >= 0, got {value}")
+        f"finite and {'>' if strict else '>='} 0, got {value}")
     with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be {kind}')}$"):
-        _FLOAT_SITES[name](value)
+        _FLOAT_SITES[site][0](value)
 
 
-@pytest.mark.parametrize("name", _FLOAT_SITES)
-def test_number_rule_accepts_real_settings_from_zero_up(name):
-    for value in (0.0, 0, 1e300):
-        _FLOAT_SITES[name](value)
+@pytest.mark.parametrize("site", [s for s, row in _FLOAT_SITES.items() if row[2]])
+def test_number_rule_refuses_zero_where_the_bound_is_open(site):
+    call, name, _, _ = _FLOAT_SITES[site]
+    for value in (0.0, 0, -0.0):
+        text = f"{name} must be finite and > 0, got {float(value)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            call(value)
+
+
+@pytest.mark.parametrize("site", _FLOAT_SITES)
+def test_number_rule_accepts_real_settings_from_zero_up(site):
+    call, _, _, least = _FLOAT_SITES[site]
+    for value in least + (1e300,):
+        call(value)
+
+
+def test_an_int_too_long_to_print_is_refused_by_its_size():
+    # Python will not print an int of more than 4,300 digits, so the refusal
+    # ended in its own "Exceeds the limit" error, which named no field
+    bits = (10**5000).bit_length()
+    with pytest.raises(ValueError, match=re.escape(
+            f"iters must be an integer >= 1 and < 2**31, got an int of {bits} bits")):
+        AttackConfig(iters=10**5000)
+    with pytest.raises(ValueError, match=re.escape(
+            f"seed must be an integer >= 0, got a negative int of {bits} bits")):
+        derive_rng(-10**5000, 0)
+    with pytest.raises(ValueError, match=re.escape(f"got {10**4299}")):   # still printable
+        AttackConfig(iters=10**4299)
