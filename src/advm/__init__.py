@@ -40,7 +40,7 @@ from .models import (
     train_sgd,
 )
 from .sampling import SamplingSpec, derive_rng, make_rng, sample_coefficients
-from .tensor import load_tensor, project_linf, save_tensor
+from .tensor import project_linf
 from .transforms import TransformConfig, tim_kernel
 
 __all__ = [
@@ -67,7 +67,6 @@ __all__ = [
     "load_attack_set",
     "load_idx",
     "load_model",
-    "load_tensor",
     "make_rng",
     "parse_report_csv",
     "project_linf",
@@ -75,7 +74,6 @@ __all__ = [
     "sample_coefficients",
     "save_attack_set",
     "save_model",
-    "save_tensor",
     "subsample",
     "tim_kernel",
     "train_sgd",

@@ -156,9 +156,8 @@ def load_dataset(spec: str, seed: int):
         try:
             classes, per_class, side = (int(v) for v in dims.split("x"))
         except ValueError as exc:
-            raise click.BadParameter(
-                f"synthetic spec must be CLASSESxPER_CLASSxSIDE, got {dims!r}"
-            ) from exc
+            raise click.BadParameter(f"synthetic spec must be CLASSESxPER_CLASSxSIDE, "
+                                     f"got {dims!r}", param_hint="--dataset") from exc
         try:
             return generate_synthetic(classes, per_class, side, side, 1,
                                       float(noise) if sep else 0.1, seed)
@@ -167,12 +166,14 @@ def load_dataset(spec: str, seed: int):
     if spec.startswith("idx:"):
         paths = spec[len("idx:"):].split(",")
         if len(paths) != 2:
-            raise click.BadParameter("idx spec must be idx:IMAGES,LABELS")
+            raise click.BadParameter("idx spec must be idx:IMAGES,LABELS",
+                                     param_hint="--dataset")
         try:
             return load_idx(paths[0], paths[1])
         except OSError as exc:
             raise click.ClickException(f"unreadable IDX file: {exc}") from exc
-    raise click.BadParameter(f"dataset must start with synthetic: or idx:, got {spec!r}")
+    raise click.BadParameter(f"dataset must start with synthetic: or idx:, got {spec!r}",
+                             param_hint="--dataset")
 
 
 def load_models(arg: str) -> list:

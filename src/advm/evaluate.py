@@ -11,6 +11,13 @@ its surrogates, an ablation's are its grid values, named by its
 `parameter` (None for a matrix). One CSV writer gives a line per cell and
 one parser reads either back exactly; one markdown renderer draws either
 from its corner cell, cells and footer.
+
+An attack set is the hand-off from `advm attack` to `advm eval`: a
+directory of one .emtn file per adversarial image plus the manifest.json
+that names them. Both files' formats live here. An .emtn file is magic
+"EMTN", a version byte, a little-endian u32 rank, the dims as little-endian
+u32, then the raw float64 payload in row-major order; round trips are
+bit-exact.
 """
 
 import contextlib
@@ -18,14 +25,18 @@ import csv
 import glob
 import io
 import json
+import math
 import os
+import struct
 from dataclasses import dataclass
+
+import numpy as np
 
 from .attacks import AttackConfig, attack_batch
 from .data import LabeledDataset, check_label
-from .errors import AdvmError, CorruptFile, EmptyDataset
-from .fileio import atomic_write_text, parse_manifest
-from .tensor import load_tensor, save_tensor, validate_image
+from .errors import AdvmError, CorruptFile, EmptyDataset, VersionMismatch
+from .fileio import atomic_write_bytes, atomic_write_text, parse_manifest
+from .tensor import validate_image
 
 _MATRIX_HEADER = ["surrogate", "target", "rate", "n", "config_hash"]
 _ABLATION_HEADER = ["parameter", "value", "target", "rate", "n", "config_hash"]
@@ -230,6 +241,33 @@ _ADVSET_FORMAT, _ADVSET_VERSION = "advm-advset", 1
 _ADVSET_FIELDS = {"config": dict, "config_hash": str, "count": int, "files": list,
                   "labels": list, "surrogates": list, "white_box": list}
 _MANIFEST_NAME = "manifest.json"
+_EMTN_MAGIC, _EMTN_VERSION = b"EMTN", 1
+
+
+def _encode_tensor(t) -> bytes:
+    arr = np.ascontiguousarray(t, dtype="<f8")
+    header = struct.pack(f"<{arr.ndim + 1}I", arr.ndim, *arr.shape)
+    return _EMTN_MAGIC + bytes([_EMTN_VERSION]) + header + arr.tobytes()
+
+
+def _decode_tensor(data: bytes) -> np.ndarray:
+    """The array in an .emtn file's bytes. A refusal names no file: the caller does."""
+    if len(data) < 9:
+        raise CorruptFile("tensor blob shorter than its fixed header")
+    if data[:4] != _EMTN_MAGIC:
+        raise CorruptFile(f"expected {_EMTN_MAGIC!r}, got {data[:4]!r}")
+    if data[4] != _EMTN_VERSION:
+        raise VersionMismatch(f"unsupported tensor format version {data[4]}")
+    (rank,) = struct.unpack_from("<I", data, 5)
+    if rank > 32:
+        raise CorruptFile(f"implausible tensor rank {rank}")
+    if len(data) < 9 + 4 * rank:
+        raise CorruptFile("tensor blob truncated inside the dims block")
+    dims = struct.unpack_from(f"<{rank}I", data, 9)
+    count, payload = math.prod(dims), data[9 + 4 * rank:]
+    if len(payload) != 8 * count:
+        raise CorruptFile(f"dims {dims} need {8 * count} payload bytes, got {len(payload)}")
+    return np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
 
 
 def save_attack_set(out_dir: str, cfg: AttackConfig, surrogates: list, labels, results) -> None:
@@ -241,7 +279,7 @@ def save_attack_set(out_dir: str, cfg: AttackConfig, surrogates: list, labels, r
         os.remove(manifest_path)
     files = [f"adv_{i:05d}.emtn" for i in range(len(results))]
     for fname, r in zip(files, results):
-        save_tensor(os.path.join(out_dir, fname), r.adv)
+        atomic_write_bytes(os.path.join(out_dir, fname), _encode_tensor(r.adv))
     for stale in set(glob.glob("adv_" + "[0-9]" * 5 + ".emtn", root_dir=out_dir)) - set(files):
         os.remove(os.path.join(out_dir, stale))   # a longer set written here before
     values = {"config": cfg.canonical(), "config_hash": cfg.config_hash(), "count": len(results),
@@ -278,11 +316,10 @@ def load_attack_set(adv_dir: str) -> tuple:
     for f in files:
         if not isinstance(f, str) or f in ("", ".", "..") or os.path.basename(f) != f:
             raise CorruptFile(f"{manifest_path}: {f!r} is not a plain file name")
-        path = os.path.join(adv_dir, f)
         try:
-            advs.append(load_tensor(path))
+            with open(os.path.join(adv_dir, f), "rb") as fh:
+                advs.append(_decode_tensor(fh.read()))
             validate_image(advs[-1])
         except (OSError, ValueError, AdvmError) as exc:
-            why = str(exc).removeprefix(f"{path}: ")   # name f once, not path too
-            raise CorruptFile(f"unreadable adversarial tensor {f}: {why}") from exc
+            raise CorruptFile(f"unreadable adversarial tensor {f}: {exc}") from exc
     return manifest, advs

@@ -1,26 +1,16 @@
-"""Image checks, the L-infinity projection, and the .emtn tensor format.
+"""Image checks and the L-infinity projection.
 
 Images are float64 numpy arrays of shape (height, width, channels); pixel
 data lives in [0, 1]. validate_image is the one pixel scan, run at the
 boundaries (run_attack on the clean image, advm eval on each stored
 tensor), and project_linf clips to the eps-ball intersected with [0, 1].
 The linear operators of the transforms, and their matrices, are built and
-applied in transforms.
-
-Tensors are serialized in a small binary format: magic "EMTN", a version
-byte, a little-endian u32 rank, the dims as little-endian u32, then the
-raw float64 payload in row-major order. Round trips are bit-exact.
+applied in transforms; evaluate writes and reads the stored tensors.
 """
-
-import struct
 
 import numpy as np
 
-from .errors import CorruptFile, ShapeMismatch, VersionMismatch
-from .fileio import atomic_write_bytes
-
-_MAGIC = b"EMTN"
-_VERSION = 1
+from .errors import ShapeMismatch
 
 
 def validate_image(t: np.ndarray) -> None:
@@ -48,47 +38,3 @@ def project_linf(t: np.ndarray, origin: np.ndarray, eps: float) -> np.ndarray:
     if not eps >= 0.0:   # NaN fails this too; it would clip every pixel to NaN
         raise ValueError(f"eps must be >= 0, got {eps}")
     return np.clip(np.clip(t, origin - eps, origin + eps), 0.0, 1.0)
-
-
-def tensor_to_bytes(t: np.ndarray) -> bytes:
-    arr = np.ascontiguousarray(t, dtype="<f8")
-    header = _MAGIC + bytes([_VERSION]) + struct.pack("<I", arr.ndim)
-    header += struct.pack(f"<{arr.ndim}I", *arr.shape)
-    return header + arr.tobytes()
-
-
-def tensor_from_bytes(data: bytes) -> np.ndarray:
-    if len(data) < 9:
-        raise CorruptFile("tensor blob shorter than its fixed header")
-    if data[:4] != _MAGIC:
-        raise CorruptFile(f"expected {_MAGIC!r}, got {data[:4]!r}")
-    if data[4] != _VERSION:
-        raise VersionMismatch(f"unsupported tensor format version {data[4]}")
-    (rank,) = struct.unpack_from("<I", data, 5)
-    if rank > 32:
-        raise CorruptFile(f"implausible tensor rank {rank}")
-    offset = 9
-    if len(data) < offset + 4 * rank:
-        raise CorruptFile("tensor blob truncated inside the dims block")
-    dims = struct.unpack_from(f"<{rank}I", data, offset)
-    offset += 4 * rank
-    count = 1
-    for d in dims:
-        count *= d
-    payload = data[offset:]
-    if len(payload) != 8 * count:
-        raise CorruptFile(f"dims {dims} need {8 * count} payload bytes, got {len(payload)}")
-    return np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
-
-
-def save_tensor(path: str, t: np.ndarray) -> None:
-    atomic_write_bytes(path, tensor_to_bytes(t))
-
-
-def load_tensor(path: str) -> np.ndarray:
-    """The tensor in the file at path; a refusal of its bytes names the path."""
-    try:
-        with open(path, "rb") as fh:
-            return tensor_from_bytes(fh.read())
-    except (CorruptFile, VersionMismatch) as exc:
-        raise type(exc)(f"{path}: {exc}") from exc

@@ -10,6 +10,7 @@ import base64
 import json
 import math
 import os
+import struct
 from typing import NamedTuple
 
 import numpy as np
@@ -196,6 +197,19 @@ def rand_pixel_image(shape, seed, lo=0.05, hi=0.95):
     """A deterministic image with pixel values strictly inside [0, 1]."""
     rng = np.random.default_rng(seed)
     return rng.uniform(lo, hi, size=shape)
+
+
+def bits(a) -> tuple:
+    """An array's dtype, shape and C-order bytes: two arrays have equal bits exactly
+    when they match value for value, -0.0 and NaN payloads included."""
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def encode_tensor(t) -> bytes:
+    """An .emtn file: magic EMTN, version byte 1, the rank and then each dim as a
+    little-endian u32, then t's C-order little-endian float64 values."""
+    a = np.asarray(t, "<f8")
+    return b"EMTN\x01" + struct.pack(f"<{a.ndim + 1}I", a.ndim, *a.shape) + a.tobytes()
 
 
 # -- model files, read and written without advm -------------------------------

@@ -25,10 +25,10 @@ from advm.attacks import (
 from advm.experiment import DESK_REPLICATE_SEEDS, mean_transfer, white_box_rate
 from advm.models import EnsembleOracle, Model, ModelSpec
 from advm.sampling import SamplingSpec, make_rng
-from advm.tensor import tensor_to_bytes
 from advm.transforms import TransformConfig, compose_dts, tim_kernel
 
-from conftest import SinusoidOracle, QuadraticOracle, central_diff, observed, rand_pixel_image
+from conftest import (SinusoidOracle, QuadraticOracle, bits, central_diff, observed,
+                      rand_pixel_image)
 from reference_recursions import (
     RecordingRNG,
     linear_grid,
@@ -254,7 +254,7 @@ def test_criterion_3_feasibility_and_scheduling():
         for jobs in (3, 7):
             wide = attack_batch(oracle, images, labels, cfg, jobs=jobs)
             for a, b in zip(serial, wide):
-                assert tensor_to_bytes(a.adv) == tensor_to_bytes(b.adv), (
+                assert bits(a.adv) == bits(b.adv), (
                     f"{variant}/{s_name} diverged at jobs={jobs}"
                 )
 
@@ -262,7 +262,7 @@ def test_criterion_3_feasibility_and_scheduling():
     oracle, images, labels, cfg, serial = kept[("emifgsm", "dim+tim+sim")]
     again = attack_batch(oracle, images, labels, cfg, jobs=1)
     for a, b in zip(serial, again):
-        assert tensor_to_bytes(a.adv) == tensor_to_bytes(b.adv)
+        assert bits(a.adv) == bits(b.adv)
 
     elapsed = time.monotonic() - t0
     print(f"criterion 3: {total} attacks over {len(stacks)} transform stacks "

@@ -27,7 +27,6 @@ from advm.errors import AdvmError, LabelOutOfRange, NonFiniteGradient, ShapeMism
 from advm.models import Model, ModelSpec
 from advm.sampling import (SamplingSpec, derive_rng, make_rng, sample_coefficients,
                            sample_uniform_cube)
-from advm.tensor import tensor_to_bytes
 from advm.transforms import TransformConfig, compose_dts
 
 from conftest import (
@@ -35,6 +34,7 @@ from conftest import (
     QuadraticOracle,
     RecordingOracle,
     SinusoidOracle,
+    bits,
     observed,
     rand_pixel_image,
 )
@@ -313,7 +313,7 @@ def test_run_attack_takes_a_numpy_integer_label():
     x = rand_pixel_image((3, 3, 1), seed=1)
     cfg = AttackConfig(variant="emifgsm", iters=2, sampling=SamplingSpec(count=3))
     got, want = run_attack(model, x, np.int64(1), cfg), run_attack(model, x, 1, cfg)
-    assert tensor_to_bytes(got.adv) == tensor_to_bytes(want.adv)
+    assert bits(got.adv) == bits(want.adv)
     assert got.loss_trace == want.loss_trace
 
 
@@ -430,7 +430,7 @@ def test_observed_run_is_byte_identical_to_unobserved(variant, enabled):
                        transforms=TransformConfig(enabled=enabled, sim_copies=2))
     plain = run_attack(oracle, x, 2, cfg, derive_rng(5, 1))
     seen, steps = observed(oracle, x, 2, cfg, derive_rng(5, 1))
-    assert tensor_to_bytes(seen.adv) == tensor_to_bytes(plain.adv)
+    assert bits(seen.adv) == bits(plain.adv)
     assert seen.loss_trace == plain.loss_trace
     assert seen.white_box_success == plain.white_box_success
     assert len(steps) == len(plain.loss_trace)
@@ -450,12 +450,12 @@ def test_run_attack_applies_the_configured_transforms(variant):
                                                   sim_copies=2))
     got = run_attack(model, x, 1, cfg, derive_rng(4, 2))
     want = attack_one(model, x, 1, cfg, 2)
-    assert tensor_to_bytes(got.adv) == tensor_to_bytes(want.adv)
+    assert bits(got.adv) == bits(want.adv)
     assert got.loss_trace == want.loss_trace
     assert got.white_box_success == want.white_box_success
     plain = run_attack(model, x, 1, dataclasses.replace(cfg, transforms=TransformConfig()),
                        derive_rng(4, 2))
-    assert tensor_to_bytes(got.adv) != tensor_to_bytes(plain.adv)
+    assert bits(got.adv) != bits(plain.adv)
     assert got.loss_trace != plain.loss_trace
     # the transforms shape the gradient only: success is the plain prediction
     assert got.white_box_success == (model.predict(got.adv) != 1)
@@ -543,13 +543,13 @@ def test_attack_batch_job_width_is_bit_identical():
     serial = attack_batch(oracle, xs, ys, cfg, jobs=1)
     wide = attack_batch(oracle, xs, ys, cfg, jobs=4)
     for a, b in zip(serial, wide):
-        assert tensor_to_bytes(a.adv) == tensor_to_bytes(b.adv)
+        assert bits(a.adv) == bits(b.adv)
         assert a.loss_trace == b.loss_trace
         assert a.white_box_success == b.white_box_success
 
 
-def _batch_bytes(results):
-    return [tensor_to_bytes(r.adv) for r in results]
+def _batch_bits(results):
+    return [bits(r.adv) for r in results]
 
 
 def _needs_a_worker():
@@ -575,8 +575,8 @@ def test_workers_see_the_oracle_as_it_is_at_each_call():
     before = attack_batch(oracle, xs, ys, cfg, jobs=2)
     oracle.c = oracle.c + 0.25
     after = attack_batch(oracle, xs, ys, cfg, jobs=2)
-    assert _batch_bytes(after) == _batch_bytes(attack_batch(oracle, xs, ys, cfg, jobs=1))
-    assert _batch_bytes(after)[-1] != _batch_bytes(before)[-1]
+    assert _batch_bits(after) == _batch_bits(attack_batch(oracle, xs, ys, cfg, jobs=1))
+    assert _batch_bits(after)[-1] != _batch_bits(before)[-1]
 
 
 def test_worker_exception_is_raised_in_the_caller():
@@ -589,7 +589,7 @@ def test_worker_exception_is_raised_in_the_caller():
 
 
 def _attack_in_child(oracle, xs, ys, cfg, want):
-    assert _batch_bytes(attack_batch(oracle, xs, ys, cfg, jobs=2)) == want
+    assert _batch_bits(attack_batch(oracle, xs, ys, cfg, jobs=2)) == want
 
 
 def test_a_child_process_forks_a_pool_of_its_own_and_exits():
@@ -598,7 +598,7 @@ def test_a_child_process_forks_a_pool_of_its_own_and_exits():
     xs = [rand_pixel_image((4, 4, 1), seed=110 + i) for i in range(4)]
     ys = [i % 3 for i in range(4)]
     cfg = _stochastic_cfg()
-    want = _batch_bytes(attack_batch(oracle, xs, ys, cfg, jobs=2))   # this process has a pool
+    want = _batch_bits(attack_batch(oracle, xs, ys, cfg, jobs=2))   # this process has a pool
     child = multiprocessing.get_context("fork").Process(
         target=_attack_in_child, args=(oracle, xs, ys, cfg, want))
     child.start()
@@ -622,7 +622,7 @@ def test_dead_worker_raises_worker_lost_and_the_next_call_recovers():
     assert issubclass(WorkerLost, AdvmError)
     oracle = QuadraticOracle((4, 4, 1), seed=18)
     serial = attack_batch(oracle, xs, ys, cfg, jobs=1)
-    assert _batch_bytes(attack_batch(oracle, xs, ys, cfg, jobs=2)) == _batch_bytes(serial)
+    assert _batch_bits(attack_batch(oracle, xs, ys, cfg, jobs=2)) == _batch_bits(serial)
 
 
 # -- the ordered process map ---------------------------------------------------------

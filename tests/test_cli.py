@@ -28,13 +28,12 @@ from advm.cli import (
     read_config_file,
     resolve_attack_config,
 )
-from advm.evaluate import _ADVSET_FIELDS, RateTable, parse_report_csv
+from advm.evaluate import _ADVSET_FIELDS, RateTable, load_attack_set, parse_report_csv
 from advm.models import load_model
 from advm.sampling import SamplingSpec
-from advm.tensor import load_tensor, save_tensor
 from advm.transforms import TransformConfig
 
-from conftest import MODEL_DAMAGES, decode_model, encode_model, legacy_model
+from conftest import MODEL_DAMAGES, decode_model, encode_model, encode_tensor, legacy_model
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -206,8 +205,7 @@ def test_attack_writes_manifest_and_feasible_examples(runner, trained, tmp_path)
 
     # adversarial tensors are feasible against the regenerated originals
     data = load_dataset("synthetic:2x4x6:0.05", seed=3)
-    for i, fname in enumerate(manifest["files"]):
-        adv = load_tensor(os.path.join(out, fname))
+    for i, adv in enumerate(load_attack_set(out)[1]):
         assert adv.shape == (6, 6, 1)
         assert adv.min() >= 0.0 and adv.max() <= 1.0
         assert np.max(np.abs(adv - data.images[i])) <= cfg.eps + 1e-12
@@ -529,6 +527,12 @@ def test_attack_bad_values_are_usage_errors(runner, trained, tmp_path, flags, te
     # a count flag past 2**31 ended in _require_sizes' traceback
     (["--epochs", "100000000000000000000"], _past_count_limit("--epochs")),
     (["--batch", "100000000000000000000"], _past_count_limit("--batch")),
+    # these three printed "Invalid value:" without naming the flag
+    (["--dataset", "synthetic:2x2"], "Invalid value for --dataset: synthetic spec must be "
+                                     "CLASSESxPER_CLASSxSIDE, got '2x2'"),
+    (["--dataset", "bogus"], "Invalid value for --dataset: dataset must start with synthetic: "
+                             "or idx:, got 'bogus'"),
+    (["--dataset", "idx:a"], "Invalid value for --dataset: idx spec must be idx:IMAGES,LABELS"),
 ])
 def test_train_bad_values_are_usage_errors(runner, tmp_path, flags, text):
     out = tmp_path / "m.json"
@@ -1071,9 +1075,9 @@ def test_eval_refuses_tensors_that_are_not_pixel_images(runner, trained, advset,
     adv_dir = _edit_advset(advset, tmp_path, lambda m: None)
     with open(adv_dir / "manifest.json") as fh:
         last = json.load(fh)["files"][-1]
-    tensor = load_tensor(str(adv_dir / last))
+    tensor = load_attack_set(str(adv_dir))[1][-1]
     edit(tensor)
-    save_tensor(str(adv_dir / last), tensor)
+    (adv_dir / last).write_bytes(encode_tensor(tensor))
     result = runner.invoke(main, ["eval", "--adv", str(adv_dir),
                                   "--targets", trained["model"]])
     assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
@@ -1084,7 +1088,7 @@ def test_eval_refuses_a_tensor_of_the_wrong_rank(runner, trained, advset, tmp_pa
     adv_dir = _edit_advset(advset, tmp_path, lambda m: None)
     with open(adv_dir / "manifest.json") as fh:
         first = json.load(fh)["files"][0]
-    save_tensor(str(adv_dir / first), np.full((6, 6), 0.5))
+    (adv_dir / first).write_bytes(encode_tensor(np.full((6, 6), 0.5)))
     result = runner.invoke(main, ["eval", "--adv", str(adv_dir),
                                   "--targets", trained["model"]])
     assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
@@ -1095,7 +1099,7 @@ def test_eval_refuses_a_zero_size_tensor_by_its_shape(runner, trained, advset, t
     adv_dir = _edit_advset(advset, tmp_path, lambda m: None)
     with open(adv_dir / "manifest.json") as fh:
         first = json.load(fh)["files"][0]
-    save_tensor(str(adv_dir / first), np.zeros((0, 6, 1)))
+    (adv_dir / first).write_bytes(encode_tensor(np.zeros((0, 6, 1))))
     out = tmp_path / "report.csv"
     result = runner.invoke(main, ["eval", "--adv", str(adv_dir),
                                   "--targets", trained["model"], "--out", str(out)])
@@ -1205,8 +1209,8 @@ def test_attack_refuses_an_empty_out_before_attacking(runner, trained, tmp_path,
 
 
 def _fail_on_call(monkeypatch, module, n):
-    """Make the n-th atomic_write_bytes call of module (tensor for save_tensor,
-    models for save_model) fail as a full disk does; earlier calls write."""
+    """Make the n-th atomic_write_bytes call of module (evaluate for an attack set's
+    tensors, models for save_model) fail as a full disk does; earlier calls write."""
     real, calls = module.atomic_write_bytes, []
 
     def write(path, data):
@@ -1224,8 +1228,8 @@ def _fail_on_call(monkeypatch, module, n):
 ])
 def test_a_write_that_fails_is_one_line_not_a_traceback(runner, trained, tmp_path, monkeypatch,
                                                          command):
-    from advm import models, tensor
-    _fail_on_call(monkeypatch, tensor if command[0] == "attack" else models, 1)
+    from advm import evaluate, models
+    _fail_on_call(monkeypatch, evaluate if command[0] == "attack" else models, 1)
     out = tmp_path / "out"
     args = [a.format(model=trained["model"]) for a in command]
     result = runner.invoke(main, [*args, "--out", str(out)])
@@ -1254,12 +1258,12 @@ def test_running_out_of_memory_is_one_line_not_a_traceback(runner, trained, tmp_
 def test_an_attack_that_stops_short_leaves_no_manifest(runner, trained, tmp_path, monkeypatch):
     # the old manifest used to stay, and eval scored it, exit 0, over 3 new
     # tensors and 5 old ones under the first run's config hash
-    from advm import tensor
+    from advm import evaluate
     out = str(tmp_path / "advset")
     args = ["attack", "--surrogate", trained["model"], "--dataset", "synthetic:2x4x6:0.05",
             "--iters", "1", "--out", out]
     assert runner.invoke(main, [*args, "--seed", "1"]).exit_code == 0
-    _fail_on_call(monkeypatch, tensor, 4)
+    _fail_on_call(monkeypatch, evaluate, 4)
     result = runner.invoke(main, [*args, "--seed", "2"])
     assert result.exit_code == 1 and "No space left on device" in result.output, result.output
     assert not os.path.exists(os.path.join(out, "manifest.json"))

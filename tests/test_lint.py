@@ -290,12 +290,16 @@ def test_manifest_table_check_flags_inline_and_local_tables():
 
 
 def advset_format_sites(tree) -> list:
-    """(line, what) of each string that spells the attack-set format name, and
-    each binding of its field table's name, by assignment or import."""
+    """(line, what) of each string that spells the attack-set format name, each
+    bytes constant that spells the .emtn magic, and each binding of the field
+    table's name, by assignment or import."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Constant) and "advm-advset" in str(node.value):
             found.append((node.lineno, "advm-advset"))
+        elif (isinstance(node, ast.Constant) and type(node.value) is bytes
+              and b"EMTN" in node.value):
+            found.append((node.lineno, "EMTN"))
         elif ((isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
                and node.id == "_ADVSET_FIELDS")
               or (isinstance(node, ast.alias) and "_ADVSET_FIELDS" in (node.name, node.asname))):
@@ -308,7 +312,8 @@ def test_only_evaluate_holds_the_attack_set_format():
              for line, what in advset_format_sites(tree)]
     assert not found, "the attack-set format outside evaluate.py: " + ", ".join(found)
     assert {what for _, what in advset_format_sites(TREES["evaluate.py"])} == {
-        "advm-advset", "_ADVSET_FIELDS"}, "evaluate.py no longer holds the attack-set format"
+        "advm-advset", "_ADVSET_FIELDS", "EMTN"}, (
+        "evaluate.py no longer holds the attack-set format")
 
 
 def test_attack_set_format_check_flags_planted_sites():
@@ -319,10 +324,12 @@ def test_attack_set_format_check_flags_planted_sites():
         "def f(m):\n    return m['format'] == f'advm-advset v{m[0]}', 'advm-model'\n"
         "_ADVSET_FIELDS: dict = {}\n"
         "table = _ADVSET_FIELDS\n"
+        "_MAGIC, _NAME = b'EMTN\\x01', 'EMTN'\n"
     )
     assert advset_format_sites(tree) == [(1, "_ADVSET_FIELDS"), (2, "_ADVSET_FIELDS"),
                                          (3, "_ADVSET_FIELDS"), (3, "advm-advset"),
-                                         (5, "advm-advset"), (6, "_ADVSET_FIELDS")]
+                                         (5, "advm-advset"), (6, "_ADVSET_FIELDS"),
+                                         (8, "EMTN")]
 
 
 def json_parses(tree) -> list:

@@ -1,8 +1,10 @@
-"""Tensor ops: validation, projection, the transforms' separable matrix kernel, EMTN IO."""
+"""Tensor ops: validation, projection, the transforms' separable matrix kernel, and
+the .emtn codec that evaluate holds for attack sets."""
 
 import math
 import re
 import struct
+import types
 
 import numpy as np
 import pytest
@@ -16,14 +18,9 @@ from advm.errors import (
     ShapeMismatch,
     VersionMismatch,
 )
-from advm.tensor import (
-    load_tensor,
-    project_linf,
-    save_tensor,
-    tensor_from_bytes,
-    tensor_to_bytes,
-    validate_image,
-)
+from advm.attacks import AttackConfig
+from advm.evaluate import _decode_tensor, _encode_tensor, load_attack_set, save_attack_set
+from advm.tensor import project_linf, validate_image
 from advm.transforms import _bilinear_weights, _separable_gemm
 
 from conftest import rand_pixel_image
@@ -316,55 +313,43 @@ def test_tensor_bytes_frozen_layout():
         + struct.pack("<3I", 2, 1, 1)
         + struct.pack("<2d", 1.5, -2.25)
     )
-    assert tensor_to_bytes(t) == want
+    assert _encode_tensor(t) == want
 
 
 def test_tensor_bytes_roundtrip():
     t = rand_pixel_image((4, 5, 3), seed=6)
-    back = tensor_from_bytes(tensor_to_bytes(t))
+    back = _decode_tensor(_encode_tensor(t))
     assert back.dtype == np.float64
     assert np.array_equal(back, t)
 
 
 def test_tensor_roundtrip_via_file(tmp_path):
     t = rand_pixel_image((3, 3, 2), seed=8)
-    path = tmp_path / "t.emtn"
-    save_tensor(str(path), t)
-    assert np.array_equal(load_tensor(str(path)), t)
-    # no temp files left behind by the atomic write
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.emtn"]
+    result = types.SimpleNamespace(adv=t, white_box_success=False)
+    save_attack_set(str(tmp_path), AttackConfig(), ["m"], [0], [result])
+    assert np.array_equal(load_attack_set(str(tmp_path))[1][0], t)
+    # no temp files left behind by the atomic writes
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adv_00000.emtn", "manifest.json"]
 
 
 def test_tensor_from_bytes_errors():
-    good = tensor_to_bytes(np.zeros((2, 2, 1)))
+    good = _encode_tensor(np.zeros((2, 2, 1)))
     with pytest.raises(CorruptFile):
-        tensor_from_bytes(good[:5])
-    with pytest.raises(CorruptFile):
-        tensor_from_bytes(b"XXXX" + good[4:])
-    with pytest.raises(VersionMismatch):
-        tensor_from_bytes(good[:4] + bytes([2]) + good[5:])
+        _decode_tensor(good[:5])
+    # the bare text: load_attack_set names the file, once
+    with pytest.raises(CorruptFile, match=r"^expected b'EMTN', got b'XXXX'$"):
+        _decode_tensor(b"XXXX" + good[4:])
+    with pytest.raises(VersionMismatch, match=r"^unsupported tensor format version 2$"):
+        _decode_tensor(good[:4] + bytes([2]) + good[5:])
     # implausible rank
     with pytest.raises(CorruptFile):
-        tensor_from_bytes(good[:5] + struct.pack("<I", 33) + good[9:])
+        _decode_tensor(good[:5] + struct.pack("<I", 33) + good[9:])
     # dims block truncated
     with pytest.raises(CorruptFile):
-        tensor_from_bytes(good[:5] + struct.pack("<I", 3) + b"\x02\x00")
+        _decode_tensor(good[:5] + struct.pack("<I", 3) + b"\x02\x00")
     # payload shorter than the dims promise
-    with pytest.raises(CorruptFile):
-        tensor_from_bytes(good[:-8])
-
-
-@pytest.mark.parametrize("edit, error, text", [
-    (lambda b: b"XXXX" + b[4:], CorruptFile, "expected b'EMTN', got b'XXXX'"),
-    (lambda b: b[:4] + bytes([2]) + b[5:], VersionMismatch, "unsupported tensor format version 2"),
-    (lambda b: b[:-8], CorruptFile, "need 32 payload bytes, got 24"),
-], ids=["magic", "version", "payload"])
-def test_load_tensor_names_the_path_of_a_damaged_file(tmp_path, edit, error, text):
-    path = tmp_path / "t.emtn"
-    path.write_bytes(edit(tensor_to_bytes(np.zeros((2, 2, 1)))))
-    with pytest.raises(error, match=re.escape(f"{path}: ")) as info:
-        load_tensor(str(path))
-    assert type(info.value) is error and text in str(info.value)
+    with pytest.raises(CorruptFile, match=r"^dims \(2, 2, 1\) need 32 payload bytes, got 24$"):
+        _decode_tensor(good[:-8])
 
 
 # -- properties ---------------------------------------------------------------------
@@ -428,20 +413,20 @@ def test_property_pad_zero_adjoint_identity(data):
 @_PROPERTY
 @given(t=_images(st.floats(allow_nan=True, allow_infinity=True), max_side=5, max_channels=4))
 def test_property_emtn_roundtrip_is_bit_exact(t):
-    blob = tensor_to_bytes(t)
-    back = tensor_from_bytes(blob)
+    blob = _encode_tensor(t)
+    back = _decode_tensor(blob)
     assert back.shape == t.shape
     assert back.tobytes() == t.tobytes()
-    assert tensor_to_bytes(back) == blob
+    assert _encode_tensor(back) == blob
 
 
 @_PROPERTY
 @given(t=_images(st.floats(-1.0, 1.0), max_side=4), data=st.data())
 def test_property_truncated_emtn_raises_advm_error(t, data):
-    blob = tensor_to_bytes(t)
+    blob = _encode_tensor(t)
     cut = data.draw(st.integers(0, len(blob) - 1))
     with pytest.raises(AdvmError):
-        tensor_from_bytes(blob[:cut])
+        _decode_tensor(blob[:cut])
 
 
 @_PROPERTY
@@ -449,8 +434,8 @@ def test_property_truncated_emtn_raises_advm_error(t, data):
        tail=st.binary(max_size=64))
 def test_property_random_emtn_blob_parses_or_raises_advm_error(head, tail):
     try:
-        back = tensor_from_bytes(head + tail)
+        back = _decode_tensor(head + tail)
     except AdvmError:
         return
     assert back.dtype == np.float64
-    assert tensor_to_bytes(back) == head + tail
+    assert _encode_tensor(back) == head + tail
