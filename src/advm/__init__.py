@@ -41,7 +41,7 @@ from .models import (
 )
 from .sampling import SamplingSpec, derive_rng, make_rng, sample_coefficients
 from .tensor import project_linf
-from .transforms import TransformConfig, tim_kernel
+from .transforms import TransformConfig
 
 __all__ = [
     "AdvmError",
@@ -75,7 +75,6 @@ __all__ = [
     "save_attack_set",
     "save_model",
     "subsample",
-    "tim_kernel",
     "train_sgd",
     "transfer_matrix",
     "__version__",

@@ -25,7 +25,7 @@ from .data import check_label, generate_synthetic, load_idx, subsample
 from .errors import AdvmError, ShapeMismatch
 from .evaluate import (RateTable, ablation_sweep, attack_success_rate, emit_report,
                        load_attack_set, parse_report_csv, save_attack_set)
-from .fileio import atomic_write_text
+from .fileio import atomic_write_bytes
 from .models import ARCHITECTURES, EnsembleOracle, ModelSpec, load_model, save_model, train_sgd
 from .sampling import SIZE_LIMIT, SamplingSpec
 from .transforms import TransformConfig
@@ -352,7 +352,7 @@ def _load_attack_inputs(surrogate: str, dataset: str, num_images, cfgs) -> tuple
 def _write_or_echo(text: str, out_path: str | None) -> None:
     """Write a rendered report to out_path and say so, or echo it without one."""
     if out_path:
-        atomic_write_text(out_path, text)
+        atomic_write_bytes(out_path, text.encode())
         click.echo(f"wrote {out_path}")
     else:
         click.echo(text, nl=False)

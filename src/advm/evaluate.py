@@ -35,7 +35,7 @@ import numpy as np
 from .attacks import AttackConfig, attack_batch
 from .data import LabeledDataset, check_label
 from .errors import AdvmError, CorruptFile, EmptyDataset, VersionMismatch
-from .fileio import atomic_write_bytes, atomic_write_text, parse_manifest
+from .fileio import atomic_write_bytes, parse_manifest
 from .tensor import validate_image
 
 _MATRIX_HEADER = ["surrogate", "target", "rate", "n", "config_hash"]
@@ -287,7 +287,7 @@ def save_attack_set(out_dir: str, cfg: AttackConfig, surrogates: list, labels, r
               "white_box": [r.white_box_success for r in results]}
     manifest = {"format": _ADVSET_FORMAT, "version": _ADVSET_VERSION,
                 **{key: values[key] for key in _ADVSET_FIELDS}}
-    atomic_write_text(manifest_path, json.dumps(manifest, sort_keys=True, indent=1))
+    atomic_write_bytes(manifest_path, json.dumps(manifest, sort_keys=True, indent=1).encode())
 
 
 def load_attack_set(adv_dir: str) -> tuple:

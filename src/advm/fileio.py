@@ -35,10 +35,6 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
         raise
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
-
-
 def parse_manifest(data: bytes, path: str, fmt: str, version: int, fields: dict) -> dict:
     """The JSON object in data, UTF-8 read from path, once format, version and fields check out.
 

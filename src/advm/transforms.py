@@ -19,9 +19,12 @@ copy, and smoothing applies last, to the averaged gradient. A config with
 one enabled transform gives that transform alone. run_attack calls
 compose_dts once per query point, on the attack's own stream.
 
-The operator matrices are built and applied here: one per spatial axis,
-applied channelwise by _separable_gemm, with the transposes as adjoint.
-No operator scans pixels for NaN or infinity; run_attack checks those.
+TransformConfig alone checks the settings; its dim_sides resolves the dim
+sides of an image shape for check_shape and draw_dim_geometry alike, so a
+bad geometry is refused one way on every path. The operator matrices are
+built from what it checked: one per spatial axis, applied channelwise by
+_separable_gemm, with the transposes as adjoint. No operator scans pixels
+for NaN or infinity; run_attack checks those.
 """
 
 import math
@@ -62,38 +65,36 @@ class TransformConfig:
         if self.dim_prob > 1.0:
             raise ValueError(f"dim_prob must be in [0, 1], got {self.dim_prob}")
         if self.tim_kernel_size % 2 == 0:
-            raise ValueError("tim kernel side must be odd and >= 1")
-        sigma = self.tim_sigma   # from 1e-162 down, 2 sigma^2 underflows to 0 in tim_kernel
+            raise ValueError(f"tim_kernel_size must be odd, got {self.tim_kernel_size}")
+        sigma = self.tim_sigma   # from 1e-162 down, 2 sigma^2 underflows to 0 in _tim_kernel
         if not 2.0 * sigma * sigma > 0.0:
             raise ValueError(f"tim sigma must be finite and > 0, with 2 sigma^2 > 0, got {sigma}")
         low, pad = self.dim_resize_low, self.dim_pad_to
         if low is not None and pad is not None and low > pad:
             raise ValueError(f"dim resize_low {low} exceeds pad_to {pad}")
 
-    def resolve_dim(self, side: int) -> tuple:
-        """Concrete (resize_low, pad_to) for a given input side."""
-        low = self.dim_resize_low if self.dim_resize_low is not None else side
-        pad = self.dim_pad_to if self.dim_pad_to is not None else math.ceil(PAD_RATIO * side)
+    def dim_sides(self, shape: tuple) -> tuple:
+        """Concrete (resize_low, pad_to) for (h, w, c) images; ShapeMismatch
+        unless they are square and resize_low fits under pad_to."""
+        h, w = shape[0], shape[1]
+        if h != w:
+            raise ShapeMismatch(f"dim needs square images, got {h}x{w}")
+        low = self.dim_resize_low if self.dim_resize_low is not None else h
+        pad = self.dim_pad_to if self.dim_pad_to is not None else math.ceil(PAD_RATIO * h)
         if low > pad:
-            raise ValueError(f"dim resize_low {low} exceeds pad_to {pad}")
+            raise ShapeMismatch(f"dim resize_low {low} exceeds pad_to {pad} for {h}-pixel images")
         return low, pad
 
     def check_shape(self, shape: tuple) -> None:
         """Raise ShapeMismatch unless (h, w, c) images can take the enabled
-        transforms: a tim kernel no wider than any tap can reach, and square
-        images whose side the dim geometry fits."""
+        transforms: a tim kernel no wider than any tap can reach, and the dim
+        sides (dim_sides)."""
         h, w = shape[0], shape[1]
         if "tim" in self.enabled and self.tim_kernel_size > 2 * max(h, w) - 1:
             raise ShapeMismatch(f"{self.tim_kernel_size} exceeds 2 * {max(h, w)} - 1 "
                                 f"for {h}x{w} images")
-        if "dim" not in self.enabled:
-            return
-        if h != w:
-            raise ShapeMismatch(f"dim needs square images, got {h}x{w}")
-        try:
-            self.resolve_dim(h)
-        except ValueError as exc:
-            raise ShapeMismatch(f"{exc} for {h}-pixel images") from exc
+        if "dim" in self.enabled:
+            self.dim_sides(shape)
 
 
 def _band(taps: np.ndarray, n: int) -> np.ndarray:
@@ -136,31 +137,23 @@ def _separable_gemm(rows: np.ndarray, flat: np.ndarray, cols: np.ndarray, c: int
     return np.ascontiguousarray(out.reshape(new_h, c, -1).transpose(0, 2, 1))
 
 
-@lru_cache(maxsize=64, typed=True)   # typed: a cached 1 must not answer for True
-def tim_kernel(size: int = 7, sigma: float = 3.0) -> np.ndarray:
-    """Read-only Gaussian weights exp(-(di^2+dj^2) / (2 sigma^2)) normalized to sum 1."""
-    _require_sizes(1, size=size)
-    _require_floats(0.0, sigma=sigma)
-    if size % 2 == 0:
-        raise ValueError("kernel side must be odd")
-    if not 2.0 * sigma * sigma > 0.0:   # 0 / 0 would make every weight NaN
-        raise ValueError(f"sigma must have 2 sigma^2 > 0 in float64, got {sigma}")
+def _tim_kernel(size: int, sigma: float) -> np.ndarray:
+    """Gaussian weights exp(-(di^2+dj^2) / (2 sigma^2)) normalized to sum 1, for
+    the odd size and the sigma with 2 sigma^2 > 0 that TransformConfig checked."""
     r = size // 2
     ax = np.arange(-r, r + 1, dtype=float)
     with np.errstate(over="ignore"):   # tiny sigma: off-centre exponents -inf, taps 0
         w = np.exp(-(ax[:, None] ** 2 + ax[None, :] ** 2) / (2.0 * sigma * sigma))
-    w = w / w.sum()
-    w.setflags(write=False)
-    return w
+    return w / w.sum()
 
 
 @lru_cache(maxsize=64)
 def _tim_matrices(size: int, sigma: float, h: int, w: int) -> tuple:
-    """Correlation with tim_kernel(size, sigma) on an (h, w) image as the pair
+    """Correlation with _tim_kernel(size, sigma) on an (h, w) image as the pair
     (rows, cols) for _separable_gemm. The Gaussian is rank 1, so the leading
     SVD term s u v^T is the whole kernel; the bands are built from that term
     rather than from the 1-D Gaussian, whose floats differ in the last place."""
-    u, s, vt = np.linalg.svd(tim_kernel(size, sigma))
+    u, s, vt = np.linalg.svd(_tim_kernel(size, sigma))
     return _band(s[0] * u[:, 0], h), _band(vt[0], w).T
 
 
@@ -169,15 +162,13 @@ def draw_dim_geometry(cfg: TransformConfig, shape: tuple, rng) -> tuple | None:
 
     The probability gate always consumes exactly one uniform draw, so a
     p=0 run replays the same stream as any other p (transform never
-    taken, identical draw ledger).
+    taken, identical draw ledger). cfg.dim_sides(shape) refuses a bad
+    geometry before that draw, so it is refused at every dim_prob.
     """
-    h, w, _ = shape
-    if h != w:
-        raise ShapeMismatch(f"diversity transform needs square inputs, got {h}x{w}")
+    low, pad = cfg.dim_sides(shape)
     u = rng.random()
     if not u < cfg.dim_prob:
         return None
-    low, pad = cfg.resolve_dim(h)
     r = low if low == pad else int(rng.integers(low, pad))
     top = int(rng.integers(0, pad - r + 1))
     left = int(rng.integers(0, pad - r + 1))

@@ -25,7 +25,7 @@ from advm.attacks import (
 from advm.experiment import DESK_REPLICATE_SEEDS, mean_transfer, white_box_rate
 from advm.models import EnsembleOracle, Model, ModelSpec
 from advm.sampling import SamplingSpec, make_rng
-from advm.transforms import TransformConfig, compose_dts, tim_kernel
+from advm.transforms import TransformConfig, _tim_kernel, compose_dts
 
 from conftest import (SinusoidOracle, QuadraticOracle, bits, central_diff, observed,
                       rand_pixel_image)
@@ -110,7 +110,7 @@ def test_criterion_1_finite_difference_gradients():
 
     # Gaussian smoothing is linear, not a scalar objective's gradient, so it
     # gets an exact two-route check: engine vs nested-loop convolution
-    kern = tim_kernel(7, 3.0)
+    kern = _tim_kernel(7, 3.0)
     tim = TransformConfig(enabled=("tim",), tim_kernel_size=7, tim_sigma=3.0)
     smooth_worst = 0.0
     for k, model in enumerate(models):

@@ -39,6 +39,10 @@ path again.
 experiment.py reads train_sgd and generate_synthetic only in _desk_world,
 so every desk world keeps the one recipe: one dataset, per-class windows
 of it, one smallcnn per zoo row.
+In src/, dim_resize_low and dim_pad_to are read only in TransformConfig's
+__post_init__ and dim_sides, PAD_RATIO only in dim_sides, and _tim_kernel
+only in _tim_matrices, so the dim sides are resolved in one place and the
+tim kernel is built only from a checked config.
 Every int, float or optional int field of AttackConfig, SamplingSpec,
 TransformConfig and ModelSpec, and ModelSpec's input_shape and hidden, is
 read inside a _require_* call of its class's __post_init__, and so is
@@ -616,7 +620,7 @@ _CRAFT_AND_SCORE_SITES = {
 }
 
 
-def craft_and_score_sites(trees, table) -> set:
+def read_sites(trees, table) -> set:
     """(name, module, function) of every read of a name of table, in trees by module."""
     return {(name, module, fn) for module, tree in trees.items() for name in table
             for _, fn in reads_of(tree, name)}
@@ -624,7 +628,7 @@ def craft_and_score_sites(trees, table) -> set:
 
 def test_only_the_builder_crafts_and_scores():
     allowed = {(name, *site) for name, sites in _CRAFT_AND_SCORE_SITES.items() for site in sites}
-    found = craft_and_score_sites(LINTED, _CRAFT_AND_SCORE_SITES)
+    found = read_sites(LINTED, _CRAFT_AND_SCORE_SITES)
     assert not found - allowed, "crafting or scoring outside its sites: " + ", ".join(
         f"{name} in {module}:{fn}" for name, module, fn in sorted(found - allowed, key=str))
     assert found == allowed, "stale crafting sites: " + ", ".join(
@@ -643,7 +647,7 @@ def test_craft_and_score_check_flags_planted_sites():
     assert reads_of(tree, "attack_batch") == [(3, "_craft_and_score"), (5, "transfer_matrix"),
                                               (6, "transfer_matrix"), (9, "run"), (11, None)]
     table = {"attack_batch": set(), "fooled": set(), "transfer_rates": set()}
-    assert craft_and_score_sites({"evaluate.py": tree}, table) == {
+    assert read_sites({"evaluate.py": tree}, table) == {
         ("attack_batch", "evaluate.py", fn)
         for fn in ("_craft_and_score", "transfer_matrix", "run", None)} | {
         ("fooled", "evaluate.py", "transfer_matrix")}
@@ -679,6 +683,53 @@ def test_desk_recipe_check_flags_planted_sites():
     )
     assert desk_recipe_sites(tree) == [(5, "build_whitebox_world", "train_sgd"),
                                        (8, "window", "generate_synthetic"), (10, None, "train_sgd")]
+
+
+# Where each transform setting may be read in src/, as (module, function):
+# TransformConfig checks the dim sides and resolves them for an image shape, and
+# the tim kernel is built only for the cached band pair of a checked config.
+_TRANSFORM_SETTING_SITES = {
+    "dim_resize_low": {("transforms.py", "__post_init__"), ("transforms.py", "dim_sides")},
+    "dim_pad_to": {("transforms.py", "__post_init__"), ("transforms.py", "dim_sides")},
+    "PAD_RATIO": {("transforms.py", "dim_sides")},
+    "_tim_kernel": {("transforms.py", "_tim_matrices")},
+}
+
+
+def stray_transform_setting_reads(trees) -> list:
+    """(name, module, function) of each read in trees of a _TRANSFORM_SETTING_SITES
+    name outside its sites, sorted."""
+    return sorted((name, module, fn) for name, module, fn in
+                  read_sites(trees, _TRANSFORM_SETTING_SITES)
+                  if (module, fn) not in _TRANSFORM_SETTING_SITES[name])
+
+
+def test_transform_settings_are_resolved_only_in_transform_config():
+    found = stray_transform_setting_reads(TREES)
+    assert not found, "transform settings read outside their sites: " + ", ".join(
+        f"{name} in {module}:{fn}" for name, module, fn in found)
+    allowed = {(name, *site) for name, sites in _TRANSFORM_SETTING_SITES.items()
+               for site in sites}
+    assert read_sites(TREES, _TRANSFORM_SETTING_SITES) == allowed, "stale transform-setting sites"
+
+
+def test_transform_setting_check_flags_a_planted_second_resolver():
+    tree = ast.parse(
+        "PAD_RATIO = 1.104\n"
+        "class TransformConfig:\n    dim_pad_to: int | None = None\n"
+        "    def dim_sides(self, shape):\n"
+        "        return self.dim_resize_low, self.dim_pad_to or PAD_RATIO * shape[0]\n"
+        "def draw_dim_geometry(cfg, shape, rng):\n"
+        "    pad = cfg.dim_pad_to or math.ceil(PAD_RATIO * shape[0])\n"
+        "    return _tim_kernel(pad, 1.0)\n"
+        "def _tim_matrices(size, sigma, h, w):\n    return _tim_kernel(size, sigma)\n"
+    )
+    assert stray_transform_setting_reads({"transforms.py": tree}) == [
+        ("PAD_RATIO", "transforms.py", "draw_dim_geometry"),
+        ("_tim_kernel", "transforms.py", "draw_dim_geometry"),
+        ("dim_pad_to", "transforms.py", "draw_dim_geometry")]
+    assert stray_transform_setting_reads({"cli.py": tree})[0] == ("PAD_RATIO", "cli.py",
+                                                                  "dim_sides")
 
 
 # The configs whose numbers go through sampling's shared checks, each with the

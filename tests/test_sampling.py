@@ -20,7 +20,7 @@ from advm.sampling import (
     sample_coefficients,
     sample_uniform_cube,
 )
-from advm.transforms import TransformConfig, tim_kernel
+from advm.transforms import TransformConfig
 
 
 def test_spec_defaults():
@@ -156,14 +156,6 @@ def _train_sgd(**kw):
         train_sgd(_SPEC, LabeledDataset((), (), 3), **kw)
 
 
-def _tim_kernel(size):
-    try:   # sigma 0 is refused after the size, before any tap is built
-        tim_kernel(size, 0.0)
-    except ValueError as exc:
-        if "2 sigma^2 > 0" not in str(exc):
-            raise
-
-
 def _generate(**kw):
     # no classes (or, at the classes site, no examples): every accepted run stops
     # at EmptyDataset after the numbers are checked, before any template is drawn
@@ -204,7 +196,6 @@ _INT_SITES = {
     "train_sgd.epochs": (lambda v: _train_sgd(epochs=v), "epochs", 0, True),
     "train_sgd.batch": (lambda v: _train_sgd(batch=v), "batch size", 1, True),
     "train_sgd.seed": (lambda v: _train_sgd(seed=v), "seed", 0, False),
-    "tim_kernel.size": (_tim_kernel, "size", 1, True),
     "subsample.n": (_subsample, "n", 0, True),
     "_pmap.jobs": (lambda v: _pmap(len, [], v), "jobs", 1, True),
     "batch_width.n_items": (lambda v: batch_width(1, v), "n_items", 0, True),
@@ -258,8 +249,9 @@ _FLOAT_SITES = {
     "generate_synthetic.contrast": (lambda v: _generate(contrast=v), "contrast", True,
                                     (5e-324,)),
     "train_sgd.lr": (lambda v: _train_sgd(lr=v), "learning rate", True, (5e-324,)),
-    # below about 1.5e-162, 2 sigma^2 underflows to 0, which tim_kernel refuses itself
-    "tim_kernel.sigma": (lambda v: tim_kernel(1, v), "sigma", False, (1e-161,)),
+    # below about 1.5e-162, 2 sigma^2 underflows to 0, which TransformConfig refuses itself
+    "TransformConfig.tim_sigma": (lambda v: TransformConfig(tim_sigma=v), "tim_sigma", False,
+                                  (1e-161,)),
 }
 
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from advm.attacks import AttackConfig, run_attack
 from advm.errors import ShapeMismatch
 from advm.sampling import make_rng
 from advm.transforms import (
@@ -17,9 +18,9 @@ from advm.transforms import (
     TransformConfig,
     compose_dts,
     draw_dim_geometry,
-    tim_kernel,
     _dim_matrix,
     _diversified_loss_grad,
+    _tim_kernel,
     _tim_matrices,
 )
 
@@ -53,7 +54,7 @@ def test_config_validation():
         TransformConfig(enabled=("blur",))
     with pytest.raises(ValueError):
         TransformConfig(dim_prob=1.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^tim_kernel_size must be odd, got 4$"):
         TransformConfig(tim_kernel_size=4)
     with pytest.raises(ValueError):
         TransformConfig(tim_sigma=0.0)
@@ -90,24 +91,46 @@ def test_config_enabled_sorted_and_deduped():
     assert cfg.enabled == ("dim", "tim")
 
 
-def test_resolve_dim_defaults():
+def test_dim_sides_defaults():
     cfg = TransformConfig(enabled=("dim",))
-    assert cfg.resolve_dim(28) == (28, math.ceil(PAD_RATIO * 28))
-    assert cfg.resolve_dim(28) == (28, 31)
-    assert TransformConfig(dim_resize_low=20, dim_pad_to=40).resolve_dim(28) == (20, 40)
+    assert cfg.dim_sides((28, 28, 1)) == (28, math.ceil(PAD_RATIO * 28))
+    assert cfg.dim_sides((28, 28, 3)) == (28, 31)
+    assert TransformConfig(dim_resize_low=20, dim_pad_to=40).dim_sides((28, 28, 1)) == (20, 40)
 
 
-def test_resolve_dim_low_exceeds_derived_pad():
+def test_dim_sides_low_exceeds_derived_pad():
     cfg = TransformConfig(enabled=("dim",), dim_resize_low=40)
-    with pytest.raises(ValueError):
-        cfg.resolve_dim(28)
+    with pytest.raises(ShapeMismatch,
+                       match="^dim resize_low 40 exceeds pad_to 31 for 28-pixel images$"):
+        cfg.dim_sides((28, 28, 1))
+
+
+# ceil(PAD_RATIO * side) for sides 1-40, written out so that any change to
+# the derived pad_to shows
+_AUTO_PAD = (2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 23,
+             24, 25, 26, 27, 28, 29, 30, 31, 33, 34, 35, 36, 37, 38, 39, 40, 41, 42, 44, 45)
+
+
+@pytest.mark.parametrize("low, pad", [(None, None), (3, None), (12, None), (None, 4),
+                                      (None, 20), (5, 30), (40, 40)])
+def test_dim_sides_on_sides_1_to_40(low, pad):
+    cfg = TransformConfig(enabled=("dim",), dim_resize_low=low, dim_pad_to=pad)
+    for side in range(1, 41):
+        want = (side if low is None else low, _AUTO_PAD[side - 1] if pad is None else pad)
+        for c in (1, 3):
+            if want[0] <= want[1]:
+                assert cfg.dim_sides((side, side, c)) == want
+                continue
+            text = f"dim resize_low {want[0]} exceeds pad_to {want[1]} for {side}-pixel images"
+            with pytest.raises(ShapeMismatch, match=f"^{re.escape(text)}$"):
+                cfg.dim_sides((side, side, c))
 
 
 # -- smoothing kernel -------------------------------------------------------------
 
 
 def test_tim_kernel_size_one_is_identity():
-    k = tim_kernel(1, 3.0)
+    k = _tim_kernel(1, 3.0)
     assert np.array_equal(k, np.array([[1.0]]))
 
 
@@ -121,34 +144,21 @@ def test_tim_kernel_explicit_sum_oracle():
     ]
     total = sum(sum(row) for row in raw)
     want = np.array(raw) / total
-    got = tim_kernel(size, sigma)
+    got = _tim_kernel(size, sigma)
     assert np.max(np.abs(got - want)) < 1e-12
     assert abs(got.sum() - 1.0) < 1e-12
 
 
 def test_tim_kernel_symmetry_and_peak():
-    w = tim_kernel(5, 2.0)
+    w = _tim_kernel(5, 2.0)
     assert np.array_equal(w, w.T)
     assert np.array_equal(w, w[::-1, ::-1])
     assert w[2, 2] == w.max()
 
 
 def test_tim_kernel_huge_sigma_is_nearly_uniform():
-    w = tim_kernel(3, 1e6)
+    w = _tim_kernel(3, 1e6)
     assert np.max(np.abs(w - 1.0 / 9.0)) < 1e-9
-
-
-def test_tim_kernel_cached_and_write_protected():
-    a = tim_kernel(7, 3.0)
-    assert tim_kernel(7, 3.0) is a
-    assert a.dtype == np.float64 and not a.flags.writeable
-    with pytest.raises(ValueError):
-        a[0, 0] = 5.0
-
-
-def test_tim_kernel_even_size_rejected():
-    with pytest.raises(ValueError):
-        tim_kernel(4, 3.0)
 
 
 # 2 sigma^2 underflows to 0 from sigma = 1e-162 down: the kernel was 0 / 0,
@@ -161,16 +171,13 @@ def test_tim_sigma_whose_square_underflows_is_refused():
             TransformConfig(enabled=("tim",), tim_sigma=sigma)
 
 
-def test_tim_kernel_refuses_a_sigma_whose_square_underflows():
-    # the smallest accepted sigma sends the off-centre exponents to -inf: the
-    # one-tap kernel, without an overflow warning (a pair no other test caches)
+def test_tim_kernel_of_the_least_sigma_is_one_tap():
+    # the smallest sigma TransformConfig takes sends the off-centre exponents
+    # to -inf: the one-tap kernel, without an overflow warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        one_tap = tim_kernel(9, 1e-161)
+        one_tap = _tim_kernel(9, 1e-161)
     assert one_tap[4, 4] == 1.0 and one_tap.sum() == 1.0
-    for sigma in (1e-162, 1e-320, math.nan):
-        with pytest.raises(ValueError, match=re.escape(f"got {sigma}")):
-            tim_kernel(5, sigma)
 
 
 # -- smoothing operator ------------------------------------------------------------
@@ -204,7 +211,7 @@ def test_tim_matches_the_general_reference_bit_for_bit(shape):
     g = np.random.default_rng(sum(shape)).normal(size=shape)
     for size in TIM_SIZES:
         for sigma in TIM_SIGMAS:
-            kernel = tim_kernel(size, sigma)
+            kernel = _tim_kernel(size, sigma)
             assert len(separable_terms(kernel, 3, 3)) == 1
             got = _tim_smooth(g, size, sigma)
             assert got.flags.c_contiguous
@@ -218,7 +225,7 @@ def test_tim_matches_nested_loop_correlation():
              ((3, 8, 2), 5, 1e6)]
     for shape, size, sigma in cases:
         g = rng.normal(size=shape)
-        want = correlate_nested_loops(g, tim_kernel(size, sigma))
+        want = correlate_nested_loops(g, _tim_kernel(size, sigma))
         assert np.max(np.abs(_tim_smooth(g, size, sigma) - want)) < 1e-12
 
 
@@ -253,7 +260,7 @@ def test_tim_matrices_are_cached_and_read_only():
 def test_tim_gradient_is_convolved_base_gradient():
     oracle = LinearOracle((6, 6, 1), seed=3)
     x = rand_pixel_image((6, 6, 1), seed=20)
-    k = tim_kernel(3, 1.5)
+    k = _tim_kernel(3, 1.5)
     cfg = TransformConfig(enabled=("tim",), tim_kernel_size=3, tim_sigma=1.5)
     loss, g = compose_dts(oracle, x, 0, cfg, make_rng(0))
     base_loss, base_g = oracle.loss_and_grad(x, 0)
@@ -332,8 +339,39 @@ def test_draw_dim_geometry_prob_one_bounds():
 
 def test_draw_dim_geometry_requires_square():
     cfg = TransformConfig(enabled=("dim",))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ShapeMismatch, match="^dim needs square images, got 8x9$"):
         draw_dim_geometry(cfg, (8, 9, 1), make_rng(0))
+
+
+def _refused_geometry():
+    """Each fault against each entry point, at dim_prob 0 and 1. compose_dts and
+    draw_dim_geometry used to refuse an 8x9 image in other words, and an oversized
+    resize_low with a ValueError at dim_prob 1 and not at all at 0."""
+    faults = {"8x9": ((8, 9, 1), {}, "dim needs square images, got 8x9"),
+              "low40": ((6, 6, 1), {"dim_resize_low": 40},
+                        "dim resize_low 40 exceeds pad_to 7 for 6-pixel images")}
+    for fault, (shape, fields, text) in faults.items():
+        for entry in ("check_shape", "run_attack", "compose_dts", "draw_dim_geometry"):
+            for p in (0.0, 1.0):
+                cfg = TransformConfig(enabled=("dim",), dim_prob=p, **fields)
+                yield pytest.param(entry, shape, cfg, text, id=f"{fault}-{entry}-p{p:g}")
+
+
+@pytest.mark.parametrize("entry, shape, cfg, text", _refused_geometry())
+def test_a_bad_dim_geometry_is_refused_one_way_on_every_path(entry, shape, cfg, text):
+    oracle = RecordingOracle(QuadraticOracle(shape, seed=4))
+    x, rng = rand_pixel_image(shape, seed=1), make_rng(0)
+    calls = {
+        "check_shape": lambda: cfg.check_shape(shape),
+        "run_attack": lambda: run_attack(oracle, x, 0,
+                                         AttackConfig(variant="mifgsm", transforms=cfg)),
+        "compose_dts": lambda: compose_dts(oracle, x, 0, cfg, rng),
+        "draw_dim_geometry": lambda: draw_dim_geometry(cfg, shape, rng),
+    }
+    with pytest.raises(ShapeMismatch, match=f"^{re.escape(text)}$"):
+        calls[entry]()
+    assert oracle.queries == []
+    assert rng.random() == make_rng(0).random()   # refused before the gate draw
 
 
 def test_dim_degenerate_geometry_is_bitwise_plain():
@@ -382,7 +420,7 @@ def _fused(x, g, geometry):
 
 
 def _every_geometry(side, cfg):
-    low, pad = cfg.resolve_dim(side)
+    low, pad = cfg.dim_sides((side, side, 1))
     for r in ([low] if low == pad else range(low, pad)):
         for top in range(pad - r + 1):
             for left in range(pad - r + 1):
@@ -450,7 +488,7 @@ def test_compose_equals_manual_sim_then_tim_chain():
     x = rand_pixel_image((6, 6, 1), seed=29)
     loss, g = compose_dts(oracle, x, 0, cfg, make_rng(0))
     want_loss, want_g = _sim_only(oracle, x, 0, 3)
-    want_g = conv2d_same(want_g, tim_kernel(3, 1.0))
+    want_g = conv2d_same(want_g, _tim_kernel(3, 1.0))
     assert loss == want_loss
     assert np.array_equal(g, want_g)
 
@@ -462,7 +500,7 @@ def test_compose_sim_linear_closed_form_with_tim():
     x = rand_pixel_image((6, 6, 1), seed=30)
     _, g = compose_dts(oracle, x, 1, cfg, make_rng(0))
     mean_scale = sum(0.5**i for i in range(4)) / 4
-    want = conv2d_same(mean_scale * oracle.w, tim_kernel(3, 2.0))
+    want = conv2d_same(mean_scale * oracle.w, _tim_kernel(3, 2.0))
     assert np.max(np.abs(g - want)) < 1e-12
 
 
