@@ -15,7 +15,6 @@ from .attacks import (
     AttackResult,
     attack_batch,
     attack_one,
-    fgsm,
     run_attack,
 )
 from .data import LabeledDataset, generate_synthetic, load_idx, subsample
@@ -61,7 +60,6 @@ __all__ = [
     "ablation_sweep",
     "derive_rng",
     "emit_report",
-    "fgsm",
     "fooled",
     "generate_synthetic",
     "load_attack_set",

@@ -1,13 +1,14 @@
 """The momentum family of L-infinity sign attacks, as one loop.
 
 Every variant perturbs within an eps-ball around the clean image, steps
-by alpha = eps / iters, and clips to the ball intersected with [0, 1]
-after every step. Each iteration averages the oracle's loss and gradient
-over a list of points x_t + c * d into gbar_t. The variants differ only in
-that list, their query rule, and in the direction they step along:
+by alpha = eps / iters (a fgsm config stores iters = 1), and clips to
+the ball intersected with [0, 1] after every step. Each iteration averages
+the oracle's loss and gradient over a list of points x_t + c * d into
+gbar_t. The variants differ only in that list, their query rule, and in
+the direction they step along:
 
     variant   points queried at iteration t        step along
-    fgsm      x_t  (forced to T = 1, alpha = eps)   sign(gbar_t)
+    fgsm      x_t  (T = 1, so alpha = eps)          sign(gbar_t)
     ifgsm     x_t                                   sign(gbar_t)
     mifgsm    x_t                                   sign(g_t)
     nifgsm    x_t + (alpha * mu) * g_{t-1}          sign(g_t)
@@ -51,7 +52,7 @@ import numpy as np
 
 from .errors import NonFiniteGradient, WorkerLost
 from .sampling import (SamplingSpec, _require_floats, _require_ints, _require_sizes, derive_rng,
-                       make_rng, sample_coefficients, sample_uniform_cube)
+                       sample_coefficients, sample_uniform_cube)
 from .tensor import project_linf, validate_image
 from .transforms import TransformConfig, compose_dts
 
@@ -84,6 +85,8 @@ class AttackConfig:
         _require_sizes(1, self, "iters")
         _require_ints(0, self, "seed")
         _require_floats(0.0, self, "eps", "mu")
+        if self.variant == "fgsm":   # one step of size eps, recorded as it runs
+            object.__setattr__(self, "iters", 1)
 
     @property
     def alpha(self) -> float:
@@ -135,14 +138,10 @@ def _query_points(cfg: AttackConfig, rng, adv, g_acc, g_avg) -> list:
     return [adv]
 
 
-def fgsm(oracle, x, y, eps: float) -> AttackResult:
-    """One signed-gradient step of size eps."""
-    return run_attack(oracle, x, y, AttackConfig(variant="fgsm", eps=eps, iters=1))
-
-
 def run_attack(oracle, x, y, cfg: AttackConfig, rng=None, observe=None) -> AttackResult:
     """Attack one example with any variant and cfg.transforms, as the module
-    docstring says; rng defaults to make_rng(cfg.seed).
+    docstring says; rng defaults to derive_rng(cfg.seed, 0), example 0's
+    stream under attack_one and attack_batch.
 
     observe, if given, is called after each iteration t = 0, 1, ... as
     observe(t, loss, x_next, g, gbar, points) with the momentum g_t (None
@@ -153,13 +152,12 @@ def run_attack(oracle, x, y, cfg: AttackConfig, rng=None, observe=None) -> Attac
     variant, tcfg = cfg.variant, cfg.transforms
     tcfg.check_shape(x.shape)
     if rng is None:
-        rng = make_rng(cfg.seed)
-    iters, alpha = (1, cfg.eps) if variant == "fgsm" else (cfg.iters, cfg.alpha)
+        rng = derive_rng(cfg.seed, 0)
     adv = x
     g_acc = None if variant in _PLAIN else np.zeros_like(x)
     g_avg = np.zeros_like(x)
     losses = []
-    for t in range(iters):
+    for t in range(cfg.iters):
         points = _query_points(cfg, rng, adv, g_acc, g_avg)
         loss, g_sum = 0.0, None
         for pt in points:
@@ -177,7 +175,7 @@ def run_attack(oracle, x, y, cfg: AttackConfig, rng=None, observe=None) -> Attac
         else:
             g_acc = cfg.mu * g_acc + _l1_direction(g_avg)
             step = g_acc
-        adv = project_linf(adv + alpha * np.sign(step), x, cfg.eps)
+        adv = project_linf(adv + cfg.alpha * np.sign(step), x, cfg.eps)
         losses.append(loss)
         if observe is not None:
             observe(t, loss, adv, g_acc, g_avg, len(points))

@@ -80,6 +80,8 @@ def generate_synthetic(
     """
     _require_sizes(0, classes=classes, per_class=per_class)
     _require_sizes(1, height=height, width=width, channels=channels)
+    _require_sizes(0, **{"classes*per_class*height*width*channels":
+                         classes * per_class * height * width * channels})
     _require_floats(0.0, noise_sigma=noise_sigma)
     _require_floats(0.0, strict=True, contrast=contrast)
     rng = make_rng(seed)

@@ -19,7 +19,6 @@ from advm.attacks import (
     AttackConfig,
     attack_batch,
     attack_one,
-    fgsm,
     run_attack,
 )
 from advm.experiment import DESK_REPLICATE_SEEDS, mean_transfer, white_box_rate
@@ -183,7 +182,7 @@ def test_criterion_2_exact_reductions():
     # 7: one iteration of the iterative attack is the single-step attack
     one = AttackConfig(variant="ifgsm", eps=0.25, iters=1)
     same("iters=1 == single step", run_attack(sin, xs, 2, one),
-         fgsm(sin, xs, 2, 0.25))
+         run_attack(sin, xs, 2, AttackConfig(variant="fgsm", eps=0.25)))
 
     # 8: an ensemble of one model is that model
     cfg8 = AttackConfig(variant="mifgsm", eps=0.25, iters=3)

@@ -20,13 +20,13 @@ from advm.attacks import (
     attack_batch,
     attack_one,
     batch_width,
-    fgsm,
     run_attack,
 )
 from advm.errors import AdvmError, LabelOutOfRange, NonFiniteGradient, ShapeMismatch, WorkerLost
 from advm.models import Model, ModelSpec
 from advm.sampling import (SamplingSpec, derive_rng, make_rng, sample_coefficients,
                            sample_uniform_cube)
+from advm.tensor import project_linf
 from advm.transforms import TransformConfig, compose_dts
 
 from conftest import (
@@ -127,6 +127,19 @@ def test_alpha_is_eps_over_iters():
     assert cfg.alpha == 0.125
 
 
+def test_a_fgsm_config_records_the_single_step_it_runs():
+    # iters=10 was stored, written to the manifest and hashed, while one step of eps ran
+    cfg = AttackConfig(variant="fgsm", eps=0.5, iters=10)
+    one = AttackConfig(variant="fgsm", eps=0.5, iters=1)
+    assert cfg.iters == 1 and cfg.alpha == cfg.eps == 0.5
+    assert cfg == one and cfg.config_hash() == one.config_hash()
+    assert dataclasses.replace(AttackConfig(variant="emifgsm"), variant="fgsm").iters == 1
+    # a bad iters is still refused before it is replaced
+    for bad in (0, 2**31):
+        with pytest.raises(ValueError, match=f"iters must be an integer >= 1.*got {bad}"):
+            AttackConfig(variant="fgsm", iters=bad)
+
+
 def test_canonical_covers_nested_fields():
     cfg = AttackConfig(
         variant="emifgsm",
@@ -187,7 +200,7 @@ def test_every_variant_stays_feasible(variant):
     assert isinstance(res, AttackResult)
     assert np.max(np.abs(res.adv - x)) <= cfg.eps + 1e-12
     assert res.adv.min() >= 0.0 and res.adv.max() <= 1.0
-    assert len(res.loss_trace) == (1 if variant == "fgsm" else cfg.iters)
+    assert len(res.loss_trace) == cfg.iters
     # the observer sees every iteration, and the last iterate is the output
     assert [st.t for st in steps] == list(range(len(res.loss_trace)))
     assert tuple(st.loss for st in steps) == res.loss_trace
@@ -376,7 +389,7 @@ def test_single_iteration_reduces_to_single_step():
     oracle = QuadraticOracle((3, 3, 1), seed=7)
     x = rand_pixel_image((3, 3, 1), seed=45)
     one = run_attack(oracle, x, 0, AttackConfig(variant="ifgsm", eps=0.3, iters=1))
-    single = fgsm(oracle, x, 0, 0.3)
+    single = run_attack(oracle, x, 0, AttackConfig(variant="fgsm", eps=0.3))
     assert np.array_equal(one.adv, single.adv)
     assert one.loss_trace == single.loss_trace
 
@@ -385,8 +398,10 @@ def test_run_attack_dispatches_fgsm():
     oracle = QuadraticOracle((3, 3, 1), seed=8)
     x = rand_pixel_image((3, 3, 1), seed=46)
     via_dispatch = run_attack(oracle, x, 0, AttackConfig(variant="fgsm", eps=0.2))
-    direct = fgsm(oracle, x, 0, 0.2)
-    assert np.array_equal(via_dispatch.adv, direct.adv)
+    loss, g = oracle.loss_and_grad(x, 0)
+    direct = project_linf(x + 0.2 * np.sign(g), x, 0.2)
+    assert np.array_equal(via_dispatch.adv, direct)
+    assert via_dispatch.loss_trace == (loss,)
 
 
 # -- the observer ------------------------------------------------------------------
@@ -504,6 +519,27 @@ def test_attack_one_is_deterministic_per_index():
     assert np.array_equal(a.adv, b.adv)
     c = attack_one(oracle, x, 0, cfg, example_index=6)
     assert not np.array_equal(a.adv, c.adv)
+
+
+_DTS = TransformConfig(enabled=("dim", "tim", "sim"), dim_prob=0.7, dim_resize_low=3,
+                       tim_kernel_size=3, sim_copies=2)
+
+
+@pytest.mark.parametrize("seed", [0, 7919, 2**96, 2**200], ids=["0", "7919", "2**96", "2**200"])
+@pytest.mark.parametrize("cfg", [
+    AttackConfig(variant="erifgsm", eps=0.2, iters=2, sampling=SamplingSpec(count=2)),
+    AttackConfig(variant="mifgsm", eps=0.2, iters=2, transforms=_DTS),
+], ids=["erifgsm", "mifgsm-dts"])
+def test_run_attack_without_a_stream_draws_example_zeros(cfg, seed):
+    # the default was make_rng(seed), which is example 0's derive_rng(seed, 0)
+    # only for seeds below 2**96
+    oracle = QuadraticOracle((4, 4, 1), seed=16)
+    x = rand_pixel_image((4, 4, 1), seed=52)
+    cfg = dataclasses.replace(cfg, seed=seed)
+    alone = run_attack(oracle, x, 1, cfg)
+    for other in (attack_one(oracle, x, 1, cfg, 0), attack_batch(oracle, [x], [1], cfg)[0]):
+        assert alone.adv.tobytes() == other.adv.tobytes()
+        assert alone.loss_trace == other.loss_trace
 
 
 def test_attack_one_seed_changes_stream():

@@ -349,6 +349,32 @@ def test_ablate_sweeps_sample_count(runner, trained, tmp_path):
     assert sweep.targets == ("surr",)
 
 
+def test_attack_fgsm_records_the_single_step_it_runs(runner, trained, tmp_path):
+    # the manifest said "iters": 10, under another hash than --iters 1, for the same tensors
+    manifests = []
+    for iters in ([], ["--iters", "1"]):
+        out = tmp_path / f"fgsm{len(iters)}"
+        result = runner.invoke(main, [
+            "attack", "--surrogate", trained["model"], "--dataset", "synthetic:2x3x6:0.05",
+            "--attack", "fgsm", *iters, "--seed", "3", "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        manifests.append((out / "manifest.json").read_bytes())
+    assert json.loads(manifests[0])["config"]["iters"] == 1
+    assert manifests[0] == manifests[1]
+
+
+def test_ablate_iters_of_fgsm_is_one_row(runner, trained):
+    # every grid value ran the same single step, and was printed as its own row
+    result = runner.invoke(main, [
+        "ablate", "--param", "iters", "--grid", "1,5,10", "--attack", "fgsm",
+        "--surrogate", trained["model"], "--targets", trained["model"],
+        "--dataset", "synthetic:2x3x6:0.05", "--seed", "3",
+    ])
+    assert result.exit_code == 0, result.output
+    assert parse_report_csv(result.output).rows == ("1",)
+
+
 def test_ablate_refuses_labels_outside_the_target_classes(runner, tmp_path, monkeypatch):
     # labels 3-5 of a 6-class dataset always counted as fooling a 3-class
     # target, so this sweep exited 0 with rate 1.0
@@ -549,6 +575,9 @@ def test_train_bad_values_are_usage_errors(runner, tmp_path, flags, text):
      "classes must be an integer >= 0 and < 2**31, got 100000000000000000000"),
     ("synthetic:2x100000000000000000000x4",
      "per_class must be an integer >= 0 and < 2**31, got 100000000000000000000"),
+    ("synthetic:2000000000x1x4",
+     "classes*per_class*height*width*channels must be an integer >= 0 and < 2**31, "
+     "got 32000000000"),
 ])
 def test_train_refuses_a_synthetic_count_past_the_size_bound(tmp_path, spec, text):
     # each generated templates without end; a timeout keeps a regression from hanging

@@ -1,5 +1,6 @@
 """Datasets: container validation, the synthetic generator, IDX loading, subsets."""
 
+import math
 import re
 import struct
 
@@ -128,6 +129,17 @@ def test_generate_synthetic_errors():
     for sigma in (float("nan"), float("inf"), -1.0):
         with pytest.raises(ValueError, match="noise_sigma must be finite"):
             generate_synthetic(2, 2, noise_sigma=sigma)
+
+
+@pytest.mark.parametrize("shape", [(2, 2**30, 1, 1, 1), (2_000_000_000, 1, 4, 4, 1),
+                                   (1, 1, 2**16, 2**15, 1), (2, 1, 1, 1, 2**30)])
+def test_generate_synthetic_refuses_an_image_tensor_of_2_31_values(shape):
+    # each count passed on its own, so these drew templates or allocated without bound
+    values = math.prod(shape)
+    with pytest.raises(ValueError, match=re.escape(
+            f"classes*per_class*height*width*channels must be an integer >= 0 and < 2**31, "
+            f"got {values}")):
+        generate_synthetic(*shape)
 
 
 # -- IDX loading -----------------------------------------------------------------

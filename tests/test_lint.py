@@ -60,6 +60,7 @@ stay documented.
 """
 
 import ast
+import functools
 import importlib
 import pathlib
 import pkgutil
@@ -956,16 +957,29 @@ def test_readme_imports_reads_only_python_blocks():
 
 
 def readme_prose_calls(text: str) -> set:
-    """Names written as a backticked call, `name(...`, outside the fenced blocks."""
+    """Names written as a backticked call, `name(...` or `A.b(...`, outside the
+    fenced blocks."""
     prose = re.sub(r"^```.*?^```", "", text, flags=re.S | re.M)
-    return set(re.findall(r"`([A-Za-z_]\w*)\(", prose))
+    return set(re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)\(", prose))
 
 
 def unresolved_names(names) -> set:
-    """The names that are no attribute of advm or of any of its modules."""
+    """The names whose head is no attribute of advm or of any of its modules,
+    or whose dotted tail does not resolve from there, attribute by attribute."""
     modules = [advm] + [importlib.import_module(f"advm.{m.name}")
                         for m in pkgutil.iter_modules(advm.__path__)]
-    return {n for n in names if not any(hasattr(m, n) for m in modules)}
+
+    def resolves(name):
+        head, *tail = name.split(".")
+        for obj in (getattr(m, head) for m in modules if hasattr(m, head)):
+            try:
+                functools.reduce(getattr, tail, obj)
+                return True
+            except AttributeError:
+                pass
+        return False
+
+    return {n for n in names if not resolves(n)}
 
 
 def test_readme_prose_calls_name_advm_attributes():
@@ -976,7 +990,11 @@ def test_readme_prose_calls_name_advm_attributes():
 
 def test_readme_prose_call_check_flags_a_planted_stale_name():
     text = ("Use `run_attack(oracle, x, y, cfg)`, then `TransferMatrix(rows, ...)`.\n"
-            "```python\nAblationResult(1)\n```\nA bare `mean_transfer` is no call.\n")
+            "```python\nAblationResult(1)\n```\nA bare `mean_transfer` is no call.\n"
+            "`TransformConfig.dim_sides(shape)` passes, `TransformConfig.resolve_dim(side)`"
+            " and `fgsm(oracle, x, y, eps)` do not.\n")
     called = readme_prose_calls(text)
-    assert called == {"run_attack", "TransferMatrix"}
-    assert unresolved_names(called | {"white_box_rate", "parse_manifest"}) == {"TransferMatrix"}
+    assert called == {"run_attack", "TransferMatrix", "TransformConfig.dim_sides",
+                      "TransformConfig.resolve_dim", "fgsm"}
+    assert unresolved_names(called | {"white_box_rate", "parse_manifest"}) == {
+        "TransferMatrix", "TransformConfig.resolve_dim", "fgsm"}
