@@ -38,7 +38,7 @@ from .models import (
     save_model,
     train_sgd,
 )
-from .sampling import SamplingSpec, derive_rng, make_rng, sample_coefficients
+from .sampling import SamplingSpec, derive_rng, sample_coefficients
 from .tensor import project_linf
 from .transforms import TransformConfig
 
@@ -65,7 +65,6 @@ __all__ = [
     "load_attack_set",
     "load_idx",
     "load_model",
-    "make_rng",
     "parse_report_csv",
     "project_linf",
     "run_attack",

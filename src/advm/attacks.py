@@ -82,6 +82,10 @@ class AttackConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown attack variant {self.variant!r}")
+        for name, kind in (("sampling", SamplingSpec), ("transforms", TransformConfig),
+                           ("normalize_sample_dir", bool)):
+            if not isinstance(getattr(self, name), kind):   # bool has no subclass
+                raise ValueError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
         _require_sizes(1, self, "iters")
         _require_ints(0, self, "seed")
         _require_floats(0.0, self, "eps", "mu")
@@ -92,14 +96,10 @@ class AttackConfig:
     def alpha(self) -> float:
         return self.eps / self.iters
 
-    def canonical(self) -> dict:
-        d = asdict(self)
-        d["transforms"]["enabled"] = list(self.transforms.enabled)
-        return d
-
     def config_hash(self) -> str:
-        """12 hex digits of the canonical JSON's sha256."""
-        blob = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
+        """12 hex digits of the sha256 of asdict(self) as compact JSON with sorted keys,
+        the "config" that save_attack_set writes."""
+        blob = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 
 

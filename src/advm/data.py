@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CorruptFile, EmptyDataset, LabelOutOfRange, ShapeMismatch, TooFew
-from .sampling import _require_floats, _require_sizes, make_rng
+from .sampling import _require_floats, _require_sizes, derive_rng
 
 
 def check_label(y, classes: int, whose: str) -> None:
@@ -84,7 +84,7 @@ def generate_synthetic(
                          classes * per_class * height * width * channels})
     _require_floats(0.0, noise_sigma=noise_sigma)
     _require_floats(0.0, strict=True, contrast=contrast)
-    rng = make_rng(seed)
+    rng = derive_rng(seed, 0)
     if classes == 0 or per_class == 0:
         raise EmptyDataset("need at least one class and one example per class")
     templates = [_blob_template(rng, height, width, channels, contrast) for _ in range(classes)]
@@ -177,5 +177,5 @@ def subsample(dataset: LabeledDataset, n: int, seed: int) -> LabeledDataset:
     _require_sizes(0, n=n)
     if n > len(dataset):
         raise TooFew(f"asked for {n} of {len(dataset)} examples")
-    idx = make_rng(seed).choice(len(dataset), size=n, replace=False)
+    idx = derive_rng(seed, 0).choice(len(dataset), size=n, replace=False)
     return dataset.subset(idx)

@@ -28,7 +28,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -282,7 +282,7 @@ def save_attack_set(out_dir: str, cfg: AttackConfig, surrogates: list, labels, r
         atomic_write_bytes(os.path.join(out_dir, fname), _encode_tensor(r.adv))
     for stale in set(glob.glob("adv_" + "[0-9]" * 5 + ".emtn", root_dir=out_dir)) - set(files):
         os.remove(os.path.join(out_dir, stale))   # a longer set written here before
-    values = {"config": cfg.canonical(), "config_hash": cfg.config_hash(), "count": len(results),
+    values = {"config": asdict(cfg), "config_hash": cfg.config_hash(), "count": len(results),
               "files": files, "labels": list(labels), "surrogates": surrogates,
               "white_box": [r.white_box_success for r in results]}
     manifest = {"format": _ADVSET_FORMAT, "version": _ADVSET_VERSION,

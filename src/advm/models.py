@@ -40,7 +40,7 @@ import numpy as np
 from .data import LabeledDataset, check_label
 from .errors import CorruptFile, EmptyDataset, ShapeMismatch, VersionMismatch
 from .fileio import atomic_write_bytes, parse_manifest
-from .sampling import _require_floats, _require_ints, _require_sizes, derive_rng, make_rng
+from .sampling import _require_floats, _require_ints, _require_sizes, derive_rng
 
 ARCHITECTURES = ("logistic", "mlp", "smallcnn")
 
@@ -122,13 +122,6 @@ def _param_shapes(spec: ModelSpec) -> dict:
         shapes[wname] = ((fan_out, fan_in), (fan_in, fan_out))
         shapes[bname] = ((fan_out,), None)
     return shapes
-
-
-def init_params(spec: ModelSpec) -> dict:
-    """Glorot-uniform weights, zero biases; deterministic in spec.seed."""
-    rng = make_rng(spec.seed)
-    return {name: _glorot(rng, shape, *fans) if fans else np.zeros(shape)
-            for name, (shape, fans) in _param_shapes(spec).items()}
 
 
 _SENTINEL = np.zeros(1)   # the +0.0 appended behind each gather source
@@ -261,7 +254,10 @@ class Model:
 
     @classmethod
     def initialize(cls, spec: ModelSpec, name: str | None = None) -> "Model":
-        return cls(spec, init_params(spec), name)
+        """Glorot-uniform weights and zero biases, drawn from derive_rng(spec.seed, 0)."""
+        rng = derive_rng(spec.seed, 0)
+        return cls(spec, {k: _glorot(rng, shape, *fans) if fans else np.zeros(shape)
+                          for k, (shape, fans) in _param_shapes(spec).items()}, name)
 
     @property
     def input_shape(self):
@@ -435,7 +431,7 @@ def train_sgd(
     if len(dataset) == 0:
         raise EmptyDataset("cannot train on an empty dataset")
     model = Model.initialize(spec, name)
-    params = model.params   # init_params' fresh arrays, updated in place
+    params = model.params   # Model.initialize's fresh arrays, updated in place
     n = len(dataset)
     rows = min(batch, n)   # each layer's minibatch buffers, ragged batches in their top rows
     shapes = [params[wname].shape for wname, _ in model._dense]

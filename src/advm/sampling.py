@@ -1,10 +1,13 @@
 """Deterministic randomness and the coefficient samplers.
 
-All randomness flows through numpy's Philox streams. Philox is counter
-based: a generator derived from (seed, index) produces one fixed sequence
-regardless of platform or how many sibling streams exist, so per-example
-work can be farmed out to any number of workers and still reproduce the
-serial run bit for bit.
+All randomness flows through numpy's Philox streams, and derive_rng is the
+one place that builds a stream. Philox is counter based: a generator
+derived from (seed, index) produces one fixed sequence regardless of
+platform or how many sibling streams exist, so per-example work can be
+farmed out to any number of workers and still reproduce the serial run
+bit for bit. A dataset, a subsample and a model's initial parameters draw
+index 0 of their seed, train_sgd's shuffle index 1, and attack example k
+index k.
 """
 
 import math
@@ -45,7 +48,8 @@ def _require_sizes(least: int, obj=None, *names, **values) -> None:
 
 def _require_floats(least: float, obj=None, *names, strict: bool = False, **values) -> None:
     """Refuse each named field of obj, then each keyword value, unless it is an int or a
-    float (not a bool), finite and >= least (> least if strict); store fields as floats."""
+    float (not a bool), finite and >= least (> least if strict); store fields as floats,
+    a -0.0 as 0.0, so configs that compare equal hash alike."""
     for name, value in [(n, getattr(obj, n)) for n in names] + list(values.items()):
         if type(value) is bool or not isinstance(value, (int, float)):
             raise ValueError(f"{name} must be an int or a float, got {value!r}")
@@ -57,7 +61,7 @@ def _require_floats(least: float, obj=None, *names, strict: bool = False, **valu
             raise ValueError(
                 f"{name} must be finite and {'>' if strict else '>='} {least:g}, got {value}")
     for name in names:
-        object.__setattr__(obj, name, float(getattr(obj, name)))
+        object.__setattr__(obj, name, float(getattr(obj, name)) + 0.0)
 
 
 @dataclass(frozen=True)
@@ -73,11 +77,6 @@ class SamplingSpec:
             raise ValueError(f"unknown sampling method {self.method!r}")
         _require_sizes(1, self, "count")
         _require_floats(0.0, self, "eta")
-
-
-def make_rng(seed: int) -> np.random.Generator:
-    _require_ints(0, seed=seed)
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
 def derive_rng(seed: int, index: int) -> np.random.Generator:

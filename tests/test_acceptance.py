@@ -23,7 +23,7 @@ from advm.attacks import (
 )
 from advm.experiment import DESK_REPLICATE_SEEDS, mean_transfer, white_box_rate
 from advm.models import EnsembleOracle, Model, ModelSpec
-from advm.sampling import SamplingSpec, make_rng
+from advm.sampling import SamplingSpec, derive_rng
 from advm.transforms import TransformConfig, _tim_kernel, compose_dts
 
 from conftest import (SinusoidOracle, QuadraticOracle, bits, central_diff, observed,
@@ -83,7 +83,7 @@ def test_criterion_1_finite_difference_gradients():
         for i in range(2):
             x = rand_pixel_image((6, 6, 1), seed=120 + 10 * k + i)
             sim = TransformConfig(enabled=("sim",), sim_copies=5)
-            _, g = compose_dts(model, x, 1, sim, make_rng(0))
+            _, g = compose_dts(model, x, 1, sim, derive_rng(0, 0))
 
             def sim_loss(t):
                 return sum(model.loss_and_grad(t * 0.5**j, 1)[0] for j in range(5)) / 5
@@ -95,8 +95,8 @@ def test_criterion_1_finite_difference_gradients():
         full = TransformConfig(enabled=("dim", "tim", "sim"), dim_prob=1.0,
                                dim_resize_low=4, tim_kernel_size=1, sim_copies=2)
         x = rand_pixel_image((6, 6, 1), seed=150 + k)
-        _, g = compose_dts(model, x, 0, full, make_rng(50 + k))
-        check(lambda t: compose_dts(model, t, 0, full, make_rng(50 + k))[0], g, x)
+        _, g = compose_dts(model, x, 0, full, derive_rng(50 + k, 0))
+        check(lambda t: compose_dts(model, t, 0, full, derive_rng(50 + k, 0))[0], g, x)
 
     # logit-fused ensemble: its gradient vs differences of the fused loss
     ens = EnsembleOracle([models[0], models[1]])
@@ -114,7 +114,7 @@ def test_criterion_1_finite_difference_gradients():
     smooth_worst = 0.0
     for k, model in enumerate(models):
         x = rand_pixel_image((6, 6, 1), seed=160 + k)
-        loss_t, g_t = compose_dts(model, x, 1, tim, make_rng(0))
+        loss_t, g_t = compose_dts(model, x, 1, tim, derive_rng(0, 0))
         loss_p, g_p = model.loss_and_grad(x, 1)
         assert loss_t == loss_p
         diff = float(np.max(np.abs(g_t - correlate_nested_loops(g_p, kern))))
@@ -424,7 +424,7 @@ def test_criterion_7_recursion_state_traces():
         cfg = AttackConfig(variant="emifgsm", eps=eps, iters=iters, mu=mu,
                            sampling=SamplingSpec(method="uniform", count=3,
                                                  eta=1.5))
-        ledger = RecordingRNG(make_rng(91))
+        ledger = RecordingRNG(derive_rng(91, 0))
         run = observed(oracle, x, 1, cfg, ledger)
         compare(run, ref_emifgsm(oracle, x, 1, eps, iters, mu,
                                  lambda t: ledger.log[t]))
@@ -432,7 +432,7 @@ def test_criterion_7_recursion_state_traces():
         n = 2
         cfg = AttackConfig(variant="erifgsm", eps=eps, iters=iters, mu=mu,
                            sampling=SamplingSpec(count=n))
-        ledger = RecordingRNG(make_rng(92))
+        ledger = RecordingRNG(derive_rng(92, 0))
         run = observed(oracle, x, 1, cfg, ledger)
         compare(run, ref_erifgsm(oracle, x, 1, eps, iters, mu,
                                  lambda t: ledger.log[t * n:(t + 1) * n]))

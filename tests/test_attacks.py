@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import json
 import math
 import multiprocessing
 import os
@@ -23,9 +24,9 @@ from advm.attacks import (
     run_attack,
 )
 from advm.errors import AdvmError, LabelOutOfRange, NonFiniteGradient, ShapeMismatch, WorkerLost
+from advm.evaluate import save_attack_set
 from advm.models import Model, ModelSpec
-from advm.sampling import (SamplingSpec, derive_rng, make_rng, sample_coefficients,
-                           sample_uniform_cube)
+from advm.sampling import SamplingSpec, derive_rng, sample_coefficients, sample_uniform_cube
 from advm.tensor import project_linf
 from advm.transforms import TransformConfig, compose_dts
 
@@ -140,17 +141,21 @@ def test_a_fgsm_config_records_the_single_step_it_runs():
             AttackConfig(variant="fgsm", iters=bad)
 
 
-def test_canonical_covers_nested_fields():
+def test_canonical_covers_nested_fields(tmp_path):
+    # the canonical form is the "config" save_attack_set writes: asdict(cfg) as JSON
     cfg = AttackConfig(
         variant="emifgsm",
         eps=0.1,
         sampling=SamplingSpec(method="uniform", count=7, eta=2.0),
         transforms=TransformConfig(enabled=("tim", "dim")),
     )
-    d = cfg.canonical()
+    save_attack_set(str(tmp_path), cfg, ["q"], [], [])
+    d = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))["config"]
     assert d["variant"] == "emifgsm"
     assert d["sampling"] == {"method": "uniform", "count": 7, "eta": 2.0}
-    assert d["transforms"]["enabled"] == ["dim", "tim"]
+    assert d["transforms"] == {"enabled": ["dim", "tim"], "dim_prob": 0.5, "dim_resize_low": None,
+                               "dim_pad_to": None, "tim_kernel_size": 7, "tim_sigma": 3.0,
+                               "sim_copies": 5}
     assert set(d) == {
         "variant", "eps", "iters", "mu", "sampling", "transforms",
         "normalize_sample_dir", "seed",
@@ -178,11 +183,47 @@ def test_config_hash_leaves_equality_hashing_and_canonical_alone():
     cfg = AttackConfig(variant="mifgsm")
     first = cfg.config_hash()
     assert first == "c5b4907cd29d"
-    # hashing a config adds no field: equality, hashing and canonical() do not change
+    # hashing a config adds no field: equality, hashing and the canonical form,
+    # asdict(cfg), do not change
     assert cfg == AttackConfig(variant="mifgsm")
     assert hash(cfg) == hash(AttackConfig(variant="mifgsm"))
-    assert "_hash" not in cfg.canonical()
+    assert dataclasses.asdict(cfg) == dataclasses.asdict(AttackConfig(variant="mifgsm"))
+    assert "_hash" not in dataclasses.asdict(cfg)
     assert dataclasses.replace(cfg, seed=1).config_hash() != first
+
+
+_ZERO_SETTINGS = {
+    "eps": lambda z: AttackConfig(eps=z),
+    "mu": lambda z: AttackConfig(mu=z),
+    "eta": lambda z: AttackConfig(sampling=SamplingSpec(eta=z)),
+    "dim_prob": lambda z: AttackConfig(transforms=TransformConfig(dim_prob=z)),
+}
+
+
+@pytest.mark.parametrize("setting", _ZERO_SETTINGS)
+def test_a_negative_zero_setting_is_the_zero_config(setting):
+    negative, zero = _ZERO_SETTINGS[setting](-0.0), _ZERO_SETTINGS[setting](0)
+    assert negative == zero
+    assert negative.config_hash() == zero.config_hash()
+    assert "-0.0" not in json.dumps(dataclasses.asdict(negative))
+
+
+@pytest.mark.parametrize("field, value, kind", [
+    pytest.param("normalize_sample_dir", "false", "bool", id="flag-str"),
+    pytest.param("normalize_sample_dir", 1, "bool", id="flag-1"),
+    pytest.param("normalize_sample_dir", 0, "bool", id="flag-0"),
+    pytest.param("normalize_sample_dir", None, "bool", id="flag-None"),
+    pytest.param("normalize_sample_dir", 2.5, "bool", id="flag-float"),
+    pytest.param("normalize_sample_dir", np.bool_(True), "bool", id="flag-numpy"),
+    pytest.param("sampling", None, "SamplingSpec", id="sampling-None"),
+    pytest.param("sampling", TransformConfig(), "SamplingSpec", id="sampling-transforms"),
+    pytest.param("transforms", None, "TransformConfig", id="transforms-None"),
+    pytest.param("transforms", ("dim",), "TransformConfig", id="transforms-tuple"),
+])
+def test_attack_config_refuses_a_field_of_another_type(field, value, kind):
+    text = f"{field} must be a {kind}, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        AttackConfig(**{field: value})
 
 
 # -- feasibility -------------------------------------------------------------------
@@ -414,7 +455,7 @@ def test_observer_arguments_per_variant():
     def steps(variant):
         cfg = AttackConfig(variant=variant, eps=0.2, iters=3,
                            sampling=SamplingSpec(count=2))
-        return observed(oracle, x, 1, cfg, make_rng(0))[1]
+        return observed(oracle, x, 1, cfg, derive_rng(0, 0))[1]
 
     for variant in ("fgsm", "ifgsm"):
         assert all(st.g is None and st.points == 1 for st in steps(variant))
@@ -484,8 +525,8 @@ def test_transform_draws_follow_the_iterations_points_on_one_stream(variant):
                            sim_copies=2)
     cfg = AttackConfig(variant=variant, eps=0.2, iters=3, transforms=tcfg,
                        sampling=SamplingSpec(method="uniform", count=2))
-    _, steps = observed(oracle, x, 0, cfg, make_rng(8))
-    ref = make_rng(8)
+    _, steps = observed(oracle, x, 0, cfg, derive_rng(8, 0))
+    ref = derive_rng(8, 0)
     adv, gbar = x, np.zeros_like(x)
     for st in steps:
         # every point of the iteration is drawn before any transform draw
@@ -531,8 +572,8 @@ _DTS = TransformConfig(enabled=("dim", "tim", "sim"), dim_prob=0.7, dim_resize_l
     AttackConfig(variant="mifgsm", eps=0.2, iters=2, transforms=_DTS),
 ], ids=["erifgsm", "mifgsm-dts"])
 def test_run_attack_without_a_stream_draws_example_zeros(cfg, seed):
-    # the default was make_rng(seed), which is example 0's derive_rng(seed, 0)
-    # only for seeds below 2**96
+    # the default was the seed's flat SeedSequence stream, which is example 0's
+    # derive_rng(seed, 0) only for seeds below 2**96
     oracle = QuadraticOracle((4, 4, 1), seed=16)
     x = rand_pixel_image((4, 4, 1), seed=52)
     cfg = dataclasses.replace(cfg, seed=seed)

@@ -364,6 +364,21 @@ def test_attack_fgsm_records_the_single_step_it_runs(runner, trained, tmp_path):
     assert manifests[0] == manifests[1]
 
 
+@pytest.mark.parametrize("flag", ["--mu", "--eps", "--dim-prob"])
+def test_attack_records_a_negative_zero_setting_as_zero(runner, trained, tmp_path, flag):
+    # -0 was stored as given: an equal config, written under another hash
+    manifests = []
+    for value in ("-0", "0"):
+        out = tmp_path / f"zero{value}"
+        result = runner.invoke(main, [
+            "attack", "--surrogate", trained["model"], "--dataset", "synthetic:2x3x6:0.05",
+            "--attack", "mifgsm", "--iters", "2", flag, value, "--seed", "3", "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        manifests.append((out / "manifest.json").read_bytes())
+    assert manifests[0] == manifests[1]
+
+
 def test_ablate_iters_of_fgsm_is_one_row(runner, trained):
     # every grid value ran the same single step, and was printed as its own row
     result = runner.invoke(main, [

@@ -641,7 +641,8 @@ def test_attack_set_round_trip_is_exact(tmp_path):
     with open(tmp_path / "manifest.json", encoding="utf-8") as fh:
         assert manifest == json.load(fh)
     assert manifest == {
-        "format": "advm-advset", "version": 1, "config": cfg.canonical(),
+        "format": "advm-advset", "version": 1,
+        "config": json.loads(json.dumps(dataclasses.asdict(cfg))),
         "config_hash": cfg.config_hash(), "count": 6,
         "files": [f"adv_{i:05d}.emtn" for i in range(6)], "labels": list(data.labels),
         "surrogates": ["q"], "white_box": [bool(r.white_box_success) for r in results],

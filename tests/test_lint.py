@@ -39,6 +39,11 @@ path again.
 experiment.py reads train_sgd and generate_synthetic only in _desk_world,
 so every desk world keeps the one recipe: one dataset, per-class windows
 of it, one smallcnn per zoo row.
+Every call into np.random in src/ (Generator, Philox, SeedSequence,
+default_rng, a module-level draw) is inside sampling.derive_rng, and no
+module imports numpy.random, so every random stream is
+derive_rng(seed, index) and a second stream constructor cannot come back;
+an annotation such as np.random.Generator is no call.
 In src/, dim_resize_low and dim_pad_to are read only in TransformConfig's
 __post_init__ and dim_sides, PAD_RATIO only in dim_sides, and _tim_kernel
 only in _tim_matrices, so the dim sides are resolved in one place and the
@@ -684,6 +689,50 @@ def test_desk_recipe_check_flags_planted_sites():
     )
     assert desk_recipe_sites(tree) == [(5, "build_whitebox_world", "train_sgd"),
                                        (8, "window", "generate_synthetic"), (10, None, "train_sgd")]
+
+
+def _into_np_random(node) -> bool:
+    """A call through np.random or numpy.random, or an import that names numpy.random."""
+    if isinstance(node, ast.Call):
+        return re.match(r"(np|numpy)\.random\.", ast.unparse(node.func)) is not None
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "numpy.random" or (
+            node.module == "numpy" and any(a.name == "random" for a in node.names))
+    return isinstance(node, ast.Import) and any(
+        a.name.startswith("numpy.random") for a in node.names)
+
+
+def stream_sites(trees) -> set:
+    """(module, innermost function) of each call into np.random in trees by module,
+    and of each import of numpy.random; the function is None at module level."""
+    return {(module, fn) for module, tree in trees.items()
+            for _, fn in _sites(tree, _into_np_random)}
+
+
+def test_only_derive_rng_builds_a_stream():
+    found = stream_sites(TREES)
+    allowed = {("sampling.py", "derive_rng")}
+    assert not found - allowed, "np.random used outside sampling.derive_rng: " + ", ".join(
+        f"{module}:{fn}" for module, fn in sorted(found - allowed, key=str))
+    assert found == allowed, "derive_rng builds no stream"
+
+
+def test_stream_check_flags_planted_constructors():
+    tree = ast.parse(
+        "import numpy as np\nfrom numpy.random import default_rng\n"
+        "def derive_rng(seed: int, index: int) -> np.random.Generator:\n"
+        "    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))\n"
+        "def generate_synthetic(seed, rng: np.random.Generator = None):\n"
+        "    return np.random.default_rng(seed), rng.random(), default_rng(seed)\n"
+        "def noise():\n    return numpy.random.normal(size=3)\n"
+        "def _subsample():\n    from numpy import random\n    import numpy.random as npr\n"
+        "order = np.random.permutation(4)\n"
+    )
+    assert sorted(_sites(tree, _into_np_random), key=str) == [
+        (10, "_subsample"), (11, "_subsample"), (12, None), (2, None), (4, "derive_rng"),
+        (4, "derive_rng"), (4, "derive_rng"), (6, "generate_synthetic"), (8, "noise")]
+    assert stream_sites({"data.py": tree}) - {("data.py", "derive_rng")} == {
+        ("data.py", fn) for fn in (None, "generate_synthetic", "noise", "_subsample")}
 
 
 # Where each transform setting may be read in src/, as (module, function):

@@ -26,12 +26,11 @@ from advm.models import (
     Model,
     ModelSpec,
     accuracy,
-    init_params,
     load_model,
     save_model,
     train_sgd,
 )
-from advm.sampling import make_rng
+from advm.sampling import derive_rng
 
 from conftest import (
     MODEL_DAMAGES,
@@ -107,7 +106,7 @@ def test_spec_refuses_numpy_integer_and_bool_sizes(bad, text):
 
 def test_init_params_shapes_and_glorot_bounds():
     spec = ModelSpec("smallcnn", (6, 6, 2), 3, conv_channels=4, conv_kernel=3, seed=1)
-    p = init_params(spec)
+    p = Model.initialize(spec).params
     assert p["conv.W"].shape == (3, 3, 2, 4)
     assert p["conv.b"].shape == (4,)
     assert p["fc.W"].shape == (3, 3 * 3 * 4)
@@ -116,21 +115,21 @@ def test_init_params_shapes_and_glorot_bounds():
     assert np.max(np.abs(p["conv.W"])) <= bound
 
     mspec = ModelSpec("mlp", (2, 2, 1), 2, hidden=(5, 3))
-    mp = init_params(mspec)
+    mp = Model.initialize(mspec).params
     assert mp["fc0.W"].shape == (5, 4)
     assert mp["fc1.W"].shape == (3, 5)
     assert mp["fc2.W"].shape == (2, 3)
 
     lspec = ModelSpec("logistic", (2, 2, 1), 3)
-    lp = init_params(lspec)
+    lp = Model.initialize(lspec).params
     assert lp["fc.W"].shape == (3, 4)
     assert np.array_equal(lp["fc.b"], np.zeros(3))
 
 
 def test_init_params_deterministic_in_spec_seed():
-    a = init_params(ModelSpec("logistic", (3, 3, 1), 2, seed=5))
-    b = init_params(ModelSpec("logistic", (3, 3, 1), 2, seed=5))
-    c = init_params(ModelSpec("logistic", (3, 3, 1), 2, seed=6))
+    a = Model.initialize(ModelSpec("logistic", (3, 3, 1), 2, seed=5)).params
+    b = Model.initialize(ModelSpec("logistic", (3, 3, 1), 2, seed=5)).params
+    c = Model.initialize(ModelSpec("logistic", (3, 3, 1), 2, seed=6)).params
     assert np.array_equal(a["fc.W"], b["fc.W"])
     assert not np.array_equal(a["fc.W"], c["fc.W"])
 
@@ -272,7 +271,7 @@ def grad_check(oracle, x, y, h: float = 1e-5, coords: int = 64, seed: int = 0) -
     size = x.size
     n = size if size <= coords else max(coords, 64)
     if n < size:
-        rng = make_rng(seed)
+        rng = derive_rng(seed, 0)
         picks = rng.choice(size, size=n, replace=False)
     else:
         picks = np.arange(size)
@@ -684,7 +683,7 @@ def test_train_sgd_zero_epochs_returns_fresh_init():
     ds = _toy_dataset()
     spec = ModelSpec("logistic", (4, 4, 1), 2, seed=3)
     model, _ = train_sgd(spec, ds, epochs=0, seed=1)
-    fresh = init_params(spec)
+    fresh = Model.initialize(spec).params
     for k in fresh:
         assert np.array_equal(model.params[k], fresh[k])
 
@@ -746,9 +745,9 @@ def test_accuracy_empty():
 def test_train_sgd_does_not_mutate_init_reference():
     # training must update a private copy, not the shared glorot arrays
     spec = ModelSpec("logistic", (4, 4, 1), 2, seed=3)
-    before = init_params(spec)
+    before = Model.initialize(spec).params
     train_sgd(spec, _toy_dataset(), epochs=1, lr=1.0, seed=0)
-    after = init_params(spec)
+    after = Model.initialize(spec).params
     for k in before:
         assert np.array_equal(before[k], after[k])
 
@@ -798,7 +797,8 @@ def test_train_sgd_bytes_match_the_per_example_reference(arch, sizes, batch):
     assert list(got.params) == list(want.params)
     for k in want.params:
         assert got.params[k].tobytes() == want.params[k].tobytes(), k
-    assert not all(np.array_equal(got.params[k], v) for k, v in init_params(spec).items())
+    fresh = Model.initialize(spec).params
+    assert not all(np.array_equal(got.params[k], v) for k, v in fresh.items())
     # the premise that lets train_sgd sum onto +0.0: no parameter is ever -0.0
     assert not any(np.signbit(v[v == 0.0]).any() for v in got.params.values())
 

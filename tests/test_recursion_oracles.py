@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from advm.attacks import AttackConfig, run_attack
-from advm.sampling import SamplingSpec, make_rng
+from advm.sampling import SamplingSpec, derive_rng
 
 from conftest import SinusoidOracle, observed, rand_pixel_image
 from reference_recursions import (
@@ -127,7 +127,7 @@ def test_emifgsm_uniform_against_reference_via_ledger(shape):
     x = rand_pixel_image(shape, seed=87)
     cfg = AttackConfig(variant="emifgsm", eps=0.3, iters=3, mu=0.8,
                        sampling=SamplingSpec(method="uniform", count=3, eta=1.5))
-    ledger = RecordingRNG(make_rng(91))
+    ledger = RecordingRNG(derive_rng(91, 0))
     run = observed(oracle, x, 1, cfg, ledger)
     assert len(ledger.log) == 3          # one (3,) coefficient draw per step
     assert all(entry.shape == (3,) for entry in ledger.log)
@@ -142,7 +142,7 @@ def test_enifgsm_uniform_against_reference_via_ledger(shape):
     x = rand_pixel_image(shape, seed=88)
     cfg = AttackConfig(variant="enifgsm", eps=0.3, iters=3, mu=0.8,
                        sampling=SamplingSpec(method="uniform", count=2, eta=1.0))
-    ledger = RecordingRNG(make_rng(92))
+    ledger = RecordingRNG(derive_rng(92, 0))
     run = observed(oracle, x, 0, cfg, ledger)
     assert len(ledger.log) == 3
     ref = ref_enifgsm(oracle, x, 0, 0.3, 3, 0.8, lambda t: ledger.log[t])
@@ -156,7 +156,7 @@ def test_erifgsm_against_reference_via_ledger(shape):
     n = 2
     cfg = AttackConfig(variant="erifgsm", eps=0.3, iters=3, mu=0.8,
                        sampling=SamplingSpec(count=n))
-    ledger = RecordingRNG(make_rng(93))
+    ledger = RecordingRNG(derive_rng(93, 0))
     run = observed(oracle, x, 1, cfg, ledger)
     assert len(ledger.log) == 3 * n       # one cube draw per point per step
     assert all(entry.shape == shape for entry in ledger.log)

@@ -10,13 +10,12 @@ import numpy as np
 import pytest
 
 from advm.attacks import AttackConfig, _pmap, batch_width
-from advm.data import LabeledDataset, generate_synthetic, subsample
+from advm.data import LabeledDataset, _blob_template, generate_synthetic, subsample
 from advm.errors import EmptyDataset, TooFew
-from advm.models import ModelSpec, train_sgd
+from advm.models import Model, ModelSpec, train_sgd
 from advm.sampling import (
     SamplingSpec,
     derive_rng,
-    make_rng,
     sample_coefficients,
     sample_uniform_cube,
 )
@@ -46,14 +45,14 @@ def test_spec_validation():
 
 
 def test_linear_grid_frozen():
-    got = sample_coefficients(SamplingSpec("linear", 11, 7.0), make_rng(0))
+    got = sample_coefficients(SamplingSpec("linear", 11, 7.0), derive_rng(0, 0))
     want = [-7.0, -5.6, -4.2, -2.8, -1.4, 0.0, 1.4, 2.8, 4.2, 5.6, 7.0]
     assert got.shape == (11,)
     assert np.max(np.abs(got - np.array(want))) < 1e-12
 
 
 def test_linear_grid_exact_zero_midpoint():
-    got = sample_coefficients(SamplingSpec("linear", 11, 7.0), make_rng(0))
+    got = sample_coefficients(SamplingSpec("linear", 11, 7.0), derive_rng(0, 0))
     assert got[5] == 0.0
     # exact mirror symmetry, endpoints included
     assert np.array_equal(got, -got[::-1])
@@ -61,37 +60,37 @@ def test_linear_grid_exact_zero_midpoint():
 
 
 def test_linear_single_sample_is_exact_zero():
-    got = sample_coefficients(SamplingSpec("linear", 1, 7.0), make_rng(0))
+    got = sample_coefficients(SamplingSpec("linear", 1, 7.0), derive_rng(0, 0))
     assert np.array_equal(got, np.array([0.0]))
 
 
 def test_linear_even_count():
-    got = sample_coefficients(SamplingSpec("linear", 4, 6.0), make_rng(0))
+    got = sample_coefficients(SamplingSpec("linear", 4, 6.0), derive_rng(0, 0))
     assert np.array_equal(got, np.linspace(-6.0, 6.0, 4))
 
 
 def test_linear_consumes_no_draws():
-    rng = make_rng(42)
+    rng = derive_rng(42, 0)
     sample_coefficients(SamplingSpec("linear", 11, 7.0), rng)
-    ref = make_rng(42)
+    ref = derive_rng(42, 0)
     assert rng.uniform() == ref.uniform()
 
 
 def test_uniform_bounds_count_determinism():
     spec = SamplingSpec("uniform", 9, 2.5)
-    a = sample_coefficients(spec, make_rng(5))
-    b = sample_coefficients(spec, make_rng(5))
+    a = sample_coefficients(spec, derive_rng(5, 0))
+    b = sample_coefficients(spec, derive_rng(5, 0))
     assert a.shape == (9,)
     assert np.all(np.abs(a) <= 2.5)
     assert np.array_equal(a, b)
-    c = sample_coefficients(spec, make_rng(6))
+    c = sample_coefficients(spec, derive_rng(6, 0))
     assert not np.array_equal(a, c)
 
 
 def test_gaussian_bounds_and_determinism():
     spec = SamplingSpec("gaussian", 64, 1.0)
-    a = sample_coefficients(spec, make_rng(7))
-    b = sample_coefficients(spec, make_rng(7))
+    a = sample_coefficients(spec, derive_rng(7, 0))
+    b = sample_coefficients(spec, derive_rng(7, 0))
     assert a.shape == (64,)
     assert np.all(np.abs(a) <= 1.0)
     assert np.array_equal(a, b)
@@ -100,18 +99,13 @@ def test_gaussian_bounds_and_determinism():
 
 
 def test_gaussian_eta_zero_gives_zeros():
-    got = sample_coefficients(SamplingSpec("gaussian", 5, 0.0), make_rng(0))
+    got = sample_coefficients(SamplingSpec("gaussian", 5, 0.0), derive_rng(0, 0))
     assert np.array_equal(got, np.zeros(5))
 
 
 def test_uniform_eta_zero_gives_zeros():
-    got = sample_coefficients(SamplingSpec("uniform", 5, 0.0), make_rng(0))
+    got = sample_coefficients(SamplingSpec("uniform", 5, 0.0), derive_rng(0, 0))
     assert np.array_equal(got, np.zeros(5))
-
-
-def test_make_rng_deterministic():
-    assert make_rng(123).uniform() == make_rng(123).uniform()
-    assert make_rng(123).uniform() != make_rng(124).uniform()
 
 
 def test_derive_rng_streams_are_distinct_and_reproducible():
@@ -124,11 +118,53 @@ def test_derive_rng_streams_are_distinct_and_reproducible():
     assert not np.array_equal(a1, c)
 
 
+def _flat_stream(seed):
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+
+
 def test_derive_rng_index_zero_aliases_flat_stream():
-    # numpy SeedSequence drops trailing zero entropy words, so stream #0
-    # coincides with make_rng(seed); later streams are all distinct from it
-    assert derive_rng(5, 0).uniform() == make_rng(5).uniform()
-    assert derive_rng(5, 1).uniform() != make_rng(5).uniform()
+    # SeedSequence pads its entropy with zero words up to a pool of four 32-bit
+    # words, so (seed, 0) hashes as seed alone while seed fits in three: below
+    # 2**96, stream #0 is the flat stream of the seed, and later streams are not
+    for seed in (0, 1, 7919, 2**96 - 1):
+        flat = _flat_stream(seed).uniform(size=8)
+        assert np.array_equal(derive_rng(seed, 0).uniform(size=8), flat), seed
+        assert not np.array_equal(derive_rng(seed, 1).uniform(size=8), flat), seed
+    flat = _flat_stream(2**96).uniform(size=8)
+    assert not np.array_equal(derive_rng(2**96, 0).uniform(size=8), flat)
+
+
+# Past 2**96, where stream #0 and the flat stream part: each seeded draw of data,
+# a subsample or initial parameters is stream #0 of its seed at any seed.
+_BIG_SEED = 2**100
+
+
+def test_generate_synthetic_draws_stream_zero_of_its_seed():
+    got = generate_synthetic(2, 1, 6, 6, noise_sigma=0.0, seed=_BIG_SEED)
+    rng = derive_rng(_BIG_SEED, 0)
+    for image in got.images:   # noise 0: each image is its class template
+        assert image.tobytes() == _blob_template(rng, 6, 6, 1, 1.0).tobytes()
+
+
+def test_subsample_draws_stream_zero_of_its_seed():
+    ds = generate_synthetic(3, 4, 2, 2, seed=1)
+    idx = derive_rng(_BIG_SEED, 0).choice(12, size=5, replace=False)
+    got = subsample(ds, 5, _BIG_SEED)
+    assert got.labels == tuple(ds.labels[i] for i in idx)
+    assert all(a is ds.images[i] for a, i in zip(got.images, idx))
+
+
+def test_model_initialize_draws_stream_zero_of_its_seed():
+    spec = ModelSpec("mlp", (2, 2, 1), 3, hidden=(5,), seed=_BIG_SEED)
+    rng = derive_rng(_BIG_SEED, 0)
+    want = {}
+    for wname, bname, fan_in, fan_out in (("fc0.W", "fc0.b", 4, 5), ("fc1.W", "fc1.b", 5, 3)):
+        a = math.sqrt(6.0 / (fan_in + fan_out))
+        want[wname] = rng.uniform(-a, a, size=(fan_out, fan_in))
+        want[bname] = np.zeros(fan_out)
+    got = Model.initialize(spec).params
+    assert list(got) == list(want)
+    assert all(got[k].tobytes() == want[k].tobytes() for k in want)
 
 
 def test_derive_rng_negative_index():
@@ -137,11 +173,11 @@ def test_derive_rng_negative_index():
 
 
 def test_sample_uniform_cube():
-    rng = make_rng(3)
+    rng = derive_rng(3, 0)
     u = sample_uniform_cube(rng, (4, 4, 2))
     assert u.shape == (4, 4, 2)
     assert np.all(u >= -1.0) and np.all(u <= 1.0)
-    assert np.array_equal(sample_uniform_cube(make_rng(3), (4, 4, 2)), u)
+    assert np.array_equal(sample_uniform_cube(derive_rng(3, 0), (4, 4, 2)), u)
 
 
 # -- the one number rule -------------------------------------------------------
@@ -199,7 +235,6 @@ _INT_SITES = {
     "subsample.n": (_subsample, "n", 0, True),
     "_pmap.jobs": (lambda v: _pmap(len, [], v), "jobs", 1, True),
     "batch_width.n_items": (lambda v: batch_width(1, v), "n_items", 0, True),
-    "make_rng.seed": (make_rng, "seed", 0, False),
     "derive_rng.seed": (lambda v: derive_rng(v, 0), "seed", 0, False),
     "derive_rng.index": (lambda v: derive_rng(0, v), "index", 0, False),
     "generate_synthetic.classes": (lambda v: _generate(classes=v), "classes", 0, True),

@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from advm.attacks import AttackConfig, run_attack
 from advm.errors import ShapeMismatch
-from advm.sampling import make_rng
+from advm.sampling import derive_rng
 from advm.transforms import (
     PAD_RATIO,
     TransformConfig,
@@ -43,7 +43,7 @@ from reference_transforms import (
 def _sim_only(oracle, x, y, copies):
     """compose_dts with the scaling transform alone."""
     cfg = TransformConfig(enabled=("sim",), sim_copies=copies)
-    return compose_dts(oracle, x, y, cfg, make_rng(0))
+    return compose_dts(oracle, x, y, cfg, derive_rng(0, 0))
 
 
 # -- config --------------------------------------------------------------------
@@ -197,7 +197,7 @@ def _tim_smooth(g, size, sigma):
     """The package's smoothing of g: compose_dts with tim alone on an oracle
     whose gradient is g, so the single unit-scale copy passes g through."""
     cfg = TransformConfig(enabled=("tim",), tim_kernel_size=size, tim_sigma=sigma)
-    return compose_dts(_FixedGradOracle(g), np.zeros_like(g), 0, cfg, make_rng(0))[1]
+    return compose_dts(_FixedGradOracle(g), np.zeros_like(g), 0, cfg, derive_rng(0, 0))[1]
 
 
 TIM_SIZES = range(1, 42, 2)
@@ -262,7 +262,7 @@ def test_tim_gradient_is_convolved_base_gradient():
     x = rand_pixel_image((6, 6, 1), seed=20)
     k = _tim_kernel(3, 1.5)
     cfg = TransformConfig(enabled=("tim",), tim_kernel_size=3, tim_sigma=1.5)
-    loss, g = compose_dts(oracle, x, 0, cfg, make_rng(0))
+    loss, g = compose_dts(oracle, x, 0, cfg, derive_rng(0, 0))
     base_loss, base_g = oracle.loss_and_grad(x, 0)
     assert loss == base_loss
     assert np.array_equal(g, conv2d_same(base_g, k))
@@ -319,16 +319,16 @@ def test_sim_queries_scaled_copies():
 
 def test_draw_dim_geometry_prob_zero_consumes_one_draw():
     cfg = TransformConfig(enabled=("dim",), dim_prob=0.0)
-    rng = make_rng(9)
+    rng = derive_rng(9, 0)
     assert draw_dim_geometry(cfg, (8, 8, 1), rng) is None
-    ref = make_rng(9)
+    ref = derive_rng(9, 0)
     ref.uniform()                      # the gate draw
     assert rng.uniform() == ref.uniform()
 
 
 def test_draw_dim_geometry_prob_one_bounds():
     cfg = TransformConfig(enabled=("dim",), dim_prob=1.0, dim_resize_low=5)
-    rng = make_rng(10)
+    rng = derive_rng(10, 0)
     for _ in range(50):
         r, top, left, pad = draw_dim_geometry(cfg, (8, 8, 1), rng)
         assert pad == 9                       # ceil(1.104 * 8)
@@ -340,7 +340,7 @@ def test_draw_dim_geometry_prob_one_bounds():
 def test_draw_dim_geometry_requires_square():
     cfg = TransformConfig(enabled=("dim",))
     with pytest.raises(ShapeMismatch, match="^dim needs square images, got 8x9$"):
-        draw_dim_geometry(cfg, (8, 9, 1), make_rng(0))
+        draw_dim_geometry(cfg, (8, 9, 1), derive_rng(0, 0))
 
 
 def _refused_geometry():
@@ -360,7 +360,7 @@ def _refused_geometry():
 @pytest.mark.parametrize("entry, shape, cfg, text", _refused_geometry())
 def test_a_bad_dim_geometry_is_refused_one_way_on_every_path(entry, shape, cfg, text):
     oracle = RecordingOracle(QuadraticOracle(shape, seed=4))
-    x, rng = rand_pixel_image(shape, seed=1), make_rng(0)
+    x, rng = rand_pixel_image(shape, seed=1), derive_rng(0, 0)
     calls = {
         "check_shape": lambda: cfg.check_shape(shape),
         "run_attack": lambda: run_attack(oracle, x, 0,
@@ -371,7 +371,7 @@ def test_a_bad_dim_geometry_is_refused_one_way_on_every_path(entry, shape, cfg, 
     with pytest.raises(ShapeMismatch, match=f"^{re.escape(text)}$"):
         calls[entry]()
     assert oracle.queries == []
-    assert rng.random() == make_rng(0).random()   # refused before the gate draw
+    assert rng.random() == derive_rng(0, 0).random()   # refused before the gate draw
 
 
 def test_dim_degenerate_geometry_is_bitwise_plain():
@@ -380,7 +380,7 @@ def test_dim_degenerate_geometry_is_bitwise_plain():
     oracle = QuadraticOracle((6, 6, 1), seed=9)
     cfg = TransformConfig(enabled=("dim",), dim_prob=1.0, dim_resize_low=6, dim_pad_to=6)
     x = rand_pixel_image((6, 6, 1), seed=25)
-    loss, g = compose_dts(oracle, x, 0, cfg, make_rng(11))
+    loss, g = compose_dts(oracle, x, 0, cfg, derive_rng(11, 0))
     base_loss, base_g = oracle.loss_and_grad(x, 0)
     assert loss == base_loss
     assert np.array_equal(g, base_g)
@@ -391,7 +391,7 @@ def test_dim_gradient_is_adjoint_pullback_of_linear_oracle():
     # the resize->pad->resize chain; verify <L u, w> == <u, L^T w>
     oracle = LinearOracle((8, 8, 1), seed=12)
     cfg = TransformConfig(enabled=("dim",), dim_prob=1.0, dim_resize_low=5)
-    geometry = draw_dim_geometry(cfg, (8, 8, 1), make_rng(13))
+    geometry = draw_dim_geometry(cfg, (8, 8, 1), derive_rng(13, 0))
     x = rand_pixel_image((8, 8, 1), seed=26)
     _, g = _diversified_loss_grad(oracle, x, 0, geometry)
     rng = np.random.default_rng(27)
@@ -471,7 +471,7 @@ def test_property_dim_operator_adjoint_identity(data):
 def test_dim_gradient_matches_central_difference_with_fixed_geometry():
     oracle = QuadraticOracle((6, 6, 1), seed=14)
     cfg = TransformConfig(enabled=("dim",), dim_prob=1.0, dim_resize_low=4)
-    geometry = draw_dim_geometry(cfg, (6, 6, 1), make_rng(15))
+    geometry = draw_dim_geometry(cfg, (6, 6, 1), derive_rng(15, 0))
     x = rand_pixel_image((6, 6, 1), seed=28)
     _, g = _diversified_loss_grad(oracle, x, 1, geometry)
     fd = central_diff(lambda t: _diversified_loss_grad(oracle, t, 1, geometry)[0], x)
@@ -486,7 +486,7 @@ def test_compose_equals_manual_sim_then_tim_chain():
     cfg = TransformConfig(enabled=("sim", "tim"), sim_copies=3, tim_kernel_size=3,
                           tim_sigma=1.0)
     x = rand_pixel_image((6, 6, 1), seed=29)
-    loss, g = compose_dts(oracle, x, 0, cfg, make_rng(0))
+    loss, g = compose_dts(oracle, x, 0, cfg, derive_rng(0, 0))
     want_loss, want_g = _sim_only(oracle, x, 0, 3)
     want_g = conv2d_same(want_g, _tim_kernel(3, 1.0))
     assert loss == want_loss
@@ -498,7 +498,7 @@ def test_compose_sim_linear_closed_form_with_tim():
     cfg = TransformConfig(enabled=("sim", "tim"), sim_copies=4, tim_kernel_size=3,
                           tim_sigma=2.0)
     x = rand_pixel_image((6, 6, 1), seed=30)
-    _, g = compose_dts(oracle, x, 1, cfg, make_rng(0))
+    _, g = compose_dts(oracle, x, 1, cfg, derive_rng(0, 0))
     mean_scale = sum(0.5**i for i in range(4)) / 4
     want = conv2d_same(mean_scale * oracle.w, _tim_kernel(3, 2.0))
     assert np.max(np.abs(g - want)) < 1e-12
@@ -510,7 +510,7 @@ def test_compose_draws_fresh_geometry_per_scale_copy():
     cfg = TransformConfig(enabled=("dim", "sim"), dim_prob=1.0, dim_resize_low=4,
                           sim_copies=3)
     x = rand_pixel_image((8, 8, 1), seed=31)
-    compose_dts(rec, x, 0, cfg, make_rng(19))
+    compose_dts(rec, x, 0, cfg, derive_rng(19, 0))
     assert len(rec.queries) == 3
     # with p=1 and resize_low < side, the three diversified copies almost
     # surely differ from the raw scaled copies and from each other
@@ -522,13 +522,13 @@ def test_compose_dim_prob_zero_replays_plain_sim_stream():
     oracle = QuadraticOracle((6, 6, 1), seed=20)
     cfg = TransformConfig(enabled=("dim", "sim"), dim_prob=0.0, sim_copies=2)
     x = rand_pixel_image((6, 6, 1), seed=32)
-    rng = make_rng(21)
+    rng = derive_rng(21, 0)
     loss, g = compose_dts(oracle, x, 0, cfg, rng)
     want_loss, want_g = _sim_only(oracle, x, 0, 2)
     assert loss == want_loss
     assert np.array_equal(g, want_g)
     # exactly one gate draw per scale copy was consumed
-    ref = make_rng(21)
+    ref = derive_rng(21, 0)
     ref.uniform()
     ref.uniform()
     assert rng.uniform() == ref.uniform()
@@ -539,8 +539,8 @@ def test_reseeded_estimator_is_deterministic_per_call():
     cfg = TransformConfig(enabled=("dim", "sim"), dim_prob=1.0, dim_resize_low=4,
                           sim_copies=2)
     x = rand_pixel_image((6, 6, 1), seed=35)
-    l1, g1 = compose_dts(base, x, 0, cfg, make_rng(28))
-    l2, g2 = compose_dts(base, x, 0, cfg, make_rng(28))
+    l1, g1 = compose_dts(base, x, 0, cfg, derive_rng(28, 0))
+    l2, g2 = compose_dts(base, x, 0, cfg, derive_rng(28, 0))
     assert l1 == l2
     assert np.array_equal(g1, g2)
 
@@ -552,8 +552,8 @@ def test_reseeded_estimator_objective_is_differentiable():
     cfg = TransformConfig(enabled=("dim", "sim"), dim_prob=1.0, dim_resize_low=4,
                           sim_copies=2)
     x = rand_pixel_image((6, 6, 1), seed=36)
-    _, g = compose_dts(base, x, 0, cfg, make_rng(30))
-    fd = central_diff(lambda t: compose_dts(base, t, 0, cfg, make_rng(30))[0], x, h=1e-5)
+    _, g = compose_dts(base, x, 0, cfg, derive_rng(30, 0))
+    fd = central_diff(lambda t: compose_dts(base, t, 0, cfg, derive_rng(30, 0))[0], x, h=1e-5)
     assert np.max(np.abs(fd - g)) / max(1.0, np.max(np.abs(g))) < 1e-6
 
 
@@ -564,11 +564,11 @@ def test_identity_kernel_full_stack_matches_central_difference():
     cfg = TransformConfig(enabled=("dim", "tim", "sim"), dim_prob=1.0,
                           dim_resize_low=4, tim_kernel_size=1, sim_copies=2)
     x = rand_pixel_image((6, 6, 1), seed=37)
-    _, g = compose_dts(base, x, 0, cfg, make_rng(32))
-    fd = central_diff(lambda t: compose_dts(base, t, 0, cfg, make_rng(32))[0], x, h=1e-5)
+    _, g = compose_dts(base, x, 0, cfg, derive_rng(32, 0))
+    fd = central_diff(lambda t: compose_dts(base, t, 0, cfg, derive_rng(32, 0))[0], x, h=1e-5)
     assert np.max(np.abs(fd - g)) / max(1.0, np.max(np.abs(g))) < 1e-6
     # identity-kernel smoothing really is a no-op on the gradient
     no_tim = TransformConfig(enabled=("dim", "sim"), dim_prob=1.0, dim_resize_low=4,
                              sim_copies=2)
-    _, g_plain = compose_dts(base, x, 0, no_tim, make_rng(32))
+    _, g_plain = compose_dts(base, x, 0, no_tim, derive_rng(32, 0))
     assert np.array_equal(g, g_plain)
