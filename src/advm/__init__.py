@@ -26,9 +26,7 @@ from .evaluate import (
     emit_report,
     fooled,
     load_attack_set,
-    parse_report_csv,
     save_attack_set,
-    transfer_matrix,
 )
 from .models import (
     EnsembleOracle,
@@ -65,7 +63,6 @@ __all__ = [
     "load_attack_set",
     "load_idx",
     "load_model",
-    "parse_report_csv",
     "project_linf",
     "run_attack",
     "sample_coefficients",
@@ -73,6 +70,5 @@ __all__ = [
     "save_model",
     "subsample",
     "train_sgd",
-    "transfer_matrix",
     "__version__",
 ]

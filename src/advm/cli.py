@@ -1,11 +1,10 @@
 """Command-line front end: train models, craft attacks, evaluate transfer.
 
-Attack settings resolve in precedence order: explicit flags, then the
---config key=value file, then the AttackConfig defaults; no environment
-variable is read. One table, _ATTACK_OPTIONS, names each option's flag,
-file key, field and parser. --eps accepts both decimals and fraction
-literals like 16/255. Attack names use the hyphenated forms (mi-fgsm,
-emi-fgsm, ...).
+Attack settings come from flags, and an option left unset keeps its
+AttackConfig default; no environment variable or file is read. One table,
+_ATTACK_OPTIONS, names each option's flag, field and parser. --eps accepts
+both decimals and fraction literals like 16/255. Attack names use the
+hyphenated forms (mi-fgsm, emi-fgsm, ...).
 
 Datasets are either `synthetic:CLASSESxPER_CLASSxSIDE[:NOISE]`, generated
 from the run seed, or `idx:IMAGES_PATH,LABELS_PATH` pairs.
@@ -24,7 +23,7 @@ from .attacks import VARIANTS, AttackConfig, attack_batch
 from .data import check_label, generate_synthetic, load_idx, subsample
 from .errors import AdvmError, ShapeMismatch
 from .evaluate import (RateTable, ablation_sweep, attack_success_rate, emit_report,
-                       load_attack_set, parse_report_csv, save_attack_set)
+                       load_attack_set, save_attack_set)
 from .fileio import atomic_write_bytes
 from .models import ARCHITECTURES, EnsembleOracle, ModelSpec, load_model, save_model, train_sgd
 from .sampling import SIZE_LIMIT, SamplingSpec
@@ -65,81 +64,49 @@ def _parse_side(text: str) -> int | None:
     return None if text.lower() in ("", "none", "auto") else int(text)
 
 
-# One row per attack option: its flag, its config-file key, the AttackConfig
-# field it sets ("group.field" inside sampling or transforms), the parser that
-# the flag text and the file text both go through, and the flag's help. The
-# defaults are the dataclasses' own.
+# One row per attack option: its flag, the AttackConfig field it sets
+# ("group.field" inside sampling or transforms), the parser its text goes
+# through, and the flag's help. The defaults are the dataclasses' own.
 _ATTACK_OPTIONS = (
-    ("--attack", "attack", "variant", parse_attack_name,
+    ("--attack", "variant", parse_attack_name,
      "fgsm, i-fgsm, mi-fgsm, ni-fgsm, pi-fgsm, emi-fgsm, eni-fgsm, eri-fgsm"),
-    ("--eps", "eps", "eps", parse_eps, "L-inf budget; decimal or fraction like 16/255"),
-    ("--iters", "iters", "iters", click.INT, "iterations T"),
-    ("--mu", "mu", "mu", click.FLOAT, "momentum decay"),
-    ("--eta", "eta", "sampling.eta", click.FLOAT, "coefficient radius"),
-    ("--samples", "samples", "sampling.count", click.INT, "gradients averaged per step"),
-    ("--sampling", "sampling", "sampling.method", str, "linear, uniform or gaussian"),
-    ("--transforms", "transforms", "transforms.enabled", _parse_names,
-     "comma list from: dim,tim,sim"),
-    ("--dim-prob", "dim.prob", "transforms.dim_prob", click.FLOAT, "dim: transform probability"),
-    ("--dim-resize-low", "dim.resize_low", "transforms.dim_resize_low", _parse_side,
+    ("--eps", "eps", parse_eps, "L-inf budget; decimal or fraction like 16/255"),
+    ("--iters", "iters", click.INT, "iterations T"),
+    ("--mu", "mu", click.FLOAT, "momentum decay"),
+    ("--eta", "sampling.eta", click.FLOAT, "coefficient radius"),
+    ("--samples", "sampling.count", click.INT, "gradients averaged per step"),
+    ("--sampling", "sampling.method", str, "linear, uniform or gaussian"),
+    ("--transforms", "transforms.enabled", _parse_names, "comma list from: dim,tim,sim"),
+    ("--dim-prob", "transforms.dim_prob", click.FLOAT, "dim: transform probability"),
+    ("--dim-resize-low", "transforms.dim_resize_low", _parse_side,
      "dim: smallest resize side, or auto"),
-    ("--dim-pad-to", "dim.pad_to", "transforms.dim_pad_to", _parse_side,
-     "dim: canvas side, or auto"),
-    ("--tim-kernel-size", "tim.kernel_size", "transforms.tim_kernel_size", click.INT,
-     "tim: kernel side, odd"),
-    ("--tim-sigma", "tim.sigma", "transforms.tim_sigma", click.FLOAT, "tim: kernel sigma"),
-    ("--sim-copies", "sim.copies", "transforms.sim_copies", click.INT, "sim: scale copies"),
-    ("--normalize-sample-dir", "normalize_sample_dir", "normalize_sample_dir", click.BOOL,
+    ("--dim-pad-to", "transforms.dim_pad_to", _parse_side, "dim: canvas side, or auto"),
+    ("--tim-kernel-size", "transforms.tim_kernel_size", click.INT, "tim: kernel side, odd"),
+    ("--tim-sigma", "transforms.tim_sigma", click.FLOAT, "tim: kernel sigma"),
+    ("--sim-copies", "transforms.sim_copies", click.INT, "sim: scale copies"),
+    ("--normalize-sample-dir", "normalize_sample_dir", click.BOOL,
      "L1-normalize the sampling direction"),
-    ("--seed", "seed", "seed", click.INT, "run seed, >= 0; default 0"),
+    ("--seed", "seed", click.INT, "run seed, >= 0; default 0"),
 )
 
 # Every count flag's type: the library's size rule, >= 1 and < 2**31.
 _COUNT = click.IntRange(1, SIZE_LIMIT - 1)
 
 
-def read_config_file(path: str) -> dict:
-    """Flat key = value lines; '#' starts a comment; the keys are the option
-    table's config-file keys; any other key, or one set twice, is an error."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise click.UsageError(f"cannot read config file {path}: {exc}") from exc
-    keys = {row[1] for row in _ATTACK_OPTIONS}
-    values, seen = {}, {}
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise click.UsageError(f"{path}:{lineno}: expected key = value")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in keys:
-            raise click.UsageError(f"{path}:{lineno}: unknown key {key!r}")
-        if key in seen:
-            raise click.UsageError(
-                f"{path}:{lineno}: key {key!r} is already set on line {seen[key]}")
-        values[key], seen[key] = value, lineno
-    return values
-
-
-def resolve_attack_config(cli: dict, filecfg: dict) -> AttackConfig:
-    """Each table option from its flag, else its config-file key, through the
-    row's parser. An option set nowhere keeps its dataclass default. A bad
-    value from either source is a usage error."""
+def resolve_attack_config(cli: dict) -> AttackConfig:
+    """Each table option from its flag's text, keyed by the flag's parameter
+    name, through the row's parser. An option not set keeps its dataclass
+    default. A bad value is a usage error."""
     fields = {"": {}, "sampling": {}, "transforms": {}}
-    for flag, key, field, parse, _help in _ATTACK_OPTIONS:
-        text, source = cli.get(flag[2:].replace("-", "_")), flag
-        if text is None:
-            text, source = filecfg.get(key), f"config key {key!r}"
+    for flag, field, parse, _help in _ATTACK_OPTIONS:
+        text = cli.get(flag[2:].replace("-", "_"))
         if text is None:
             continue
         group, _, name = field.rpartition(".")
         try:
             fields[group][name] = parse(text)
         except (ValueError, click.BadParameter) as exc:
-            raise click.BadParameter(str(exc), param_hint=source) from exc
+            raise click.BadParameter(str(exc), param_hint=flag) from exc
     try:
         return AttackConfig(sampling=SamplingSpec(**fields["sampling"]),
                             transforms=TransformConfig(**fields["transforms"]), **fields[""])
@@ -214,7 +181,7 @@ def _positive_finite(ctx, param, value):
 
 def _check_out(path: str | None, directory: bool = False) -> None:
     """Refuse an --out path the command could not write, before any work.
-    An empty path names no file: eval, ablate and report then echo."""
+    An empty path names no file: eval and ablate then echo."""
     if not path:
         if directory:
             raise click.ClickException("cannot write an empty --out directory name")
@@ -293,11 +260,8 @@ def train(arch, dataset, out_path, seed, epochs, lr, batch, hidden, conv_channel
 
 
 def _attack_options(fn):
-    """The table's flags, passed on as raw text, then --config read into a dict."""
-    fn = click.option("--config", "filecfg", type=click.Path(exists=True),
-                      callback=lambda ctx, param, path: read_config_file(path) if path else {},
-                      help="key = value file; flags win over it")(fn)
-    for flag, _key, _field, parse, help_text in reversed(_ATTACK_OPTIONS):
+    """The table's flags, passed on as raw text."""
+    for flag, _field, parse, help_text in reversed(_ATTACK_OPTIONS):
         fn = click.option(flag, default=None, is_flag=parse is click.BOOL, help=help_text,
                           metavar=getattr(parse, "name", "text").upper())(fn)
     return fn
@@ -316,10 +280,10 @@ _JOBS_HELP = ("processes to attack on: this one plus jobs - 1 forked workers, at
 @click.option("--num-images", type=_COUNT, default=None, help="subsample this many examples")
 @click.option("--jobs", type=_COUNT, default=1, show_default=True, help=_JOBS_HELP)
 @_wrap_errors
-def attack_cmd(surrogate, dataset, out_dir, num_images, jobs, filecfg, **cli):
+def attack_cmd(surrogate, dataset, out_dir, num_images, jobs, **cli):
     """Craft adversarial examples and write them with a manifest."""
     _check_out(out_dir, directory=True)
-    cfg = resolve_attack_config(cli, filecfg)
+    cfg = resolve_attack_config(cli)
     models, oracle, data = _load_attack_inputs(surrogate, dataset, num_images, [cfg])
     results = attack_batch(oracle, data.images, data.labels, cfg, jobs=jobs)
     save_attack_set(out_dir, cfg, [m.name for m in models], data.labels, results)
@@ -377,9 +341,9 @@ def eval_cmd(adv_dir, targets, out_path, fmt):
     _write_or_echo(emit_report(matrix, fmt), out_path)
 
 
-# The config keys of the table that ablate can sweep. Not all of them: an auto
-# dim side parses to None, which does not sort against ints, and transforms
-# parses to a tuple.
+# The table's flags that ablate can sweep, without their leading --, which is
+# also each one's parameter name. Not all of them: an auto dim side parses to
+# None, which does not sort against ints, and transforms parses to a tuple.
 _SWEEPABLE = ("samples", "eta", "sampling", "mu", "iters", "eps")
 
 
@@ -398,15 +362,15 @@ _SWEEPABLE = ("samples", "eta", "sampling", "mu", "iters", "eps")
 @click.option("--jobs", type=_COUNT, default=1, show_default=True, help=_JOBS_HELP)
 @_wrap_errors
 def ablate(param, grid_arg, surrogate, targets, dataset, out_path, fmt, num_images, jobs,
-           filecfg, **cli):
+           **cli):
     """Sweep one attack parameter and report per-target success rates."""
     _check_out(out_path)
-    cfg = resolve_attack_config(cli, filecfg)
-    flag, _key, field, _parse, _help = next(row for row in _ATTACK_OPTIONS if row[1] == param)
+    cfg = resolve_attack_config(cli)
+    field = next(row[1] for row in _ATTACK_OPTIONS if row[0] == "--" + param)
     cfgs = {}   # grid value -> config; of texts that parse equal, the first wins
     for text in _parse_names(grid_arg):
         try:
-            swept = resolve_attack_config({**cli, flag[2:].replace("-", "_"): text}, filecfg)
+            swept = resolve_attack_config({**cli, param: text})
         except click.BadParameter as exc:
             raise click.BadParameter(str(exc), param_hint="--grid") from exc
         cfgs.setdefault(functools.reduce(getattr, field.split("."), swept), swept)
@@ -416,23 +380,6 @@ def ablate(param, grid_arg, surrogate, targets, dataset, out_path, fmt, num_imag
     target_models = _load_targets(targets)
     result = ablation_sweep(param, cfgs, cfg, oracle, target_models, data, jobs=jobs)
     _write_or_echo(emit_report(result, fmt), out_path)
-
-
-@main.command()
-@click.option("--in", "in_path", required=True, type=click.Path(exists=True))
-@click.option("--format", "fmt", type=click.Choice(["csv", "markdown"]), default="markdown",
-              show_default=True)
-@click.option("--out", "out_path", default=None, type=click.Path())
-@_wrap_errors
-def report(in_path, fmt, out_path):
-    """Re-render a stored CSV report (matrix or ablation)."""
-    _check_out(out_path)
-    try:
-        with open(in_path, "r", encoding="utf-8") as fh:
-            parsed = parse_report_csv(fh.read())
-    except (OSError, ValueError) as exc:
-        raise click.ClickException(f"unreadable report {in_path}: {exc}") from exc
-    _write_or_echo(emit_report(parsed, fmt), out_path)
 
 
 if __name__ == "__main__":

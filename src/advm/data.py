@@ -61,6 +61,11 @@ class LabeledDataset:
         return self.images[0].shape
 
 
+# Each class draws its template on its own, 0.1-0.2 ms apiece from 1x1 to
+# 28x28 images, so 2**16 classes take seconds where 2**31 would take days.
+_CLASS_LIMIT = 2**16
+
+
 def generate_synthetic(
     classes: int,
     per_class: int,
@@ -87,6 +92,8 @@ def generate_synthetic(
     rng = derive_rng(seed, 0)
     if classes == 0 or per_class == 0:
         raise EmptyDataset("need at least one class and one example per class")
+    if classes >= _CLASS_LIMIT:
+        raise ValueError(f"classes must be an integer >= 0 and < 2**16, got {classes}")
     templates = [_blob_template(rng, height, width, channels, contrast) for _ in range(classes)]
     images, labels = [], []
     for cls, tpl in enumerate(templates):

@@ -1,4 +1,4 @@
-"""Transferability evaluation: success rates, transfer matrices, ablations, attack sets.
+"""Transferability evaluation: success rates, ablations, rate reports, attack sets.
 
 fooled flags each adversarial image the target misclassifies, counting
 examples the target already got wrong (the untargeted convention); a
@@ -6,11 +6,11 @@ success rate is their mean. One builder crafts and scores every table,
 here and in experiment's replicate study: each (oracle, config, dataset)
 group is crafted once and scored on that group's targets.
 
-Both results are one RateTable, row label x target: a matrix's rows are
-its surrogates, an ablation's are its grid values, named by its
-`parameter` (None for a matrix). One CSV writer gives a line per cell and
-one parser reads either back exactly; one markdown renderer draws either
-from its corner cell, cells and footer.
+A transfer matrix (`advm eval`'s) and an ablation are one RateTable, row
+label x target: a matrix's rows are its surrogates, an ablation's are its
+grid values, named by its `parameter` (None for a matrix). One CSV writer
+gives a line per cell with exact repr rates; one markdown renderer draws
+either from its corner cell, cells and footer.
 
 An attack set is the hand-off from `advm attack` to `advm eval`: a
 directory of one .emtn file per adversarial image plus the manifest.json
@@ -67,7 +67,7 @@ def _craft_and_score(groups, jobs: int = 1) -> tuple:
     images on its target j, rates[i][j] their mean. Every group's labels are checked
     against its targets before the first attack."""
     if not groups:
-        raise ValueError("nothing to craft: an empty surrogate list or ablation grid")
+        raise ValueError("nothing to craft: an empty ablation grid")
     for _, _, dataset, targets in groups:
         if not targets:
             raise ValueError("no target models to score")
@@ -93,25 +93,6 @@ class RateTable:
     def mean_curve(self) -> tuple:
         """Each row's rate averaged over the targets."""
         return tuple(sum(row) / len(self.targets) for row in self.rates)
-
-
-def transfer_matrix(
-    surrogates,
-    targets,
-    dataset: LabeledDataset,
-    cfg: AttackConfig,
-    jobs: int = 1,
-) -> RateTable:
-    """Craft on each surrogate, score on every target; pass
-    [EnsembleOracle(models)] to craft on their logit-fused ensemble.
-    Identical target models produce identical columns."""
-    return RateTable(
-        rows=tuple(o.name for o in surrogates),
-        targets=tuple(t.name for t in targets),
-        rates=_craft_and_score([(o, cfg, dataset, targets) for o in surrogates], jobs)[0],
-        n_examples=len(dataset),
-        config_hash=cfg.config_hash(),
-    )
 
 
 def ablation_sweep(
@@ -147,8 +128,8 @@ def ablation_sweep(
 def emit_report(result: RateTable, fmt: str = "csv") -> str:
     """Render a RateTable as CSV or markdown.
 
-    CSV rates use repr floats, so parsing the report back reproduces the
-    numbers exactly. Output is deterministic for identical inputs.
+    CSV rates use repr floats, so float() of a rate cell gives back the
+    table's number exactly. Output is deterministic for identical inputs.
     """
     if fmt not in ("csv", "markdown"):
         raise ValueError(f"unknown report format {fmt!r}")
@@ -156,7 +137,7 @@ def emit_report(result: RateTable, fmt: str = "csv") -> str:
         raise TypeError(f"cannot report a {type(result).__name__}")
     lead = [] if result.parameter is None else [result.parameter]
     footer = f"n={result.n_examples}, config={result.config_hash}"
-    if fmt == "csv":   # parse_report_csv keys each cell by its (row, target) text
+    if fmt == "csv":   # a reader can only key each line by its (row, target) text
         for what, names in (("row", result.rows), ("target", result.targets)):
             written = [str(v) for v in names]
             for i, name in enumerate(written):
@@ -190,49 +171,6 @@ def _markdown_table(corner, columns, cells, footer: str) -> str:
 
 def _pct(rate: float) -> str:
     return f"{100.0 * rate:.1f}"
-
-
-def parse_report_csv(text: str) -> RateTable:
-    """Inverse of emit_report(..., "csv"), for either header.
-
-    Raises ValueError unless every (row, target) cell appears exactly once
-    with a finite rate in [0, 1], n is at least 1, and all rows agree on
-    the parameter, n and config_hash.
-    """
-    try:
-        lines = list(csv.reader(io.StringIO(text)))
-    except csv.Error as exc:   # a field past the csv module's size limit
-        raise ValueError(f"unreadable CSV: {exc}") from exc
-    if not lines:
-        raise ValueError("empty report")
-    header, body = lines[0], lines[1:]
-    if header not in (_MATRIX_HEADER, _ABLATION_HEADER):
-        raise ValueError(f"unrecognized report header {header}")
-    if not body:
-        raise ValueError("report has no data rows")
-    labels, targets, cells, shared = {}, {}, {}, set()
-    for line in body:
-        if len(line) != len(header):
-            raise ValueError(f"row {line} has {len(line)} fields, want {len(header)}")
-        *lead, label, t, rate, n, h = line
-        if (label, t) in cells:
-            raise ValueError(f"duplicate rate for row {label!r}, target {t!r}")
-        labels[label] = targets[t] = None
-        cells[(label, t)] = float(rate)
-        if not 0.0 <= cells[(label, t)] <= 1.0:   # NaN fails this too
-            raise ValueError(f"rate {rate!r} for row {label!r}, target {t!r} is not in [0, 1]")
-        if int(n) < 1:
-            raise ValueError(f"n={n} is not a count of at least 1")
-        shared.add((tuple(lead), int(n), h))
-    if len(shared) > 1:
-        raise ValueError("rows disagree on the parameter, n or config_hash")
-    missing = [(r, t) for r in labels for t in targets if (r, t) not in cells]
-    if missing:
-        raise ValueError(f"no rate for row {missing[0][0]!r}, target {missing[0][1]!r}")
-    lead, n, h = shared.pop()
-    rates = tuple(tuple(cells[(r, t)] for t in targets) for r in labels)
-    return RateTable(rows=tuple(labels), targets=tuple(targets), rates=rates, n_examples=n,
-                     config_hash=h, parameter=lead[0] if lead else None)
 
 
 # An attack set's manifest.json fields besides its format and version, with their

@@ -7,6 +7,8 @@ against a second route instead of against itself.
 """
 
 import base64
+import csv
+import io
 import json
 import math
 import os
@@ -210,6 +212,12 @@ def encode_tensor(t) -> bytes:
     little-endian u32, then t's C-order little-endian float64 values."""
     a = np.asarray(t, "<f8")
     return b"EMTN\x01" + struct.pack(f"<{a.ndim + 1}I", a.ndim, *a.shape) + a.tobytes()
+
+
+def report_rows(text: str) -> list:
+    """The lines of a CSV report as dicts keyed by its header, read by the csv
+    module alone: every value is the text the report holds."""
+    return list(csv.DictReader(io.StringIO(text)))
 
 
 # -- model files, read and written without advm -------------------------------

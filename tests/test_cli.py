@@ -1,6 +1,7 @@
-"""Command-line interface: parsing, precedence, and end-to-end runs."""
+"""Command-line interface: parsing, the option table, and end-to-end runs."""
 
 import errno
+import functools
 import json
 import os
 import pathlib
@@ -25,15 +26,15 @@ from advm.cli import (
     main,
     parse_attack_name,
     parse_eps,
-    read_config_file,
     resolve_attack_config,
 )
-from advm.evaluate import _ADVSET_FIELDS, RateTable, load_attack_set, parse_report_csv
+from advm.evaluate import _ADVSET_FIELDS, load_attack_set
 from advm.models import load_model
 from advm.sampling import SamplingSpec
 from advm.transforms import TransformConfig
 
-from conftest import MODEL_DAMAGES, decode_model, encode_model, encode_tensor, legacy_model
+from conftest import (MODEL_DAMAGES, decode_model, encode_model, encode_tensor, legacy_model,
+                      report_rows)
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -112,28 +113,6 @@ def test_load_models_validation(tmp_path):
         load_models(str(tmp_path / "nothing-*.json"))
 
 
-def test_read_config_file(tmp_path):
-    p = tmp_path / "atk.cfg"
-    p.write_text(
-        "# crafting defaults\n"
-        "attack = ni-fgsm\n"
-        "iters = 3   # flags still win\n"
-        "tim.kernel_size = 5\n"
-        "\n"
-    )
-    assert read_config_file(str(p)) == {
-        "attack": "ni-fgsm", "iters": "3", "tim.kernel_size": "5",
-    }
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("volume = 11\n")
-    with pytest.raises(click.UsageError):
-        read_config_file(str(bad))
-    noeq = tmp_path / "noeq.cfg"
-    noeq.write_text("just words\n")
-    with pytest.raises(click.UsageError):
-        read_config_file(str(noeq))
-
-
 # -- end-to-end --------------------------------------------------------------------
 
 
@@ -157,10 +136,10 @@ def _tree_bytes(root) -> dict:
 
 
 def test_environment_never_changes_output_bytes(runner, trained, tmp_path):
-    # the seed and every option come from flags, --config and defaults only: an
-    # ADVM_<KEY> variable for each config key changes no output byte
-    env = {"ADVM_" + key.upper().replace(".", "_"): text
-           for key, text in {**_ROW_TEXT, "seed": "7"}.items()}
+    # the seed and every option come from flags and defaults only: an
+    # ADVM_<OPTION> variable for each attack option changes no output byte
+    env = {"ADVM_" + flag[2:].upper().replace("-", "_"): text
+           for flag, text in {**_FLAG_TEXT, "--seed": "7"}.items()}
     trees = []
     for name, run_env in (("plain", None), ("env", env)):
         root = tmp_path / name
@@ -243,39 +222,6 @@ def test_attack_manifest_holds_exactly_the_field_table(runner, trained, tmp_path
     assert {k: type(manifest[k]) for k in _ADVSET_FIELDS} == _ADVSET_FIELDS
 
 
-def test_attack_config_file_and_flag_precedence(runner, trained, tmp_path):
-    cfg_path = tmp_path / "atk.cfg"
-    cfg_path.write_text(
-        "attack = ni-fgsm\n"
-        "iters = 3\n"
-        "tim.kernel_size = 5   # dotted keys map to transform fields\n"
-    )
-    out = str(tmp_path / "advset")
-    result = runner.invoke(main, [
-        "attack", "--surrogate", trained["model"],
-        "--dataset", "synthetic:2x3x6:0.05",
-        "--config", str(cfg_path), "--iters", "2", "--seed", "3", "--out", out,
-    ])
-    assert result.exit_code == 0, result.output
-    with open(os.path.join(out, "manifest.json")) as fh:
-        config = json.load(fh)["config"]
-    assert config["variant"] == "nifgsm"                  # from the file
-    assert config["iters"] == 2                           # flag beats file
-    assert config["transforms"]["tim_kernel_size"] == 5   # dotted key mapped
-
-
-def test_attack_rejects_unknown_config_key(runner, trained, tmp_path):
-    cfg_path = tmp_path / "bad.cfg"
-    cfg_path.write_text("warp = 9\n")
-    result = runner.invoke(main, [
-        "attack", "--surrogate", trained["model"],
-        "--dataset", "synthetic:2x3x6", "--config", str(cfg_path),
-        "--out", str(tmp_path / "x"),
-    ])
-    assert result.exit_code != 0
-    assert "unknown key" in result.output
-
-
 @pytest.fixture(scope="module")
 def advset(trained):
     out = str(trained["root"] / "advset-eval")
@@ -293,13 +239,13 @@ def test_eval_rates_match_manifest_white_box(runner, trained, advset):
     result = runner.invoke(main, ["eval", "--adv", advset,
                                   "--targets", trained["model"]])
     assert result.exit_code == 0, result.output
-    matrix = parse_report_csv(result.output)
-    assert isinstance(matrix, RateTable) and matrix.parameter is None
-    assert matrix.rows == ("surr",) and matrix.targets == ("surr",)
+    (row,) = report_rows(result.output)
+    assert list(row) == ["surrogate", "target", "rate", "n", "config_hash"]
+    assert (row["surrogate"], row["target"]) == ("surr", "surr")
     with open(os.path.join(advset, "manifest.json")) as fh:
         manifest = json.load(fh)
     # scoring the surrogate itself reproduces the crafting-time flags
-    assert matrix.rates[0][0] == (
+    assert float(row["rate"]) == (
         sum(manifest["white_box"]) / manifest["count"]
     )
 
@@ -311,7 +257,7 @@ def test_eval_accepts_glob_targets_and_writes_file(runner, trained, advset, tmp_
                                   "--out", out_path])
     assert result.exit_code == 0, result.output
     with open(out_path) as fh:
-        assert parse_report_csv(fh.read()).parameter is None
+        assert fh.readline() == "surrogate,target,rate,n,config_hash\n"
 
 
 def test_eval_missing_manifest_is_an_error(runner, trained, tmp_path):
@@ -342,11 +288,10 @@ def test_ablate_sweeps_sample_count(runner, trained, tmp_path):
     ])
     assert result.exit_code == 0, result.output
     with open(out_path) as fh:
-        sweep = parse_report_csv(fh.read())
-    assert isinstance(sweep, RateTable)
-    assert sweep.parameter == "samples"
-    assert sweep.rows == ("1", "3")
-    assert sweep.targets == ("surr",)
+        sweep = report_rows(fh.read())
+    assert {row["parameter"] for row in sweep} == {"samples"}
+    assert [row["value"] for row in sweep] == ["1", "3"]
+    assert {row["target"] for row in sweep} == {"surr"}
 
 
 def test_attack_fgsm_records_the_single_step_it_runs(runner, trained, tmp_path):
@@ -387,7 +332,7 @@ def test_ablate_iters_of_fgsm_is_one_row(runner, trained):
         "--dataset", "synthetic:2x3x6:0.05", "--seed", "3",
     ])
     assert result.exit_code == 0, result.output
-    assert parse_report_csv(result.output).rows == ("1",)
+    assert [row["value"] for row in report_rows(result.output)] == ["1"]
 
 
 def test_ablate_refuses_labels_outside_the_target_classes(runner, tmp_path, monkeypatch):
@@ -433,18 +378,6 @@ def test_attack_and_ablate_refuse_labels_outside_the_surrogate_classes(
     ])
     _assert_error_wrote_nothing(result, ["LabelOutOfRange", "label 3 is not an integer in "
                                          "[0, 3), the classes of surrogate surr3"], out)
-
-
-def test_report_rerenders_csv_as_markdown(runner, trained, advset, tmp_path):
-    csv_path = str(tmp_path / "matrix.csv")
-    assert runner.invoke(main, ["eval", "--adv", advset,
-                                "--targets", trained["model"],
-                                "--out", csv_path]).exit_code == 0
-    result = runner.invoke(main, ["report", "--in", csv_path,
-                                  "--format", "markdown"])
-    assert result.exit_code == 0, result.output
-    assert result.output.startswith("| surrogate \\ target |")
-    assert "(* = white-box)" in result.output
 
 
 # -- usage errors at the boundary --------------------------------------------------
@@ -593,6 +526,8 @@ def test_train_bad_values_are_usage_errors(runner, tmp_path, flags, text):
     ("synthetic:2000000000x1x4",
      "classes*per_class*height*width*channels must be an integer >= 0 and < 2**31, "
      "got 32000000000"),
+    # under the value bound, it drew templates for about 60 hours
+    ("synthetic:2000000000x1x1", "classes must be an integer >= 0 and < 2**16, got 2000000000"),
 ])
 def test_train_refuses_a_synthetic_count_past_the_size_bound(tmp_path, spec, text):
     # each generated templates without end; a timeout keeps a regression from hanging
@@ -807,7 +742,7 @@ def test_ablate_dim_geometry_is_checked_before_sweeping(runner, trained, tmp_pat
 
 def test_eval_refuses_two_targets_of_one_name(runner, trained, advset, tmp_path):
     # a copy in another directory keeps its name: the report held two 'surr'
-    # columns, which `advm report --in` then refused as duplicate rates
+    # columns that no reader of it could tell apart
     (tmp_path / "b").mkdir()
     copy = shutil.copy(trained["model"], tmp_path / "b" / "surr.json")
     out = tmp_path / "matrix.csv"
@@ -831,65 +766,20 @@ def test_ablate_refuses_two_targets_of_one_name(runner, trained, tmp_path, monke
     assert not out.exists()
 
 
-def test_attack_bad_config_file_value_is_a_usage_error(runner, trained, tmp_path):
-    cfg_path = tmp_path / "atk.cfg"
-    cfg_path.write_text("iters = many\n")
-    result = runner.invoke(main, [
-        "attack", "--surrogate", trained["model"], "--dataset", "synthetic:2x3x6",
-        "--config", str(cfg_path), "--out", str(tmp_path / "x"),
-    ])
-    _assert_usage_error(result, "many")
-
-
-@pytest.mark.parametrize("text, message", [
-    ("jobs = 2\n", "unknown key 'jobs'"),
-    ("normalize_sample_dir = ture\n", "'ture' is not a valid boolean"),
-])
-def test_attack_bad_config_file_lines_are_usage_errors(runner, trained, tmp_path, text,
-                                                       message):
-    cfg_path = tmp_path / "atk.cfg"
-    cfg_path.write_text(text)
-    out = tmp_path / "advset"
-    result = runner.invoke(main, [
-        "attack", "--surrogate", trained["model"], "--dataset", "synthetic:2x3x6",
-        "--config", str(cfg_path), "--out", str(out),
-    ])
-    _assert_usage_error(result, message)
-    assert not out.exists()
-
-
-def test_attack_refuses_a_config_key_set_twice(runner, trained, tmp_path, monkeypatch):
-    # the last value used to win silently: exit 0 with iters 2 in the manifest
-    from advm import cli
-    monkeypatch.setattr(cli, "attack_batch", _refuse_work)
-    cfg_path = tmp_path / "atk.cfg"
-    cfg_path.write_text("iters = 1\n# again\niters = 2\n")
-    out = tmp_path / "advset"
-    result = runner.invoke(main, [
-        "attack", "--surrogate", trained["model"], "--dataset", "synthetic:2x3x6",
-        "--config", str(cfg_path), "--out", str(out),
-    ])
-    _assert_usage_error(result, f"{cfg_path}:3: key 'iters' is already set on line 1")
-    assert not out.exists()
-
-
-# Non-default text for each option row; the flag and the file key take it alike.
-_ROW_TEXT = {
-    "attack": "ni-fgsm", "eps": "8/255", "iters": "3", "mu": "0.5", "eta": "3",
-    "samples": "5", "sampling": "uniform", "transforms": "tim,dim", "dim.prob": "0.7",
-    "dim.resize_low": "5", "dim.pad_to": "9", "tim.kernel_size": "5", "tim.sigma": "2.0",
-    "sim.copies": "3", "normalize_sample_dir": "true", "seed": "9",
+# Non-default text for each option's flag.
+_FLAG_TEXT = {
+    "--attack": "ni-fgsm", "--eps": "8/255", "--iters": "3", "--mu": "0.5", "--eta": "3",
+    "--samples": "5", "--sampling": "uniform", "--transforms": "tim,dim", "--dim-prob": "0.7",
+    "--dim-resize-low": "5", "--dim-pad-to": "9", "--tim-kernel-size": "5",
+    "--tim-sigma": "2.0", "--sim-copies": "3", "--normalize-sample-dir": "true", "--seed": "9",
 }
 
 
-@pytest.mark.parametrize("flag, key, parse", [(r[0], r[1], r[3]) for r in _ATTACK_OPTIONS])
-def test_flag_and_config_key_give_the_same_config(runner, trained, tmp_path, flag, key, parse):
-    text = _ROW_TEXT[key]
-    (tmp_path / "one.cfg").write_text(f"{key} = {text}\n")
-    hashes = []
+@pytest.mark.parametrize("flag, field, parse", [r[:3] for r in _ATTACK_OPTIONS])
+def test_each_flag_sets_its_field(runner, trained, tmp_path, flag, field, parse):
+    configs = []
     for name, extra in (("default", []),
-                        ("flag", [flag] if parse is click.BOOL else [flag, text]),
-                        ("file", ["--config", str(tmp_path / "one.cfg")])):
+                        ("flag", [flag] if parse is click.BOOL else [flag, _FLAG_TEXT[flag]])):
         out = tmp_path / name
         result = runner.invoke(main, [
             "attack", "--surrogate", trained["model"], "--dataset", "synthetic:2x3x6",
@@ -897,49 +787,84 @@ def test_flag_and_config_key_give_the_same_config(runner, trained, tmp_path, fla
         ])
         assert result.exit_code == 0, result.output
         with open(out / "manifest.json") as fh:
-            hashes.append(json.load(fh)["config_hash"])
-    default, by_flag, by_file = hashes
-    assert by_flag == by_file != default
+            configs.append(json.load(fh)["config"])
+    default, by_flag = configs
+    *path, name = field.split(".")
+    mine, theirs = (functools.reduce(dict.get, path, config) for config in (by_flag, default))
+    assert mine[name] != theirs[name]
+    mine[name] = theirs[name]
+    assert by_flag == default   # the flag set its own field and no other
 
 
-def test_dim_sides_take_auto_from_flag_and_file():
-    assert resolve_attack_config({}, {}) == AttackConfig()
+# The flags that take a text, and texts that no option's parser and checks
+# accept, each tried on one flag while every other flag holds its _FLAG_TEXT.
+_TEXT_FLAGS = [row[0] for row in _ATTACK_OPTIONS if row[2] is not click.BOOL]
+_BAD_FLAG_VALUES = ("x", "nan", "-1", "1e999")
+
+
+@pytest.mark.parametrize("flag", _TEXT_FLAGS)
+def test_a_flag_value_no_option_takes_is_refused(runner, trained, tmp_path, flag):
+    for bad in (None, *_BAD_FLAG_VALUES):   # None: every flag holds its good text
+        values = {f: _FLAG_TEXT[f] for f in _TEXT_FLAGS} | ({} if bad is None else {flag: bad})
+        out = tmp_path / f"advset-{bad}"
+        result = runner.invoke(main, [
+            "attack", "--surrogate", trained["model"], "--dataset", "synthetic:2x3x6",
+            "--num-images", "2", "--out", str(out),
+            *(text for pair in values.items() for text in pair),
+        ])
+        if bad is None:
+            assert result.exit_code == 0, result.output
+            continue
+        _assert_usage_error(result, "Invalid value")
+        assert not out.exists()
+
+
+def test_dim_sides_take_auto_from_their_flags():
+    assert resolve_attack_config({}) == AttackConfig()
     for side in ("dim_resize_low", "dim_pad_to"):
-        assert resolve_attack_config({side: "auto"}, {}) == AttackConfig()
-        assert resolve_attack_config({}, {side.replace("_", ".", 1): "auto"}) == AttackConfig()
+        for text in ("auto", "none", ""):
+            assert resolve_attack_config({side: text}) == AttackConfig()
 
 
-def test_readme_lists_every_config_key():
+def test_readme_lists_every_attack_flag():
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme, encoding="utf-8") as fh:
-        rows = re.findall(r"^\| `([a-z_.]+)` \| `(--[a-z-]+)` \|", fh.read(), re.MULTILINE)
-    assert sorted(rows) == sorted((key, flag) for flag, key, *_ in _ATTACK_OPTIONS)
+        flags = re.findall(r"^\| `(--[a-z-]+)` \|", fh.read(), re.MULTILINE)
+    assert sorted(flags) == sorted(row[0] for row in _ATTACK_OPTIONS)
 
 
+@pytest.mark.parametrize("command", [
+    ["report", "--in", "{report}", "--format", "markdown"],
+    ["attack", "--surrogate", "{model}", "--dataset", "synthetic:2x3x6", "--out", "adv",
+     "--config", "{report}"],
+], ids=["report", "attack-config"])
+def test_the_retired_report_command_and_config_file_are_usage_errors(runner, trained, tmp_path,
+                                                                      command):
+    report = tmp_path / "matrix.csv"
+    report.write_text("surrogate,target,rate,n,config_hash\ns,t,0.5,4,h\n")
+    args = [a.format(report=report, model=trained["model"]) for a in command]
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        result = runner.invoke(main, args)
+        _assert_usage_error(result, "No such command 'report'" if command[0] == "report"
+                            else "No such option '--config'")
+        assert os.listdir(".") == []
+
+
+# These rows keep the ids they had beside the rows of the retired --config file
+# and report command.
 @pytest.mark.parametrize("command, make, code", [
-    (["train", "--arch", "logistic", "--out", "m.json", "--dataset", "idx:{p},{p}"],
-     None, 1),
-    (["attack", "--surrogate", "{model}", "--dataset", "synthetic:2x3x6", "--out", "adv",
-      "--config", "{p}"], "dir", 2),
-    (["attack", "--surrogate", "{model}", "--dataset", "synthetic:2x3x6", "--out", "adv",
-      "--config", "{p}"], "latin-1", 2),
-    (["report", "--in", "{p}", "--out", "r.md"], "latin-1", 1),
-    (["report", "--in", "{p}", "--out", "r.md"], "dir", 1),
-    (["report", "--in", "{p}", "--out", "r.md"], "a,b\n1,2\n", 1),
-    (["attack", "--surrogate", "{p}", "--dataset", "synthetic:2x3x6", "--out", "adv"], None, 1),
-    (["eval", "--adv", "{advset}", "--targets", "{p}"], "dir", 1),
-    (["report", "--in", "{p}", "--out", "r.md"],
-     "surrogate,target,rate,n,config_hash\ns1,t1,0.5,4,h\ns1,t2,0.5,4,h\ns2,t1,0.5,4,h\n", 1),
+    pytest.param(["train", "--arch", "logistic", "--out", "m.json", "--dataset", "idx:{p},{p}"],
+                 None, 1, id="command0-None-1"),
+    pytest.param(["attack", "--surrogate", "{p}", "--dataset", "synthetic:2x3x6", "--out", "adv"],
+                 None, 1, id="command6-None-1"),
+    pytest.param(["eval", "--adv", "{advset}", "--targets", "{p}"], "dir", 1,
+                 id="command7-dir-1"),
 ])
 def test_unreadable_inputs_name_the_path(runner, trained, advset, tmp_path, command, make,
                                         code):
     path = tmp_path / "input"
     if make == "dir":
         path.mkdir()
-    elif make == "latin-1":
-        path.write_bytes("attack = emi-fgsm  # caf\xe9\n".encode("latin-1"))
-    elif make is not None:
-        path.write_text(make)
     args = [a.format(p=path, model=trained["model"], advset=advset) for a in command]
     with runner.isolated_filesystem(temp_dir=tmp_path):
         result = runner.invoke(main, args)
@@ -996,16 +921,18 @@ def test_ablate_grid_value_takes_its_flag_text(runner, trained, tmp_path, param,
         return
     with open(advset / "manifest.json") as fh:
         value = json.load(fh)["config"]
-    field = next(row[2] for row in _ATTACK_OPTIONS if row[1] == param)
+    field = next(row[1] for row in _ATTACK_OPTIONS if row[0] == flag)
     for part in field.split("."):
         value = value[part]
     with open(sweep_path) as fh:
-        assert parse_report_csv(fh.read()).rows == (str(value),)
+        assert [row["value"] for row in report_rows(fh.read())] == [str(value)]
 
 
-def test_every_sweepable_parameter_is_a_config_key_of_the_table():
-    keys = [row[1] for row in _ATTACK_OPTIONS]
-    assert len(set(_SWEEPABLE)) == len(_SWEEPABLE) and set(_SWEEPABLE) <= set(keys)
+def test_every_sweepable_parameter_is_a_flag_of_the_table():
+    flags = [row[0] for row in _ATTACK_OPTIONS]
+    assert len(set(_SWEEPABLE)) == len(_SWEEPABLE)
+    assert {"--" + param for param in _SWEEPABLE} <= set(flags)
+    assert not any("-" in param for param in _SWEEPABLE)   # each is its own click name
 
 
 # -- eval manifest checks ----------------------------------------------------------
@@ -1153,7 +1080,7 @@ def test_eval_refuses_a_zero_size_tensor_by_its_shape(runner, trained, advset, t
     assert "Traceback" not in result.output and not out.exists()
 
 
-# -- one checked manifest reader, one report parser ----------------------------------
+# -- one checked manifest reader ------------------------------------------------------
 
 _DEEP_JSON = "[" * 200000   # past Python's recursion limit: json raises RecursionError
 
@@ -1178,28 +1105,6 @@ def test_attack_refuses_a_deeply_nested_surrogate(runner, tmp_path):
                                 out)
 
 
-@pytest.mark.parametrize("cell, text", [
-    ("s,t,nan,4,h", "rate 'nan' for row 's', target 't' is not in [0, 1]"),
-    ("s,t,1.5,4,h", "rate '1.5' for row 's', target 't' is not in [0, 1]"),
-    ("s,t,0.5,-3,h", "n=-3 is not a count of at least 1"),
-], ids=["nan-rate", "rate-above-one", "negative-n"])
-def test_report_refuses_an_impossible_number(runner, tmp_path, cell, text):
-    stored = tmp_path / "matrix.csv"
-    stored.write_text("surrogate,target,rate,n,config_hash\n" + cell + "\n")
-    out = tmp_path / "matrix.md"
-    result = runner.invoke(main, ["report", "--in", str(stored), "--out", str(out)])
-    _assert_error_wrote_nothing(result, ["unreadable report", text], out)
-
-
-def test_report_refuses_a_field_past_the_csv_size_limit(runner, tmp_path):
-    stored = tmp_path / "matrix.csv"
-    stored.write_text("surrogate,target,rate,n,config_hash\n" + "s" * 200000 + ",t,0.5,4,h\n")
-    out = tmp_path / "matrix.md"
-    result = runner.invoke(main, ["report", "--in", str(stored), "--out", str(out)])
-    _assert_error_wrote_nothing(result, ["unreadable report", "field larger than field limit"],
-                                out)
-
-
 # -- an unwritable --out, and the widest tim kernel ------------------------------------
 
 
@@ -1214,10 +1119,7 @@ def _refuse_work(*args, **kwargs):
     (["eval", "--adv", "{advset}", "--targets", "{model}"], "dir"),
     (["ablate", "--surrogate", "{model}", "--targets", "{model}", "--dataset",
       "synthetic:2x3x6", "--param", "samples", "--grid", "1"], "dir"),
-    (["report", "--in", "{report}"], "dir"),
-    (["report", "--in", "{report}"], "file/r.md"),
-], ids=["train", "attack", "attack-under-a-file", "eval", "ablate", "report",
-        "report-under-a-file"])
+], ids=["train", "attack", "attack-under-a-file", "eval", "ablate"])
 def test_unwritable_out_is_refused_before_any_work(runner, trained, advset, tmp_path,
                                                    monkeypatch, command, out):
     # train used to fail in os.replace after training, and attack in
@@ -1229,10 +1131,8 @@ def test_unwritable_out_is_refused_before_any_work(runner, trained, advset, tmp_
     work.mkdir()
     (work / "dir").mkdir()
     (work / "file").write_text("keep")
-    report = tmp_path / "matrix.csv"
-    report.write_text("surrogate,target,rate,n,config_hash\ns,t,0.5,4,h\n")
     target = work / out
-    args = [a.format(model=trained["model"], advset=advset, report=report) for a in command]
+    args = [a.format(model=trained["model"], advset=advset) for a in command]
     result = runner.invoke(main, [*args, "--out", str(target)])
     assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.output
     assert f"cannot write {target}" in result.output and "Traceback" not in result.output

@@ -142,6 +142,14 @@ def test_generate_synthetic_refuses_an_image_tensor_of_2_31_values(shape):
         generate_synthetic(*shape)
 
 
+@pytest.mark.parametrize("classes", [2**16, 2_000_000_000])
+def test_generate_synthetic_refuses_2_16_classes(classes):
+    # under the 2**31 value bound, 2e9 classes drew templates for about 60 hours
+    with pytest.raises(ValueError, match=re.escape(
+            f"classes must be an integer >= 0 and < 2**16, got {classes}")):
+        generate_synthetic(classes, 1, height=1, width=1)
+
+
 # -- IDX loading -----------------------------------------------------------------
 
 

@@ -22,14 +22,12 @@ from advm.evaluate import (
     emit_report,
     fooled,
     load_attack_set,
-    parse_report_csv,
     save_attack_set,
-    transfer_matrix,
 )
 from advm.models import EnsembleOracle, Model, ModelSpec
 from advm.sampling import SamplingSpec
 
-from conftest import QuadraticOracle, rand_pixel_image
+from conftest import QuadraticOracle, rand_pixel_image, report_rows
 
 
 class ConstOracle:
@@ -106,13 +104,14 @@ def test_attack_success_rate_takes_numpy_integer_labels():
 
 def test_a_table_over_numpy_integer_labels_holds_python_floats():
     # numpy-integer labels made every rate a numpy float64, and the CSV report
-    # wrote np.float64(0.3333333333333333), which parse_report_csv refused
+    # wrote np.float64(0.3333333333333333), which float() cannot read
     data = _tiny_dataset()
     data = LabeledDataset(data.images, tuple(np.int64(y) for y in data.labels), 3)
-    m = transfer_matrix([_named_quadratic("s", seed=1)], [_named_quadratic("t", seed=2)], data,
-                        AttackConfig(variant="ifgsm", eps=0.2, iters=2))
+    cfg = AttackConfig(variant="ifgsm", eps=0.2, iters=2)
+    m = ablation_sweep("iters", {2: cfg}, cfg, _named_quadratic("s", seed=1),
+                       [_named_quadratic("t", seed=2)], data)
     assert type(m.rates[0][0]) is float
-    assert parse_report_csv(emit_report(m, "csv")).rates == m.rates
+    assert [float(row["rate"]) for row in report_rows(emit_report(m, "csv"))] == [m.rates[0][0]]
 
 
 @pytest.mark.parametrize("n", [1, 2, 7])
@@ -127,55 +126,28 @@ def test_the_mean_of_the_fooled_flags_is_the_success_rate(n):
     assert type(rate) is float and (sum(flags) / n).hex() == rate.hex()
 
 
-# -- transfer matrices -------------------------------------------------------------
+# -- the builder -------------------------------------------------------------------
 
 
-def test_transfer_matrix_deterministic_and_column_structure():
-    data = _tiny_dataset()
-    s = _named_quadratic("s0", seed=1)
-    t_dup = _named_quadratic("t0", seed=2)
-    cfg = AttackConfig(variant="mifgsm", eps=0.2, iters=2, seed=5)
-    m1 = transfer_matrix([s], [t_dup, t_dup], data, cfg)
-    m2 = transfer_matrix([s], [t_dup, t_dup], data, cfg)
-    assert m1.rates == m2.rates
-    # the same target scored twice gives two identical columns
-    assert m1.rates[0][0] == m1.rates[0][1]
-    assert m1.rows == ("s0",)
-    assert m1.n_examples == len(data)
-    assert m1.config_hash == cfg.config_hash()
-
-
-def test_transfer_matrix_ensemble_fuses_surrogates():
-    # logit fusion needs real models, not the closed-form test oracles
-    data = _tiny_dataset(seed=1)
-    a, b = _logistic(3, "a"), _logistic(4, "b")
-    t = _named_quadratic("t", seed=5)
-    cfg = AttackConfig(variant="ifgsm", eps=0.2, iters=2)
-    m = transfer_matrix([EnsembleOracle([a, b])], [t], data, cfg)
-    assert m.rows == ("a+b",)
-    assert len(m.rates) == 1
-    plain = transfer_matrix([a, b], [t], data, cfg)
-    assert plain.rows == ("a", "b")
-    assert len(plain.rates) == 2
-
-
-def test_transfer_matrix_empty_dataset():
+def test_ablation_sweep_refuses_an_empty_dataset():
     empty = LabeledDataset(images=(), labels=(), class_count=3)
     s = _named_quadratic("s", seed=1)
+    cfg = AttackConfig(variant="ifgsm")
     with pytest.raises(EmptyDataset):
-        transfer_matrix([s], [s], empty, AttackConfig(variant="ifgsm"))
+        ablation_sweep("iters", {10: cfg}, cfg, s, [s], empty)
 
 
-def test_transfer_matrix_refuses_labels_outside_a_target_before_attacking(monkeypatch):
+def test_ablation_sweep_refuses_labels_outside_a_target_before_attacking(monkeypatch):
     from advm import evaluate
     monkeypatch.setattr(evaluate, "attack_batch", _refuse_attack)
     narrow = ConstOracle(0, name="narrow")
     narrow.num_classes = 2
     data = _tiny_dataset()   # labels 0, 1 and 2
+    cfg = AttackConfig(variant="ifgsm")
     with pytest.raises(LabelOutOfRange, match=re.escape(
             "label 2 is not an integer in [0, 2), the classes of target narrow")):
-        transfer_matrix([_named_quadratic("s", seed=1)], [ConstOracle(0), narrow], data,
-                        AttackConfig(variant="ifgsm"))
+        ablation_sweep("iters", {10: cfg}, cfg, _named_quadratic("s", seed=1),
+                       [ConstOracle(0), narrow], data)
 
 
 def _refuse_attack(*args, **kwargs):
@@ -241,12 +213,12 @@ def test_the_builder_tables_equal_the_reference_loops_bit_for_bit():
     data = _tiny_dataset(seed=3)
     t = _named_quadratic("t", seed=2)
     targets = [t, ConstOracle(0), t]   # a duplicate target gives a duplicate column
+    # the ensemble is one surrogate, crafted on as its fused logits
     surrogates = [_named_quadratic("s", seed=1), EnsembleOracle([_logistic(3, "a"),
                                                                  _logistic(4, "b")])]
     cfg = AttackConfig(variant="mifgsm", eps=0.2, iters=2, seed=5)
-    m = transfer_matrix(surrogates, targets, data, cfg)
-    assert m.rows == ("s", "a+b")
-    assert _bits(m.rates) == _bits(_ref_transfer_matrix(surrogates, targets, data, cfg))
+    rates, _ = _craft_and_score([(o, cfg, data, targets) for o in surrogates])
+    assert _bits(rates) == _bits(_ref_transfer_matrix(surrogates, targets, data, cfg))
     base = AttackConfig(variant="emifgsm", eps=0.2, iters=2, seed=5)
     cfgs = {n: dataclasses.replace(base, sampling=SamplingSpec(count=n)) for n in (3, 1, 2)}
     a = ablation_sweep("samples", cfgs, base, surrogates[1], targets, data)
@@ -459,8 +431,7 @@ def test_ablation_sweep_sorts_and_dedups_grid():
 
 def test_ablation_sweep_rejects_empty_grid():
     s = _named_quadratic("s", seed=8)
-    with pytest.raises(ValueError,
-                       match="nothing to craft: an empty surrogate list or ablation grid"):
+    with pytest.raises(ValueError, match="nothing to craft: an empty ablation grid"):
         ablation_sweep("samples", {}, AttackConfig(), s, [s], _tiny_dataset())
 
 
@@ -468,16 +439,6 @@ def test_empty_target_list_is_refused():
     s = _named_quadratic("s", seed=9)
     with pytest.raises(ValueError, match="no target models"):
         ablation_sweep("samples", {1: AttackConfig()}, AttackConfig(), s, [], _tiny_dataset())
-    with pytest.raises(ValueError, match="no target models"):
-        transfer_matrix([s], [], _tiny_dataset(), AttackConfig(variant="ifgsm"))
-
-
-def test_empty_surrogate_list_is_refused():
-    # it made a table with no rows, whose CSV parse_report_csv refused
-    t = _named_quadratic("t", seed=9)
-    with pytest.raises(ValueError,
-                       match="nothing to craft: an empty surrogate list or ablation grid"):
-        transfer_matrix([], [t], _tiny_dataset(), AttackConfig(variant="ifgsm"))
 
 
 def test_mean_curve_hand_check():
@@ -510,45 +471,57 @@ def _sample_ablation():
     )
 
 
-def test_matrix_csv_roundtrip_is_exact():
-    m = _sample_matrix()
-    text = emit_report(m, "csv")
-    assert text.splitlines()[0] == "surrogate,target,rate,n,config_hash"
-    back = parse_report_csv(text)
-    assert isinstance(back, RateTable) and back.parameter is None
-    assert back.rates[0][0] == 1 / 3          # repr floats parse back exactly
-    assert back.rows == m.rows and back.targets == m.targets
-    assert back.n_examples == 12 and back.config_hash == "abc123def456"
-    assert emit_report(back, "csv") == text
+# One table of each kind, with rates of 1/3, 0.0 and 1.0, and its exact report bytes.
+_PINNED_REPORTS = {
+    "matrix": (
+        RateTable(rows=("s1", "t1"), targets=("t1", "t2"), rates=((1 / 3, 0.0), (1.0, 0.25)),
+                  n_examples=12, config_hash="abc123def456"),
+        "surrogate,target,rate,n,config_hash\n"
+        "s1,t1,0.3333333333333333,12,abc123def456\n"
+        "s1,t2,0.0,12,abc123def456\n"
+        "t1,t1,1.0,12,abc123def456\n"
+        "t1,t2,0.25,12,abc123def456\n",
+        "| surrogate \\ target | t1 | t2 |\n"
+        "| --- | --- | --- |\n"
+        "| s1 | 33.3 | 0.0 |\n"
+        "| t1 | 100.0* | 25.0 |\n"
+        "\n"
+        "n=12, config=abc123def456 (* = white-box)\n",
+    ),
+    "ablation": (
+        RateTable(rows=(1.0, 3.0), targets=("t1", "t2"), rates=((0.0, 1 / 3), (1.0, 0.75)),
+                  n_examples=9, config_hash="0123456789ab", parameter="eta"),
+        "parameter,value,target,rate,n,config_hash\n"
+        "eta,1.0,t1,0.0,9,0123456789ab\n"
+        "eta,1.0,t2,0.3333333333333333,9,0123456789ab\n"
+        "eta,3.0,t1,1.0,9,0123456789ab\n"
+        "eta,3.0,t2,0.75,9,0123456789ab\n",
+        "| target \\ eta | 1.0 | 3.0 |\n"
+        "| --- | --- | --- |\n"
+        "| t1 | 0.0 | 100.0 |\n"
+        "| t2 | 33.3 | 75.0 |\n"
+        "| mean | 16.7 | 87.5 |\n"
+        "\n"
+        "n=9, config=0123456789ab\n",
+    ),
+}
 
 
-def test_transfer_matrix_parses_back_to_an_equal_table():
-    data = _tiny_dataset(seed=3)
-    targets = [_named_quadratic("t0", seed=2), ConstOracle(0, name="t1")]
-    cfg = AttackConfig(variant="mifgsm", eps=0.2, iters=2, seed=5)
-    m = transfer_matrix([_named_quadratic("s0", seed=1)], targets, data, cfg)
-    assert parse_report_csv(emit_report(m, "csv")) == m
-
-
-def test_ablation_csv_roundtrip_is_stable():
-    a = _sample_ablation()
-    text = emit_report(a, "csv")
-    assert text.splitlines()[0] == "parameter,value,target,rate,n,config_hash"
-    back = parse_report_csv(text)
-    assert isinstance(back, RateTable)
-    assert back.parameter == "eta"
-    # grid values come back as strings, but a second emit is identical text
-    assert back.rows == ("1.0", "3.0")
-    assert back.rates[1][0] == 1 / 3
-    assert emit_report(back, "csv") == text
+@pytest.mark.parametrize("kind", list(_PINNED_REPORTS))
+def test_report_bytes_are_pinned(kind):
+    table, csv_text, markdown = _PINNED_REPORTS[kind]
+    assert emit_report(table, "csv") == csv_text
+    assert emit_report(table, "markdown") == markdown
+    # repr rates: float() of each cell is the table's number, bit for bit
+    cells = [r for row in table.rates for r in row]
+    assert [float(row["rate"]).hex() for row in report_rows(csv_text)] == [r.hex() for r in cells]
 
 
 def test_csv_report_refuses_a_repeated_row_or_target_name():
-    # parse_report_csv keys each cell by its (row, target) names, so a table that
-    # repeats one would be written as a report it refuses to read back
-    data = _tiny_dataset()
-    s, t = _named_quadratic("s0", seed=1), _named_quadratic("t0", seed=2)
-    m = transfer_matrix([s], [t, t], data, AttackConfig(variant="mifgsm", eps=0.2, iters=2))
+    # a reader can only key each line by its (row, target) names, so a table that
+    # repeats one would be written as a report whose cells it could not tell apart
+    m = dataclasses.replace(_sample_matrix(), rows=("s0",), targets=("t0", "t0"),
+                            rates=((0.5, 0.5),))
     with pytest.raises(ValueError, match="target 't0' appears twice"):
         emit_report(m, "csv")
     assert emit_report(m, "markdown").splitlines()[0] == "| surrogate \\ target | t0 | t0 |"
@@ -583,49 +556,6 @@ def test_report_errors():
         emit_report(_sample_matrix(), "html")
     with pytest.raises(TypeError):
         emit_report(42, "csv")
-    with pytest.raises(ValueError):
-        parse_report_csv("")
-    with pytest.raises(ValueError):
-        parse_report_csv("who,what\n1,2\n")
-    with pytest.raises(ValueError):
-        parse_report_csv("surrogate,target,rate,n,config_hash\n")
-    matrix = "surrogate,target,rate,n,config_hash\n"
-    ablation = "parameter,value,target,rate,n,config_hash\n"
-    for text, message in [
-        # a (row, target) cell is missing
-        (matrix + "s1,t1,0.5,4,h\ns1,t2,0.5,4,h\ns2,t1,0.5,4,h\n", "no rate"),
-        (ablation + "eta,1.0,t1,0.5,4,h\neta,3.0,t2,0.5,4,h\n", "no rate"),
-        # rows disagree on n, config_hash or the swept parameter
-        (matrix + "s1,t1,0.5,4,h\ns1,t2,0.5,5,h\n", "disagree"),
-        (matrix + "s1,t1,0.5,4,h\ns1,t2,0.5,4,g\n", "disagree"),
-        (ablation + "eta,1.0,t1,0.5,4,h\nmu,1.0,t2,0.5,4,h\n", "disagree"),
-        # a cell appears twice
-        (matrix + "s1,t1,0.5,4,h\ns1,t1,0.25,4,h\n", "duplicate"),
-        (ablation + "eta,1.0,t1,0.5,4,h\neta,1.0,t1,0.5,4,h\n", "duplicate"),
-        # a row of the wrong width
-        (matrix + "s1,t1,0.5,4\n", "fields"),
-        (matrix + "eta,s1,t1,0.5,4,h\n", "fields"),
-    ]:
-        with pytest.raises(ValueError, match=message):
-            parse_report_csv(text)
-
-
-@pytest.mark.parametrize("cell, text", [
-    ("s1,t1,nan,4,h", "rate 'nan'"),
-    ("s1,t1,inf,4,h", "rate 'inf'"),
-    ("s1,t1,1.5,4,h", "rate '1.5'"),
-    ("s1,t1,-0.25,4,h", "rate '-0.25'"),
-    ("s1,t1,0.5,0,h", "n=0"),
-    ("s1,t1,0.5,-3,h", "n=-3"),
-])
-def test_parse_report_csv_refuses_impossible_numbers(cell, text):
-    with pytest.raises(ValueError, match=re.escape(text)):
-        parse_report_csv("surrogate,target,rate,n,config_hash\n" + cell + "\n")
-
-
-def test_parse_report_csv_takes_rates_of_zero_and_one():
-    back = parse_report_csv("surrogate,target,rate,n,config_hash\ns,t0,0.0,1,h\ns,t1,1.0,1,h\n")
-    assert back.rates == ((0.0, 1.0),) and back.n_examples == 1
 
 
 # -- attack sets -------------------------------------------------------------------

@@ -1,17 +1,15 @@
 """Fuzzing the stored artifacts the CLI reads: a damaged file is refused.
 
 Each test starts from one valid artifact (a trained model, an attack set
-with its manifest, a report CSV, an IDX image/label pair, an attack config
-file), damages it in one way that leaves it invalid, runs the command that
+with its manifest, an IDX image/label pair), damages it in one way that leaves it invalid, runs the command that
 reads it under CliRunner, and asserts a clean refusal: exit code 1 or 2, no
 Python traceback, and no output file. The damages are: a required key
 dropped, a value (or a spec size) of another JSON type, NaN planted, huge
 dimensions declared, the text truncated, and bytes flipped to non-UTF-8; a
 model file's float64 payload cut, lengthened, or with a value's exponent
 bits flipped on, and the whole file cut in its header or payload; an IDX header word changed, a label past the
-surrogate's classes, or an IDX file cut or lengthened; a config value that
-no option takes, an unknown key, a repeated line, or a line without "=";
-a stored .emtn tensor cut, with a flipped magic or version byte, a rank
+surrogate's classes, or an IDX file cut or lengthened; a stored .emtn
+tensor cut, with a flipped magic or version byte, a rank
 above 32, dims that disagree with its payload, a zero dim, or a NaN or
 out-of-range pixel. A damaged tensor's refusal must also name the file and
 say what is wrong with it.
@@ -38,7 +36,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from advm.cli import _ATTACK_OPTIONS, main
+from advm.cli import main
 from advm.errors import CorruptFile, EmptyDataset, VersionMismatch
 from advm.evaluate import _ADVSET_FIELDS, load_attack_set
 
@@ -54,25 +52,19 @@ _HUGE = st.integers(10**5, 2**31 - 1)
 
 @pytest.fixture(scope="module")
 def artifacts(tmp_path_factory):
-    """Two trained models, an attack set crafted on the first, and their report."""
+    """A trained model, an attack set crafted on it, and an IDX pair."""
     root = tmp_path_factory.mktemp("fuzz")
     runner = CliRunner()
-    for name, seed in (("surr", "3"), ("tgt", "4")):
-        result = runner.invoke(main, ["train", "--arch", "logistic", "--epochs", "1",
-                                      "--dataset", "synthetic:2x3x6:0.05", "--seed", seed,
-                                      "--out", str(root / f"{name}.json")])
-        assert result.exit_code == 0, result.output
+    result = runner.invoke(main, ["train", "--arch", "logistic", "--epochs", "1",
+                                  "--dataset", "synthetic:2x3x6:0.05", "--seed", "3",
+                                  "--out", str(root / "surr.json")])
+    assert result.exit_code == 0, result.output
     result = runner.invoke(main, ["attack", "--surrogate", str(root / "surr.json"),
                                   "--dataset", "synthetic:2x2x6:0.05", "--attack", "i-fgsm",
                                   "--iters", "1", "--seed", "3", "--out", str(root / "advset")])
     assert result.exit_code == 0, result.output
-    result = runner.invoke(main, ["eval", "--adv", str(root / "advset"), "--targets",
-                                  f"{root / 'surr.json'},{root / 'tgt.json'}",
-                                  "--out", str(root / "report.csv")])
-    assert result.exit_code == 0, result.output
     (root / "imgs.idx").write_bytes(_IDX_IMAGES)
     (root / "lbls.idx").write_bytes(_IDX_LABELS)
-    (root / "attack.cfg").write_text(_CONFIG_TEXT)
     return root
 
 
@@ -378,58 +370,6 @@ def test_a_damaged_tensor_is_refused_by_eval(artifacts, kind, data):
             load_attack_set(adv_dir)
 
 
-# -- reports: advm report --in ------------------------------------------------------
-
-# Field values that no report may hold, by column of the two-cell matrix report.
-# A target's name is left out: renamed in one cell, it still makes a whole table.
-_BAD_FIELDS = {
-    0: ["other"],                                                  # a row missing a cell
-    2: ["x", "", "nan", "inf", "-inf", "NaN", "1.5", "-0.25", "1e999"],   # rate
-    3: ["x", "", "0", "-3", "1.5", "nan"],                         # n
-    4: ["other-hash"],                                             # rows disagree
-}
-
-
-def _damage_report(data, text: str) -> bytes:
-    """One invalid variant of a header-and-two-cells report. A whole cell is
-    never dropped: the other one would still make a complete 1x1 table."""
-    lines = text.splitlines()
-    kind = data.draw(st.sampled_from(["field", "huge field", "drop header", "repeat row",
-                                      "drop field", "extra field", "text"]))
-    if kind == "text":   # cut inside the last cell, so it loses a field or its hash
-        return _damage_text(data, text, (len(text) - len(lines[-1]), len(text) - 2))
-    i = data.draw(st.integers(1, len(lines) - 1))
-    fields = lines[i].split(",")
-    if kind in ("field", "huge field"):   # a huge field passes the csv module's size limit
-        j = data.draw(st.sampled_from(sorted(_BAD_FIELDS)))
-        fields[j] = data.draw(st.sampled_from(_BAD_FIELDS[j])) if kind == "field" else (
-            fields[j] * (2**18 // len(fields[j]) + 1))
-        lines[i] = ",".join(fields)
-    elif kind == "drop header":
-        del lines[0]
-    elif kind == "repeat row":
-        lines.insert(i, lines[i])
-    elif kind == "drop field":
-        del fields[data.draw(st.integers(0, len(fields) - 1))]
-        lines[i] = ",".join(fields)
-    else:
-        lines[i] += ",extra"
-    return ("\n".join(lines) + "\n").encode()
-
-
-@_FUZZ
-@given(data=st.data())
-def test_a_damaged_report_is_refused_by_report(artifacts, data):
-    text = (artifacts / "report.csv").read_text()
-    assert len(text.splitlines()) == 3   # a header and two cells
-    with tempfile.TemporaryDirectory(dir=artifacts) as scratch:
-        stored = os.path.join(scratch, "report.csv")
-        with open(stored, "wb") as fh:
-            fh.write(_damage_report(data, text))
-        out = os.path.join(scratch, "report.md")
-        _assert_refused(CliRunner().invoke(main, ["report", "--in", stored, "--out", out]), out)
-
-
 # -- IDX pairs: advm attack --dataset idx:IMAGES,LABELS -------------------------------
 
 # Four 6x6 images labeled 0, 1, 0, 1: the surrogate's input shape and classes.
@@ -475,66 +415,6 @@ def test_a_damaged_idx_pair_is_refused_by_attack(artifacts, data):
                         out)
 
 
-# -- config files: advm attack --config --------------------------------------------
-
-# A valid value for every config key; seed comes last, so a cut inside its
-# line leaves "seed =", "seed = " or a line without "=".
-_CONFIG = {"attack": "i-fgsm", "eps": "16/255", "iters": "1", "mu": "1.0", "eta": "7.0",
-           "samples": "1", "sampling": "linear", "transforms": "tim", "dim.prob": "0.5",
-           "dim.resize_low": "auto", "dim.pad_to": "auto", "tim.kernel_size": "3",
-           "tim.sigma": "1.0", "sim.copies": "1", "normalize_sample_dir": "false", "seed": "3"}
-_CONFIG_TEXT = "".join(f"{key} = {value}\n" for key, value in _CONFIG.items())
-# Texts that no option's parser and checks accept, each tried on every key.
-_BAD_CONFIG_VALUES = ("x", "nan", "-1", "1e999")
-
-
-def _damage_config(data) -> bytes:
-    """An unknown key added, a line repeated, a line's "=" blanked, or the text
-    cut or flipped."""
-    kind = data.draw(st.sampled_from(["unknown key", "repeat", "no equals", "text"]))
-    lines = _CONFIG_TEXT.splitlines(keepends=True)
-    i = data.draw(st.integers(0, len(lines) - 1))
-    if kind == "text":
-        return _damage_text(data, _CONFIG_TEXT,
-                            (len(_CONFIG_TEXT) - len(lines[-1]) + 1, len(_CONFIG_TEXT) - 2))
-    if kind == "unknown key":
-        lines.insert(i, "epsilon = 0.1\n")
-    elif kind == "repeat":
-        lines.insert(data.draw(st.integers(0, len(lines))), lines[i])
-    else:
-        lines[i] = lines[i].replace("=", " ")
-    return "".join(lines).encode()
-
-
-def _assert_config_refused(artifacts, text: bytes):
-    with tempfile.TemporaryDirectory(dir=artifacts) as scratch:
-        config = os.path.join(scratch, "attack.cfg")
-        with open(config, "wb") as fh:
-            fh.write(text)
-        out = os.path.join(scratch, "advset")
-        _assert_refused(CliRunner().invoke(main, ["attack", "--surrogate",
-                                                  str(artifacts / "surr.json"), "--dataset",
-                                                  "synthetic:2x2x6", "--config", config,
-                                                  "--out", out]), out)
-
-
-@_FUZZ
-@given(data=st.data())
-def test_a_damaged_config_file_is_refused_by_attack(artifacts, data):
-    _assert_config_refused(artifacts, _damage_config(data))
-
-
-@pytest.mark.parametrize("key", list(_CONFIG))
-def test_a_config_value_no_option_takes_is_refused_by_attack(artifacts, key):
-    for bad in _BAD_CONFIG_VALUES:
-        text = _CONFIG_TEXT.replace(f"{key} = {_CONFIG[key]}\n", f"{key} = {bad}\n")
-        _assert_config_refused(artifacts, text.encode())
-
-
-def test_the_config_file_sets_every_key():
-    assert sorted(_CONFIG) == sorted(row[1] for row in _ATTACK_OPTIONS)
-
-
 def test_the_undamaged_artifacts_are_accepted(artifacts, tmp_path):
     runner = CliRunner()
     result = runner.invoke(main, ["attack", "--surrogate", str(artifacts / "surr.json"),
@@ -543,11 +423,8 @@ def test_the_undamaged_artifacts_are_accepted(artifacts, tmp_path):
     result = runner.invoke(main, ["eval", "--adv", str(artifacts / "advset"), "--targets",
                                   str(artifacts / "surr.json"), "--out", str(tmp_path / "r.csv")])
     assert result.exit_code == 0, result.output
-    result = runner.invoke(main, ["report", "--in", str(artifacts / "report.csv"),
-                                  "--out", str(tmp_path / "r.md")])
-    assert result.exit_code == 0, result.output
     result = runner.invoke(main, ["attack", "--surrogate", str(artifacts / "surr.json"),
                                   "--dataset", f"idx:{artifacts / 'imgs.idx'},"
-                                  f"{artifacts / 'lbls.idx'}", "--config",
-                                  str(artifacts / "attack.cfg"), "--out", str(tmp_path / "b")])
+                                  f"{artifacts / 'lbls.idx'}", "--attack", "i-fgsm",
+                                  "--iters", "1", "--out", str(tmp_path / "b")])
     assert result.exit_code == 0, result.output

@@ -31,7 +31,7 @@ so an error class cannot outlive its last raiser, and LabelOutOfRange is
 raised only inside data.check_label, so the label rule cannot fork again.
 Only evaluate's builder crafts and scores: attack_batch is read there and
 in `advm attack`, fooled there and in attack_success_rate (which only
-`advm eval` calls), and the builder only by the four table functions, so
+`advm eval` calls), and the builder only by the three table functions, so
 a table cannot grow a crafting loop of its own again.
 EnsembleOracle's logits, predict and loss_and_grad are Model's own
 function objects, so the ensemble cannot grow a second loss and gradient
@@ -59,9 +59,10 @@ in sampling.py. cli.py builds a click.IntRange in two places only, the
 shared count type and train --seed's, so every count flag keeps the rule's
 2**31 bound.
 The last checks keep README's Python examples importing only what the
-package exports, and every call README names in backticked prose an
-attribute of the package or one of its modules, so a removed name cannot
-stay documented.
+package exports, every call README names in backticked prose an
+attribute of the package or one of its modules, and every `advm` line of
+README's shell examples a command of the CLI with options of that
+command, so a removed name, command or option cannot stay documented.
 """
 
 import ast
@@ -621,8 +622,8 @@ _CRAFT_AND_SCORE_SITES = {
     "attack_batch": {("evaluate.py", "_craft_and_score"), ("cli.py", "attack_cmd")},
     "fooled": {("evaluate.py", "_craft_and_score"), ("evaluate.py", "attack_success_rate")},
     "attack_success_rate": {("cli.py", "eval_cmd")},
-    "_craft_and_score": {("evaluate.py", "transfer_matrix"), ("evaluate.py", "ablation_sweep"),
-                         ("experiment.py", "white_box_rate"), ("experiment.py", "mean_transfer")},
+    "_craft_and_score": {("evaluate.py", "ablation_sweep"), ("experiment.py", "white_box_rate"),
+                         ("experiment.py", "mean_transfer")},
 }
 
 
@@ -1047,3 +1048,50 @@ def test_readme_prose_call_check_flags_a_planted_stale_name():
                       "TransformConfig.resolve_dim", "fgsm"}
     assert unresolved_names(called | {"white_box_rate", "parse_manifest"}) == {
         "TransferMatrix", "TransformConfig.resolve_dim", "fgsm"}
+
+
+def readme_shell_commands(text: str) -> list:
+    """(command, options) of each line that starts with `advm` in the ```sh blocks
+    of a markdown text, with backslash continuations joined; an option is each
+    word that starts with --, up to any =."""
+    found = []
+    for block in re.findall(r"^```sh\n(.*?)^```", text, re.S | re.M):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = line.split()
+            if words[:1] == ["advm"]:
+                found.append((words[1] if len(words) > 1 else "",
+                              [w.split("=", 1)[0] for w in words[2:] if w.startswith("--")]))
+    return found
+
+
+def stale_shell_commands(commands) -> list:
+    """`advm <command>` for each command the CLI lacks, and `advm <command> <option>`
+    for each option that command does not take."""
+    stale = []
+    for name, options in commands:
+        command = cli.main.commands.get(name)
+        if command is None:
+            stale.append(f"advm {name}")
+            continue
+        known = {"--help"} | {o for p in command.params for o in p.opts + p.secondary_opts}
+        stale += [f"advm {name} {o}" for o in options if o not in known]
+    return stale
+
+
+def test_readme_shell_examples_name_real_commands_and_options():
+    commands = readme_shell_commands((ROOT / "README.md").read_text(encoding="utf-8"))
+    assert {name for name, _ in commands} >= {"train", "attack", "eval", "ablate"}
+    assert not stale_shell_commands(commands), "README shows stale advm command lines"
+
+
+def test_readme_shell_check_flags_planted_stale_lines():
+    text = ("```sh\nadvm report --in x --format markdown\n"
+            "advm attack --surrogate s.json --dataset synthetic:2x3x6 \\\n"
+            "    --config f --out=adv/   # a comment\n"
+            "  advm eval --adv a --targets t\npip install advm\n```\n"
+            "advm report --in prose\n```python\nadvm ablate --config f\n```\n")
+    commands = readme_shell_commands(text)
+    assert commands == [("report", ["--in", "--format"]),
+                        ("attack", ["--surrogate", "--dataset", "--config", "--out"]),
+                        ("eval", ["--adv", "--targets"])]
+    assert stale_shell_commands(commands) == ["advm report", "advm attack --config"]
