@@ -107,7 +107,7 @@ class AttackConfig:
 class AttackResult:
     adv: np.ndarray
     white_box_success: bool
-    loss_trace: tuple
+    trace: tuple   # per iteration: observe's return, or the averaged loss
 
 
 def _l1_direction(g: np.ndarray) -> np.ndarray:
@@ -146,7 +146,9 @@ def run_attack(oracle, x, y, cfg: AttackConfig, rng=None, observe=None) -> Attac
     observe, if given, is called after each iteration t = 0, 1, ... as
     observe(t, loss, x_next, g, gbar, points) with the momentum g_t (None
     for fgsm and ifgsm), the averaged gradient gbar_t and the number of
-    points queried. Its arrays are the attack's own, so it must not write them.
+    points queried, and the result's trace holds what it returned, in
+    iteration order. Its arrays are the attack's own, so it must not write
+    them. Without it the trace holds each iteration's averaged loss.
     """
     validate_image(x)
     variant, tcfg = cfg.variant, cfg.transforms
@@ -156,7 +158,7 @@ def run_attack(oracle, x, y, cfg: AttackConfig, rng=None, observe=None) -> Attac
     adv = x
     g_acc = None if variant in _PLAIN else np.zeros_like(x)
     g_avg = np.zeros_like(x)
-    losses = []
+    trace = []
     for t in range(cfg.iters):
         points = _query_points(cfg, rng, adv, g_acc, g_avg)
         loss, g_sum = 0.0, None
@@ -176,14 +178,9 @@ def run_attack(oracle, x, y, cfg: AttackConfig, rng=None, observe=None) -> Attac
             g_acc = cfg.mu * g_acc + _l1_direction(g_avg)
             step = g_acc
         adv = project_linf(adv + cfg.alpha * np.sign(step), x, cfg.eps)
-        losses.append(loss)
-        if observe is not None:
-            observe(t, loss, adv, g_acc, g_avg, len(points))
-    return AttackResult(
-        adv=adv,
-        white_box_success=bool(oracle.predict(adv) != y),
-        loss_trace=tuple(losses),
-    )
+        trace.append(loss if observe is None
+                     else observe(t, loss, adv, g_acc, g_avg, len(points)))
+    return AttackResult(adv, bool(oracle.predict(adv) != y), tuple(trace))
 
 
 def attack_one(oracle, x, y, cfg: AttackConfig, example_index: int) -> AttackResult:

@@ -36,6 +36,7 @@ from .attacks import AttackConfig, attack_batch
 from .data import LabeledDataset, check_label
 from .errors import AdvmError, CorruptFile, EmptyDataset, VersionMismatch
 from .fileio import atomic_write_bytes, parse_manifest
+from .sampling import SIZE_LIMIT
 from .tensor import validate_image
 
 _MATRIX_HEADER = ["surrogate", "target", "rate", "n", "config_hash"]
@@ -89,6 +90,10 @@ class RateTable:
     n_examples: int
     config_hash: str
     parameter: str | None = None   # the swept parameter; None for a transfer matrix
+
+    def __post_init__(self):   # zip would drop the cells of a short grid unseen
+        if [len(r) for r in self.rates] != [len(self.targets)] * len(self.rows):
+            raise ValueError(f"rates must be {len(self.rows)} rows x {len(self.targets)} targets")
 
     def mean_curve(self) -> tuple:
         """Each row's rate averaged over the targets."""
@@ -209,9 +214,18 @@ def _decode_tensor(data: bytes) -> np.ndarray:
 
 
 def save_attack_set(out_dir: str, cfg: AttackConfig, surrogates: list, labels, results) -> None:
-    """Each result's adversarial image as a tensor file in out_dir, then the manifest.
-    An old manifest goes first, so a write that stops short leaves none behind to
-    name a mix of new and old tensors."""
+    """Each result's adversarial image as a tensor file in out_dir, then the manifest. A
+    set load_attack_set would refuse is refused before any write; then an old manifest goes
+    first, so a write that stops short leaves none behind to name a mix of new and old tensors."""
+    if len(labels) != len(results):
+        raise ValueError(f"{len(labels)} labels vs {len(results)} results")
+    if len(results) == 0:
+        raise EmptyDataset("no adversarial examples to save")
+    for y in labels:
+        check_label(y, SIZE_LIMIT, "an attack set")
+    if not (isinstance(surrogates, list) and surrogates
+            and all(type(s) is str and s for s in surrogates)):
+        raise ValueError(f"surrogates must be a non-empty list of model names, got {surrogates!r}")
     manifest_path = os.path.join(out_dir, _MANIFEST_NAME)
     with contextlib.suppress(FileNotFoundError):
         os.remove(manifest_path)
@@ -221,7 +235,7 @@ def save_attack_set(out_dir: str, cfg: AttackConfig, surrogates: list, labels, r
     for stale in set(glob.glob("adv_" + "[0-9]" * 5 + ".emtn", root_dir=out_dir)) - set(files):
         os.remove(os.path.join(out_dir, stale))   # a longer set written here before
     values = {"config": asdict(cfg), "config_hash": cfg.config_hash(), "count": len(results),
-              "files": files, "labels": list(labels), "surrogates": surrogates,
+              "files": files, "labels": [int(y) for y in labels], "surrogates": surrogates,
               "white_box": [r.white_box_success for r in results]}
     manifest = {"format": _ADVSET_FORMAT, "version": _ADVSET_VERSION,
                 **{key: values[key] for key in _ADVSET_FIELDS}}

@@ -16,7 +16,7 @@ EnsembleOracle fuses K members, weight 1/K each (the paper's ensemble
 setting), through a Model's two primitives: forward_with_cache averages the
 members' logits and keeps their caches, and input_grad_from_dlogits sums
 their input gradients of the 1/K-scaled softmax error in member order. Its
-logits, predict and loss_and_grad are Model's own functions: one path.
+predict and loss_and_grad are Model's own functions: one path.
 
 The stem (_stem_forward, _stem_input_grad, _stem_param_grads) keeps its
 conv rows tap-major (_tap_rows), so the four taps of each 2x2 pool window
@@ -286,13 +286,9 @@ class Model:
         wname, bname = self._dense[-1]
         return p[wname] @ a + p[bname], (acts, pre, cols)
 
-    def logits(self, x: np.ndarray) -> np.ndarray:
-        z, _ = self.forward_with_cache(x)
-        return z
-
     def predict(self, x: np.ndarray) -> int:
         # ties resolve to the lowest class index (argmax semantics)
-        return int(np.argmax(self.logits(x)))
+        return int(np.argmax(self.forward_with_cache(x)[0]))
 
     # -- backward (a ReLU mask is output > 0, which is exactly input > 0) --
 
@@ -387,7 +383,7 @@ class EnsembleOracle:
         return grad
 
     # Model's own functions, run on the two primitives above
-    logits, predict, loss_and_grad = Model.logits, Model.predict, Model.loss_and_grad
+    predict, loss_and_grad = Model.predict, Model.loss_and_grad
 
 
 # -- training --------------------------------------------------------------
@@ -460,16 +456,8 @@ def train_sgd(
             if stem is not None:
                 params["conv.W"] -= scale * stem[0]
                 params["conv.b"] -= scale * stem[1]
-    return model, accuracy(model, dataset)
-
-
-def accuracy(oracle, dataset: LabeledDataset) -> float:
-    if len(dataset) == 0:
-        raise EmptyDataset("cannot score an empty dataset")
-    correct = sum(
-        oracle.predict(img) == y for img, y in zip(dataset.images, dataset.labels)
-    )
-    return correct / len(dataset)
+    correct = sum(model.predict(img) == y for img, y in zip(dataset.images, dataset.labels))
+    return model, correct / n
 
 
 # -- persistence -------------------------------------------------------------

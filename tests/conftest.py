@@ -35,11 +35,8 @@ class LinearOracle:
     def loss_and_grad(self, x, y):
         return float(np.sum(self.w * x) + self.b[y]), self.w.copy()
 
-    def logits(self, x):
-        return np.array([np.sum(self.w * x) + b for b in self.b])
-
     def predict(self, x):
-        return int(np.argmax(self.logits(x)))
+        return int(np.argmax([np.sum(self.w * x) + b for b in self.b]))
 
 
 class QuadraticOracle:
@@ -61,11 +58,8 @@ class QuadraticOracle:
         d = x - self.c[y]
         return float(0.5 * np.sum(self.a[y] * d * d)), self.a[y] * d
 
-    def logits(self, x):
-        return np.array([-np.sum((x - ck) ** 2) for ck in self.c])
-
     def predict(self, x):
-        return int(np.argmax(self.logits(x)))
+        return int(np.argmax([-np.sum((x - ck) ** 2) for ck in self.c]))
 
 
 class DyingOracle(QuadraticOracle):
@@ -104,11 +98,8 @@ class SinusoidOracle:
         loss = float(np.sum(self.amp * np.sin(arg)))
         return loss, self.amp * self.freq * np.cos(arg)
 
-    def logits(self, x):
-        return np.array([np.sum(np.sin(self.freq * x + p)) for p in self.phase])
-
     def predict(self, x):
-        return int(np.argmax(self.logits(x)))
+        return int(np.argmax([np.sum(np.sin(self.freq * x + p)) for p in self.phase]))
 
 
 class RecordingOracle:
@@ -130,9 +121,6 @@ class RecordingOracle:
     def name(self):
         return self.base.name
 
-    def logits(self, x):
-        return self.base.logits(x)
-
     def predict(self, x):
         return self.base.predict(x)
 
@@ -152,21 +140,15 @@ class Step(NamedTuple):
     points: int                  # points queried at this iteration
 
 
-class StepRecorder:
-    """An observe callback that keeps a copy of every iteration's state."""
-
-    def __init__(self):
-        self.steps = []
-
-    def __call__(self, t, loss, x, g, gbar, points):
-        self.steps.append(Step(t, loss, x.copy(), None if g is None else g.copy(),
-                               gbar.copy(), points))
+def step_recorder(t, loss, x, g, gbar, points):
+    """An observe callback that returns a copy of the iteration's state."""
+    return Step(t, loss, x.copy(), None if g is None else g.copy(), gbar.copy(), points)
 
 
 def observed(oracle, x, y, cfg, rng=None):
-    """run_attack with a StepRecorder: (result, steps)."""
-    rec = StepRecorder()
-    return run_attack(oracle, x, y, cfg, rng, observe=rec), rec.steps
+    """run_attack with step_recorder: (result, steps), the steps being its trace."""
+    res = run_attack(oracle, x, y, cfg, rng, observe=step_recorder)
+    return res, list(res.trace)
 
 
 def central_diff(loss_fn, x, h=1e-5):

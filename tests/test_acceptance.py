@@ -21,7 +21,9 @@ from advm.attacks import (
     attack_one,
     run_attack,
 )
-from advm.experiment import DESK_REPLICATE_SEEDS, mean_transfer, white_box_rate
+from advm.data import subsample
+from advm.experiment import (DESK_REPLICATE_SEEDS, _cached_worlds, build_transfer_world,
+                             mean_transfer, white_box_rate)
 from advm.models import EnsembleOracle, Model, ModelSpec
 from advm.sampling import SamplingSpec, derive_rng
 from advm.transforms import TransformConfig, _tim_kernel, compose_dts
@@ -143,7 +145,7 @@ def test_criterion_2_exact_reductions():
     def same(name, res_a, res_b):
         diff = float(np.max(np.abs(res_a.adv - res_b.adv)))
         assert diff <= 1e-12, f"{name}: adv diverged by {diff:.3e}"
-        assert res_a.loss_trace == res_b.loss_trace, f"{name}: loss trace diverged"
+        assert res_a.trace == res_b.trace, f"{name}: loss trace diverged"
         checked.append(name)
 
     base_i = AttackConfig(variant="ifgsm", eps=0.3, iters=4)
@@ -305,6 +307,23 @@ def paired_noise(flags, a: str, b: str) -> str:
             + f" points, SE {se:.2f}; pairs fooled by {a} only {only_a}, by {b} only {only_b}")
 
 
+def gbar_turn(variant: str, seed: int, n_images: int) -> float:
+    """How far the averaged gradient turns per step, the abstract's "stabilize the
+    update direction": the mean 1 - cos(gbar_t, gbar_{t-1}) over iterations t = 2..9
+    of the first n_images of criterion 5's subsample of world seed, attacked on its
+    surrogate with each image's own stream. The trace carries each gbar_t home."""
+    world = _cached_worlds(build_transfer_world, (seed,))[0]
+    sub = subsample(world.evalset, 500, seed)
+    cfg = AttackConfig(variant=variant, seed=seed)
+    turns = []
+    for k in range(n_images):
+        gbars = run_attack(world.surrogate, sub.images[k], sub.labels[k], cfg, derive_rng(seed, k),
+                           observe=lambda t, loss, x, g, gbar, points: gbar.ravel().copy()).trace
+        turns += [1.0 - a @ b / (np.linalg.norm(a) * np.linalg.norm(b))
+                  for a, b in zip(gbars[2:], gbars[1:])]
+    return sum(turns) / len(turns)
+
+
 def test_criterion_5_transfer_margins():
     """Sampled averaging beats plain and lookahead momentum on transfer by
     at least three points, and the pre-gradient variant never loses to
@@ -322,6 +341,10 @@ def test_criterion_5_transfer_margins():
     print(f"criterion 5: {report}; {elapsed:.1f}s")
     for a, b in (("emifgsm", "mifgsm"), ("emifgsm", "nifgsm"), ("pifgsm", "mifgsm")):
         print(f"criterion 5: {paired_noise(flags, a, b)}")
+    seed = DESK_REPLICATE_SEEDS[0]
+    print(f"criterion 5: mean 1-cos(gbar_t, gbar_t-1) over iterations 2-9, world {seed}, "
+          "60 images: " + ", ".join(f"{v} {gbar_turn(v, seed, 60):.1e}"
+                                    for v in ("mifgsm", "emifgsm")))
 
     assert means["emifgsm"] - means["mifgsm"] >= 0.03 - 1e-9, (
         f"sampled vs momentum margin {means['emifgsm'] - means['mifgsm']:.4f}"
@@ -382,7 +405,7 @@ def test_criterion_7_recursion_state_traces():
         nonlocal worst, runs
         res, steps = run
         diffs = [float(np.max(np.abs(res.adv - ref["adv"])))]
-        diffs += [abs(a - b) for a, b in zip(res.loss_trace, ref["losses"])]
+        diffs += [abs(st.loss - b) for st, b in zip(steps, ref["losses"])]
         for st, i in zip(steps, range(len(ref["xs"]))):
             diffs.append(float(np.max(np.abs(st.x - ref["xs"][i]))))
             if "gs" in ref:

@@ -51,9 +51,6 @@ class ZeroGradOracle:
     def loss_and_grad(self, x, y):
         return 1.0, np.zeros_like(x)
 
-    def logits(self, x):
-        return np.array([0.0, 0.0])
-
     def predict(self, x):
         return 0
 
@@ -149,7 +146,7 @@ def test_canonical_covers_nested_fields(tmp_path):
         sampling=SamplingSpec(method="uniform", count=7, eta=2.0),
         transforms=TransformConfig(enabled=("tim", "dim")),
     )
-    save_attack_set(str(tmp_path), cfg, ["q"], [], [])
+    save_attack_set(str(tmp_path), cfg, ["q"], [0], [AttackResult(np.zeros((2, 2, 1)), False, ())])
     d = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))["config"]
     assert d["variant"] == "emifgsm"
     assert d["sampling"] == {"method": "uniform", "count": 7, "eta": 2.0}
@@ -241,11 +238,16 @@ def test_every_variant_stays_feasible(variant):
     assert isinstance(res, AttackResult)
     assert np.max(np.abs(res.adv - x)) <= cfg.eps + 1e-12
     assert res.adv.min() >= 0.0 and res.adv.max() <= 1.0
-    assert len(res.loss_trace) == cfg.iters
-    # the observer sees every iteration, and the last iterate is the output
-    assert [st.t for st in steps] == list(range(len(res.loss_trace)))
-    assert tuple(st.loss for st in steps) == res.loss_trace
+    # the trace holds the observer's return for every iteration, in order,
+    # and the last iterate is the output
+    assert [st.t for st in steps] == list(range(cfg.iters))
+    assert tuple(st.loss for st in steps) == run_attack(oracle, x, 1, cfg).trace
     assert np.array_equal(steps[-1].x, res.adv)
+
+
+def test_attack_result_holds_the_image_the_flag_and_one_trace():
+    assert [f.name for f in dataclasses.fields(AttackResult)] == [
+        "adv", "white_box_success", "trace"]
 
 
 def test_eps_zero_returns_input_bitwise():
@@ -263,7 +265,7 @@ def test_zero_gradient_leaves_input_unmoved():
     cfg = AttackConfig(variant="mifgsm", eps=0.2, iters=3)
     res = run_attack(ZeroGradOracle(), x, 1, cfg)
     assert np.array_equal(res.adv, x)
-    assert res.loss_trace == (1.0, 1.0, 1.0)
+    assert res.trace == (1.0, 1.0, 1.0)
 
 
 def test_white_box_success_reflects_prediction_flip():
@@ -368,7 +370,7 @@ def test_run_attack_takes_a_numpy_integer_label():
     cfg = AttackConfig(variant="emifgsm", iters=2, sampling=SamplingSpec(count=3))
     got, want = run_attack(model, x, np.int64(1), cfg), run_attack(model, x, 1, cfg)
     assert bits(got.adv) == bits(want.adv)
-    assert got.loss_trace == want.loss_trace
+    assert got.trace == want.trace
 
 
 def test_non_finite_clean_image_is_refused():
@@ -402,7 +404,7 @@ def test_geometry_the_image_cannot_take_is_refused_before_any_query(shape, trans
 
 def _bitwise_same_attack(res_a, res_b):
     assert np.array_equal(res_a.adv, res_b.adv)
-    assert res_a.loss_trace == res_b.loss_trace
+    assert res_a.trace == res_b.trace
 
 
 def test_momentum_zero_reduces_to_iterative():
@@ -432,7 +434,7 @@ def test_single_iteration_reduces_to_single_step():
     one = run_attack(oracle, x, 0, AttackConfig(variant="ifgsm", eps=0.3, iters=1))
     single = run_attack(oracle, x, 0, AttackConfig(variant="fgsm", eps=0.3))
     assert np.array_equal(one.adv, single.adv)
-    assert one.loss_trace == single.loss_trace
+    assert one.trace == single.trace
 
 
 def test_run_attack_dispatches_fgsm():
@@ -442,7 +444,7 @@ def test_run_attack_dispatches_fgsm():
     loss, g = oracle.loss_and_grad(x, 0)
     direct = project_linf(x + 0.2 * np.sign(g), x, 0.2)
     assert np.array_equal(via_dispatch.adv, direct)
-    assert via_dispatch.loss_trace == (loss,)
+    assert via_dispatch.trace == (loss,)
 
 
 # -- the observer ------------------------------------------------------------------
@@ -487,9 +489,9 @@ def test_observed_run_is_byte_identical_to_unobserved(variant, enabled):
     plain = run_attack(oracle, x, 2, cfg, derive_rng(5, 1))
     seen, steps = observed(oracle, x, 2, cfg, derive_rng(5, 1))
     assert bits(seen.adv) == bits(plain.adv)
-    assert seen.loss_trace == plain.loss_trace
     assert seen.white_box_success == plain.white_box_success
-    assert len(steps) == len(plain.loss_trace)
+    # the unobserved trace is the averaged losses the observer was handed
+    assert tuple(st.loss for st in steps) == plain.trace
 
 
 # -- transforms inside the loop ----------------------------------------------------
@@ -507,12 +509,12 @@ def test_run_attack_applies_the_configured_transforms(variant):
     got = run_attack(model, x, 1, cfg, derive_rng(4, 2))
     want = attack_one(model, x, 1, cfg, 2)
     assert bits(got.adv) == bits(want.adv)
-    assert got.loss_trace == want.loss_trace
+    assert got.trace == want.trace
     assert got.white_box_success == want.white_box_success
     plain = run_attack(model, x, 1, dataclasses.replace(cfg, transforms=TransformConfig()),
                        derive_rng(4, 2))
     assert bits(got.adv) != bits(plain.adv)
-    assert got.loss_trace != plain.loss_trace
+    assert got.trace != plain.trace
     # the transforms shape the gradient only: success is the plain prediction
     assert got.white_box_success == (model.predict(got.adv) != 1)
 
@@ -580,7 +582,7 @@ def test_run_attack_without_a_stream_draws_example_zeros(cfg, seed):
     alone = run_attack(oracle, x, 1, cfg)
     for other in (attack_one(oracle, x, 1, cfg, 0), attack_batch(oracle, [x], [1], cfg)[0]):
         assert alone.adv.tobytes() == other.adv.tobytes()
-        assert alone.loss_trace == other.loss_trace
+        assert alone.trace == other.trace
 
 
 def test_attack_one_seed_changes_stream():
@@ -609,7 +611,7 @@ def test_attack_batch_matches_attack_one_in_order():
     for i, res in enumerate(got):
         want = attack_one(oracle, xs[i], ys[i], cfg, example_index=i)
         assert np.array_equal(res.adv, want.adv)
-        assert res.loss_trace == want.loss_trace
+        assert res.trace == want.trace
 
 
 def test_attack_batch_job_width_is_bit_identical():
@@ -621,7 +623,7 @@ def test_attack_batch_job_width_is_bit_identical():
     wide = attack_batch(oracle, xs, ys, cfg, jobs=4)
     for a, b in zip(serial, wide):
         assert bits(a.adv) == bits(b.adv)
-        assert a.loss_trace == b.loss_trace
+        assert a.trace == b.trace
         assert a.white_box_success == b.white_box_success
 
 

@@ -441,6 +441,18 @@ def test_empty_target_list_is_refused():
         ablation_sweep("samples", {1: AttackConfig()}, AttackConfig(), s, [], _tiny_dataset())
 
 
+@pytest.mark.parametrize("rows, rates", [
+    (("a", "b"), ((0.5,),)),
+    (("a",), ((0.5,), (0.25,))),
+    (("a", "b"), ((0.5,), ())),
+    (("a", "b"), ((0.5,), (0.25, 0.75))),
+])
+def test_a_rate_grid_that_is_not_rows_by_targets_is_refused(rows, rates):
+    # zip in emit_report dropped row "b" of a one-row grid without an error
+    with pytest.raises(ValueError, match=re.escape(f"rates must be {len(rows)} rows x 1 targets")):
+        RateTable(rows=rows, targets=("t",), rates=rates, n_examples=2, config_hash="x")
+
+
 def test_mean_curve_hand_check():
     a = RateTable(
         rows=(1, 3, 5), targets=("t1", "t2"),
@@ -583,7 +595,52 @@ def test_an_attack_set_without_examples_is_an_empty_dataset_naming_its_manifest(
     path = str(tmp_path / "manifest.json")
     with pytest.raises(EmptyDataset, match=re.escape(f"no adversarial examples: {path} missing")):
         load_attack_set(str(tmp_path))
-    save_attack_set(str(tmp_path), AttackConfig(), ["q"], [], [])
+    # save_attack_set refuses no examples, so this manifest is written by hand
+    cfg = AttackConfig()
+    manifest = {"format": "advm-advset", "version": 1, "config": dataclasses.asdict(cfg),
+                "config_hash": cfg.config_hash(), "count": 0, "files": [], "labels": [],
+                "surrogates": ["q"], "white_box": []}
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
     with pytest.raises(EmptyDataset, match=re.escape(f"no adversarial examples in the manifest "
                                                      f"{path}")):
         load_attack_set(str(tmp_path))
+
+
+def _set_files(d):
+    return {p.name: p.read_bytes() for p in sorted(d.iterdir())}
+
+
+def test_attack_set_labels_are_written_as_python_ints(tmp_path):
+    # a numpy label array raised a TypeError from json after the old set was gone
+    data = _tiny_dataset()
+    cfg = AttackConfig(variant="mifgsm", iters=2)
+    results = attack_batch(_named_quadratic("q", 1), data.images, data.labels, cfg)
+    save_attack_set(str(tmp_path / "a"), cfg, ["q"], data.labels, results)
+    save_attack_set(str(tmp_path / "b"), cfg, ["q"], np.array(data.labels), results)
+    assert _set_files(tmp_path / "a") == _set_files(tmp_path / "b")
+
+
+@pytest.mark.parametrize("surrogates, labels, n, error, text", [
+    (["m"], [True, 1], 2, LabelOutOfRange, "label True is not an integer"),
+    (["m"], [1.0, 1], 2, LabelOutOfRange, "label 1.0 is not an integer"),
+    (["m"], [-1, 1], 2, LabelOutOfRange, "label -1 is not an integer"),
+    (["m"], [2**31, 1], 2, LabelOutOfRange, "label 2147483648 is not an integer"),
+    (["m"], [1], 2, ValueError, "1 labels vs 2 results"),
+    (["m"], [], 0, EmptyDataset, "no adversarial examples to save"),
+    ([], [0, 1], 2, ValueError, "surrogates must be a non-empty list of model names"),
+    ([""], [0, 1], 2, ValueError, "surrogates must be a non-empty list of model names"),
+    (["m", 3], [0, 1], 2, ValueError, "surrogates must be a non-empty list of model names"),
+    ("m", [0, 1], 2, ValueError, "surrogates must be a non-empty list of model names"),
+], ids=["bool", "float", "negative", "2**31", "short", "none", "no-surrogate", "empty-name",
+        "int-name", "str"])
+def test_a_set_load_would_refuse_is_refused_before_the_old_set_is_touched(
+        tmp_path, surrogates, labels, n, error, text):
+    data = _tiny_dataset()
+    cfg = AttackConfig(variant="mifgsm", iters=2)
+    results = attack_batch(_named_quadratic("q", 1), data.images, data.labels, cfg)
+    save_attack_set(str(tmp_path), cfg, ["q"], data.labels, results)
+    before = _set_files(tmp_path)
+    with pytest.raises(error, match=re.escape(text)):
+        save_attack_set(str(tmp_path), cfg, surrogates, labels, results[:n])
+    assert _set_files(tmp_path) == before
+    assert load_attack_set(str(tmp_path))[0]["labels"] == list(data.labels)

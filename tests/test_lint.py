@@ -220,7 +220,7 @@ def test_unread_public_name_check_flags_planted_definitions():
 def test_ensemble_runs_the_models_own_loss_and_gradient_path():
     # EnsembleOracle keeps only the fusion primitives; a second copy of these
     # would let the ensemble's loss and gradient drift from Model's
-    for attr in ("logits", "predict", "loss_and_grad"):
+    for attr in ("predict", "loss_and_grad"):
         assert EnsembleOracle.__dict__[attr] is Model.__dict__[attr], attr
 
 

@@ -1,6 +1,6 @@
 """Every attack recursion vs an independent straight-line reference.
 
-The engine runs with a StepRecorder as its observer; the references in
+The engine runs with step_recorder as its observer; the references in
 reference_recursions.py spell out the same update equations from scratch.
 Randomized variants replay the engine's recorded draws through the
 reference, so both sides see identical sampled values without sharing code.
@@ -38,8 +38,8 @@ def _compare(run, ref):
     res, steps = run
     assert len(steps) == len(ref["xs"])
     _close(res.adv, ref["adv"])
-    for got, want in zip(res.loss_trace, ref["losses"]):
-        assert abs(got - want) <= TOL
+    for st, want in zip(steps, ref["losses"]):
+        assert abs(st.loss - want) <= TOL
     for st, i in zip(steps, range(len(ref["xs"]))):
         _close(st.x, ref["xs"][i])
         if "gs" in ref:
