@@ -191,10 +191,13 @@ def attack_one(oracle, x, y, cfg: AttackConfig, example_index: int) -> AttackRes
 
 def batch_width(jobs: int, n_items: int) -> int:
     """Processes a _pmap call runs on: jobs, capped at the usable CPUs and
-    at the item count. Starts nothing."""
+    at the item count. Starts nothing. Where os has no sched_getaffinity
+    (macOS), the usable CPUs are os.cpu_count(), or 1 when that is unknown."""
     _require_sizes(1, jobs=jobs)
     _require_sizes(0, n_items=n_items)
-    return min(jobs, len(os.sched_getaffinity(0)), n_items)
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else (os.cpu_count() or 1)
+    return min(jobs, cpus, n_items)
 
 
 def _run_chunk(fn, items) -> list:

@@ -26,7 +26,8 @@ the pool adds the planes as mean(axis=(1, 3)) did, col2im adds taps onto
 +0.0 as a tap-by-tap scatter into a zero canvas did, and the parameter
 gradients sum pixels in row-major order. So every loss, gradient and
 logit is bit-identical to the seed's. im2col and col2im are gathers
-through cached read-only indices (_im2col_index, _col2im_index);
+through cached read-only indices (_im2col_index, _col2im_index), and the
+conv bias is added as a flat plane cached by its value (_bias_plane);
 tests/test_models.py keeps the seed kernels and compares bytes.
 """
 
@@ -176,6 +177,17 @@ def _col2im_index(h: int, w: int, k: int, cin: int) -> np.ndarray:
     return idx
 
 
+@lru_cache(maxsize=8)
+def _bias_plane(raw: bytes, dtype: np.dtype, pixels: int) -> np.ndarray:
+    """(pixels*c,) read-only: the c-wide bias whose bytes are raw, once per
+    conv row, so the stem adds it contiguously (a broadcast add of a narrow
+    bias is several times slower). Keyed by value, never by the array, so an
+    in-place bias update reaches the next forward."""
+    plane = np.tile(np.frombuffer(raw, dtype), pixels)
+    plane.setflags(write=False)
+    return plane
+
+
 def _avgpool2_taps(taps, w):
     """2x2 mean pool of the (4, n, c) tap planes of a w-wide image, summed as
     mean(axis=(1, 3)) sums the (h/2, 2, w/2, 2, c) view: onto +0.0 in tap
@@ -206,8 +218,8 @@ def _stem_forward(x, w, b):
     k, _, cin, cout = w.shape
     h, ww_, _ = x.shape
     cols = np.concatenate((x.reshape(-1), _SENTINEL)).take(_im2col_index(h, ww_, k, cin))
-    pre = cols @ w.reshape(k * k * cin, cout)
-    pre += b
+    pre = (cols @ w.reshape(k * k * cin, cout)).reshape(-1)
+    pre += _bias_plane(b.tobytes(), b.dtype, h * ww_)
     pre = pre.reshape(4, -1, cout)
     return _avgpool2_taps(np.maximum(pre, 0.0), ww_).reshape(-1), pre, cols
 

@@ -334,12 +334,14 @@ def test_criterion_5_transfer_margins():
         "nifgsm": AttackConfig(variant="nifgsm"),
         "pifgsm": AttackConfig(variant="pifgsm"),
         "emifgsm": AttackConfig(variant="emifgsm"),
+        "ifgsm": AttackConfig(variant="ifgsm"),   # printed only: the no-momentum control
     }
     means, flags = mean_transfer(cfgs, seeds=DESK_REPLICATE_SEEDS, n_images=500, jobs=2)
     elapsed = time.monotonic() - t0
     report = ", ".join(f"{k} {100 * v:.2f}%" for k, v in means.items())
     print(f"criterion 5: {report}; {elapsed:.1f}s")
-    for a, b in (("emifgsm", "mifgsm"), ("emifgsm", "nifgsm"), ("pifgsm", "mifgsm")):
+    for a, b in (("emifgsm", "mifgsm"), ("emifgsm", "nifgsm"), ("pifgsm", "mifgsm"),
+                 ("ifgsm", "mifgsm")):
         print(f"criterion 5: {paired_noise(flags, a, b)}")
     seed = DESK_REPLICATE_SEEDS[0]
     print(f"criterion 5: mean 1-cos(gbar_t, gbar_t-1) over iterations 2-9, world {seed}, "

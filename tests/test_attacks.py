@@ -645,6 +645,20 @@ def test_batch_width_caps_jobs_without_starting_a_process():
     assert {p.pid for p in multiprocessing.active_children()} == before
 
 
+def test_batch_width_falls_back_to_cpu_count_without_sched_getaffinity(monkeypatch):
+    # macOS has no os.sched_getaffinity; every _pmap call, jobs=1 included, asks
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert batch_width(10, 10) == 3 and batch_width(2, 10) == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert batch_width(10, 10) == 1
+    oracle = QuadraticOracle((4, 4, 1), seed=15)
+    xs = [rand_pixel_image((4, 4, 1), seed=70 + i) for i in range(2)]
+    got = attack_batch(oracle, xs, [0, 1], _stochastic_cfg(), jobs=4)
+    assert _batch_bits(got) == [bits(attack_one(oracle, x, y, _stochastic_cfg(), i).adv)
+                                for i, (x, y) in enumerate(zip(xs, [0, 1]))]
+
+
 def test_workers_see_the_oracle_as_it_is_at_each_call():
     _needs_a_worker()
     oracle = QuadraticOracle((4, 4, 1), seed=16)

@@ -1328,3 +1328,83 @@ def test_ensemble_outputs_bytes_match_seed_kernels(seed_kernels):
         assert got_z.tobytes() == want_z.tobytes()
         assert got_loss == want_loss and got_g.tobytes() == want_g.tobytes()
     assert seed_kernels.calls["_stem_input_grad"] == 8
+
+
+# -- the cached bias plane -----------------------------------------------------
+
+
+def _copied(model):
+    """A fresh Model on copies of model's parameters."""
+    return Model(model.spec, {k: v.copy() for k, v in model.params.items()}, model.name)
+
+
+def _leaf_bytes(cache):
+    """The bytes of every array in a (nested) forward cache, in order."""
+    if isinstance(cache, np.ndarray):
+        return [cache.tobytes()]
+    return [b for part in cache for b in _leaf_bytes(part)]
+
+
+def _assert_same_outputs(oracle, want, x, y):
+    z, cache = oracle.forward_with_cache(x)
+    want_z, want_cache = want.forward_with_cache(x)
+    assert z.tobytes() == want_z.tobytes()
+    assert _leaf_bytes(cache) == _leaf_bytes(want_cache)
+    loss, g = oracle.loss_and_grad(x, y)
+    want_loss, want_g = want.loss_and_grad(x, y)
+    assert loss == want_loss and g.tobytes() == want_g.tobytes()
+    assert oracle.predict(x) == want.predict(x)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_stem_sees_an_in_place_bias_update(seed_kernels, dtype):
+    # train_sgd updates conv.b in place every minibatch: a plane cached by the
+    # array, not by its value, would go on adding the old bias
+    shape = (6, 10, 1)
+    model = _smallcnn(shape, 3, 3, seed=14)
+    model.params["conv.b"] = model.params["conv.b"].astype(dtype)
+    images = _probe_images(shape, seed=140)
+    before = _logits(model, images[0])
+    model.params["conv.b"] -= np.array([0.5, -0.75, 1.5], dtype=dtype)
+    assert _logits(model, images[0]).tobytes() != before.tobytes()
+    for y, x in enumerate(images):
+        _assert_same_outputs(model, _copied(model), x, y)
+        want_z = seed_kernels(lambda: _logits(model, x))   # the seed's `+ b`
+        assert _logits(model, x).tobytes() == want_z.tobytes()
+    assert seed_kernels.calls["_stem_forward"] == len(images)
+
+
+def test_ensemble_members_with_distinct_biases_keep_their_own_planes(seed_kernels):
+    shape = (6, 10, 1)
+    members = [_smallcnn(shape, 3, 3, seed=15 + i) for i in range(4)]
+    for i, m in enumerate(members):
+        m.params["conv.b"] = m.params["conv.b"] + 0.125 * i
+    members[3].params["conv.b"] = members[3].params["conv.b"].astype(np.float32)
+    ens = EnsembleOracle(members)
+    want = EnsembleOracle([_copied(m) for m in members])
+    for y, x in enumerate(_probe_images(shape, seed=150)):
+        z, caches = ens.forward_with_cache(x)
+        fused = None
+        for m, (_, pre, _) in zip(members, caches):
+            zk, (_, pre_k, _) = m.forward_with_cache(x)
+            assert pre.tobytes() == pre_k.tobytes()
+            fused = ens.weight * zk if fused is None else fused + ens.weight * zk
+        assert z.tobytes() == fused.tobytes()
+        assert z.tobytes() == seed_kernels(lambda: _logits(ens, x)).tobytes()
+        _assert_same_outputs(ens, want, x, y)
+    # warm, the four planes all stay cached: one ensemble query builds none
+    misses = models._bias_plane.cache_info().misses
+    ens.loss_and_grad(x, 0)
+    assert models._bias_plane.cache_info().misses == misses
+
+
+def test_bias_plane_is_cached_read_only_and_bounded():
+    b = np.array([0.5, -0.25, 2.0], dtype=np.float32)
+    plane = models._bias_plane(b.tobytes(), b.dtype, 4)
+    assert plane is models._bias_plane(b.tobytes(), b.dtype, 4)
+    assert plane.dtype == b.dtype and plane.tobytes() == np.tile(b, 4).tobytes()
+    assert not plane.flags.writeable
+    with pytest.raises(ValueError):
+        plane[0] = 0.0
+    maxsize = models._bias_plane.cache_info().maxsize
+    assert maxsize is not None and maxsize <= 16
