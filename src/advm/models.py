@@ -299,8 +299,8 @@ class Model:
         return p[wname] @ a + p[bname], (acts, pre, cols)
 
     def predict(self, x: np.ndarray) -> int:
-        # ties resolve to the lowest class index (argmax semantics)
-        return int(np.argmax(self.forward_with_cache(x)[0]))
+        # ties resolve to the lowest class index, a NaN logit first (argmax semantics)
+        return int(self.forward_with_cache(x)[0].argmax())
 
     # -- backward (a ReLU mask is output > 0, which is exactly input > 0) --
 

@@ -22,7 +22,7 @@ def validate_image(t: np.ndarray) -> None:
         raise ShapeMismatch(f"expected float64, got {t.dtype}")
     if t.size == 0:
         raise ShapeMismatch(f"expected a non-empty image, got shape {t.shape}")
-    if not np.all(np.isfinite(t)):
+    if not np.isfinite(t).all():
         raise ValueError("image contains non-finite values")
     if t.min() < 0.0 or t.max() > 1.0:
         raise ValueError("pixel values outside [0, 1]")

@@ -21,6 +21,9 @@ Only attacks.py names ProcessPoolExecutor, multiprocessing or os.fork, so
 the one process pool, and how it forks and dies, stays in one module.
 No einsum call passes optimize= (or a ** mapping that could), since a
 BLAS contraction would reorder the sums that train_sgd keeps in order.
+No module calls np.argmax, np.argmin, np.all or np.any, or imports them
+from numpy, since the ndarray methods run the same C routines without the
+Python-level dispatch, which costs more than the reduction on a logit vector.
 No class subclasses dict, list, tuple or set, since a result that rides
 extra attributes on a container drops them through dict(x) or x.copy().
 No module takes an underscore name from another advm module, apart from
@@ -438,6 +441,42 @@ def test_einsum_check_flags_planted_optimize():
     )
     assert einsum_calls(tree) == [(4, []), (5, ["optimize"]), (6, ["out", "optimize"]),
                                   (7, ["**"])]
+
+
+_DISPATCHED_REDUCTIONS = {"argmax", "argmin", "all", "any"}
+
+
+def dispatched_reductions(tree) -> list:
+    """(line, name) of each np.argmax, np.argmin, np.all or np.any call, through
+    np or numpy, and of each import of one of them from numpy."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and getattr(node.func.value, "id", None) in {"np", "numpy"}:
+            names = [node.func.attr]
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            names = [a.name for a in node.names]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if name in _DISPATCHED_REDUCTIONS]
+    return sorted(found)
+
+
+def test_no_module_calls_a_dispatched_reduction():
+    found = [f"{name}:{line} np.{fn}" for name, tree in TREES.items()
+             for line, fn in dispatched_reductions(tree)]
+    assert not found, ("call the ndarray method (x.argmax(), x.all(), ...): it is the same "
+                       "routine without np's Python-level dispatch: " + ", ".join(found))
+
+
+def test_dispatched_reduction_check_flags_planted_calls():
+    tree = ast.parse(
+        "import numpy as np\nfrom numpy import argmin, isfinite\n"
+        "def f(z, t):\n    k = int(np.argmax(z))\n"
+        "    if not np.all(np.isfinite(t)) or numpy.any(t < 0):\n        return k\n"
+        "    return z.argmax(), t.all(), all(t), any(t), np.max(z), argmin(z)\n"
+    )
+    assert dispatched_reductions(tree) == [(2, "argmin"), (4, "argmax"), (5, "all"), (5, "any")]
 
 
 _BUILTIN_CONTAINERS = {"dict", "list", "tuple", "set"}

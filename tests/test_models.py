@@ -320,6 +320,41 @@ def test_predict_tie_breaks_to_lowest_index():
     assert model.predict(np.full((1, 1, 1), 0.5)) == 0
 
 
+def _planted(monkeypatch, model, logits):
+    """Make model.forward_with_cache return logits, with the cache of the real pass."""
+    real = model.forward_with_cache
+    monkeypatch.setattr(model, "forward_with_cache", lambda x: (logits.copy(), real(x)[1]))
+
+
+_PLANTED_LOGITS = [   # (logits, the class np.argmax picks)
+    ([1.0, 3.0, 3.0, 2.0], 1),
+    ([2.5, 2.5, 2.5, 2.5], 0),
+    ([0.5, 2.0, np.nan, 2.0], 2),
+    ([np.inf, np.nan, 1.0, np.nan], 1),
+    ([-np.inf, -np.inf, -np.inf, -np.inf], 0),
+]
+
+
+@pytest.mark.parametrize("logits,want", _PLANTED_LOGITS)
+@pytest.mark.parametrize("kind", ["smallcnn", "ensemble"])
+def test_predict_is_np_argmax_of_the_logits(monkeypatch, kind, logits, want):
+    # ties go to the lowest index and a NaN logit wins, as in np.argmax; an
+    # ensemble's fused logits keep a tie of equal members and their NaN
+    shape = (6, 10, 1)
+    z = np.array(logits)
+    if kind == "smallcnn":
+        oracle = _smallcnn(shape, 3, 3, seed=9)
+        _planted(monkeypatch, oracle, z)
+    else:
+        oracle = EnsembleOracle([_smallcnn(shape, 3, 3, seed=9), _smallcnn(shape, 2, 5, seed=10)])
+        for member in oracle.models:
+            _planted(monkeypatch, member, z)
+    x = rand_pixel_image(shape, seed=31)
+    got = oracle.predict(x)
+    assert type(got) is int
+    assert got == int(np.argmax(oracle.forward_with_cache(x)[0])) == want
+
+
 def test_forward_shape_mismatch():
     model = Model.initialize(ModelSpec("logistic", (2, 2, 1), 2))
     with pytest.raises(ShapeMismatch):
