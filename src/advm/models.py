@@ -22,10 +22,11 @@ The stem (_stem_forward, _stem_input_grad, _stem_param_grads) keeps its
 conv rows tap-major (_tap_rows), so the four taps of each 2x2 pool window
 come out of the conv GEMM as four contiguous planes. It keeps the
 summation orders of the seed's plain numpy stem, signed zeros included:
-the pool adds the planes as mean(axis=(1, 3)) did, col2im adds taps onto
-+0.0 as a tap-by-tap scatter into a zero canvas did, and the parameter
-gradients sum pixels in row-major order. So every loss, gradient and
-logit is bit-identical to the seed's. im2col and col2im are gathers
+the pool sums the planes onto +0.0 in one reduction in tap order (row
+pairs first with one channel), as mean(axis=(1, 3)) did; col2im adds taps
+onto +0.0 as a tap-by-tap scatter into a zero canvas did; and the
+parameter gradients sum pixels in row-major order. So every loss, gradient
+and logit is bit-identical to the seed's. im2col and col2im are gathers
 through cached read-only indices (_im2col_index, _col2im_index), and the
 conv bias is added as a flat plane cached by its value (_bias_plane);
 tests/test_models.py keeps the seed kernels and compares bytes.
@@ -189,20 +190,18 @@ def _bias_plane(raw: bytes, dtype: np.dtype, pixels: int) -> np.ndarray:
 
 
 def _avgpool2_taps(taps, w):
-    """2x2 mean pool of the (4, n, c) tap planes of a w-wide image, summed as
-    mean(axis=(1, 3)) sums the (h/2, 2, w/2, 2, c) view: onto +0.0 in tap
-    order, except that with one channel and more than one pooled column it
-    sums each row's two taps first. The +0.0 added last stands in for the
-    +0.0 start (they differ only when all four taps are -0.0).
+    """2x2 mean pool of the (4, n, c) tap planes of a w-wide image, as the
+    seed's mean(axis=(1, 3)) of the (h/2, 2, w/2, 2, c) view: one
+    reduction onto +0.0 in tap order, except that with one channel and
+    more than one pooled column it sums row pairs first and then adds
+    +0.0, the same float as starting from it. * 0.25 rounds the same
+    real x/4 as / 4, twice as fast.
     """
-    s = taps[0] + taps[1]
     if taps.shape[2] == 1 and w > 2:
-        s += taps[2] + taps[3]
+        s = (taps[0] + taps[1]) + (taps[2] + taps[3]) + 0.0
     else:
-        s += taps[2]
-        s += taps[3]
-    s += 0.0
-    s /= 4.0
+        s = np.add.reduce(taps, axis=0, initial=0.0)
+    s *= 0.25
     return s
 
 

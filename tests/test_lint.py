@@ -24,6 +24,9 @@ BLAS contraction would reorder the sums that train_sgd keeps in order.
 No module calls np.argmax, np.argmin, np.all or np.any, or imports them
 from numpy, since the ndarray methods run the same C routines without the
 Python-level dispatch, which costs more than the reduction on a logit vector.
+No call passes axis= a tuple or list display, such as mean(axis=(1, 3)),
+since numpy orders a multi-axis sum by memory layout, so the output bytes
+would depend on numpy's iterator; each reduction names one axis.
 No class subclasses dict, list, tuple or set, since a result that rides
 extra attributes on a container drops them through dict(x) or x.copy().
 No module takes an underscore name from another advm module, apart from
@@ -477,6 +480,34 @@ def test_dispatched_reduction_check_flags_planted_calls():
         "    return z.argmax(), t.all(), all(t), any(t), np.max(z), argmin(z)\n"
     )
     assert dispatched_reductions(tree) == [(2, "argmin"), (4, "argmax"), (5, "all"), (5, "any")]
+
+
+def multi_axis_calls(tree) -> list:
+    """(line, function name) of each call whose axis= keyword is a tuple or
+    list display, bare or as an attribute."""
+    return sorted((node.lineno, getattr(node.func, "attr", getattr(node.func, "id", None)))
+                  for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and any(kw.arg == "axis" and isinstance(kw.value, (ast.Tuple, ast.List))
+                          for kw in node.keywords))
+
+
+def test_no_reduction_runs_over_several_axes_at_once():
+    found = [f"{name}:{line} {fn}" for name, tree in TREES.items()
+             for line, fn in multi_axis_calls(tree)]
+    assert not found, ("numpy orders a reduction over several axes by memory layout, so its "
+                       "bytes depend on numpy's iterator; reduce one axis at a time in a "
+                       "written order: " + ", ".join(found))
+
+
+def test_multi_axis_check_flags_planted_calls():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "def f(x, t, axes):\n    m = x.mean(axis=(1, 3))\n"
+        "    s = np.add.reduce(t, axis=(0, 1), initial=0.0)\n"
+        "    u = sum_over(t, axis=[0, 2])\n"
+        "    return np.add.reduce(t, axis=0), np.repeat(x, 2, axis=2), x.sum(axis=axes), m, s, u\n"
+    )
+    assert multi_axis_calls(tree) == [(3, "mean"), (4, "reduce"), (5, "sum_over")]
 
 
 _BUILTIN_CONTAINERS = {"dict", "list", "tuple", "set"}

@@ -1227,20 +1227,34 @@ def test_conv_bytes_match_seed_on_zoo_shapes(k, cout):
     assert got_w.tobytes() == want_w.tobytes() and got_b.tobytes() == want_b.tobytes()
 
 
-@pytest.mark.parametrize("h, w, c", [
-    (6, 10, 1), (4, 2, 1), (2, 2, 1), (4, 2, 3), (8, 6, 5), (2, 4, 2),
-])
-def test_avgpool_and_backward_bytes_match_seed(h, w, c):
+@pytest.mark.parametrize("h, w, c, nonfinite", [
+    pytest.param(h, w, c, False, id=f"{h}-{w}-{c}") for h, w, c in (
+        (6, 10, 1), (4, 2, 1), (2, 2, 1), (4, 2, 3), (8, 6, 5), (2, 4, 2),
+        (28, 28, 6), (28, 28, 8), (28, 28, 12),  # zoo widths
+        (6, 2, 16),                              # one window per row
+    )] + [pytest.param(h, w, c, True, id=f"{h}-{w}-{c}-nonfinite")
+          for h, w, c in ((6, 10, 1), (8, 6, 5))])
+def test_avgpool_and_backward_bytes_match_seed(h, w, c, nonfinite):
     rng = np.random.default_rng(300 + h + c)
     pre = _with_signed_zeros(rng.normal(size=(h, w, c)), 5)
-    pre[:2, :2] = -0.0                           # one window of four -0.0 taps
+    pre[:2, :2] = -0.0                           # one window of four -0.0 pre-activations
     act = np.maximum(pre, 0.0)
     got = models._avgpool2_taps(_tap_major(act, h, w), w).reshape(h // 2, w // 2, c)
     assert got.tobytes() == _seed_avgpool2(act).tobytes()
     assert got[0, 0].tobytes() == np.zeros(c).tobytes()      # +0.0, as mean gives
     signed = _with_signed_zeros(rng.normal(size=(h, w, c)), 6)
-    got = models._avgpool2_taps(_tap_major(signed, h, w), w).reshape(h // 2, w // 2, c)
-    assert got.tobytes() == _seed_avgpool2(signed).tobytes()
+    signed[-2:, -2:] = -0.0                      # the last window: four -0.0 taps
+    if nonfinite:   # NaN and +-inf taps: which NaN comes out depends on the order
+        signed[0, 0] = np.nan
+        signed[0, 2], signed[1, 3] = np.inf, -np.inf     # inf - inf in window (0, 1)
+        signed[2, 0], signed[3, 3] = np.inf, -np.inf
+        signed[2, 1] = np.nan                            # with +inf in window (1, 0)
+        signed[4:6, :2] = np.reshape([[5e-324, 5e-324], [0.0, -0.0]], (2, 2, 1))
+        # ^ a subnormal window whose quarter, half the least subnormal, rounds to even
+    with np.errstate(invalid="ignore"):
+        got = models._avgpool2_taps(_tap_major(signed, h, w), w).reshape(h // 2, w // 2, c)
+        assert got.tobytes() == _seed_avgpool2(signed).tobytes()
+    assert got[-1, -1].tobytes() == np.zeros(c).tobytes()    # summed onto +0.0
 
     dflat = _with_signed_zeros(rng.normal(size=(h // 2) * (w // 2) * c), 7)
     got = _row_major(models._stem_dpre(dflat, _tap_major(pre, h, w)), h, w)
